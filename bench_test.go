@@ -8,7 +8,8 @@
 //	go test -bench=. -benchmem
 //
 // The absolute times reported by testing.B measure the harness, not the
-// paper's hardware; EXPERIMENTS.md records the shape comparisons.
+// paper's hardware; benchmark/README.md has the end-to-end benchmark
+// and its measured tables.
 package roar
 
 import (

@@ -10,8 +10,9 @@
 //	roar-bench -check -write-baseline -baseline BENCH_baseline.json BENCH_*.json
 //
 // Quick mode (default) uses laptop-scale parameters; -full runs the
-// paper-scale sweeps. Output is one aligned text table per experiment;
-// EXPERIMENTS.md records how each maps onto the paper's artifact.
+// paper-scale sweeps. Output is one aligned text table per experiment,
+// titled with the paper artifact it regenerates; the system's measured
+// end-to-end and per-layer numbers are in benchmark/README.md.
 //
 // -check parses the named `go test -bench` outputs (raw text or the
 // -json event stream CI tees into BENCH_*.json) and exits non-zero when

@@ -2,7 +2,8 @@
 // figure of the paper's evaluation (Chapters 5, 6 and 7), each
 // regenerating the same rows/series the paper reports. cmd/roar-bench
 // runs them from the command line; bench_test.go exposes them as Go
-// benchmarks; EXPERIMENTS.md records paper-vs-measured.
+// benchmarks. The measured end-to-end benchmark of the system itself is
+// benchmark/ (see benchmark/README.md).
 package bench
 
 import (

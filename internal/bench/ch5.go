@@ -17,7 +17,8 @@ import (
 // Java; ours come from this machine with HMAC-SHA-256 in Go. The shapes
 // — disk-bound vs CPU-bound crossover, thread scaling plateau, linear
 // growth with collection size, fixed costs dominating small collections
-// — are the reproduction targets (see EXPERIMENTS.md).
+// — are the reproduction targets (measured numbers for this machine:
+// benchmark/README.md).
 
 func init() {
 	register(Experiment{ID: "fig5.1", Title: "Index-based vs PPS bandwidth ratio", Run: fig51})

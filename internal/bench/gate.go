@@ -165,6 +165,11 @@ func DefaultTracked() []GateMetric {
 		// variance.
 		{Bench: "BenchmarkIndexMatch/warm", Unit: "speedup-x", HigherBetter: true, Threshold: 0.5},
 		{Bench: "BenchmarkIndexMatch/cold", Unit: "ns/op", Threshold: 1.0},
+		// What one leg of a p = 8 fan-out costs: the full-ring cases above
+		// cannot tell a leg that pays for its arc from one that pays for
+		// the corpus. The allocation count is exact on any machine.
+		{Bench: "BenchmarkIndexMatch/arc-1of8-top20", Unit: "ns/op", Threshold: 1.0},
+		{Bench: "BenchmarkIndexMatch/arc-1of8-top20", Unit: "allocs/op"},
 		// Control-plane failover: elections are jitter-timed, so the
 		// time-to-leader budget is wide; queries-shed is exact — the
 		// data plane never touches the coordinator, so a leader kill

@@ -109,7 +109,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			q.Terms = append(q.Terms, fmt.Sprintf("t%03d", rng.Intn(45))) // some absent terms
 		}
 		if q.Mode == ModeThreshold {
-			q.MinMatch = 1 + rng.Intn(nTerms)
+			q.MinMatch = 1 + rng.Intn(nTerms+1) // len(Terms)+1 matches nothing
 		}
 		if trial%3 == 0 {
 			q.Limit = 1 + rng.Intn(20)

@@ -24,8 +24,10 @@ const (
 type Query struct {
 	Terms []string
 	Mode  Mode
-	// MinMatch is the T of a ModeThreshold query (clamped to
-	// [1, len(Terms)]).
+	// MinMatch is the T of a ModeThreshold query: a doc matches when it
+	// contains at least MinMatch of Terms (a repeated term counts each
+	// time). Values below 1 mean 1; a value above len(Terms) matches
+	// nothing. The other modes ignore it.
 	MinMatch int
 	// Limit caps the result to the numerically-smallest Limit record
 	// ids inside the searched arc (top-k). 0 = unlimited.
@@ -48,8 +50,9 @@ func (q Query) Validate() error {
 // set when full is true — mirroring ring.MatchSpan's lo == hi
 // convention, which id truncation cannot express). It returns the
 // matching record ids ascending (at most Limit of the smallest when
-// Limit > 0) and the number of posting entries examined — the
-// scanned-work analogue of the PPS scan path's record count.
+// Limit > 0) and the number of posting entries examined inside the arc
+// (see searchWindows) — the scanned-work analogue of the PPS scan
+// path's record count.
 func (ix *Index) SearchArc(ctx context.Context, q Query, lo, hi uint64, full bool) ([]uint64, int, error) {
 	if err := q.Validate(); err != nil {
 		return nil, 0, err
@@ -96,34 +99,34 @@ func (ix *Index) SearchArc(ctx context.Context, q Query, lo, hi uint64, full boo
 
 // searchSegment evaluates the query in one segment. The ordinal windows
 // are computed first so a segment with no documents in the arc is
-// skipped before any posting list is touched — an arc-partitioned node
-// holding a whole-corpus segment file only ever pays for the terms, not
-// per-arc copies of them.
+// skipped before any posting list is touched, and the postings are then
+// evaluated inside those windows only: an arc-partitioned node holding a
+// whole-corpus segment file pays for its arc, not for the corpus.
 func (ix *Index) searchSegment(ctx context.Context, seg *Segment, q Query, lo, hi uint64, full bool) ([]uint64, int, error) {
-	var ranges [][2]int
+	var windows [][2]int
 	switch {
 	case full:
-		ranges = [][2]int{{0, seg.Docs()}}
+		windows = [][2]int{{0, seg.Docs()}}
 	case lo < hi:
 		a, b := seg.ordRange(lo, hi)
-		ranges = [][2]int{{a, b}}
+		windows = [][2]int{{a, b}}
 	default:
 		// Wrapping arc (lo, max] ∪ [0, hi]: the [0, hi] window first —
 		// its ids are numerically smaller, so a Limit cut keeps the
 		// smallest ids in the arc.
 		a, _ := seg.ordRange(lo, ^uint64(0))
 		_, b := seg.ordRange(0, hi)
-		ranges = [][2]int{{0, b}, {a, seg.Docs()}}
+		windows = [][2]int{{0, b}, {a, seg.Docs()}}
 		if hi == ^uint64(0) || b > a {
 			// Degenerate split (possible only with adversarial bounds,
 			// not ring-derived ones): fall back to the full window
 			// rather than double-count overlapping ranges.
-			ranges = [][2]int{{0, seg.Docs()}}
+			windows = [][2]int{{0, seg.Docs()}}
 		}
 	}
 	live := false
-	for _, r := range ranges {
-		if r[0] < r[1] {
+	for _, w := range windows {
+		if w[0] < w[1] {
 			live = true
 		}
 	}
@@ -131,39 +134,39 @@ func (ix *Index) searchSegment(ctx context.Context, seg *Segment, q Query, lo, h
 		return nil, 0, nil
 	}
 
-	scanned := 0
+	need := 1
+	switch q.Mode {
+	case ModeAnd:
+		need = len(q.Terms)
+	case ModeThreshold:
+		need = q.MinMatch
+	}
+	if need > len(q.Terms) {
+		return nil, 0, nil
+	}
 	postings := make([]*Bitmap, 0, len(q.Terms))
 	for _, term := range q.Terms {
 		if err := ctx.Err(); err != nil {
-			return nil, scanned, err
+			return nil, 0, err
 		}
 		bm, err := ix.cache.Get(seg, term)
 		if err != nil {
-			return nil, scanned, err
+			return nil, 0, err
 		}
-		if bm == nil {
-			bm = NewBitmap()
-		}
-		scanned += bm.Cardinality()
-		if q.Mode == ModeAnd && bm.Cardinality() == 0 {
-			// Early termination: one empty conjunct empties the result
-			// before the remaining (possibly disk-resident) terms load.
-			return nil, scanned, nil
+		if bm == nil || bm.Cardinality() == 0 {
+			if q.Mode == ModeAnd {
+				// Early termination: one empty conjunct empties the result
+				// before the remaining (possibly disk-resident) terms load.
+				return nil, 0, nil
+			}
+			continue
 		}
 		postings = append(postings, bm)
 	}
 
-	var set *Bitmap
-	switch q.Mode {
-	case ModeAnd:
-		set = AndAll(postings)
-	case ModeOr:
-		set = OrAll(postings)
-	case ModeThreshold:
-		set = Threshold(postings, q.MinMatch)
+	ids, scanned, err := searchWindows(ctx, postings, need, windows, q.Limit)
+	for i, ord := range ids {
+		ids[i] = seg.docIDs[ord]
 	}
-	if set.Cardinality() == 0 {
-		return nil, scanned, nil
-	}
-	return seg.idsInRanges(set, ranges, q.Limit, nil), scanned, nil
+	return ids, scanned, err
 }

@@ -97,28 +97,6 @@ func (s *Segment) ordRange(lo, hi uint64) (int, int) {
 	return a, b
 }
 
-// idsInRanges extracts, ascending and bounded by limit (<= 0 for
-// unlimited), the record ids of set-member ordinals inside the given
-// ordinal windows.
-func (s *Segment) idsInRanges(set *Bitmap, ranges [][2]int, limit int, out []uint64) []uint64 {
-	var ords []uint64
-	for _, r := range ranges {
-		if r[0] >= r[1] {
-			continue
-		}
-		if limit > 0 && len(ords) >= limit {
-			break
-		}
-		// AppendRange's limit bounds the total output length, so the
-		// running slice threads straight through.
-		ords = set.AppendRange(uint64(r[0]), uint64(r[1]-1), limit, ords)
-	}
-	for _, o := range ords {
-		out = append(out, s.docIDs[int(o)])
-	}
-	return out
-}
-
 // Builder accumulates documents and produces an immutable Segment.
 // Not safe for concurrent use.
 type Builder struct {

@@ -14,9 +14,11 @@ import (
 
 // Matcher is the node's pluggable data plane: given a sub-query and its
 // duplicate-avoidance arc (lo, hi], return the matching record ids
-// (ascending), the amount of work examined (records scanned or posting
-// entries touched — the unit the stats and speed estimators consume),
-// and any error. The ring/hedge/quarantine/autoscale machinery above is
+// (ascending), the amount of work examined (records scanned, or the
+// posting entries the index examined inside the arc's ordinal windows:
+// entries visited plus probes of the other terms' postings, which a
+// Limit cut stops short — the unit the stats and speed estimators
+// consume), and any error. The ring/hedge/quarantine/autoscale machinery above is
 // oblivious to which engine answers; it sees only ids and scanned work.
 //
 // Two implementations ship: the PPS encrypted scan over the record

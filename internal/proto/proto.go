@@ -56,7 +56,8 @@ type LoadResp struct {
 // workload served by internal/index): match documents containing the
 // terms under the given combine mode, returning at most Limit of the
 // numerically-smallest ids per arc. Mode values mirror index.Mode:
-// 0 = AND, 1 = OR, 2 = at-least-MinMatch threshold.
+// 0 = AND, 1 = OR, 2 = at-least-MinMatch threshold, where a MinMatch
+// below 1 means 1 and one above len(Terms) matches nothing.
 type PlainQuery struct {
 	Terms    []string `json:"terms"`
 	Mode     uint8    `json:"mode,omitempty"`
