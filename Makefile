@@ -2,7 +2,7 @@
 # reproduces the Lint job exactly (minus the pinned external tools when
 # they are not installed locally).
 
-.PHONY: build test race lint bench
+.PHONY: build test race lint bench benchmark-smoke
 
 build:
 	go build ./...
@@ -18,3 +18,8 @@ lint:
 
 bench:
 	go test ./internal/bench -run '^$$' -bench . -benchtime 1x
+
+# benchmark/ is its own module, invisible to `go test ./...`; this is the
+# only check that a product-API change still compiles against it.
+benchmark-smoke:
+	go test -C benchmark -short .

@@ -153,6 +153,9 @@ func DefaultTracked() []GateMetric {
 		{Bench: "BenchmarkFrontendThroughput/pipelined-pool4", Unit: "queries/s", HigherBetter: true, Threshold: 0.5},
 		{Bench: "BenchmarkMatchKernel/kernel", Unit: "ns/op", Threshold: 1.0},
 		{Bench: "BenchmarkMatchKernel/kernel", Unit: "allocs/op"}, // zero-alloc: hard invariant
+		// The same scan keyed from stored schedules: what store.MatchArc pays.
+		{Bench: "BenchmarkMatchKernel/scheduled", Unit: "ns/op", Threshold: 1.0},
+		{Bench: "BenchmarkMatchKernel/scheduled", Unit: "allocs/op"},
 		{Bench: "BenchmarkCodecQueryReq/binary", Unit: "ns/op", Threshold: 1.0},
 		{Bench: "BenchmarkTailLatency/hedged-budget-5pct", Unit: "p99-ms", Threshold: 1.0},
 		{Bench: "BenchmarkReconfigUnderLoad", Unit: "queries/s", HigherBetter: true, Threshold: 0.5},

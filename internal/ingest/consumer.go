@@ -6,9 +6,11 @@
 //     on a dead node is re-routed the moment the coordinator publishes
 //     a view without it — this is what makes decommission replay work
 //     without any special casing.
-//   - Acked offsets are tracked per target key; a retry skips targets
-//     that already took the batch, so a partial failure re-delivers
-//     only to the nodes that missed it.
+//   - What each target has taken is tracked per record of the batch in
+//     flight; a retry pushes a target only the records it has not taken,
+//     so a partial failure re-delivers only to the nodes that missed it
+//     and a route that changes between two records of one attempt cannot
+//     pass a partial delivery off as a whole one.
 //   - Failures back off exponentially with jitter, bounded by
 //     MaxBackoff, and never advance the drained watermark — the WAL
 //     keeps the records until delivery succeeds.
@@ -22,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,8 +31,8 @@ import (
 )
 
 // Target is one delivery destination for a record: Key identifies the
-// node across attempts (acked offsets latch on it) and Push performs
-// the delivery RPC.
+// node across attempts (what it has taken is remembered under it) and
+// Push performs the delivery RPC.
 type Target struct {
 	Key  string
 	Push func(ctx context.Context, recs []pps.Encoded) error
@@ -92,8 +93,7 @@ type Consumer struct {
 
 	mu      sync.Mutex
 	drained uint64
-	acked   map[string]uint64 // per-target-key delivered-through sequence
-	waitCh  chan struct{}     // closed and replaced on every advance
+	waitCh  chan struct{} // closed and replaced on every advance
 	started bool
 }
 
@@ -105,7 +105,6 @@ func NewConsumer(w *WAL, cfg ConsumerConfig) *Consumer {
 		cfg:    cfg.withDefaults(),
 		ctx:    ctx,
 		cancel: cancel,
-		acked:  make(map[string]uint64),
 		waitCh: make(chan struct{}),
 	}
 }
@@ -190,7 +189,7 @@ func (c *Consumer) run() {
 			}
 			continue
 		}
-		if !c.deliver(batch, last) {
+		if !c.deliver(batch) {
 			return
 		}
 		c.advance(last)
@@ -214,13 +213,16 @@ func (c *Consumer) readBatch() (recs []pps.Encoded, last uint64, err error) {
 // deliver pushes one batch to every routed target, retrying with
 // backoff until all succeed or the consumer stops. Returns false only
 // on stop.
-func (c *Consumer) deliver(batch []pps.Encoded, last uint64) bool {
+func (c *Consumer) deliver(batch []pps.Encoded) bool {
+	// took[key][i]: target key took batch[i] on an attempt that failed
+	// elsewhere. Empty unless something fails.
+	took := make(map[string][]bool)
 	backoff := c.cfg.MinBackoff
-	for attempt := 0; ; attempt++ {
+	for {
 		if c.ctx.Err() != nil {
 			return false
 		}
-		if c.attempt(batch, last) {
+		if c.attempt(batch, took) {
 			return true
 		}
 		// Jittered exponential backoff: a uniformly random slice of the
@@ -235,68 +237,70 @@ func (c *Consumer) deliver(batch []pps.Encoded, last uint64) bool {
 	}
 }
 
-// attempt makes one delivery pass: re-resolve routes, group records by
-// target, push groups in parallel, latch per-target acks. True when
-// every target took its records.
-func (c *Consumer) attempt(batch []pps.Encoded, last uint64) bool {
+// attempt makes one delivery pass: re-resolve routes, group by target
+// the records that target has not taken yet, push the groups in
+// parallel, and record in took what each took. True when every record
+// has been taken by every target it routes to now.
+func (c *Consumer) attempt(batch []pps.Encoded, took map[string][]bool) bool {
 	type group struct {
 		push func(context.Context, []pps.Encoded) error
 		recs []pps.Encoded
+		idx  []int // recs[j] is batch[idx[j]]
+		err  error
 	}
 	groups := make(map[string]*group)
-	for _, rec := range batch {
+	for i, rec := range batch {
 		targets, err := c.cfg.Route(rec)
 		if err != nil {
 			c.logf("ingest: routing record %d: %v", rec.ID, err)
 			return false
 		}
 		for _, t := range targets {
+			if has := took[t.Key]; has != nil && has[i] {
+				continue
+			}
 			g := groups[t.Key]
 			if g == nil {
 				g = &group{push: t.Push}
 				groups[t.Key] = g
 			}
 			g.recs = append(g.recs, rec)
+			g.idx = append(g.idx, i)
 		}
 	}
-	// Skip targets that already took this batch on an earlier attempt.
-	c.mu.Lock()
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		if c.acked[k] < last {
-			keys = append(keys, k)
-		}
-	}
-	c.mu.Unlock()
-	sort.Strings(keys)
-	ok := make([]bool, len(keys))
 	var wg sync.WaitGroup
-	for i, k := range keys {
-		g := groups[k]
+	for _, g := range groups {
 		wg.Add(1)
-		go func(i int, key string, g *group) {
+		go func() {
 			defer wg.Done()
-			if err := g.push(c.ctx, g.recs); err != nil {
-				c.logf("ingest: pushing %d records to %s: %v", len(g.recs), key, err)
-				return
-			}
-			ok[i] = true
-		}(i, k, g)
+			g.err = g.push(c.ctx, g.recs)
+		}()
 	}
 	wg.Wait()
 	all := true
-	c.mu.Lock()
-	for i, k := range keys {
-		if ok[i] {
-			if c.acked[k] < last {
-				c.acked[k] = last
-			}
-		} else {
+	for key, g := range groups {
+		if g.err != nil {
+			c.logf("ingest: pushing %d records to %s: %v", len(g.recs), key, g.err)
 			all = false
 		}
 	}
-	c.mu.Unlock()
-	return all
+	if all {
+		return true
+	}
+	for key, g := range groups {
+		if g.err != nil {
+			continue
+		}
+		has := took[key]
+		if has == nil {
+			has = make([]bool, len(batch))
+			took[key] = has
+		}
+		for _, i := range g.idx {
+			has[i] = true
+		}
+	}
+	return false
 }
 
 // advance publishes a new drained watermark and wakes waiters.

@@ -214,6 +214,45 @@ func TestConsumerReroutesToReplacement(t *testing.T) {
 	}
 }
 
+// TestConsumerRouteFlipsInsideAttempt: routes are resolved per record,
+// so a decommission can land between two records of one attempt. The
+// replacement then takes only the tail of the batch; its success must
+// not let the retry skip it for the head. Deterministic: the route names
+// the dead target for exactly the first three resolutions.
+func TestConsumerRouteFlipsInsideAttempt(t *testing.T) {
+	w := openTestWAL(t)
+	dead, repl := &sink{}, &sink{}
+	dead.setFail(true)
+	var mu sync.Mutex
+	resolutions := 0
+	route := func(pps.Encoded) ([]Target, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		resolutions++
+		if resolutions <= 3 {
+			return []Target{{Key: "old", Push: dead.push}}, nil
+		}
+		return []Target{{Key: "new", Push: repl.push}}, nil
+	}
+	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
+	recs := testRecs(29, 6)
+	seq, err := w.Append(recs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(0)
+	defer c.Stop()
+	waitDrained(t, c, seq)
+	got, total := repl.ids()
+	if len(got) != len(recs) {
+		t.Fatalf("watermark %d covers %d records but the replacement holds %d: %v", seq, len(recs), len(got), got)
+	}
+	// And what it took on the first attempt was not pushed again.
+	if total != len(recs) {
+		t.Fatalf("replacement received %d deliveries of %d records, want each exactly once", total, len(recs))
+	}
+}
+
 func TestConsumerResumeSkipsDrainedPrefix(t *testing.T) {
 	w := openTestWAL(t)
 	s := &sink{}

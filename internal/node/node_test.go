@@ -68,6 +68,32 @@ func TestNodeQueryLocal(t *testing.T) {
 	}
 }
 
+// TestNodeQueryShortFilter: a record whose Bloom filter is shorter than
+// the matcher's MBits (nothing on the write path checks it, and a Put
+// that rejected it would stall the WAL drain forever) must cost the node
+// one non-match, not the process: the scan used to index past the slice
+// inside a matcher goroutine.
+func TestNodeQueryShortFilter(t *testing.T) {
+	n, enc := testSetup(t)
+	ids := loadDocs(t, n, enc, []string{"aa", "bb", "aa"})
+	bad, _ := n.Store().Get(ids[0])
+	bad.ID = 99 << 32
+	bad.Filter = bad.Filter[:1]
+	if _, err := n.Put(proto.PutReq{Records: []pps.Encoded{bad}}); err != nil {
+		t.Fatal(err)
+	}
+	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
+	for i := 0; i < 2; i++ { // the scan that derives the schedules, and one that has them
+		resp, err := n.Query(context.Background(), proto.QueryReq{Lo: 0.5, Hi: 0.4999999, Q: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Scanned != 4 || len(resp.IDs) != 2 || resp.IDs[0] != ids[0] || resp.IDs[1] != ids[2] {
+			t.Fatalf("query %d over a short-filter record: scanned %d, matched %v; want 4 and %v", i, resp.Scanned, resp.IDs, []uint64{ids[0], ids[2]})
+		}
+	}
+}
+
 func TestNodeQueryPartialArc(t *testing.T) {
 	n, enc := testSetup(t)
 	loadDocs(t, n, enc, []string{"aa", "aa", "aa", "aa"})

@@ -31,10 +31,10 @@ type Bloom struct {
 
 // encState is one pooled encode scratch (see Bloom.enc).
 type encState struct {
-	sub   []prfKernel       // keyed once by the scheme sub-keys
-	blind prfKernel         // keyed per document by the nonce
-	word  []byte            // string→bytes scratch
-	td    [sha256.Size]byte // trapdoor element scratch
+	sub   []prfKernel        // keyed once by the scheme sub-keys
+	blind prfKernel          // keyed per document by the nonce
+	word  []byte             // the current word, padded once for all r sub-keys
+	td    [prfBlockSize]byte // digestBlock: the current trapdoor element, padded
 }
 
 // BloomConfig sizes the filter.
@@ -70,8 +70,9 @@ func NewBloom(k MasterKey, cfg BloomConfig) *Bloom {
 	}
 	s := &Bloom{subkeys: sub, mBits: cfg.MaxWords * cfg.BitsPerWord, r: cfg.Hashes, maxWords: cfg.MaxWords}
 	s.enc.New = func() interface{} {
-		st := &encState{sub: make([]prfKernel, len(s.subkeys))}
+		st := &encState{sub: make([]prfKernel, len(s.subkeys)), td: digestBlock()}
 		for i := range st.sub {
+			st.sub[i].init()
 			st.sub[i].setKey(s.subkeys[i])
 		}
 		st.blind.init()
@@ -110,9 +111,10 @@ func (s *Bloom) EncryptQuery(word string) BloomQuery {
 	return BloomQuery{Trapdoor: td}
 }
 
-// EncryptMetadata builds the blinded filter for a document's words.
-// Words beyond the configured maximum are rejected rather than silently
-// degrading the false-positive rate.
+// EncryptMetadata builds the blinded filter for a document's words. Up
+// to twice the design load MaxWords is accepted, at the false-positive
+// rate FalsePositiveRate gives for that many words; more is rejected
+// rather than silently degrading the rate further.
 func (s *Bloom) EncryptMetadata(words []string) (BloomMetadata, error) {
 	if len(words) > 2*s.maxWords {
 		return BloomMetadata{}, fmt.Errorf("pps: %d words exceed filter budget (%d)", len(words), 2*s.maxWords)
@@ -125,10 +127,12 @@ func (s *Bloom) EncryptMetadata(words []string) (BloomMetadata, error) {
 	st := s.enc.Get().(*encState)
 	st.blind.setKey(rnd)
 	mBits := uint64(s.mBits)
+	x := paddedMsg{st.td[:], sha256.Size}
 	for _, w := range words {
-		st.word = append(st.word[:0], w...)
+		st.word = appendPadded(st.word[:0], w)
+		word := paddedMsg{st.word, len(w)}
 		for i := range st.sub {
-			x := st.sub[i].sumInto(st.word, st.td[:0])
+			copy(st.td[:], st.sub[i].sum(word))
 			setBit(filter, int(st.blind.sum64(x)%mBits))
 		}
 	}
@@ -143,10 +147,11 @@ func (s *Bloom) codeword(rnd, x []byte) int {
 }
 
 // MatchBloom checks whether the keyword trapdoor hits the document
-// filter. Runs on the server; needs no keys. On a non-match, on average
-// half the hash applications are evaluated before the first missing bit
-// short-circuits the test — the cost asymmetry the paper measures in
-// §5.7 (matching documents cost ~r hashes, misses ~r/2).
+// filter. Runs on the server; needs no keys. On a non-match the first
+// missing bit short-circuits the test after 1/(1 − fill) hash
+// applications on average — ≈ 2 at the design load, where half the bits
+// are set — the cost asymmetry the paper measures in §5.7 (matching
+// documents cost r hashes, misses ~2; benchmark/README.md measures it).
 func (s *Bloom) MatchBloom(q BloomQuery, m BloomMetadata) bool {
 	for _, x := range q.Trapdoor {
 		if !getBit(m.Filter, s.codeword(m.Nonce, x)) {

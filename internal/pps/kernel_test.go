@@ -4,72 +4,113 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestKernelMatchesGenericPRF: the reusable kernel must be bit-identical
-// to the crypto/hmac reference for every key/data shape we use (16-byte
-// nonces, 32-byte derived sub-keys) plus edge cases (empty data, long
-// keys that trigger the RFC 2104 pre-hash).
-func TestKernelMatchesGenericPRF(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestFastPRFSelected: the toolchain CI builds with must take the fast
+// evaluator. A crypto/sha256 whose marshaled state changed would still
+// match correctly through crypto/hmac, at a third of the speed; this
+// makes that fail loudly instead.
+func TestFastPRFSelected(t *testing.T) {
+	if !fastPRF {
+		t.Fatal("crypto/sha256's marshaled state no longer has the layout kernel.go reads; the matcher is on the crypto/hmac path")
+	}
 	var k prfKernel
 	k.init()
-	for _, keyLen := range []int{1, 16, 32, 64, 65, 200} {
-		for _, dataLen := range []int{0, 1, 8, 16, 32, 100} {
-			key := make([]byte, keyLen)
-			rng.Read(key)
-			k.setKey(key)
-			for trial := 0; trial < 4; trial++ { // repeated evals on one key
-				data := make([]byte, dataLen)
-				rng.Read(data)
-				want := prf(key, data)
-				var scratch [32]byte
-				got := k.sumInto(data, scratch[:0])
-				if !bytes.Equal(got, want) {
-					t.Fatalf("kernel mismatch at keyLen=%d dataLen=%d", keyLen, dataLen)
-				}
-				if k.sum64(data) != prfUint64(key, data) {
-					t.Fatalf("sum64 mismatch at keyLen=%d dataLen=%d", keyLen, dataLen)
+	if k.h == nil {
+		t.Fatal("init did not select the fast evaluator")
+	}
+}
+
+// kernelPaths returns a kernel on each evaluation path.
+func kernelPaths() map[string]*prfKernel {
+	fast, generic := new(prfKernel), new(prfKernel)
+	fast.init()
+	return map[string]*prfKernel{"fast": fast, "generic": generic}
+}
+
+// TestKernelMatchesHMAC: both kernel paths must be bit-identical to the
+// crypto/hmac reference at every padding boundary (a message of 55
+// bytes is the longest whose padding fits its own block, 56 the first
+// that needs another; 119/120 likewise one block on) and for keys that
+// are empty, nonce-sized, exactly one block, and long enough for the
+// RFC 2104 pre-hash.
+func TestKernelMatchesHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for name, k := range kernelPaths() {
+		for _, keyLen := range []int{0, 16, 32, 64, 65, 200} {
+			for _, dataLen := range []int{0, 1, 31, 32, 55, 56, 64, 119, 120, 200} {
+				key := make([]byte, keyLen)
+				rng.Read(key)
+				k.setKey(key)
+				for trial := 0; trial < 3; trial++ { // repeated evals on one key
+					data := make([]byte, dataLen)
+					rng.Read(data)
+					if got, want := k.sum(padMsg(data)), prf(key, data); !bytes.Equal(got, want) {
+						t.Fatalf("%s: digest mismatch at keyLen=%d dataLen=%d", name, keyLen, dataLen)
+					}
+					if k.sum64(padMsg(data)) != prfUint64(key, data) {
+						t.Fatalf("%s: sum64 mismatch at keyLen=%d dataLen=%d", name, keyLen, dataLen)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestKernelRekeying: interleaved re-keying (the per-record pattern)
-// never leaks state between keys.
+// FuzzKernelMatchesHMAC: any key, any message, both paths, and a
+// schedule installed into a kernel last keyed for something else.
+func FuzzKernelMatchesHMAC(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), []byte("trapdoor-element-0123456789abcde"))
+	f.Add([]byte{}, []byte{})
+	f.Add(bytes.Repeat([]byte{1}, 65), bytes.Repeat([]byte{2}, 56))
+	f.Fuzz(func(t *testing.T, key, data []byte) {
+		want := prf(key, data)
+		for name, k := range kernelPaths() {
+			k.setKey(key)
+			if got := k.sum(padMsg(data)); !bytes.Equal(got, want) {
+				t.Fatalf("%s: HMAC(%x, %x) = %x, want %x", name, key, data, got, want)
+			}
+		}
+		var a, b prfKernel
+		a.init()
+		b.init()
+		ks := a.derive(key)
+		b.setKey(data)
+		b.install(&ks)
+		if got := b.sum(padMsg(data)); !bytes.Equal(got, want) {
+			t.Fatalf("installed schedule: HMAC(%x, %x) = %x, want %x", key, data, got, want)
+		}
+	})
+}
+
+// TestKernelRekeying: interleaved re-keying (the per-record pattern),
+// by key and by installed schedule, never leaks state between keys.
 func TestKernelRekeying(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var k prfKernel
 	k.init()
 	keys := make([][]byte, 8)
+	recs := make([]Encoded, len(keys))
 	for i := range keys {
 		keys[i] = make([]byte, 16)
 		rng.Read(keys[i])
+		recs[i].Nonce = keys[i]
 	}
+	ks := AppendKeySchedules(nil, recs)
 	data := []byte("trapdoor-element-0123456789abcdef")
 	for trial := 0; trial < 64; trial++ {
-		key := keys[rng.Intn(len(keys))]
-		k.setKey(key)
-		if got, want := k.sum64(data), prfUint64(key, data); got != want {
+		i := rng.Intn(len(keys))
+		if trial%2 == 0 {
+			k.setKey(keys[i])
+		} else {
+			k.install(&ks[i])
+		}
+		if got, want := k.sum64(padMsg(data)), prfUint64(keys[i], data); got != want {
 			t.Fatalf("trial %d: kernel %x != reference %x after re-keying", trial, got, want)
 		}
-	}
-}
-
-// TestKernelFallbackPath: with midstate checkpointing disabled the
-// replay path must produce the same digests.
-func TestKernelFallbackPath(t *testing.T) {
-	var k prfKernel
-	k.init()
-	k.canSave = false
-	key := []byte("0123456789abcdef")
-	k.setKey(key)
-	data := []byte("payload")
-	if got, want := k.sum64(data), prfUint64(key, data); got != want {
-		t.Fatalf("fallback path diverges: %x != %x", got, want)
 	}
 }
 
@@ -137,7 +178,9 @@ func TestRunMatchesLegacyKernel(t *testing.T) {
 	}
 }
 
-// TestMatchBatchMatchesMatch: batch and single-record entry points agree.
+// TestMatchBatchMatchesMatch: the single-record, batch and scheduled
+// entry points agree, on both kernel paths (the generic path ignores the
+// schedules and keys from the nonces).
 func TestMatchBatchMatchesMatch(t *testing.T) {
 	m, q, mds := kernelCorpus(t, 400, 2)
 	single := m.NewRun(q)
@@ -147,21 +190,48 @@ func TestMatchBatchMatchesMatch(t *testing.T) {
 			want = append(want, mds[i].ID)
 		}
 	}
-	batch := m.NewRun(q)
-	got := batch.MatchBatch(mds, nil)
-	if len(got) != len(want) {
-		t.Fatalf("MatchBatch found %d ids, Match found %d", len(got), len(want))
+	ks := AppendKeySchedules(nil, mds)
+	generic := m.NewRun(q)
+	generic.prf = prfKernel{}
+	for name, got := range map[string][]uint64{
+		"MatchBatch":             m.NewRun(q).MatchBatch(mds, nil),
+		"MatchScheduled":         m.NewRun(q).MatchScheduled(mds, ks, nil),
+		"MatchScheduled/generic": generic.MatchScheduled(mds, ks, nil),
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s found %d ids %v, Match found %d %v", name, len(got), got, len(want), want)
+		}
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("id %d: MatchBatch %d != Match %d", i, got[i], want[i])
+}
+
+// TestShortFilterMatchesNothing: a record whose filter is shorter than
+// MBits (a writer's bug or malice; nothing upstream checks) must not
+// index past the slice — it matches nothing, on every entry point.
+func TestShortFilterMatchesNothing(t *testing.T) {
+	m, q, mds := kernelCorpus(t, 8, 2)
+	for _, n := range []int{0, 1, len(mds[0].Filter) - 1} {
+		bad := mds[0]
+		bad.Filter = bad.Filter[:n]
+		recs := []Encoded{bad}
+		if m.MatchOne(q.Preds[0], bad.BloomMetadata) {
+			t.Errorf("MatchOne matched a %d-byte filter", n)
+		}
+		if m.NewRun(q).Match(bad.BloomMetadata) {
+			t.Errorf("Run.Match matched a %d-byte filter", n)
+		}
+		if got := m.NewRun(Query{Op: And, Preds: q.Preds[:1]}).MatchBatch(recs, nil); len(got) != 0 {
+			t.Errorf("single-predicate MatchBatch matched a %d-byte filter", n)
+		}
+		if got := m.NewRun(q).MatchScheduled(recs, AppendKeySchedules(nil, recs), nil); len(got) != 0 {
+			t.Errorf("MatchScheduled matched a %d-byte filter", n)
 		}
 	}
 }
 
 // TestMatchSteadyStateZeroAlloc is the acceptance gate: once the
 // predicate order settles, matching a record performs no heap
-// allocations.
+// allocations — keyed from its nonce or from a stored schedule — and
+// neither does deriving the schedules into a grown slice.
 func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
@@ -182,12 +252,21 @@ func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("settled-order MatchBatch allocates %.1f objects per scan, want 0", allocs)
 	}
+	ks := make([]KeySchedule, 0, len(steady))
+	allocs = testing.AllocsPerRun(50, func() {
+		ks = AppendKeySchedules(ks[:0], steady)
+		out = run.MatchScheduled(steady, ks, out[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("derive + settled-order MatchScheduled allocates %.1f objects per scan, want 0", allocs)
+	}
 }
 
-// BenchmarkMatchKernel compares the pre-change matching kernel (generic
-// crypto/hmac per hash evaluation, as MatchOne still does) against the
-// reusable zero-allocation kernel, both in the settled-order steady
-// state. Run with -benchmem; compare sub-benchmarks with benchstat.
+// BenchmarkMatchKernel compares, in the settled-order steady state, the
+// generic crypto/hmac evaluation per hash (as MatchOne does) against the
+// zero-allocation kernel keyed per record from the nonce ("kernel": what
+// MatchFile and MatchAll pay) and from a stored schedule ("scheduled":
+// what store.MatchArc pays). Run with -benchmem.
 func BenchmarkMatchKernel(b *testing.B) {
 	m, q, mds := kernelCorpus(b, SelectivitySamples+1024, 3)
 	steady := mds[SelectivitySamples:]
@@ -232,6 +311,20 @@ func BenchmarkMatchKernel(b *testing.B) {
 			if run.Match(steady[i%len(steady)].BloomMetadata) {
 				matched++
 			}
+		}
+		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
+	})
+	b.Run("scheduled", func(b *testing.B) {
+		run := m.NewRun(q)
+		run.MatchBatch(mds[:SelectivitySamples], nil)
+		ks := AppendKeySchedules(nil, steady)
+		out := make([]uint64, 0, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		matched := 0
+		for i := 0; i < b.N; i++ {
+			j := i % len(steady)
+			matched += len(run.MatchScheduled(steady[j:j+1], ks[j:j+1], out[:0]))
 		}
 		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 	})

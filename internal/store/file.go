@@ -80,7 +80,9 @@ func (s *Store) LoadFrom(ctx context.Context, path string) error {
 		return err
 	}
 	s.mu.Lock()
+	s.gen++
 	s.recs = s.recs[:0]
+	s.ks = s.ks[:0]
 	s.mu.Unlock()
 	s.Insert(recs...)
 	return nil
@@ -149,13 +151,13 @@ func MatchFile(ctx context.Context, path string, m *pps.Matcher, q pps.Query, op
 	if batch <= 0 {
 		batch = 256
 	}
-	jobs := make(chan []pps.Encoded, 2*threads)
+	jobs := make(chan matchJob, 2*threads)
 	pool := runMatchers(ctx, m, q, threads, opts.Limiter, jobs)
 	total, serr := StreamFile(ctx, path, batch, func(recs []pps.Encoded) bool {
 		select {
 		case <-ctx.Done():
 			return false
-		case jobs <- recs:
+		case jobs <- matchJob{recs: recs}:
 			return true
 		}
 	})

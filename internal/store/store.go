@@ -7,6 +7,14 @@
 // Object identifiers are uint64; their position on the ROAR ring is the
 // id scaled into [0, 1). Records are kept sorted so a sub-query's id arc
 // maps to at most two contiguous slices.
+//
+// A store that has been scanned also holds, per record and by value, the
+// 64-byte HMAC key schedule of the record's nonce (pps.KeySchedule), so
+// a scan keys its matcher with two copies instead of two SHA-256
+// compressions per record per query. The schedules are derived at the
+// first MatchArc and maintained by Insert and Delete from then on; a
+// store that is never scanned (the coordinator's backend, a node that
+// only ingests) derives and holds none.
 package store
 
 import (
@@ -14,6 +22,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"roar/internal/pps"
 	"roar/internal/ring"
@@ -43,6 +52,14 @@ func IDOf(p ring.Point) uint64 {
 type Store struct {
 	mu   sync.RWMutex
 	recs []pps.Encoded // sorted by ID, unique
+
+	// ks[i] is the key schedule of recs[i].Nonce while scheduled is set;
+	// otherwise ks is empty. Both change only under the write lock, and
+	// gen counts those changes to recs so a schedule set derived under
+	// the read lock can tell whether it still fits (activateSchedules).
+	ks        []pps.KeySchedule
+	scheduled atomic.Bool
+	gen       uint64
 }
 
 // New returns an empty store.
@@ -60,38 +77,59 @@ func (s *Store) Len() int {
 // batches are sorted and merged in one backward pass, so a replica push
 // or repartition transfer of k records into n stored ones costs
 // O(k log k + n) instead of the O(k·n) memmove of per-record insertion.
+// Sorting, and deriving the batch's key schedules when the store keeps
+// them, happen before the write lock is taken.
 func (s *Store) Insert(recs ...pps.Encoded) {
 	if len(recs) == 0 {
 		return
 	}
+	if len(recs) > 1 {
+		recs = sortedUnique(recs)
+	}
+	var one [1]pps.KeySchedule
+	ks := one[:0]
+	if s.scheduled.Load() {
+		ks = pps.AppendKeySchedules(ks, recs)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
+	if s.scheduled.Load() && len(ks) == 0 {
+		ks = pps.AppendKeySchedules(ks, recs) // activated since the check above
+	}
 	if len(recs) == 1 {
-		s.insertOneLocked(recs[0])
+		s.insertOneLocked(recs[0], ks)
 		return
 	}
-	s.mergeLocked(recs)
+	s.mergeLocked(recs, ks)
 }
 
-func (s *Store) insertOneLocked(r pps.Encoded) {
+// insertOneLocked inserts r, with its schedule in ks when the store
+// keeps schedules.
+func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= r.ID })
-	if i < len(s.recs) && s.recs[i].ID == r.ID {
-		s.recs[i] = r
+	fresh := i == len(s.recs) || s.recs[i].ID != r.ID
+	if fresh {
+		s.recs = append(s.recs, pps.Encoded{})
+		copy(s.recs[i+1:], s.recs[i:])
+	}
+	s.recs[i] = r
+	if !s.scheduled.Load() {
 		return
 	}
-	s.recs = append(s.recs, pps.Encoded{})
-	copy(s.recs[i+1:], s.recs[i:])
-	s.recs[i] = r
+	if fresh {
+		s.ks = append(s.ks, pps.KeySchedule{})
+		copy(s.ks[i+1:], s.ks[i:])
+	}
+	s.ks[i] = ks[0]
 }
 
-// mergeLocked bulk-inserts a batch: sort a copy by ID (later duplicates
-// win, preserving per-record insertion semantics), then merge with the
-// sorted store from the back in place.
-func (s *Store) mergeLocked(recs []pps.Encoded) {
+// sortedUnique returns a copy of recs sorted by ID with one record per
+// ID: the last occurrence, preserving per-record insertion semantics.
+func sortedUnique(recs []pps.Encoded) []pps.Encoded {
 	batch := append([]pps.Encoded(nil), recs...)
+	// Stable, so input order survives within an ID and the final write wins.
 	sort.SliceStable(batch, func(a, b int) bool { return batch[a].ID < batch[b].ID })
-	// Dedup equal IDs keeping the last occurrence (stable sort keeps
-	// input order within an ID, so the final write wins).
 	w := 0
 	for i := range batch {
 		if i+1 < len(batch) && batch[i+1].ID == batch[i].ID {
@@ -100,7 +138,13 @@ func (s *Store) mergeLocked(recs []pps.Encoded) {
 		batch[w] = batch[i]
 		w++
 	}
-	batch = batch[:w]
+	return batch[:w]
+}
+
+// mergeLocked bulk-inserts a sortedUnique batch by merging it with the
+// sorted store from the back, in place. ks holds the batch's schedules
+// when the store keeps them and moves in step with the records.
+func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
 	// Count genuinely new IDs to size the grown slice.
 	fresh := 0
 	for i, j := 0, 0; i < len(batch); i++ {
@@ -113,20 +157,28 @@ func (s *Store) mergeLocked(recs []pps.Encoded) {
 	}
 	old := len(s.recs)
 	s.recs = append(s.recs, make([]pps.Encoded, fresh)...)
+	scheduled := s.scheduled.Load()
+	if scheduled {
+		s.ks = append(s.ks, make([]pps.KeySchedule, fresh)...)
+	}
 	// Backward merge: read old records from old-1 down, batch from the
 	// end; equal IDs take the batch record (replacement) and consume both.
 	i, j, k := old-1, len(batch)-1, len(s.recs)-1
 	for j >= 0 {
-		switch {
-		case i >= 0 && s.recs[i].ID == batch[j].ID:
-			s.recs[k] = batch[j]
-			i--
-			j--
-		case i >= 0 && s.recs[i].ID > batch[j].ID:
+		if i >= 0 && s.recs[i].ID > batch[j].ID {
 			s.recs[k] = s.recs[i]
+			if scheduled {
+				s.ks[k] = s.ks[i]
+			}
 			i--
-		default:
+		} else {
+			if i >= 0 && s.recs[i].ID == batch[j].ID {
+				i--
+			}
 			s.recs[k] = batch[j]
+			if scheduled {
+				s.ks[k] = ks[j]
+			}
 			j--
 		}
 		k--
@@ -145,6 +197,8 @@ func (s *Store) Delete(ids ...uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
+	scheduled := s.scheduled.Load()
 	if len(ids) == 1 {
 		id := ids[0]
 		i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= id })
@@ -152,6 +206,9 @@ func (s *Store) Delete(ids ...uint64) {
 			copy(s.recs[i:], s.recs[i+1:])
 			clear(s.recs[len(s.recs)-1:])
 			s.recs = s.recs[:len(s.recs)-1]
+			if scheduled {
+				s.ks = append(s.ks[:i], s.ks[i+1:]...)
+			}
 		}
 		return
 	}
@@ -168,10 +225,16 @@ func (s *Store) Delete(ids ...uint64) {
 			continue
 		}
 		s.recs[w] = s.recs[i]
+		if scheduled {
+			s.ks[w] = s.ks[i]
+		}
 		w++
 	}
 	clear(s.recs[w:])
 	s.recs = s.recs[:w]
+	if scheduled {
+		s.ks = s.ks[:w]
+	}
 }
 
 // Get returns the record with the given id.
@@ -192,8 +255,8 @@ func (s *Store) InArc(lo, hi ring.Point) []pps.Encoded {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []pps.Encoded
-	s.forArcLocked(lo, hi, func(batch []pps.Encoded) bool {
-		out = append(out, batch...)
+	s.forArcLocked(lo, hi, func(from, to int) bool {
+		out = append(out, s.recs[from:to]...)
 		return true
 	}, 1<<30)
 	return out
@@ -204,55 +267,36 @@ func (s *Store) CountArc(lo, hi ring.Point) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	s.forArcLocked(lo, hi, func(batch []pps.Encoded) bool {
-		n += len(batch)
+	s.forArcLocked(lo, hi, func(from, to int) bool {
+		n += to - from
 		return true
 	}, 1<<30)
 	return n
 }
 
-// forArcLocked feeds records with point in (lo, hi] to fn in batches of
-// at most batchSize. lo == hi denotes the full ring (ring.MatchSpan
-// convention). fn returning false stops iteration. Records are passed
-// as sub-slices of the internal array; the caller must hold the read
-// lock for as long as the slices are referenced.
-func (s *Store) forArcLocked(lo, hi ring.Point, fn func([]pps.Encoded) bool, batchSize int) {
-	if len(s.recs) == 0 {
-		return
-	}
-	if ring.MatchSpan(lo, hi) >= 1 {
-		emitFull := func(from, to int) bool {
-			for from < to {
-				end := from + batchSize
-				if end > to {
-					end = to
-				}
-				if !fn(s.recs[from:end]) {
-					return false
-				}
-				from = end
-			}
-			return true
-		}
-		emitFull(0, len(s.recs))
-		return
-	}
-	// (lo, hi] in id space: ids in (IDOf(lo), IDOf(hi)] approximately;
-	// the float conversion is monotone so ordering is preserved.
-	loID, hiID := IDOf(lo), IDOf(hi)
-	emit := func(from, to int) bool { // [from, to) index range
+// forArcLocked feeds the records with point in (lo, hi] to fn as index
+// ranges [from, to) of at most batchSize records. lo == hi denotes the
+// full ring (ring.MatchSpan convention). fn returning false stops
+// iteration. The ranges index the internal arrays; the caller must hold
+// the read lock for as long as it reads them.
+func (s *Store) forArcLocked(lo, hi ring.Point, fn func(from, to int) bool, batchSize int) {
+	emit := func(from, to int) bool {
 		for from < to {
-			end := from + batchSize
-			if end > to {
-				end = to
-			}
-			if !fn(s.recs[from:end]) {
+			end := min(from+batchSize, to)
+			if !fn(from, end) {
 				return false
 			}
 			from = end
 		}
 		return true
 	}
+	if ring.MatchSpan(lo, hi) >= 1 {
+		emit(0, len(s.recs))
+		return
+	}
+	// (lo, hi] in id space: ids in (IDOf(lo), IDOf(hi)] approximately;
+	// the float conversion is monotone so ordering is preserved.
+	loID, hiID := IDOf(lo), IDOf(hi)
 	idx := func(id uint64) int {
 		return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID > id })
 	}
@@ -280,6 +324,11 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Drop the schedules rather than compact them in step: a p increase
+	// is rare and the next scan re-derives what survived.
+	s.gen++
+	s.scheduled.Store(false)
+	s.ks = nil
 	old := s.recs
 	kept := s.recs[:0]
 	dropped := 0
@@ -319,6 +368,13 @@ type MatchOptions struct {
 	Limiter func(ctx context.Context, n int) error
 }
 
+// matchJob is one batch for a matcher: records and, from a store that
+// keeps them, their key schedules (nil otherwise).
+type matchJob struct {
+	recs []pps.Encoded
+	ks   []pps.KeySchedule
+}
+
 // matchPool is the consumer side of the §5.6.3 pipeline, shared by the
 // in-memory MatchArc and the disk-bound MatchFile: `threads` goroutines
 // drain a batch channel through per-thread Runs (each owning a
@@ -335,7 +391,7 @@ type matchPool struct {
 	limErr  error
 }
 
-func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, threads int, limiter func(context.Context, int) error, jobs <-chan []pps.Encoded) *matchPool {
+func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, threads int, limiter func(context.Context, int) error, jobs <-chan matchJob) *matchPool {
 	p := &matchPool{}
 	for t := 0; t < threads; t++ {
 		p.wg.Add(1)
@@ -345,18 +401,18 @@ func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, threads int, 
 			local := make([]uint64, 0, 64)
 			n := 0
 			var aborted error
-			for recs := range jobs {
+			for job := range jobs {
 				if aborted != nil {
 					continue // drain the channel so the producer unblocks
 				}
 				if limiter != nil {
-					if err := limiter(ctx, len(recs)); err != nil {
+					if err := limiter(ctx, len(job.recs)); err != nil {
 						aborted = err
 						continue
 					}
 				}
-				local = run.MatchBatch(recs, local)
-				n += len(recs)
+				local = run.MatchScheduled(job.recs, job.ks, local)
+				n += len(job.recs)
 			}
 			p.mu.Lock()
 			p.matched = append(p.matched, local...)
@@ -378,6 +434,28 @@ func (p *matchPool) join() ([]uint64, int, error) {
 	return p.matched, p.total, p.limErr
 }
 
+// activateSchedules derives the key schedule of every record: the
+// store's first scan (or the first since RetainStored dropped them) is
+// what turns their upkeep on. The derivation runs under the read lock,
+// so other scans proceed; installing the result takes the write lock,
+// and derives again there only if a write slipped in between the two.
+func (s *Store) activateSchedules() {
+	s.mu.RLock()
+	gen := s.gen
+	ks := pps.AppendKeySchedules(make([]pps.KeySchedule, 0, len(s.recs)), s.recs)
+	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.scheduled.Load() {
+		return
+	}
+	if s.gen != gen {
+		ks = pps.AppendKeySchedules(ks[:0], s.recs)
+	}
+	s.ks = ks
+	s.scheduled.Store(true)
+}
+
 // MatchArc runs the encrypted query against every record in (lo, hi]
 // using the two-stage pipeline: a producer walks the store feeding a
 // bounded channel while consumer threads match. Returns the ids of
@@ -391,16 +469,21 @@ func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, h
 	if batch <= 0 {
 		batch = 256
 	}
-	jobs := make(chan []pps.Encoded, 2*threads)
+	jobs := make(chan matchJob, 2*threads)
 	pool := runMatchers(ctx, m, q, threads, opts.Limiter, jobs)
 	// The read lock is held until every consumer drains: batches are
-	// views into the backing array and concurrent inserts would shift it.
+	// views into the backing arrays and concurrent inserts would shift them.
 	s.mu.RLock()
-	s.forArcLocked(lo, hi, func(recs []pps.Encoded) bool {
+	for !s.scheduled.Load() {
+		s.mu.RUnlock()
+		s.activateSchedules()
+		s.mu.RLock()
+	}
+	s.forArcLocked(lo, hi, func(from, to int) bool {
 		select {
 		case <-ctx.Done():
 			return false
-		case jobs <- recs:
+		case jobs <- matchJob{s.recs[from:to], s.ks[from:to]}:
 			return true
 		}
 	}, batch)

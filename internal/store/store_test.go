@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -401,17 +402,36 @@ func BenchmarkInsertBatch(b *testing.B) {
 	})
 }
 
+// TestConcurrentInsertAndMatch: writers of every kind race scans on a
+// store whose key schedules are live (the first MatchArc below activates
+// them, possibly mid-insert). Run under -race in CI; afterwards the
+// schedules must still line up with the records.
 func TestConcurrentInsertAndMatch(t *testing.T) {
 	s := New()
 	recs, enc := testRecords(t, 500)
 	s.Insert(recs[:250]...)
 	m, _ := pps.NewMatcher(enc.ServerParams())
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "odd"})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, r := range recs[250:] {
+	var writers sync.WaitGroup
+	writers.Add(3)
+	go func() { // single inserts
+		defer writers.Done()
+		for _, r := range recs[250:400] {
 			s.Insert(r)
+		}
+	}()
+	go func() { // batch inserts, re-delivering some of the initial set
+		defer writers.Done()
+		for i := 400; i < 500; i += 20 {
+			s.Insert(append(recs[i:i+20:i+20], recs[i-400:i-390]...)...)
+		}
+	}()
+	go func() { // deletes, then the same records back
+		defer writers.Done()
+		for i := 0; i < 100; i += 10 {
+			s.Delete(recs[i].ID)
+			s.Delete(recs[i+1].ID, recs[i+2].ID, recs[i+3].ID)
+			s.Insert(recs[i : i+4]...)
 		}
 	}()
 	for i := 0; i < 20; i++ {
@@ -419,9 +439,19 @@ func TestConcurrentInsertAndMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	<-done
+	writers.Wait()
 	if s.Len() != 500 {
-		t.Fatalf("Len = %d after concurrent inserts", s.Len())
+		t.Fatalf("Len = %d after concurrent writes", s.Len())
+	}
+	checkScheduleInvariants(t, s, "after concurrent writes")
+	got, _, err := s.MatchArc(context.Background(), m, q, 0, 0, MatchOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.MatchAll(q, s.InArc(0, 0))
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("scheduled scan found %d ids, unscheduled matcher %d", len(got), len(want))
 	}
 }
 
@@ -462,6 +492,17 @@ func TestStoreSaveToLoadFrom(t *testing.T) {
 	if s2.Len() != 80 {
 		t.Fatalf("loaded store has %d records", s2.Len())
 	}
+	// Replacing the contents of a store that has been scanned replaces
+	// its key schedules with them.
+	s.Delete(recs[0].ID)
+	s.activateSchedules()
+	if err := s.LoadFrom(context.Background(), path); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 80 {
+		t.Fatalf("reloaded store has %d records", s.Len())
+	}
+	checkScheduleInvariants(t, s, "after LoadFrom")
 }
 
 func TestMatchFile(t *testing.T) {
