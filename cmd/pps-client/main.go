@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"roar/internal/feclient"
 	"roar/internal/index"
 	"roar/internal/pps"
 	"roar/internal/proto"
@@ -226,17 +225,14 @@ func asyncPut(addr, path string, wait bool) error {
 	}
 	cl := wire.NewClient(addr)
 	defer cl.Close()
-	fcl := feclient.New(cl, feclient.Options{})
 	const batch = 256
 	var last proto.FEPutResp
 	start := time.Now()
 	for at := 0; at < len(recs); at += batch {
 		end := min(at+batch, len(recs))
-		resp, err := fcl.Put(context.Background(), recs[at:end])
-		if err != nil {
+		if err := cl.Call(context.Background(), proto.MFEPut, proto.FEPutReq{Records: recs[at:end]}, &last); err != nil {
 			return fmt.Errorf("fe.put batch at %d: %w", at, err)
 		}
-		last = resp
 	}
 	fmt.Printf("accepted %d records (WAL seq %d, drained %d) in %v\n",
 		len(recs), last.Seq, last.Drained, time.Since(start).Round(time.Millisecond))
@@ -245,8 +241,8 @@ func asyncPut(addr, path string, wait bool) error {
 	}
 	for last.Drained < last.Seq {
 		time.Sleep(100 * time.Millisecond)
-		poll, err := fcl.Put(context.Background(), nil)
-		if err != nil {
+		var poll proto.FEPutResp
+		if err := cl.Call(context.Background(), proto.MFEPut, proto.FEPutReq{}, &poll); err != nil {
 			return err
 		}
 		last.Drained = poll.Drained
@@ -258,11 +254,6 @@ func asyncPut(addr, path string, wait bool) error {
 func search(addr string, req proto.FEQueryReq, timeout time.Duration) error {
 	cl := wire.NewClient(addr)
 	defer cl.Close()
-	fcl := feclient.New(cl, feclient.Options{
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "pps-client: "+format+"\n", args...)
-		},
-	})
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -270,8 +261,8 @@ func search(addr string, req proto.FEQueryReq, timeout time.Duration) error {
 		defer cancel()
 	}
 	start := time.Now()
-	resp, err := fcl.Query(ctx, req)
-	if err != nil {
+	var resp proto.FEQueryResp
+	if err := cl.Call(ctx, proto.MFEQuery, req, &resp); err != nil {
 		return err
 	}
 	source := ""
@@ -301,7 +292,6 @@ func loadTest(addr string, req proto.FEQueryReq, count, conc, pool int, timeout 
 	}
 	cl := wire.NewClientWithConfig(addr, wire.ClientConfig{PoolSize: pool})
 	defer cl.Close()
-	fcl := feclient.New(cl, feclient.Options{})
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -332,7 +322,8 @@ func loadTest(addr string, req proto.FEQueryReq, count, conc, pool int, timeout 
 					ctx, cancel = context.WithTimeout(ctx, timeout)
 				}
 				t0 := time.Now()
-				resp, err := fcl.Query(ctx, req)
+				var resp proto.FEQueryResp
+				err := cl.Call(ctx, proto.MFEQuery, req, &resp)
 				if cancel != nil {
 					cancel()
 				}

@@ -169,24 +169,6 @@ func main() {
 		}
 		return proto.LoadResp{Records: len(recs)}, nil
 	})
-	d.Register(proto.MMemberReport, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
-		// Legacy statistics push from pre-health-loop frontends. Failed
-		// entries feed the health aggregator as suspicion evidence
-		// instead of triggering an immediate range redistribution.
-		var req proto.ReportReq
-		if err := body.Decode(&req); err != nil {
-			return nil, err
-		}
-		speeds := map[ring.NodeID]float64{}
-		for id, s := range req.Speeds {
-			speeds[ring.NodeID(id)] = s
-		}
-		coord.ReportSpeeds(speeds)
-		for _, id := range req.Failed {
-			coord.HandleFailure(ring.NodeID(id))
-		}
-		return struct{}{}, nil
-	})
 	d.Register(proto.MMemberHealth, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
 		var req proto.HealthReport
 		if err := body.Decode(&req); err != nil {

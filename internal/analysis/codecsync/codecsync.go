@@ -7,18 +7,11 @@
 // corruption that round-trip tests only catch when the swapped fields
 // have incompatible shapes.
 //
-// Two invariants per pair:
-//
-//  1. The decoder must read receiver fields in exactly the order the
-//     encoder writes them (first-occurrence order; loop bodies over a
-//     repeated field compare element-field by element-field through
-//     range/append alias tracking).
-//  2. The base/extension split must agree: a field the encoder emits
-//     after its trailing-extension guard (`if cond { return b }`) must
-//     be read inside the decoder's trailing-bytes block
-//     (`if ... r.off < len(r.data) { ... }`), and vice versa — that
-//     split is what keeps old peers byte-compatible with stripped
-//     messages.
+// The invariant per pair: the decoder must read receiver fields in
+// exactly the order the encoder writes them (first-occurrence order;
+// loop bodies over a repeated field compare element-field by
+// element-field through range/append alias tracking), and neither half
+// may touch a field the other does not.
 //
 // The analysis is syntactic and intentionally conservative: a pair in
 // which either half delegates all field work to helpers (no directly
@@ -38,10 +31,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "codecsync",
 	AllowKey: "codec",
-	Doc: "Encode*/Decode* (Append*/Decode*) pairs must touch fields in the same order, " +
-		"and fields after the trailing-extension marker must stay in the extension on " +
-		"both sides (mixed-version wire compatibility)",
-	Run: run,
+	Doc:      "Encode*/Decode* (Append*/Decode*) pairs must touch the same fields in the same order",
+	Run:      run,
 }
 
 // pair is one encoder/decoder couple under comparison.
@@ -185,7 +176,6 @@ const (
 type event struct {
 	path string
 	pos  token.Pos
-	ext  bool // inside the trailing-extension region
 }
 
 // pathOf resolves an expression to a dotted field path rooted at root
@@ -317,46 +307,9 @@ func unwrapAddr(e ast.Expr) ast.Expr {
 }
 
 // extractEvents walks one codec function and returns its field events
-// in source order, extension-marked.
+// in source order.
 func extractEvents(fd *ast.FuncDecl, root string, s side) []event {
 	aliases := collectAliases(fd, root)
-
-	// Extension markers.
-	// Encode: everything after the first top-level `if cond { return ... }`
-	// guard is the trailing extension.
-	extAfter := token.Pos(0)
-	for _, stmt := range fd.Body.List {
-		ifs, ok := stmt.(*ast.IfStmt)
-		if !ok || len(ifs.Body.List) != 1 {
-			continue
-		}
-		if _, isRet := ifs.Body.List[0].(*ast.ReturnStmt); isRet {
-			extAfter = ifs.End()
-			break
-		}
-	}
-	// Decode: ranges of if-blocks gated on `r.off < len(r.data)`.
-	type span struct{ lo, hi token.Pos }
-	var extSpans []span
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !isTrailingBytesCond(ifs.Cond) {
-			return true
-		}
-		extSpans = append(extSpans, span{ifs.Body.Pos(), ifs.Body.End()})
-		return true
-	})
-	inExt := func(pos token.Pos) bool {
-		if s == encodeSide {
-			return extAfter != 0 && pos > extAfter
-		}
-		for _, sp := range extSpans {
-			if sp.lo <= pos && pos <= sp.hi {
-				return true
-			}
-		}
-		return false
-	}
 
 	// Nodes to skip: condition expressions (guards, not wire traffic)
 	// and method-call Fun selectors.
@@ -384,7 +337,7 @@ func extractEvents(fd *ast.FuncDecl, root string, s side) []event {
 	var events []event
 	addEvent := func(e ast.Expr) {
 		if path, ok := pathOf(e, root, aliases); ok && path != "" {
-			events = append(events, event{path: path, pos: e.Pos(), ext: inExt(e.Pos())})
+			events = append(events, event{path: path, pos: e.Pos()})
 		}
 	}
 
@@ -456,26 +409,6 @@ func extractEvents(fd *ast.FuncDecl, root string, s side) []event {
 	return events
 }
 
-func isTrailingBytesCond(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		if be.Op != token.LSS && be.Op != token.GTR && be.Op != token.NEQ {
-			return true
-		}
-		for _, e := range []ast.Expr{be.X, be.Y} {
-			if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "off" {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
 func isZeroish(e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -535,11 +468,6 @@ func comparePair(pass *analysis.Pass, p pair, encEvents, decEvents []event) {
 				p.name, dec[i].path, i, enc[i].path)
 			return // later positions are all shifted; one finding suffices
 		}
-		if enc[i].ext != dec[i].ext {
-			pass.Reportf(dec[i].pos,
-				"codec %s: field %q is in the %s on the encode side but the %s on the decode side; the base/extension split must agree or old peers lose byte compatibility",
-				p.name, enc[i].path, region(enc[i].ext), region(dec[i].ext))
-		}
 	}
 	for _, e := range enc[n:] {
 		pass.Reportf(p.dec.Pos(),
@@ -549,11 +477,4 @@ func comparePair(pass *analysis.Pass, p pair, encEvents, decEvents []event) {
 		pass.Reportf(e.pos,
 			"codec %s: decoder reads %q but the encoder never writes it", p.name, e.path)
 	}
-}
-
-func region(ext bool) string {
-	if ext {
-		return "trailing extension"
-	}
-	return "base encoding"
 }

@@ -30,29 +30,6 @@ func (m *Msg1) DecodeWire(data []byte) error {
 	return nil
 }
 
-// Msg2: extension split disagreement — C is extension-only on the
-// encode side but read unconditionally by the decoder.
-type Msg2 struct {
-	A uint64
-	C uint64
-}
-
-func (m *Msg2) AppendWire(b []byte) []byte {
-	b = append(b, byte(m.A))
-	if m.C == 0 {
-		return b
-	}
-	b = append(b, byte(m.C))
-	return b
-}
-
-func (m *Msg2) DecodeWire(data []byte) error {
-	r := &rdr{data: data}
-	m.A = r.uvarint()
-	m.C = r.uvarint() // want `base/extension split must agree`
-	return nil
-}
-
 // Msg3: decoder reads a field the encoder never writes.
 type Msg3 struct {
 	A uint64
@@ -108,8 +85,9 @@ func (m *Msg5) DecodeWire(data []byte) error {
 	return nil
 }
 
-// Good: repeated-field codec with correct order, matching extension
-// blocks, and the range/append alias idioms the real codecs use.
+// Good: repeated-field codec with correct order, an optional struct
+// behind a presence byte, and the range/append alias idioms the real
+// codecs use.
 type Item struct {
 	ID  uint64
 	Tag string
@@ -117,7 +95,8 @@ type Item struct {
 
 type Good struct {
 	Items []Item
-	Note  string // extension field
+	Opt   *Item
+	Note  string
 }
 
 func (g *Good) AppendWire(b []byte) []byte {
@@ -126,8 +105,12 @@ func (g *Good) AppendWire(b []byte) []byte {
 		b = append(b, byte(it.ID))
 		b = append(b, it.Tag...)
 	}
-	if g.Note == "" {
-		return b
+	if g.Opt == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		b = append(b, byte(g.Opt.ID))
+		b = append(b, g.Opt.Tag...)
 	}
 	b = append(b, g.Note...)
 	return b
@@ -143,8 +126,13 @@ func (g *Good) DecodeWire(data []byte) error {
 		it.Tag = r.str()
 		g.Items = append(g.Items, it)
 	}
-	if r.off < len(r.data) {
-		g.Note = r.str()
+	g.Opt = nil
+	if r.uvarint() != 0 {
+		o := &Item{}
+		o.ID = r.uvarint()
+		o.Tag = r.str()
+		g.Opt = o
 	}
+	g.Note = r.str()
 	return nil
 }

@@ -57,7 +57,7 @@ func failoverRun() (time.Duration, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := hc.FE.Execute(context.Background(), q); err != nil {
+	if _, err := hc.FE.Query(context.Background(), frontend.QuerySpec{Enc: q}); err != nil {
 		return 0, 0, err
 	}
 
@@ -75,7 +75,7 @@ func failoverRun() (time.Duration, int64, error) {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_, err := hc.FE.Execute(ctx, q)
+				_, err := hc.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 				cancel()
 				if err != nil {
 					shed.Add(1)

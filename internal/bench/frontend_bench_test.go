@@ -46,7 +46,7 @@ func throughputQPS(fe frontend.Config, clients int, dur time.Duration) (float64,
 		return 0, err
 	}
 	// Warm the connection pools and speed EWMAs out of band.
-	if _, err := c.FE.Execute(context.Background(), q); err != nil {
+	if _, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q}); err != nil {
 		return 0, err
 	}
 	qps, _, err := throughput(c, q, clients, dur)
@@ -115,7 +115,7 @@ func TestTuningFlowsThroughView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FE.Execute(context.Background(), q); err != nil {
+	if _, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q}); err != nil {
 		t.Fatal(err)
 	}
 }

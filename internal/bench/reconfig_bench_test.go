@@ -48,7 +48,7 @@ func reconfigRun(dur time.Duration) (float64, *stats.Sample, error) {
 	}
 	// Warm pools and speed EWMAs out of band, and capture the reference
 	// id-set size.
-	ref, err := c.FE.Execute(context.Background(), q)
+	ref, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -67,7 +67,7 @@ func reconfigRun(dur time.Duration) (float64, *stats.Sample, error) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				res, err := c.FE.Execute(context.Background(), q)
+				res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 				mu.Lock()
 				if err == nil && len(res.IDs) != wantIDs {
 					err = errIDSetDiverged

@@ -82,13 +82,13 @@ func tailRun(fe frontend.Config, queries int) (*stats.Sample, [][]uint64, error)
 		return nil, nil, err
 	}
 	// Warm pools and speed EWMAs out of band.
-	if _, err := c.FE.Execute(context.Background(), q); err != nil {
+	if _, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q}); err != nil {
 		return nil, nil, err
 	}
 	delays := stats.NewSample(queries)
 	sets := make([][]uint64, 0, queries)
 	for i := 0; i < queries; i++ {
-		res, err := c.FE.Execute(context.Background(), q)
+		res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 		if err != nil {
 			return nil, nil, fmt.Errorf("query %d: %w", i, err)
 		}

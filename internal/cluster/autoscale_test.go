@@ -91,7 +91,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 
 	// Static reference run (no controller involvement yet): every later
 	// id set must equal this one.
-	res, err := c.FE.Execute(ctx, q)
+	res, err := c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 					return
 				default:
 				}
-				res, err := c.FE.Execute(ctx, q)
+				res, err := c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 				if err != nil {
 					loadErr.CompareAndSwap(nil, err)
 					return
@@ -136,7 +136,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 		t.Helper()
 		shed := 0
 		for i := 0; i < n; i++ {
-			res, err := c.FE.ExecuteOpts(ctx, q, frontend.ExecOptions{Priority: frontend.PriorityLow})
+			res, err := c.FE.Query(ctx, frontend.QuerySpec{Enc: q, Priority: frontend.PriorityLow})
 			switch {
 			case errors.Is(err, frontend.ErrShed):
 				shed++
@@ -225,7 +225,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("node %d never quarantined; score %.1f", killID, c.Coord.HealthScore(c.ids[killIdx]))
 		}
-		res, err := c.FE.Execute(ctx, q)
+		res, err := c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatalf("query during failure accumulation: %v", err)
 		}
@@ -265,7 +265,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 			t.Fatal("decommissioned node still in the frontend's view")
 		}
 	}
-	res, err = c.FE.Execute(ctx, q)
+	res, err = c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 			t.Fatal("ring 1 still serving after ring-down")
 		}
 	}
-	res, err = c.FE.Execute(ctx, q)
+	res, err = c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}

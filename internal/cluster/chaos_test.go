@@ -114,7 +114,7 @@ func TestClusterChaosFailureLoop(t *testing.T) {
 
 	// Healthy baseline: both frontends agree on the reference id set.
 	for _, fe := range fes {
-		res, err := fe.Execute(context.Background(), q)
+		res, err := fe.Query(context.Background(), frontend.QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestClusterChaosFailureLoop(t *testing.T) {
 				c.Coord.Quarantined(), c.Coord.HealthScore(c.ids[killIdx]), c.Coord.HealthScore(c.ids[slowIdx]))
 		}
 		for _, fe := range fes {
-			res, err := fe.Execute(context.Background(), q)
+			res, err := fe.Query(context.Background(), frontend.QuerySpec{Enc: q})
 			if err != nil {
 				t.Fatalf("query during failure accumulation: %v", err)
 			}
@@ -173,7 +173,7 @@ func TestClusterChaosFailureLoop(t *testing.T) {
 	preFailures := 0
 	for round := 0; round < 5; round++ {
 		for _, fe := range fes {
-			res, err := fe.Execute(context.Background(), q)
+			res, err := fe.Query(context.Background(), frontend.QuerySpec{Enc: q})
 			if err != nil {
 				t.Fatalf("query while quarantined: %v", err)
 			}
@@ -212,7 +212,7 @@ func TestClusterChaosFailureLoop(t *testing.T) {
 			t.Fatalf("recovered node never rescheduled; health fe0=%v", c.FE.Health()[slowID])
 		}
 		for _, fe := range fes {
-			res, err := fe.Execute(context.Background(), q)
+			res, err := fe.Query(context.Background(), frontend.QuerySpec{Enc: q})
 			if err != nil {
 				t.Fatalf("post-recovery query: %v", err)
 			}
@@ -263,7 +263,7 @@ func TestClusterChaosHedgeBudget(t *testing.T) {
 	}
 	var primaries, hedged, denied int
 	for i := 0; i < queries; i++ {
-		res, err := c.FE.Execute(context.Background(), q)
+		res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

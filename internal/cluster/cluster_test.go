@@ -453,7 +453,7 @@ func TestMultipleFrontends(t *testing.T) {
 		go func(fe *frontend.Frontend) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := fe.Execute(context.Background(), q)
+				res, err := fe.Query(context.Background(), frontend.QuerySpec{Enc: q})
 				if err != nil {
 					errs <- err
 					return
@@ -483,7 +483,7 @@ func TestFrontendRejectsWithoutView(t *testing.T) {
 	defer fe.Close()
 	enc := pps.NewEncoder(pps.TestKey(1), SlimEncoderConfig())
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "x"})
-	if _, err := fe.Execute(context.Background(), q); err == nil {
+	if _, err := fe.Query(context.Background(), frontend.QuerySpec{Enc: q}); err == nil {
 		t.Error("execute without view must fail")
 	}
 }

@@ -102,7 +102,7 @@ func TestConcurrentExecuteWithNodeFailure(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				res, err := c.FE.Execute(context.Background(), q)
+				res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 				if err != nil {
 					errCh <- fmt.Errorf("execute: %w", err)
 					return

@@ -136,7 +136,7 @@ func StartHA(opts HAOptions) (*HACluster, error) {
 		d := wire.NewDispatcher()
 		rep.RegisterHandlers(d)
 		c.Replicas = append(c.Replicas, rep)
-		c.replicaSrvs = append(c.replicaSrvs, wire.ServeListener(lns[i], d.Handle, wire.ServerConfig{}))
+		c.replicaSrvs = append(c.replicaSrvs, wire.ServeListener(lns[i], d.Handle))
 	}
 	for _, rep := range c.Replicas {
 		rep.Start()

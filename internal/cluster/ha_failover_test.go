@@ -100,7 +100,7 @@ func TestClusterChaosLeaderFailover(t *testing.T) {
 	want, q := haCorpus(t, hc)
 
 	// Undisturbed baseline: the reference id set the chaos run must match.
-	res, err := hc.FE.Execute(context.Background(), q)
+	res, err := hc.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestClusterChaosLeaderFailover(t *testing.T) {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				res, err := hc.FE.Execute(ctx, q)
+				res, err := hc.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 				cancel()
 				if err != nil {
 					t.Errorf("client %d: query failed mid-chaos: %v", id, err)
@@ -230,7 +230,7 @@ func TestClusterChaosLeaderFailover(t *testing.T) {
 		t.Logf("%d id-set-identical queries across kill and takeover", n)
 	}
 
-	res, err = hc.FE.Execute(context.Background(), q)
+	res, err = hc.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestClusterIngestReplay(t *testing.T) {
 
 	// Every record accepted before the crash is queryable, and the id
 	// set is exactly the no-failure set.
-	res, err = c.FE.Execute(ctx, q)
+	res, err = c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestClusterIngestReplay(t *testing.T) {
 			t.Fatalf("duplicate delivery changed node %d record count %d→%d", i, n, after[i])
 		}
 	}
-	res, err = c.FE.Execute(ctx, q)
+	res, err = c.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestClusterIngestFailoverResume(t *testing.T) {
 	if err := hc.Syncer.PullViewOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	res, err := hc.FE.Execute(ctx, q)
+	res, err := hc.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestClusterIngestFailoverResume(t *testing.T) {
 			t.Fatalf("duplicate delivery changed node %d record count %d→%d", i, before[i], got)
 		}
 	}
-	res, err = hc.FE.Execute(ctx, q)
+	res, err = hc.FE.Query(ctx, frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestDelayedNodeRecoversAndIsReused(t *testing.T) {
 
 	// Delay — don't kill — one node beyond the failure timer.
 	c.Nodes()[slowIdx].SetDelay(time.Second)
-	res, err := c.FE.Execute(context.Background(), q)
+	res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatalf("query with delayed node: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestDelayedNodeRecoversAndIsReused(t *testing.T) {
 		t.Fatalf("FailedNodes = %v, want [%d]", got, slowID)
 	}
 	// While suspected, queries keep completing around it.
-	res, err = c.FE.Execute(context.Background(), q)
+	res, err = c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDelayedNodeRecoversAndIsReused(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("recovered node never rescheduled; health = %v", c.FE.Health())
 		}
-		res, err := c.FE.Execute(context.Background(), q)
+		res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatalf("post-recovery query: %v", err)
 		}

@@ -57,7 +57,7 @@ func TestAdmissionControlQueues(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := fe.Execute(context.Background(), q)
+			res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 			if err != nil {
 				t.Error(err)
 				return
@@ -97,11 +97,11 @@ func TestQueueTimeoutOverload(t *testing.T) {
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	first := make(chan error, 1)
 	go func() {
-		_, err := fe.Execute(context.Background(), q)
+		_, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 		first <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the first query occupy the slot
-	_, err := fe.Execute(context.Background(), q)
+	_, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Errorf("queued query got %v, want ErrOverloaded", err)
 	}
@@ -122,13 +122,13 @@ func TestAdmissionHonoursContext(t *testing.T) {
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	first := make(chan error, 1)
 	go func() {
-		_, err := fe.Execute(context.Background(), q)
+		_, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 		first <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := fe.Execute(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := fe.Query(ctx, QuerySpec{Enc: q}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("queued query got %v, want context deadline", err)
 	}
 	if err := <-first; err != nil {
@@ -146,7 +146,7 @@ func TestDispatchWorkersBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	res, err := fe.Execute(context.Background(), q)
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestViewTuningOverridesConfig(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if res, err := fe.Execute(context.Background(), q); err != nil || len(res.IDs) != 1 {
+			if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || len(res.IDs) != 1 {
 				t.Errorf("tuned execute: ids=%d err=%v", len(res.IDs), err)
 			}
 		}()

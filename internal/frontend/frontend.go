@@ -64,7 +64,7 @@ type Config struct {
 	// connection at high query concurrency.
 	PoolSize int
 	// MaxInFlight caps concurrently executing queries (admission
-	// control). Excess Execute calls queue until a slot frees, their
+	// control). Excess Query calls queue until a slot frees, their
 	// context ends, or QueueTimeout elapses. 0 = unlimited.
 	MaxInFlight int
 	// QueueTimeout bounds the admission wait when MaxInFlight is set;
@@ -143,11 +143,6 @@ const (
 	// PriorityHigh is never shed and bypasses the tenant quota.
 	PriorityHigh Priority = 1
 )
-
-// ExecOptions carries per-query execution options.
-type ExecOptions struct {
-	Priority Priority
-}
 
 // ErrOverloaded is returned when a query waits longer than QueueTimeout
 // for an admission slot.
@@ -351,7 +346,7 @@ func semaphore(n int) chan struct{} {
 	return make(chan struct{}, n)
 }
 
-// New builds a frontend with no view; call ApplyView before Execute.
+// New builds a frontend with no view; call ApplyView before Query.
 func New(cfg Config) *Frontend {
 	if cfg.SubQueryTimeout <= 0 {
 		cfg.SubQueryTimeout = 5 * time.Second
@@ -647,8 +642,7 @@ type QuerySpec struct {
 // Query runs one query end to end: result-cache lookup, single-flight
 // coalescing, admission (overload shed, tenant quota, in-flight
 // window), scheduling, pipelined dispatch with hedging, and streaming
-// merge. It subsumes the deprecated Execute/ExecuteOpts/ExecutePlain/
-// ExecuteSpec quartet.
+// merge.
 //
 // Cache hits bypass admission entirely — they consume no slot, no
 // quota token, and no dispatch worker, which is the point of having
@@ -707,41 +701,6 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 		f.tenants.noteCacheMiss(spec.Tenant) // CacheRefresh: forced miss
 	}
 	return f.execute(ctx, spec, t0, key, gen)
-}
-
-// Execute runs one encrypted query end to end at PriorityNormal.
-//
-// Deprecated: use Query with QuerySpec{Enc: q}.
-func (f *Frontend) Execute(ctx context.Context, q pps.Query) (Result, error) {
-	return f.Query(ctx, QuerySpec{Enc: q})
-}
-
-// ExecuteOpts is Execute with explicit per-query options.
-//
-// Deprecated: use Query; QuerySpec carries Priority directly.
-func (f *Frontend) ExecuteOpts(ctx context.Context, q pps.Query, opts ExecOptions) (Result, error) {
-	return f.Query(ctx, QuerySpec{Enc: q, Priority: opts.Priority})
-}
-
-// ExecutePlain runs one plaintext index query at PriorityNormal. Each
-// node returns at most pq.Limit of the numerically-smallest ids in its
-// arc; the merged result is cut to the same global top-k after the
-// final sort, so the answer matches a single-index evaluation.
-//
-// Deprecated: use Query with QuerySpec{Plain: &pq}.
-func (f *Frontend) ExecutePlain(ctx context.Context, pq proto.PlainQuery) (Result, error) {
-	return f.Query(ctx, QuerySpec{Plain: &pq})
-}
-
-// ExecuteSpec is the pre-cache entry point: any data plane, any
-// options.
-//
-// Deprecated: use Query; QuerySpec absorbed ExecOptions.
-func (f *Frontend) ExecuteSpec(ctx context.Context, spec QuerySpec, opts ExecOptions) (Result, error) {
-	if spec.Priority == PriorityNormal {
-		spec.Priority = opts.Priority
-	}
-	return f.Query(ctx, spec)
 }
 
 // execute is the uncached pipeline: admission (overload shed, tenant

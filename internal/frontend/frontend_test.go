@@ -60,7 +60,7 @@ func loadAll(t *testing.T, nodes []*node.Node, enc *pps.Encoder, words []string)
 	}
 }
 
-func TestApplyViewAndExecute(t *testing.T) {
+func TestApplyViewAndQuery(t *testing.T) {
 	enc := slimEncoder()
 	v, nodes := testView(t, enc, 4, 1)
 	loadAll(t, nodes, enc, []string{"aa", "bb", "aa"})
@@ -70,7 +70,7 @@ func TestApplyViewAndExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	res, err := fe.Execute(context.Background(), q)
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestViewUpdatePreservesSpeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	if _, err := fe.Execute(context.Background(), q); err != nil {
+	if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil {
 		t.Fatal(err)
 	}
 	before := fe.SpeedEstimates()
@@ -152,7 +152,7 @@ func TestFailureDetectionAndFallback(t *testing.T) {
 	// Run enough queries that some plan hits node 2.
 	sawFailure := false
 	for i := 0; i < 10; i++ {
-		res, err := fe.Execute(context.Background(), q)
+		res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -186,7 +186,7 @@ func TestMarkFailedAvoidsNode(t *testing.T) {
 	fe.MarkFailed(ring.NodeID(1))
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	for i := 0; i < 5; i++ {
-		res, err := fe.Execute(context.Background(), q)
+		res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestBreakdownAccumulates(t *testing.T) {
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	for i := 0; i < 4; i++ {
-		if _, err := fe.Execute(context.Background(), q); err != nil {
+		if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestMergeDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	res, err := fe.Execute(context.Background(), q)
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,50 +274,4 @@ func TestMergeDedup(t *testing.T) {
 			t.Fatalf("ids not sorted unique: %v", res.IDs)
 		}
 	}
-}
-
-// TestDeprecatedWrappersMatchQuery pins the compatibility contract of
-// the Execute* quartet: each wrapper is a pure delegate to Query, so
-// answers (and their stats) are identical for identical inputs.
-func TestDeprecatedWrappersMatchQuery(t *testing.T) {
-	enc := slimEncoder()
-	v, nodes := testView(t, enc, 4, 2)
-	loadAll(t, nodes, enc, []string{"aa", "bb", "aa"})
-	fe := New(Config{})
-	defer fe.Close()
-	if err := fe.ApplyView(v); err != nil {
-		t.Fatal(err)
-	}
-	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-
-	want, err := fe.Query(context.Background(), QuerySpec{Enc: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(name string, got Result, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got.IDs) != len(want.IDs) || got.Source != want.Source {
-			t.Errorf("%s: %d ids via %q, Query gave %d via %q",
-				name, len(got.IDs), got.Source, len(want.IDs), want.Source)
-		}
-		for i := range got.IDs {
-			if got.IDs[i] != want.IDs[i] {
-				t.Fatalf("%s: id[%d] = %#x, want %#x", name, i, got.IDs[i], want.IDs[i])
-			}
-		}
-	}
-	r, err := fe.Execute(context.Background(), q)
-	same("Execute", r, err)
-	r, err = fe.ExecuteOpts(context.Background(), q, ExecOptions{Priority: PriorityHigh})
-	same("ExecuteOpts", r, err)
-	r, err = fe.ExecuteSpec(context.Background(), QuerySpec{Enc: q}, ExecOptions{})
-	same("ExecuteSpec", r, err)
-	// ExecuteSpec's option-merge rule: an explicit spec priority wins,
-	// the legacy opts priority fills the zero value.
-	r, err = fe.ExecuteSpec(context.Background(), QuerySpec{Enc: q, Priority: PriorityHigh},
-		ExecOptions{Priority: PriorityLow})
-	same("ExecuteSpec(priority merge)", r, err)
 }

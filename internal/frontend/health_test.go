@@ -40,7 +40,7 @@ func TestRecoveryAfterTransientSlowness(t *testing.T) {
 	// must touch it (n == pq), so the first query suspects it and
 	// recovers the harvest through the §4.4 fallback.
 	nodes[0].SetDelay(time.Second)
-	res, err := fe.Execute(context.Background(), q)
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatalf("query against slow node: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestRecoveryAfterTransientSlowness(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("recovered node never rescheduled; health = %v", fe.Health())
 		}
-		if _, err := fe.Execute(context.Background(), q); err != nil {
+		if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil {
 			t.Fatalf("post-recovery query: %v", err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestApplyViewRebuildsPoolOnTuningChange(t *testing.T) {
 	fe.mu.RUnlock()
 	// The rebuilt clients must still work.
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	if res, err := fe.Execute(context.Background(), q); err != nil || len(res.IDs) != 1 {
+	if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || len(res.IDs) != 1 {
 		t.Fatalf("execute after pool rebuild: ids=%d err=%v", len(res.IDs), err)
 	}
 }
@@ -175,7 +175,7 @@ func TestHedgeWinsAndCancelsLoser(t *testing.T) {
 	nodes[0].SetDelay(slowFor)
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	start := time.Now()
-	res, err := fe.Execute(context.Background(), q)
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestNodeCreditBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if res, err := fe.Execute(context.Background(), q); err != nil || len(res.IDs) != 1 {
+			if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || len(res.IDs) != 1 {
 				t.Errorf("execute: ids=%d err=%v", len(res.IDs), err)
 			}
 		}()
@@ -263,7 +263,7 @@ func TestBreakdownRecordsFailedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	if _, err := fe.Execute(context.Background(), q); err == nil {
+	if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err == nil {
 		t.Fatal("query against a dead-only view must fail")
 	}
 	bd := fe.DelayBreakdown()

@@ -96,7 +96,7 @@ func TestExecutePlainEndToEnd(t *testing.T) {
 		{Terms: []string{"missing"}, Mode: uint8(index.ModeAnd)},
 	}
 	for qi, pq := range queries {
-		res, err := fe.ExecutePlain(context.Background(), pq)
+		res, err := fe.Query(context.Background(), QuerySpec{Plain: &pq})
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -116,7 +116,7 @@ func TestExecutePlainEndToEnd(t *testing.T) {
 
 	// The encrypted plane still answers through the same frontend.
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	res, err := fe.Execute(context.Background(), q)
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestExecutePlainNoIndex(t *testing.T) {
 	if err := fe.ApplyView(v); err != nil {
 		t.Fatal(err)
 	}
-	_, err := fe.ExecutePlain(context.Background(), proto.PlainQuery{Terms: []string{"x"}})
+	_, err := fe.Query(context.Background(), QuerySpec{Plain: &proto.PlainQuery{Terms: []string{"x"}}})
 	if err == nil {
 		t.Fatal("plain query against index-less nodes must fail, not return empty")
 	}

@@ -30,7 +30,7 @@ func TestViewQuarantineDemotesNode(t *testing.T) {
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	for i := 0; i < 5; i++ {
-		res, err := fe.Execute(context.Background(), q)
+		res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestViewQuarantineDemotesNode(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("re-admitted node never rescheduled")
 		}
-		if _, err := fe.Execute(context.Background(), q); err != nil {
+		if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestShedLowPriorityUnderOverload(t *testing.T) {
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 
 	// Below the mark nothing sheds.
-	if _, err := fe.ExecuteOpts(context.Background(), q, ExecOptions{Priority: PriorityLow}); err != nil {
+	if _, err := fe.Query(context.Background(), QuerySpec{Enc: q, Priority: PriorityLow}); err != nil {
 		t.Fatalf("low-priority query shed below high water: %v", err)
 	}
 
@@ -101,10 +101,10 @@ func TestShedLowPriorityUnderOverload(t *testing.T) {
 	}
 	fe.mu.RUnlock()
 
-	if _, err := fe.ExecuteOpts(context.Background(), q, ExecOptions{Priority: PriorityLow}); !errors.Is(err, ErrShed) {
+	if _, err := fe.Query(context.Background(), QuerySpec{Enc: q, Priority: PriorityLow}); !errors.Is(err, ErrShed) {
 		t.Fatalf("low-priority query err = %v, want ErrShed", err)
 	}
-	if res, err := fe.Execute(context.Background(), q); err != nil || len(res.IDs) != 1 {
+	if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || len(res.IDs) != 1 {
 		t.Fatalf("normal-priority query under overload: ids=%d err=%v", len(res.IDs), err)
 	}
 	// Execute succeeded against real nodes, whose genuine depth reports
@@ -209,9 +209,6 @@ func TestHealthReportAutoscaleTelemetry(t *testing.T) {
 	}
 	if lat0 <= 0 {
 		t.Fatalf("warmed node's latency digest missing: %+v", rep.Nodes)
-	}
-	if !rep.HasExt() {
-		t.Fatal("report with telemetry does not claim the extension")
 	}
 
 	// Counters are deltas; digests are gauges.

@@ -6,31 +6,18 @@
 // The Syncer owns two cadences: view pulls (install the cluster map,
 // fenced by ApplyView on (Term, Epoch)) and health pushes (ship the
 // destructively-snapshotted observation deltas). A health push that
-// fails for ANY reason re-credits the report — including the
-// mixed-version downgrade paths, where the evidence would otherwise be
-// silently lost exactly once per downgrade.
-//
-// Downgrades latch on evidence, not prose: only an error the remote
-// handler reported (wire.RemoteError) classifies, by its typed code
-// when the server attached one, so a transport or proxy error that
-// happens to embed similar text can never degrade the frontend. And a
-// latch is not forever — every downgradeProbeEvery pushes the Syncer
-// retries the full-fidelity path once, so an upgraded coordinator (or
-// failover onto a newer replica) restores quarantine and telemetry
-// evidence without a frontend restart.
+// fails for ANY reason re-credits the report, so evidence is never lost
+// to a flaky control plane.
 package frontend
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"roar/internal/pps"
 	"roar/internal/proto"
-	"roar/internal/wire"
 )
 
 // MemberCaller is the coordinator transport: satisfied by wire.Client
@@ -47,7 +34,7 @@ type SyncConfig struct {
 	HealthInterval time.Duration
 	// After injects the loop timer (tests). Nil means real time.
 	After func(time.Duration) <-chan time.Time
-	// Logf, when set, receives one line per downgrade or sync failure.
+	// Logf, when set, receives one line per rejected view refresh.
 	Logf func(format string, args ...any)
 }
 
@@ -64,35 +51,11 @@ func (sc SyncConfig) withDefaults() SyncConfig {
 	return sc
 }
 
-// downgradeProbeEvery is the re-probe cadence: after this many pushes
-// in a downgraded mode, one push retries the full-fidelity encoding.
-// Success un-latches the downgrade; the specific rejection re-latches
-// it for another window. At the default 1s health interval a latched
-// frontend rediscovers an upgraded coordinator within ~16s while
-// paying one predictable extra rejection per window against a
-// genuinely old one (whose evidence is re-credited, not lost).
-const downgradeProbeEvery = 16
-
 // Syncer keeps one frontend synchronised with the control plane.
 type Syncer struct {
 	fe  *Frontend
 	mc  MemberCaller
 	cfg SyncConfig
-
-	mu sync.Mutex
-	// Mixed-version downgrades, each latched only by its specific
-	// rejection: legacy when the coordinator predates member.health
-	// entirely, stripTenants when it has the autoscale telemetry block
-	// but predates the per-tenant block trailing it, stripExt when it
-	// predates both extension blocks. A trailing-bytes rejection
-	// latches the shallowest strip that removes the trailer actually
-	// sent (the ladder: full → no tenants → no extensions → legacy
-	// method). sinceProbe counts downgraded pushes toward the next
-	// full-fidelity re-probe.
-	legacy       bool
-	stripTenants bool
-	stripExt     bool
-	sinceProbe   int
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -159,35 +122,6 @@ func (s *Syncer) WaitFirstView(ctx context.Context, attempts int) error {
 	return fmt.Errorf("frontend: no usable view after %d attempts: %w", attempts, err)
 }
 
-// downgradeSignal classifies a member.health failure into the
-// mixed-version downgrade it proves, if any. Only an error the remote
-// HANDLER reported counts — a transport error carrying similar text
-// (a proxy quoting a server, a connection-loss message) never
-// classifies. Typed codes are authoritative; the bare-string fallbacks
-// accept the exact spellings of coordinators that predate the codes.
-func downgradeSignal(err error) (legacy, noExt bool) {
-	var re *wire.RemoteError
-	if !errors.As(err, &re) {
-		return false, false
-	}
-	switch re.Code {
-	case wire.CodeUnknownMethod:
-		return true, false
-	case wire.CodeTrailingBytes:
-		return false, true
-	case "": // pre-code coordinator: fall through to the exact spellings
-	default:
-		return false, false
-	}
-	if strings.HasPrefix(re.Msg, "wire: unknown method") {
-		return true, false
-	}
-	if strings.Contains(re.Msg, "trailing bytes after HealthReport") {
-		return false, true
-	}
-	return false, false
-}
-
 // Ingest forwards a client write batch to the coordinator's durable
 // ingest WAL (member.ingest) — the frontend's async put path. The reply
 // acknowledges durability; delivery to the owning nodes is asynchronous
@@ -212,73 +146,16 @@ func (s *Syncer) Ingest(ctx context.Context, recs []pps.Encoded) (proto.IngestRe
 // recovery just published — or a new leader took over), the view is
 // re-pulled immediately rather than waiting out the poll timer.
 //
-// Every failure path re-credits the snapshotted report: the counters
-// are deltas, and dropping them exactly when the control plane is
-// flaky (transport error, failover in progress, version downgrade)
+// Any failure re-credits the snapshotted report: the counters are
+// deltas, and dropping them exactly when the control plane is flaky
+// (transport error, failover in progress, a rejecting coordinator)
 // would silence failure evidence when it matters most.
 func (s *Syncer) PushHealthOnce(ctx context.Context) error {
-	s.mu.Lock()
-	legacy, stripTen, stripExt := s.legacy, s.stripTenants, s.stripExt
-	probe := false
-	if legacy || stripTen || stripExt {
-		s.sinceProbe++
-		if s.sinceProbe >= downgradeProbeEvery {
-			s.sinceProbe = 0
-			probe = true // retry full fidelity this round
-		}
-	}
-	s.mu.Unlock()
-	if legacy && !probe {
-		report := proto.ReportReq{Speeds: s.fe.SpeedEstimates(), Failed: s.fe.FailedNodes()}
-		return s.mc.Call(ctx, proto.MMemberReport, report, nil)
-	}
 	rep := s.fe.HealthReport()
-	send := rep
-	sentStripTen, sentStripExt := false, false
-	if !probe {
-		switch {
-		case stripExt:
-			send, sentStripExt = rep.StripExt(), true
-		case stripTen:
-			send, sentStripTen = rep.StripTenants(), true
-		}
-	}
 	var hr proto.HealthResp
-	if err := s.mc.Call(ctx, proto.MMemberHealth, send, &hr); err != nil {
-		// Whatever happens next, the evidence goes back first: even a
-		// downgrade consumes this report without delivering it.
+	if err := s.mc.Call(ctx, proto.MMemberHealth, rep, &hr); err != nil {
 		s.fe.RestoreHealthReport(rep)
-		if toLegacy, toStrip := downgradeSignal(err); toLegacy || toStrip {
-			// A trailing-bytes rejection names the trailer of the form
-			// actually sent: if this push carried the tenant block,
-			// stripping just it may suffice; if the tenant block was
-			// already absent (stripped, or nothing to report), the
-			// rejected trailer was the autoscale block itself.
-			toStripTen := toStrip && !sentStripTen && !sentStripExt && send.HasTenantExt()
-			toStripExt := toStrip && !toStripTen
-			s.mu.Lock()
-			changed := s.legacy != toLegacy || s.stripTenants != toStripTen || s.stripExt != toStripExt
-			s.legacy, s.stripTenants, s.stripExt = toLegacy, toStripTen, toStripExt
-			s.sinceProbe = 0
-			s.mu.Unlock()
-			switch {
-			case changed && toLegacy:
-				s.logf("frontend: coordinator predates member.health; downgrading to legacy reports")
-			case changed && toStripTen:
-				s.logf("frontend: coordinator predates tenant telemetry; stripping tenant block")
-			case changed:
-				s.logf("frontend: coordinator predates telemetry extension; stripping reports")
-			}
-		}
 		return err
-	}
-	if probe {
-		// The full-fidelity probe landed: the coordinator was upgraded,
-		// or failover reached a newer replica. Un-latch.
-		s.mu.Lock()
-		s.legacy, s.stripTenants, s.stripExt = false, false, false
-		s.mu.Unlock()
-		s.logf("frontend: coordinator accepts full health reports again; downgrade cleared")
 	}
 	if hr.Epoch != s.fe.View().Epoch {
 		s.pullIfStale(ctx)

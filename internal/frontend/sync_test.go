@@ -52,10 +52,14 @@ type scriptedMember struct {
 	view   proto.View
 	health proto.HealthResp
 	calls  []string
+	sent   []proto.HealthReport
 }
 
 func (m *scriptedMember) Call(_ context.Context, method string, in, out interface{}) error {
 	m.calls = append(m.calls, method)
+	if rep, ok := in.(proto.HealthReport); ok {
+		m.sent = append(m.sent, rep)
+	}
 	var err error
 	if len(m.errs) > 0 {
 		err, m.errs = m.errs[0], m.errs[1:]
@@ -96,153 +100,48 @@ func syncTestBed(t *testing.T, m *scriptedMember) (*Frontend, *Syncer, func() in
 	return fe, s, pending
 }
 
-// modes reads the syncer's downgrade latches.
-func (s *Syncer) modes() (legacy, stripExt bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.legacy, s.stripExt
-}
-
-func TestPushHealthRecreditsOnTransportError(t *testing.T) {
-	m := &scriptedMember{errs: []error{errors.New("wire: connection refused")}}
-	_, s, pending := syncTestBed(t, m)
-	if err := s.PushHealthOnce(context.Background()); err == nil {
-		t.Fatal("push should surface the transport error")
-	}
-	if pending() != 1 {
-		t.Errorf("shed evidence lost on transport error: pending=%d", pending())
-	}
-}
-
-// TestPushHealthTransportTextNeverLatches: transport errors whose text
-// embeds the downgrade spellings (a proxy quoting a server, a
-// connection-loss message) must NOT degrade the frontend — only an
-// error the remote handler reported (wire.RemoteError) classifies.
-func TestPushHealthTransportTextNeverLatches(t *testing.T) {
-	m := &scriptedMember{errs: []error{
-		fmt.Errorf("wire: connection lost: proxy said %q", "unknown method"),
-		errors.New("gateway: upstream replied: proto: 7 trailing bytes after HealthReport"),
-	}}
-	_, s, _ := syncTestBed(t, m)
-	for i := 0; i < 2; i++ {
-		if err := s.PushHealthOnce(context.Background()); err == nil {
-			t.Fatal("scripted error should surface")
-		}
-		if legacy, stripExt := s.modes(); legacy || stripExt {
-			t.Fatalf("transport error text latched a downgrade: legacy=%v stripExt=%v", legacy, stripExt)
-		}
-	}
-	// And the next push still uses the full-fidelity method.
-	if err := s.PushHealthOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.calls[len(m.calls)-1]; got != proto.MMemberHealth {
-		t.Errorf("push after transport noise should send %s, sent %s", proto.MMemberHealth, got)
-	}
-}
-
-func TestPushHealthRecreditsOnLegacyDowngrade(t *testing.T) {
-	// The typed rejection a pre-member.health coordinator produces
-	// through a current wire server.
-	m := &scriptedMember{errs: []error{
-		&wire.RemoteError{Method: proto.MMemberHealth, Code: wire.CodeUnknownMethod,
-			Msg: fmt.Sprintf("wire: unknown method %q", proto.MMemberHealth)},
-	}}
-	_, s, pending := syncTestBed(t, m)
-	if err := s.PushHealthOnce(context.Background()); err == nil {
-		t.Fatal("downgrade push should still report the error")
-	}
-	// The report consumed by the failed push must be re-credited even
-	// though the syncer is switching modes — this evidence would
-	// otherwise vanish exactly once per downgrade.
-	if pending() != 1 {
-		t.Errorf("shed evidence lost on legacy downgrade: pending=%d", pending())
-	}
-	// Subsequent pushes use the legacy report format.
-	if err := s.PushHealthOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.calls[len(m.calls)-1]; got != proto.MMemberReport {
-		t.Errorf("after downgrade the syncer should send %s, sent %s", proto.MMemberReport, got)
-	}
-}
-
-// TestPushHealthLegacyStringStillClassifies pins the pre-code
-// fallback: a coordinator built before the wire error codes rejects
-// with the bare historic spelling, which must still classify — but
-// only when it arrives as a remote (handler) error.
-func TestPushHealthLegacyStringStillClassifies(t *testing.T) {
-	m := &scriptedMember{errs: []error{
-		&wire.RemoteError{Method: proto.MMemberHealth,
-			Msg: fmt.Sprintf("wire: unknown method %q", proto.MMemberHealth)},
-	}}
-	_, s, _ := syncTestBed(t, m)
-	if err := s.PushHealthOnce(context.Background()); err == nil {
-		t.Fatal("downgrade push should still report the error")
-	}
-	if legacy, _ := s.modes(); !legacy {
-		t.Error("pre-code unknown-method spelling did not latch legacy mode")
-	}
-}
-
-func TestPushHealthRecreditsOnExtensionDowngrade(t *testing.T) {
-	m := &scriptedMember{errs: []error{
-		&wire.RemoteError{Method: proto.MMemberHealth, Code: wire.CodeTrailingBytes,
-			Msg: "proto: 7 trailing bytes after HealthReport"},
-	}}
-	_, s, pending := syncTestBed(t, m)
-	if err := s.PushHealthOnce(context.Background()); err == nil {
-		t.Fatal("downgrade push should still report the error")
-	}
-	if pending() != 1 {
-		t.Errorf("shed evidence lost on extension downgrade: pending=%d", pending())
-	}
-	if _, stripExt := s.modes(); !stripExt {
-		t.Error("extension downgrade not latched")
-	}
-}
-
-// TestPushHealthReprobeUnlatches: a latched downgrade heals once the
-// coordinator is upgraded (or failover lands on a newer replica): every
-// downgradeProbeEvery pushes one full-fidelity probe goes out, and its
-// success clears the latch.
-func TestPushHealthReprobeUnlatches(t *testing.T) {
-	m := &scriptedMember{errs: []error{
-		&wire.RemoteError{Method: proto.MMemberHealth, Code: wire.CodeUnknownMethod,
-			Msg: fmt.Sprintf("wire: unknown method %q", proto.MMemberHealth)},
-	}}
-	_, s, _ := syncTestBed(t, m)
-	if err := s.PushHealthOnce(context.Background()); err == nil {
-		t.Fatal("downgrade push should still report the error")
-	}
-	if legacy, _ := s.modes(); !legacy {
-		t.Fatal("legacy mode not latched")
-	}
-	// The scripted errors are exhausted, so every call from here on
-	// succeeds — the "coordinator upgraded" moment. The next
-	// downgradeProbeEvery-1 pushes stay legacy; the probe push sends
-	// member.health and un-latches.
-	for i := 0; i < downgradeProbeEvery; i++ {
-		if err := s.PushHealthOnce(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		legacy, _ := s.modes()
-		if i < downgradeProbeEvery-1 {
-			if got := m.calls[len(m.calls)-1]; got != proto.MMemberReport {
-				t.Fatalf("push %d should stay legacy (%s), sent %s", i, proto.MMemberReport, got)
+// TestPushHealthAnyFailureRecredits: whatever kind of error fails a
+// push (the network ate it, or the coordinator's handler said no, coded
+// or not), the snapshotted report is re-credited, the error surfaces,
+// and the next push is the same member.health call carrying the
+// evidence: no failure switches the syncer to another method or form.
+func TestPushHealthAnyFailureRecredits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"transport", errors.New("wire: connection refused")},
+		{"transport quoting a remote", fmt.Errorf("wire: connection lost: proxy said %q", "unknown method")},
+		{"remote uncoded", &wire.RemoteError{Method: proto.MMemberHealth, Msg: "membership: not leader"}},
+		{"remote unknown-method", &wire.RemoteError{Method: proto.MMemberHealth, Code: wire.CodeUnknownMethod,
+			Msg: fmt.Sprintf("wire: unknown method %q", proto.MMemberHealth)}},
+		{"remote trailing-bytes", &wire.RemoteError{Method: proto.MMemberHealth, Code: wire.CodeTrailingBytes,
+			Msg: "proto: 7 trailing bytes after HealthReport"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &scriptedMember{errs: []error{tc.err}}
+			_, s, pending := syncTestBed(t, m)
+			if err := s.PushHealthOnce(context.Background()); !errors.Is(err, tc.err) {
+				t.Fatalf("push returned %v, want the scripted error", err)
 			}
-			if !legacy {
-				t.Fatalf("push %d un-latched without a probe", i)
+			if pending() != 1 {
+				t.Errorf("shed evidence not re-credited exactly once: pending=%d", pending())
 			}
-		} else if legacy {
-			t.Fatal("successful probe did not clear the legacy latch")
-		}
-	}
-	if err := s.PushHealthOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.calls[len(m.calls)-1]; got != proto.MMemberHealth {
-		t.Errorf("after un-latch the syncer should send %s, sent %s", proto.MMemberHealth, got)
+			if err := s.PushHealthOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if pending() != 0 {
+				t.Errorf("delivered evidence still pending: %d", pending())
+			}
+			for i, method := range m.calls {
+				if method != proto.MMemberHealth {
+					t.Errorf("call %d went to %s, want %s", i, method, proto.MMemberHealth)
+				}
+			}
+			if got := m.sent[len(m.sent)-1].Shed; got != 1 {
+				t.Errorf("retried report carries Shed=%d, want the re-credited 1", got)
+			}
+		})
 	}
 }
 

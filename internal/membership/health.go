@@ -38,8 +38,8 @@ type HealthConfig struct {
 	// must fully drain the accumulated suspicion (hysteresis against
 	// flapping).
 	RecoverThreshold float64
-	// FailWeight is the score added by a hard failure report — the
-	// legacy ReportReq.Failed path and HandleFailure. Default 1.
+	// FailWeight is the score added by a hard failure report
+	// (HandleFailure). Default 1.
 	FailWeight float64
 	// ScoreCap bounds the score so a long outage cannot make recovery
 	// arbitrarily slow. Default 2 × QuarantineThreshold.
@@ -270,12 +270,11 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) proto.HealthResp {
 	return resp
 }
 
-// HandleFailure records a hard failure report for a node — the legacy
-// one-shot "this node is dead" hint from a frontend. It is now one
-// evidence input to the health loop (worth FailWeight) rather than an
-// immediate range redistribution; repeated reports quarantine the node,
-// and Decommission remains the explicit path for nodes that are
-// permanently gone.
+// HandleFailure records a hard failure report for a node: a one-shot
+// "this node is dead" hint. It is one evidence input to the health
+// loop (worth FailWeight), not an immediate range redistribution;
+// repeated reports quarantine the node, and Decommission remains the
+// explicit path for nodes that are permanently gone.
 func (c *Coordinator) HandleFailure(id ring.NodeID) {
 	c.mu.Lock()
 	_, ok := c.ringOf[id]

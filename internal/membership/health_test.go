@@ -7,7 +7,6 @@ import (
 
 	"roar/internal/proto"
 	"roar/internal/ring"
-	"roar/internal/wire"
 )
 
 // healthCoordinator joins n real nodes and returns the coordinator plus
@@ -183,72 +182,6 @@ func TestHandleFailureIsEvidenceNotRemoval(t *testing.T) {
 	}
 	if len(c.Quarantined()) != 0 {
 		t.Fatal("Decommission must clear quarantine state")
-	}
-}
-
-// TestMixedVersionJSONFrontendInterop: an old frontend — JSON framing
-// only, speaking the legacy member.report protocol — must keep working
-// against a new coordinator, its Failed hints feeding the health loop.
-// And a new binary-speaking frontend pushing member.health must coexist
-// on the same server.
-func TestMixedVersionJSONFrontendInterop(t *testing.T) {
-	c, ids := healthCoordinator(t, 4, HealthConfig{QuarantineThreshold: 2})
-	// The same dispatcher wiring cmd/roar-member registers.
-	d := wire.NewDispatcher()
-	d.Register(proto.MMemberReport, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
-		var req proto.ReportReq
-		if err := body.Decode(&req); err != nil {
-			return nil, err
-		}
-		speeds := map[ring.NodeID]float64{}
-		for id, s := range req.Speeds {
-			speeds[ring.NodeID(id)] = s
-		}
-		c.ReportSpeeds(speeds)
-		for _, id := range req.Failed {
-			c.HandleFailure(ring.NodeID(id))
-		}
-		return struct{}{}, nil
-	})
-	d.Register(proto.MMemberHealth, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
-		var req proto.HealthReport
-		if err := body.Decode(&req); err != nil {
-			return nil, err
-		}
-		return c.ReportHealth(req), nil
-	})
-	srv, err := wire.Serve("127.0.0.1:0", d.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Old frontend: JSON-pinned connection, legacy report body.
-	old := wire.NewClientWithConfig(srv.Addr(), wire.ClientConfig{DisableBinary: true})
-	defer old.Close()
-	for i := 0; i < 2; i++ {
-		req := proto.ReportReq{Speeds: map[int]float64{int(ids[0]): 2.5}, Failed: []int{int(ids[1])}}
-		if err := old.Call(context.Background(), proto.MMemberReport, req, nil); err != nil {
-			t.Fatalf("legacy report %d: %v", i, err)
-		}
-	}
-	if got := c.Quarantined(); len(got) != 1 || got[0] != int(ids[1]) {
-		t.Fatalf("legacy Failed hints never quarantined: %v", got)
-	}
-
-	// New frontend: negotiated binary connection, health report body.
-	nw := wire.NewClient(srv.Addr())
-	defer nw.Close()
-	var hr proto.HealthResp
-	rep := report("new-fe", 1, proto.NodeHealth{ID: int(ids[1]), ProbeOKs: 100})
-	if err := nw.Call(context.Background(), proto.MMemberHealth, rep, &hr); err != nil {
-		t.Fatalf("binary health report: %v", err)
-	}
-	if len(hr.Quarantined) != 0 {
-		t.Fatalf("probe recovery evidence ignored: %v", hr.Quarantined)
-	}
-	if st := nw.Stats(); st.Binary == 0 {
-		t.Fatal("new client never negotiated the binary framing")
 	}
 }
 

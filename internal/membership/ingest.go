@@ -189,7 +189,7 @@ func (c *Coordinator) ingestRoute(rec pps.Encoded) ([]ingest.Target, error) {
 		targets = append(targets, ingest.Target{
 			Key: nodeKey(d.id),
 			Push: func(ctx context.Context, recs []pps.Encoded) error {
-				return c.putRecords(ctx, d.cl, d.id, epoch, recs)
+				return putRecords(ctx, d.cl, epoch, recs)
 			},
 		})
 	}

@@ -12,9 +12,7 @@ package membership
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"roar/internal/ingest"
@@ -75,14 +73,12 @@ type Coordinator struct {
 
 	// Durable ingest pipeline (ingest.go): wal buffers accepted writes,
 	// consumer drains them, ingestSeq/ingestDrained are the accepted and
-	// delivered watermarks. putLegacy latches nodes that rejected the
-	// epoch-fenced PutReq extension (mixed-version downgrade, per node).
+	// delivered watermarks.
 	wal           *ingest.WAL
 	ownsWAL       bool // opened for this coordinator alone; Close closes it
 	consumer      *ingest.Consumer
 	ingestSeq     uint64
 	ingestDrained uint64
-	putLegacy     map[ring.NodeID]bool
 
 	// Transfer accounting for the reconfiguration experiments.
 	objectsPushed int64
@@ -107,18 +103,17 @@ func New(cfg Config) (*Coordinator, error) {
 		backend = store.New()
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		ringOf:    map[ring.NodeID]int{},
-		addrs:     map[ring.NodeID]string{},
-		speeds:    map[ring.NodeID]float64{},
-		racks:     map[ring.NodeID]string{},
-		clients:   map[ring.NodeID]*wire.Client{},
-		disabled:  map[int]bool{},
-		p:         cfg.P,
-		backend:   backend,
-		health:    newHealthState(cfg.Health),
-		wal:       cfg.WAL,
-		putLegacy: map[ring.NodeID]bool{},
+		cfg:      cfg,
+		ringOf:   map[ring.NodeID]int{},
+		addrs:    map[ring.NodeID]string{},
+		speeds:   map[ring.NodeID]float64{},
+		racks:    map[ring.NodeID]string{},
+		clients:  map[ring.NodeID]*wire.Client{},
+		disabled: map[int]bool{},
+		p:        cfg.P,
+		backend:  backend,
+		health:   newHealthState(cfg.Health),
+		wal:      cfg.WAL,
 	}
 	for k := 0; k < cfg.Rings; k++ {
 		c.rings = append(c.rings, ring.New())
@@ -240,7 +235,7 @@ func (c *Coordinator) AddObject(ctx context.Context, rec pps.Encoded) (replicas 
 			}
 			continue
 		}
-		if perr := c.putRecords(ctx, cl, targets[i], epoch, []pps.Encoded{rec}); perr != nil {
+		if perr := putRecords(ctx, cl, epoch, []pps.Encoded{rec}); perr != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("membership: pushing object %d: %w", rec.ID, perr)
 			}
@@ -661,7 +656,7 @@ func (c *Coordinator) pushRecords(ctx context.Context, cl *wire.Client, id ring.
 		if end > len(recs) {
 			end = len(recs)
 		}
-		if err := c.putRecords(ctx, cl, id, epoch, recs[off:end]); err != nil {
+		if err := putRecords(ctx, cl, epoch, recs[off:end]); err != nil {
 			return fmt.Errorf("membership: pushing to node %d: %w", id, err)
 		}
 	}
@@ -671,51 +666,14 @@ func (c *Coordinator) pushRecords(ctx context.Context, cl *wire.Client, id ring.
 	return nil
 }
 
-// putLegacySignal reports whether a put failure is a pre-extension
-// node's rejection of the epoch fence. Only an error the remote HANDLER
-// reported classifies (same evidence rule as frontend.downgradeSignal):
-// the typed code is authoritative, the bare-string fallback accepts the
-// exact spelling of nodes that predate error codes.
-func putLegacySignal(err error) bool {
-	var re *wire.RemoteError
-	if !errors.As(err, &re) {
-		return false
-	}
-	switch re.Code {
-	case wire.CodeTrailingBytes:
-		return true
-	case "":
-		return strings.Contains(re.Msg, "trailing bytes after PutReq")
-	}
-	return false
-}
-
-// putRecords sends one epoch-fenced MNodePut. A node that rejects the
-// fence extension ("trailing bytes") is latched as legacy and re-sent
-// the unfenced base encoding — per node, so one old node in a rolling
-// upgrade does not strip the fence for the rest of the fleet.
-func (c *Coordinator) putRecords(ctx context.Context, cl *wire.Client, id ring.NodeID, epoch int, recs []pps.Encoded) error {
-	c.mu.Lock()
-	legacy := c.putLegacy[id]
-	c.mu.Unlock()
-	req := proto.PutReq{Records: recs, Epoch: epoch}
-	if legacy {
-		req.Epoch = 0
-	}
-	err := cl.Call(ctx, proto.MNodePut, req, nil)
-	if err == nil || legacy || !putLegacySignal(err) {
-		return err
-	}
-	c.mu.Lock()
-	c.putLegacy[id] = true
-	c.mu.Unlock()
-	req.Epoch = 0
-	return cl.Call(ctx, proto.MNodePut, req, nil)
+// putRecords sends one epoch-fenced MNodePut.
+func putRecords(ctx context.Context, cl *wire.Client, epoch int, recs []pps.Encoded) error {
+	return cl.Call(ctx, proto.MNodePut, proto.PutReq{Records: recs, Epoch: epoch}, nil)
 }
 
 // sendRetain tells a node its current range and p so it trims excess
 // replicas. It carries the publishing epoch so the node's fence
-// advances with the placement (JSON body; old nodes ignore the field).
+// advances with the placement.
 func (c *Coordinator) sendRetain(ctx context.Context, id ring.NodeID) error {
 	c.mu.Lock()
 	arc, _, err := c.nodeRangeLocked(id)

@@ -1146,27 +1146,6 @@ func (r *Replica) ReportHealth(rep proto.HealthReport) (proto.HealthResp, error)
 	return resp, nil
 }
 
-// ReportSpeeds folds speed observations (soft state, not replicated).
-func (r *Replica) ReportSpeeds(speeds map[ring.NodeID]float64) error {
-	c, err := r.leaderCoord()
-	if err != nil {
-		return err
-	}
-	c.ReportSpeeds(speeds)
-	return nil
-}
-
-// HandleFailure records a hard failure report and replicates any
-// quarantine flip.
-func (r *Replica) HandleFailure(id ring.NodeID) error {
-	c, err := r.leaderCoord()
-	if err != nil {
-		return err
-	}
-	c.HandleFailure(id)
-	return r.proposeIfAdvanced()
-}
-
 // --- controlPlane (autoscaler) ---
 
 // FleetPressure snapshots capacity telemetry; zero on non-leaders
@@ -1291,25 +1270,6 @@ func (r *Replica) RegisterHandlers(d *wire.Dispatcher) {
 			return nil, err
 		}
 		return struct{}{}, r.ChangeP(ctx, req.P)
-	})
-	d.Register(proto.MMemberReport, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
-		var req proto.ReportReq
-		if err := body.Decode(&req); err != nil {
-			return nil, err
-		}
-		speeds := map[ring.NodeID]float64{}
-		for id, s := range req.Speeds {
-			speeds[ring.NodeID(id)] = s
-		}
-		if err := r.ReportSpeeds(speeds); err != nil {
-			return nil, err
-		}
-		for _, id := range req.Failed {
-			if err := r.HandleFailure(ring.NodeID(id)); err != nil {
-				return nil, err
-			}
-		}
-		return struct{}{}, nil
 	})
 	d.Register(proto.MMemberHealth, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
 		var req proto.HealthReport

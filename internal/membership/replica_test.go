@@ -48,7 +48,7 @@ func startReplicas(t *testing.T, n int, coordCfg Config) []*Replica {
 		}
 		d := wire.NewDispatcher()
 		rep.RegisterHandlers(d)
-		srv := wire.ServeListener(lns[i], d.Handle, wire.ServerConfig{})
+		srv := wire.ServeListener(lns[i], d.Handle)
 		t.Cleanup(func() { rep.Stop(); srv.Close() })
 		reps[i] = rep
 	}

@@ -52,7 +52,7 @@ func TestReplicaLazyWALOpenAndHandoff(t *testing.T) {
 		}
 		d := wire.NewDispatcher()
 		rep.RegisterHandlers(d)
-		srv := wire.ServeListener(lns[i], d.Handle, wire.ServerConfig{})
+		srv := wire.ServeListener(lns[i], d.Handle)
 		t.Cleanup(func() { rep.Stop(); srv.Close() })
 		reps[i] = rep
 	}

@@ -207,7 +207,7 @@ func (n *Node) observeEpoch(e int) int {
 
 // Put stores replica records. A fenced request (Epoch > 0) is rejected
 // with StaleEpochError when its epoch is older than the newest this
-// node has observed; an unfenced request (Epoch == 0, legacy senders)
+// node has observed; an unfenced request (Epoch == 0, a bulk loader)
 // is always accepted. Insert dedups by record ID with last-write-wins,
 // so re-delivery of the same records is a no-op — the idempotent-apply
 // half of the ingest pipeline's at-least-once contract.
@@ -252,8 +252,8 @@ func (n *Node) Stats() proto.StatsResp {
 }
 
 // Serve exposes the node over TCP on addr ("127.0.0.1:0" for ephemeral).
-// The two hot methods (query, put) decode their bodies through the
-// negotiated codec — binary on upgraded connections, JSON otherwise.
+// The hot methods (query, put, ping) take binary request bodies; delete,
+// retain and stats take JSON.
 func (n *Node) Serve(addr string) (*wire.Server, error) {
 	d := wire.NewDispatcher()
 	d.Register(proto.MNodeQuery, func(ctx context.Context, _ string, body wire.Body) (interface{}, error) {

@@ -210,61 +210,6 @@ func TestNodeServeRPC(t *testing.T) {
 	}
 }
 
-// TestNodeMixedCodecClients: a legacy JSON-framed client and a
-// binary-negotiating client read the same node state and get identical
-// answers — the mixed-version cluster guarantee at the node boundary.
-func TestNodeMixedCodecClients(t *testing.T) {
-	n, enc := testSetup(t)
-	srv, err := n.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	binCl := wire.NewClient(srv.Addr())
-	defer binCl.Close()
-	jsonCl := wire.NewClientWithConfig(srv.Addr(), wire.ClientConfig{DisableBinary: true})
-	defer jsonCl.Close()
-
-	var recs []pps.Encoded
-	for i := 0; i < 20; i++ {
-		r, err := enc.EncryptDocument(pps.Document{ID: uint64(i+1) << 40, Path: "/m",
-			Size: 9, Modified: time.Unix(1.2e9, 0), Keywords: []string{"mixed"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, r)
-	}
-	// Write through the old-framing client, read through both.
-	var put proto.PutResp
-	if err := jsonCl.Call(context.Background(), proto.MNodePut, proto.PutReq{Records: recs}, &put); err != nil {
-		t.Fatal(err)
-	}
-	if put.Stored != 20 {
-		t.Fatalf("json-framed put = %+v", put)
-	}
-	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "mixed"})
-	req := proto.QueryReq{Lo: 0.5, Hi: 0.49999, Q: q}
-	var fromBin, fromJSON proto.QueryResp
-	if err := binCl.Call(context.Background(), proto.MNodeQuery, req, &fromBin); err != nil {
-		t.Fatal(err)
-	}
-	if err := jsonCl.Call(context.Background(), proto.MNodeQuery, req, &fromJSON); err != nil {
-		t.Fatal(err)
-	}
-	if len(fromBin.IDs) != 20 || len(fromJSON.IDs) != 20 {
-		t.Fatalf("codec-dependent results: binary %d ids, json %d ids", len(fromBin.IDs), len(fromJSON.IDs))
-	}
-	for i := range fromBin.IDs {
-		if fromBin.IDs[i] != fromJSON.IDs[i] {
-			t.Fatalf("id %d differs across codecs: %d != %d", i, fromBin.IDs[i], fromJSON.IDs[i])
-		}
-	}
-	var pr proto.PingResp
-	if err := binCl.Call(context.Background(), proto.MNodePing, proto.PingReq{}, &pr); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNodeRejectsBadParams(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("zero MBits should be rejected")

@@ -1,14 +1,16 @@
-// Binary hot-path body codecs (wire framing version 1). The five bodies
-// encoded here carry nearly all of the cluster's steady-state bytes:
-// sub-query fan-out (QueryReq/QueryResp, sent p times per query),
-// replica pushes (PutReq, once per stored record), and the liveness
-// probes that gate failure recovery (PingReq/PingResp). JSON spends
-// 4/3× on base64 for every trapdoor, nonce and filter and ~20 decimal
-// characters per object id; these encodings ship raw bytes, varints,
-// and delta-compressed sorted id sets instead. Everything else —
-// membership, stats, retain — stays JSON inside the binary envelope
-// (see internal/wire/codec.go), which is also the whole-connection
-// fallback for mixed-version clusters.
+// Binary hot-path body codecs. The bodies encoded here carry nearly all
+// of the cluster's steady-state bytes: sub-query fan-out
+// (QueryReq/QueryResp, sent p times per query), replica pushes (PutReq,
+// once per stored record), and the liveness probes that gate failure
+// recovery (PingReq/PingResp). JSON spends 4/3× on base64 for every
+// trapdoor, nonce and filter and ~20 decimal characters per object id;
+// these encodings ship raw bytes, varints, and delta-compressed sorted
+// id sets instead. Everything else (membership, stats, retain) stays
+// JSON inside the binary envelope (see internal/wire/codec.go).
+//
+// Every encoding is one flat field list: scalars are always written, an
+// optional struct sits behind a presence byte. A type has exactly one
+// wire form; changing one bumps wire.Version.
 //
 // Encoders use value receivers (bodies are passed to wire.Call by
 // value); decoders use pointer receivers and copy every byte slice they
@@ -105,12 +107,8 @@ func (r *reader) bytes(what string) []byte {
 	return out
 }
 
-// TrailingBytesError is the strict decoders' trailer rejection. It is
-// typed because mixed-version peers branch on it: a server that
-// predates a trailing extension block rejects the extended encoding
-// this way, and the caller downgrades to the base form. The rendered
-// text matches the historic fmt.Errorf spelling exactly, so pre-code
-// peers that still match strings keep working.
+// TrailingBytesError is the strict decoders' rejection of input that
+// continues past the last field.
 type TrailingBytesError struct {
 	What string // body name, e.g. "HealthReport"
 	N    int    // unread byte count
@@ -228,12 +226,47 @@ func (r *reader) ids(what string) []uint64 {
 	return out
 }
 
+// --- PlainQuery (optional sub-struct of both query bodies) ---
+
+// appendPlain appends an optional plaintext query: a presence byte,
+// then the fields when present.
+func appendPlain(b []byte, p *PlainQuery) []byte {
+	if p == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = append(b, p.Mode)
+	b = appendZigzag(b, int64(p.MinMatch))
+	b = appendZigzag(b, int64(p.Limit))
+	b = binary.AppendUvarint(b, uint64(len(p.Terms)))
+	for _, t := range p.Terms {
+		b = binary.AppendUvarint(b, uint64(len(t)))
+		b = append(b, t...)
+	}
+	return b
+}
+
+func (r *reader) plain() *PlainQuery {
+	if flag := r.byte("PlainQuery presence"); r.err != nil || flag == 0 {
+		return nil
+	}
+	p := &PlainQuery{}
+	p.Mode = r.byte("PlainQuery.Mode")
+	p.MinMatch = int(r.zigzag("PlainQuery.MinMatch"))
+	p.Limit = int(r.zigzag("PlainQuery.Limit"))
+	nTerms := r.count("PlainQuery.Terms", 1)
+	for i := 0; i < nTerms && r.err == nil; i++ {
+		p.Terms = append(p.Terms, string(r.bytes("PlainQuery term")))
+	}
+	if r.err != nil {
+		return nil
+	}
+	return p
+}
+
 // --- QueryReq ---
 
-// AppendWire implements wire.WireAppender. A plaintext index query
-// rides a trailing extension block (same mixed-version contract as
-// HealthReport's autoscale block): encrypted-only requests encode
-// byte-identically to the pre-extension format.
+// AppendWire implements wire.WireAppender.
 func (q QueryReq) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, q.QID)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(q.Lo))
@@ -247,23 +280,10 @@ func (q QueryReq) AppendWire(b []byte) []byte {
 			b = append(b, x...)
 		}
 	}
-	if q.Plain == nil {
-		return b
-	}
-	b = append(b, q.Plain.Mode)
-	b = appendZigzag(b, int64(q.Plain.MinMatch))
-	b = appendZigzag(b, int64(q.Plain.Limit))
-	b = binary.AppendUvarint(b, uint64(len(q.Plain.Terms)))
-	for _, t := range q.Plain.Terms {
-		b = binary.AppendUvarint(b, uint64(len(t)))
-		b = append(b, t...)
-	}
-	return b
+	return appendPlain(b, q.Plain)
 }
 
-// DecodeWire implements wire.WireDecoder. Accepts both the base
-// encoding (Plain stays nil) and the extended one, signalled purely by
-// trailing bytes after the base fields.
+// DecodeWire implements wire.WireDecoder.
 func (q *QueryReq) DecodeWire(data []byte) error {
 	r := &reader{data: data}
 	q.QID = r.uvarint("QueryReq.QID")
@@ -286,34 +306,13 @@ func (q *QueryReq) DecodeWire(data []byte) error {
 			q.Q.Preds = append(q.Q.Preds, pps.BloomQuery{Trapdoor: td})
 		}
 	}
-	q.Plain = nil
-	if r.err == nil && r.off < len(r.data) {
-		p := &PlainQuery{}
-		p.Mode = r.byte("PlainQuery.Mode")
-		p.MinMatch = int(r.zigzag("PlainQuery.MinMatch"))
-		p.Limit = int(r.zigzag("PlainQuery.Limit"))
-		nTerms := r.count("PlainQuery.Terms", 1)
-		for i := 0; i < nTerms && r.err == nil; i++ {
-			p.Terms = append(p.Terms, string(r.bytes("PlainQuery term")))
-		}
-		if r.err == nil {
-			q.Plain = p
-		}
-	}
+	q.Plain = r.plain()
 	return r.finish("QueryReq")
 }
 
 // --- FEQueryReq ---
 
-// AppendWire implements wire.WireAppender. Unlike QueryReq, the Plain
-// selector is an explicit flag byte — the trailing-bytes position is
-// taken by the tenant/cache-control extension, which is emitted only
-// when set so an anonymous default-cache request stays byte-identical
-// to the base form. A server that predates the extension rejects the
-// trailer with CodeTrailingBytes and the client strips it; a server
-// that predates the binary codec entirely fails with the binary-body
-// decode error and the client falls back to JSON (see
-// internal/feclient for the ladder).
+// AppendWire implements wire.WireAppender.
 func (q FEQueryReq) AppendWire(b []byte) []byte {
 	b = appendZigzag(b, int64(q.Priority))
 	b = append(b, byte(q.Q.Op))
@@ -325,31 +324,14 @@ func (q FEQueryReq) AppendWire(b []byte) []byte {
 			b = append(b, x...)
 		}
 	}
-	if q.Plain == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = append(b, q.Plain.Mode)
-		b = appendZigzag(b, int64(q.Plain.MinMatch))
-		b = appendZigzag(b, int64(q.Plain.Limit))
-		b = binary.AppendUvarint(b, uint64(len(q.Plain.Terms)))
-		for _, t := range q.Plain.Terms {
-			b = binary.AppendUvarint(b, uint64(len(t)))
-			b = append(b, t...)
-		}
-	}
-	if !q.HasExt() {
-		return b
-	}
+	b = appendPlain(b, q.Plain)
 	b = binary.AppendUvarint(b, uint64(len(q.Tenant)))
 	b = append(b, q.Tenant...)
 	b = append(b, q.CacheControl)
 	return b
 }
 
-// DecodeWire implements wire.WireDecoder. Accepts both the base
-// encoding (Tenant stays "", CacheControl 0) and the extended one,
-// signalled purely by trailing bytes after the base fields.
+// DecodeWire implements wire.WireDecoder.
 func (q *FEQueryReq) DecodeWire(data []byte) error {
 	r := &reader{data: data}
 	q.Priority = int(r.zigzag("FEQueryReq.Priority"))
@@ -370,25 +352,9 @@ func (q *FEQueryReq) DecodeWire(data []byte) error {
 			q.Q.Preds = append(q.Q.Preds, pps.BloomQuery{Trapdoor: td})
 		}
 	}
-	q.Plain = nil
-	if flag := r.byte("FEQueryReq.Plain flag"); r.err == nil && flag != 0 {
-		p := &PlainQuery{}
-		p.Mode = r.byte("FEQueryReq PlainQuery.Mode")
-		p.MinMatch = int(r.zigzag("FEQueryReq PlainQuery.MinMatch"))
-		p.Limit = int(r.zigzag("FEQueryReq PlainQuery.Limit"))
-		nTerms := r.count("FEQueryReq PlainQuery.Terms", 1)
-		for i := 0; i < nTerms && r.err == nil; i++ {
-			p.Terms = append(p.Terms, string(r.bytes("FEQueryReq PlainQuery term")))
-		}
-		if r.err == nil {
-			q.Plain = p
-		}
-	}
-	q.Tenant, q.CacheControl = "", 0
-	if r.err == nil && r.off < len(r.data) {
-		q.Tenant = string(r.bytes("FEQueryReq.Tenant"))
-		q.CacheControl = r.byte("FEQueryReq.CacheControl")
-	}
+	q.Plain = r.plain()
+	q.Tenant = string(r.bytes("FEQueryReq.Tenant"))
+	q.CacheControl = r.byte("FEQueryReq.CacheControl")
 	return r.finish("FEQueryReq")
 }
 
@@ -415,11 +381,7 @@ func (q *QueryResp) DecodeWire(data []byte) error {
 
 // --- PutReq ---
 
-// AppendWire implements wire.WireAppender. The epoch fence rides a
-// trailing extension (same mixed-version contract as QueryReq.Plain):
-// an unfenced put encodes byte-identically to the pre-extension
-// format, and a pre-extension node rejects a fenced one with
-// "trailing bytes", which the sender latches as a downgrade signal.
+// AppendWire implements wire.WireAppender.
 func (p PutReq) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p.Records)))
 	for _, rec := range p.Records {
@@ -429,16 +391,11 @@ func (p PutReq) AppendWire(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(len(rec.Filter)))
 		b = append(b, rec.Filter...)
 	}
-	if p.Epoch == 0 {
-		return b
-	}
 	b = appendZigzag(b, int64(p.Epoch))
 	return b
 }
 
-// DecodeWire implements wire.WireDecoder. Accepts both the base
-// encoding (Epoch stays 0) and the fenced one, signalled purely by
-// trailing bytes after the base fields.
+// DecodeWire implements wire.WireDecoder.
 func (p *PutReq) DecodeWire(data []byte) error {
 	r := &reader{data: data}
 	n := r.count("PutReq.Records", 3)
@@ -453,19 +410,14 @@ func (p *PutReq) DecodeWire(data []byte) error {
 			p.Records = append(p.Records, rec)
 		}
 	}
-	p.Epoch = 0
-	if r.err == nil && r.off < len(r.data) {
-		p.Epoch = int(r.zigzag("PutReq.Epoch"))
-	}
+	p.Epoch = int(r.zigzag("PutReq.Epoch"))
 	return r.finish("PutReq")
 }
 
 // --- IngestReq / IngestResp ---
 
 // Ingest appends carry the same raw nonce/filter bytes as replica
-// pushes, so they ride the binary path too. member.ingest is a new
-// method — there is no pre-extension peer to stay byte-compatible
-// with, so the encoding is flat.
+// pushes, so they ride the binary path too.
 
 // AppendWire implements wire.WireAppender.
 func (q IngestReq) AppendWire(b []byte) []byte {
@@ -541,28 +493,29 @@ func (p *PingResp) DecodeWire(data []byte) error {
 
 // --- HealthReport / HealthResp ---
 
-// Health reports ride the same negotiated binary path as the hot
-// bodies: every frontend pushes one per report interval, so at fleet
-// scale the membership server decodes them continuously and the JSON
-// envelope tax (base64-free here, but per-field keys and decimal
-// counters) is worth shedding. A NodeHealth entry needs at least 14
-// wire bytes (six 1-byte varints plus the 8-byte speed), which bounds
-// the decoder's count-versus-bytes sanity check.
+// Health reports ride the binary path like the hot bodies: every
+// frontend pushes one per report interval, so at fleet scale the
+// membership server decodes them continuously and the JSON envelope tax
+// (base64-free here, but per-field keys and decimal counters) is worth
+// shedding. A NodeHealth entry needs at least 16 wire bytes (eight
+// 1-byte varints plus the 8-byte speed) and a TenantLoad at least 5,
+// which bound the decoder's count-versus-bytes sanity checks.
 
-const nodeHealthMinBytes = 14
+const (
+	nodeHealthMinBytes = 16
+	tenantLoadMinBytes = 5
+)
 
-// AppendWire implements wire.WireAppender. The autoscale telemetry
-// (shed-by-priority, hedge denials, admission-queue digest, per-node
-// latency digests) rides a trailing extension block emitted only when
-// at least one extension field is non-zero: a report without extension
-// data is byte-identical to the pre-extension encoding, which is what
-// keeps mixed-version clusters working — StripExt produces exactly the
-// bytes an old coordinator's strict decoder accepts.
+// AppendWire implements wire.WireAppender.
 func (h HealthReport) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(h.FE)))
 	b = append(b, h.FE...)
 	b = binary.AppendUvarint(b, h.Seq)
 	b = appendZigzag(b, int64(h.Shed))
+	b = appendZigzag(b, int64(h.ShedNormal))
+	b = appendZigzag(b, int64(h.HedgesDenied))
+	b = appendZigzag(b, h.QueueP50Nanos)
+	b = appendZigzag(b, h.QueueP99Nanos)
 	b = binary.AppendUvarint(b, uint64(len(h.Nodes)))
 	for _, nh := range h.Nodes {
 		b = appendZigzag(b, int64(nh.ID))
@@ -572,34 +525,8 @@ func (h HealthReport) AppendWire(b []byte) []byte {
 		b = appendZigzag(b, int64(nh.Contacts))
 		b = appendZigzag(b, int64(nh.QueueDepth))
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(nh.Speed))
-	}
-	if !h.HasExt() && !h.HasTenantExt() {
-		return b
-	}
-	b = appendZigzag(b, int64(h.ShedNormal))
-	b = appendZigzag(b, int64(h.HedgesDenied))
-	b = appendZigzag(b, h.QueueP50Nanos)
-	b = appendZigzag(b, h.QueueP99Nanos)
-	digests := 0
-	for _, nh := range h.Nodes {
-		if nh.LatP50Nanos != 0 || nh.LatP99Nanos != 0 {
-			digests++
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(digests))
-	for _, nh := range h.Nodes {
-		if nh.LatP50Nanos == 0 && nh.LatP99Nanos == 0 {
-			continue
-		}
-		b = appendZigzag(b, int64(nh.ID))
 		b = appendZigzag(b, nh.LatP50Nanos)
 		b = appendZigzag(b, nh.LatP99Nanos)
-	}
-	// Second extension block: per-tenant admission telemetry. Emitted
-	// only when present, so a tenant-free report keeps the exact bytes
-	// of the autoscale-only form (and, transitively, of the base form).
-	if !h.HasTenantExt() {
-		return b
 	}
 	b = binary.AppendUvarint(b, uint64(len(h.Tenants)))
 	for _, tl := range h.Tenants {
@@ -613,14 +540,16 @@ func (h HealthReport) AppendWire(b []byte) []byte {
 	return b
 }
 
-// DecodeWire implements wire.WireDecoder. Accepts both the base
-// encoding and the extended one: the extension block's presence is
-// signalled purely by trailing bytes after the base fields.
+// DecodeWire implements wire.WireDecoder.
 func (h *HealthReport) DecodeWire(data []byte) error {
 	r := &reader{data: data}
 	h.FE = string(r.bytes("HealthReport.FE"))
 	h.Seq = r.uvarint("HealthReport.Seq")
 	h.Shed = int(r.zigzag("HealthReport.Shed"))
+	h.ShedNormal = int(r.zigzag("HealthReport.ShedNormal"))
+	h.HedgesDenied = int(r.zigzag("HealthReport.HedgesDenied"))
+	h.QueueP50Nanos = r.zigzag("HealthReport.QueueP50Nanos")
+	h.QueueP99Nanos = r.zigzag("HealthReport.QueueP99Nanos")
 	n := r.count("HealthReport.Nodes", nodeHealthMinBytes)
 	h.Nodes = nil
 	if n > 0 && r.err == nil {
@@ -634,42 +563,23 @@ func (h *HealthReport) DecodeWire(data []byte) error {
 			nh.Contacts = int(r.zigzag("NodeHealth.Contacts"))
 			nh.QueueDepth = int(r.zigzag("NodeHealth.QueueDepth"))
 			nh.Speed = math.Float64frombits(r.u64("NodeHealth.Speed"))
+			nh.LatP50Nanos = r.zigzag("NodeHealth.LatP50Nanos")
+			nh.LatP99Nanos = r.zigzag("NodeHealth.LatP99Nanos")
 			h.Nodes = append(h.Nodes, nh)
 		}
 	}
-	h.ShedNormal, h.HedgesDenied, h.QueueP50Nanos, h.QueueP99Nanos = 0, 0, 0, 0
+	nt := r.count("HealthReport.Tenants", tenantLoadMinBytes)
 	h.Tenants = nil
-	if r.err == nil && r.off < len(r.data) {
-		h.ShedNormal = int(r.zigzag("HealthReport.ShedNormal"))
-		h.HedgesDenied = int(r.zigzag("HealthReport.HedgesDenied"))
-		h.QueueP50Nanos = r.zigzag("HealthReport.QueueP50Nanos")
-		h.QueueP99Nanos = r.zigzag("HealthReport.QueueP99Nanos")
-		nd := r.count("HealthReport digests", 3)
-		for i := 0; i < nd && r.err == nil; i++ {
-			id := int(r.zigzag("NodeHealth digest id"))
-			p50 := r.zigzag("NodeHealth.LatP50Nanos")
-			p99 := r.zigzag("NodeHealth.LatP99Nanos")
-			for j := range h.Nodes {
-				if h.Nodes[j].ID == id {
-					h.Nodes[j].LatP50Nanos, h.Nodes[j].LatP99Nanos = p50, p99
-					break
-				}
-			}
-		}
-		if r.err == nil && r.off < len(r.data) {
-			nt := r.count("HealthReport.Tenants", 5)
-			if nt > 0 && r.err == nil {
-				h.Tenants = make([]TenantLoad, 0, capHint(nt))
-				for i := 0; i < nt && r.err == nil; i++ {
-					var tl TenantLoad
-					tl.Tenant = string(r.bytes("TenantLoad.Tenant"))
-					tl.Admitted = int(r.zigzag("TenantLoad.Admitted"))
-					tl.Shed = int(r.zigzag("TenantLoad.Shed"))
-					tl.CacheHits = int(r.zigzag("TenantLoad.CacheHits"))
-					tl.CacheMisses = int(r.zigzag("TenantLoad.CacheMisses"))
-					h.Tenants = append(h.Tenants, tl)
-				}
-			}
+	if nt > 0 && r.err == nil {
+		h.Tenants = make([]TenantLoad, 0, capHint(nt))
+		for i := 0; i < nt && r.err == nil; i++ {
+			var tl TenantLoad
+			tl.Tenant = string(r.bytes("TenantLoad.Tenant"))
+			tl.Admitted = int(r.zigzag("TenantLoad.Admitted"))
+			tl.Shed = int(r.zigzag("TenantLoad.Shed"))
+			tl.CacheHits = int(r.zigzag("TenantLoad.CacheHits"))
+			tl.CacheMisses = int(r.zigzag("TenantLoad.CacheMisses"))
+			h.Tenants = append(h.Tenants, tl)
 		}
 	}
 	return r.finish("HealthReport")

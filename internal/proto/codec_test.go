@@ -3,6 +3,8 @@ package proto
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -40,8 +42,8 @@ func testRecords(n int) []pps.Encoded {
 }
 
 // TestBinaryCodecGoldenRoundTrip: for every hot body, the binary
-// encoding must decode to the exact struct the JSON encoding decodes
-// to — the two codecs are interchangeable on the wire.
+// encoding must decode to the exact struct a JSON round trip yields:
+// JSON is the reference the hand-rolled codecs are checked against.
 func TestBinaryCodecGoldenRoundTrip(t *testing.T) {
 	sortedIDs := []uint64{3, 9, 9, 4096, 1 << 40, 1<<63 + 7}
 	unsortedIDs := []uint64{99, 7, 1 << 50, 12}
@@ -80,6 +82,15 @@ func TestBinaryCodecGoldenRoundTrip(t *testing.T) {
 				{ID: 9, Suspicions: 1, LatP99Nanos: 140_000_000},
 			},
 		}, &HealthReport{}},
+		{"HealthReport/tenants", HealthReport{
+			FE: "fe-1", Seq: 1,
+			Nodes: []NodeHealth{{ID: 5, Contacts: 7, LatP50Nanos: 10, LatP99Nanos: 99}},
+			Tenants: []TenantLoad{
+				{Tenant: "acme", Admitted: 20, Shed: 3, CacheHits: 11, CacheMisses: 9},
+				{Tenant: "", Admitted: 1},
+			},
+		}, &HealthReport{}},
+		{"PutReq/fenced", PutReq{Records: testRecords(3), Epoch: 42}, &PutReq{}},
 		{"HealthResp", HealthResp{Epoch: 12, Quarantined: []int{3, 7, 41}}, &HealthResp{}},
 		{"HealthResp/empty", HealthResp{}, &HealthResp{}},
 	}
@@ -91,7 +102,7 @@ func TestBinaryCodecGoldenRoundTrip(t *testing.T) {
 			if err := c.out.(decoder).DecodeWire(bin); err != nil {
 				t.Fatalf("DecodeWire: %v", err)
 			}
-			// The JSON oracle: same input, codec the seed protocol used.
+			// The JSON oracle: same input through encoding/json.
 			jb, err := json.Marshal(c.in)
 			if err != nil {
 				t.Fatal(err)
@@ -256,47 +267,81 @@ func TestDecodeCorruptCountBounded(t *testing.T) {
 	}
 }
 
-// TestQueryReqPlainMixedVersion pins the mixed-version contract of the
-// plaintext-query extension, mirroring the HealthReport autoscale
-// block:
-//
-//  1. an encrypted-only request (Plain == nil) encodes byte-identically
-//     to the pre-extension format — old nodes keep decoding it,
-//  2. a plain request is that base encoding plus trailing bytes (what an
-//     old node's strict decoder rejects, surfacing as a sub-query
-//     failure instead of a silent wrong answer),
-//  3. the new decoder leaves Plain nil on base-format bytes.
-func TestQueryReqPlainMixedVersion(t *testing.T) {
-	enc := testQueryReq(2, 3)
-	base := enc.AppendWire(nil)
-
-	plain := enc
-	plain.Plain = &PlainQuery{Terms: []string{"alpha", "beta"}, Mode: 0, Limit: 5}
-	ext := plain.AppendWire(nil)
-
-	if len(ext) <= len(base) {
-		t.Fatalf("plain encoding (%dB) not longer than base (%dB)", len(ext), len(base))
+// TestFlatCodecGoldenBytes pins the exact bytes of the flat encodings:
+// every scalar is written whether or not it is zero, and an optional
+// struct sits behind a presence byte. Each is the type's ONE wire form,
+// so every strict prefix must fail to decode (no shorter "base" form
+// exists) and so must any continuation past the last field.
+func TestFlatCodecGoldenBytes(t *testing.T) {
+	type codec interface {
+		AppendWire([]byte) []byte
 	}
-	if string(ext[:len(base)]) != string(base) {
-		t.Fatal("plain encoding does not extend the base encoding byte-for-byte")
+	type decoder interface{ DecodeWire([]byte) error }
+	td := pps.Query{Op: pps.Or, Preds: []pps.BloomQuery{{Trapdoor: [][]byte{{0xAA, 0xBB}}}}}
+	f64 := func(v float64) string { return string(binary.BigEndian.AppendUint64(nil, math.Float64bits(v))) }
+	cases := []struct {
+		name string
+		in   codec
+		out  func() decoder
+		want string
+	}{
+		{"QueryReq", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Q: td}, func() decoder { return &QueryReq{} },
+			"\x05" + f64(0.25) + f64(0.75) + "\x01\x01\x01\x02\xaa\xbb" + "\x00"},
+		{"QueryReq/plain", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Plain: &PlainQuery{Terms: []string{"ab"}, Mode: 2, MinMatch: 1, Limit: 3}},
+			func() decoder { return &QueryReq{} },
+			"\x05" + f64(0.25) + f64(0.75) + "\x00\x00" + "\x01\x02\x02\x06\x01\x02ab"},
+		{"FEQueryReq", FEQueryReq{Q: td, Priority: -1, Tenant: "t7", CacheControl: CacheRefresh},
+			func() decoder { return &FEQueryReq{} },
+			"\x01\x01\x01\x01\x02\xaa\xbb" + "\x00" + "\x02t7\x02"},
+		{"FEQueryReq/anonymous", FEQueryReq{Plain: &PlainQuery{Terms: []string{"x"}}},
+			func() decoder { return &FEQueryReq{} },
+			"\x00\x00\x00" + "\x01\x00\x00\x00\x01\x01x" + "\x00\x00"},
+		{"PutReq", PutReq{Records: []pps.Encoded{{ID: 7, BloomMetadata: pps.BloomMetadata{Nonce: []byte{1, 2}, Filter: []byte{3}}}}, Epoch: 21},
+			func() decoder { return &PutReq{} },
+			"\x01\x07\x02\x01\x02\x01\x03" + "\x2a"},
+		{"PutReq/unfenced", PutReq{}, func() decoder { return &PutReq{} }, "\x00\x00"},
+		{"HealthReport", HealthReport{
+			FE: "fe", Seq: 3, Shed: 4, ShedNormal: 2, HedgesDenied: 9, QueueP50Nanos: 100, QueueP99Nanos: 900,
+			Nodes: []NodeHealth{
+				{ID: 5, Suspicions: 1, ProbeOKs: 2, ProbeFails: 3, Contacts: 7, QueueDepth: 2, Speed: 1.5, LatP50Nanos: 10, LatP99Nanos: 99},
+				{ID: 6}, // no digest yet: the zeros are written, not omitted
+			},
+			Tenants: []TenantLoad{{Tenant: "ac", Admitted: 20, Shed: 3, CacheHits: 11, CacheMisses: 9}},
+		}, func() decoder { return &HealthReport{} },
+			"\x02fe\x03\x08\x04\x12\xc8\x01\x88\x0e" +
+				"\x02" +
+				"\x0a\x02\x04\x06\x0e\x04" + f64(1.5) + "\x14\xc6\x01" +
+				"\x0c\x00\x00\x00\x00\x00" + f64(0) + "\x00\x00" +
+				"\x01\x02ac\x28\x06\x16\x12"},
+		{"HealthReport/empty", HealthReport{}, func() decoder { return &HealthReport{} },
+			"\x00\x00\x00\x00\x00\x00\x00\x00\x00"},
+		{"LeaseResp", LeaseResp{Term: 3, Granted: true, Leader: "a:1", LastIndex: 41},
+			func() decoder { return &LeaseResp{} }, "\x03\x01\x03a:1\x29"},
+		{"LeaseResp/refused", LeaseResp{Term: 7}, func() decoder { return &LeaseResp{} }, "\x07\x00\x00\x00"},
 	}
-	var dec QueryReq
-	if err := dec.DecodeWire(base); err != nil {
-		t.Fatalf("base decode: %v", err)
-	}
-	if dec.Plain != nil {
-		t.Fatal("base-format bytes decoded with non-nil Plain")
-	}
-	var dec2 QueryReq
-	if err := dec2.DecodeWire(ext); err != nil {
-		t.Fatalf("extended decode: %v", err)
-	}
-	if dec2.Plain == nil || len(dec2.Plain.Terms) != 2 || dec2.Plain.Limit != 5 {
-		t.Fatalf("extended decode lost the plain query: %+v", dec2.Plain)
-	}
-	// Truncating the extension mid-way must error, not decode partially.
-	if err := new(QueryReq).DecodeWire(ext[:len(base)+2]); err == nil {
-		t.Fatal("truncated extension block accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := c.in.AppendWire(nil)
+			if string(got) != c.want {
+				t.Fatalf("encoding changed:\n got %x\nwant %x", got, c.want)
+			}
+			out := c.out()
+			if err := out.DecodeWire(got); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if back := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(back, c.in) {
+				t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back, c.in)
+			}
+			for cut := 0; cut < len(got); cut++ {
+				if err := c.out().DecodeWire(got[:cut]); err == nil {
+					t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(got))
+				}
+			}
+			var tbe *TrailingBytesError
+			if err := c.out().DecodeWire(append(got, 0)); !errors.As(err, &tbe) {
+				t.Fatalf("trailing byte: %v, want *TrailingBytesError", err)
+			}
+		})
 	}
 }
 
@@ -304,6 +349,7 @@ func TestQueryReqPlainMixedVersion(t *testing.T) {
 // never panic or over-allocate.
 func FuzzDecodeQueryReq(f *testing.F) {
 	f.Add(testQueryReq(2, 3).AppendWire(nil))
+	f.Add(QueryReq{QID: 1, Hi: 1, Plain: &PlainQuery{Terms: []string{"alpha", "beta"}, Limit: 5}}.AppendWire(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -329,60 +375,6 @@ func FuzzDecodeQueryResp(f *testing.F) {
 	})
 }
 
-// TestHealthReportExtMixedVersion pins the mixed-version contract of
-// the autoscale extension:
-//
-//  1. a report with no extension data encodes byte-identically to the
-//     pre-extension format (old coordinators keep decoding it),
-//  2. StripExt of an extended report produces exactly that base form,
-//  3. the new decoder accepts base-format bytes and leaves every
-//     extension field zero,
-//  4. an extended report really does carry trailing bytes after the
-//     base fields — the signal an old strict decoder rejects, which is
-//     what tells a new frontend to fall back to StripExt.
-func TestHealthReportExtMixedVersion(t *testing.T) {
-	ext := HealthReport{
-		FE: "fe-0", Seq: 3, Shed: 4, ShedNormal: 2, HedgesDenied: 9,
-		QueueP50Nanos: 100, QueueP99Nanos: 900,
-		Nodes: []NodeHealth{
-			{ID: 5, Contacts: 7, QueueDepth: 2, Speed: 1.5, LatP50Nanos: 10, LatP99Nanos: 99},
-		},
-	}
-	base := ext.StripExt()
-	if base.HasExt() {
-		t.Fatal("StripExt left extension data behind")
-	}
-	if ext.Nodes[0].LatP50Nanos == 0 {
-		t.Fatal("StripExt mutated the original report's node slice")
-	}
-	baseBytes := base.AppendWire(nil)
-	extBytes := ext.AppendWire(nil)
-	if len(extBytes) <= len(baseBytes) {
-		t.Fatalf("extended encoding (%dB) not longer than base (%dB)", len(extBytes), len(baseBytes))
-	}
-	// The base prefix of the extended encoding IS the base encoding.
-	if string(extBytes[:len(baseBytes)]) != string(baseBytes) {
-		t.Fatal("extended encoding does not extend the base encoding byte-for-byte")
-	}
-	var got HealthReport
-	if err := got.DecodeWire(baseBytes); err != nil {
-		t.Fatalf("new decoder rejected base-format bytes: %v", err)
-	}
-	if got.HasExt() {
-		t.Fatalf("base-format decode invented extension data: %+v", got)
-	}
-	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("base decode diverged:\n got %+v\nwant %+v", got, base)
-	}
-	var got2 HealthReport
-	if err := got2.DecodeWire(extBytes); err != nil {
-		t.Fatalf("extended decode: %v", err)
-	}
-	if !reflect.DeepEqual(got2, ext) {
-		t.Fatalf("extended decode diverged:\n got %+v\nwant %+v", got2, ext)
-	}
-}
-
 // FuzzDecodeHealthReport: truncated/corrupt health pushes must error or
 // decode, never panic or over-allocate; valid decodes must re-encode to
 // a decodable body.
@@ -393,7 +385,8 @@ func FuzzDecodeHealthReport(f *testing.F) {
 	}.AppendWire(nil))
 	f.Add(HealthReport{
 		FE: "fe", Seq: 10, ShedNormal: 3, HedgesDenied: 2, QueueP99Nanos: 7,
-		Nodes: []NodeHealth{{ID: 4, Contacts: 2, LatP50Nanos: 5, LatP99Nanos: 50}},
+		Nodes:   []NodeHealth{{ID: 4, Contacts: 2, LatP50Nanos: 5, LatP99Nanos: 50}},
+		Tenants: []TenantLoad{{Tenant: "acme", Admitted: 3, CacheHits: 1}},
 	}.AppendWire(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -422,6 +415,7 @@ func FuzzDecodeHealthResp(f *testing.F) {
 // FuzzDecodePutReq: same contract for replica pushes.
 func FuzzDecodePutReq(f *testing.F) {
 	f.Add(PutReq{Records: testRecords(2)}.AppendWire(nil))
+	f.Add(PutReq{Records: testRecords(1), Epoch: 1 << 20}.AppendWire(nil))
 	f.Add([]byte{0xff, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p PutReq

@@ -30,126 +30,10 @@ func TestFEQueryReqGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFEQueryReqTenantMixedVersion pins the mixed-version contract of
-// the tenant/cache-control extension: an anonymous default-cache
-// request encodes byte-identically to the base form (StripExt produces
-// exactly those bytes), the extended form is a strict byte superset,
-// and base-format bytes decode with every extension field zero.
-func TestFEQueryReqTenantMixedVersion(t *testing.T) {
-	ext := testFEQueryReq()
-	ext.Tenant, ext.CacheControl = "tenant-7", CacheRefresh
-	base := ext.StripExt()
-	if base.HasExt() {
-		t.Fatal("StripExt left extension data behind")
-	}
-	baseBytes := base.AppendWire(nil)
-	extBytes := ext.AppendWire(nil)
-	if len(extBytes) <= len(baseBytes) {
-		t.Fatalf("extended encoding (%dB) not longer than base (%dB)", len(extBytes), len(baseBytes))
-	}
-	if string(extBytes[:len(baseBytes)]) != string(baseBytes) {
-		t.Fatal("extended encoding does not extend the base encoding byte-for-byte")
-	}
-	var got FEQueryReq
-	if err := got.DecodeWire(baseBytes); err != nil {
-		t.Fatalf("base decode: %v", err)
-	}
-	if got.HasExt() {
-		t.Fatalf("base-format decode invented extension data: %+v", got)
-	}
-	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("base decode diverged:\n got %+v\nwant %+v", got, base)
-	}
-	var got2 FEQueryReq
-	if err := got2.DecodeWire(extBytes); err != nil {
-		t.Fatalf("extended decode: %v", err)
-	}
-	if !reflect.DeepEqual(got2, ext) {
-		t.Fatalf("extended decode diverged:\n got %+v\nwant %+v", got2, ext)
-	}
-	// A strict pre-extension decoder sees the extension purely as
-	// trailing bytes; simulate it by re-checking finish on the base
-	// prefix boundary: truncating inside the extension must error.
-	if err := new(FEQueryReq).DecodeWire(extBytes[:len(extBytes)-1]); err == nil {
-		t.Fatal("truncated extension block accepted")
-	}
-}
-
-// TestHealthReportTenantExtMixedVersion pins the three-form ladder of
-// the health push: base ⊂ autoscale ext ⊂ autoscale+tenant ext, each a
-// byte-for-byte prefix of the next, with StripTenants/StripExt mapping
-// an extended report onto exactly the earlier forms.
-func TestHealthReportTenantExtMixedVersion(t *testing.T) {
-	full := HealthReport{
-		FE: "fe-0", Seq: 3, Shed: 4, ShedNormal: 2, HedgesDenied: 9,
-		QueueP50Nanos: 100, QueueP99Nanos: 900,
-		Nodes: []NodeHealth{
-			{ID: 5, Contacts: 7, QueueDepth: 2, Speed: 1.5, LatP50Nanos: 10, LatP99Nanos: 99},
-		},
-		Tenants: []TenantLoad{
-			{Tenant: "acme", Admitted: 20, Shed: 3, CacheHits: 11, CacheMisses: 9},
-			{Tenant: "", Admitted: 1},
-		},
-	}
-	auto := full.StripTenants()
-	if auto.HasTenantExt() {
-		t.Fatal("StripTenants left tenant data behind")
-	}
-	if !auto.HasExt() {
-		t.Fatal("StripTenants destroyed the autoscale extension")
-	}
-	base := full.StripExt()
-	if base.HasExt() || base.HasTenantExt() {
-		t.Fatal("StripExt left extension data behind")
-	}
-
-	baseBytes := base.AppendWire(nil)
-	autoBytes := auto.AppendWire(nil)
-	fullBytes := full.AppendWire(nil)
-	if !(len(baseBytes) < len(autoBytes) && len(autoBytes) < len(fullBytes)) {
-		t.Fatalf("encoding sizes not strictly increasing: %d %d %d",
-			len(baseBytes), len(autoBytes), len(fullBytes))
-	}
-	if string(autoBytes[:len(baseBytes)]) != string(baseBytes) {
-		t.Fatal("autoscale encoding does not extend the base encoding byte-for-byte")
-	}
-	if string(fullBytes[:len(autoBytes)]) != string(autoBytes) {
-		t.Fatal("tenant encoding does not extend the autoscale encoding byte-for-byte")
-	}
-
-	for i, tc := range []struct {
-		bytes []byte
-		want  HealthReport
-	}{{baseBytes, base}, {autoBytes, auto}, {fullBytes, full}} {
-		var got HealthReport
-		if err := got.DecodeWire(tc.bytes); err != nil {
-			t.Fatalf("form %d decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("form %d decode diverged:\n got %+v\nwant %+v", i, got, tc.want)
-		}
-	}
-
-	// A tenant-only report (no autoscale data) must still round trip:
-	// the encoder pads the autoscale block with zeros to reach the
-	// tenant block, and the decoder reads it back as all-zero.
-	tenantOnly := HealthReport{
-		FE: "fe-1", Seq: 1,
-		Tenants: []TenantLoad{{Tenant: "solo", Admitted: 5}},
-	}
-	var got HealthReport
-	if err := got.DecodeWire(tenantOnly.AppendWire(nil)); err != nil {
-		t.Fatalf("tenant-only decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, tenantOnly) {
-		t.Fatalf("tenant-only decode diverged:\n got %+v\nwant %+v", got, tenantOnly)
-	}
-}
-
 // FuzzDecodeFEQueryReq: truncated/corrupt client queries must error or
 // decode, never panic or over-allocate; valid decodes must re-encode to
-// a decodable body. Seeds cover the base form, the plain-index form,
-// and the tenant/cache-control extension bytes.
+// a decodable body. Seeds cover the encrypted form, the plain-index
+// form, and the tenant/cache-control fields.
 func FuzzDecodeFEQueryReq(f *testing.F) {
 	f.Add(testFEQueryReq().AppendWire(nil))
 	f.Add(FEQueryReq{

@@ -6,87 +6,9 @@ import (
 	"testing"
 )
 
-// TestPutReqEpochMixedVersion pins the trailing-extension contract of
-// PutReq.Epoch (the ingest pipeline's placement fence):
-//
-//  1. an unfenced PutReq (Epoch 0) encodes byte-identically to the
-//     pre-epoch format, so new coordinators keep working against old
-//     nodes by simply omitting the fence,
-//  2. a fenced PutReq really does carry trailing bytes after the base
-//     fields — the exact signal an old node's strict decoder rejects
-//     (CodeTrailingBytes), which tells the coordinator to latch that
-//     node legacy and resend unfenced,
-//  3. the new decoder accepts base-format bytes and leaves Epoch zero,
-//  4. a truncated extension errors rather than decoding partially.
-func TestPutReqEpochMixedVersion(t *testing.T) {
-	unfenced := PutReq{Records: testRecords(3)}
-	base := unfenced.AppendWire(nil)
-
-	fenced := unfenced
-	fenced.Epoch = 42
-	ext := fenced.AppendWire(nil)
-
-	if len(ext) <= len(base) {
-		t.Fatalf("fenced encoding (%dB) not longer than base (%dB)", len(ext), len(base))
-	}
-	if string(ext[:len(base)]) != string(base) {
-		t.Fatal("fenced encoding does not extend the base encoding byte-for-byte")
-	}
-	var dec PutReq
-	if err := dec.DecodeWire(base); err != nil {
-		t.Fatalf("base decode: %v", err)
-	}
-	if dec.Epoch != 0 {
-		t.Fatalf("base-format bytes decoded with Epoch %d", dec.Epoch)
-	}
-	var dec2 PutReq
-	if err := dec2.DecodeWire(ext); err != nil {
-		t.Fatalf("fenced decode: %v", err)
-	}
-	if dec2.Epoch != 42 {
-		t.Fatalf("fenced decode got Epoch %d, want 42", dec2.Epoch)
-	}
-	if len(dec2.Records) != 3 {
-		t.Fatalf("fenced decode lost records (%d of 3)", len(dec2.Records))
-	}
-	// A large epoch's zigzag spans several bytes — cut one to exercise
-	// mid-varint truncation of the extension.
-	big := unfenced
-	big.Epoch = 1 << 20
-	bigExt := big.AppendWire(nil)
-	if err := new(PutReq).DecodeWire(bigExt[:len(bigExt)-1]); err == nil {
-		t.Fatal("truncated epoch extension accepted")
-	}
-	// And the JSON side omits the fence entirely when zero, so old
-	// JSON-decoding nodes see the identical document too.
-	jb, err := json.Marshal(unfenced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(jb) != string(mustMarshalNoEpoch(t, unfenced)) {
-		t.Fatal("unfenced JSON carries an epoch field")
-	}
-}
-
-func mustMarshalNoEpoch(t *testing.T, p PutReq) []byte {
-	t.Helper()
-	var m map[string]json.RawMessage
-	jb, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(jb, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["epoch"]; ok {
-		t.Fatal("epoch key present in zero-epoch JSON")
-	}
-	return jb
-}
-
 // TestIngestCodecRoundTrip: the member.ingest bodies' binary codecs
-// must agree with their JSON encodings (the seed protocol's oracle),
-// including empty batches.
+// must agree with their JSON encodings (the reference), including empty
+// batches.
 func TestIngestCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string

@@ -22,7 +22,6 @@ const (
 	MMemberLeave  = "member.leave"
 	MMemberView   = "member.view"
 	MMemberSetP   = "member.setp"
-	MMemberReport = "member.report"
 	MMemberLoad   = "member.load"
 	MMemberHealth = "member.health"
 
@@ -66,8 +65,7 @@ type PlainQuery struct {
 }
 
 // Cache-control values for FEQueryReq.CacheControl, mirrored by
-// frontend.QuerySpec. Zero (default) must mean "cache normally" so a
-// request without the field behaves like an old client's.
+// frontend.QuerySpec. Zero (default) means "cache normally".
 const (
 	// CacheDefault: serve from the result cache when fresh, store on miss.
 	CacheDefault uint8 = 0
@@ -91,36 +89,12 @@ type FEQueryReq struct {
 
 	// Tenant names the accounting principal for per-tenant admission
 	// quotas and shed counters; empty means the anonymous default
-	// tenant. CacheControl is one of the Cache* values above. On the
-	// binary codec both ride a trailing extension block emitted only
-	// when at least one is set, so an anonymous default-cache request is
-	// byte-identical to the base encoding; a server that predates the
-	// extension rejects the trailing bytes, which the client latches as
-	// a downgrade signal (and re-probes every 16 requests — see
-	// internal/feclient). On JSON they are ordinary omitempty fields old
-	// servers ignore.
+	// tenant. CacheControl is one of the Cache* values above.
 	Tenant       string `json:"tenant,omitempty"`
 	CacheControl uint8  `json:"cache_control,omitempty"`
 }
 
-// HasExt reports whether any trailing-extension field is set; the
-// binary encoder emits the extension block only then.
-func (q FEQueryReq) HasExt() bool {
-	return q.Tenant != "" || q.CacheControl != 0
-}
-
-// StripExt returns a copy with the extension fields zeroed — the form a
-// pre-extension server's strict binary decoder accepts.
-func (q FEQueryReq) StripExt() FEQueryReq {
-	q.Tenant, q.CacheControl = "", 0
-	return q
-}
-
-// FEQueryResp is the frontend's answer. It stays JSON-only on the wire:
-// clients from before this PR have no binary decoder for it, and the
-// response direction has no downgrade ladder — a server cannot learn
-// what its caller can decode. The newer fields are omitempty, so old
-// clients simply never see them.
+// FEQueryResp is the frontend's answer (a JSON body).
 type FEQueryResp struct {
 	IDs        []uint64 `json:"ids,omitempty"`
 	DelayNanos int64    `json:"delay_ns"`
@@ -142,12 +116,7 @@ type QueryReq struct {
 	Q   pps.Query `json:"q"`
 
 	// Plain, when non-nil, selects the node's plaintext index matcher
-	// instead of the PPS encrypted scan; Q is ignored. On the binary
-	// codec it rides a trailing extension block emitted only when set,
-	// so an encrypted-only request is byte-identical to the
-	// pre-extension encoding and old nodes keep decoding it; an old
-	// node receiving a plain query rejects the trailing bytes, which
-	// surfaces as a normal sub-query failure on the frontend.
+	// instead of the PPS encrypted scan; Q is ignored.
 	Plain *PlainQuery `json:"plain,omitempty"`
 }
 
@@ -185,16 +154,12 @@ type PutReq struct {
 	Records []pps.Encoded `json:"records"`
 
 	// Epoch is the view epoch the sender placed these records under.
-	// Zero means unfenced (a legacy or epoch-unaware sender) and is
-	// always accepted. A non-zero epoch older than the newest one the
-	// node has observed is rejected with wire.CodeStaleEpoch — the
-	// sender's placement may be wrong, so it must re-pull the view and
-	// re-route rather than write records the node no longer owns. On
-	// the binary codec the epoch rides a trailing extension emitted
-	// only when non-zero, so an unfenced request is byte-identical to
-	// the pre-extension encoding and old nodes keep decoding it; an old
-	// node receiving a fenced request rejects the trailing bytes, which
-	// the sender latches as a legacy node and downgrades for.
+	// Zero means unfenced (an epoch-unaware sender, such as a bulk
+	// loader) and is always accepted. A non-zero epoch older than the
+	// newest one the node has observed is rejected with
+	// wire.CodeStaleEpoch — the sender's placement may be wrong, so it
+	// must re-pull the view and re-route rather than write records the
+	// node no longer owns.
 	Epoch int `json:"epoch,omitempty"`
 }
 
@@ -248,7 +213,6 @@ type RetainReq struct {
 	P      int     `json:"p"`
 	// Epoch is the view epoch this placement comes from; the node
 	// advances its observed epoch so older fenced puts start bouncing.
-	// JSON-only body, so old nodes simply ignore the field.
 	Epoch int `json:"epoch,omitempty"`
 }
 
@@ -339,10 +303,8 @@ type View struct {
 	// Term is the publishing leader's election term (control-plane HA).
 	// Views are fenced by (Term, Epoch): a frontend rejects any view
 	// strictly older than its installed one, so a deposed coordinator
-	// can never roll the fleet back. Zero (a pre-HA or standalone
-	// coordinator) sorts below every elected term, preserving
-	// mixed-version interop — the view stays JSON on the wire, so old
-	// peers simply ignore the field.
+	// can never roll the fleet back. Zero (a standalone coordinator)
+	// sorts below every elected term.
 	Term uint64 `json:"term,omitempty"`
 
 	// Ingested / Drained are the coordinator's ingest WAL watermarks at
@@ -350,9 +312,8 @@ type View struct {
 	// append sequence, Drained the last sequence delivered to every
 	// owning node. Frontends use them to invalidate their result caches
 	// when asynchronous writes land without an epoch bump — a drain
-	// advances data without changing placement. JSON-only fields; old
-	// peers ignore them, and zero (an old or WAL-less coordinator) means
-	// "no ingest signal", never "rewind".
+	// advances data without changing placement. Zero (a WAL-less
+	// coordinator) means "no ingest signal", never "rewind".
 	Ingested uint64 `json:"ingested,omitempty"`
 	Drained  uint64 `json:"drained,omitempty"`
 }
@@ -380,15 +341,6 @@ type SetPReq struct {
 	P int `json:"p"`
 }
 
-// ReportReq carries frontend statistics to the membership server
-// (§4.9: node liveness and processing speed observations). It predates
-// HealthReport; new coordinators fold Failed entries into the health
-// aggregator as suspicion evidence, so old frontends keep interoperating.
-type ReportReq struct {
-	Speeds map[int]float64 `json:"speeds,omitempty"` // node id -> fraction/s
-	Failed []int           `json:"failed,omitempty"`
-}
-
 // NodeHealth is one frontend's observations of one node since its last
 // report. Counters are deltas, so the membership aggregator can sum
 // them across frontends without double counting.
@@ -408,11 +360,9 @@ type NodeHealth struct {
 	// no observation yet).
 	Speed float64 `json:"speed,omitempty"`
 
-	// Latency digest (autoscale extension): p50/p99 of this frontend's
-	// recent sub-query latencies against the node, from the same
-	// per-node histories the adaptive hedge delay uses. Zero until the
-	// tracker has warmed up. Rides the binary extension block of
-	// HealthReport; old decoders never see it.
+	// Latency digest: p50/p99 of this frontend's recent sub-query
+	// latencies against the node, from the same per-node histories the
+	// adaptive hedge delay uses. Zero until the tracker has warmed up.
 	LatP50Nanos int64 `json:"lat_p50_ns,omitempty"`
 	LatP99Nanos int64 `json:"lat_p99_ns,omitempty"`
 }
@@ -432,16 +382,10 @@ type HealthReport struct {
 	// Nodes carries the per-node observation deltas.
 	Nodes []NodeHealth `json:"nodes,omitempty"`
 
-	// --- autoscale telemetry extension ---
+	// --- autoscale telemetry ---
 	//
 	// The fields below (plus NodeHealth's latency digest) feed the
-	// membership elasticity controller. On the binary codec they travel
-	// in a trailing extension block that is emitted only when at least
-	// one of them is non-zero, so a report with no extension data is
-	// byte-identical to the pre-extension encoding; new decoders accept
-	// both forms. On JSON they are ordinary omitempty fields. A frontend
-	// talking to a pre-extension coordinator strips them (StripExt)
-	// after the first "trailing bytes" decode rejection.
+	// membership elasticity controller.
 
 	// ShedNormal counts PriorityNormal queries rejected because the
 	// admission queue wait exceeded its bound (ErrOverloaded) since the
@@ -460,13 +404,7 @@ type HealthReport struct {
 	QueueP99Nanos int64 `json:"queue_p99_ns,omitempty"`
 
 	// Tenants carries per-tenant admission/shed/cache deltas since the
-	// last report, feeding the autoscale controller's fairness view. On
-	// the binary codec it rides a SECOND trailing extension block after
-	// the autoscale one (emitted only when non-empty, so reports without
-	// tenant data keep their existing bytes); a coordinator that has the
-	// autoscale block but predates tenants rejects the trailer, and the
-	// sender strips just this block first before falling all the way
-	// back (see frontend.Syncer).
+	// last report, feeding the autoscale controller's fairness view.
 	Tenants []TenantLoad `json:"tenants,omitempty"`
 }
 
@@ -483,52 +421,6 @@ type TenantLoad struct {
 	// tenant's offered load.
 	CacheHits   int `json:"cache_hits,omitempty"`
 	CacheMisses int `json:"cache_misses,omitempty"`
-}
-
-// HasExt reports whether any autoscale-extension field (including the
-// per-node latency digests) is set; the binary encoder emits the
-// trailing extension block only then.
-func (h HealthReport) HasExt() bool {
-	if h.ShedNormal != 0 || h.HedgesDenied != 0 || h.QueueP50Nanos != 0 || h.QueueP99Nanos != 0 {
-		return true
-	}
-	for _, nh := range h.Nodes {
-		if nh.LatP50Nanos != 0 || nh.LatP99Nanos != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// HasTenantExt reports whether the tenant telemetry block is present;
-// the binary encoder emits it (and therefore also the autoscale block
-// it trails) only then.
-func (h HealthReport) HasTenantExt() bool { return len(h.Tenants) > 0 }
-
-// StripTenants returns a copy without the tenant block — the form a
-// coordinator that has the autoscale extension but predates tenants
-// accepts. The first rung of the health downgrade ladder.
-func (h HealthReport) StripTenants() HealthReport {
-	h.Tenants = nil
-	return h
-}
-
-// StripExt returns a copy with every extension field zeroed (tenants
-// included) — the form a pre-extension coordinator's strict binary
-// decoder accepts. The base evidence (suspicions, probes, contacts,
-// depths, speeds) is preserved.
-func (h HealthReport) StripExt() HealthReport {
-	h.ShedNormal, h.HedgesDenied, h.QueueP50Nanos, h.QueueP99Nanos = 0, 0, 0, 0
-	h.Tenants = nil
-	if h.HasExt() { // some node carries a digest: copy before clearing
-		nodes := make([]NodeHealth, len(h.Nodes))
-		copy(nodes, h.Nodes)
-		for i := range nodes {
-			nodes[i].LatP50Nanos, nodes[i].LatP99Nanos = 0, 0
-		}
-		h.Nodes = nodes
-	}
-	return h
 }
 
 // HealthResp acknowledges a health report with the aggregator's current

@@ -95,7 +95,6 @@ func TestMembershipMessages(t *testing.T) {
 	roundTrip(t, JoinResp{ID: 8, Ring: 0, Start: 0.5})
 	roundTrip(t, LeaveReq{ID: 8})
 	roundTrip(t, SetPReq{P: 6})
-	roundTrip(t, ReportReq{Speeds: map[int]float64{1: 0.5, 2: 1.5}, Failed: []int{3}})
 	roundTrip(t, HealthReport{
 		FE: "fe-0", Seq: 3, Shed: 2,
 		Nodes: []NodeHealth{{ID: 1, Suspicions: 1, ProbeOKs: 2, ProbeFails: 3, Contacts: 4, QueueDepth: 5, Speed: 1.5}},

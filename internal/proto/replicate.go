@@ -2,9 +2,9 @@
 // and their binary codecs. The coordinator's decision log is pushed to
 // follower replicas continuously — every view publish, quarantine flip,
 // ChangeP, ring power change, decommission, and autoscale decision is
-// one log entry — so these bodies ride the negotiated binary framing
-// like the data-plane hot bodies: varints, raw float bits, and
-// length-prefixed strings instead of JSON keys and decimal counters.
+// one log entry — so these bodies ride the binary codec like the
+// data-plane hot bodies: varints, raw float bits, and length-prefixed
+// strings instead of JSON keys and decimal counters.
 //
 // Every LogEntry carries a complete ControlState snapshot. That makes
 // follower apply a replacement, not a merge: catch-up after a partition
@@ -78,11 +78,6 @@ type ControlState struct {
 	// lets a newly elected leader resume the drain without re-delivering
 	// the whole log (the un-replicated tail is re-delivered and absorbed
 	// by node-side dedup).
-	//
-	// Part of the base encoding, not a trailing extension: replica sets
-	// deploy together (the same reasoning as LeaseReq.LastTerm), and a
-	// pre-watermark entry failing a strict decode makes the follower
-	// report a catch-up gap — the safe direction for log replication.
 	IngestDrained uint64 `json:"ingest_drained,omitempty"`
 }
 
@@ -123,12 +118,6 @@ type ReplicateResp struct {
 // every committed decision. Index alone is not enough: a deposed leader
 // can sit on a long uncommitted tail whose INDEX passes while a voter's
 // committed entry at the same index carries a newer term.
-//
-// LastTerm is part of the base encoding, not a trailing extension:
-// member.lease and this field ship in the same release, so no deployed
-// voter predates it, and a short (pre-LastTerm) request failing a
-// strict decode denies the vote — the safe direction for an election
-// RPC.
 type LeaseReq struct {
 	Term      uint64 `json:"term"`
 	Candidate string `json:"candidate"`
@@ -144,23 +133,9 @@ type LeaseResp struct {
 	// voter's current unexpired grant — a redirect hint for clients.
 	Leader string `json:"leader,omitempty"`
 
-	// LastIndex (trailing extension) is the voter's last log index, so
-	// a refused candidate learns how far behind it is without another
-	// round trip. On the binary codec it rides a trailing extension
-	// block emitted only when non-zero — a response without it is
-	// byte-identical to the base encoding, the same mixed-version
-	// discipline as QueryReq.Plain and HealthReport's telemetry block.
+	// LastIndex is the voter's last log index, so a refused candidate
+	// learns how far behind it is without another round trip.
 	LastIndex uint64 `json:"last_index,omitempty"`
-}
-
-// HasExt reports whether the trailing extension block would be emitted.
-func (l LeaseResp) HasExt() bool { return l.LastIndex != 0 }
-
-// StripExt returns a copy without extension fields — the form a
-// pre-extension decoder accepts.
-func (l LeaseResp) StripExt() LeaseResp {
-	l.LastIndex = 0
-	return l
 }
 
 // --- codecs ---
@@ -338,31 +313,22 @@ func (q *LeaseReq) DecodeWire(data []byte) error {
 	return r.finish("LeaseReq")
 }
 
-// AppendWire implements wire.WireAppender. The voter's LastIndex rides
-// a trailing extension block emitted only when non-zero (see the field
-// comment for the mixed-version contract).
+// AppendWire implements wire.WireAppender.
 func (q LeaseResp) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, q.Term)
 	b = append(b, boolByte(q.Granted))
 	b = binary.AppendUvarint(b, uint64(len(q.Leader)))
 	b = append(b, q.Leader...)
-	if !q.HasExt() {
-		return b
-	}
 	b = binary.AppendUvarint(b, q.LastIndex)
 	return b
 }
 
-// DecodeWire implements wire.WireDecoder. Accepts both the base
-// encoding and the extended one, signalled purely by trailing bytes.
+// DecodeWire implements wire.WireDecoder.
 func (q *LeaseResp) DecodeWire(data []byte) error {
 	r := &reader{data: data}
 	q.Term = r.uvarint("LeaseResp.Term")
 	q.Granted = r.byte("LeaseResp.Granted") != 0
 	q.Leader = string(r.bytes("LeaseResp.Leader"))
-	q.LastIndex = 0
-	if r.err == nil && r.off < len(r.data) {
-		q.LastIndex = r.uvarint("LeaseResp.LastIndex")
-	}
+	q.LastIndex = r.uvarint("LeaseResp.LastIndex")
 	return r.finish("LeaseResp")
 }

@@ -77,32 +77,6 @@ func TestReplicateDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLeaseRespExtension pins the trailing-extension contract of
-// LeaseResp.LastIndex, mirroring the HealthReport extension rules: the
-// base prefix is stable, and a base-only decode leaves the field zero.
-func TestLeaseRespExtension(t *testing.T) {
-	ext := LeaseResp{Term: 3, Granted: true, Leader: "a:1", LastIndex: 41}
-	base := ext.StripExt()
-	if base.HasExt() {
-		t.Fatal("StripExt left extension data behind")
-	}
-	baseBytes := base.AppendWire(nil)
-	extBytes := ext.AppendWire(nil)
-	if len(extBytes) <= len(baseBytes) {
-		t.Fatal("extension did not extend the encoding")
-	}
-	if string(extBytes[:len(baseBytes)]) != string(baseBytes) {
-		t.Fatal("extended encoding does not extend the base byte-for-byte")
-	}
-	var got LeaseResp
-	if err := got.DecodeWire(baseBytes); err != nil {
-		t.Fatal(err)
-	}
-	if got.LastIndex != 0 {
-		t.Fatalf("base decode invented LastIndex %d", got.LastIndex)
-	}
-}
-
 // FuzzDecodeReplicate: corrupt replication bodies must error or decode,
 // never panic or over-allocate; valid decodes must re-encode cleanly.
 func FuzzDecodeReplicate(f *testing.F) {
@@ -132,7 +106,7 @@ func FuzzDecodeReplicate(f *testing.F) {
 func FuzzDecodeLease(f *testing.F) {
 	f.Add(LeaseReq{Term: 6, Candidate: "127.0.0.1:7002", LastIndex: 13, LastTerm: 5}.AppendWire(nil))
 	f.Add(LeaseResp{Term: 6, Granted: true, Leader: "127.0.0.1:7002", LastIndex: 13}.AppendWire(nil))
-	f.Add(LeaseResp{Term: 7}.StripExt().AppendWire(nil))
+	f.Add(LeaseResp{Term: 7}.AppendWire(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req LeaseReq

@@ -1,14 +1,7 @@
 package wire
 
-// Binary hot-path framing. The seed protocol JSON-encoded every frame:
-// the envelope (id/type/err) plus the body, with []byte fields —
-// trapdoors, nonces, Bloom filters — inflated 4/3× by base64 and every
-// uint64 id spelled out in decimal. Those bodies are the two highest-
-// volume flows in the cluster (sub-query fan-out and replica pushes), so
-// the codec tax is paid p times per query and once per stored record.
-//
-// After a per-connection negotiation handshake (see wire.go), frames
-// switch to a hand-rolled length-prefixed binary envelope:
+// Framing. Every frame on a connection is one length-prefixed binary
+// envelope; there is no other dialect:
 //
 //	uint32  frame length (excluding itself, bounded by MaxFrame)
 //	byte    kind: 0 request, 1 response, 2 cancel
@@ -18,11 +11,13 @@ package wire
 //	byte    body codec: 0 JSON, 1 binary (absent on cancel)
 //	...     body bytes (the rest of the frame)
 //
-// The body codec byte keeps JSON as the in-envelope fallback: hot bodies
-// implement WireAppender/WireDecoder (internal/proto/codec.go) and ride
-// as raw binary; control messages (stats, views, joins) stay JSON inside
-// the binary envelope, and a peer that never negotiates — an older
-// build — speaks the original all-JSON framing for the whole connection.
+// The body codec is decided by the body's Go type: the high-volume
+// bodies (sub-query fan-out, replica pushes, health reports, log
+// replication) implement WireAppender/WireDecoder (internal/proto) and
+// ship raw bytes, varints and delta-compressed id sets; control messages
+// (views, joins, stats) ride as JSON inside the same envelope. The codec
+// byte is the check on outside input: a payload whose codec does not
+// match the receiving type is rejected, never reinterpreted.
 //
 // Frame scratch is pooled: envelopes and bodies are appended into
 // reusable buffers, so the steady-state hot path performs no per-frame
@@ -36,12 +31,36 @@ import (
 	"sync"
 )
 
-// Version is the highest framing version this build speaks. Version 0
-// is the all-JSON framing; version 1 adds the binary envelope and body
-// codecs.
-const Version = 1
+// Version names the one dialect this build speaks: the envelope above
+// plus the body encodings of internal/proto. Any change to either bumps
+// it.
+const Version = 2
 
-// Frame kinds (binary framing).
+// preambleLen is the size of the connection preamble: the magic "ROAR"
+// followed by big-endian uint32(Version).
+const preambleLen = 8
+
+const preambleMagic = "ROAR"
+
+// appendPreamble appends this build's preamble.
+func appendPreamble(b []byte) []byte {
+	b = append(b, preambleMagic...)
+	return binary.BigEndian.AppendUint32(b, Version)
+}
+
+// peerVersion parses a peer's preamble. ok is false when the magic did
+// not match, i.e. the peer is not speaking this protocol at all.
+func peerVersion(p [preambleLen]byte) (v uint32, ok bool) {
+	if string(p[:4]) != preambleMagic {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(p[4:]), true
+}
+
+// Frame kinds. A cancel frame carries only the id of the request to
+// abandon: the server cancels that request's context and sends no
+// response, so handlers that honour their context (the node's matcher
+// does) stop computing answers nobody will read.
 const (
 	kindRequest  = byte(0)
 	kindResponse = byte(1)
@@ -75,24 +94,25 @@ type Body struct {
 	data  []byte
 }
 
-// JSONBody wraps raw JSON bytes (tests, and the JSON framing path).
-func JSONBody(data []byte) Body { return Body{codec: codecJSON, data: data} }
-
 // Len reports the payload size in bytes.
 func (b Body) Len() int { return len(b.data) }
 
-// Decode unmarshals the payload into v using the codec it arrived in.
-// Binary payloads require v to implement WireDecoder.
+// Decode unmarshals the payload into v. The codec it arrived in must be
+// the one v's type speaks: binary exactly when v implements WireDecoder.
+// An absent body (a nil request) decodes as the zero value.
 func (b Body) Decode(v interface{}) error {
+	d, binaryType := v.(WireDecoder)
 	switch b.codec {
 	case codecJSON:
 		if len(b.data) == 0 {
 			return nil
 		}
+		if binaryType {
+			return &JSONBodyError{Type: fmt.Sprintf("%T", v)}
+		}
 		return json.Unmarshal(b.data, v)
 	case codecBinary:
-		d, ok := v.(WireDecoder)
-		if !ok {
+		if !binaryType {
 			return &BinaryBodyError{Type: fmt.Sprintf("%T", v)}
 		}
 		return d.DecodeWire(b.data)
@@ -136,13 +156,13 @@ func grow(b []byte, n int) []byte {
 
 // --- frame representation ---
 
-// frame is the internal representation of one message in either
-// framing. Body carries the payload bytes; codec says how to decode
-// them. pooled, when set, is the read buffer Body aliases — release()
-// returns it once the frame's bytes are no longer referenced.
+// frame is the internal representation of one message. Body carries
+// the payload bytes; codec says how to decode them. pooled, when set, is
+// the read buffer Body aliases — release() returns it once the frame's
+// bytes are no longer referenced.
 type frame struct {
 	ID     uint64
-	Type   string // method; empty on responses
+	Type   string // method; requests only
 	Err    string // error text on responses
 	kind   byte
 	codec  byte
@@ -155,8 +175,6 @@ type frame struct {
 	local bool
 }
 
-func (f *frame) isCancel() bool { return f.kind == kindCancel }
-
 // release returns the pooled read buffer, if any. Safe to call more
 // than once.
 func (f *frame) release() {
@@ -167,54 +185,30 @@ func (f *frame) release() {
 	}
 }
 
-// jsonFrame is the version-0 on-the-wire envelope.
-type jsonFrame struct {
-	ID   uint64          `json:"id"`
-	Type string          `json:"type"`
-	Err  string          `json:"err,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
-}
-
 // --- write path ---
 
-// writeFrame encodes f in the connection's negotiated framing and
-// writes it as one length-prefixed message.
-func writeFrame(w io.Writer, f *frame, binaryMode bool) error {
+// writeFrame encodes f and writes it as one length-prefixed message.
+func writeFrame(w io.Writer, f *frame) error {
 	buf := getBuf()
 	defer putBuf(buf)
 	b := (*buf)[:4] // length placeholder
-	if binaryMode {
-		b = append(b, f.kind)
-		b = binary.AppendUvarint(b, f.ID)
-		switch f.kind {
-		case kindRequest:
-			b = binary.AppendUvarint(b, uint64(len(f.Type)))
-			b = append(b, f.Type...)
-		case kindResponse:
-			b = binary.AppendUvarint(b, uint64(len(f.Err)))
-			b = append(b, f.Err...)
-		case kindCancel:
-			// id only
-		default:
-			return fmt.Errorf("wire: encoding unknown frame kind %d", f.kind)
-		}
-		if f.kind != kindCancel {
-			b = append(b, f.codec)
-			b = append(b, f.Body...)
-		}
-	} else {
-		jf := jsonFrame{ID: f.ID, Type: f.Type, Err: f.Err}
-		if len(f.Body) > 0 {
-			if f.codec != codecJSON {
-				return fmt.Errorf("wire: binary body on a JSON-framed connection")
-			}
-			jf.Body = f.Body
-		}
-		enc, err := json.Marshal(&jf)
-		if err != nil {
-			return fmt.Errorf("wire: encoding frame: %w", err)
-		}
-		b = append(b, enc...)
+	b = append(b, f.kind)
+	b = binary.AppendUvarint(b, f.ID)
+	switch f.kind {
+	case kindRequest:
+		b = binary.AppendUvarint(b, uint64(len(f.Type)))
+		b = append(b, f.Type...)
+	case kindResponse:
+		b = binary.AppendUvarint(b, uint64(len(f.Err)))
+		b = append(b, f.Err...)
+	case kindCancel:
+		// id only
+	default:
+		return fmt.Errorf("wire: encoding unknown frame kind %d", f.kind)
+	}
+	if f.kind != kindCancel {
+		b = append(b, f.codec)
+		b = append(b, f.Body...)
 	}
 	n := len(b) - 4
 	if n > MaxFrame {
@@ -228,10 +222,9 @@ func writeFrame(w io.Writer, f *frame, binaryMode bool) error {
 
 // --- read path ---
 
-// readFrame reads one length-prefixed message in the negotiated
-// framing. Binary frames alias a pooled buffer: callers must f.release()
-// once decoded. JSON frames copy during unmarshal and need no release.
-func readFrame(r io.Reader, binaryMode bool) (*frame, error) {
+// readFrame reads one length-prefixed message. The frame aliases a
+// pooled buffer: callers must f.release() once decoded.
+func readFrame(r io.Reader) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -247,23 +240,6 @@ func readFrame(r io.Reader, binaryMode bool) (*frame, error) {
 		putBuf(buf)
 		return nil, err
 	}
-	if !binaryMode {
-		defer putBuf(buf)
-		var jf jsonFrame
-		if err := json.Unmarshal(body, &jf); err != nil {
-			return nil, fmt.Errorf("wire: decoding frame: %w", err)
-		}
-		f := &frame{ID: jf.ID, Type: jf.Type, Err: jf.Err, codec: codecJSON, Body: jf.Body}
-		switch {
-		case jf.Type == cancelMethod:
-			f.kind = kindCancel
-		case jf.Type != "":
-			f.kind = kindRequest
-		default:
-			f.kind = kindResponse
-		}
-		return f, nil
-	}
 	f, err := decodeBinaryFrame(body)
 	if err != nil {
 		putBuf(buf)
@@ -273,7 +249,7 @@ func readFrame(r io.Reader, binaryMode bool) (*frame, error) {
 	return f, nil
 }
 
-// decodeBinaryFrame parses a binary envelope. The returned frame's Body
+// decodeBinaryFrame parses an envelope. The returned frame's Body
 // aliases data.
 func decodeBinaryFrame(data []byte) (*frame, error) {
 	if len(data) < 2 {
@@ -292,7 +268,6 @@ func decodeBinaryFrame(data []byte) (*frame, error) {
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("wire: cancel frame with %d trailing bytes", len(rest))
 		}
-		f.Type = cancelMethod
 		return f, nil
 	case kindRequest:
 		l, n := binary.Uvarint(rest)
@@ -322,17 +297,15 @@ func decodeBinaryFrame(data []byte) (*frame, error) {
 	return f, nil
 }
 
-// encodeBody renders v for the wire: binary when the connection speaks
-// it and the value knows how, JSON otherwise. buf is pooled append
-// scratch for the binary path.
-func encodeBody(v interface{}, binaryMode bool, buf []byte) (data []byte, codec byte, err error) {
+// encodeBody renders v for the wire in the codec its type speaks:
+// binary when it implements WireAppender, JSON otherwise. buf is pooled
+// append scratch for the binary path.
+func encodeBody(v interface{}, buf []byte) (data []byte, codec byte, err error) {
 	if v == nil {
 		return nil, codecJSON, nil
 	}
-	if binaryMode {
-		if a, ok := v.(WireAppender); ok {
-			return a.AppendWire(buf[:0]), codecBinary, nil
-		}
+	if a, ok := v.(WireAppender); ok {
+		return a.AppendWire(buf[:0]), codecBinary, nil
 	}
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -347,22 +320,4 @@ func decodeInto(f *frame, out interface{}) error {
 		return nil
 	}
 	return Body{codec: f.codec, data: f.Body}.Decode(out)
-}
-
-// --- negotiation payloads ---
-
-// helloMethod is the reserved version-negotiation method. A client that
-// speaks the binary framing sends it as the first request on every new
-// connection; a server that understands it answers with the agreed
-// version and both sides switch framing. A server that predates it
-// answers "unknown method", and the connection simply stays on JSON —
-// that error path IS the mixed-version downgrade.
-const helloMethod = "wire.hello"
-
-type helloReq struct {
-	Version int `json:"version"`
-}
-
-type helloResp struct {
-	Version int `json:"version"`
 }

@@ -15,20 +15,21 @@
 // answer nobody will read. A connection that errors is evicted from the
 // pool and lazily redialled.
 //
-// Framing is negotiated per connection (codec.go): a client opens with a
-// wire.hello request; if the server understands it both sides switch to
-// the compact binary envelope and hot-path bodies travel in their
-// hand-rolled binary form, while control bodies and mixed-version peers
-// fall back to JSON. An old server answers hello with "unknown method"
-// and the connection transparently stays on the original JSON framing.
+// There is one dialect (codec.go): a binary envelope whose bodies are
+// binary or JSON according to their Go type. A connection opens with an
+// 8-byte preamble, "ROAR" ‖ uint32(Version), which the server echoes; a
+// peer that answers with another version, or with anything that is not
+// the preamble, fails the dial with *VersionError and the connection is
+// closed. Nothing downgrades or retries in another encoding (the
+// versioning policy is in docs/HA.md).
 package wire
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -39,13 +40,12 @@ import (
 // MaxFrame bounds a single message (16 MiB) to fail fast on corruption.
 const MaxFrame = 16 << 20
 
-// cancelMethod is the reserved in-band control method a client sends
-// when it abandons a call (deadline, or a hedged request lost the
-// race). The frame's ID names the request to cancel; the server cancels
-// that request's context and sends no response. Handlers that honour
-// their context (the node's matcher does) stop wasting work on answers
-// nobody is waiting for.
-const cancelMethod = "wire.cancel"
+// handshakeTimeout bounds the server's wait for a new connection's
+// preamble, so a peer that connects and says nothing (a port scanner, a
+// half-open dial) cannot hold a goroutine and a socket forever. It
+// equals the client's default DialTimeout, the budget the other side of
+// the same exchange runs under.
+const handshakeTimeout = 5 * time.Second
 
 // Handler serves one request. Returning an error sends it to the caller
 // as a call failure; the connection stays up. The body's backing bytes
@@ -53,43 +53,51 @@ const cancelMethod = "wire.cancel"
 // the request struct retains, so decode-then-use handlers need no care.
 type Handler func(ctx context.Context, method string, body Body) (interface{}, error)
 
-// --- typed remote errors ---
+// --- typed errors ---
 //
 // A handler error crosses the wire as text, which is fine for humans
-// but not for clients that must branch on the failure class (the
-// mixed-version downgrade ladders). Matching prose is fragile: a proxy
-// error can embed the same words, and a reworded message silently
-// breaks the branch. So errors that implement ErrorCoder are sent with
-// a stable machine-readable marker — "[code] " prefixed to the text —
-// and the client hands the parsed class back in RemoteError.Code.
-// Uncoded errors (and errors from pre-code servers) travel unchanged
-// with Code "".
+// but not for clients that must branch on the failure class. Matching
+// prose is fragile: a proxy error can embed the same words, and a
+// reworded message silently breaks the branch. So errors that implement
+// ErrorCoder are sent with a stable machine-readable marker, "[code] "
+// prefixed to the text, and the client hands the parsed class back in
+// RemoteError.Code. Uncoded errors travel unchanged with Code "".
 
 // Error codes attached by this package and by body decoders. The wire
 // contract for a code is 1-32 bytes of lowercase ASCII letters and
 // dashes.
 const (
-	// CodeUnknownMethod: the server has no handler for the method — the
-	// signal that the peer predates an RPC entirely.
+	// CodeUnknownMethod: the server has no handler for the method.
 	CodeUnknownMethod = "unknown-method"
 	// CodeTrailingBytes: a strict body decoder rejected unread trailing
-	// bytes — the signal that the request carries a trailing extension
-	// block the server predates (declared by proto.TrailingBytesError,
-	// which must keep this literal in sync).
+	// bytes (declared by proto.TrailingBytesError, which must keep this
+	// literal in sync).
 	CodeTrailingBytes = "trailing-bytes"
 	// CodeStaleEpoch: a node rejected an epoch-fenced put whose view
-	// epoch is older than the newest the node has observed — the caller
+	// epoch is older than the newest the node has observed: the caller
 	// must re-pull the view and re-route (declared by
 	// node.StaleEpochError, which must keep this literal in sync).
 	CodeStaleEpoch = "stale-epoch"
-	// CodeBinaryBody: the body arrived in the negotiated binary framing
-	// but the server's type for it has no binary decoder — the signal
-	// that the peer predates the body's binary codec entirely, so the
-	// caller should re-send the same request as JSON. Servers from
-	// before this code existed report the same condition uncoded; the
-	// downgrade ladders also match the message text.
+	// CodeBinaryBody / CodeJSONBody: the body's codec byte does not match
+	// the codec the receiving type speaks.
 	CodeBinaryBody = "binary-body"
+	CodeJSONBody   = "json-body"
 )
+
+// VersionError is a failed connection handshake: the peer's preamble
+// named another Version (Remote), or was not a preamble at all (Remote
+// 0). It is a transport error, never a RemoteError: the connection is
+// closed and the call that dialled it fails.
+type VersionError struct {
+	Local, Remote uint32
+}
+
+func (e *VersionError) Error() string {
+	if e.Remote == 0 {
+		return fmt.Sprintf("wire: peer does not speak the ROAR wire protocol (local version %d)", e.Local)
+	}
+	return fmt.Sprintf("wire: version mismatch: local %d, remote %d", e.Local, e.Remote)
+}
 
 // ErrorCoder is implemented by handler errors that carry a
 // machine-readable class. Checked with errors.As, so wrapped errors
@@ -108,8 +116,7 @@ func (e *UnknownMethodError) WireErrorCode() string { return CodeUnknownMethod }
 
 // BinaryBodyError is Body.Decode's rejection of a binary payload aimed
 // at a type with no binary decoder. It crosses the wire as
-// CodeBinaryBody; the rendered text keeps the historic fmt.Errorf
-// spelling so pre-code peers that match strings keep working.
+// CodeBinaryBody.
 type BinaryBodyError struct{ Type string }
 
 func (e *BinaryBodyError) Error() string {
@@ -118,12 +125,22 @@ func (e *BinaryBodyError) Error() string {
 
 func (e *BinaryBodyError) WireErrorCode() string { return CodeBinaryBody }
 
+// JSONBodyError is the symmetric rejection: a JSON payload aimed at a
+// type whose one wire form is binary. It crosses the wire as
+// CodeJSONBody.
+type JSONBodyError struct{ Type string }
+
+func (e *JSONBodyError) Error() string {
+	return "wire: " + e.Type + " travels binary; got a JSON body"
+}
+
+func (e *JSONBodyError) WireErrorCode() string { return CodeJSONBody }
+
 // RemoteError is a failure the remote HANDLER reported — as opposed to
 // a transport failure (dial, framing, connection loss), which never
 // produces one. Callers distinguish "the server answered and said no"
 // from "the network ate the call" with errors.As. Code carries the
-// machine-readable class when the server attached one; "" otherwise
-// (uncoded errors, or a pre-code server).
+// machine-readable class when the server attached one; "" otherwise.
 type RemoteError struct {
 	Method string
 	Code   string
@@ -171,22 +188,12 @@ func parseRemoteError(method, text string) *RemoteError {
 	return &RemoteError{Method: method, Msg: text}
 }
 
-// ServerConfig tunes a server.
-type ServerConfig struct {
-	// DisableBinary rejects wire.hello negotiation, pinning every
-	// connection to the version-0 JSON framing. It exists for
-	// mixed-version testing — a server built before the binary codec
-	// behaves exactly like this — and as an operational escape hatch.
-	DisableBinary bool
-}
-
 // Server accepts connections and dispatches requests to a Handler.
 // Requests on one connection are served concurrently, matching the
 // node's need to overlap long matching work with management traffic.
 type Server struct {
 	ln      net.Listener
 	handler Handler
-	cfg     ServerConfig
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -196,27 +203,19 @@ type Server struct {
 
 // Serve starts a server on addr ("127.0.0.1:0" for an ephemeral port).
 func Serve(addr string, h Handler) (*Server, error) {
-	return ServeWithConfig(addr, h, ServerConfig{})
-}
-
-// ServeWithConfig starts a server with explicit configuration.
-func ServeWithConfig(addr string, h Handler, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, handler: h, cfg: cfg, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return ServeListener(ln, h), nil
 }
 
 // ServeListener serves on an already-bound listener. Replicated
-// control planes need this: a replica must know every peer's address —
-// including its own — before any replica is constructed, so harnesses
+// control planes need this: a replica must know every peer's address,
+// including its own, before any replica is constructed, so harnesses
 // bind all the listeners first and hand them over.
-func ServeListener(ln net.Listener, h Handler, cfg ServerConfig) *Server {
-	s := &Server{ln: ln, handler: h, cfg: cfg, conns: make(map[net.Conn]struct{})}
+func ServeListener(ln net.Listener, h Handler) *Server {
+	s := &Server{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -225,7 +224,9 @@ func ServeListener(ln net.Listener, h Handler, cfg ServerConfig) *Server {
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting and closes all live connections.
+// Close stops accepting, closes all live connections (which cancels
+// their handlers' contexts) and returns once every handler has
+// returned, so the caller may tear down the state handlers use.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -262,32 +263,60 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// acceptPreamble runs the server half of the handshake: read the
+// client's preamble under handshakeTimeout, echo ours, and report
+// whether the connection may carry frames. A client on another version
+// still gets the echo, so its dial fails with both numbers; a peer that
+// is not speaking the protocol gets nothing.
+func acceptPreamble(conn net.Conn, br *bufio.Reader) bool {
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	var p [preambleLen]byte
+	if _, err := io.ReadFull(br, p[:]); err != nil {
+		return false
+	}
+	// An idle connection that has shaken hands is legitimate: no read
+	// deadline from here on.
+	_ = conn.SetReadDeadline(time.Time{})
+	v, ok := peerVersion(p)
+	if !ok {
+		return false
+	}
+	if _, err := conn.Write(appendPreamble(nil)); err != nil {
+		return false
+	}
+	return v == Version
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	ctx, cancel := context.WithCancel(context.Background()) //lint:allow background — a connection's lifetime IS this root; cancelled when the conn closes
+	// Handlers of this connection's requests. The exit path cancels them,
+	// closes the socket under any response write, and waits, so that
+	// Server.Close returning means no handler is still running.
+	var handlers sync.WaitGroup
 	defer func() {
+		cancel()
+		conn.Close()
+		handlers.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
+	if !acceptPreamble(conn, br) {
+		return
+	}
 	var wmu sync.Mutex // serialises response frames
-	// binMode flips (at most once) when the hello handshake upgrades the
-	// connection; the read loop is the only writer, response goroutines
-	// read it under wmu so framing and payload stay consistent.
-	var binMode atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background()) //lint:allow background — a connection's lifetime IS this root; cancelled when the conn closes
-	defer cancel()
 	// In-progress requests on this connection, so a cancel frame can
 	// abort the matching handler's context mid-flight.
 	var rmu sync.Mutex
 	running := make(map[uint64]context.CancelFunc)
 	for {
-		f, err := readFrame(br, binMode.Load())
+		f, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		if f.isCancel() {
+		if f.kind == kindCancel {
 			rmu.Lock()
 			if abort, ok := running[f.ID]; ok {
 				abort()
@@ -296,41 +325,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			f.release()
 			continue // control frame: no handler, no response
 		}
-		if f.kind == kindRequest && f.Type == helloMethod && !binMode.Load() && !s.cfg.DisableBinary {
-			// Version negotiation, handled inline (never dispatched): the
-			// response ships in the old framing, then the connection
-			// upgrades. The client sends hello first on a fresh
-			// connection and waits, so no other traffic straddles the
-			// switch.
-			var hr helloReq
-			_ = Body{codec: f.codec, data: f.Body}.Decode(&hr)
-			id := f.ID
-			f.release()
-			v := hr.Version
-			if v > Version {
-				v = Version
-			}
-			if v < 0 {
-				v = 0
-			}
-			body, _ := json.Marshal(helloResp{Version: v})
-			resp := frame{ID: id, kind: kindResponse, codec: codecJSON, Body: body}
-			wmu.Lock()
-			werr := writeFrame(conn, &resp, false)
-			if werr == nil && v >= 1 {
-				binMode.Store(true)
-			}
-			wmu.Unlock()
-			if werr != nil {
-				return
-			}
-			continue
-		}
 		rctx, rcancel := context.WithCancel(ctx)
 		rmu.Lock()
 		running[f.ID] = rcancel
 		rmu.Unlock()
+		handlers.Add(1)
 		go func(req *frame, rctx context.Context, rcancel context.CancelFunc) {
+			defer handlers.Done()
 			defer func() {
 				rmu.Lock()
 				delete(running, req.ID)
@@ -345,7 +346,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				resp.Err = errorText(err)
 			} else if out != nil {
 				bodyBuf = getBuf()
-				data, codec, eerr := encodeBody(out, binMode.Load(), *bodyBuf)
+				data, codec, eerr := encodeBody(out, *bodyBuf)
 				if eerr != nil {
 					resp.Err = fmt.Sprintf("wire: encoding response: %v", eerr)
 				} else {
@@ -356,7 +357,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 			wmu.Lock()
-			_ = writeFrame(conn, &resp, binMode.Load())
+			_ = writeFrame(conn, &resp)
 			wmu.Unlock()
 			if bodyBuf != nil {
 				putBuf(bodyBuf)
@@ -373,13 +374,9 @@ type ClientConfig struct {
 	// kernel send buffer; a pool removes that bottleneck under high
 	// frontend concurrency.
 	PoolSize int
-	// DialTimeout bounds each connection attempt, including the framing
+	// DialTimeout bounds each connection attempt, including the version
 	// handshake. Default 5s.
 	DialTimeout time.Duration
-	// DisableBinary skips the wire.hello handshake, pinning every
-	// connection to the version-0 JSON framing (mixed-version testing
-	// and operational fallback).
-	DisableBinary bool
 }
 
 func (cfg ClientConfig) withDefaults() ClientConfig {
@@ -417,10 +414,9 @@ type slot struct {
 
 // clientConn is one pooled connection with its own in-flight table.
 type clientConn struct {
-	conn   net.Conn
-	br     *bufio.Reader
-	binary bool       // negotiated framing; immutable after the handshake
-	wmu    sync.Mutex // serialises request frames on this connection
+	conn net.Conn
+	br   *bufio.Reader
+	wmu  sync.Mutex // serialises request frames on this connection
 
 	pmu      sync.Mutex
 	pending  map[uint64]chan *frame
@@ -454,7 +450,6 @@ func (c *Client) PoolSize() int { return c.cfg.PoolSize }
 type ClientStats struct {
 	Conns    int // healthy dialled connections
 	InFlight int // requests awaiting a response
-	Binary   int // connections speaking the binary framing
 }
 
 // Stats snapshots the pool.
@@ -465,9 +460,6 @@ func (c *Client) Stats() ClientStats {
 		if s.cc != nil {
 			st.Conns++
 			st.InFlight += int(s.cc.inflight.Load())
-			if s.cc.binary {
-				st.Binary++
-			}
 		}
 		s.mu.Unlock()
 	}
@@ -527,8 +519,8 @@ func (c *Client) DrainClose(timeout time.Duration) bool {
 }
 
 // conn returns the healthy connection for pool index i, dialling (and
-// negotiating framing) if the slot is empty — lazy dial, and redial
-// after eviction. Only the slot's own lock is held across the dial, so
+// shaking hands) if the slot is empty — lazy dial, and redial after
+// eviction. Only the slot's own lock is held across the dial, so
 // a dead slot cannot stall calls on its healthy neighbours.
 //
 // The caller's in-flight reservation is taken HERE, under the slot
@@ -558,54 +550,35 @@ func (c *Client) conn(i int) (*clientConn, error) {
 		return nil, ErrClosed
 	}
 	cc := &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 64<<10), pending: make(map[uint64]chan *frame)}
-	if !c.cfg.DisableBinary {
-		// The handshake shares the dial budget: a server that hangs
-		// mid-negotiation is as dead as one that refuses the connection.
-		_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-		bin, err := c.negotiate(cc)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("wire: negotiating with %s: %w", c.addr, err)
-		}
-		_ = conn.SetDeadline(time.Time{})
-		cc.binary = bin
+	// The handshake shares the dial budget: a server that hangs
+	// mid-handshake is as dead as one that refuses the connection.
+	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	if err := handshake(cc); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("wire: handshake with %s: %w", c.addr, err)
 	}
+	_ = conn.SetDeadline(time.Time{})
 	s.cc = cc
 	go c.readLoop(i, cc)
 	cc.inflight.Add(1)
 	return cc, nil
 }
 
-// negotiate runs the wire.hello handshake on a fresh connection (no
-// other traffic yet, so reading synchronously is safe). A server that
-// rejects the method — any build predating the binary codec — downgrades
-// the connection to JSON framing; only transport failures error.
-func (c *Client) negotiate(cc *clientConn) (bool, error) {
-	id := c.nextID.Add(1)
-	body, err := json.Marshal(helloReq{Version: Version})
-	if err != nil {
-		return false, err
+// handshake runs the client half of the version exchange on a fresh
+// connection (no other traffic yet, so reading synchronously is safe):
+// send our preamble, require the server's to match.
+func handshake(cc *clientConn) error {
+	if _, err := cc.conn.Write(appendPreamble(nil)); err != nil {
+		return err
 	}
-	req := frame{ID: id, Type: helloMethod, kind: kindRequest, codec: codecJSON, Body: body}
-	if err := writeFrame(cc.conn, &req, false); err != nil {
-		return false, err
+	var p [preambleLen]byte
+	if _, err := io.ReadFull(cc.br, p[:]); err != nil {
+		return err
 	}
-	f, err := readFrame(cc.br, false)
-	if err != nil {
-		return false, err
+	if v, ok := peerVersion(p); !ok || v != Version {
+		return &VersionError{Local: Version, Remote: v}
 	}
-	defer f.release()
-	if f.ID != id {
-		return false, fmt.Errorf("unexpected response id %d during handshake", f.ID)
-	}
-	if f.Err != "" {
-		return false, nil // pre-negotiation server: stay on JSON
-	}
-	var hr helloResp
-	if err := decodeInto(f, &hr); err != nil {
-		return false, nil
-	}
-	return hr.Version >= 1, nil
+	return nil
 }
 
 // evict removes a failed connection from the pool (health-aware
@@ -632,7 +605,7 @@ func (c *Client) evict(i int, cc *clientConn, cause error) {
 
 func (c *Client) readLoop(i int, cc *clientConn) {
 	for {
-		f, err := readFrame(cc.br, cc.binary)
+		f, err := readFrame(cc.br)
 		if err != nil {
 			c.evict(i, cc, err)
 			return
@@ -652,9 +625,8 @@ func (c *Client) readLoop(i int, cc *clientConn) {
 // Call sends a request on the next pooled connection and decodes the
 // response into out (which may be nil to discard). It honours ctx
 // cancellation/deadline without tearing down the shared connection.
-// On a binary-framed connection, request and response bodies that
-// implement WireAppender/WireDecoder travel in their binary encoding;
-// everything else rides as JSON.
+// Request and response bodies that implement WireAppender/WireDecoder
+// travel in their binary encoding; everything else rides as JSON.
 func (c *Client) Call(ctx context.Context, method string, in, out interface{}) error {
 	i := int(c.rr.Add(1)-1) % len(c.slots)
 	cc, err := c.conn(i)
@@ -666,7 +638,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out interface{}) e
 	defer cc.inflight.Add(-1)
 	id := c.nextID.Add(1)
 	bodyBuf := getBuf()
-	data, codec, err := encodeBody(in, cc.binary, *bodyBuf)
+	data, codec, err := encodeBody(in, *bodyBuf)
 	if err != nil {
 		putBuf(bodyBuf)
 		return fmt.Errorf("wire: encoding %s request: %w", method, err)
@@ -678,7 +650,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out interface{}) e
 	cc.pmu.Unlock()
 
 	cc.wmu.Lock()
-	werr := writeFrame(cc.conn, &req, cc.binary)
+	werr := writeFrame(cc.conn, &req)
 	cc.wmu.Unlock()
 	if codec == codecBinary {
 		*bodyBuf = data[:0] // pool the possibly-grown append buffer
@@ -708,9 +680,9 @@ func (c *Client) Call(ctx context.Context, method string, in, out interface{}) e
 		// Tell the server the answer is unwanted (hedge loss, deadline)
 		// so it can stop the handler. Best effort: a write failure here
 		// just means the connection is already dying.
-		cancelFrame := frame{ID: id, Type: cancelMethod, kind: kindCancel}
+		cancelFrame := frame{ID: id, kind: kindCancel}
 		cc.wmu.Lock()
-		_ = writeFrame(cc.conn, &cancelFrame, cc.binary)
+		_ = writeFrame(cc.conn, &cancelFrame)
 		cc.wmu.Unlock()
 		return ctx.Err()
 	case f := <-ch:
