@@ -107,8 +107,8 @@ func main() {
 		// queries (see frontend.QuerySpec).
 		res, err := fe.Query(ctx, frontend.QuerySpec{
 			Enc: req.Q, Plain: req.Plain,
-			Tenant:   req.Tenant,
-			Priority: frontend.Priority(req.Priority),
+			Tenant:       req.Tenant,
+			Priority:     frontend.Priority(req.Priority),
 			CacheControl: req.CacheControl,
 		})
 		if err != nil {

@@ -293,16 +293,7 @@ func cacheKey(spec QuerySpec) string {
 		}
 		return string(b)
 	}
-	b = append(b, 0, byte(spec.Enc.Op))
-	b = binary.AppendUvarint(b, uint64(len(spec.Enc.Preds)))
-	for _, pred := range spec.Enc.Preds {
-		b = binary.AppendUvarint(b, uint64(len(pred.Trapdoor)))
-		for _, td := range pred.Trapdoor {
-			b = binary.AppendUvarint(b, uint64(len(td)))
-			b = append(b, td...)
-		}
-	}
-	return string(b)
+	return string(spec.Enc.AppendKey(append(b, 0)))
 }
 
 // ObserveIngest feeds the frontend an ingest-watermark observation
@@ -346,6 +337,24 @@ func (f *Frontend) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return f.cache.stats()
+}
+
+// memoFlags is what a sub-query of spec asks of the nodes' match memo:
+// an encrypted query that this frontend's result cache may answer may be
+// answered from a node's memory too, and one that refreshes the cache
+// refreshes the memo. Bypass queries, plaintext queries and a frontend
+// without a cache ask for nothing, and get a plain scan.
+func (f *Frontend) memoFlags(spec QuerySpec) uint8 {
+	if f.cache == nil || spec.Plain != nil {
+		return 0
+	}
+	switch cacheControl(spec.CacheControl) {
+	case proto.CacheDefault:
+		return proto.QueryMemo
+	case proto.CacheRefresh:
+		return proto.QueryMemoRefill
+	}
+	return 0
 }
 
 // cacheControlValid keeps unknown wire values from doing something

@@ -235,6 +235,70 @@ func TestQueryCacheHitSourceAndStats(t *testing.T) {
 	}
 }
 
+// TestSubQueryMemoFlags: a sub-query asks for the nodes' match memo
+// exactly when this frontend's result cache could have answered the
+// query, so every other caller keeps the plain scan. Read off the nodes:
+// their memo counts lookups, and a refill scans the whole arc again.
+func TestSubQueryMemoFlags(t *testing.T) {
+	enc := slimEncoder()
+	v, nodes := testView(t, enc, 1, 1) // one node, so the repeat finds the memo the first query filled
+	loadAll(t, nodes, enc, []string{"aa", "bb", "aa"})
+	memo := func() (lookups, scanned int64) {
+		for _, nd := range nodes {
+			st := nd.Stats()
+			lookups += st.MemoLookups
+			scanned += st.Scanned
+		}
+		return lookups, scanned
+	}
+	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
+	ask := func(fe *Frontend, cc uint8) Result {
+		t.Helper()
+		res, err := fe.Query(context.Background(), QuerySpec{Enc: q, CacheControl: cc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.IDs) != 2 {
+			t.Fatalf("cache control %d: ids %v, want the 2 \"aa\" records", cc, res.IDs)
+		}
+		return res
+	}
+
+	plain := New(Config{})
+	defer plain.Close()
+	if err := plain.ApplyView(v); err != nil {
+		t.Fatal(err)
+	}
+	ask(plain, proto.CacheDefault)
+	ask(plain, proto.CacheRefresh)
+	cached := cachedFrontend(t, v)
+	ask(cached, proto.CacheBypass)
+	if lookups, _ := memo(); lookups != 0 {
+		t.Fatalf("a cache-less frontend and a bypass query made %d memo lookups", lookups)
+	}
+
+	cold := ask(cached, proto.CacheDefault)
+	lookups, scanned0 := memo()
+	if lookups != int64(cold.SubQueries) || cold.SubQueries == 0 {
+		t.Fatalf("default query: %d memo lookups for %d sub-queries", lookups, cold.SubQueries)
+	}
+	refresh := ask(cached, proto.CacheRefresh)
+	lookups, scanned1 := memo()
+	if lookups != int64(cold.SubQueries+refresh.SubQueries) {
+		t.Fatalf("refresh query: %d memo lookups in all, want %d", lookups, cold.SubQueries+refresh.SubQueries)
+	}
+	if scanned1-scanned0 != int64(cold.Scanned) || cold.Scanned == 0 {
+		t.Fatalf("refresh re-scanned %d records, the cold scan took %d: a refresh is never answered from memory",
+			scanned1-scanned0, cold.Scanned)
+	}
+	// The refresh stored its answer in the frontend's cache; fence it so
+	// the next default query fans out, and finds the nodes' memo warm.
+	cached.ObserveIngest(1, 1)
+	if warm := ask(cached, proto.CacheDefault); warm.Source != SourceFanout || warm.Scanned != 0 {
+		t.Fatalf("repeat after a fence: source %q scanning %d records, want a fan-out answered from the nodes' memory", warm.Source, warm.Scanned)
+	}
+}
+
 // TestQueryCacheEpochInvalidation is the satellite property test: once a
 // write at "epoch" E has been observed (ObserveIngest or a newer view),
 // no subsequent hit may return pre-E results. It interleaves direct node

@@ -1032,7 +1032,7 @@ func (f *Frontend) sendSub(ctx context.Context, workers chan struct{}, qid uint6
 
 	cctx, cancel := context.WithTimeout(ctx, f.cfg.SubQueryTimeout)
 	defer cancel()
-	req := proto.QueryReq{QID: qid, Lo: float64(sub.Lo), Hi: float64(sub.Hi), Q: spec.Enc, Plain: spec.Plain}
+	req := proto.QueryReq{QID: qid, Lo: float64(sub.Lo), Hi: float64(sub.Hi), Flags: f.memoFlags(spec), Q: spec.Enc, Plain: spec.Plain}
 	start := f.nowFn()
 	var resp proto.QueryResp
 	// Snapshot the client only now, after the (possibly long) credit and

@@ -159,6 +159,40 @@ func TestPerNodeHedgeDelay(t *testing.T) {
 	t.Logf("hedge delays: fast=%v slow=%v cold(global)=%v", fastDelay, slowDelay, coldDelay)
 }
 
+// TestHedgeDelayBimodalLegs: with the nodes' match memo a leg is either
+// reconciled from memory (~50us) or a cold fill (~1.2ms). While cold
+// fills are more than 1-q of a node's legs its quantile sits in their
+// mode and none is hedged at its normal latency; when they are rarer
+// the quantile falls to the fast mode and the minHedgeDelay floor is
+// what keeps the delay from collapsing to microseconds.
+func TestHedgeDelayBimodalLegs(t *testing.T) {
+	const fast, cold = 50 * time.Microsecond, 1200 * time.Microsecond
+	for _, tc := range []struct {
+		name      string
+		coldEvery int // one leg in coldEvery is a cold fill
+		atLeast   time.Duration
+	}{
+		{"a quarter cold", 4, cold},
+		{"one in fifty cold", 50, minHedgeDelay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fe := New(Config{HedgeQuantile: 0.9, ProbeInterval: -1})
+			defer fe.Close()
+			n := ring.NodeID(1)
+			for i := 0; i < 400; i++ {
+				d := fast
+				if i%tc.coldEvery == 0 {
+					d = cold
+				}
+				fe.observeLatency(n, d)
+			}
+			if d := fe.hedgeDelay(n); d < tc.atLeast {
+				t.Fatalf("hedge delay %v, want at least %v", d, tc.atLeast)
+			}
+		})
+	}
+}
+
 // TestPerNodeTrackerRegression is the end-to-end form of the fix: with
 // a fleet-dominated global distribution, the slow node's OWN quantile
 // decides, so sendSubHedged at its typical latency does not hedge.

@@ -34,7 +34,9 @@ var ErrNoIndex = errors.New("node: no plaintext index configured")
 
 // storeMatcher is the encrypted data plane: the §5.6.3 producer/consumer
 // pipeline over the sorted record store, optionally throttled to emulate
-// a calibrated hardware profile.
+// a calibrated hardware profile. A request that sets QueryMemo or
+// QueryMemoRefill goes through the store's match memo, which runs the
+// same pipeline over only the ring buckets it cannot answer from memory.
 type storeMatcher struct {
 	store         *store.Store
 	matcher       *pps.Matcher
@@ -61,6 +63,10 @@ func (sm *storeMatcher) MatchArc(ctx context.Context, req proto.QueryReq, lo, hi
 				return ctx.Err()
 			}
 		}
+	}
+	if req.Flags&(proto.QueryMemo|proto.QueryMemoRefill) != 0 {
+		refill := req.Flags&proto.QueryMemoRefill != 0
+		return sm.store.MatchArcMemo(ctx, sm.matcher, req.Q, lo, hi, opts, refill)
 	}
 	return sm.store.MatchArc(ctx, sm.matcher, req.Q, lo, hi, opts)
 }

@@ -240,6 +240,7 @@ func (n *Node) Retain(req proto.RetainReq) proto.RetainResp {
 
 // Stats reports counters.
 func (n *Node) Stats() proto.StatsResp {
+	memo := n.store.MemoStats()
 	return proto.StatsResp{
 		Objects:         n.store.Len(),
 		Queries:         n.queries.Load(),
@@ -248,6 +249,13 @@ func (n *Node) Stats() proto.StatsResp {
 		UptimeSecs:      time.Since(n.started).Seconds(),
 		PeakConcurrency: n.peak.Load(),
 		Canceled:        n.canceled.Load(),
+
+		MemoLookups:          memo.Lookups,
+		MemoBucketsReused:    memo.BucketsReused,
+		MemoBucketsRescanned: memo.BucketsRescanned,
+		MemoEvictions:        memo.Evictions,
+		MemoEntries:          memo.Entries,
+		MemoBytes:            memo.Bytes,
 	}
 }
 

@@ -274,6 +274,23 @@ type Query struct {
 	Op    BoolOp
 }
 
+// AppendKey appends the query's canonical bytes: the operator and every
+// trapdoor element, length-prefixed. Two queries with equal keys are
+// matched identically by every server, so the bytes identify the answer
+// in the frontend's result cache and the nodes' match memo.
+func (q Query) AppendKey(b []byte) []byte {
+	b = append(b, byte(q.Op))
+	b = binary.AppendUvarint(b, uint64(len(q.Preds)))
+	for _, pred := range q.Preds {
+		b = binary.AppendUvarint(b, uint64(len(pred.Trapdoor)))
+		for _, td := range pred.Trapdoor {
+			b = binary.AppendUvarint(b, uint64(len(td)))
+			b = append(b, td...)
+		}
+	}
+	return b
+}
+
 // EncryptQuery compiles a conjunction/disjunction of predicates.
 func (e *Encoder) EncryptQuery(op BoolOp, preds ...Predicate) (Query, error) {
 	q := Query{Op: op, Preds: make([]BloomQuery, 0, len(preds))}

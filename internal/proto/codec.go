@@ -122,6 +122,17 @@ func (e *TrailingBytesError) Error() string {
 // import wire); the literal must match wire.CodeTrailingBytes.
 func (e *TrailingBytesError) WireErrorCode() string { return "trailing-bytes" }
 
+// UnknownFlagsError is the decoders' rejection of a flags byte with a bit
+// this version does not define.
+type UnknownFlagsError struct {
+	What string // field name, e.g. "QueryReq.Flags"
+	Bits uint8  // the undefined bits that were set
+}
+
+func (e *UnknownFlagsError) Error() string {
+	return fmt.Sprintf("proto: unknown bits %#02x in %s", e.Bits, e.What)
+}
+
 // remaining reports unread bytes; a strict decoder rejects trailers.
 func (r *reader) finish(what string) error {
 	if r.err != nil {
@@ -271,6 +282,7 @@ func (q QueryReq) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, q.QID)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(q.Lo))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(q.Hi))
+	b = append(b, q.Flags)
 	b = append(b, byte(q.Q.Op))
 	b = binary.AppendUvarint(b, uint64(len(q.Q.Preds)))
 	for _, p := range q.Q.Preds {
@@ -289,6 +301,10 @@ func (q *QueryReq) DecodeWire(data []byte) error {
 	q.QID = r.uvarint("QueryReq.QID")
 	q.Lo = math.Float64frombits(r.u64("QueryReq.Lo"))
 	q.Hi = math.Float64frombits(r.u64("QueryReq.Hi"))
+	q.Flags = r.byte("QueryReq.Flags")
+	if unknown := q.Flags &^ queryFlagsKnown; unknown != 0 && r.err == nil {
+		r.err = &UnknownFlagsError{What: "QueryReq.Flags", Bits: unknown}
+	}
 	q.Q.Op = pps.BoolOp(r.byte("QueryReq.Op"))
 	nPreds := r.count("QueryReq.Preds", 1)
 	q.Q.Preds = nil

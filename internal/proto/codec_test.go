@@ -286,10 +286,20 @@ func TestFlatCodecGoldenBytes(t *testing.T) {
 		want string
 	}{
 		{"QueryReq", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Q: td}, func() decoder { return &QueryReq{} },
-			"\x05" + f64(0.25) + f64(0.75) + "\x01\x01\x01\x02\xaa\xbb" + "\x00"},
+			"\x05" + f64(0.25) + f64(0.75) + "\x00" + "\x01\x01\x01\x02\xaa\xbb" + "\x00"},
+		{"QueryReq/memo", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Flags: QueryMemo, Q: td}, func() decoder { return &QueryReq{} },
+			"\x05" + f64(0.25) + f64(0.75) + "\x01" + "\x01\x01\x01\x02\xaa\xbb" + "\x00"},
+		{"QueryReq/memo-refill", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Flags: QueryMemoRefill, Q: td}, func() decoder { return &QueryReq{} },
+			"\x05" + f64(0.25) + f64(0.75) + "\x02" + "\x01\x01\x01\x02\xaa\xbb" + "\x00"},
 		{"QueryReq/plain", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Plain: &PlainQuery{Terms: []string{"ab"}, Mode: 2, MinMatch: 1, Limit: 3}},
 			func() decoder { return &QueryReq{} },
-			"\x05" + f64(0.25) + f64(0.75) + "\x00\x00" + "\x01\x02\x02\x06\x01\x02ab"},
+			"\x05" + f64(0.25) + f64(0.75) + "\x00" + "\x00\x00" + "\x01\x02\x02\x06\x01\x02ab"},
+		{"QueryReq/plain-memo", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Flags: QueryMemo, Plain: &PlainQuery{Terms: []string{"ab"}, Mode: 2, MinMatch: 1, Limit: 3}},
+			func() decoder { return &QueryReq{} },
+			"\x05" + f64(0.25) + f64(0.75) + "\x01" + "\x00\x00" + "\x01\x02\x02\x06\x01\x02ab"},
+		{"QueryReq/plain-memo-refill", QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Flags: QueryMemoRefill, Plain: &PlainQuery{Terms: []string{"ab"}, Mode: 2, MinMatch: 1, Limit: 3}},
+			func() decoder { return &QueryReq{} },
+			"\x05" + f64(0.25) + f64(0.75) + "\x02" + "\x00\x00" + "\x01\x02\x02\x06\x01\x02ab"},
 		{"FEQueryReq", FEQueryReq{Q: td, Priority: -1, Tenant: "t7", CacheControl: CacheRefresh},
 			func() decoder { return &FEQueryReq{} },
 			"\x01\x01\x01\x01\x02\xaa\xbb" + "\x00" + "\x02t7\x02"},
@@ -345,11 +355,35 @@ func TestFlatCodecGoldenBytes(t *testing.T) {
 	}
 }
 
+// unknownFlagsQueryReq is a well-formed QueryReq body but for one
+// undefined bit in its flags byte (offset: 1-byte QID, Lo, Hi).
+func unknownFlagsQueryReq() []byte {
+	b := QueryReq{QID: 5, Lo: 0.25, Hi: 0.75, Flags: QueryMemo, Q: testQueryReq(1, 1).Q}.AppendWire(nil)
+	b[1+8+8] |= 0x80
+	return b
+}
+
+// TestQueryReqRejectsUnknownFlags: a bit this version does not define is
+// a typed decode error, never silently dropped or obeyed.
+func TestQueryReqRejectsUnknownFlags(t *testing.T) {
+	var q QueryReq
+	err := q.DecodeWire(unknownFlagsQueryReq())
+	var ufe *UnknownFlagsError
+	if !errors.As(err, &ufe) {
+		t.Fatalf("decode = %v, want *UnknownFlagsError", err)
+	}
+	if ufe.Bits != 0x80 || ufe.What != "QueryReq.Flags" {
+		t.Errorf("got %+v, want the undefined bit 0x80 of QueryReq.Flags", ufe)
+	}
+}
+
 // FuzzDecodeQueryReq: truncated/corrupt bodies must error or decode,
 // never panic or over-allocate.
 func FuzzDecodeQueryReq(f *testing.F) {
 	f.Add(testQueryReq(2, 3).AppendWire(nil))
 	f.Add(QueryReq{QID: 1, Hi: 1, Plain: &PlainQuery{Terms: []string{"alpha", "beta"}, Limit: 5}}.AppendWire(nil))
+	f.Add(QueryReq{QID: 1, Hi: 1, Flags: QueryMemoRefill, Q: testQueryReq(1, 2).Q}.AppendWire(nil))
+	f.Add(unknownFlagsQueryReq())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -358,6 +392,9 @@ func FuzzDecodeQueryReq(f *testing.F) {
 			return
 		}
 		// A valid decode must re-encode to an equivalent struct.
+		if q.Flags&^(QueryMemo|QueryMemoRefill) != 0 {
+			t.Fatalf("decoder accepted undefined flag bits %#02x", q.Flags)
+		}
 		var back QueryReq
 		if err := back.DecodeWire(q.AppendWire(nil)); err != nil {
 			t.Fatalf("re-decode of valid QueryReq failed: %v", err)

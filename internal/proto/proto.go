@@ -106,14 +106,31 @@ type FEQueryResp struct {
 	Source string `json:"source,omitempty"`
 }
 
+// Request bits of QueryReq.Flags. The plaintext index plane ignores both.
+const (
+	// QueryMemo lets the node answer the encrypted scan from its match
+	// memo, re-scanning only the ring buckets written since it last
+	// scanned them for this query. A frontend sets it for a query its own
+	// result cache may answer.
+	QueryMemo uint8 = 1 << 0
+	// QueryMemoRefill has the node drop what its memo holds for the
+	// query, scan the arc and remember the fresh answer (CacheRefresh).
+	QueryMemoRefill uint8 = 1 << 1
+
+	queryFlagsKnown = QueryMemo | QueryMemoRefill
+)
+
 // QueryReq asks a node to match the encrypted query against its stored
 // objects with ids in the half-open arc (Lo, Hi] — §4.2's partitioned
 // sub-query carrying the duplicate-avoidance bounds.
 type QueryReq struct {
-	QID uint64    `json:"qid"` // query id, for logging/tracing
-	Lo  float64   `json:"lo"`
-	Hi  float64   `json:"hi"`
-	Q   pps.Query `json:"q"`
+	QID uint64  `json:"qid"` // query id, for logging/tracing
+	Lo  float64 `json:"lo"`
+	Hi  float64 `json:"hi"`
+	// Flags is a set of the Query* request bits below; zero asks for a
+	// plain scan of the arc.
+	Flags uint8     `json:"flags,omitempty"`
+	Q     pps.Query `json:"q"`
 
 	// Plain, when non-nil, selects the node's plaintext index matcher
 	// instead of the PPS encrypted scan; Q is ignored.
@@ -236,6 +253,17 @@ type StatsResp struct {
 	// Canceled counts sub-queries aborted mid-match because the caller
 	// cancelled (hedge losses, client disconnects).
 	Canceled int64 `json:"canceled,omitempty"`
+
+	// The match memo (QueryReq.Flags): sub-queries that went through it,
+	// the ring buckets of their arcs answered from memory and re-scanned,
+	// entries evicted by its byte budget, and what it holds now. All zero
+	// on a node that no frontend has sent a QueryMemo request.
+	MemoLookups          int64 `json:"memo_lookups,omitempty"`
+	MemoBucketsReused    int64 `json:"memo_buckets_reused,omitempty"`
+	MemoBucketsRescanned int64 `json:"memo_buckets_rescanned,omitempty"`
+	MemoEvictions        int64 `json:"memo_evictions,omitempty"`
+	MemoEntries          int   `json:"memo_entries,omitempty"`
+	MemoBytes            int64 `json:"memo_bytes,omitempty"`
 }
 
 // NodeInfo describes one node's placement for frontend consumption.

@@ -73,18 +73,24 @@ func LoadFile(ctx context.Context, path string) ([]pps.Encoded, error) {
 }
 
 // LoadFrom replaces the store contents from a file, abandoning the
-// read when ctx ends.
+// read when ctx ends. The file is read and sorted outside the lock and
+// swapped in under one write-lock hold, so a concurrent scan sees the
+// old contents or the new, never an empty store in between. The old
+// backing arrays are dropped whole; the next scan re-derives the
+// schedules, as after RetainStored.
 func (s *Store) LoadFrom(ctx context.Context, path string) error {
 	recs, err := LoadFile(ctx, path)
 	if err != nil {
 		return err
 	}
+	recs = sortedUnique(recs)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.gen++
-	s.recs = s.recs[:0]
-	s.ks = s.ks[:0]
-	s.mu.Unlock()
-	s.Insert(recs...)
+	s.touchAllLocked()
+	s.scheduled.Store(false)
+	s.ks = nil
+	s.recs = recs
 	return nil
 }
 

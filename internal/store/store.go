@@ -15,6 +15,16 @@
 // first MatchArc and maintained by Insert and Delete from then on; a
 // store that is never scanned (the coordinator's backend, a node that
 // only ingests) derives and holds none.
+//
+// The ring is also cut into numBuckets fixed buckets (the top bits of
+// the identifier), and the store stamps a bucket with its generation
+// whenever the records it holds there change. The match memo (memo.go)
+// rests on those stamps: an answer remembered for a bucket is current
+// exactly while the bucket's stamp is no newer than the answer. Every
+// mutator of recs (Insert, Delete, RetainStored, LoadFrom) stamps what
+// it changes through touchLocked or touchAllLocked, under the write lock
+// that covers the change; a new mutator must do the same, and
+// FuzzMemoEqualsScan is the test that catches one that forgets.
 package store
 
 import (
@@ -48,6 +58,18 @@ func IDOf(p ring.Point) uint64 {
 	return uint64(f)
 }
 
+// The ring's fixed buckets: bucketOf is exact integer arithmetic in id
+// space, the space arcRangesLocked searches, so which bucket a record
+// dirties and which records a bucket holds cannot disagree by a float
+// rounding.
+const (
+	bucketBits  = 10
+	numBuckets  = 1 << bucketBits
+	bucketShift = 64 - bucketBits
+)
+
+func bucketOf(id uint64) int { return int(id >> bucketShift) }
+
 // Store holds one node's replica set. Safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
@@ -60,6 +82,26 @@ type Store struct {
 	ks        []pps.KeySchedule
 	scheduled atomic.Bool
 	gen       uint64
+
+	// changed[b] is the gen of the last change to the records held in
+	// bucket b (touchLocked); zero for a bucket never written.
+	changed [numBuckets]uint64
+
+	// memo is built by the first memoized lookup (MatchArcMemo), so a
+	// store that never serves one carries only this pointer.
+	memo atomic.Pointer[matchMemo]
+}
+
+// touchLocked stamps the bucket of a record that the caller, holding the
+// write lock and having advanced gen, inserts, replaces or removes.
+func (s *Store) touchLocked(id uint64) { s.changed[bucketOf(id)] = s.gen }
+
+// touchAllLocked stamps every bucket, for a mutator that replaces the
+// contents wholesale.
+func (s *Store) touchAllLocked() {
+	for b := range s.changed {
+		s.changed[b] = s.gen
+	}
 }
 
 // New returns an empty store.
@@ -97,6 +139,9 @@ func (s *Store) Insert(recs ...pps.Encoded) {
 	if s.scheduled.Load() && len(ks) == 0 {
 		ks = pps.AppendKeySchedules(ks, recs) // activated since the check above
 	}
+	for i := range recs {
+		s.touchLocked(recs[i].ID) // fresh and replaced ids alike
+	}
 	if len(recs) == 1 {
 		s.insertOneLocked(recs[0], ks)
 		return
@@ -107,7 +152,7 @@ func (s *Store) Insert(recs ...pps.Encoded) {
 // insertOneLocked inserts r, with its schedule in ks when the store
 // keeps schedules.
 func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
-	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= r.ID })
+	i := s.lowerLocked(r.ID)
 	fresh := i == len(s.recs) || s.recs[i].ID != r.ID
 	if fresh {
 		s.recs = append(s.recs, pps.Encoded{})
@@ -201,8 +246,9 @@ func (s *Store) Delete(ids ...uint64) {
 	scheduled := s.scheduled.Load()
 	if len(ids) == 1 {
 		id := ids[0]
-		i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= id })
+		i := s.lowerLocked(id)
 		if i < len(s.recs) && s.recs[i].ID == id {
+			s.touchLocked(id)
 			copy(s.recs[i:], s.recs[i+1:])
 			clear(s.recs[len(s.recs)-1:])
 			s.recs = s.recs[:len(s.recs)-1]
@@ -222,6 +268,7 @@ func (s *Store) Delete(ids ...uint64) {
 			j++
 		}
 		if j < len(del) && del[j] == id {
+			s.touchLocked(id)
 			continue
 		}
 		s.recs[w] = s.recs[i]
@@ -241,7 +288,7 @@ func (s *Store) Delete(ids ...uint64) {
 func (s *Store) Get(id uint64) (pps.Encoded, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= id })
+	i := s.lowerLocked(id)
 	if i < len(s.recs) && s.recs[i].ID == id {
 		return s.recs[i], true
 	}
@@ -255,10 +302,9 @@ func (s *Store) InArc(lo, hi ring.Point) []pps.Encoded {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []pps.Encoded
-	s.forArcLocked(lo, hi, func(from, to int) bool {
-		out = append(out, s.recs[from:to]...)
-		return true
-	}, 1<<30)
+	for _, r := range s.arcRangesLocked(lo, hi) {
+		out = append(out, s.recs[r.from:r.to]...)
+	}
 	return out
 }
 
@@ -267,48 +313,58 @@ func (s *Store) CountArc(lo, hi ring.Point) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	s.forArcLocked(lo, hi, func(from, to int) bool {
-		n += to - from
-		return true
-	}, 1<<30)
+	for _, r := range s.arcRangesLocked(lo, hi) {
+		n += r.to - r.from
+	}
 	return n
 }
 
-// forArcLocked feeds the records with point in (lo, hi] to fn as index
-// ranges [from, to) of at most batchSize records. lo == hi denotes the
-// full ring (ring.MatchSpan convention). fn returning false stops
-// iteration. The ranges index the internal arrays; the caller must hold
-// the read lock for as long as it reads them.
-func (s *Store) forArcLocked(lo, hi ring.Point, fn func(from, to int) bool, batchSize int) {
-	emit := func(from, to int) bool {
-		for from < to {
-			end := min(from+batchSize, to)
-			if !fn(from, end) {
-				return false
-			}
-			from = end
-		}
-		return true
-	}
+// idSpan is a closed interval of identifiers.
+type idSpan struct{ first, last uint64 }
+
+// arcSpans returns the identifiers of the match arc (lo, hi] as closed
+// intervals, clockwise from lo: one, or two when the arc wraps zero.
+// lo == hi denotes the full ring (ring.MatchSpan convention). The arc is
+// ids in (IDOf(lo), IDOf(hi)]; the float conversion is monotone, so
+// ordering is preserved.
+func arcSpans(lo, hi ring.Point) []idSpan {
 	if ring.MatchSpan(lo, hi) >= 1 {
-		emit(0, len(s.recs))
-		return
+		return []idSpan{{0, math.MaxUint64}}
 	}
-	// (lo, hi] in id space: ids in (IDOf(lo), IDOf(hi)] approximately;
-	// the float conversion is monotone so ordering is preserved.
 	loID, hiID := IDOf(lo), IDOf(hi)
-	idx := func(id uint64) int {
-		return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID > id })
+	switch {
+	case loID < hiID:
+		return []idSpan{{loID + 1, hiID}}
+	case loID == math.MaxUint64:
+		return []idSpan{{0, hiID}}
+	default: // wrapping: (loID, max] then [0, hiID]
+		return []idSpan{{loID + 1, math.MaxUint64}, {0, hiID}}
 	}
-	if loID < hiID {
-		emit(idx(loID), idx(hiID))
-		return
+}
+
+// lowerLocked is the index of the first record with ID >= id.
+func (s *Store) lowerLocked(id uint64) int {
+	return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= id })
+}
+
+// upperLocked is the index of the first record with ID > id.
+func (s *Store) upperLocked(id uint64) int {
+	return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID > id })
+}
+
+// indexRange is the records recs[from:to]. It indexes the internal
+// arrays, so it is good only while the read lock that produced it is held.
+type indexRange struct{ from, to int }
+
+// arcRangesLocked returns the records with point in (lo, hi] as index
+// ranges, one per span of the arc.
+func (s *Store) arcRangesLocked(lo, hi ring.Point) []indexRange {
+	spans := arcSpans(lo, hi)
+	ranges := make([]indexRange, len(spans))
+	for i, sp := range spans {
+		ranges[i] = indexRange{s.lowerLocked(sp.first), s.upperLocked(sp.last)}
 	}
-	// Wrapping arc: (loID, max] then [0, hiID].
-	if !emit(idx(loID), len(s.recs)) {
-		return
-	}
-	emit(0, idx(hiID))
+	return ranges
 }
 
 // RetainStored drops every record outside the node's stored set for the
@@ -338,6 +394,7 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 		if d > 0 && d < keepLo.DistCW(keepHi) {
 			kept = append(kept, r)
 		} else {
+			s.touchLocked(r.ID)
 			dropped++
 		}
 	}
@@ -461,6 +518,26 @@ func (s *Store) activateSchedules() {
 // bounded channel while consumer threads match. Returns the ids of
 // matching records and the number scanned.
 func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, hi ring.Point, opts MatchOptions) (ids []uint64, scanned int, err error) {
+	// The read lock is held until every consumer drains: batches are
+	// views into the backing arrays and concurrent inserts would shift them.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for !s.scheduled.Load() {
+		s.mu.RUnlock()
+		s.activateSchedules()
+		s.mu.RLock()
+	}
+	return s.scanLocked(ctx, m, q, opts, s.arcRangesLocked(lo, hi))
+}
+
+// scanLocked matches q against the records of ranges, all through one
+// producer/consumer pipeline, and returns the matching ids ascending
+// and the number of records scanned. It is the one scan both MatchArc
+// and the memo's fill run. The caller holds the read lock, with the
+// schedules active, until scanLocked returns. A scan that ctx or the
+// limiter cut short returns the error and no ids: a partial scan must
+// never look like a complete answer.
+func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, q pps.Query, opts MatchOptions, ranges []indexRange) (ids []uint64, scanned int, err error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 1
@@ -471,25 +548,19 @@ func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, h
 	}
 	jobs := make(chan matchJob, 2*threads)
 	pool := runMatchers(ctx, m, q, threads, opts.Limiter, jobs)
-	// The read lock is held until every consumer drains: batches are
-	// views into the backing arrays and concurrent inserts would shift them.
-	s.mu.RLock()
-	for !s.scheduled.Load() {
-		s.mu.RUnlock()
-		s.activateSchedules()
-		s.mu.RLock()
-	}
-	s.forArcLocked(lo, hi, func(from, to int) bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case jobs <- matchJob{s.recs[from:to], s.ks[from:to]}:
-			return true
+feed:
+	for _, r := range ranges {
+		for from := r.from; from < r.to; from += batch {
+			end := min(from+batch, r.to)
+			select {
+			case <-ctx.Done():
+				break feed
+			case jobs <- matchJob{s.recs[from:end], s.ks[from:end]}:
+			}
 		}
-	}, batch)
+	}
 	close(jobs)
 	matched, total, limErr := pool.join()
-	s.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return nil, total, err
 	}

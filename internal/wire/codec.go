@@ -34,7 +34,7 @@ import (
 // Version names the one dialect this build speaks: the envelope above
 // plus the body encodings of internal/proto. Any change to either bumps
 // it.
-const Version = 2
+const Version = 3
 
 // preambleLen is the size of the connection preamble: the magic "ROAR"
 // followed by big-endian uint32(Version).

@@ -450,6 +450,7 @@ func TestVersionMismatchIsTypedError(t *testing.T) {
 	}{
 		{"client older", preambleV(Version + 1), Version + 1},
 		{"client newer", preambleV(Version - 1), Version - 1},
+		{"Version 2 peer", preambleV(2), 2},
 		{"v0 JSON peer", v0Frame, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
