@@ -95,6 +95,12 @@ type Consumer struct {
 	drained uint64
 	waitCh  chan struct{} // closed and replaced on every advance
 	started bool
+
+	// cur tails the log after the drained watermark. Only the drain
+	// goroutine touches it: created at its first read, dropped on any
+	// read error (the next read re-positions from drained), closed when
+	// the goroutine exits.
+	cur *cursor
 }
 
 // NewConsumer binds a consumer to its WAL. Start begins the drain.
@@ -168,13 +174,18 @@ func (c *Consumer) WaitDrained(ctx context.Context, seq uint64) error {
 }
 
 func (c *Consumer) run() {
+	defer func() {
+		if c.cur != nil {
+			c.cur.close()
+		}
+	}()
 	for {
 		batch, last, err := c.readBatch()
 		if err != nil {
 			if c.ctx.Err() != nil {
 				return
 			}
-			c.logf("ingest: reading wal batch: %v", err)
+			c.logf("ingest: reading wal batch after sequence %d: %v", c.Drained(), err)
 			if !c.sleep(c.cfg.MinBackoff) {
 				return
 			}
@@ -197,16 +208,26 @@ func (c *Consumer) run() {
 }
 
 // readBatch collects up to BatchSize records after the drained
-// watermark.
+// watermark: the frames the cursor has not yielded yet, nothing before
+// them. A read error drops the cursor. Records read before the error
+// are good and are delivered first, so the drain stalls at the last
+// good sequence and the error recurs, alone, at the next read.
 func (c *Consumer) readBatch() (recs []pps.Encoded, last uint64, err error) {
-	c.mu.Lock()
-	from := c.drained
-	c.mu.Unlock()
-	err = c.wal.Replay(from, func(seq uint64, rec pps.Encoded) bool {
+	if c.cur == nil {
+		c.cur = c.wal.newCursor(c.Drained())
+	}
+	err = c.cur.read(c.cfg.BatchSize, func(seq uint64, rec pps.Encoded) bool {
 		recs = append(recs, rec)
 		last = seq
-		return len(recs) < c.cfg.BatchSize
+		return true
 	})
+	if err != nil {
+		c.cur.close()
+		c.cur = nil
+		if len(recs) > 0 {
+			err = nil
+		}
+	}
 	return recs, last, err
 }
 

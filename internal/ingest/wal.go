@@ -25,6 +25,12 @@
 // left a partial write; everything before it was fsynced), while
 // corruption anywhere else is an error — silent data loss is never an
 // option for the middle of the log.
+//
+// Reading has one implementation, the tailing cursor of cursor.go:
+// Replay and the consumer both read through it, each frame once, and
+// never past the byte end the WAL recorded at its last successful
+// fsync, so a half-written group commit is "not there yet" and any
+// damage below that end is an error, not a place to stop quietly.
 package ingest
 
 import (
@@ -33,9 +39,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"roar/internal/pps"
@@ -177,10 +186,13 @@ func (o Options) withDefaults() Options {
 
 // segment is one on-disk log file. first is the sequence of its first
 // frame; a segment with no frames yet has first = the next sequence to
-// be written.
+// be written. size is the durable byte end: the file's length as of the
+// last successful fsync (flushLocked), final once a successor segment
+// exists. Readers never look at bytes at or past it.
 type segment struct {
 	path  string
 	first uint64
+	size  int64
 }
 
 // WAL is a durable, crash-recoverable record log. Appends are
@@ -228,6 +240,17 @@ func segPath(dir string, first uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", first))
 }
 
+// segFirst is segPath's inverse: the first sequence a segment's file
+// name declares.
+func segFirst(path string) (uint64, error) {
+	hex := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "wal-"), ".seg")
+	first, err := strconv.ParseUint(hex, 16, 64)
+	if err != nil || first == 0 {
+		return 0, fmt.Errorf("ingest: %s: not a segment file name", path)
+	}
+	return first, nil
+}
+
 // recover scans the segment files in sequence order, validating frame
 // continuity, and leaves the WAL positioned to append after the last
 // durable record.
@@ -239,13 +262,22 @@ func (w *WAL) recover() error {
 	sort.Strings(names) // %016x names sort in sequence order
 	next := uint64(1)
 	for i, path := range names {
-		last := i == len(names)-1
-		first, n, err := w.recoverSegment(path, next, last)
+		first, err := segFirst(path)
 		if err != nil {
 			return err
 		}
-		w.segs = append(w.segs, segment{path: path, first: first})
-		next += n
+		// The oldest segment starts wherever TruncateThrough left the
+		// log; every later one must continue its predecessor.
+		if i > 0 && first != next {
+			return fmt.Errorf("ingest: %s: segment starts at sequence %d, want %d", path, first, next)
+		}
+		last := i == len(names)-1
+		n, size, err := w.recoverSegment(path, first, last)
+		if err != nil {
+			return err
+		}
+		w.segs = append(w.segs, segment{path: path, first: first, size: size})
+		next = first + n
 	}
 	w.nextSeq = next - 1
 	w.durable = w.nextSeq
@@ -270,11 +302,11 @@ func (w *WAL) recover() error {
 	return nil
 }
 
-// recoverSegment validates one segment: magic, the file-name sequence
-// matching the expected next sequence, and contiguous frames. On the
-// last segment a torn tail is truncated in place; returns the first
-// sequence and the number of valid frames.
-func (w *WAL) recoverSegment(path string, expectFirst uint64, tolerateTail bool) (first uint64, frames uint64, err error) {
+// recoverSegment validates one segment: magic, and contiguous frames
+// from the sequence its file name declares. On the last segment a torn
+// tail is truncated in place; returns the number of valid frames and
+// the byte length they end at.
+func (w *WAL) recoverSegment(path string, first uint64, tolerateTail bool) (frames uint64, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
@@ -283,7 +315,7 @@ func (w *WAL) recoverSegment(path string, expectFirst uint64, tolerateTail bool)
 		return 0, 0, fmt.Errorf("ingest: %s: bad segment magic", path)
 	}
 	off := segHeaderBytes
-	seq := expectFirst - 1
+	seq := first - 1
 	for off < len(data) {
 		fseq, _, n, err := DecodeFrame(data[off:])
 		if err != nil {
@@ -293,7 +325,7 @@ func (w *WAL) recoverSegment(path string, expectFirst uint64, tolerateTail bool)
 				if terr := os.Truncate(path, int64(off)); terr != nil {
 					return 0, 0, fmt.Errorf("ingest: truncating torn tail of %s: %w", path, terr)
 				}
-				return expectFirst, seq - (expectFirst - 1), nil
+				break
 			}
 			return 0, 0, fmt.Errorf("ingest: %s at offset %d: %w", path, off, err)
 		}
@@ -303,7 +335,7 @@ func (w *WAL) recoverSegment(path string, expectFirst uint64, tolerateTail bool)
 		seq = fseq
 		off += n
 	}
-	return expectFirst, seq - (expectFirst - 1), nil
+	return seq - (first - 1), int64(off), nil
 }
 
 // openSegment creates and syncs a fresh segment whose first frame will
@@ -332,7 +364,7 @@ func (w *WAL) openSegment(first uint64) error {
 		w.f.Close()
 	}
 	w.f, w.fsize = f, int64(segHeaderBytes)
-	w.segs = append(w.segs, segment{path: path, first: first})
+	w.segs = append(w.segs, segment{path: path, first: first, size: w.fsize})
 	return nil
 }
 
@@ -402,6 +434,9 @@ func (w *WAL) flushLocked() {
 	}
 	if err == nil && last > w.durable {
 		w.durable = last
+		// The durable byte end moves with the durable sequence, under the
+		// same lock: a reader that sees one sees the other.
+		w.segs[len(w.segs)-1].size = w.fsize
 	}
 	w.flushing = false
 	w.cond.Broadcast()
@@ -467,72 +502,33 @@ func (w *WAL) Notify() <-chan struct{} { return w.notify }
 
 // Replay streams records with sequence > after to fn in order,
 // stopping early when fn returns false. It reads the durable prefix as
-// of the call; records appended afterwards are not included. Segments
-// wholly before `after` are skipped without reading.
+// of the call; records appended afterwards are not included. An `after`
+// below the oldest record TruncateThrough has left starts there. Damage
+// anywhere in the replayed range is returned as an error.
 func (w *WAL) Replay(after uint64, fn func(seq uint64, rec pps.Encoded) bool) error {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	closed, limit := w.closed, w.durable
+	if oldest := w.segs[0].first; after < oldest-1 {
+		after = oldest - 1
+	}
+	w.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	segs := append([]segment(nil), w.segs...)
-	limit := w.durable
-	w.mu.Unlock()
 	if limit <= after {
 		return nil
 	}
-	for i, s := range segs {
-		// Skip segments that end before the resume point.
-		if i+1 < len(segs) && segs[i+1].first <= after+1 {
-			continue
-		}
-		stop, err := replaySegment(s.path, after, limit, fn)
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
-
-// replaySegment streams one segment's frames in (after, limit] to fn.
-// Returns stop = true when fn ended the replay (or limit was reached).
-func replaySegment(path string, after, limit uint64, fn func(uint64, pps.Encoded) bool) (stop bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	if len(data) < segHeaderBytes || string(data[:segHeaderBytes]) != segMagic {
-		return false, fmt.Errorf("ingest: %s: bad segment magic", path)
-	}
-	off := segHeaderBytes
-	for off < len(data) {
-		seq, rec, n, err := DecodeFrame(data[off:])
-		if err != nil {
-			// The active segment can carry a partially written batch past
-			// the durable watermark; anything inside it is invisible to
-			// this replay anyway.
-			return false, nil
-		}
-		off += n
-		if seq > limit {
-			return true, nil
-		}
-		if seq <= after {
-			continue
-		}
-		if !fn(seq, rec) {
-			return true, nil
-		}
-	}
-	return false, nil
+	cur := w.newCursor(after)
+	defer cur.close()
+	return cur.read(int(min(limit-after, math.MaxInt)), fn)
 }
 
 // TruncateThrough deletes whole segments whose every record has
 // sequence <= seq. The active segment is never deleted. Returns the
-// number of segments removed.
+// number of segments removed. It is only legal for seq <= the drained
+// watermark of every consumer of this log, so it only ever removes
+// segments behind their cursors; a cursor whose next segment is gone
+// reports an error, it does not skip.
 func (w *WAL) TruncateThrough(seq uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -26,7 +26,7 @@ package membership
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"time"
 
 	"roar/internal/ingest"
@@ -158,42 +158,55 @@ func (c *Coordinator) StopIngest() {
 // ingestRoute resolves the CURRENT owners of one record: the holders of
 // its replication arc on every enabled ring, with pushes fenced by the
 // epoch the placement was read under. Called fresh on every delivery
-// attempt (ingest.Route contract).
+// attempt (ingest.Route contract): the holders are looked up per record
+// every time, only the per-node Target value is reused within an epoch.
 func (c *Coordinator) ingestRoute(rec pps.Encoded) ([]ingest.Target, error) {
 	pt := store.PointOf(rec.ID)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	repl := ring.ReplicationArc(pt, c.p)
-	epoch := c.epoch
-	type dest struct {
-		id ring.NodeID
-		cl *wire.Client
+	if c.ingestTargets == nil || c.ingestTargetsEpoch != c.epoch {
+		c.ingestTargets = make(map[ring.NodeID]ingestTarget)
+		c.ingestTargetsEpoch = c.epoch
 	}
-	var dests []dest
+	var targets []ingest.Target
 	for k, r := range c.rings {
 		if c.disabled[k] {
 			continue
 		}
 		for _, id := range r.Holders(repl) {
-			if cl := c.clients[id]; cl != nil {
-				dests = append(dests, dest{id: id, cl: cl})
+			cl := c.clients[id]
+			if cl == nil {
+				continue
 			}
+			t, ok := c.ingestTargets[id]
+			if !ok || t.cl != cl {
+				t = newIngestTarget(id, cl, c.epoch)
+				c.ingestTargets[id] = t
+			}
+			targets = append(targets, t.Target)
 		}
 	}
-	c.mu.Unlock()
-	if len(dests) == 0 {
+	if len(targets) == 0 {
 		return nil, errNoIngestOwners
 	}
-	targets := make([]ingest.Target, 0, len(dests))
-	for _, d := range dests {
-		d := d
-		targets = append(targets, ingest.Target{
-			Key: nodeKey(d.id),
-			Push: func(ctx context.Context, recs []pps.Encoded) error {
-				return putRecords(ctx, d.cl, epoch, recs)
-			},
-		})
-	}
 	return targets, nil
+}
+
+// ingestTarget is the delivery target of one node's client under one
+// epoch.
+type ingestTarget struct {
+	ingest.Target
+	cl *wire.Client
+}
+
+func newIngestTarget(id ring.NodeID, cl *wire.Client, epoch int) ingestTarget {
+	return ingestTarget{cl: cl, Target: ingest.Target{
+		Key: nodeKey(id),
+		Push: func(ctx context.Context, recs []pps.Encoded) error {
+			return putRecords(ctx, cl, epoch, recs)
+		},
+	}}
 }
 
 var errNoIngestOwners = ingestNoOwnersError{}
@@ -208,7 +221,7 @@ func (ingestNoOwnersError) Error() string {
 // are never reused (nextID only grows), so the numeric ID is stable
 // across topology changes.
 func nodeKey(id ring.NodeID) string {
-	return fmt.Sprintf("node-%d", id)
+	return "node-" + strconv.Itoa(int(id))
 }
 
 // IngestSeq returns the last accepted (durable) WAL sequence.

@@ -79,6 +79,11 @@ type Coordinator struct {
 	consumer      *ingest.Consumer
 	ingestSeq     uint64
 	ingestDrained uint64
+	// ingestTargets holds the delivery target ingestRoute built for each
+	// node under ingestTargetsEpoch, so the records of a batch share one
+	// key string and push closure per node; emptied when the epoch moves.
+	ingestTargets      map[ring.NodeID]ingestTarget
+	ingestTargetsEpoch int
 
 	// Transfer accounting for the reconfiguration experiments.
 	objectsPushed int64

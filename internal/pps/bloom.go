@@ -111,18 +111,42 @@ func (s *Bloom) EncryptQuery(word string) BloomQuery {
 	return BloomQuery{Trapdoor: td}
 }
 
-// EncryptMetadata builds the blinded filter for a document's words. Up
-// to twice the design load MaxWords is accepted, at the false-positive
-// rate FalsePositiveRate gives for that many words; more is rejected
-// rather than silently degrading the rate further.
-func (s *Bloom) EncryptMetadata(words []string) (BloomMetadata, error) {
-	if len(words) > 2*s.maxWords {
-		return BloomMetadata{}, fmt.Errorf("pps: %d words exceed filter budget (%d)", len(words), 2*s.maxWords)
+// WordTrapdoor is a word's r sub-key PRF values, concatenated: the
+// nonce-independent half of inserting the word into a filter. A caller
+// whose vocabulary is closed computes it once per word (Trapdoor) and
+// hands it to EncryptMetadata in place of the word.
+type WordTrapdoor []byte
+
+// Trapdoor computes the trapdoor of one word.
+func (s *Bloom) Trapdoor(word string) WordTrapdoor {
+	td := make(WordTrapdoor, 0, s.r*sha256.Size)
+	st := s.enc.Get().(*encState)
+	st.word = appendPadded(st.word[:0], word)
+	for i := range st.sub {
+		td = append(td, st.sub[i].sum(paddedMsg{st.word, len(word)})...)
+	}
+	s.enc.Put(st)
+	return td
+}
+
+// EncryptMetadata builds the blinded filter for a document's words,
+// given as strings or as precomputed trapdoors. Up to twice the design
+// load MaxWords is accepted, at the false-positive rate
+// FalsePositiveRate gives for that many words; more is rejected rather
+// than silently degrading the rate further.
+func (s *Bloom) EncryptMetadata(words []string, trapdoors ...WordTrapdoor) (BloomMetadata, error) {
+	if n := len(words) + len(trapdoors); n > 2*s.maxWords {
+		return BloomMetadata{}, fmt.Errorf("pps: %d words exceed filter budget (%d)", n, 2*s.maxWords)
 	}
 	rnd, err := nonce()
 	if err != nil {
 		return BloomMetadata{}, err
 	}
+	return s.encryptMetadata(rnd, words, trapdoors), nil
+}
+
+// encryptMetadata is EncryptMetadata under a given nonce.
+func (s *Bloom) encryptMetadata(rnd []byte, words []string, trapdoors []WordTrapdoor) BloomMetadata {
 	filter := make([]byte, (s.mBits+7)/8)
 	st := s.enc.Get().(*encState)
 	st.blind.setKey(rnd)
@@ -136,8 +160,14 @@ func (s *Bloom) EncryptMetadata(words []string) (BloomMetadata, error) {
 			setBit(filter, int(st.blind.sum64(x)%mBits))
 		}
 	}
+	for _, td := range trapdoors {
+		for ; len(td) >= sha256.Size; td = td[sha256.Size:] {
+			copy(st.td[:], td[:sha256.Size])
+			setBit(filter, int(st.blind.sum64(x)%mBits))
+		}
+	}
 	s.enc.Put(st)
-	return BloomMetadata{Nonce: rnd, Filter: filter}, nil
+	return BloomMetadata{Nonce: rnd, Filter: filter}
 }
 
 // codeword maps a trapdoor element to a blinded bit position:

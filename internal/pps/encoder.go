@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -73,6 +74,20 @@ type Encoder struct {
 	datePoints []float64
 	rankBkts   []int
 	epoch      time.Time
+
+	// The numeric signature words ("size>p", "date<p", ...) are a
+	// vocabulary closed here, and most of every document's words: their
+	// trapdoors are computed once each, at first use, and reused by every
+	// document. Slot 2i is "> points[i]", slot 2i+1 "< points[i]".
+	// Keywords and path components are an open vocabulary and are not
+	// cached.
+	sizeSig, dateSig []signatureSlot
+}
+
+// signatureSlot is one lazily computed signature-word trapdoor.
+type signatureSlot struct {
+	once sync.Once
+	td   WordTrapdoor
 }
 
 // EncoderConfig tunes the combined encoding.
@@ -139,6 +154,8 @@ func NewEncoder(k MasterKey, cfg EncoderConfig) *Encoder {
 		datePoints: datePoints,
 		rankBkts:   cfg.RankBuckets,
 		epoch:      cfg.Epoch,
+		sizeSig:    make([]signatureSlot, 2*len(cfg.SizePoints)),
+		dateSig:    make([]signatureSlot, 2*len(datePoints)),
 	}
 }
 
@@ -154,7 +171,17 @@ func (e *Encoder) ServerParams() ServerParams { return ServerParams{MBits: e.blo
 
 // EncryptDocument produces the combined encrypted metadata for a file.
 func (e *Encoder) EncryptDocument(d Document) (Encoded, error) {
-	var words []string
+	words, sig := e.documentWords(d)
+	md, err := e.bloom.EncryptMetadata(words, sig...)
+	if err != nil {
+		return Encoded{}, fmt.Errorf("pps: encrypting document %d: %w", d.ID, err)
+	}
+	return Encoded{ID: d.ID, BloomMetadata: md}, nil
+}
+
+// documentWords lists what a document's filter holds: the open-
+// vocabulary words as strings, the numeric signatures as trapdoors.
+func (e *Encoder) documentWords(d Document) (words []string, sig []WordTrapdoor) {
 	// Content keywords with rank buckets (§5.5.4).
 	for rank, kw := range d.Keywords {
 		words = append(words, "kw="+kw)
@@ -170,30 +197,33 @@ func (e *Encoder) EncryptDocument(d Document) (Encoded, error) {
 			words = append(words, "path="+c)
 		}
 	}
+	sig = make([]WordTrapdoor, 0, len(e.sizePoints)+len(e.datePoints))
 	// Numeric signature for size (§5.5.3 inequality encoding).
-	words = append(words, signatureWords("size", float64(d.Size), e.sizePoints)...)
+	sig = e.appendSignature(sig, "size", e.sizeSig, float64(d.Size), e.sizePoints)
 	// Numeric signature for modification date, in days since epoch.
 	days := d.Modified.Sub(e.epoch).Hours() / 24
-	words = append(words, signatureWords("date", days, e.datePoints)...)
-
-	md, err := e.bloom.EncryptMetadata(words)
-	if err != nil {
-		return Encoded{}, fmt.Errorf("pps: encrypting document %d: %w", d.ID, err)
-	}
-	return Encoded{ID: d.ID, BloomMetadata: md}, nil
+	sig = e.appendSignature(sig, "date", e.dateSig, days, e.datePoints)
+	return words, sig
 }
 
-func signatureWords(attr string, v float64, points []float64) []string {
-	words := make([]string, 0, len(points))
-	for _, p := range points {
+// appendSignature appends the trapdoor of "attr>p" for every reference
+// point below v and of "attr<p" for every one above it.
+func (e *Encoder) appendSignature(sig []WordTrapdoor, attr string, slots []signatureSlot, v float64, points []float64) []WordTrapdoor {
+	for i, p := range points {
+		var slot *signatureSlot
+		var cmp byte
 		switch {
 		case v > p:
-			words = append(words, fmt.Sprintf("%s>%g", attr, p))
+			slot, cmp = &slots[2*i], '>'
 		case v < p:
-			words = append(words, fmt.Sprintf("%s<%g", attr, p))
+			slot, cmp = &slots[2*i+1], '<'
+		default:
+			continue
 		}
+		slot.once.Do(func() { slot.td = e.bloom.Trapdoor(fmt.Sprintf("%s%c%g", attr, cmp, p)) })
+		sig = append(sig, slot.td)
 	}
-	return words
+	return sig
 }
 
 // Predicate is one plaintext search condition.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -344,5 +345,65 @@ func BenchmarkEncryptMetadata(b *testing.B) {
 		if _, err := s.EncryptMetadata(words); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSignatureTrapdoorsMatchWords: with the nonce fixed, a document
+// encrypted through the encoder's cached signature trapdoors is byte for
+// byte the filter of the same words given as strings, on the first
+// document (slots being filled) and on later ones (slots reused), from
+// concurrent encoders, for a slim and the default configuration.
+func TestSignatureTrapdoorsMatchWords(t *testing.T) {
+	slim := EncoderConfig{MaxKeywords: 4, MaxPathDir: 4, SizePoints: LinearPoints(0, 1e9, 16), DateDays: 90, DateSpan: 40, RankBuckets: []int{1, 5}}
+	for name, cfg := range map[string]EncoderConfig{"slim": slim, "default": {}} {
+		e := NewEncoder(TestKey(5), cfg)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < 20; i++ {
+					d := Document{
+						ID:       uint64(i),
+						Path:     fmt.Sprintf("/home/u%d/docs/f%d.txt", g, i),
+						Size:     rng.Int63n(2e9),
+						Modified: time.Date(2005+rng.Intn(12), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC),
+						Keywords: []string{"alpha", fmt.Sprintf("w%d", rng.Intn(50))},
+					}
+					if i == 0 {
+						d.Size = int64(e.sizePoints[3]) // on a reference point: neither word
+					}
+					words, sig := e.documentWords(d)
+					if len(sig) < len(e.datePoints)/2 {
+						t.Errorf("%s: only %d signature trapdoors", name, len(sig))
+					}
+					ref := words
+					for _, p := range e.sizePoints {
+						if v := float64(d.Size); v > p {
+							ref = append(ref, fmt.Sprintf("size>%g", p))
+						} else if v < p {
+							ref = append(ref, fmt.Sprintf("size<%g", p))
+						}
+					}
+					days := d.Modified.Sub(e.epoch).Hours() / 24
+					for _, p := range e.datePoints {
+						if days > p {
+							ref = append(ref, fmt.Sprintf("date>%g", p))
+						} else if days < p {
+							ref = append(ref, fmt.Sprintf("date<%g", p))
+						}
+					}
+					rnd := make([]byte, 16)
+					rng.Read(rnd)
+					got := e.bloom.encryptMetadata(rnd, words, sig)
+					want := e.bloom.encryptMetadata(rnd, ref, nil)
+					if !bytes.Equal(got.Filter, want.Filter) {
+						t.Errorf("%s: document %d: filter through cached trapdoors differs from the words' filter", name, i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -8,6 +8,16 @@
 // id scaled into [0, 1). Records are kept sorted so a sub-query's id arc
 // maps to at most two contiguous slices.
 //
+// Insert has three cases. One record: binary search, then one memmove of
+// the records above it if its id is fresh, O(log n) or O(n). A batch of
+// k records whose ids the store all holds already (an at-least-once
+// re-delivery, an update of existing objects): sorted, located by search
+// from the previous position and overwritten in place, O(k log k +
+// k log n), nothing moves. A batch with fresh ids: the same search, one
+// growth of the slices, and each run of stored records between two
+// insertion points moved up once, O(k log k + n). The key schedules move
+// in step with the records in every case.
+//
 // A store that has been scanned also holds, per record and by value, the
 // 64-byte HMAC key schedule of the record's nonce (pps.KeySchedule), so
 // a scan keys its matcher with two copies instead of two SHA-256
@@ -28,8 +38,10 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,12 +127,14 @@ func (s *Store) Len() int {
 }
 
 // Insert adds or replaces records (replica pushes are idempotent).
-// Single-record inserts take the binary-search + shift fast path;
-// batches are sorted and merged in one backward pass, so a replica push
-// or repartition transfer of k records into n stored ones costs
-// O(k log k + n) instead of the O(k·n) memmove of per-record insertion.
-// Sorting, and deriving the batch's key schedules when the store keeps
-// them, happen before the write lock is taken.
+// Single-record inserts take the binary-search + shift fast path.
+// A batch of k records into n stored ones is sorted and located by
+// search, O(k log k + k log n); when the store already holds every id
+// (a re-delivery, an update of existing objects) that is the whole
+// cost, and when some are fresh the stored records above the first
+// fresh id move once, O(n), instead of the O(k·n) memmove of per-record
+// insertion. Sorting, and deriving the batch's key schedules when the
+// store keeps them, happen before the write lock is taken.
 func (s *Store) Insert(recs ...pps.Encoded) {
 	if len(recs) == 0 {
 		return
@@ -174,7 +188,7 @@ func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 func sortedUnique(recs []pps.Encoded) []pps.Encoded {
 	batch := append([]pps.Encoded(nil), recs...)
 	// Stable, so input order survives within an ID and the final write wins.
-	sort.SliceStable(batch, func(a, b int) bool { return batch[a].ID < batch[b].ID })
+	slices.SortStableFunc(batch, func(a, b pps.Encoded) int { return cmp.Compare(a.ID, b.ID) })
 	w := 0
 	for i := range batch {
 		if i+1 < len(batch) && batch[i+1].ID == batch[i].ID {
@@ -186,49 +200,72 @@ func sortedUnique(recs []pps.Encoded) []pps.Encoded {
 	return batch[:w]
 }
 
-// mergeLocked bulk-inserts a sortedUnique batch by merging it with the
-// sorted store from the back, in place. ks holds the batch's schedules
-// when the store keeps them and moves in step with the records.
+// seekLocked is the index of the first record at or after from with
+// ID >= id, found by doubling steps from `from` and bisecting the last:
+// O(log gap), so a sorted batch locates all its ids in O(k log(n/k))
+// and a dense one in the same steps as a linear walk.
+func (s *Store) seekLocked(from int, id uint64) int {
+	n := len(s.recs)
+	lo, step := from, 1 // every record before lo has ID < id
+	for lo+step <= n && s.recs[lo+step-1].ID < id {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step-1, n)
+	return lo + sort.Search(hi-lo, func(i int) bool { return s.recs[lo+i].ID >= id })
+}
+
+// mergeLocked bulk-inserts a sortedUnique batch. It locates every id
+// first; ids the store holds are overwritten where they are, and when
+// some are fresh the slices grow once and the runs of old records
+// between insertion points move up with copy, back to front. ks holds
+// the batch's schedules when the store keeps them and moves in step
+// with the records.
 func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
-	// Count genuinely new IDs to size the grown slice.
-	fresh := 0
-	for i, j := 0, 0; i < len(batch); i++ {
-		for j < len(s.recs) && s.recs[j].ID < batch[i].ID {
-			j++
-		}
-		if j >= len(s.recs) || s.recs[j].ID != batch[i].ID {
+	old := len(s.recs)
+	pos := make([]int, len(batch)) // pos[j]: first index with ID >= batch[j].ID
+	fresh, at := 0, 0
+	for j := range batch {
+		at = s.seekLocked(at, batch[j].ID)
+		pos[j] = at
+		if at == old || s.recs[at].ID != batch[j].ID {
 			fresh++
 		}
 	}
-	old := len(s.recs)
-	s.recs = append(s.recs, make([]pps.Encoded, fresh)...)
 	scheduled := s.scheduled.Load()
-	if scheduled {
-		s.ks = append(s.ks, make([]pps.KeySchedule, fresh)...)
-	}
-	// Backward merge: read old records from old-1 down, batch from the
-	// end; equal IDs take the batch record (replacement) and consume both.
-	i, j, k := old-1, len(batch)-1, len(s.recs)-1
-	for j >= 0 {
-		if i >= 0 && s.recs[i].ID > batch[j].ID {
-			s.recs[k] = s.recs[i]
-			if scheduled {
-				s.ks[k] = s.ks[i]
-			}
-			i--
-		} else {
-			if i >= 0 && s.recs[i].ID == batch[j].ID {
-				i--
-			}
-			s.recs[k] = batch[j]
-			if scheduled {
-				s.ks[k] = ks[j]
-			}
-			j--
+	if fresh > 0 {
+		s.recs = append(s.recs, make([]pps.Encoded, fresh)...)
+		if scheduled {
+			s.ks = append(s.ks, make([]pps.KeySchedule, fresh)...)
 		}
-		k--
 	}
-	// Records below i are already in place.
+	// shift is the number of fresh ids at or below batch[j]: how far the
+	// old records above it move. Writes land above pos[j], so recs[pos[j]]
+	// is still the old record when it is compared. Once shift is zero the
+	// rest of the batch is overwritten in place.
+	end, shift := old, fresh
+	for j := len(batch) - 1; j >= 0; j-- {
+		p := pos[j]
+		from := p
+		replaces := p < old && s.recs[p].ID == batch[j].ID
+		if replaces {
+			from++
+		}
+		if shift > 0 {
+			copy(s.recs[from+shift:end+shift], s.recs[from:end])
+			if scheduled {
+				copy(s.ks[from+shift:end+shift], s.ks[from:end])
+			}
+		}
+		if !replaces {
+			shift--
+		}
+		s.recs[p+shift] = batch[j]
+		if scheduled {
+			s.ks[p+shift] = ks[j]
+		}
+		end = p
+	}
 }
 
 // Delete removes records by id; absent ids are ignored. A single id
