@@ -34,9 +34,8 @@ func main() {
 		adjust   = flag.Bool("adjust", true, "enable range adjustment (§4.8.2)")
 		splits   = flag.Int("splits", 0, "max slow-sub-query splits per query")
 		poll     = flag.Duration("poll", time.Second, "view poll interval")
-		pool     = flag.Int("pool", 2, "wire connections per node (view tuning overrides)")
+		pool     = flag.Int("pool", 2, "wire connections per node")
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = unlimited)")
-		workers  = flag.Int("dispatch-workers", 0, "max concurrent sub-query RPCs (0 = unlimited)")
 		queueTO  = flag.Duration("queue-timeout", 0, "admission queue wait limit (0 = caller context)")
 		nodeOut  = flag.Int("node-outstanding", 0, "max in-flight sub-queries per node (per-node backpressure, 0 = unlimited)")
 		hedge    = flag.Duration("hedge-delay", 0, "re-dispatch a slow sub-query onto replicas after this delay (0 = off)")
@@ -48,7 +47,6 @@ func main() {
 		shedHW   = flag.Int("shed-highwater", 0, "mean reported node queue depth that triggers overload shedding (0 = off)")
 		healthIv = flag.Duration("health-interval", time.Second, "health report push cadence")
 		cacheB   = flag.Int64("cache-budget", 0, "result cache memory budget in bytes (0 = cache off)")
-		cacheSh  = flag.Int("cache-shards", 0, "result cache shard count (0 = default 16)")
 		tenRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 = quotas off, counters only)")
 		tenBurst = flag.Float64("tenant-burst", 0, "per-tenant admission token bucket capacity (0 = max(rate, 8))")
 	)
@@ -57,15 +55,14 @@ func main() {
 	fe := frontend.New(frontend.Config{
 		Name: *listen,
 		PQ:   *pq, RangeAdjust: *adjust, MaxSplits: *splits,
-		PoolSize: *pool, MaxInFlight: *inflight,
-		DispatchWorkers: *workers, QueueTimeout: *queueTO,
+		PoolSize: *pool, MaxInFlight: *inflight, QueueTimeout: *queueTO,
 		NodeMaxOutstanding: *nodeOut,
 		HedgeDelay:         *hedge, HedgeQuantile: *hedgeQ,
 		ProbeInterval:       *probe,
 		HedgeBudgetFraction: *hedgeB, HedgeBudgetBurst: *hedgeBB,
 		HedgeMaxPerQuery: *hedgePQ, ShedHighWater: *shedHW,
-		CacheBudget: *cacheB, CacheShards: *cacheSh,
-		TenantRate: *tenRate, TenantBurst: *tenBurst,
+		CacheBudget: *cacheB,
+		TenantRate:  *tenRate, TenantBurst: *tenBurst,
 	})
 	defer fe.Close()
 

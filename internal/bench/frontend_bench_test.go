@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"roar/internal/cluster"
 	"roar/internal/frontend"
-	"roar/internal/proto"
 	"roar/internal/workload"
 )
 
@@ -87,35 +85,5 @@ func TestFrontendThroughputSpeedup(t *testing.T) {
 	t.Logf("serial %.1f q/s, pipelined %.1f q/s (%.1fx)", serial, pooled, pooled/serial)
 	if pooled < 2*serial {
 		t.Errorf("pipelined frontend %.1f q/s is under 2x the serial baseline %.1f q/s", pooled, serial)
-	}
-}
-
-// TestTuningFlowsThroughView checks the full distribution path: cluster
-// options -> membership view -> frontend pipeline, over real RPC.
-func TestTuningFlowsThroughView(t *testing.T) {
-	tun := &proto.Tuning{PoolSize: 2, MaxInFlight: 16, DispatchWorkers: 32}
-	c, err := cluster.Start(cluster.Options{
-		Nodes: 4, P: 2, Tuning: tun, Seed: 1, Encoder: &benchEncoderConfig,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Coord.View().Tuning; got == nil || *got != *tun {
-		t.Fatalf("view tuning = %+v, want %+v", got, tun)
-	}
-	_, recs, err := sharedCorpus(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadEncoded(recs); err != nil {
-		t.Fatal(err)
-	}
-	q, err := missQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -43,10 +43,6 @@ type Options struct {
 	SpeedHints []float64
 
 	Frontend frontend.Config
-	// Tuning, when set, is distributed through the membership view so
-	// the frontend's execution pipeline is configured the way a real
-	// deployment would be: centrally, not per process.
-	Tuning *proto.Tuning
 	// Health tunes the coordinator's failure/overload control loop
 	// (quarantine thresholds); zero values use the defaults.
 	Health membership.HealthConfig
@@ -54,11 +50,10 @@ type Options struct {
 	// coordinator (not started: tests drive it with StepAutoscale for
 	// determinism; call Cluster.AS.Start for the background loop).
 	Autoscale *membership.AutoscaleConfig
-	// Encoder overrides the PPS encoding (zero value = slim test
-	// encoding; use pps.EncoderConfig{} semantics via FullEncoding).
+	// Encoder overrides the PPS encoding (nil = SlimEncoderConfig; a
+	// pointer to the zero pps.EncoderConfig is the paper-sized encoder,
+	// 500B of metadata).
 	Encoder *pps.EncoderConfig
-	// FullEncoding selects the paper-sized encoder (500B metadata).
-	FullEncoding bool
 
 	// IngestDir, when set, opens a durable ingest WAL there and starts
 	// the drain consumer — enables Cluster.IngestPut. Use t.TempDir().
@@ -110,14 +105,12 @@ func Start(opts Options) (*Cluster, error) {
 	encCfg := SlimEncoderConfig()
 	if opts.Encoder != nil {
 		encCfg = *opts.Encoder
-	} else if opts.FullEncoding {
-		encCfg = pps.EncoderConfig{}
 	}
 	// The key is fixed: experiments vary topology and load, never key
 	// material, and a shared key lets callers reuse encrypted corpora.
 	enc := pps.NewEncoder(pps.TestKey(1), encCfg)
 
-	coordCfg := membership.Config{Rings: opts.Rings, P: opts.P, Tuning: opts.Tuning, Health: opts.Health}
+	coordCfg := membership.Config{Rings: opts.Rings, P: opts.P, Health: opts.Health}
 	var wal *ingest.WAL
 	if opts.IngestDir != "" {
 		var err error

@@ -31,7 +31,6 @@ func TestConcurrentExecuteWithNodeFailure(t *testing.T) {
 			SubQueryTimeout: 400 * time.Millisecond,
 			PoolSize:        2,
 			MaxInFlight:     16,
-			DispatchWorkers: 64,
 		},
 	})
 	if err != nil {
@@ -147,7 +146,7 @@ func TestConcurrentExecuteWithNodeFailure(t *testing.T) {
 	if !sawFailure.Load() {
 		t.Error("no query ever observed the failure/fallback path")
 	}
-	if got := c.FE.FailedNodes(); len(got) == 0 {
+	if got := failedNodes(c.FE); len(got) == 0 {
 		t.Error("frontend never recorded the killed node")
 	} else if killed := int(c.ids[killIdx]); got[0] != killed {
 		t.Errorf("failed nodes = %v, want [%d]", got, killed)

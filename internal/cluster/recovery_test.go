@@ -92,8 +92,8 @@ func TestDelayedNodeRecoversAndIsReused(t *testing.T) {
 	if res.Failures == 0 {
 		t.Fatal("delayed node never hit the failure path")
 	}
-	if got := c.FE.FailedNodes(); len(got) != 1 || got[0] != slowID {
-		t.Fatalf("FailedNodes = %v, want [%d]", got, slowID)
+	if got := failedNodes(c.FE); len(got) != 1 || got[0] != slowID {
+		t.Fatalf("failedNodes = %v, want [%d]", got, slowID)
 	}
 	// While suspected, queries keep completing around it.
 	res, err = c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
@@ -106,7 +106,7 @@ func TestDelayedNodeRecoversAndIsReused(t *testing.T) {
 	// The node speeds back up: the probe must clear it without help.
 	c.Nodes()[slowIdx].SetDelay(0)
 	deadline := time.Now().Add(3 * time.Second)
-	for len(c.FE.FailedNodes()) != 0 {
+	for len(failedNodes(c.FE)) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("suspicion never cleared; health = %v", c.FE.Health())
 		}

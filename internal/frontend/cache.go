@@ -99,7 +99,8 @@ type resultCache struct {
 	resident      atomic.Int64
 }
 
-const defaultCacheShards = 16
+// cacheShards is the result cache's lock-shard count.
+const cacheShards = 16
 
 // entryOverhead approximates the per-entry bookkeeping bytes (list
 // element, map bucket share, struct) charged against the budget on top
@@ -109,9 +110,6 @@ const entryOverhead = 96
 func newResultCache(budget int64, shards int) *resultCache {
 	if budget <= 0 {
 		return nil
-	}
-	if shards <= 0 {
-		shards = defaultCacheShards
 	}
 	per := budget / int64(shards)
 	if per <= 0 {

@@ -135,105 +135,3 @@ func TestAdmissionHonoursContext(t *testing.T) {
 		t.Fatalf("first query failed: %v", err)
 	}
 }
-
-func TestDispatchWorkersBounded(t *testing.T) {
-	enc := slimEncoder()
-	v, nodes := testView(t, enc, 4, 4)
-	loadAll(t, nodes, enc, []string{"aa", "bb", "aa"})
-	fe := New(Config{DispatchWorkers: 1})
-	defer fe.Close()
-	if err := fe.ApplyView(v); err != nil {
-		t.Fatal(err)
-	}
-	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) != 2 {
-		t.Fatalf("got %d matches, want 2", len(res.IDs))
-	}
-	if res.SubQueries != 4 {
-		t.Errorf("p=4 should send 4 sub-queries, sent %d", res.SubQueries)
-	}
-}
-
-func TestPooledClientsPerNode(t *testing.T) {
-	enc := slimEncoder()
-	v, nodes := testView(t, enc, 3, 1)
-	loadAll(t, nodes, enc, []string{"aa"})
-	fe := New(Config{PoolSize: 3})
-	defer fe.Close()
-	if err := fe.ApplyView(v); err != nil {
-		t.Fatal(err)
-	}
-	fe.mu.RLock()
-	defer fe.mu.RUnlock()
-	for id, h := range fe.nodes {
-		if got := h.client.PoolSize(); got != 3 {
-			t.Errorf("node %d client pool = %d, want 3", id, got)
-		}
-	}
-}
-
-func TestViewTuningOverridesConfig(t *testing.T) {
-	enc := slimEncoder()
-	v, nodes := testView(t, enc, 2, 1)
-	loadAll(t, nodes, enc, []string{"aa"})
-	fe := New(Config{PoolSize: 1})
-	defer fe.Close()
-	v.Tuning = &proto.Tuning{
-		PoolSize:            2,
-		MaxInFlight:         7,
-		DispatchWorkers:     5,
-		QueueTimeoutNanos:   int64(time.Second),
-		HedgeBudgetFraction: 0.10,
-		HedgeBudgetBurst:    8,
-		HedgeMaxPerQuery:    3,
-		ShedHighWater:       6,
-	}
-	if err := fe.ApplyView(v); err != nil {
-		t.Fatal(err)
-	}
-	fe.mu.RLock()
-	tune, admit, workers := fe.tune, fe.admit, fe.workers
-	budget := fe.budget
-	var poolSizes []int
-	for _, h := range fe.nodes {
-		poolSizes = append(poolSizes, h.client.PoolSize())
-	}
-	fe.mu.RUnlock()
-	if tune.poolSize != 2 || tune.maxInFlight != 7 || tune.dispatchWorkers != 5 || tune.queueTimeout != time.Second {
-		t.Errorf("tuning not applied: %+v", tune)
-	}
-	if tune.hedgeBudgetFrac != 0.10 || tune.hedgeBudgetBurst != 8 || tune.hedgeMaxPerQuery != 3 || tune.shedHighWater != 6 {
-		t.Errorf("hedge/shed tuning not applied: %+v", tune)
-	}
-	if budget == nil || budget.fraction != 0.10 || budget.burst != 8 {
-		t.Errorf("budget not rebuilt from view tuning: %+v", budget)
-	}
-	if cap(admit) != 7 {
-		t.Errorf("admit capacity = %d, want 7", cap(admit))
-	}
-	if cap(workers) != 5 {
-		t.Errorf("workers capacity = %d, want 5", cap(workers))
-	}
-	for _, ps := range poolSizes {
-		if ps != 2 {
-			t.Errorf("client pool = %d, want view-tuned 2", ps)
-		}
-	}
-	// Concurrency still works end to end under the tuned pipeline.
-	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || len(res.IDs) != 1 {
-				t.Errorf("tuned execute: ids=%d err=%v", len(res.IDs), err)
-			}
-		}()
-	}
-	wg.Wait()
-}

@@ -1,18 +1,18 @@
 // Package frontend implements the ROAR front-end server (§4.8): it
 // receives client queries, admits them through a bounded in-flight
 // window, splits them into sub-queries with the Algorithm 1 scheduler,
-// dispatches them over pooled TCP connections through a bounded worker
-// pool with a per-node outstanding-credit cap (backpressure: a slow
-// node stalls only its own dispatch stream), hedges slow sub-queries
-// onto replica nodes before the failure timer fires (first response
-// wins, the loser is cancelled down to the remote matcher), detects
-// node failures through per-sub-query timers, re-dispatches around
-// failures with the §4.4 fallback, merges and deduplicates results
-// incrementally as sub-responses stream in, and maintains per-server
-// processing-speed EWMAs from observed completions. Failure suspicion
-// is revocable: suspected nodes are probed in the background and
-// rescheduled once they answer (healthy → suspected → recovering, see
-// health.go), instead of the seed's permanent one-way failure mark.
+// dispatches them over pooled TCP connections under a per-node
+// outstanding-credit cap (backpressure: a slow node stalls only its own
+// dispatch stream), hedges slow sub-queries onto replica nodes before
+// the failure timer fires (first response wins, the loser is cancelled
+// down to the remote matcher), detects node failures through
+// per-sub-query timers, re-dispatches around failures with the §4.4
+// fallback, merges and deduplicates results incrementally as
+// sub-responses stream in, and maintains per-server processing-speed
+// EWMAs from observed completions. Failure suspicion is revocable:
+// suspected nodes are probed in the background and rescheduled once
+// they answer (healthy → suspected → recovering, see health.go), instead
+// of the seed's permanent one-way failure mark.
 package frontend
 
 import (
@@ -33,11 +33,19 @@ import (
 	"roar/internal/wire"
 )
 
-// defaultProbeInterval is the recovery-probe cadence when none is
-// configured.
-const defaultProbeInterval = 500 * time.Millisecond
+const (
+	// defaultProbeInterval is the recovery-probe cadence when none is
+	// configured.
+	defaultProbeInterval = 500 * time.Millisecond
+	// speedAlpha is the EWMA smoothing of the per-node speed estimates.
+	speedAlpha = 0.1
+	// initialSpeed seeds the estimate of an unseen node, in id-space
+	// fraction per second.
+	initialSpeed = 1.0
+)
 
-// Config tunes a frontend.
+// Config is the only source of a frontend's settings: New resolves the
+// defaults once and nothing changes them afterwards.
 type Config struct {
 	// Name identifies this frontend in health reports to the membership
 	// server (its listen address, or any stable label). Optional.
@@ -51,11 +59,6 @@ type Config struct {
 	MaxSplits int
 	// SubQueryTimeout is the failure-detection timer (§4.8). Default 5s.
 	SubQueryTimeout time.Duration
-	// SpeedAlpha is the EWMA smoothing for speed estimates. Default 0.1.
-	SpeedAlpha float64
-	// InitialSpeed seeds estimates for unseen nodes, in id-space
-	// fraction per second. Default 1.
-	InitialSpeed float64
 	// Seed for the failure-fallback randomness.
 	Seed int64
 
@@ -70,15 +73,11 @@ type Config struct {
 	// QueueTimeout bounds the admission wait when MaxInFlight is set;
 	// 0 waits as long as the caller's context allows.
 	QueueTimeout time.Duration
-	// DispatchWorkers bounds concurrent sub-query RPCs across all
-	// in-flight queries (shared dispatch worker pool). 0 = unlimited.
-	DispatchWorkers int
 
 	// NodeMaxOutstanding caps concurrent in-flight sub-query RPCs per
 	// node (per-node backpressure): dispatch to a backed-up node blocks
-	// on its own credit channel, before a shared dispatch-worker slot
-	// is taken, so one slow node cannot inflate every query's tail by
-	// draining the global pool. 0 = unlimited.
+	// on that node's own credit channel, so one slow node delays only
+	// the legs bound for it. 0 = unlimited.
 	NodeMaxOutstanding int
 	// HedgeDelay launches a speculative replica re-dispatch for a
 	// sub-query still unanswered after this long (must be below
@@ -117,8 +116,6 @@ type Config struct {
 	// CacheBudget bounds the result cache's resident bytes (keys, id
 	// payloads, and per-entry overhead). 0 disables caching entirely.
 	CacheBudget int64
-	// CacheShards is the cache's lock-shard count (default 16).
-	CacheShards int
 	// TenantRate is each tenant's admission-quota refill, in queries
 	// per second. 0 disables quota enforcement (per-tenant counters are
 	// kept regardless); see tenant.go for the work-conserving semantics.
@@ -178,17 +175,15 @@ type Result struct {
 
 // Frontend schedules and executes queries against a node view.
 type Frontend struct {
-	cfg Config
-	qid atomic.Uint64 // query ids for tracing
+	cfg    Config        // defaults resolved in New; read-only afterwards
+	admit  chan struct{} // admission slots (nil = unlimited)
+	budget *hedgeBudget  // hedge rate limit; nil = un-budgeted
+	qid    atomic.Uint64 // query ids for tracing
 
 	mu    sync.RWMutex
 	view  proto.View
 	pl    *core.Placement
 	nodes map[ring.NodeID]*handle
-	// Execution-pipeline state, swappable at runtime by view tuning.
-	tune    tuning
-	admit   chan struct{} // admission slots (nil = unlimited)
-	workers chan struct{} // dispatch worker slots (nil = unlimited)
 
 	lat latTracker // recent sub-query latencies (adaptive hedge delay)
 	// nodeLat holds per-node latency distributions: a node serving a
@@ -196,7 +191,6 @@ type Frontend struct {
 	// fleet's, once it has enough samples (guarded by f.mu).
 	nodeLat map[ring.NodeID]*latTracker
 
-	budget    *hedgeBudget  // hedge rate limit; nil = un-budgeted (guarded by f.mu)
 	shed      atomic.Int64  // PriorityLow queries shed since the last health report
 	shedNorm  atomic.Int64  // queries rejected on admission-queue timeout since the last report
 	hdgDenied atomic.Int64  // hedges denied (budget/cap/overload) since the last report
@@ -235,108 +229,8 @@ type Frontend struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	statMu    sync.Mutex
-	queueS    *stats.Sample
-	schedS    *stats.Sample
-	dispatchS *stats.Sample
-	mergeS    *stats.Sample
-	totalS    *stats.Sample
-	hitS      *stats.Sample // cache-hit delays, kept out of the fan-out phases
-}
-
-// tuning is the effective execution-pipeline configuration: Config
-// defaults, overridden per field by the view's proto.Tuning.
-type tuning struct {
-	poolSize           int
-	maxInFlight        int
-	dispatchWorkers    int
-	queueTimeout       time.Duration
-	nodeMaxOutstanding int
-	hedgeDelay         time.Duration
-	hedgeQuantile      float64
-	probeInterval      time.Duration
-	hedgeBudgetFrac    float64 // resolved: >0 budgeted, <0 unlimited
-	hedgeBudgetBurst   float64
-	hedgeMaxPerQuery   int
-	shedHighWater      int
-}
-
-func (f *Frontend) baseTuning() tuning {
-	frac := f.cfg.HedgeBudgetFraction
-	if frac == 0 {
-		frac = defaultHedgeBudgetFraction
-	}
-	burst := f.cfg.HedgeBudgetBurst
-	if burst <= 0 {
-		burst = defaultHedgeBudgetBurst
-	}
-	return tuning{
-		poolSize:           f.cfg.PoolSize,
-		maxInFlight:        f.cfg.MaxInFlight,
-		dispatchWorkers:    f.cfg.DispatchWorkers,
-		queueTimeout:       f.cfg.QueueTimeout,
-		nodeMaxOutstanding: f.cfg.NodeMaxOutstanding,
-		hedgeDelay:         f.cfg.HedgeDelay,
-		hedgeQuantile:      f.cfg.HedgeQuantile,
-		probeInterval:      f.cfg.ProbeInterval,
-		hedgeBudgetFrac:    frac,
-		hedgeBudgetBurst:   burst,
-		hedgeMaxPerQuery:   f.cfg.HedgeMaxPerQuery,
-		shedHighWater:      f.cfg.ShedHighWater,
-	}
-}
-
-// merge overlays non-zero view tuning fields on the config baseline.
-func (t tuning) merge(pt *proto.Tuning) tuning {
-	if pt == nil {
-		return t
-	}
-	if pt.PoolSize > 0 {
-		t.poolSize = pt.PoolSize
-	}
-	if pt.MaxInFlight > 0 {
-		t.maxInFlight = pt.MaxInFlight
-	}
-	if pt.DispatchWorkers > 0 {
-		t.dispatchWorkers = pt.DispatchWorkers
-	}
-	if pt.QueueTimeoutNanos > 0 {
-		t.queueTimeout = time.Duration(pt.QueueTimeoutNanos)
-	}
-	if pt.NodeMaxOutstanding > 0 {
-		t.nodeMaxOutstanding = pt.NodeMaxOutstanding
-	}
-	if pt.HedgeDelayNanos > 0 {
-		t.hedgeDelay = time.Duration(pt.HedgeDelayNanos)
-	}
-	if pt.HedgeQuantile > 0 {
-		t.hedgeQuantile = pt.HedgeQuantile
-	}
-	if pt.ProbeIntervalNanos > 0 {
-		t.probeInterval = time.Duration(pt.ProbeIntervalNanos)
-	}
-	if pt.HedgeBudgetFraction != 0 {
-		t.hedgeBudgetFrac = pt.HedgeBudgetFraction
-	}
-	if pt.HedgeBudgetBurst > 0 {
-		t.hedgeBudgetBurst = pt.HedgeBudgetBurst
-	}
-	if pt.HedgeMaxPerQuery > 0 {
-		t.hedgeMaxPerQuery = pt.HedgeMaxPerQuery
-	}
-	if pt.ShedHighWater > 0 {
-		t.shedHighWater = pt.ShedHighWater
-	}
-	return t
-}
-
-// newBudget builds the hedge token bucket for a tuning state; nil when
-// the budget is disabled (negative fraction).
-func (t tuning) newBudget() *hedgeBudget {
-	if t.hedgeBudgetFrac < 0 {
-		return nil
-	}
-	return newHedgeBudget(t.hedgeBudgetFrac, t.hedgeBudgetBurst, nil)
+	statMu sync.Mutex
+	phases phaseStats // DelayBreakdown's bounded per-phase delay history
 }
 
 func semaphore(n int) chan struct{} {
@@ -351,42 +245,38 @@ func New(cfg Config) *Frontend {
 	if cfg.SubQueryTimeout <= 0 {
 		cfg.SubQueryTimeout = 5 * time.Second
 	}
-	if cfg.SpeedAlpha <= 0 {
-		cfg.SpeedAlpha = 0.1
-	}
-	if cfg.InitialSpeed <= 0 {
-		cfg.InitialSpeed = 1
-	}
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 1
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = defaultProbeInterval
 	}
+	if cfg.HedgeBudgetFraction == 0 {
+		cfg.HedgeBudgetFraction = defaultHedgeBudgetFraction
+	}
+	if cfg.HedgeBudgetBurst <= 0 {
+		cfg.HedgeBudgetBurst = defaultHedgeBudgetBurst
+	}
 	f := &Frontend{
-		cfg:       cfg,
-		nodes:     make(map[ring.NodeID]*handle),
-		nodeLat:   make(map[ring.NodeID]*latTracker),
-		stop:      make(chan struct{}),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		queueS:    stats.NewSample(0),
-		schedS:    stats.NewSample(0),
-		dispatchS: stats.NewSample(0),
-		mergeS:    stats.NewSample(0),
-		totalS:    stats.NewSample(0),
-		hitS:      stats.NewSample(0),
+		cfg:     cfg,
+		admit:   semaphore(cfg.MaxInFlight),
+		nodes:   make(map[ring.NodeID]*handle),
+		nodeLat: make(map[ring.NodeID]*latTracker),
+		stop:    make(chan struct{}),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+	}
+	if cfg.HedgeBudgetFraction > 0 {
+		f.budget = newHedgeBudget(cfg.HedgeBudgetFraction, cfg.HedgeBudgetBurst, nil)
 	}
 	f.nowFn = time.Now                                                 //lint:allow wallclock — clock-injection default
 	f.timerFn = time.NewTimer                                          //lint:allow wallclock — clock-injection default
 	f.afterFn = time.After                                             //lint:allow wallclock — clock-injection default
 	f.lifeCtx, f.lifeCancel = context.WithCancel(context.Background()) //lint:allow background — frontend lifetime root, cancelled in Close
-	f.cache = newResultCache(cfg.CacheBudget, cfg.CacheShards)
+	f.cache = newResultCache(cfg.CacheBudget, cacheShards)
 	f.tenants = newTenantTable(cfg.TenantRate, cfg.TenantBurst, func() time.Time { return f.nowFn() })
-	f.tune = f.baseTuning()
-	f.admit = semaphore(f.tune.maxInFlight)
-	f.workers = semaphore(f.tune.dispatchWorkers)
-	f.budget = f.tune.newBudget()
-	go f.probeLoop()
+	if cfg.ProbeInterval > 0 {
+		go f.probeLoop()
+	}
 	return f
 }
 
@@ -410,10 +300,10 @@ func viewOlder(v, installed proto.View) bool {
 // placement and node clients. Speed estimates of retained nodes are
 // preserved and their failure suspicion is cleared — the membership
 // layer retaining a node is its assertion that the node deserves
-// re-evaluation (§4.8 suspicion must not ratchet). A retained node's
-// connection pool is rebuilt when the effective pool width retunes.
-// Nodes absent from the view are closed and forgotten (§4.8.3: a
-// rejoining backup relearns statistics quickly).
+// re-evaluation (§4.8 suspicion must not ratchet); its connections stay
+// open, so a change of p (the paper's reconfiguration path) reconnects
+// nothing. Nodes absent from the view are closed and forgotten (§4.8.3:
+// a rejoining backup relearns statistics quickly).
 //
 // Views are fenced: once a view is installed, a view strictly older by
 // (Term, Epoch) returns ErrStaleView and changes nothing.
@@ -466,49 +356,11 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	// installed view (the harness's SyncView refresh, a poll answering
 	// with the same epoch) must NOT — it proves nothing changed.
 	newer := f.pl == nil || v.Term > f.view.Term || (v.Term == f.view.Term && v.Epoch > f.view.Epoch)
-	// Apply execution-pipeline tuning pushed with the view (§4.9-style
-	// central control). Resized semaphores only govern newly admitted
-	// work; queries holding a slot release onto the channel they
-	// captured, so a brief transition can exceed the new bound.
-	tune := f.baseTuning().merge(v.Tuning)
-	if tune.maxInFlight != f.tune.maxInFlight {
-		f.admit = semaphore(tune.maxInFlight)
-	}
-	if tune.dispatchWorkers != f.tune.dispatchWorkers {
-		f.workers = semaphore(tune.dispatchWorkers)
-	}
-	if tune.hedgeBudgetFrac != f.tune.hedgeBudgetFrac || tune.hedgeBudgetBurst != f.tune.hedgeBudgetBurst {
-		f.budget = tune.newBudget()
-	}
-	f.tune = tune
 	seen := map[ring.NodeID]bool{}
 	for _, ni := range v.Nodes {
 		id := ring.NodeID(ni.ID)
 		seen[id] = true
 		if h, ok := f.nodes[id]; ok && h.addr == ni.Addr {
-			// Retained node: keep the speed estimate, re-evaluate
-			// suspicion, and retune the mutable transport state.
-			h.mu.Lock()
-			if h.client.PoolSize() != tune.poolSize {
-				// Swap in the rebuilt pool and drain the old client
-				// gracefully: in-flight calls on the old pool run to
-				// completion (bounded by the sub-query timeout) instead
-				// of failing over through the retry path, and the old
-				// sockets close as soon as the last call finishes. A
-				// sender that snapshotted the old client but had not
-				// called yet sees ErrClosed and retries on the new pool
-				// (sendSub), so a pure config change never produces
-				// failure evidence.
-				old := h.client
-				h.client = wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: tune.poolSize})
-				go old.DrainClose(f.cfg.SubQueryTimeout)
-			}
-			if cap(h.credits) != tune.nodeMaxOutstanding {
-				// In-flight senders release onto the channel they
-				// captured; only new dispatches see the new cap.
-				h.credits = semaphore(tune.nodeMaxOutstanding)
-			}
-			h.mu.Unlock()
 			// The view's health verdict wins over local state: a
 			// quarantine demotes the node whatever we observed, and a
 			// retained, un-quarantined node deserves re-evaluation.
@@ -520,14 +372,14 @@ func (f *Frontend) ApplyView(v proto.View) error {
 			continue
 		}
 		if h, ok := f.nodes[id]; ok {
-			h.wireClient().Close()
+			h.client.Close()
 		}
-		sp := stats.NewEWMA(f.cfg.SpeedAlpha)
-		sp.Set(f.cfg.InitialSpeed)
-		cl := wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: tune.poolSize})
+		sp := stats.NewEWMA(speedAlpha)
+		sp.Set(initialSpeed)
 		h := &handle{
-			id: id, addr: ni.Addr, client: cl, speed: sp,
-			credits: semaphore(tune.nodeMaxOutstanding),
+			id: id, addr: ni.Addr, speed: sp,
+			client:  wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: f.cfg.PoolSize}),
+			credits: semaphore(f.cfg.NodeMaxOutstanding),
 		}
 		if ni.Quarantined {
 			h.state = stateQuarantined
@@ -536,7 +388,7 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	}
 	for id, h := range f.nodes {
 		if !seen[id] {
-			h.wireClient().Close()
+			h.client.Close()
 			delete(f.nodes, id)
 			delete(f.nodeLat, id)
 		}
@@ -568,7 +420,7 @@ func (f *Frontend) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, h := range f.nodes {
-		h.wireClient().Close()
+		h.client.Close()
 	}
 	f.nodes = map[ring.NodeID]*handle{}
 }
@@ -605,7 +457,7 @@ func (f *Frontend) estimator() core.Estimator {
 		}
 		sp, _ := h.speed.Value()
 		if sp <= 0 {
-			sp = f.cfg.InitialSpeed
+			sp = initialSpeed
 		}
 		// Pending load: our own outstanding sub-query sizes, or the
 		// node's self-reported queue depth scaled to this sub-query's
@@ -644,9 +496,8 @@ type QuerySpec struct {
 // window), scheduling, pipelined dispatch with hedging, and streaming
 // merge.
 //
-// Cache hits bypass admission entirely — they consume no slot, no
-// quota token, and no dispatch worker, which is the point of having
-// the cache. A miss that finds another query already fanning out for
+// Cache hits bypass admission entirely — they consume no slot and no
+// quota token, which is the point of having the cache. A miss that finds another query already fanning out for
 // the same key and generation waits for that flight instead of
 // dispatching its own; if the flight fails, the waiter falls back to a
 // full execution of its own, so coalescing can only remove work.
@@ -662,11 +513,7 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 		if cc == proto.CacheDefault {
 			if ids, ok := c.get(key, gen); ok {
 				f.tenants.noteCacheHit(spec.Tenant)
-				delay := f.nowFn().Sub(t0)
-				f.statMu.Lock()
-				f.hitS.Add(delay.Seconds())
-				f.statMu.Unlock()
-				return Result{IDs: ids, Delay: delay, Source: SourceCache, Cache: c.stats()}, nil
+				return f.cacheHit(ids, t0), nil
 			}
 			f.tenants.noteCacheMiss(spec.Tenant)
 			if fl, leader := c.startFlight(key, gen); !leader {
@@ -680,11 +527,7 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 					f.tenants.noteCacheHit(spec.Tenant)
 					ids := make([]uint64, len(fl.ids))
 					copy(ids, fl.ids)
-					delay := f.nowFn().Sub(t0)
-					f.statMu.Lock()
-					f.hitS.Add(delay.Seconds())
-					f.statMu.Unlock()
-					return Result{IDs: ids, Delay: delay, Source: SourceCache, Cache: c.stats()}, nil
+					return f.cacheHit(ids, t0), nil
 				}
 				// The leader failed (shed, timeout, fan-out error); its
 				// failure is not necessarily ours. Execute independently.
@@ -703,6 +546,16 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 	return f.execute(ctx, spec, t0, key, gen)
 }
 
+// cacheHit builds the Result of a query answered without a fan-out and
+// records its delay.
+func (f *Frontend) cacheHit(ids []uint64, t0 time.Time) Result {
+	delay := f.nowFn().Sub(t0)
+	f.statMu.Lock()
+	f.phases.hit.add(delay)
+	f.statMu.Unlock()
+	return Result{IDs: ids, Delay: delay, Source: SourceCache, Cache: f.cache.stats()}
+}
+
 // execute is the uncached pipeline: admission (overload shed, tenant
 // quota, in-flight window), scheduling, dispatch, merge, and — when key
 // is non-empty, the query succeeded, and the generation fence has not
@@ -715,10 +568,7 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 		f.tenants.noteShed(spec.Tenant)
 		return Result{}, ErrShed
 	}
-	f.mu.RLock()
 	admit := f.admit
-	queueTO := f.tune.queueTimeout
-	f.mu.RUnlock()
 	// Tenant quota: decided before queueing for a slot, against the
 	// pool's current contention (all slots taken = contended), so a
 	// over-quota tenant is turned away while compliant tenants queue.
@@ -729,15 +579,13 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	}
 	if admit != nil {
 		var timeout <-chan time.Time
-		if queueTO > 0 {
-			tm := f.timerFn(queueTO)
+		if f.cfg.QueueTimeout > 0 {
+			tm := f.timerFn(f.cfg.QueueTimeout)
 			defer tm.Stop()
 			timeout = tm.C
 		}
 		select {
 		case admit <- struct{}{}:
-			// Release to the same channel we acquired from, even if a
-			// view swaps f.admit while we run.
 			defer func() { <-admit }()
 		case <-ctx.Done():
 			return Result{}, ctx.Err()
@@ -757,7 +605,6 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if pq == 0 || pq < f.view.P {
 		pq = f.view.P
 	}
-	workers := f.workers
 	f.mu.RUnlock()
 	if pl == nil {
 		return Result{}, fmt.Errorf("frontend: no view installed")
@@ -785,15 +632,10 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	}
 	schedDur := f.nowFn().Sub(tSched)
 
-	// Dispatch all sub-queries through the shared worker pool with
-	// per-sub timers and hedging, deduplicating into the aggregator as
-	// responses stream in.
+	// Dispatch all sub-queries with per-sub timers and hedging,
+	// deduplicating into the aggregator as responses stream in.
 	t1 := f.nowFn()
-	agg := &aggregator{
-		qid:     f.qid.Add(1),
-		seen:    make(map[uint64]struct{}),
-		workers: workers,
-	}
+	agg := &aggregator{qid: f.qid.Add(1), seen: make(map[uint64]struct{})}
 	f.dispatchAll(ctx, pl, est, spec, plan.Subs, 0, agg)
 	dispatchDur := f.nowFn().Sub(t1)
 
@@ -838,11 +680,11 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	// are exactly the ones whose delay anatomy the breakdown must not
 	// undercount.
 	f.statMu.Lock()
-	f.queueS.Add(queueDur.Seconds())
-	f.schedS.Add(schedDur.Seconds())
-	f.dispatchS.Add(dispatchDur.Seconds())
-	f.mergeS.Add(mergeDur.Seconds())
-	f.totalS.Add(out.Delay.Seconds())
+	f.phases.queue.add(queueDur)
+	f.phases.schedule.add(schedDur)
+	f.phases.dispatch.add(dispatchDur)
+	f.phases.merge.add(mergeDur)
+	f.phases.total.add(out.Delay)
 	f.statMu.Unlock()
 	if agg.err != nil {
 		return out, agg.err
@@ -862,8 +704,7 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 // or failure re-dispatch) are discarded on arrival rather than
 // buffered.
 type aggregator struct {
-	qid     uint64
-	workers chan struct{} // nil = unbounded
+	qid uint64
 
 	mu           sync.Mutex
 	seen         map[uint64]struct{}
@@ -985,34 +826,22 @@ func (f *Frontend) dispatchAll(ctx context.Context, pl *core.Placement, est core
 
 // sendSub executes one sub-query RPC with its timer. It first takes the
 // node's outstanding credit (per-node backpressure: a backed-up node
-// queues dispatches on its own stream), then a shared dispatch-worker
-// slot — in that order, so a stalled node never drains the global pool.
-// Both are released when the RPC completes, before any retry recursion.
-// A non-nil started channel is closed once both are held and the RPC is
-// about to go out — the hedge timer keys off it so local queueing never
-// counts as remote slowness.
-func (f *Frontend) sendSub(ctx context.Context, workers chan struct{}, qid uint64, spec QuerySpec, sub core.SubQuery, started chan<- struct{}) (proto.QueryResp, error) {
+// queues dispatches on its own stream) and releases it when the RPC
+// completes, before any retry recursion. A non-nil started channel is
+// closed once the credit is held and the RPC is about to go out — the
+// hedge timer keys off it so local queueing never counts as remote
+// slowness.
+func (f *Frontend) sendSub(ctx context.Context, qid uint64, spec QuerySpec, sub core.SubQuery, started chan<- struct{}) (proto.QueryResp, error) {
 	f.mu.RLock()
 	h := f.nodes[sub.Node]
 	f.mu.RUnlock()
 	if h == nil {
 		return proto.QueryResp{}, fmt.Errorf("frontend: no handle for node %d", sub.Node)
 	}
-	h.mu.Lock()
-	credits := h.credits
-	h.mu.Unlock()
-	if credits != nil {
+	if h.credits != nil {
 		select {
-		case credits <- struct{}{}:
-			defer func() { <-credits }()
-		case <-ctx.Done():
-			return proto.QueryResp{}, ctx.Err()
-		}
-	}
-	if workers != nil {
-		select {
-		case workers <- struct{}{}:
-			defer func() { <-workers }()
+		case h.credits <- struct{}{}:
+			defer func() { <-h.credits }()
 		case <-ctx.Done():
 			return proto.QueryResp{}, ctx.Err()
 		}
@@ -1035,18 +864,8 @@ func (f *Frontend) sendSub(ctx context.Context, workers chan struct{}, qid uint6
 	req := proto.QueryReq{QID: qid, Lo: float64(sub.Lo), Hi: float64(sub.Hi), Flags: f.memoFlags(spec), Q: spec.Enc, Plain: spec.Plain}
 	start := f.nowFn()
 	var resp proto.QueryResp
-	// Snapshot the client only now, after the (possibly long) credit and
-	// worker waits: a view-driven pool retune may have swapped it while
-	// we queued. If the snapshot still loses the race — the old pool
-	// began draining between the read and the call — ErrClosed names
-	// exactly that case, and one re-read picks up the replacement pool.
-	if err := h.wireClient().Call(cctx, proto.MNodeQuery, req, &resp); err != nil {
-		if !errors.Is(err, wire.ErrClosed) {
-			return proto.QueryResp{}, err
-		}
-		if err := h.wireClient().Call(cctx, proto.MNodeQuery, req, &resp); err != nil {
-			return proto.QueryResp{}, err
-		}
+	if err := h.client.Call(cctx, proto.MNodeQuery, req, &resp); err != nil {
+		return proto.QueryResp{}, err
 	}
 	// Successful contact: record health, the node's queue depth, the
 	// latency sample for the adaptive hedge delay, and the speed
@@ -1058,28 +877,4 @@ func (f *Frontend) sendSub(ctx context.Context, workers chan struct{}, qid uint6
 		h.speed.Observe(size / d)
 	}
 	return resp, nil
-}
-
-// Breakdown reports the accumulated per-phase delay means in seconds
-// (Fig 7.11, plus the admission queue wait). Cache hits are kept out
-// of the fan-out phases — a hit has no queue, schedule, dispatch, or
-// merge — and summarised separately in CacheHit, so the phase means
-// keep describing what fan-outs cost.
-type Breakdown struct {
-	Queue, Schedule, Dispatch, Merge, Total stats.Summary
-	CacheHit                                stats.Summary
-}
-
-// DelayBreakdown returns the phase summaries.
-func (f *Frontend) DelayBreakdown() Breakdown {
-	f.statMu.Lock()
-	defer f.statMu.Unlock()
-	return Breakdown{
-		Queue:    f.queueS.Summarize(),
-		Schedule: f.schedS.Summarize(),
-		Dispatch: f.dispatchS.Summarize(),
-		Merge:    f.mergeS.Summarize(),
-		Total:    f.totalS.Summarize(),
-		CacheHit: f.hitS.Summarize(),
-	}
 }

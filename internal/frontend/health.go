@@ -62,13 +62,14 @@ func (s nodeState) String() string {
 // health, and the two load signals the estimator consumes (our own
 // outstanding work plus the node's last self-reported queue depth).
 type handle struct {
-	id    ring.NodeID
-	speed *stats.EWMA
+	// Fixed when ApplyView constructs the handle.
+	id      ring.NodeID
+	addr    string
+	client  *wire.Client
+	credits chan struct{} // per-node outstanding cap; nil = unlimited
+	speed   *stats.EWMA
 
 	mu          sync.Mutex
-	addr        string
-	client      *wire.Client  // rebuilt when the pool width retunes
-	credits     chan struct{} // per-node outstanding cap; nil = unlimited
 	state       nodeState
 	outstanding float64 // sum of in-flight sub-query sizes (this frontend)
 	depth       int     // last remote queue-depth report
@@ -82,20 +83,11 @@ type handle struct {
 	contacts   int // successful sub-query completions
 }
 
-// wireClient snapshots the (swappable) client.
-func (h *handle) wireClient() *wire.Client {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.client
-}
-
 func (h *handle) healthState() nodeState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.state
 }
-
-func (h *handle) isSuspected() bool { return h.healthState() == stateSuspected }
 
 // unschedulable reports whether the node must be planned around:
 // locally suspected, or demoted by the membership view.
@@ -212,20 +204,6 @@ func (f *Frontend) suspectedSet() map[ring.NodeID]bool {
 // as the node answers a ping.
 func (f *Frontend) MarkFailed(id ring.NodeID) { f.suspect(id) }
 
-// FailedNodes returns the currently suspected nodes.
-func (f *Frontend) FailedNodes() []int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var out []int
-	for id, h := range f.nodes {
-		if h.isSuspected() {
-			out = append(out, int(id))
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Health reports every node's health state, for membership reports and
 // operational visibility.
 func (f *Frontend) Health() map[int]string {
@@ -329,13 +307,12 @@ func (f *Frontend) RestoreHealthReport(rep proto.HealthReport) {
 // pure extra load — pauses, and sheddable-priority admissions are
 // rejected up front (Badue et al.: shed before saturation, not after).
 func (f *Frontend) overloaded() bool {
-	f.mu.RLock()
-	hw := f.tune.shedHighWater
+	hw := f.cfg.ShedHighWater
 	if hw <= 0 {
-		f.mu.RUnlock()
 		return false
 	}
 	var sum, n int
+	f.mu.RLock()
 	for _, h := range f.nodes {
 		st, _, depth := h.loadSnapshot()
 		if st == stateSuspected || st == stateQuarantined {
@@ -350,25 +327,15 @@ func (f *Frontend) overloaded() bool {
 
 // probeLoop is the background recovery prober: every probe interval it
 // pings suspected nodes and lifts suspicion from the ones that answer.
-// It runs for the frontend's lifetime; Close stops it.
+// New starts it unless probing is disabled; Close stops it.
 func (f *Frontend) probeLoop() {
 	for {
-		f.mu.RLock()
-		iv := f.tune.probeInterval
-		f.mu.RUnlock()
-		wait := iv
-		if wait <= 0 {
-			wait = defaultProbeInterval
-		}
 		select {
 		case <-f.stop:
 			return
-		case <-f.afterFn(wait):
+		case <-f.afterFn(f.cfg.ProbeInterval):
 		}
-		if iv < 0 {
-			continue // probing disabled; keep watching for retuning
-		}
-		f.probeSuspects(wait)
+		f.probeSuspects(f.cfg.ProbeInterval)
 	}
 }
 
@@ -400,7 +367,7 @@ func (f *Frontend) probeSuspects(timeout time.Duration) {
 			ctx, cancel := context.WithTimeout(f.lifeCtx, timeout)
 			defer cancel()
 			var pr proto.PingResp
-			if err := h.wireClient().Call(ctx, proto.MNodePing, proto.PingReq{}, &pr); err != nil {
+			if err := h.client.Call(ctx, proto.MNodePing, proto.PingReq{}, &pr); err != nil {
 				h.probeFail() // still unreachable; stay put
 				return
 			}

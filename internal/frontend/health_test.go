@@ -50,8 +50,8 @@ func TestRecoveryAfterTransientSlowness(t *testing.T) {
 	if res.Failures == 0 {
 		t.Fatal("slow node never hit the failure path")
 	}
-	if got := fe.FailedNodes(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("FailedNodes = %v, want [0]", got)
+	if got := failedNodes(fe); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("failedNodes = %v, want [0]", got)
 	}
 	preQueries := nodes[0].Stats().Queries
 
@@ -59,7 +59,7 @@ func TestRecoveryAfterTransientSlowness(t *testing.T) {
 	// suspicion without any view change or query traffic.
 	nodes[0].SetDelay(0)
 	deadline := time.Now().Add(3 * time.Second)
-	for len(fe.FailedNodes()) != 0 {
+	for len(failedNodes(fe)) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("suspicion never cleared; health = %v", fe.Health())
 		}
@@ -82,8 +82,8 @@ func TestRecoveryAfterTransientSlowness(t *testing.T) {
 	if st := fe.Health()[0]; st != "healthy" {
 		t.Errorf("node state after successful contact = %q, want healthy", st)
 	}
-	if got := fe.FailedNodes(); len(got) != 0 {
-		t.Errorf("FailedNodes after recovery = %v, want none", got)
+	if got := failedNodes(fe); len(got) != 0 {
+		t.Errorf("failedNodes after recovery = %v, want none", got)
 	}
 }
 
@@ -100,57 +100,19 @@ func TestApplyViewClearsSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe.MarkFailed(ring.NodeID(2))
-	if got := fe.FailedNodes(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("FailedNodes = %v, want [2]", got)
+	if got := failedNodes(fe); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("failedNodes = %v, want [2]", got)
 	}
 	v2 := v
 	v2.Epoch = 2
 	if err := fe.ApplyView(v2); err != nil {
 		t.Fatal(err)
 	}
-	if got := fe.FailedNodes(); len(got) != 0 {
+	if got := failedNodes(fe); len(got) != 0 {
 		t.Errorf("retained node kept suspicion across ApplyView: %v", got)
 	}
 	if st := fe.Health()[2]; st != "recovering" {
 		t.Errorf("retained node state = %q, want recovering", st)
-	}
-}
-
-// TestApplyViewRebuildsPoolOnTuningChange pins the satellite bugfix: a
-// retained handle's connection pool must track Tuning.PoolSize.
-func TestApplyViewRebuildsPoolOnTuningChange(t *testing.T) {
-	enc := slimEncoder()
-	v, nodes := testView(t, enc, 2, 1)
-	loadAll(t, nodes, enc, []string{"aa"})
-	fe := New(Config{PoolSize: 1, ProbeInterval: -1})
-	defer fe.Close()
-	if err := fe.ApplyView(v); err != nil {
-		t.Fatal(err)
-	}
-	fe.mu.RLock()
-	for id, h := range fe.nodes {
-		if got := h.client.PoolSize(); got != 1 {
-			t.Errorf("node %d initial pool = %d, want 1", id, got)
-		}
-	}
-	fe.mu.RUnlock()
-	v2 := v
-	v2.Epoch = 2
-	v2.Tuning = &proto.Tuning{PoolSize: 3}
-	if err := fe.ApplyView(v2); err != nil {
-		t.Fatal(err)
-	}
-	fe.mu.RLock()
-	for id, h := range fe.nodes {
-		if got := h.client.PoolSize(); got != 3 {
-			t.Errorf("node %d retained stale pool width %d, want retuned 3", id, got)
-		}
-	}
-	fe.mu.RUnlock()
-	// The rebuilt clients must still work.
-	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || len(res.IDs) != 1 {
-		t.Fatalf("execute after pool rebuild: ids=%d err=%v", len(res.IDs), err)
 	}
 }
 
@@ -198,7 +160,7 @@ func TestHedgeWinsAndCancelsLoser(t *testing.T) {
 		t.Errorf("query took %v, did not beat the %v slow primary", wall, slowFor)
 	}
 	// Hedging is speculative: the slow primary must NOT be suspected.
-	if got := fe.FailedNodes(); len(got) != 0 {
+	if got := failedNodes(fe); len(got) != 0 {
 		t.Errorf("hedged-away node was suspected: %v", got)
 	}
 	// The losing call must have been cancelled server-side: the slow

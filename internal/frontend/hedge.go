@@ -122,13 +122,13 @@ func (f *Frontend) observeLatency(id ring.NodeID, d time.Duration) {
 // legitimately slower than the fleet, and the global quantile would
 // hedge every one of its sub-queries.
 func (f *Frontend) hedgeDelay(id ring.NodeID) time.Duration {
-	f.mu.RLock()
-	hd, hq := f.tune.hedgeDelay, f.tune.hedgeQuantile
-	nl := f.nodeLat[id]
-	f.mu.RUnlock()
+	hd, hq := f.cfg.HedgeDelay, f.cfg.HedgeQuantile
 	if hq <= 0 || hq >= 1 {
 		return hd
 	}
+	f.mu.RLock()
+	nl := f.nodeLat[id]
+	f.mu.RUnlock()
 	lat := &f.lat
 	if nl != nil && nl.count() >= latWarmup {
 		lat = nl
@@ -165,15 +165,11 @@ type subResult struct {
 func (f *Frontend) sendSubHedged(ctx context.Context, pl *core.Placement, est core.Estimator, agg *aggregator, spec QuerySpec, sub core.SubQuery) error {
 	// Every primary dispatch funds the hedge budget with its fraction
 	// of a token, whatever happens to this particular sub-query.
-	f.mu.RLock()
-	budget := f.budget
-	maxPerQuery := f.tune.hedgeMaxPerQuery
-	f.mu.RUnlock()
-	budget.earn(1)
+	f.budget.earn(1)
 
 	hd := f.hedgeDelay(sub.Node)
 	if hd <= 0 || hd >= f.cfg.SubQueryTimeout {
-		resp, err := f.sendSub(ctx, agg.workers, agg.qid, spec, sub, nil)
+		resp, err := f.sendSub(ctx, agg.qid, spec, sub, nil)
 		if err == nil {
 			agg.add(resp)
 			return nil
@@ -189,7 +185,7 @@ func (f *Frontend) sendSubHedged(ctx context.Context, pl *core.Placement, est co
 	primary := make(chan subResult, 1)
 	started := make(chan struct{})
 	go func() {
-		resp, err := f.sendSub(pctx, agg.workers, agg.qid, spec, sub, started)
+		resp, err := f.sendSub(pctx, agg.qid, spec, sub, started)
 		primary <- subResult{resps: []proto.QueryResp{resp}, err: err}
 	}()
 
@@ -204,9 +200,9 @@ func (f *Frontend) sendSubHedged(ctx context.Context, pl *core.Placement, est co
 		return r.err
 	}
 
-	// Arm the hedge timer only once the primary holds its credit and
-	// worker slot: hedging exists to cut remote tail latency, and
-	// counting local queueing would turn saturation into a hedge storm.
+	// Arm the hedge timer only once the primary holds its node credit:
+	// hedging exists to cut remote tail latency, and counting local
+	// queueing would turn saturation into a hedge storm.
 	select {
 	case <-started:
 	case r := <-primary:
@@ -240,18 +236,18 @@ func (f *Frontend) sendSubHedged(ctx context.Context, pl *core.Placement, est co
 	if herr != nil {
 		return finishPrimary(<-primary) // no replica available
 	}
-	if maxPerQuery > 0 && agg.hedgedCount()+len(hsubs) > maxPerQuery {
+	if m := f.cfg.HedgeMaxPerQuery; m > 0 && agg.hedgedCount()+len(hsubs) > m {
 		agg.hedgeDenied()
 		return finishPrimary(<-primary)
 	}
-	if !budget.take(len(hsubs)) {
+	if !f.budget.take(len(hsubs)) {
 		agg.hedgeDenied()
 		return finishPrimary(<-primary)
 	}
 	agg.hedgeLaunched(len(hsubs))
 	// Bound the hedge side as a whole by the sub-query timer: its legs'
-	// credit/worker waits must not stretch failure recovery beyond the
-	// one-SubQueryTimeout bound the §4.4 path had before hedging.
+	// credit waits must not stretch failure recovery beyond the one-
+	// SubQueryTimeout bound the §4.4 path had before hedging.
 	hctx, hcancel := context.WithTimeout(ctx, f.cfg.SubQueryTimeout)
 	defer hcancel()
 	hedge := make(chan subResult, 1)
@@ -266,7 +262,7 @@ func (f *Frontend) sendSubHedged(ctx context.Context, pl *core.Placement, est co
 			hwg.Add(1)
 			go func(hs core.SubQuery) {
 				defer hwg.Done()
-				resp, err := f.sendSub(hctx, agg.workers, agg.qid, spec, hs, nil)
+				resp, err := f.sendSub(hctx, agg.qid, spec, hs, nil)
 				if err != nil {
 					if hctx.Err() == nil {
 						f.suspect(hs.Node) // genuine hedge-node failure

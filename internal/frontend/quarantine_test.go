@@ -44,9 +44,9 @@ func TestViewQuarantineDemotesNode(t *testing.T) {
 	if got := nodes[qIdx].Stats().Queries; got != 0 {
 		t.Fatalf("quarantined node received %d sub-queries", got)
 	}
-	// FailedNodes reports only local suspicion, not the view's verdict.
-	if got := fe.FailedNodes(); len(got) != 0 {
-		t.Fatalf("FailedNodes echoes the quarantine back: %v", got)
+	// failedNodes reports only local suspicion, not the view's verdict.
+	if got := failedNodes(fe); len(got) != 0 {
+		t.Fatalf("failedNodes echoes the quarantine back: %v", got)
 	}
 
 	// The membership layer lifts the quarantine: recovering, then used.

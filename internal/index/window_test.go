@@ -321,6 +321,32 @@ func TestThresholdLegAllocations(t *testing.T) {
 	}
 }
 
+// TestTopKLegAllocations pins what one leg of a p = 8 fan-out with a
+// top-20 cut allocates on a warm index, for the conjunction and the
+// union: the result slice and a few window headers, nothing that grows
+// with the arc or the corpus.
+func TestTopKLegAllocations(t *testing.T) {
+	ix := New(0)
+	ix.AddSegment(denseSegment(testDocs))
+	arcs := tileArcs(8)
+	for _, q := range []Query{
+		{Terms: []string{"tenth", "third"}, Mode: ModeAnd, Limit: 20},
+		{Terms: []string{"tenth", "fifth", "third"}, Mode: ModeOr, Limit: 20},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			arc := arcs[i%len(arcs)]
+			i++
+			if ids, _, err := ix.SearchArc(context.Background(), q, arc[0], arc[1], false); err != nil || len(ids) != 20 {
+				t.Fatalf("top-20 leg: %d ids, err %v", len(ids), err)
+			}
+		})
+		if allocs > 5 {
+			t.Fatalf("mode %d top-20 leg allocates %.1f objects per query, want <= 5", q.Mode, allocs)
+		}
+	}
+}
+
 // BenchmarkThresholdLeg runs every leg on a fresh goroutine, as the wire
 // server does: scratch on the stack would show here as a stack grow and
 // copy per op.

@@ -90,12 +90,10 @@ type AutoscaleConfig struct {
 
 	// Pressure normalization: each telemetry stream contributes
 	// observed/reference to the scalar fleet pressure, so a stream at
-	// its reference level alone pushes pressure to 1.0.
-	ShedRef        float64       // sheds (both classes) per tick; default 20
-	HedgeDeniedRef float64       // hedge-budget denials per tick; default 50
-	DepthRef       float64       // mean reported queue depth; default 8
-	QueueWaitRef   time.Duration // admission-wait p99; default 100ms
-	NodeLatRef     time.Duration // per-node latency p99; default 500ms
+	// its reference level alone pushes pressure to 1.0. The other three
+	// streams' references are the constants below.
+	ShedRef  float64 // sheds (both classes) per tick; default 20
+	DepthRef float64 // mean reported queue depth; default 8
 
 	// HighPressure / LowPressure bound the dead band: pressure at or
 	// above High for SustainTicks consecutive ticks scales up, at or
@@ -114,9 +112,6 @@ type AutoscaleConfig struct {
 
 	// MinP bounds emergency p-down steps. Default 1.
 	MinP int
-	// BaselineP is the level p-up restores toward when pressure clears;
-	// 0 means the coordinator's p when the controller was built.
-	BaselineP int
 	// CostGateFraction is the §6.3 admission gate on p-down: the move is
 	// refused when the ROAR reconfiguration-cost model says more than
 	// this many extra replica copies per stored object must be pushed
@@ -133,6 +128,13 @@ type AutoscaleConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// Pressure references of the streams no deployment tunes.
+const (
+	hedgeDeniedRef = 50.0                   // hedge-budget denials per tick
+	queueWaitRef   = 100 * time.Millisecond // admission-wait p99
+	nodeLatRef     = 500 * time.Millisecond // per-node latency p99
+)
+
 func (ac AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if ac.Interval <= 0 {
 		ac.Interval = 5 * time.Second
@@ -140,17 +142,8 @@ func (ac AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if ac.ShedRef <= 0 {
 		ac.ShedRef = 20
 	}
-	if ac.HedgeDeniedRef <= 0 {
-		ac.HedgeDeniedRef = 50
-	}
 	if ac.DepthRef <= 0 {
 		ac.DepthRef = 8
-	}
-	if ac.QueueWaitRef <= 0 {
-		ac.QueueWaitRef = 100 * time.Millisecond
-	}
-	if ac.NodeLatRef <= 0 {
-		ac.NodeLatRef = 500 * time.Millisecond
 	}
 	if ac.HighPressure <= 0 {
 		ac.HighPressure = 1.0
@@ -207,6 +200,9 @@ type leaderAware interface {
 type Autoscaler struct {
 	c   controlPlane
 	cfg AutoscaleConfig
+	// baselineP is the level p-up restores toward when pressure clears:
+	// the coordinator's p when the controller was built.
+	baselineP int
 
 	mu         sync.Mutex
 	prev       FleetPressure // counter snapshot the next tick diffs against
@@ -228,16 +224,13 @@ func (c *Coordinator) NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
 }
 
 func newAutoscaler(c controlPlane, cfg AutoscaleConfig) *Autoscaler {
-	a := &Autoscaler{
-		c:    c,
-		cfg:  cfg.withDefaults(),
-		prev: c.FleetPressure(),
-		stop: make(chan struct{}),
+	return &Autoscaler{
+		c:         c,
+		cfg:       cfg.withDefaults(),
+		baselineP: c.P(),
+		prev:      c.FleetPressure(),
+		stop:      make(chan struct{}),
 	}
-	if a.cfg.BaselineP <= 0 {
-		a.cfg.BaselineP = c.P()
-	}
-	return a
 }
 
 // Start runs the evaluation loop on the configured interval until the
@@ -295,10 +288,10 @@ func (a *Autoscaler) pressure(fp FleetPressure, prev FleetPressure) float64 {
 	dShed := float64(fp.ShedLow - prev.ShedLow + fp.ShedNormal - prev.ShedNormal)
 	dDenied := float64(fp.HedgeDenied - prev.HedgeDenied)
 	p := dShed/a.cfg.ShedRef +
-		dDenied/a.cfg.HedgeDeniedRef +
+		dDenied/hedgeDeniedRef +
 		fp.MeanQueueDepth/a.cfg.DepthRef +
-		float64(fp.QueueWaitP99)/float64(a.cfg.QueueWaitRef) +
-		float64(fp.NodeLatP99)/float64(a.cfg.NodeLatRef)
+		float64(fp.QueueWaitP99)/float64(queueWaitRef) +
+		float64(fp.NodeLatP99)/float64(nodeLatRef)
 	return p
 }
 
@@ -483,10 +476,10 @@ func (a *Autoscaler) scaleUp(ctx context.Context) (AutoscaleDecision, bool) {
 // enforces that independently).
 func (a *Autoscaler) scaleDown(ctx context.Context) (AutoscaleDecision, bool) {
 	p := a.c.P()
-	if p < a.cfg.BaselineP {
+	if p < a.baselineP {
 		d := AutoscaleDecision{
 			Action: ActionPUp, FromP: p, ToP: p + 1,
-			Reason: fmt.Sprintf("pressure cleared; restoring p %d→%d toward baseline %d (replica trim is free)", p, p+1, a.cfg.BaselineP),
+			Reason: fmt.Sprintf("pressure cleared; restoring p %d→%d toward baseline %d (replica trim is free)", p, p+1, a.baselineP),
 		}
 		if !a.cfg.DryRun {
 			if err := a.c.ChangeP(ctx, p+1); err != nil {

@@ -38,12 +38,6 @@ type HealthConfig struct {
 	// must fully drain the accumulated suspicion (hysteresis against
 	// flapping).
 	RecoverThreshold float64
-	// FailWeight is the score added by a hard failure report
-	// (HandleFailure). Default 1.
-	FailWeight float64
-	// ScoreCap bounds the score so a long outage cannot make recovery
-	// arbitrarily slow. Default 2 × QuarantineThreshold.
-	ScoreCap float64
 	// MaxQuarantineFraction refuses to quarantine beyond this fraction
 	// of the cluster (correlated slowness means overload, not failure —
 	// quarantining everyone would turn congestion into an outage).
@@ -55,18 +49,20 @@ type HealthConfig struct {
 	Now func() time.Time
 }
 
+const (
+	// failWeight is the score a hard failure report (HandleFailure) adds.
+	failWeight = 1.0
+	// scoreCapFactor × QuarantineThreshold bounds the score, so a long
+	// outage cannot make recovery arbitrarily slow.
+	scoreCapFactor = 2.0
+)
+
 func (hc HealthConfig) withDefaults() HealthConfig {
 	if hc.QuarantineThreshold <= 0 {
 		hc.QuarantineThreshold = 3
 	}
 	if hc.RecoverThreshold < 0 {
 		hc.RecoverThreshold = 0
-	}
-	if hc.FailWeight <= 0 {
-		hc.FailWeight = 1
-	}
-	if hc.ScoreCap <= 0 {
-		hc.ScoreCap = 2 * hc.QuarantineThreshold
 	}
 	if hc.MaxQuarantineFraction <= 0 {
 		hc.MaxQuarantineFraction = 0.5
@@ -138,8 +134,8 @@ func (h *healthState) adjustLocked(id ring.NodeID, delta float64, total int) (fl
 	if s < 0 {
 		s = 0
 	}
-	if s > h.cfg.ScoreCap {
-		s = h.cfg.ScoreCap
+	if limit := scoreCapFactor * h.cfg.QuarantineThreshold; s > limit {
+		s = limit
 	}
 	h.scores[id] = s
 	_, inQ := h.quarantined[id]
@@ -285,7 +281,7 @@ func (c *Coordinator) HandleFailure(id ring.NodeID) {
 	}
 	h := c.health
 	h.mu.Lock()
-	flipped := h.adjustLocked(id, h.cfg.FailWeight, total)
+	flipped := h.adjustLocked(id, failWeight, total)
 	h.mu.Unlock()
 	if flipped {
 		c.mu.Lock()

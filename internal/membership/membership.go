@@ -27,14 +27,6 @@ import (
 type Config struct {
 	Rings int // number of rings (default 1)
 	P     int // initial partitioning level (required)
-	// BalanceThreshold is the load-difference fraction below which
-	// neighbours stop balancing (§4.9: 10%).
-	BalanceThreshold float64
-	// PutChunk bounds records per push RPC. Default 2000.
-	PutChunk int
-	// Tuning, when set, is distributed to frontends inside every view
-	// so the fleet converges on one execution-pipeline configuration.
-	Tuning *proto.Tuning
 	// Backend, when set, is used as the corpus store instead of a fresh
 	// empty one. Replicated coordinators point every replica at the
 	// same store — the paper's shared NFS backend (§4.1) — so a newly
@@ -51,6 +43,14 @@ type Config struct {
 	// leader resumes the drain from the replicated watermark.
 	WAL *ingest.WAL
 }
+
+const (
+	// balanceThreshold is the load-difference fraction below which
+	// neighbours stop balancing (§4.9: 10%).
+	balanceThreshold = 0.10
+	// putChunk bounds the records of one push RPC.
+	putChunk = 2000
+)
 
 // Coordinator is the membership server.
 type Coordinator struct {
@@ -96,12 +96,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Rings <= 0 {
 		cfg.Rings = 1
-	}
-	if cfg.BalanceThreshold <= 0 {
-		cfg.BalanceThreshold = 0.10
-	}
-	if cfg.PutChunk <= 0 {
-		cfg.PutChunk = 2000
 	}
 	backend := cfg.Backend
 	if backend == nil {
@@ -167,7 +161,7 @@ func (c *Coordinator) viewLocked() proto.View {
 	// The ingest watermarks ride every view so frontends can fence their
 	// result caches against deliveries that never bump the epoch.
 	v := proto.View{
-		Epoch: c.epoch, P: c.p, Tuning: c.cfg.Tuning,
+		Epoch: c.epoch, P: c.p,
 		Ingested: c.ingestSeq, Drained: c.ingestDrained,
 	}
 	c.health.mu.Lock()
@@ -541,7 +535,7 @@ func (c *Coordinator) BalanceStep(ctx context.Context, loads map[ring.NodeID]flo
 			}
 			// Expand the lighter node into the heavier successor
 			// (§4.3: grow into a more loaded neighbour).
-			if ls > li*(1+c.cfg.BalanceThreshold) {
+			if ls > li*(1+balanceThreshold) {
 				sa, err := r.Range(succ)
 				if err != nil {
 					continue
@@ -655,9 +649,8 @@ func (c *Coordinator) pushRecords(ctx context.Context, cl *wire.Client, id ring.
 	if cl == nil {
 		return fmt.Errorf("membership: no client for node %d", id)
 	}
-	chunk := c.cfg.PutChunk
-	for off := 0; off < len(recs); off += chunk {
-		end := off + chunk
+	for off := 0; off < len(recs); off += putChunk {
+		end := off + putChunk
 		if end > len(recs) {
 			end = len(recs)
 		}

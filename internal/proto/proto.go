@@ -280,53 +280,12 @@ type NodeInfo struct {
 	Quarantined bool `json:"quarantined,omitempty"`
 }
 
-// Tuning carries the frontend execution-pipeline knobs. The membership
-// server distributes it inside the View so every frontend converges on
-// the same connection-pool and admission configuration; zero-valued
-// fields leave the frontend's local configuration in force.
-type Tuning struct {
-	// PoolSize is the per-node wire connection pool width.
-	PoolSize int `json:"pool_size,omitempty"`
-	// MaxInFlight caps concurrently executing queries per frontend.
-	MaxInFlight int `json:"max_in_flight,omitempty"`
-	// DispatchWorkers bounds concurrent sub-query RPCs per frontend.
-	DispatchWorkers int `json:"dispatch_workers,omitempty"`
-	// QueueTimeoutNanos bounds the admission-queue wait.
-	QueueTimeoutNanos int64 `json:"queue_timeout_ns,omitempty"`
-	// NodeMaxOutstanding caps in-flight sub-queries per node per
-	// frontend (per-node backpressure: a slow node stalls only its own
-	// dispatch stream, not the global worker pool).
-	NodeMaxOutstanding int `json:"node_max_outstanding,omitempty"`
-	// HedgeDelayNanos re-dispatches a still-unanswered sub-query onto
-	// replica nodes after this delay (0 leaves the frontend's own
-	// configuration in force).
-	HedgeDelayNanos int64 `json:"hedge_delay_ns,omitempty"`
-	// HedgeQuantile, in (0, 1), derives the hedge delay adaptively from
-	// that quantile of recently observed sub-query latencies.
-	HedgeQuantile float64 `json:"hedge_quantile,omitempty"`
-	// ProbeIntervalNanos is the cadence of the background recovery
-	// probe that re-evaluates suspected nodes.
-	ProbeIntervalNanos int64 `json:"probe_interval_ns,omitempty"`
-	// HedgeBudgetFraction caps hedged sub-query legs to this fraction
-	// of dispatched primaries (token bucket; see frontend.Config).
-	HedgeBudgetFraction float64 `json:"hedge_budget_fraction,omitempty"`
-	// HedgeBudgetBurst is the hedge token-bucket capacity.
-	HedgeBudgetBurst float64 `json:"hedge_budget_burst,omitempty"`
-	// HedgeMaxPerQuery caps hedged legs launched for one query.
-	HedgeMaxPerQuery int `json:"hedge_max_per_query,omitempty"`
-	// ShedHighWater is the mean reported node queue depth at which a
-	// frontend enters overload: hedging pauses and sheddable-priority
-	// admissions are rejected.
-	ShedHighWater int `json:"shed_high_water,omitempty"`
-}
-
 // View is the membership server's cluster snapshot: everything a
 // frontend needs to schedule queries.
 type View struct {
-	Epoch  int        `json:"epoch"` // increases on every change
-	P      int        `json:"p"`     // safe partitioning level (§4.5)
-	Nodes  []NodeInfo `json:"nodes"`
-	Tuning *Tuning    `json:"tuning,omitempty"` // frontend pipeline knobs
+	Epoch int        `json:"epoch"` // increases on every change
+	P     int        `json:"p"`     // safe partitioning level (§4.5)
+	Nodes []NodeInfo `json:"nodes"`
 
 	// Term is the publishing leader's election term (control-plane HA).
 	// Views are fenced by (Term, Epoch): a frontend rejects any view

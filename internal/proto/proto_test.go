@@ -3,6 +3,7 @@ package proto
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,40 +103,38 @@ func TestMembershipMessages(t *testing.T) {
 	roundTrip(t, HealthResp{Epoch: 9, Quarantined: []int{1, 4}})
 }
 
-func TestViewAndTuning(t *testing.T) {
-	roundTrip(t, Tuning{
-		PoolSize: 4, MaxInFlight: 64, DispatchWorkers: 128,
-		QueueTimeoutNanos:   int64(2 * time.Second),
-		NodeMaxOutstanding:  8,
-		HedgeDelayNanos:     int64(50 * time.Millisecond),
-		HedgeQuantile:       0.95,
-		ProbeIntervalNanos:  int64(time.Second),
-		HedgeBudgetFraction: 0.05,
-		HedgeBudgetBurst:    4,
-		HedgeMaxPerQuery:    6,
-		ShedHighWater:       12,
-	})
-	roundTrip(t, View{
-		Epoch: 5, P: 3,
-		Nodes: []NodeInfo{
-			{ID: 0, Ring: 0, Start: 0, Addr: "127.0.0.1:1"},
-			{ID: 1, Ring: 1, Start: 0.5, Addr: "127.0.0.1:2"},
-		},
-		Tuning: &Tuning{PoolSize: 2, MaxInFlight: 32},
-	})
-	// Absent tuning must stay absent (old frontends and new views
-	// interoperate), and must not serialise as an empty object.
-	v := View{Epoch: 1, P: 1, Nodes: []NodeInfo{{Addr: "a"}}}
+// parentViewJSON is json.Marshal of the view below at the last commit
+// whose View still declared a "tuning" overlay (PR 27): no coordinator
+// could set that field, so these are the bytes every running system
+// publishes.
+const parentViewJSON = `{"epoch":7,"p":2,"nodes":[{"id":0,"ring":0,"start":0,"addr":"127.0.0.1:7001"},{"id":1,"ring":0,"start":0.5,"addr":"127.0.0.1:7002","quarantined":true},{"id":2,"ring":1,"start":0.25,"addr":"127.0.0.1:7003"}],"term":3,"ingested":41,"drained":40}`
+
+// TestViewBytesUnchanged pins the view's JSON form across the removal
+// of that field, in both directions: today's coordinator emits exactly
+// the parent's bytes (so a parent frontend decodes them), and a view
+// that does carry the retired "tuning" key still decodes, the key
+// ignored.
+func TestViewBytesUnchanged(t *testing.T) {
+	v := View{Epoch: 7, P: 2, Term: 3, Ingested: 41, Drained: 40, Nodes: []NodeInfo{
+		{ID: 0, Ring: 0, Start: 0, Addr: "127.0.0.1:7001"},
+		{ID: 1, Ring: 0, Start: 0.5, Addr: "127.0.0.1:7002", Quarantined: true},
+		{ID: 2, Ring: 1, Start: 0.25, Addr: "127.0.0.1:7003"},
+	}}
+	roundTrip(t, v)
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(b) != parentViewJSON {
+		t.Fatalf("view bytes moved:\n got %s\nwant %s", b, parentViewJSON)
+	}
+	withKey := strings.Replace(parentViewJSON, `"term":3`, `"tuning":{"pool_size":2,"max_in_flight":32},"term":3`, 1)
 	var got View
-	if err := json.Unmarshal(b, &got); err != nil {
+	if err := json.Unmarshal([]byte(withKey), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Tuning != nil {
-		t.Errorf("zero view grew tuning: %+v", got.Tuning)
+	if !reflect.DeepEqual(got, v) {
+		t.Fatalf("view with a tuning key decoded to %+v, want %+v", got, v)
 	}
 }
 

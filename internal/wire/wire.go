@@ -43,9 +43,13 @@ const MaxFrame = 16 << 20
 // handshakeTimeout bounds the server's wait for a new connection's
 // preamble, so a peer that connects and says nothing (a port scanner, a
 // half-open dial) cannot hold a goroutine and a socket forever. It
-// equals the client's default DialTimeout, the budget the other side of
-// the same exchange runs under.
+// equals dialTimeout, the budget the other side of the same exchange
+// runs under.
 const handshakeTimeout = 5 * time.Second
+
+// dialTimeout bounds each client connection attempt, including the
+// version handshake.
+const dialTimeout = 5 * time.Second
 
 // Handler serves one request. Returning an error sends it to the caller
 // as a call failure; the connection stays up. The body's backing bytes
@@ -374,19 +378,6 @@ type ClientConfig struct {
 	// kernel send buffer; a pool removes that bottleneck under high
 	// frontend concurrency.
 	PoolSize int
-	// DialTimeout bounds each connection attempt, including the version
-	// handshake. Default 5s.
-	DialTimeout time.Duration
-}
-
-func (cfg ClientConfig) withDefaults() ClientConfig {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 1
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	return cfg
 }
 
 // Client is a pooled, multiplexing RPC client for one remote server.
@@ -397,7 +388,6 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 // redialled on the next call that lands on its slot.
 type Client struct {
 	addr   string
-	cfg    ClientConfig
 	nextID atomic.Uint64 // request ids, shared across the pool
 	rr     atomic.Uint64 // round-robin cursor
 	closed atomic.Bool
@@ -435,16 +425,12 @@ func NewClient(addr string) *Client {
 
 // NewClientWithConfig returns a lazy pooled client.
 func NewClientWithConfig(addr string, cfg ClientConfig) *Client {
-	cfg = cfg.withDefaults()
-	c := &Client{addr: addr, cfg: cfg, slots: make([]*slot, cfg.PoolSize)}
+	c := &Client{addr: addr, slots: make([]*slot, max(cfg.PoolSize, 1))}
 	for i := range c.slots {
 		c.slots[i] = &slot{}
 	}
 	return c
 }
-
-// PoolSize reports the configured pool width.
-func (c *Client) PoolSize() int { return c.cfg.PoolSize }
 
 // ClientStats is a point-in-time pool snapshot.
 type ClientStats struct {
@@ -483,53 +469,10 @@ func (c *Client) Close() error {
 	return err
 }
 
-// DrainClose retires the client gracefully: new Calls are rejected with
-// ErrClosed immediately, but calls already in flight keep their
-// connections and run to completion; the sockets close once the last
-// in-flight call finishes, or when the drain timeout expires, whichever
-// comes first. It blocks for up to timeout — callers retiring a pool
-// out of band (a view-driven retune) run it in a goroutine. Returns
-// true when the pool drained fully before the deadline.
-func (c *Client) DrainClose(timeout time.Duration) bool {
-	c.closed.Store(true)
-	// Barrier: conn() checks closed and takes the in-flight reservation
-	// under the slot lock, so after cycling each lock once, every call
-	// admitted before the flag flip is counted in Stats().InFlight and
-	// every later call gets ErrClosed — the poll below cannot close the
-	// sockets under a call it never saw.
-	for _, s := range c.slots {
-		s.mu.Lock()
-		//lint:ignore SA2001 empty critical section is the barrier
-		s.mu.Unlock()
-	}
-	deadline := time.Now().Add(timeout)
-	drained := false
-	for {
-		if c.Stats().InFlight == 0 {
-			drained = true
-			break
-		}
-		if !time.Now().Before(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.Close()
-	return drained
-}
-
 // conn returns the healthy connection for pool index i, dialling (and
 // shaking hands) if the slot is empty — lazy dial, and redial after
 // eviction. Only the slot's own lock is held across the dial, so
 // a dead slot cannot stall calls on its healthy neighbours.
-//
-// The caller's in-flight reservation is taken HERE, under the slot
-// lock, in the same critical section as the closed check: DrainClose
-// sets closed and then takes each slot lock once as a barrier, after
-// which every call it let through is visible in Stats().InFlight and
-// every later call sees ErrClosed — no window where a call holds a
-// connection the drainer believes idle. The caller must release the
-// reservation (cc.inflight.Add(-1)) on every path.
 func (c *Client) conn(i int) (*clientConn, error) {
 	s := c.slots[i]
 	s.mu.Lock()
@@ -538,10 +481,9 @@ func (c *Client) conn(i int) (*clientConn, error) {
 		return nil, ErrClosed
 	}
 	if s.cc != nil {
-		s.cc.inflight.Add(1)
 		return s.cc, nil
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
@@ -552,7 +494,7 @@ func (c *Client) conn(i int) (*clientConn, error) {
 	cc := &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 64<<10), pending: make(map[uint64]chan *frame)}
 	// The handshake shares the dial budget: a server that hangs
 	// mid-handshake is as dead as one that refuses the connection.
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := handshake(cc); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: handshake with %s: %w", c.addr, err)
@@ -560,7 +502,6 @@ func (c *Client) conn(i int) (*clientConn, error) {
 	_ = conn.SetDeadline(time.Time{})
 	s.cc = cc
 	go c.readLoop(i, cc)
-	cc.inflight.Add(1)
 	return cc, nil
 }
 
@@ -633,8 +574,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out interface{}) e
 	if err != nil {
 		return err
 	}
-	// conn() took the in-flight reservation under the slot lock (see its
-	// comment — DrainClose depends on that ordering).
+	cc.inflight.Add(1)
 	defer cc.inflight.Add(-1)
 	id := c.nextID.Add(1)
 	bodyBuf := getBuf()
