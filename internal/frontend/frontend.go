@@ -3,16 +3,27 @@
 // window, splits them into sub-queries with the Algorithm 1 scheduler,
 // dispatches them over pooled TCP connections under a per-node
 // outstanding-credit cap (backpressure: a slow node stalls only its own
-// dispatch stream), hedges slow sub-queries onto replica nodes before
-// the failure timer fires (first response wins, the loser is cancelled
-// down to the remote matcher), detects node failures through
-// per-sub-query timers, re-dispatches around failures with the §4.4
-// fallback, merges and deduplicates results incrementally as
-// sub-responses stream in, and maintains per-server processing-speed
-// EWMAs from observed completions. Failure suspicion is revocable:
-// suspected nodes are probed in the background and rescheduled once
-// they answer (healthy → suspected → recovering, see health.go), instead
-// of the seed's permanent one-way failure mark.
+// legs), hedges slow sub-queries onto replica nodes before the failure
+// timer fires (first response wins, the loser is cancelled down to the
+// remote matcher), detects node failures through per-sub-query timers,
+// re-dispatches around failures with the §4.4 fallback, merges the
+// sub-responses, and maintains per-server processing-speed EWMAs from
+// observed completions. Failure suspicion is revocable: suspected nodes
+// are probed in the background and rescheduled once they answer
+// (healthy → suspected → recovering, see health.go), instead of the
+// seed's permanent one-way failure mark.
+//
+// A query is run by the goroutine that called Query, start to finish
+// (dispatch.go): it starts every leg as an asynchronous wire call
+// (wire.Client.Go) on one sink of its own and loops on that sink, one
+// timer and its context. The query owns its legs: each is tagged with
+// its index, every sample it yields (speed, latency, queue depth,
+// outstanding work) goes to the handle of the node that served it,
+// timed from just before its write to its response's arrival, and each
+// is abandoned as soon as its answer stops mattering and at the latest
+// when Query returns. Completions come from the connections' read
+// loops, which only ever append to the sink; a sink takes any number of
+// them without blocking and refuses them once its query has returned.
 package frontend
 
 import (
@@ -20,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -376,8 +386,11 @@ func (f *Frontend) ApplyView(v proto.View) error {
 		}
 		sp := stats.NewEWMA(speedAlpha)
 		sp.Set(initialSpeed)
+		if f.nodeLat[id] == nil {
+			f.nodeLat[id] = &latTracker{}
+		}
 		h := &handle{
-			id: id, addr: ni.Addr, speed: sp,
+			id: id, addr: ni.Addr, speed: sp, lat: f.nodeLat[id],
 			client:  wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: f.cfg.PoolSize}),
 			credits: semaphore(f.cfg.NodeMaxOutstanding),
 		}
@@ -632,41 +645,23 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	}
 	schedDur := f.nowFn().Sub(tSched)
 
-	// Dispatch all sub-queries with per-sub timers and hedging,
-	// deduplicating into the aggregator as responses stream in.
+	// Dispatch all sub-queries on this goroutine (dispatch.go).
 	t1 := f.nowFn()
-	agg := &aggregator{qid: f.qid.Add(1), seen: make(map[uint64]struct{})}
-	f.dispatchAll(ctx, pl, est, spec, plan.Subs, 0, agg)
+	out, derr := f.dispatch(ctx, pl, est, spec, plan.Subs)
 	dispatchDur := f.nowFn().Sub(t1)
 
-	// Merge: responses were deduplicated on arrival, so only the final
-	// ordering remains — plus the global top-k cut for limited plaintext
-	// queries (each node returned its arc-local smallest ids; the global
-	// smallest k are a subset of their union).
+	// Merge: the legs' ids come back in arrival order.
 	t2 := f.nowFn()
-	ids := agg.ids
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	if spec.Plain != nil && spec.Plain.Limit > 0 && len(ids) > spec.Plain.Limit {
-		ids = ids[:spec.Plain.Limit]
+	limit := 0
+	if spec.Plain != nil {
+		limit = spec.Plain.Limit
 	}
+	out.IDs = mergeIDs(out.IDs, limit)
 	mergeDur := f.nowFn().Sub(t2)
 
-	out := Result{
-		IDs:          ids,
-		Delay:        f.nowFn().Sub(t0),
-		Queue:        queueDur,
-		Schedule:     schedDur,
-		Dispatch:     dispatchDur,
-		Merge:        mergeDur,
-		SubQueries:   agg.sent,
-		Failures:     agg.failures,
-		Hedges:       agg.hedges,
-		HedgedSubs:   agg.hedgedSubs,
-		HedgesDenied: agg.hedgesDenied,
-		HedgeWins:    agg.hedgeWins,
-		Scanned:      agg.scanned,
-		Source:       SourceFanout,
-	}
+	out.Delay = f.nowFn().Sub(t0)
+	out.Queue, out.Schedule, out.Dispatch, out.Merge = queueDur, schedDur, dispatchDur, mergeDur
+	out.Source = SourceFanout
 	if out.Hedges > 0 {
 		out.Source = SourceHedged
 	}
@@ -686,8 +681,8 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	f.phases.merge.add(mergeDur)
 	f.phases.total.add(out.Delay)
 	f.statMu.Unlock()
-	if agg.err != nil {
-		return out, agg.err
+	if derr != nil {
+		return out, derr
 	}
 	// Store only results still provably current: if the generation
 	// moved while the fan-out ran (a view installed, a write was
@@ -697,184 +692,4 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 		f.cache.put(key, out.IDs, gen)
 	}
 	return out, nil
-}
-
-// aggregator accumulates one query's streaming results across the
-// dispatch recursion. Duplicate ids (from replica overlap after hedged
-// or failure re-dispatch) are discarded on arrival rather than
-// buffered.
-type aggregator struct {
-	qid uint64
-
-	mu           sync.Mutex
-	seen         map[uint64]struct{}
-	ids          []uint64
-	sent         int
-	failures     int
-	hedges       int
-	hedgedSubs   int
-	hedgesDenied int
-	hedgeWins    int
-	scanned      int
-	err          error
-}
-
-func (a *aggregator) add(resp proto.QueryResp) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, id := range resp.IDs {
-		if _, dup := a.seen[id]; !dup {
-			a.seen[id] = struct{}{}
-			a.ids = append(a.ids, id)
-		}
-	}
-	a.scanned += resp.Scanned
-}
-
-func (a *aggregator) fail(err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err == nil {
-		a.err = err
-	}
-}
-
-func (a *aggregator) countSent(n int) {
-	a.mu.Lock()
-	a.sent += n
-	a.mu.Unlock()
-}
-
-func (a *aggregator) countFailure() {
-	a.mu.Lock()
-	a.failures++
-	a.mu.Unlock()
-}
-
-// hedgeLaunched counts one hedge of n replica legs; the legs also count
-// as sent sub-queries.
-func (a *aggregator) hedgeLaunched(n int) {
-	a.mu.Lock()
-	a.hedges++
-	a.hedgedSubs += n
-	a.sent += n
-	a.mu.Unlock()
-}
-
-// hedgeDenied counts a hedge suppressed by the budget, the per-query
-// cap, or overload.
-func (a *aggregator) hedgeDenied() {
-	a.mu.Lock()
-	a.hedgesDenied++
-	a.mu.Unlock()
-}
-
-// hedgedCount reports the hedged legs launched so far for this query
-// (per-query cap accounting).
-func (a *aggregator) hedgedCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.hedgedSubs
-}
-
-func (a *aggregator) hedgeWon() {
-	a.mu.Lock()
-	a.hedgeWins++
-	a.mu.Unlock()
-}
-
-// dispatchAll sends sub-queries concurrently; each one races a hedge
-// (hedge.go) when enabled. A sub-query that fails on every leg is split
-// per §4.4 and re-dispatched (bounded depth to terminate under mass
-// failure).
-func (f *Frontend) dispatchAll(ctx context.Context, pl *core.Placement, est core.Estimator, spec QuerySpec, subs []core.SubQuery, depth int, agg *aggregator) {
-	const maxDepth = 4
-	var wg sync.WaitGroup
-	agg.countSent(len(subs))
-	for _, sub := range subs {
-		wg.Add(1)
-		go func(sub core.SubQuery) {
-			defer wg.Done()
-			err := f.sendSubHedged(ctx, pl, est, agg, spec, sub)
-			if err == nil {
-				return
-			}
-			if ctx.Err() != nil {
-				agg.fail(ctx.Err())
-				return
-			}
-			// Failure path: the node is already suspected; split the
-			// sub-query in two around it (§4.4) and retry.
-			agg.countFailure()
-			if depth >= maxDepth {
-				agg.fail(fmt.Errorf("frontend: sub-query (%v,%v] failed beyond retry depth: %w", sub.Lo, sub.Hi, err))
-				return
-			}
-			suspected := f.suspectedSet()
-			f.rngMu.Lock()
-			repaired, rerr := pl.RepairPlan(core.Plan{Subs: []core.SubQuery{sub}}, suspected, est, f.rng)
-			f.rngMu.Unlock()
-			if rerr != nil {
-				agg.fail(fmt.Errorf("frontend: cannot re-place failed sub-query: %w", rerr))
-				return
-			}
-			f.dispatchAll(ctx, pl, est, spec, repaired.Subs, depth+1, agg)
-		}(sub)
-	}
-	wg.Wait()
-}
-
-// sendSub executes one sub-query RPC with its timer. It first takes the
-// node's outstanding credit (per-node backpressure: a backed-up node
-// queues dispatches on its own stream) and releases it when the RPC
-// completes, before any retry recursion. A non-nil started channel is
-// closed once the credit is held and the RPC is about to go out — the
-// hedge timer keys off it so local queueing never counts as remote
-// slowness.
-func (f *Frontend) sendSub(ctx context.Context, qid uint64, spec QuerySpec, sub core.SubQuery, started chan<- struct{}) (proto.QueryResp, error) {
-	f.mu.RLock()
-	h := f.nodes[sub.Node]
-	f.mu.RUnlock()
-	if h == nil {
-		return proto.QueryResp{}, fmt.Errorf("frontend: no handle for node %d", sub.Node)
-	}
-	if h.credits != nil {
-		select {
-		case h.credits <- struct{}{}:
-			defer func() { <-h.credits }()
-		case <-ctx.Done():
-			return proto.QueryResp{}, ctx.Err()
-		}
-	}
-	if started != nil {
-		close(started)
-	}
-	size := sub.Size()
-	h.mu.Lock()
-	h.outstanding += size
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		h.outstanding -= size
-		h.mu.Unlock()
-	}()
-
-	cctx, cancel := context.WithTimeout(ctx, f.cfg.SubQueryTimeout)
-	defer cancel()
-	req := proto.QueryReq{QID: qid, Lo: float64(sub.Lo), Hi: float64(sub.Hi), Flags: f.memoFlags(spec), Q: spec.Enc, Plain: spec.Plain}
-	start := f.nowFn()
-	var resp proto.QueryResp
-	if err := h.client.Call(cctx, proto.MNodeQuery, req, &resp); err != nil {
-		return proto.QueryResp{}, err
-	}
-	// Successful contact: record health, the node's queue depth, the
-	// latency sample for the adaptive hedge delay, and the speed
-	// estimate (observed fraction/second).
-	elapsed := f.nowFn().Sub(start)
-	h.contactOK(resp.QueueDepth)
-	f.observeLatency(sub.Node, elapsed)
-	if d := elapsed.Seconds(); d > 0 && size > 0 {
-		h.speed.Observe(size / d)
-	}
-	return resp, nil
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func slimEncoder() *pps.Encoder {
 }
 
 // testView starts n real nodes with equal ranges and returns a view.
-func testView(t *testing.T, enc *pps.Encoder, n, p int) (proto.View, []*node.Node) {
+func testView(t testing.TB, enc *pps.Encoder, n, p int) (proto.View, []*node.Node) {
 	t.Helper()
 	v := proto.View{Epoch: 1, P: p}
 	var nodes []*node.Node
@@ -236,31 +237,23 @@ func TestBreakdownAccumulates(t *testing.T) {
 	}
 }
 
-// TestAggregatorDedup pins the streaming merge invariant directly:
-// overlapping sub-responses (the failure re-dispatch case, §4.4) are
-// deduplicated on arrival, preserving scanned counts.
-func TestAggregatorDedup(t *testing.T) {
-	agg := &aggregator{seen: make(map[uint64]struct{})}
-	agg.add(proto.QueryResp{IDs: []uint64{5, 1, 3}, Scanned: 3})
-	agg.add(proto.QueryResp{IDs: []uint64{1, 5, 5, 7}, Scanned: 4})
-	want := []uint64{5, 1, 3, 7} // arrival order, duplicates dropped
-	if len(agg.ids) != len(want) {
-		t.Fatalf("ids = %v, want %v", agg.ids, want)
+// TestMergeIDs pins the merge invariant directly: overlapping
+// sub-responses (the failure re-dispatch case, §4.4) come out sorted
+// with each id once, and the limit cuts after that.
+func TestMergeIDs(t *testing.T) {
+	overlap := []uint64{5, 1, 3, 1, 5, 5, 7}
+	if got, want := mergeIDs(slices.Clone(overlap), 0), []uint64{1, 3, 5, 7}; !slices.Equal(got, want) {
+		t.Fatalf("ids = %v, want %v", got, want)
 	}
-	for i := range want {
-		if agg.ids[i] != want[i] {
-			t.Fatalf("ids = %v, want %v", agg.ids, want)
-		}
-	}
-	if agg.scanned != 7 {
-		t.Errorf("scanned = %d, want 7", agg.scanned)
+	if got, want := mergeIDs(slices.Clone(overlap), 2), []uint64{1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("limited ids = %v, want %v", got, want)
 	}
 }
 
 // TestMergeDedup checks the merged output through Execute at pq > 1
 // over fully replicated nodes: results must come back sorted and
 // unique (the sub-query arc bounds provide happy-path duplicate
-// avoidance; overlap handling is covered by TestAggregatorDedup and
+// avoidance; overlap handling is covered by TestMergeIDs and
 // the cluster failure e2e test).
 func TestMergeDedup(t *testing.T) {
 	enc := slimEncoder()

@@ -68,6 +68,7 @@ type handle struct {
 	client  *wire.Client
 	credits chan struct{} // per-node outstanding cap; nil = unlimited
 	speed   *stats.EWMA
+	lat     *latTracker // the node's entry in Frontend.nodeLat
 
 	mu          sync.Mutex
 	state       nodeState
@@ -167,6 +168,14 @@ func (h *handle) contactOK(depth int) {
 	h.mu.Unlock()
 }
 
+// addOutstanding charges (or, negative, returns) a sub-query's size to
+// the node's in-flight work.
+func (h *handle) addOutstanding(size float64) {
+	h.mu.Lock()
+	h.outstanding += size
+	h.mu.Unlock()
+}
+
 // loadSnapshot returns state and the estimator's load inputs.
 func (h *handle) loadSnapshot() (nodeState, float64, int) {
 	h.mu.Lock()
@@ -259,10 +268,8 @@ func (f *Frontend) HealthReport() proto.HealthReport {
 		if v, ok := h.speed.Value(); ok {
 			nh.Speed = v
 		}
-		if nl := f.nodeTracker(h.id); nl != nil {
-			nh.LatP50Nanos = nl.quantile(0.50).Nanoseconds()
-			nh.LatP99Nanos = nl.quantile(0.99).Nanoseconds()
-		}
+		nh.LatP50Nanos = h.lat.quantile(0.50).Nanoseconds()
+		nh.LatP99Nanos = h.lat.quantile(0.99).Nanoseconds()
 		rep.Nodes = append(rep.Nodes, nh)
 	}
 	sort.Slice(rep.Nodes, func(a, b int) bool { return rep.Nodes[a].ID < rep.Nodes[b].ID })

@@ -1,13 +1,11 @@
 package frontend
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"time"
 
 	"roar/internal/core"
-	"roar/internal/proto"
 	"roar/internal/ring"
 )
 
@@ -149,176 +147,6 @@ func (f *Frontend) hedgeCandidates(pl *core.Placement, est core.Estimator, sub c
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
 	return pl.HedgeSubs(sub, avoid, est, f.rng)
-}
-
-// subResult is one side of the primary/hedge race.
-type subResult struct {
-	resps []proto.QueryResp
-	err   error
-}
-
-// sendSubHedged executes one sub-query with speculative hedging. It
-// adds winning responses to the aggregator and returns nil, or returns
-// the primary's error after every side failed (the caller then runs the
-// §4.4 re-dispatch). Suspicion is only recorded for legs that failed on
-// their own — never for legs we cancelled after losing the race.
-func (f *Frontend) sendSubHedged(ctx context.Context, pl *core.Placement, est core.Estimator, agg *aggregator, spec QuerySpec, sub core.SubQuery) error {
-	// Every primary dispatch funds the hedge budget with its fraction
-	// of a token, whatever happens to this particular sub-query.
-	f.budget.earn(1)
-
-	hd := f.hedgeDelay(sub.Node)
-	if hd <= 0 || hd >= f.cfg.SubQueryTimeout {
-		resp, err := f.sendSub(ctx, agg.qid, spec, sub, nil)
-		if err == nil {
-			agg.add(resp)
-			return nil
-		}
-		if ctx.Err() == nil {
-			f.suspect(sub.Node)
-		}
-		return err
-	}
-
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	primary := make(chan subResult, 1)
-	started := make(chan struct{})
-	go func() {
-		resp, err := f.sendSub(pctx, agg.qid, spec, sub, started)
-		primary <- subResult{resps: []proto.QueryResp{resp}, err: err}
-	}()
-
-	finishPrimary := func(r subResult) error {
-		if r.err == nil {
-			agg.add(r.resps[0])
-			return nil
-		}
-		if ctx.Err() == nil {
-			f.suspect(sub.Node)
-		}
-		return r.err
-	}
-
-	// Arm the hedge timer only once the primary holds its node credit:
-	// hedging exists to cut remote tail latency, and counting local
-	// queueing would turn saturation into a hedge storm.
-	select {
-	case <-started:
-	case r := <-primary:
-		return finishPrimary(r)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	pstart := f.nowFn()
-	timer := f.timerFn(hd)
-	defer timer.Stop()
-	select {
-	case r := <-primary:
-		return finishPrimary(r)
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-	}
-
-	// The primary is slower than the hedge delay: race replicas against
-	// it. All hedge legs must succeed for the hedge side to cover the
-	// arc (a bracket pair covers it jointly; a cross-ring replica alone).
-	// But hedging is pure extra load, so it must clear three gates
-	// first: the overload brake (no speculation while reported queue
-	// depths are over the high-water mark), the per-query cap, and the
-	// global token-bucket budget — one token per replica leg.
-	if f.overloaded() {
-		agg.hedgeDenied()
-		return finishPrimary(<-primary)
-	}
-	hsubs, herr := f.hedgeCandidates(pl, est, sub)
-	if herr != nil {
-		return finishPrimary(<-primary) // no replica available
-	}
-	if m := f.cfg.HedgeMaxPerQuery; m > 0 && agg.hedgedCount()+len(hsubs) > m {
-		agg.hedgeDenied()
-		return finishPrimary(<-primary)
-	}
-	if !f.budget.take(len(hsubs)) {
-		agg.hedgeDenied()
-		return finishPrimary(<-primary)
-	}
-	agg.hedgeLaunched(len(hsubs))
-	// Bound the hedge side as a whole by the sub-query timer: its legs'
-	// credit waits must not stretch failure recovery beyond the one-
-	// SubQueryTimeout bound the §4.4 path had before hedging.
-	hctx, hcancel := context.WithTimeout(ctx, f.cfg.SubQueryTimeout)
-	defer hcancel()
-	hedge := make(chan subResult, 1)
-	go func() {
-		var (
-			hwg  sync.WaitGroup
-			hmu  sync.Mutex
-			errH error
-			out  []proto.QueryResp
-		)
-		for _, hs := range hsubs {
-			hwg.Add(1)
-			go func(hs core.SubQuery) {
-				defer hwg.Done()
-				resp, err := f.sendSub(hctx, agg.qid, spec, hs, nil)
-				if err != nil {
-					if hctx.Err() == nil {
-						f.suspect(hs.Node) // genuine hedge-node failure
-					}
-					hmu.Lock()
-					if errH == nil {
-						errH = err
-					}
-					hmu.Unlock()
-					return
-				}
-				hmu.Lock()
-				out = append(out, resp)
-				hmu.Unlock()
-			}(hs)
-		}
-		hwg.Wait()
-		hedge <- subResult{resps: out, err: errH}
-	}()
-
-	select {
-	case r := <-primary:
-		if r.err == nil {
-			hcancel() // primary won: abandon the hedge legs
-			agg.add(r.resps[0])
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		f.suspect(sub.Node)
-		if hr := <-hedge; hr.err == nil {
-			// The hedge saved a genuinely failed primary before its
-			// timeout would have: count it as a recovered failure win.
-			agg.hedgeWon()
-			for _, resp := range hr.resps {
-				agg.add(resp)
-			}
-			return nil
-		}
-		return r.err
-	case hr := <-hedge:
-		if hr.err == nil {
-			pcancel() // hedge won: cancel the straggling primary
-			// Feed the elapsed time back as a speed lower bound so the
-			// scheduler learns the primary is slow even though its
-			// response was abandoned.
-			f.observeSlow(sub, f.nowFn().Sub(pstart))
-			agg.hedgeWon()
-			for _, resp := range hr.resps {
-				agg.add(resp)
-			}
-			return nil
-		}
-		return finishPrimary(<-primary)
-	}
 }
 
 // observeSlow folds a cancelled primary's elapsed time into its node's

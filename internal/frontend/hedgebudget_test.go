@@ -195,7 +195,7 @@ func TestHedgeDelayBimodalLegs(t *testing.T) {
 
 // TestPerNodeTrackerRegression is the end-to-end form of the fix: with
 // a fleet-dominated global distribution, the slow node's OWN quantile
-// decides, so sendSubHedged at its typical latency does not hedge.
+// decides, so a primary at its typical latency is not hedged.
 // (Before the fix, hedgeDelay ignored the node and the 90th-percentile
 // global delay sat near 2ms — every 50ms sub-query hedged.)
 func TestPerNodeTrackerRegressionVsGlobal(t *testing.T) {

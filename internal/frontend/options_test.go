@@ -21,7 +21,8 @@ import (
 
 // fakeNode is a scripted node server: it answers every sub-query with
 // one id of its own, records the arc it was asked for, and can hold its
-// legs, fail its pings and report a queue depth.
+// legs (for a time, or behind a gate), fail its pings and report a queue
+// depth.
 type fakeNode struct {
 	id    uint64
 	addr  string
@@ -32,6 +33,7 @@ type fakeNode struct {
 	running int
 	peak    int
 	hold    time.Duration // every leg takes this long (cancellable)
+	gate    chan struct{} // non-nil: every leg waits for its close (cancellable)
 	depth   int           // reported queue depth
 	pings   int
 }
@@ -64,7 +66,7 @@ func startFakeNode(t *testing.T, id int) *fakeNode {
 		fn.legs = append(fn.legs, [2]float64{req.Lo, req.Hi})
 		fn.running++
 		fn.peak = max(fn.peak, fn.running)
-		hold, depth := fn.hold, fn.depth
+		hold, gate, depth := fn.hold, fn.gate, fn.depth
 		fn.mu.Unlock()
 		defer func() {
 			fn.mu.Lock()
@@ -74,6 +76,13 @@ func startFakeNode(t *testing.T, id int) *fakeNode {
 		if hold > 0 {
 			select {
 			case <-time.After(hold):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		if gate != nil {
+			select {
+			case <-gate:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}

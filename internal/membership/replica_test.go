@@ -408,9 +408,16 @@ func TestReplicaRedrivesInheritedChangeP(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// The completion entry clears the pending marker.
-	st, ok := next.CommittedState()
-	if !ok || st.PendingP != 0 {
-		t.Errorf("pending marker should clear after re-drive: %+v", st)
+	// The completion entry clears the pending marker. It commits after
+	// the view with the new p is visible, so wait for it.
+	for {
+		st, ok := next.CommittedState()
+		if ok && st.PendingP == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pending marker should clear after re-drive: %+v", st)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -168,11 +168,6 @@ type frame struct {
 	codec  byte
 	Body   []byte
 	pooled *[]byte
-	// local marks a synthetic frame fabricated on this side (eviction
-	// failing in-flight calls). Its Err is a TRANSPORT failure and must
-	// not be surfaced as a RemoteError — remote errors are exactly the
-	// ones the server's handler reported.
-	local bool
 }
 
 // release returns the pooled read buffer, if any. Safe to call more

@@ -5,15 +5,27 @@
 // §4.8.4 discusses the transport choice: TCP for reliability, with the
 // observation that data-center RPCs are application-limited and must not
 // head-of-line block the scheduler. We multiplex concurrent requests by
-// id (so one slow response never blocks dispatching new sub-queries),
+// id (so one slow response never blocks dispatching new sub-queries) and
 // stripe calls round-robin across the pool so request writes are not
-// serialised behind one mutex at high concurrency, and give every call
-// its own deadline; a timed-out call returns promptly to the caller
-// while its connection survives. An abandoned call (deadline, or a
-// hedged request that lost its race) additionally sends an in-band
-// cancel frame so the server stops the handler instead of computing an
-// answer nobody will read. A connection that errors is evicted from the
-// pool and lazily redialled.
+// serialised behind one mutex at high concurrency. A connection that
+// errors is evicted from the pool and lazily redialled.
+//
+// The client has net/rpc's shape. Client.Go starts a call and returns
+// at once: the request is encoded, registered in its connection's
+// in-flight table and written by the caller's goroutine. The call then
+// belongs to the wire until its completion (the response frame, or the
+// failure that replaced it) is appended to the Sink it was started on,
+// carrying the starter's tag and its arrival time; from there it belongs
+// to the sink's one consumer. Many calls, on any number of clients,
+// share a sink, so one goroutine can run a whole fan-out. A sink is an
+// unbounded queue with a one-slot wake-up, never a channel someone must
+// be receiving from: the read loops and evict cannot block on it,
+// whatever was started, and a closed sink turns completions away.
+// Pending.Abandon gives a call up (a deadline, a hedged request that
+// lost its race): it is unregistered, and the server is sent an in-band
+// cancel frame so it stops the handler instead of computing an answer
+// nobody will read; the connection survives. Client.Call is Go, a wait
+// and an Abandon when its context ends first.
 //
 // There is one dialect (codec.go): a binary envelope whose bodies are
 // binary or JSON according to their Go type. A connection opens with an
@@ -408,10 +420,19 @@ type clientConn struct {
 	br   *bufio.Reader
 	wmu  sync.Mutex // serialises request frames on this connection
 
-	pmu      sync.Mutex
-	pending  map[uint64]chan *frame
-	inflight atomic.Int64
-	broken   atomic.Bool
+	pmu     sync.Mutex
+	pending map[uint64]*Pending
+	broken  atomic.Bool
+}
+
+// take unregisters call id and returns it, or nil when it is no longer
+// in flight. Whoever takes a call is the one to complete or abandon it.
+func (cc *clientConn) take(id uint64) *Pending {
+	cc.pmu.Lock()
+	defer cc.pmu.Unlock()
+	p := cc.pending[id]
+	delete(cc.pending, id)
+	return p
 }
 
 // ErrClosed is returned by calls on a closed client.
@@ -435,7 +456,7 @@ func NewClientWithConfig(addr string, cfg ClientConfig) *Client {
 // ClientStats is a point-in-time pool snapshot.
 type ClientStats struct {
 	Conns    int // healthy dialled connections
-	InFlight int // requests awaiting a response
+	InFlight int // calls registered and neither answered nor abandoned
 }
 
 // Stats snapshots the pool.
@@ -443,9 +464,11 @@ func (c *Client) Stats() ClientStats {
 	var st ClientStats
 	for _, s := range c.slots {
 		s.mu.Lock()
-		if s.cc != nil {
+		if cc := s.cc; cc != nil {
 			st.Conns++
-			st.InFlight += int(s.cc.inflight.Load())
+			cc.pmu.Lock()
+			st.InFlight += len(cc.pending)
+			cc.pmu.Unlock()
 		}
 		s.mu.Unlock()
 	}
@@ -491,7 +514,7 @@ func (c *Client) conn(i int) (*clientConn, error) {
 		conn.Close()
 		return nil, ErrClosed
 	}
-	cc := &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 64<<10), pending: make(map[uint64]chan *frame)}
+	cc := &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 64<<10), pending: make(map[uint64]*Pending)}
 	// The handshake shares the dial budget: a server that hangs
 	// mid-handshake is as dead as one that refuses the connection.
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
@@ -538,9 +561,9 @@ func (c *Client) evict(i int, cc *clientConn, cause error) {
 	cc.conn.Close()
 	cc.pmu.Lock()
 	defer cc.pmu.Unlock()
-	for id, ch := range cc.pending {
-		ch <- &frame{ID: id, kind: kindResponse, Err: fmt.Sprintf("wire: connection lost: %v", cause), local: true}
+	for id, p := range cc.pending {
 		delete(cc.pending, id)
+		p.complete(nil, fmt.Errorf("wire: connection lost: %v", cause))
 	}
 }
 
@@ -551,92 +574,253 @@ func (c *Client) readLoop(i int, cc *clientConn) {
 			c.evict(i, cc, err)
 			return
 		}
-		cc.pmu.Lock()
-		ch := cc.pending[f.ID]
-		delete(cc.pending, f.ID)
-		cc.pmu.Unlock()
-		if ch != nil {
-			ch <- f
+		if p := cc.take(f.ID); p != nil {
+			p.complete(f, nil)
 		} else {
 			f.release() // late response for an abandoned call
 		}
 	}
 }
 
-// Call sends a request on the next pooled connection and decodes the
-// response into out (which may be nil to discard). It honours ctx
-// cancellation/deadline without tearing down the shared connection.
+// Sink collects the completions of any number of calls for one
+// consumer, which waits on Ready and drains with Next. It is an
+// unbounded queue, not a channel, because the goroutines that complete
+// calls (every connection's readLoop, and evict with the in-flight
+// table locked) must never block on a consumer: a sink takes a
+// completion whatever the number of calls started on it, and after
+// Close it refuses them, so a consumer that has gone away holds
+// nothing.
+type Sink struct {
+	now   func() time.Time
+	ready chan struct{} // capacity 1: "the queue is not empty"
+
+	mu         sync.Mutex
+	head, tail *Pending
+	closed     bool
+}
+
+// NewSink returns an empty sink that stamps arrivals with now.
+func NewSink(now func() time.Time) *Sink {
+	return &Sink{now: now, ready: make(chan struct{}, 1)}
+}
+
+// Ready is signalled when a completion has been queued since the last
+// receive from it. A receive may find Next already drained.
+func (s *Sink) Ready() <-chan struct{} { return s.ready }
+
+// Next removes and returns the oldest queued completion, or nil.
+func (s *Sink) Next() *Pending {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.head
+	if p != nil {
+		if s.head = p.next; s.head == nil {
+			s.tail = nil
+		}
+		p.next = nil
+	}
+	return p
+}
+
+// Post queues a completion that carries only tag and its arrival time:
+// a helper of the consumer (one waiting on something other than the
+// wire) wakes it through the queue it already reads. It reports false,
+// and queues nothing, once the sink is closed.
+func (s *Sink) Post(tag int) bool {
+	return s.push(&Pending{Tag: tag})
+}
+
+// Close makes the sink refuse further completions. What is already
+// queued stays for Next.
+func (s *Sink) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+}
+
+func (s *Sink) push(p *Pending) bool {
+	p.Arrived = s.now()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	if s.tail == nil {
+		s.head = p
+	} else {
+		s.tail.next = p
+	}
+	s.tail = p
+	s.mu.Unlock()
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// Pending is one call started with Go. Until it is delivered to its
+// sink it belongs to the wire (the connection's in-flight table);
+// afterwards to the sink's consumer, which calls Result or Release once.
+// The starter may Abandon it at any time.
+type Pending struct {
+	Tag     int       // the starter's name for the call; ids are per Client and collide across them
+	Arrived time.Time // stamped by the sink as the completion was queued
+
+	next   *Pending
+	sink   *Sink
+	method string
+	id     uint64
+	f      *frame // the response; nil when err is set
+	err    error  // a failure on this side: encode, dial, write, connection lost
+
+	mu        sync.Mutex  // orders Abandon against a start still dialling
+	cc        *clientConn // set once registered in cc.pending
+	abandoned bool
+}
+
+// complete hands a finished call to its sink, or reclaims the response
+// when the consumer is gone.
+func (p *Pending) complete(f *frame, err error) {
+	p.f, p.err = f, err
+	if !p.sink.push(p) {
+		p.Release()
+	}
+}
+
+// Result decodes the response of a delivered call into out (nil to
+// discard) and releases its frame.
+func (p *Pending) Result(out interface{}) error {
+	if p.f == nil {
+		return p.err // a failure on this side, not a handler verdict
+	}
+	defer p.Release()
+	if p.f.Err != "" {
+		return parseRemoteError(p.method, p.f.Err)
+	}
+	if err := decodeInto(p.f, out); err != nil {
+		return fmt.Errorf("wire: decoding %s response: %w", p.method, err)
+	}
+	return nil
+}
+
+// Release drops a delivered call's response unread.
+func (p *Pending) Release() {
+	if p.f != nil {
+		p.f.release()
+	}
+}
+
+// Abandon tells the wire the answer is no longer wanted (a deadline, a
+// hedged request that lost its race): the call is unregistered, and if
+// its response had not arrived the server is sent a cancel frame so it
+// can stop the handler. A completion that was already on its way still
+// reaches the sink; the consumer releases it.
+func (p *Pending) Abandon() {
+	p.mu.Lock()
+	p.abandoned = true
+	cc := p.cc
+	p.mu.Unlock()
+	if cc == nil {
+		return // never registered; the start sees the flag
+	}
+	if cc.take(p.id) != nil && !cc.broken.Load() {
+		// Best effort: a write failure here just means the connection is
+		// already dying.
+		cancelFrame := frame{ID: p.id, kind: kindCancel}
+		cc.wmu.Lock()
+		_ = writeFrame(cc.conn, &cancelFrame)
+		cc.wmu.Unlock()
+	}
+}
+
+// Go starts a call on the next pooled connection and returns at once:
+// in is encoded before Go returns (the caller may reuse it), the call is
+// registered and its request written. Its completion — the response, or
+// whatever failed on the way — is delivered to sink under tag. Only an
+// empty pool slot is not handled inline: its dial runs on a goroutine of
+// its own, so a starter with other calls to watch never waits for a
+// connect.
 // Request and response bodies that implement WireAppender/WireDecoder
 // travel in their binary encoding; everything else rides as JSON.
-func (c *Client) Call(ctx context.Context, method string, in, out interface{}) error {
-	i := int(c.rr.Add(1)-1) % len(c.slots)
-	cc, err := c.conn(i)
-	if err != nil {
-		return err
-	}
-	cc.inflight.Add(1)
-	defer cc.inflight.Add(-1)
-	id := c.nextID.Add(1)
+func (c *Client) Go(method string, in interface{}, tag int, sink *Sink) *Pending {
+	p := &Pending{Tag: tag, sink: sink, method: method, id: c.nextID.Add(1)}
 	bodyBuf := getBuf()
 	data, codec, err := encodeBody(in, *bodyBuf)
 	if err != nil {
 		putBuf(bodyBuf)
-		return fmt.Errorf("wire: encoding %s request: %w", method, err)
+		p.complete(nil, fmt.Errorf("wire: encoding %s request: %w", method, err))
+		return p
 	}
-	req := frame{ID: id, Type: method, kind: kindRequest, codec: codec, Body: data}
-	ch := make(chan *frame, 1)
-	cc.pmu.Lock()
-	cc.pending[id] = ch
-	cc.pmu.Unlock()
-
-	cc.wmu.Lock()
-	werr := writeFrame(cc.conn, &req)
-	cc.wmu.Unlock()
 	if codec == codecBinary {
 		*bodyBuf = data[:0] // pool the possibly-grown append buffer
 	}
-	putBuf(bodyBuf)
-	if werr != nil {
-		cc.pmu.Lock()
-		delete(cc.pending, id)
-		cc.pmu.Unlock()
-		c.evict(i, cc, werr)
-		return fmt.Errorf("wire: sending %s: %w", method, werr)
+	i := int(c.rr.Add(1)-1) % len(c.slots)
+	c.slots[i].mu.Lock()
+	cc := c.slots[i].cc
+	c.slots[i].mu.Unlock()
+	if cc != nil {
+		c.send(p, i, cc, codec, data)
+		putBuf(bodyBuf)
+		return p
 	}
+	go func() {
+		defer putBuf(bodyBuf)
+		cc, err := c.conn(i)
+		if err != nil {
+			p.complete(nil, err)
+			return
+		}
+		c.send(p, i, cc, codec, data)
+	}()
+	return p
+}
 
+// send registers p on cc and writes its request.
+func (c *Client) send(p *Pending, i int, cc *clientConn, codec byte, body []byte) {
+	p.mu.Lock()
+	if p.abandoned {
+		p.mu.Unlock()
+		return
+	}
+	cc.pmu.Lock()
+	cc.pending[p.id] = p
+	cc.pmu.Unlock()
+	p.cc = cc
+	p.mu.Unlock()
+
+	req := frame{ID: p.id, Type: p.method, kind: kindRequest, codec: codec, Body: body}
+	cc.wmu.Lock()
+	werr := writeFrame(cc.conn, &req)
+	cc.wmu.Unlock()
+	if werr == nil {
+		return
+	}
+	waiting := cc.take(p.id) != nil
+	c.evict(i, cc, werr)
+	if waiting {
+		p.complete(nil, fmt.Errorf("wire: sending %s: %w", p.method, werr))
+	}
+}
+
+// Call is Go with a sink of its own: it waits for the completion and
+// decodes it into out (which may be nil to discard), or abandons the
+// call when ctx ends first, without tearing down the shared connection.
+func (c *Client) Call(ctx context.Context, method string, in, out interface{}) error {
+	sink := NewSink(time.Now)
+	p := c.Go(method, in, 0, sink)
 	select {
+	case <-sink.Ready():
+		return sink.Next().Result(out)
 	case <-ctx.Done():
-		cc.pmu.Lock()
-		delete(cc.pending, id)
-		cc.pmu.Unlock()
-		// readLoop may have popped the entry just before the delete and
-		// parked the response in the buffered channel; reclaim its pooled
-		// buffer instead of leaving it to the GC.
-		select {
-		case f := <-ch:
-			f.release()
-		default:
+		p.Abandon()
+		// The response may have been queued just before the abandon;
+		// reclaim its pooled buffer instead of leaving it to the GC.
+		sink.Close()
+		if late := sink.Next(); late != nil {
+			late.Release()
 		}
-		// Tell the server the answer is unwanted (hedge loss, deadline)
-		// so it can stop the handler. Best effort: a write failure here
-		// just means the connection is already dying.
-		cancelFrame := frame{ID: id, kind: kindCancel}
-		cc.wmu.Lock()
-		_ = writeFrame(cc.conn, &cancelFrame)
-		cc.wmu.Unlock()
 		return ctx.Err()
-	case f := <-ch:
-		defer f.release()
-		if f.Err != "" {
-			if f.local {
-				return errors.New(f.Err) // transport failure, not a handler verdict
-			}
-			return parseRemoteError(method, f.Err)
-		}
-		if err := decodeInto(f, out); err != nil {
-			return fmt.Errorf("wire: decoding %s response: %w", method, err)
-		}
-		return nil
 	}
 }
 
