@@ -87,7 +87,7 @@ func (pl *Placement) Holders(obj ring.Point) []ring.NodeID {
 	arc := pl.ReplicationArc(obj)
 	var out []ring.NodeID
 	for _, r := range pl.rings {
-		out = append(out, r.Holders(arc)...)
+		out = r.AppendHolders(out, arc)
 	}
 	return out
 }

@@ -2,15 +2,19 @@
 // durable batches out of the WAL and pushes each record to the nodes
 // that own it, with at-least-once delivery:
 //
-//   - Routes are re-resolved on every attempt, so a batch that stalls
-//     on a dead node is re-routed the moment the coordinator publishes
-//     a view without it — this is what makes decommission replay work
-//     without any special casing.
+//   - A batch is ordered by ascending id once, keeping the last write of
+//     a repeated id (store.SortedUnique, the order store.Insert applies
+//     anyway), so every push is strictly ascending and a replica applies
+//     it without sorting.
+//   - Routes are re-resolved on every attempt, by one Route call for the
+//     whole batch, so a batch that stalls on a dead node is re-routed the
+//     moment the coordinator publishes a view without it — this is what
+//     makes decommission replay work without any special casing.
 //   - What each target has taken is tracked per record of the batch in
 //     flight; a retry pushes a target only the records it has not taken,
 //     so a partial failure re-delivers only to the nodes that missed it
-//     and a route that changes between two records of one attempt cannot
-//     pass a partial delivery off as a whole one.
+//     and a route that changes between two attempts cannot pass a
+//     partial delivery off as a whole one.
 //   - Failures back off exponentially with jitter, bounded by
 //     MaxBackoff, and never advance the drained watermark — the WAL
 //     keeps the records until delivery succeeds.
@@ -28,21 +32,31 @@ import (
 	"time"
 
 	"roar/internal/pps"
+	"roar/internal/store"
 )
 
 // Target is one delivery destination for a record: Key identifies the
 // node across attempts (what it has taken is remembered under it) and
-// Push performs the delivery RPC.
+// Push performs the delivery RPC. Push must not keep recs after it
+// returns: the consumer reuses the slice.
 type Target struct {
 	Key  string
 	Push func(ctx context.Context, recs []pps.Encoded) error
 }
 
-// Route resolves the current owners of a record. Called fresh on every
-// delivery attempt so topology and epoch changes take effect
-// immediately. An error (e.g. no live nodes) fails the whole attempt
-// and the batch is retried after backoff.
-type Route func(rec pps.Encoded) ([]Target, error)
+// Placement says that record Rec of a batch belongs on Target.
+type Placement struct {
+	Rec    int
+	Target Target
+}
+
+// Route resolves the current owners of every record of a batch at once:
+// it appends to dst one Placement per (record, owner) pair, in batch
+// order, and returns it. The consumer calls it once per delivery
+// attempt, so topology and epoch changes take effect at the next
+// attempt. An error (e.g. a record with no live owner) fails the whole
+// attempt and the batch is retried after backoff.
+type Route func(dst []Placement, batch []pps.Encoded) ([]Placement, error)
 
 // ConsumerConfig tunes a Consumer. Zero values take the documented
 // defaults.
@@ -55,7 +69,8 @@ type ConsumerConfig struct {
 	MinBackoff time.Duration
 	// MaxBackoff caps the exponential retry delay. Default 2s.
 	MaxBackoff time.Duration
-	// OnAdvance, when set, observes every drained-watermark advance.
+	// OnAdvance, when set, observes every drained-watermark advance,
+	// before Drained reports it and WaitDrained returns on it.
 	// Called from the drain goroutine; must not block on the consumer
 	// stopping (in particular it must NOT synchronously drive anything
 	// that might call Stop).
@@ -101,6 +116,13 @@ type Consumer struct {
 	// read error (the next read re-positions from drained), closed when
 	// the goroutine exits.
 	cur *cursor
+
+	// Scratch the drain goroutine reuses from batch to batch: the records
+	// read, the placements Route returns, and the groups' records laid
+	// end to end.
+	read   []pps.Encoded
+	routes []Placement
+	pushed []pps.Encoded
 }
 
 // NewConsumer binds a consumer to its WAL. Start begins the drain.
@@ -200,7 +222,7 @@ func (c *Consumer) run() {
 			}
 			continue
 		}
-		if !c.deliver(batch) {
+		if !c.deliver(store.SortedUnique(batch)) {
 			return
 		}
 		c.advance(last)
@@ -216,11 +238,13 @@ func (c *Consumer) readBatch() (recs []pps.Encoded, last uint64, err error) {
 	if c.cur == nil {
 		c.cur = c.wal.newCursor(c.Drained())
 	}
+	recs = c.read[:0]
 	err = c.cur.read(c.cfg.BatchSize, func(seq uint64, rec pps.Encoded) bool {
 		recs = append(recs, rec)
 		last = seq
 		return true
 	})
+	c.read = recs
 	if err != nil {
 		c.cur.close()
 		c.cur = nil
@@ -258,39 +282,64 @@ func (c *Consumer) deliver(batch []pps.Encoded) bool {
 	}
 }
 
-// attempt makes one delivery pass: re-resolve routes, group by target
-// the records that target has not taken yet, push the groups in
-// parallel, and record in took what each took. True when every record
-// has been taken by every target it routes to now.
+// attempt makes one delivery pass: route the batch, group by target the
+// records that target has not taken yet, push the groups in parallel,
+// and record in took what each took. True when every record has been
+// taken by every target it routes to now. Route is the router's whole
+// share of the attempt, so whatever lock it takes is held for holder
+// resolution alone: grouping and the pushes run here.
 func (c *Consumer) attempt(batch []pps.Encoded, took map[string][]bool) bool {
+	var err error
+	if c.routes, err = c.cfg.Route(c.routes[:0], batch); err != nil {
+		c.logf("ingest: routing %d records: %v", len(batch), err)
+		return false
+	}
 	type group struct {
+		key  string
 		push func(context.Context, []pps.Encoded) error
+		n    int // records owed
 		recs []pps.Encoded
-		idx  []int // recs[j] is batch[idx[j]]
 		err  error
 	}
-	groups := make(map[string]*group)
-	for i, rec := range batch {
-		targets, err := c.cfg.Route(rec)
-		if err != nil {
-			c.logf("ingest: routing record %d: %v", rec.ID, err)
-			return false
+	// Count what each target is owed, then lay the groups out end to end
+	// in one slice. Placements come in batch order and the batch is
+	// ascending, so every group is too.
+	var groups []group
+	owed := 0
+	index := make(map[string]int)
+	of := make([]int, len(c.routes)) // of[j]: group of routes[j], -1 if taken
+	for j, pl := range c.routes {
+		of[j] = -1
+		if has := took[pl.Target.Key]; has != nil && has[pl.Rec] {
+			continue
 		}
-		for _, t := range targets {
-			if has := took[t.Key]; has != nil && has[i] {
-				continue
-			}
-			g := groups[t.Key]
-			if g == nil {
-				g = &group{push: t.Push}
-				groups[t.Key] = g
-			}
-			g.recs = append(g.recs, rec)
-			g.idx = append(g.idx, i)
+		g, ok := index[pl.Target.Key]
+		if !ok {
+			g = len(groups)
+			index[pl.Target.Key] = g
+			groups = append(groups, group{key: pl.Target.Key, push: pl.Target.Push})
+		}
+		of[j] = g
+		groups[g].n++
+		owed++
+	}
+	if cap(c.pushed) < owed {
+		c.pushed = make([]pps.Encoded, owed)
+	}
+	at := 0
+	for i := range groups {
+		g := &groups[i]
+		g.recs = c.pushed[at : at : at+g.n]
+		at += g.n
+	}
+	for j, pl := range c.routes {
+		if g := of[j]; g >= 0 {
+			groups[g].recs = append(groups[g].recs, batch[pl.Rec])
 		}
 	}
 	var wg sync.WaitGroup
-	for _, g := range groups {
+	for i := range groups {
+		g := &groups[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -299,33 +348,37 @@ func (c *Consumer) attempt(batch []pps.Encoded, took map[string][]bool) bool {
 	}
 	wg.Wait()
 	all := true
-	for key, g := range groups {
+	for _, g := range groups {
 		if g.err != nil {
-			c.logf("ingest: pushing %d records to %s: %v", len(g.recs), key, g.err)
+			c.logf("ingest: pushing %d records to %s: %v", len(g.recs), g.key, g.err)
 			all = false
 		}
 	}
 	if all {
 		return true
 	}
-	for key, g := range groups {
-		if g.err != nil {
+	for j, pl := range c.routes {
+		if g := of[j]; g < 0 || groups[g].err != nil {
 			continue
 		}
-		has := took[key]
+		has := took[pl.Target.Key]
 		if has == nil {
 			has = make([]bool, len(batch))
-			took[key] = has
+			took[pl.Target.Key] = has
 		}
-		for _, i := range g.idx {
-			has[i] = true
-		}
+		has[pl.Rec] = true
 	}
 	return false
 }
 
-// advance publishes a new drained watermark and wakes waiters.
+// advance publishes a new drained watermark and wakes waiters. OnAdvance
+// runs first, so a waiter that sees the watermark also sees whatever
+// OnAdvance recorded (the coordinator's IngestDrained, which views carry
+// to the frontends' cache fences).
 func (c *Consumer) advance(seq uint64) {
+	if c.cfg.OnAdvance != nil {
+		c.cfg.OnAdvance(seq)
+	}
 	c.mu.Lock()
 	if seq > c.drained {
 		c.drained = seq
@@ -334,9 +387,6 @@ func (c *Consumer) advance(seq uint64) {
 	c.waitCh = make(chan struct{})
 	c.mu.Unlock()
 	close(ch)
-	if c.cfg.OnAdvance != nil {
-		c.cfg.OnAdvance(seq)
-	}
 }
 
 // sleep waits for d or the consumer stopping; false means stopped.

@@ -1,9 +1,12 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +71,20 @@ func openTestWAL(t *testing.T) *WAL {
 }
 
 func staticRoute(targets ...Target) Route {
-	return func(pps.Encoded) ([]Target, error) { return targets, nil }
+	return perRecord(func(int) []Target { return targets })
+}
+
+// perRecord is a Route that asks owners for the targets of each record
+// of the batch in turn.
+func perRecord(owners func(i int) []Target) Route {
+	return func(dst []Placement, batch []pps.Encoded) ([]Placement, error) {
+		for i := range batch {
+			for _, t := range owners(i) {
+				dst = append(dst, Placement{Rec: i, Target: t})
+			}
+		}
+		return dst, nil
+	}
 }
 
 func waitDrained(t *testing.T, c *Consumer, seq uint64) {
@@ -177,10 +193,10 @@ func TestConsumerReroutesToReplacement(t *testing.T) {
 	dead.setFail(true)
 	var mu sync.Mutex
 	target := Target{Key: "old", Push: dead.push}
-	route := func(pps.Encoded) ([]Target, error) {
+	route := func(dst []Placement, batch []pps.Encoded) ([]Placement, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		return []Target{target}, nil
+		return staticRoute(target)(dst, batch)
 	}
 	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
 	recs := testRecs(24, 6)
@@ -214,25 +230,31 @@ func TestConsumerReroutesToReplacement(t *testing.T) {
 	}
 }
 
-// TestConsumerRouteFlipsInsideAttempt: routes are resolved per record,
-// so a decommission can land between two records of one attempt. The
-// replacement then takes only the tail of the batch; its success must
-// not let the retry skip it for the head. Deterministic: the route names
-// the dead target for exactly the first three resolutions.
+// TestConsumerRouteFlipsInsideAttempt: one attempt's routing can place
+// the records of a batch on different owners, as when a decommission
+// moved only part of the batch's arc. The replacement then takes only
+// the tail of the batch; its success must not let the retry skip it for
+// the head. Deterministic: the first attempt names the dead target for
+// records 0-2 and the replacement for 3-5, every later one the
+// replacement for all.
 func TestConsumerRouteFlipsInsideAttempt(t *testing.T) {
 	w := openTestWAL(t)
 	dead, repl := &sink{}, &sink{}
 	dead.setFail(true)
 	var mu sync.Mutex
-	resolutions := 0
-	route := func(pps.Encoded) ([]Target, error) {
+	attempts := 0
+	oldT, newT := Target{Key: "old", Push: dead.push}, Target{Key: "new", Push: repl.push}
+	route := func(dst []Placement, batch []pps.Encoded) ([]Placement, error) {
 		mu.Lock()
-		defer mu.Unlock()
-		resolutions++
-		if resolutions <= 3 {
-			return []Target{{Key: "old", Push: dead.push}}, nil
-		}
-		return []Target{{Key: "new", Push: repl.push}}, nil
+		attempts++
+		first := attempts == 1
+		mu.Unlock()
+		return perRecord(func(i int) []Target {
+			if first && i <= 2 {
+				return []Target{oldT}
+			}
+			return []Target{newT}
+		})(dst, batch)
 	}
 	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
 	recs := testRecs(29, 6)
@@ -294,6 +316,9 @@ func TestConsumerStopWhileRetrying(t *testing.T) {
 	}
 }
 
+// TestConsumerOnAdvanceObservesWatermark: OnAdvance sees every advance,
+// in order, and has seen one before WaitDrained returns on it (views
+// carry what it records to the frontends' cache fences).
 func TestConsumerOnAdvanceObservesWatermark(t *testing.T) {
 	w := openTestWAL(t)
 	s := &sink{}
@@ -335,13 +360,13 @@ func TestConsumerRouteErrorRetries(t *testing.T) {
 	s := &sink{}
 	var mu sync.Mutex
 	ready := false
-	route := func(pps.Encoded) ([]Target, error) {
+	route := func(dst []Placement, batch []pps.Encoded) ([]Placement, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if !ready {
-			return nil, fmt.Errorf("no owners yet")
+			return dst, fmt.Errorf("no owners yet")
 		}
-		return []Target{{Key: "s", Push: s.push}}, nil
+		return staticRoute(Target{Key: "s", Push: s.push})(dst, batch)
 	}
 	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
 	seq, err := w.Append(testRecs(28, 3)...)
@@ -361,5 +386,67 @@ func TestConsumerRouteErrorRetries(t *testing.T) {
 	got, _ := s.ids()
 	if len(got) != 3 {
 		t.Fatalf("delivered %d records after routing recovered, want 3", len(got))
+	}
+}
+
+// TestDrainRoutesOncePerAttempt pins the drain's routing cost and the
+// order of what it pushes: a 256-record batch is routed by exactly one
+// Route call per delivery attempt, and every push is strictly ascending
+// by id and carries the last write of an id the batch repeats.
+func TestDrainRoutesOncePerAttempt(t *testing.T) {
+	w := openTestWAL(t)
+	recs := testRecs(30, 250)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 6; i++ {
+		recs = append(recs, testRec(rng, recs[7*i].ID)) // rewrites
+	}
+	last := map[uint64]pps.Encoded{}
+	for _, r := range recs {
+		last[r.ID] = r
+	}
+	var mu sync.Mutex
+	routes, failures := 0, 2
+	var pushes [][]pps.Encoded
+	push := func(_ context.Context, got []pps.Encoded) error {
+		mu.Lock()
+		defer mu.Unlock()
+		pushes = append(pushes, slices.Clone(got))
+		if failures > 0 {
+			failures--
+			return errors.New("target down")
+		}
+		return nil
+	}
+	route := func(dst []Placement, batch []pps.Encoded) ([]Placement, error) {
+		mu.Lock()
+		routes++
+		mu.Unlock()
+		return staticRoute(Target{Key: "a", Push: push})(dst, batch)
+	}
+	c := NewConsumer(w, ConsumerConfig{Route: route, BatchSize: 256, After: fastAfter})
+	seq, err := w.Append(recs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(0)
+	defer c.Stop()
+	waitDrained(t, c, seq)
+	mu.Lock()
+	defer mu.Unlock()
+	if routes != 3 || len(pushes) != 3 {
+		t.Fatalf("3 attempts of one %d-record batch made %d Route calls and %d pushes, want 3 and 3", len(recs), routes, len(pushes))
+	}
+	for n, got := range pushes {
+		if len(got) != len(last) {
+			t.Fatalf("push %d carried %d records, want the %d distinct ids", n, len(got), len(last))
+		}
+		for i, r := range got {
+			if i > 0 && got[i-1].ID >= r.ID {
+				t.Fatalf("push %d is not strictly ascending at %d: %d then %d", n, i, got[i-1].ID, r.ID)
+			}
+			if !bytes.Equal(r.Filter, last[r.ID].Filter) {
+				t.Fatalf("push %d carries a superseded write of record %d", n, r.ID)
+			}
+		}
 	}
 }

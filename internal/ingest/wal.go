@@ -110,8 +110,8 @@ func DecodeFrame(data []byte) (seq uint64, rec pps.Encoded, n int, err error) {
 	r := &frameReader{data: payload}
 	seq = r.uvarint("frame seq")
 	rec.ID = r.uvarint("record id")
-	rec.Nonce = r.bytes("record nonce")
-	rec.Filter = r.bytes("record filter")
+	nonce := r.view("record nonce")
+	rec.Nonce, rec.Filter = pps.CopyMetadata(nonce, r.view("record filter"))
 	if r.err == nil && r.off != len(r.data) {
 		r.err = fmt.Errorf("ingest: %d trailing bytes in frame payload", len(r.data)-r.off)
 	}
@@ -149,7 +149,9 @@ func (r *frameReader) uvarint(what string) uint64 {
 	return v
 }
 
-func (r *frameReader) bytes(what string) []byte {
+// view reads a uvarint-length-prefixed byte string in place; the result
+// aliases the payload.
+func (r *frameReader) view(what string) []byte {
 	l := r.uvarint(what)
 	if r.err != nil {
 		return nil
@@ -158,11 +160,7 @@ func (r *frameReader) bytes(what string) []byte {
 		r.fail(what)
 		return nil
 	}
-	if l == 0 {
-		return nil
-	}
-	out := make([]byte, l)
-	copy(out, r.data[r.off:])
+	out := r.data[r.off : r.off+int(l)]
 	r.off += int(l)
 	return out
 }
@@ -212,6 +210,7 @@ type WAL struct {
 	segs     []segment
 	nextSeq  uint64 // last assigned sequence
 	pending  []byte // encoded frames awaiting flush
+	spare    []byte // the last flushed buffer, emptied: the next pending
 	durable  uint64 // highest fsynced sequence
 	flushing bool
 	closed   bool
@@ -419,16 +418,19 @@ func (w *WAL) Append(recs ...pps.Encoded) (uint64, error) {
 
 // flushLocked drains the pending buffer to disk and fsyncs. Called with
 // mu held; releases it around the file I/O (the flushing flag keeps the
-// flusher exclusive).
+// flusher exclusive). Appends arriving meanwhile fill the spare buffer,
+// and the one written becomes the spare once the write returns, so two
+// buffers serve every group commit and neither regrows from nothing.
 func (w *WAL) flushLocked() {
 	w.flushing = true
 	buf := w.pending
-	w.pending = nil
+	w.pending, w.spare = w.spare[:0], nil
 	last := w.nextSeq
 	first := w.durable + 1
 	w.mu.Unlock() //lint:allow lock — group commit: the flushing flag keeps the flusher exclusive while the fsync runs unlocked
 	err := w.writeAndSync(buf, first)
 	w.mu.Lock() //lint:allow lock — re-acquired for the caller, who entered holding it
+	w.spare = buf[:0]
 	if err != nil && w.err == nil {
 		w.err = err
 	}

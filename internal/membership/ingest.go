@@ -3,9 +3,10 @@
 // acceptance means durability, not delivery — and StartIngest runs the
 // consumer that drains the log to the p owning nodes.
 //
-// Routing happens per delivery attempt through ingestRoute, which reads
-// the CURRENT topology and epoch under the coordinator lock. That one
-// property carries all of the pipeline's fault tolerance on this side:
+// Routing happens once per delivery attempt through routeBatch, which
+// reads the CURRENT topology and epoch for the whole batch under one
+// hold of the coordinator lock. That one property carries all of the
+// pipeline's fault tolerance on this side:
 //
 //   - A node that dies mid-drain stalls the batch (its push keeps
 //     failing, the batch keeps retrying); the moment the node is
@@ -27,6 +28,7 @@ package membership
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -114,7 +116,7 @@ func (c *Coordinator) StartIngest(cfg IngestConfig) error {
 	}
 	from := c.ingestDrained
 	cons := ingest.NewConsumer(c.wal, ingest.ConsumerConfig{
-		Route:      c.ingestRoute,
+		Route:      c.routeBatch,
 		BatchSize:  cfg.Batch,
 		MinBackoff: cfg.MinBackoff,
 		MaxBackoff: cfg.MaxBackoff,
@@ -147,26 +149,30 @@ func (c *Coordinator) StopIngest() {
 	}
 }
 
-// ingestRoute resolves the CURRENT owners of one record: the holders of
-// its replication arc on every enabled ring, with pushes fenced by the
-// epoch the placement was read under. Called fresh on every delivery
-// attempt (ingest.Route contract): the holders are looked up per record
-// every time, only the per-node Target value is reused within an epoch.
-func (c *Coordinator) ingestRoute(rec pps.Encoded) ([]ingest.Target, error) {
-	pt := store.PointOf(rec.ID)
+// routeBatch resolves the CURRENT owners of every record of a batch
+// under one hold of c.mu: the holders of each record's replication arc
+// on every enabled ring, with pushes fenced by the epoch read once for
+// the batch. Called fresh on every delivery attempt (ingest.Route
+// contract); only the per-node Target value is reused within an epoch.
+func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([]ingest.Placement, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	repl := ring.ReplicationArc(pt, c.p)
 	if c.ingestTargets == nil || c.ingestTargetsEpoch != c.epoch {
 		c.ingestTargets = make(map[ring.NodeID]ingestTarget)
 		c.ingestTargetsEpoch = c.epoch
 	}
-	var targets []ingest.Target
-	for k, r := range c.rings {
-		if c.disabled[k] {
-			continue
+	var buf [16]ring.NodeID
+	holders := buf[:0]
+	for i, rec := range batch {
+		repl := ring.ReplicationArc(store.PointOf(rec.ID), c.p)
+		holders = holders[:0]
+		for k, r := range c.rings {
+			if !c.disabled[k] {
+				holders = r.AppendHolders(holders, repl)
+			}
 		}
-		for _, id := range r.Holders(repl) {
+		n := len(dst)
+		for _, id := range holders {
 			cl := c.clients[id]
 			if cl == nil {
 				continue
@@ -176,13 +182,13 @@ func (c *Coordinator) ingestRoute(rec pps.Encoded) ([]ingest.Target, error) {
 				t = newIngestTarget(id, cl, c.epoch)
 				c.ingestTargets[id] = t
 			}
-			targets = append(targets, t.Target)
+			dst = append(dst, ingest.Placement{Rec: i, Target: t.Target})
+		}
+		if len(dst) == n {
+			return dst, fmt.Errorf("membership: no live owners for record %d (cluster empty or all rings disabled)", rec.ID)
 		}
 	}
-	if len(targets) == 0 {
-		return nil, errNoIngestOwners
-	}
-	return targets, nil
+	return dst, nil
 }
 
 // ingestTarget is the delivery target of one node's client under one
@@ -199,14 +205,6 @@ func newIngestTarget(id ring.NodeID, cl *wire.Client, epoch int) ingestTarget {
 			return putRecords(ctx, cl, epoch, recs)
 		},
 	}}
-}
-
-var errNoIngestOwners = ingestNoOwnersError{}
-
-type ingestNoOwnersError struct{}
-
-func (ingestNoOwnersError) Error() string {
-	return "membership: no live owners for record (cluster empty or all rings disabled)"
 }
 
 // nodeKey renders a stable per-node ack key for the consumer. Node IDs

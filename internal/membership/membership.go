@@ -89,7 +89,7 @@ type Coordinator struct {
 	consumer      *ingest.Consumer
 	ingestSeq     uint64
 	ingestDrained uint64
-	// ingestTargets holds the delivery target ingestRoute built for each
+	// ingestTargets holds the delivery target routeBatch built for each
 	// node under ingestTargetsEpoch, so the records of a batch share one
 	// key string and push closure per node; emptied when the epoch moves.
 	ingestTargets      map[ring.NodeID]ingestTarget
@@ -260,7 +260,7 @@ func (c *Coordinator) AddObject(ctx context.Context, rec pps.Encoded) (replicas 
 		if c.disabled[k] {
 			continue
 		}
-		targets = append(targets, r.Holders(repl)...)
+		targets = r.AppendHolders(targets, repl)
 	}
 	clients := make([]*wire.Client, 0, len(targets))
 	for _, id := range targets {

@@ -102,6 +102,30 @@ type BloomMetadata struct {
 // model of Fig 5.1.
 func (m BloomMetadata) Bytes() int { return len(m.Nonce) + len(m.Filter) }
 
+// CopyMetadata returns copies of a record's nonce and filter, both in one
+// allocation of their combined length: the record decoders call it once
+// per record, whose bytes they read out of a reused buffer. Each copy's
+// capacity ends where the copy does, so appending to one never writes
+// into the other; an empty field comes back nil. Records never share an
+// allocation, so a store that keeps one record of a batch pins nothing
+// of the others.
+func CopyMetadata(nonce, filter []byte) (nonceCopy, filterCopy []byte) {
+	n, total := len(nonce), len(nonce)+len(filter)
+	if total == 0 {
+		return nil, nil
+	}
+	buf := make([]byte, total)
+	copy(buf, nonce)
+	copy(buf[n:], filter)
+	if n > 0 {
+		nonceCopy = buf[:n:n]
+	}
+	if total > n {
+		filterCopy = buf[n:total:total]
+	}
+	return nonceCopy, filterCopy
+}
+
 // EncryptQuery produces the trapdoor for one keyword.
 func (s *Bloom) EncryptQuery(word string) BloomQuery {
 	td := make([][]byte, s.r)

@@ -55,14 +55,14 @@ func (e *Encoded) UnmarshalBinary(b []byte) error {
 	if len(b) < off+nl+4 {
 		return fmt.Errorf("pps: encoded record truncated in nonce")
 	}
-	e.Nonce = append([]byte(nil), b[off:off+nl]...)
+	nonce := b[off : off+nl]
 	off += nl
 	fl := int(binary.BigEndian.Uint32(b[off:]))
 	off += 4
 	if len(b) < off+fl {
 		return fmt.Errorf("pps: encoded record truncated in filter")
 	}
-	e.Filter = append([]byte(nil), b[off:off+fl]...)
+	e.Nonce, e.Filter = CopyMetadata(nonce, b[off:off+fl])
 	return nil
 }
 

@@ -87,9 +87,9 @@ func (r *reader) u64(what string) uint64 {
 	return v
 }
 
-// bytes reads a uvarint-length-prefixed byte string and COPIES it (the
-// underlying buffer is pooled).
-func (r *reader) bytes(what string) []byte {
+// view reads a uvarint-length-prefixed byte string in place: the result
+// aliases the pooled input, so whatever is kept must be copied.
+func (r *reader) view(what string) []byte {
 	l := r.uvarint(what)
 	if r.err != nil {
 		return nil
@@ -98,12 +98,20 @@ func (r *reader) bytes(what string) []byte {
 		r.fail(what)
 		return nil
 	}
-	if l == 0 {
+	out := r.data[r.off : r.off+int(l)]
+	r.off += int(l)
+	return out
+}
+
+// bytes reads a uvarint-length-prefixed byte string and COPIES it (the
+// underlying buffer is pooled); an empty string is nil.
+func (r *reader) bytes(what string) []byte {
+	v := r.view(what)
+	if len(v) == 0 {
 		return nil
 	}
-	out := make([]byte, l)
-	copy(out, r.data[r.off:])
-	r.off += int(l)
+	out := make([]byte, len(v))
+	copy(out, v)
 	return out
 }
 
@@ -417,8 +425,8 @@ func (p *PutReq) DecodeWire(data []byte) error {
 		for i := 0; i < n && r.err == nil; i++ {
 			var rec pps.Encoded
 			rec.ID = r.uvarint("PutReq record id")
-			rec.Nonce = r.bytes("PutReq record nonce")
-			rec.Filter = r.bytes("PutReq record filter")
+			nonce := r.view("PutReq record nonce")
+			rec.Nonce, rec.Filter = pps.CopyMetadata(nonce, r.view("PutReq record filter"))
 			p.Records = append(p.Records, rec)
 		}
 	}
@@ -454,8 +462,8 @@ func (q *IngestReq) DecodeWire(data []byte) error {
 		for i := 0; i < n && r.err == nil; i++ {
 			var rec pps.Encoded
 			rec.ID = r.uvarint("IngestReq record id")
-			rec.Nonce = r.bytes("IngestReq record nonce")
-			rec.Filter = r.bytes("IngestReq record filter")
+			nonce := r.view("IngestReq record nonce")
+			rec.Nonce, rec.Filter = pps.CopyMetadata(nonce, r.view("IngestReq record filter"))
 			q.Records = append(q.Records, rec)
 		}
 	}

@@ -221,27 +221,30 @@ func (r *Ring) Predecessor(id NodeID) (NodeID, error) {
 	return r.nodes[(i-1+len(r.nodes))%len(r.nodes)].ID, nil
 }
 
-// Holders returns the ids of all nodes whose range intersects arc a, in
-// ring order starting from the owner of a.Start. This is the replica set
-// for an object whose replication arc is a.
-func (r *Ring) Holders(a Arc) []NodeID {
+// AppendHolders appends to dst the ids of all nodes whose range
+// intersects arc a, in ring order starting from the owner of a.Start,
+// and returns it. This is the replica set for an object whose
+// replication arc is a; a caller resolving many arcs reuses one slice.
+func (r *Ring) AppendHolders(dst []NodeID, a Arc) []NodeID {
 	n := len(r.nodes)
 	if n == 0 || a.IsEmpty() {
-		return nil
+		return dst
 	}
 	if a.IsFull() {
-		return r.IDs()
+		for _, nr := range r.nodes {
+			dst = append(dst, nr.ID)
+		}
+		return dst
 	}
-	var out []NodeID
 	i := r.ownerIndex(a.Start)
 	for k := 0; k < n; k++ {
 		j := (i + k) % n
 		if !r.rangeAt(j).Intersects(a) {
 			break
 		}
-		out = append(out, r.nodes[j].ID)
+		dst = append(dst, r.nodes[j].ID)
 	}
-	return out
+	return dst
 }
 
 // Validate checks the internal invariants: sorted starts, unique ids,

@@ -232,7 +232,7 @@ func TestRingNeighbours(t *testing.T) {
 func TestRingHolders(t *testing.T) {
 	r := NewEqual(8)
 	// Arc [0.1, 0.35) intersects node 0 [0,.125), 1 [.125,.25), 2 [.25,.375).
-	got := r.Holders(NewArc(0.1, 0.25))
+	got := r.AppendHolders(nil, NewArc(0.1, 0.25))
 	want := []NodeID{0, 1, 2}
 	if len(got) != len(want) {
 		t.Fatalf("Holders = %v, want %v", got, want)
@@ -242,7 +242,7 @@ func TestRingHolders(t *testing.T) {
 			t.Fatalf("Holders = %v, want %v", got, want)
 		}
 	}
-	if got := r.Holders(FullArc()); len(got) != 8 {
+	if got := r.AppendHolders(nil, FullArc()); len(got) != 8 {
 		t.Errorf("full arc holders = %d nodes, want 8", len(got))
 	}
 }
@@ -321,7 +321,7 @@ func TestHoldersMatchReplication(t *testing.T) {
 		r := NewEqual(n)
 		p := 1 + rng.Intn(n)
 		obj := Norm(rng.Float64())
-		holders := r.Holders(ReplicationArc(obj, p))
+		holders := r.AppendHolders(nil, ReplicationArc(obj, p))
 		holderSet := map[NodeID]bool{}
 		for _, h := range holders {
 			holderSet[h] = true
@@ -356,6 +356,6 @@ func BenchmarkHolders(b *testing.B) {
 	r := NewEqual(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Holders(NewArc(Norm(float64(i)*0.001), 0.02))
+		r.AppendHolders(nil, NewArc(Norm(float64(i)*0.001), 0.02))
 	}
 }

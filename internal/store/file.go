@@ -83,7 +83,7 @@ func (s *Store) LoadFrom(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	recs = sortedUnique(recs)
+	recs = SortedUnique(recs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++

@@ -11,11 +11,15 @@
 // Insert has three cases. One record: binary search, then one memmove of
 // the records above it if its id is fresh, O(log n) or O(n). A batch of
 // k records whose ids the store all holds already (an at-least-once
-// re-delivery, an update of existing objects): sorted, located by search
-// from the previous position and overwritten in place, O(k log k +
-// k log n), nothing moves. A batch with fresh ids: the same search, one
+// re-delivery, an update of existing objects): ordered, located by
+// search from the previous position and overwritten in place, O(k log k
+// + k log n), nothing moves. A batch with fresh ids: the same search, one
 // growth of the slices, and each run of stored records between two
-// insertion points moved up once, O(k log k + n). The key schedules move
+// insertion points moved up once, O(k log k + n). A batch that arrives
+// strictly ascending, as every push of the ingest drain does, is ordered
+// by one O(k) check instead of a sort, so its k log k term goes; any
+// other batch is ordered through a sorted index permutation, never by
+// swapping the records themselves (SortedUnique). The key schedules move
 // in step with the records in every case.
 //
 // A store that has been scanned also holds, per record and by value, the
@@ -128,19 +132,20 @@ func (s *Store) Len() int {
 
 // Insert adds or replaces records (replica pushes are idempotent).
 // Single-record inserts take the binary-search + shift fast path.
-// A batch of k records into n stored ones is sorted and located by
-// search, O(k log k + k log n); when the store already holds every id
-// (a re-delivery, an update of existing objects) that is the whole
-// cost, and when some are fresh the stored records above the first
-// fresh id move once, O(n), instead of the O(k·n) memmove of per-record
-// insertion. Sorting, and deriving the batch's key schedules when the
+// A batch of k records into n stored ones is ordered (SortedUnique: O(k)
+// when already strictly ascending, O(k log k) otherwise) and located by
+// search, O(k log n); when the store already holds every id (a
+// re-delivery, an update of existing objects) that is the whole cost,
+// and when some are fresh the stored records above the first fresh id
+// move once, O(n), instead of the O(k·n) memmove of per-record
+// insertion. Ordering, and deriving the batch's key schedules when the
 // store keeps them, happen before the write lock is taken.
 func (s *Store) Insert(recs ...pps.Encoded) {
 	if len(recs) == 0 {
 		return
 	}
 	if len(recs) > 1 {
-		recs = sortedUnique(recs)
+		recs = SortedUnique(recs)
 	}
 	var one [1]pps.KeySchedule
 	ks := one[:0]
@@ -183,21 +188,44 @@ func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 	s.ks[i] = ks[0]
 }
 
-// sortedUnique returns a copy of recs sorted by ID with one record per
-// ID: the last occurrence, preserving per-record insertion semantics.
-func sortedUnique(recs []pps.Encoded) []pps.Encoded {
-	batch := append([]pps.Encoded(nil), recs...)
-	// Stable, so input order survives within an ID and the final write wins.
-	slices.SortStableFunc(batch, func(a, b pps.Encoded) int { return cmp.Compare(a.ID, b.ID) })
-	w := 0
-	for i := range batch {
-		if i+1 < len(batch) && batch[i+1].ID == batch[i].ID {
+// SortedUnique returns recs ordered by ID with one record per ID, the
+// last occurrence: what inserting them one at a time would leave, and
+// the order Insert applies a batch in. Strictly ascending input comes
+// back as it is after one O(k) check, with nothing allocated. Any other
+// input is ordered through a sorted permutation of (id, position) pairs
+// and gathered into a new slice, so each record is copied once and never
+// swapped; recs itself is not modified.
+func SortedUnique(recs []pps.Encoded) []pps.Encoded {
+	ascending := true
+	for i := 1; i < len(recs) && ascending; i++ {
+		ascending = recs[i-1].ID < recs[i].ID
+	}
+	if ascending {
+		return recs
+	}
+	type idAt struct {
+		id uint64
+		at int
+	}
+	order := make([]idAt, len(recs))
+	for i := range recs {
+		order[i] = idAt{recs[i].ID, i}
+	}
+	// Ties break on position, so the last write of an id sorts last.
+	slices.SortFunc(order, func(a, b idAt) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	out := make([]pps.Encoded, 0, len(order))
+	for j, o := range order {
+		if j+1 < len(order) && order[j+1].id == o.id {
 			continue
 		}
-		batch[w] = batch[i]
-		w++
+		out = append(out, recs[o.at])
 	}
-	return batch[:w]
+	return out
 }
 
 // seekLocked is the index of the first record at or after from with
@@ -215,7 +243,7 @@ func (s *Store) seekLocked(from int, id uint64) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return s.recs[lo+i].ID >= id })
 }
 
-// mergeLocked bulk-inserts a sortedUnique batch. It locates every id
+// mergeLocked bulk-inserts a SortedUnique batch. It locates every id
 // first; ids the store holds are overwritten where they are, and when
 // some are fresh the slices grow once and the runs of old records
 // between insertion points move up with copy, back to front. ks holds
