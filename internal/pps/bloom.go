@@ -147,7 +147,8 @@ func (s *Bloom) Trapdoor(word string) WordTrapdoor {
 	st := s.enc.Get().(*encState)
 	st.word = appendPadded(st.word[:0], word)
 	for i := range st.sub {
-		td = append(td, st.sub[i].sum(paddedMsg{st.word, len(word)})...)
+		d := st.sub[i].sum(paddedMsg{st.word, len(word)})
+		td = append(td, d[:]...)
 	}
 	s.enc.Put(st)
 	return td
@@ -180,7 +181,7 @@ func (s *Bloom) encryptMetadata(rnd []byte, words []string, trapdoors []WordTrap
 		st.word = appendPadded(st.word[:0], w)
 		word := paddedMsg{st.word, len(w)}
 		for i := range st.sub {
-			copy(st.td[:], st.sub[i].sum(word))
+			*(*[sha256.Size]byte)(st.td[:]) = st.sub[i].sum(word)
 			setBit(filter, int(st.blind.sum64(x)%mBits))
 		}
 	}

@@ -4,35 +4,76 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestFastPRFSelected: the toolchain CI builds with must take the fast
-// evaluator. A crypto/sha256 whose marshaled state changed would still
-// match correctly through crypto/hmac, at a third of the speed; this
-// makes that fail loudly instead.
+// TestFastPRFSelected: a process takes the SHA-NI compress exactly
+// when the CPU has what Go's crypto/sha256 requires for it (as Linux
+// lists it in /proc/cpuinfo, which cross-checks the CPUID probe) and
+// the build carries it, and the portable compress otherwise. A
+// crypto/sha256 whose marshaled state changed would still match
+// correctly through crypto/hmac, at a third of the speed; this makes
+// that fail loudly instead.
 func TestFastPRFSelected(t *testing.T) {
-	if !fastPRF {
-		t.Fatal("crypto/sha256's marshaled state no longer has the layout kernel.go reads; the matcher is on the crypto/hmac path")
+	if !portableOK {
+		t.Fatal("crypto/sha256's marshaled state no longer has the layout the portable compress reads")
 	}
 	var k prfKernel
 	k.init()
-	if k.h == nil {
-		t.Fatal("init did not select the fast evaluator")
+	if k.path != bestPath {
+		t.Fatalf("init selected path %d, bestPath is %d", k.path, bestPath)
 	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flags to cross-check the probe against: %v", err)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(v) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	want := pathPortable
+	if shaniBuilt && flags["sha_ni"] && flags["ssse3"] && flags["sse4_1"] && flags["avx"] {
+		want = pathSHANI
+	}
+	if bestPath != want {
+		t.Fatalf("bestPath = %d, want %d (SHA-NI built: %v; cpuinfo sha_ni=%v ssse3=%v sse4_1=%v avx=%v)",
+			bestPath, want, shaniBuilt, flags["sha_ni"], flags["ssse3"], flags["sse4_1"], flags["avx"])
+	}
+}
+
+// prfPaths names every evaluation path this build and CPU can run.
+func prfPaths() map[string]prfPath {
+	paths := map[string]prfPath{"generic": pathGeneric}
+	if useSHANI {
+		paths["shani"] = pathSHANI
+	}
+	if portableOK {
+		paths["portable"] = pathPortable
+	}
+	return paths
 }
 
 // kernelPaths returns a kernel on each evaluation path.
 func kernelPaths() map[string]*prfKernel {
-	fast, generic := new(prfKernel), new(prfKernel)
-	fast.init()
-	return map[string]*prfKernel{"fast": fast, "generic": generic}
+	ks := map[string]*prfKernel{}
+	for name, p := range prfPaths() {
+		ks[name] = new(prfKernel)
+		ks[name].initPath(p)
+	}
+	return ks
 }
 
-// TestKernelMatchesHMAC: both kernel paths must be bit-identical to the
+// TestKernelMatchesHMAC: every kernel path must be bit-identical to the
 // crypto/hmac reference at every padding boundary (a message of 55
 // bytes is the longest whose padding fits its own block, 56 the first
 // that needs another; 119/120 likewise one block on) and for keys that
@@ -49,7 +90,7 @@ func TestKernelMatchesHMAC(t *testing.T) {
 				for trial := 0; trial < 3; trial++ { // repeated evals on one key
 					data := make([]byte, dataLen)
 					rng.Read(data)
-					if got, want := k.sum(padMsg(data)), prf(key, data); !bytes.Equal(got, want) {
+					if got, want := k.sum(padMsg(data)), prf(key, data); !bytes.Equal(got[:], want) {
 						t.Fatalf("%s: digest mismatch at keyLen=%d dataLen=%d", name, keyLen, dataLen)
 					}
 					if k.sum64(padMsg(data)) != prfUint64(key, data) {
@@ -61,8 +102,9 @@ func TestKernelMatchesHMAC(t *testing.T) {
 	}
 }
 
-// FuzzKernelMatchesHMAC: any key, any message, both paths, and a
-// schedule installed into a kernel last keyed for something else.
+// FuzzKernelMatchesHMAC: any key, any message, every path, and on each
+// compress path a schedule installed into a kernel last keyed for
+// something else.
 func FuzzKernelMatchesHMAC(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), []byte("trapdoor-element-0123456789abcde"))
 	f.Add([]byte{}, []byte{})
@@ -71,46 +113,47 @@ func FuzzKernelMatchesHMAC(f *testing.F) {
 		want := prf(key, data)
 		for name, k := range kernelPaths() {
 			k.setKey(key)
-			if got := k.sum(padMsg(data)); !bytes.Equal(got, want) {
+			if got := k.sum(padMsg(data)); !bytes.Equal(got[:], want) {
 				t.Fatalf("%s: HMAC(%x, %x) = %x, want %x", name, key, data, got, want)
 			}
-		}
-		var a, b prfKernel
-		a.init()
-		b.init()
-		ks := a.derive(key)
-		b.setKey(data)
-		b.install(&ks)
-		if got := b.sum(padMsg(data)); !bytes.Equal(got, want) {
-			t.Fatalf("installed schedule: HMAC(%x, %x) = %x, want %x", key, data, got, want)
+			if k.path == pathGeneric {
+				continue
+			}
+			ks := k.derive(key)
+			k.setKey(data)
+			k.install(&ks)
+			if got := k.sum(padMsg(data)); !bytes.Equal(got[:], want) {
+				t.Fatalf("%s: installed schedule: HMAC(%x, %x) = %x, want %x", name, key, data, got, want)
+			}
 		}
 	})
 }
 
 // TestKernelRekeying: interleaved re-keying (the per-record pattern),
-// by key and by installed schedule, never leaks state between keys.
+// by key and by installed schedule, never leaks state between keys, on
+// every path (the generic path has no schedules: it re-keys by key).
 func TestKernelRekeying(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var k prfKernel
-	k.init()
-	keys := make([][]byte, 8)
-	recs := make([]Encoded, len(keys))
-	for i := range keys {
-		keys[i] = make([]byte, 16)
-		rng.Read(keys[i])
-		recs[i].Nonce = keys[i]
-	}
-	ks := AppendKeySchedules(nil, recs)
-	data := []byte("trapdoor-element-0123456789abcdef")
-	for trial := 0; trial < 64; trial++ {
-		i := rng.Intn(len(keys))
-		if trial%2 == 0 {
-			k.setKey(keys[i])
-		} else {
-			k.install(&ks[i])
+	for name, k := range kernelPaths() {
+		rng := rand.New(rand.NewSource(11))
+		keys := make([][]byte, 8)
+		recs := make([]Encoded, len(keys))
+		for i := range keys {
+			keys[i] = make([]byte, 16)
+			rng.Read(keys[i])
+			recs[i].Nonce = keys[i]
 		}
-		if got, want := k.sum64(padMsg(data)), prfUint64(keys[i], data); got != want {
-			t.Fatalf("trial %d: kernel %x != reference %x after re-keying", trial, got, want)
+		ks := appendKeySchedules(k, nil, recs)
+		data := []byte("trapdoor-element-0123456789abcdef")
+		for trial := 0; trial < 64; trial++ {
+			i := rng.Intn(len(keys))
+			if trial%2 == 0 || k.path == pathGeneric {
+				k.setKey(keys[i])
+			} else {
+				k.install(&ks[i])
+			}
+			if got, want := k.sum64(padMsg(data)), prfUint64(keys[i], data); got != want {
+				t.Fatalf("%s: trial %d: kernel %x != reference %x after re-keying", name, trial, got, want)
+			}
 		}
 	}
 }
@@ -180,7 +223,7 @@ func TestRunMatchesLegacyKernel(t *testing.T) {
 }
 
 // TestMatchBatchMatchesMatch: the single-record, batch and scheduled
-// entry points agree, on both kernel paths (the generic path ignores the
+// entry points agree, on the best and the generic path (which ignores the
 // schedules and keys from the nonces).
 func TestMatchBatchMatchesMatch(t *testing.T) {
 	m, q, mds := kernelCorpus(t, 400, 2)
@@ -229,37 +272,57 @@ func TestShortFilterMatchesNothing(t *testing.T) {
 	}
 }
 
-// TestMatchSteadyStateZeroAlloc is the acceptance gate: once the
-// predicate order settles, matching a record performs no heap
-// allocations — keyed from its nonce or from a stored schedule — and
-// neither does deriving the schedules into a grown slice.
+// TestMatchSteadyStateZeroAlloc is the acceptance gate: on every
+// compress path, once the predicate order settles, matching a record
+// performs no heap allocations — keyed from its nonce or from a stored
+// schedule — and neither does deriving the schedules into a pre-grown
+// slice.
 func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
 	}
 	m, q, mds := kernelCorpus(t, SelectivitySamples+64, 3)
-	run := m.NewRun(q)
-	for i := 0; i < SelectivitySamples; i++ {
-		run.Match(mds[i%len(mds)].BloomMetadata)
-	}
-	if run.Order() == nil {
-		t.Fatal("order did not settle")
-	}
 	steady := mds[SelectivitySamples:]
-	out := make([]uint64, 0, len(steady))
-	allocs := testing.AllocsPerRun(50, func() {
-		out = run.MatchBatch(steady, out[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("settled-order MatchBatch allocates %.1f objects per scan, want 0", allocs)
+	for name, p := range prfPaths() {
+		if p == pathGeneric {
+			continue // crypto/hmac allocates per evaluation
+		}
+		run := m.NewRun(q)
+		run.prf.initPath(p)
+		for i := 0; i < SelectivitySamples; i++ {
+			run.Match(mds[i%len(mds)].BloomMetadata)
+		}
+		if run.Order() == nil {
+			t.Fatalf("%s: order did not settle", name)
+		}
+		out := make([]uint64, 0, len(steady))
+		allocs := testing.AllocsPerRun(50, func() {
+			out = run.MatchBatch(steady, out[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("%s: settled-order MatchBatch allocates %.1f objects per scan, want 0", name, allocs)
+		}
+		var k prfKernel
+		k.initPath(p)
+		ks := make([]KeySchedule, 0, len(steady))
+		allocs = testing.AllocsPerRun(50, func() {
+			ks = appendKeySchedules(&k, ks[:0], steady)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: deriving schedules into a grown slice allocates %.1f objects per scan, want 0", name, allocs)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			out = run.MatchScheduled(steady, ks, out[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("%s: settled-order MatchScheduled allocates %.1f objects per scan, want 0", name, allocs)
+		}
 	}
 	ks := make([]KeySchedule, 0, len(steady))
-	allocs = testing.AllocsPerRun(50, func() {
+	if allocs := testing.AllocsPerRun(50, func() {
 		ks = AppendKeySchedules(ks[:0], steady)
-		out = run.MatchScheduled(steady, ks, out[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("derive + settled-order MatchScheduled allocates %.1f objects per scan, want 0", allocs)
+	}); allocs != 0 {
+		t.Errorf("AppendKeySchedules into a grown slice allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
@@ -267,7 +330,8 @@ func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 // generic crypto/hmac evaluation per hash (as MatchOne does) against the
 // zero-allocation kernel keyed per record from the nonce ("kernel": what
 // MatchFile and MatchAll pay) and from a stored schedule ("scheduled":
-// what store.MatchArc pays). Run with -benchmem.
+// what store.MatchArc pays), then "scheduled" on each evaluation path
+// this build and CPU can run ("scheduled/<path>"). Run with -benchmem.
 func BenchmarkMatchKernel(b *testing.B) {
 	m, q, mds := kernelCorpus(b, SelectivitySamples+1024, 3)
 	steady := mds[SelectivitySamples:]
@@ -315,20 +379,29 @@ func BenchmarkMatchKernel(b *testing.B) {
 		}
 		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 	})
-	b.Run("scheduled", func(b *testing.B) {
-		run := m.NewRun(q)
-		run.MatchBatch(mds[:SelectivitySamples], nil)
-		ks := AppendKeySchedules(nil, steady)
-		out := make([]uint64, 0, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		matched := 0
-		for i := 0; i < b.N; i++ {
-			j := i % len(steady)
-			matched += len(run.MatchScheduled(steady[j:j+1], ks[j:j+1], out[:0]))
+	scheduled := func(p prfPath) func(*testing.B) {
+		return func(b *testing.B) {
+			run := m.NewRun(q)
+			run.prf.initPath(p)
+			run.MatchBatch(mds[:SelectivitySamples], nil)
+			ks := AppendKeySchedules(nil, steady)
+			out := make([]uint64, 0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			matched := 0
+			for i := 0; i < b.N; i++ {
+				j := i % len(steady)
+				matched += len(run.MatchScheduled(steady[j:j+1], ks[j:j+1], out[:0]))
+			}
+			b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 		}
-		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
-	})
+	}
+	b.Run("scheduled", scheduled(bestPath))
+	for _, name := range []string{"shani", "portable", "generic"} {
+		if p, ok := prfPaths()[name]; ok {
+			b.Run("scheduled/"+name, scheduled(p))
+		}
+	}
 }
 
 // BenchmarkEncryptMetadata measures the write-side path the pooled

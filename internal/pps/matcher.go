@@ -145,7 +145,7 @@ func (r *Run) MatchBatch(recs []Encoded, out []uint64) []uint64 {
 // AppendKeySchedules): installing one replaces the per-record key
 // derivation. A nil ks derives from the nonces.
 func (r *Run) MatchScheduled(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
-	scheduled := ks != nil && r.prf.h != nil
+	scheduled := ks != nil && r.prf.path != pathGeneric
 	for i := range recs {
 		if scheduled {
 			r.prf.install(&ks[i])
