@@ -67,7 +67,7 @@ func main() {
 		conc     = flag.Int("concurrency", 1, "concurrent in-flight queries")
 		pool     = flag.Int("pool", 1, "TCP connections to the frontend")
 		timeout  = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
-		tenant   = flag.String("tenant", "", "tenant id for per-tenant admission quotas and telemetry (empty = anonymous)")
+		tenant   = flag.String("tenant", "", "tenant id for per-tenant admission quotas (empty = anonymous)")
 		cacheCtl = flag.String("cache", "default", "result cache control: default, bypass, refresh")
 	)
 	flag.Parse()

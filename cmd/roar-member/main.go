@@ -36,12 +36,10 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7000", "address to serve on")
-		p        = flag.Int("p", 4, "initial partitioning level")
-		rings    = flag.Int("rings", 1, "number of rings")
-		qThresh  = flag.Float64("quarantine-threshold", 0, "failure-evidence score that quarantines a node (0 = default 3)")
-		qRecover = flag.Float64("quarantine-recover", 0, "score at which a quarantined node is re-admitted (default 0)")
-		qMaxFrac = flag.Float64("quarantine-max-fraction", 0, "refuse to quarantine beyond this fraction of nodes (0 = default 0.5)")
+		listen  = flag.String("listen", "127.0.0.1:7000", "address to serve on")
+		p       = flag.Int("p", 4, "initial partitioning level")
+		rings   = flag.Int("rings", 1, "number of rings")
+		qThresh = flag.Float64("quarantine-threshold", 0, "failure-evidence score that quarantines a node (0 = default 3)")
 
 		walDir = flag.String("wal", "", "durable ingest WAL directory — enables member.ingest (async writes); replicas must share it")
 
@@ -65,11 +63,7 @@ func main() {
 
 	coordCfg := membership.Config{
 		P: *p, Rings: *rings,
-		Health: membership.HealthConfig{
-			QuarantineThreshold:   *qThresh,
-			RecoverThreshold:      *qRecover,
-			MaxQuarantineFraction: *qMaxFrac,
-		},
+		Health: membership.HealthConfig{QuarantineThreshold: *qThresh},
 	}
 
 	d := wire.NewDispatcher()

@@ -250,23 +250,23 @@ func (c *Cluster) AddFrontend(cfg frontend.Config) (*frontend.Frontend, error) {
 	return fe, nil
 }
 
-// PumpHealth runs one turn of the health loop for the given frontends
-// (all of the cluster's frontends when none are named): each pushes its
-// report to the coordinator, and any frontend whose view is stale
-// against the coordinator's epoch re-pulls it — exactly what
-// cmd/roar-frontend's background pushers do on their tickers.
-func (c *Cluster) PumpHealth(fes ...*frontend.Frontend) proto.HealthResp {
-	if len(fes) == 0 {
-		fes = append([]*frontend.Frontend{c.FE}, c.extraFEs...)
-	}
-	var resp proto.HealthResp
+// PumpHealth runs one turn of the health loop: every frontend pushes its
+// report to the coordinator, then every frontend whose view is stale
+// against the coordinator's epoch re-pulls it — what cmd/roar-frontend's
+// background pushers do on their tickers. The re-pull waits for the
+// whole round, so a report that moves the epoch reaches the frontends
+// that reported before it too.
+func (c *Cluster) PumpHealth() {
+	fes := append([]*frontend.Frontend{c.FE}, c.extraFEs...)
 	for _, fe := range fes {
-		resp, _ = c.Coord.ReportHealth(fe.HealthReport()) // standalone: nothing to commit, cannot fail
-		if resp.Epoch != fe.View().Epoch {
-			_ = fe.ApplyView(c.Coord.View())
+		_, _ = c.Coord.ReportHealth(fe.HealthReport()) // standalone: nothing to commit, cannot fail
+	}
+	v := c.Coord.View()
+	for _, fe := range fes {
+		if fe.View().Epoch != v.Epoch {
+			_ = fe.ApplyView(v)
 		}
 	}
-	return resp
 }
 
 // Close tears everything down.

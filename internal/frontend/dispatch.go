@@ -264,7 +264,7 @@ func (d *dispatcher) onEvent(p *wire.Pending) {
 			// that served the leg. The sample ends at the response's
 			// arrival: this loop's own queueing is not remote slowness.
 			elapsed := p.Arrived.Sub(l.start)
-			l.h.contactOK(l.resp.QueueDepth)
+			l.h.observe(true, l.resp.QueueDepth)
 			d.f.lat.observe(elapsed)
 			l.h.lat.observe(elapsed)
 			if s, size := elapsed.Seconds(), l.sub.Size(); s > 0 && size > 0 {
@@ -371,8 +371,8 @@ func (d *dispatcher) add(resp *proto.QueryResp) {
 	d.res.Scanned += resp.Scanned
 }
 
-// primaryFinished handles a primary's answer or failure. Suspicion is
-// recorded only for a leg that failed on its own, never for one this
+// primaryFinished handles a primary's answer or failure. A failure is
+// observed only for a leg that failed on its own, never for one this
 // loop abandoned after it lost a race.
 func (d *dispatcher) primaryFinished(l *leg, err error) {
 	switch {
@@ -383,7 +383,9 @@ func (d *dispatcher) primaryFinished(l *leg, err error) {
 	case d.ctx.Err() != nil:
 		d.err = d.ctx.Err()
 	default:
-		d.f.suspect(l.sub.Node)
+		if l.h != nil { // nil: the node left the view under the plan
+			l.h.observe(false, 0)
+		}
 		if l.hedge == hedgeRacing {
 			l.err = err // the hedge side may still save the sub-query
 			return
@@ -398,7 +400,7 @@ func (d *dispatcher) hedgeFinished(hl *leg, err error, at time.Time) {
 	p := hl.of
 	if err != nil {
 		if d.ctx.Err() == nil {
-			d.f.suspect(hl.sub.Node) // genuine hedge-node failure
+			hl.h.observe(false, 0) // genuine hedge-node failure
 		}
 		d.hedgeLost(p)
 		return

@@ -8,10 +8,11 @@
 // remote matcher), detects node failures through per-sub-query timers,
 // re-dispatches around failures with the §4.4 fallback, merges the
 // sub-responses, and maintains per-server processing-speed EWMAs from
-// observed completions. Failure suspicion is revocable: suspected nodes
-// are probed in the background and rescheduled once they answer
-// (healthy → suspected → recovering, see health.go), instead of the
-// seed's permanent one-way failure mark.
+// observed completions. Failure suspicion is revocable and has one rule
+// (health.go): every leg outcome and every background probe — which
+// pings every node each interval, whatever the load — is one ok/fail
+// sample; a failure suspects the node, an answer makes it healthy, and
+// only a view quarantines it or lifts the quarantine (three states).
 //
 // A query is run by the goroutine that called Query, start to finish
 // (dispatch.go): it starts every leg as an asynchronous wire call
@@ -44,7 +45,7 @@ import (
 )
 
 const (
-	// defaultProbeInterval is the recovery-probe cadence when none is
+	// defaultProbeInterval is the probe cadence when none is
 	// configured.
 	defaultProbeInterval = 500 * time.Millisecond
 	// speedAlpha is the EWMA smoothing of the per-node speed estimates.
@@ -99,10 +100,10 @@ type Config struct {
 	// hedges the slowest ~5%). HedgeDelay then acts as the floor and
 	// the cold-start value. 0 uses the fixed HedgeDelay only.
 	HedgeQuantile float64
-	// ProbeInterval is the cadence of the background probe that
-	// re-evaluates suspected nodes. 0 defaults to 500ms; negative
-	// disables probing (suspicion then clears only via view retention
-	// or a successful hedge contact).
+	// ProbeInterval is the cadence of the background probe that pings
+	// every node in the view. 0 defaults to 500ms; negative disables
+	// probing (a node is then observed only through its legs, and
+	// suspicion clears only via view retention).
 	ProbeInterval time.Duration
 
 	// HedgeBudgetFraction rate-limits hedging: every primary sub-query
@@ -127,8 +128,8 @@ type Config struct {
 	// payloads, and per-entry overhead). 0 disables caching entirely.
 	CacheBudget int64
 	// TenantRate is each tenant's admission-quota refill, in queries
-	// per second. 0 disables quota enforcement (per-tenant counters are
-	// kept regardless); see tenant.go for the work-conserving semantics.
+	// per second. 0 disables quota enforcement; see tenant.go for the
+	// work-conserving semantics.
 	TenantRate float64
 	// TenantBurst is the quota bucket capacity (default max(rate, 8)).
 	TenantBurst float64
@@ -216,8 +217,8 @@ type Frontend struct {
 	cacheGen   atomic.Uint64
 	ingSeq     atomic.Uint64
 	ingDrained atomic.Uint64
-	// tenants is the per-tenant quota and accounting ledger (always
-	// non-nil; quota enforcement off when Config.TenantRate is 0).
+	// tenants holds the per-tenant quota buckets (always non-nil; quota
+	// enforcement off when Config.TenantRate is 0).
 	tenants *tenantTable
 
 	stop      chan struct{} // stops the background prober
@@ -370,34 +371,25 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	for _, ni := range v.Nodes {
 		id := ring.NodeID(ni.ID)
 		seen[id] = true
-		if h, ok := f.nodes[id]; ok && h.addr == ni.Addr {
-			// The view's health verdict wins over local state: a
-			// quarantine demotes the node whatever we observed, and a
-			// retained, un-quarantined node deserves re-evaluation.
-			if ni.Quarantined {
-				h.setQuarantined()
-			} else {
-				h.clearSuspicion()
+		h, ok := f.nodes[id]
+		if !ok || h.addr != ni.Addr {
+			if ok {
+				h.client.Close()
 			}
-			continue
+			sp := stats.NewEWMA(speedAlpha)
+			sp.Set(initialSpeed)
+			if f.nodeLat[id] == nil {
+				f.nodeLat[id] = &latTracker{}
+			}
+			h = &handle{
+				id: id, addr: ni.Addr, speed: sp, lat: f.nodeLat[id],
+				client:  wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: f.cfg.PoolSize}),
+				credits: semaphore(f.cfg.NodeMaxOutstanding),
+			}
+			f.nodes[id] = h
 		}
-		if h, ok := f.nodes[id]; ok {
-			h.client.Close()
-		}
-		sp := stats.NewEWMA(speedAlpha)
-		sp.Set(initialSpeed)
-		if f.nodeLat[id] == nil {
-			f.nodeLat[id] = &latTracker{}
-		}
-		h := &handle{
-			id: id, addr: ni.Addr, speed: sp, lat: f.nodeLat[id],
-			client:  wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: f.cfg.PoolSize}),
-			credits: semaphore(f.cfg.NodeMaxOutstanding),
-		}
-		if ni.Quarantined {
-			h.state = stateQuarantined
-		}
-		f.nodes[id] = h
+		// The view's health verdict wins over local state.
+		h.setVerdict(ni.Quarantined)
 	}
 	for id, h := range f.nodes {
 		if !seen[id] {
@@ -453,9 +445,8 @@ func (f *Frontend) SpeedEstimates() map[int]float64 {
 
 // estimator builds the scheduling estimator from EWMAs, in-flight work,
 // and the queue depth nodes report with every response (§4.8:
-// outstanding queries and their expected finish times). Suspected
-// nodes are effectively unschedulable; recovering nodes compete
-// normally so they are actually re-used after recovery.
+// outstanding queries and their expected finish times). Suspected and
+// quarantined nodes are effectively unschedulable.
 func (f *Frontend) estimator() core.Estimator {
 	return core.EstimatorFunc(func(id ring.NodeID, size float64) float64 {
 		f.mu.RLock()
@@ -465,8 +456,8 @@ func (f *Frontend) estimator() core.Estimator {
 			return 1e12
 		}
 		st, out, depth := h.loadSnapshot()
-		if st == stateSuspected || st == stateQuarantined {
-			return 1e12 // unschedulable until a probe or view clears it
+		if st != stateHealthy {
+			return 1e12 // unschedulable until an answer or a view clears it
 		}
 		sp, _ := h.speed.Value()
 		if sp <= 0 {
@@ -494,8 +485,8 @@ type QuerySpec struct {
 	Enc   pps.Query
 	Plain *proto.PlainQuery
 
-	// Tenant names the accounting principal for quota and telemetry;
-	// empty is the anonymous tenant.
+	// Tenant names the principal the admission quota meters; empty is
+	// the anonymous tenant.
 	Tenant string
 	// Priority selects the admission class (PriorityNormal when zero).
 	Priority Priority
@@ -525,10 +516,8 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 		gen = f.cacheGen.Load()
 		if cc == proto.CacheDefault {
 			if ids, ok := c.get(key, gen); ok {
-				f.tenants.noteCacheHit(spec.Tenant)
 				return f.cacheHit(ids, t0), nil
 			}
-			f.tenants.noteCacheMiss(spec.Tenant)
 			if fl, leader := c.startFlight(key, gen); !leader {
 				select {
 				case <-fl.done:
@@ -537,7 +526,6 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 				}
 				if fl.err == nil {
 					c.noteCoalesced()
-					f.tenants.noteCacheHit(spec.Tenant)
 					ids := make([]uint64, len(fl.ids))
 					copy(ids, fl.ids)
 					return f.cacheHit(ids, t0), nil
@@ -554,7 +542,6 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 			// lead unregistered rather than inherit its fenced result.
 			return f.execute(ctx, spec, t0, key, gen)
 		}
-		f.tenants.noteCacheMiss(spec.Tenant) // CacheRefresh: forced miss
 	}
 	return f.execute(ctx, spec, t0, key, gen)
 }
@@ -578,7 +565,6 @@ func (f *Frontend) cacheHit(ids []uint64, t0 time.Time) Result {
 func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, key string, gen uint64) (Result, error) {
 	if spec.Priority < PriorityNormal && f.overloaded() {
 		f.shed.Add(1)
-		f.tenants.noteShed(spec.Tenant)
 		return Result{}, ErrShed
 	}
 	admit := f.admit
@@ -587,7 +573,6 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	// over-quota tenant is turned away while compliant tenants queue.
 	contended := admit != nil && len(admit) == cap(admit)
 	if !f.tenantAdmit(spec.Tenant, spec.Priority, contended) {
-		f.tenants.noteShed(spec.Tenant)
 		return Result{}, ErrTenantShed
 	}
 	if admit != nil {
@@ -609,7 +594,6 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	}
 	queueDur := f.nowFn().Sub(t0)
 	f.queueLat.observe(queueDur)
-	f.tenants.noteAdmitted(spec.Tenant)
 
 	tSched := f.nowFn()
 	f.mu.RLock()

@@ -2,13 +2,17 @@ package frontend
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"roar/internal/membership"
+	"roar/internal/node"
 	"roar/internal/pps"
 	"roar/internal/proto"
 	"roar/internal/ring"
+	"roar/internal/wire"
 )
 
 // The recovery and hedging tests use n == pq (8 equal nodes, p = 4,
@@ -65,12 +69,12 @@ func TestRecoveryAfterTransientSlowness(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := fe.Health()[0]; st != "recovering" {
-		t.Errorf("probed-back node state = %q, want recovering", st)
+	if st := fe.Health()[0]; st != "healthy" {
+		t.Errorf("probed-back node state = %q, want healthy", st)
 	}
 
-	// Phase 3: the recovered node is actually rescheduled and promotes
-	// to healthy on its first success.
+	// Phase 3: the recovered node is actually rescheduled and stays
+	// healthy on its first success.
 	for nodes[0].Stats().Queries == preQueries {
 		if time.Now().After(deadline) {
 			t.Fatalf("recovered node never rescheduled; health = %v", fe.Health())
@@ -111,8 +115,8 @@ func TestApplyViewClearsSuspicion(t *testing.T) {
 	if got := failedNodes(fe); len(got) != 0 {
 		t.Errorf("retained node kept suspicion across ApplyView: %v", got)
 	}
-	if st := fe.Health()[2]; st != "recovering" {
-		t.Errorf("retained node state = %q, want recovering", st)
+	if st := fe.Health()[2]; st != "healthy" {
+		t.Errorf("retained node state = %q, want healthy", st)
 	}
 }
 
@@ -261,4 +265,94 @@ func TestEstimatorUsesReportedDepth(t *testing.T) {
 		t.Errorf("deep-queue node estimated %.3f, idle %.3f; depth ignored", deep, idle)
 	}
 	_ = nodes
+}
+
+// TestProbeQuarantinesIdleDeadNode: a node that dies while no query is
+// in flight, and whose last reported queue depth keeps the scheduler
+// away from it, is still noticed. Each round probes every node in the
+// view and pushes one report: the dead node is suspected after the
+// first round and quarantined after ⌈threshold⌉ rounds, while a live
+// node's stale depth refreshes. Probing is driven by hand and no query
+// runs at all.
+func TestProbeQuarantinesIdleDeadNode(t *testing.T) {
+	const (
+		n         = 4
+		threshold = 3
+		deadIdx   = 1
+		busyIdx   = 2
+	)
+	enc := slimEncoder()
+	coord, err := membership.New(membership.Config{P: 2,
+		Health: membership.HealthConfig{QuarantineThreshold: threshold}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	var servers []*wire.Server
+	var ids []ring.NodeID
+	for i := 0; i < n; i++ {
+		nd, err := node.New(node.Config{Params: enc.ServerParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := nd.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		servers = append(servers, srv)
+		jr, err := coord.Join(context.Background(), srv.Addr(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, ring.NodeID(jr.ID))
+	}
+	fe := New(Config{Name: "fe-0", ProbeInterval: -1})
+	defer fe.Close()
+	if err := fe.ApplyView(coord.View()); err != nil {
+		t.Fatal(err)
+	}
+	deadID, busyID := ids[deadIdx], ids[busyIdx]
+	// Both nodes last reported a deep queue (a surge that has passed).
+	for _, id := range []ring.NodeID{deadID, busyID} {
+		fe.mu.RLock()
+		h := fe.nodes[id]
+		fe.mu.RUnlock()
+		h.mu.Lock()
+		h.depth = 9
+		h.mu.Unlock()
+	}
+	if err := servers[deadIdx].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 1; round <= threshold; round++ {
+		fe.probeAll(time.Second)
+		if st := fe.Health()[int(deadID)]; round == 1 && st != "suspected" {
+			t.Fatalf("round 1: dead node is %q, want suspected", st)
+		}
+		if _, err := coord.ReportHealth(fe.HealthReport()); err != nil {
+			t.Fatal(err)
+		}
+		quarantined := slices.Contains(coord.Quarantined(), int(deadID))
+		if quarantined != (round == threshold) {
+			t.Fatalf("round %d: quarantined=%v (score %v), want quarantine at round %d",
+				round, quarantined, coord.HealthScore(deadID), threshold)
+		}
+	}
+	if got := coord.Quarantined(); len(got) != 1 {
+		t.Fatalf("quarantined %v, want only node %d", got, deadID)
+	}
+	if err := fe.ApplyView(coord.View()); err != nil {
+		t.Fatal(err)
+	}
+	if st := fe.Health()[int(deadID)]; st != "quarantined" {
+		t.Errorf("after the view: dead node is %q, want quarantined", st)
+	}
+	fe.mu.RLock()
+	busy := fe.nodes[busyID]
+	fe.mu.RUnlock()
+	if _, _, depth := busy.loadSnapshot(); depth != 0 {
+		t.Errorf("live node's depth is still %d after a probe round, want its idle 0", depth)
+	}
 }

@@ -12,8 +12,7 @@ import (
 
 // TestViewQuarantineDemotesNode: a view flagging a node quarantined
 // makes it unschedulable — zero dispatches — without dropping it from
-// the ring, and a later view clearing the flag re-admits it through
-// the recovering state.
+// the ring, and a later view clearing the flag re-admits it as healthy.
 func TestViewQuarantineDemotesNode(t *testing.T) {
 	enc := slimEncoder()
 	v, nodes := testView(t, enc, 8, 4)
@@ -49,14 +48,14 @@ func TestViewQuarantineDemotesNode(t *testing.T) {
 		t.Fatalf("failedNodes echoes the quarantine back: %v", got)
 	}
 
-	// The membership layer lifts the quarantine: recovering, then used.
+	// The membership layer lifts the quarantine: healthy, then used.
 	v.Nodes[qIdx].Quarantined = false
 	v.Epoch = 2
 	if err := fe.ApplyView(v); err != nil {
 		t.Fatal(err)
 	}
-	if st := fe.Health()[qIdx]; st != "recovering" {
-		t.Fatalf("lifted quarantine state = %q, want recovering", st)
+	if st := fe.Health()[qIdx]; st != "healthy" {
+		t.Fatalf("lifted quarantine state = %q, want healthy", st)
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for nodes[qIdx].Stats().Queries == 0 {
@@ -120,7 +119,7 @@ func TestShedLowPriorityUnderOverload(t *testing.T) {
 }
 
 // TestHealthReportCountersDelta: report counters are deltas — a
-// suspicion shows up once and resets; queue depth and speed ride along.
+// failure shows up once and resets; queue depth and speed ride along.
 func TestHealthReportCountersDelta(t *testing.T) {
 	enc := slimEncoder()
 	v, nodes := testView(t, enc, 3, 1)
@@ -138,18 +137,18 @@ func TestHealthReportCountersDelta(t *testing.T) {
 	var got *int
 	for i := range rep.Nodes {
 		if rep.Nodes[i].ID == 1 {
-			got = &rep.Nodes[i].Suspicions
+			got = &rep.Nodes[i].Fails
 		}
 	}
 	if got == nil || *got != 1 {
-		t.Fatalf("suspicion missing from report: %+v", rep.Nodes)
+		t.Fatalf("failure missing from report: %+v", rep.Nodes)
 	}
 	rep2 := fe.HealthReport()
 	if rep2.Seq != 2 {
 		t.Fatalf("Seq = %d, want 2", rep2.Seq)
 	}
 	for _, nh := range rep2.Nodes {
-		if nh.Suspicions != 0 || nh.ProbeOKs != 0 || nh.ProbeFails != 0 || nh.Contacts != 0 {
+		if nh.Fails != 0 || nh.OKs != 0 {
 			t.Fatalf("counters did not reset: %+v", nh)
 		}
 	}
@@ -160,7 +159,7 @@ func TestHealthReportCountersDelta(t *testing.T) {
 	rep3 := fe.HealthReport()
 	restored := false
 	for _, nh := range rep3.Nodes {
-		if nh.ID == 1 && nh.Suspicions == 1 {
+		if nh.ID == 1 && nh.Fails == 1 {
 			restored = true
 		}
 	}
@@ -173,7 +172,7 @@ func TestHealthReportCountersDelta(t *testing.T) {
 // TestHealthReportAutoscaleTelemetry pins the autoscale extension's
 // delta/gauge semantics: shed-by-priority and hedge-denial counters
 // reset per report and are re-credited on restore; the queue-wait and
-// per-node latency digests are rolling gauges.
+// per-node latency p99s are rolling gauges.
 func TestHealthReportAutoscaleTelemetry(t *testing.T) {
 	enc := slimEncoder()
 	v, nodes := testView(t, enc, 2, 1)
@@ -196,8 +195,8 @@ func TestHealthReportAutoscaleTelemetry(t *testing.T) {
 	if rep.ShedNormal != 3 || rep.HedgesDenied != 7 {
 		t.Fatalf("extension counters = %d/%d, want 3/7", rep.ShedNormal, rep.HedgesDenied)
 	}
-	if rep.QueueP50Nanos <= 0 || rep.QueueP99Nanos < rep.QueueP50Nanos {
-		t.Fatalf("queue digest broken: p50=%d p99=%d", rep.QueueP50Nanos, rep.QueueP99Nanos)
+	if rep.QueueP99Nanos <= 0 {
+		t.Fatalf("queue-wait p99 missing: %d", rep.QueueP99Nanos)
 	}
 	var lat0 int64
 	for _, nh := range rep.Nodes {

@@ -1,6 +1,5 @@
 // Per-tenant admission: token-bucket quotas over the shared MaxInFlight
-// pool, plus the per-tenant counters the autoscale telemetry extension
-// carries (docs/ECONOMICS.md).
+// pool (docs/ECONOMICS.md).
 //
 // The quota is deliberately work-conserving: for the interactive
 // classes it is enforced only while the admission pool is contended
@@ -15,49 +14,30 @@ package frontend
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
-
-	"roar/internal/proto"
 )
 
 // ErrTenantShed is returned to queries rejected by their tenant's
 // admission quota while the frontend's in-flight pool is contended.
 var ErrTenantShed = errors.New("frontend: tenant over admission quota, query rejected")
 
-// anonTenant accounts requests that carry no tenant id.
-const anonTenant = ""
-
 // maxTenantStates bounds the table; the least-recently-active tenant
 // is evicted past it (its bucket restarts full if it returns — a brief
 // over-admission for a tenant idle long enough to be evicted).
 const maxTenantStates = 1024
 
-// maxTenantsPerReport caps the per-tenant telemetry shipped in one
-// health report; the remainder is folded into tenantOverflow so the
-// coordinator's totals still conserve.
-const (
-	maxTenantsPerReport = 64
-	tenantOverflow      = "~other"
-)
-
-// tenantState is one tenant's bucket and delta counters, guarded by
-// the table mutex (accesses are short and already on the admission
-// path's lock-order leaf).
+// tenantState is one tenant's bucket, guarded by the table mutex
+// (accesses are short and already on the admission path's lock-order
+// leaf).
 type tenantState struct {
 	tokens float64
 	last   time.Time // last refill
 	active time.Time // last touch, for idle eviction
-
-	admitted    int
-	shed        int
-	cacheHits   int
-	cacheMisses int
 }
 
-// tenantTable is the frontend's tenant ledger. rate <= 0 disables
-// quota enforcement but keeps the counters — telemetry without caps.
+// tenantTable holds the frontend's quota buckets. rate <= 0 disables
+// quota enforcement, and the table then stays empty.
 type tenantTable struct {
 	mu    sync.Mutex
 	m     map[string]*tenantState
@@ -122,115 +102,6 @@ func (t *tenantTable) take(tenant string) bool {
 	}
 	st.tokens--
 	return true
-}
-
-// Counter notes. Each takes the table lock briefly; nil tables (no
-// tenant accounting configured) make them no-ops.
-
-func (t *tenantTable) noteAdmitted(tenant string) {
-	if t == nil {
-		return
-	}
-	now := t.nowFn()
-	t.mu.Lock()
-	t.stateLocked(tenant, now).admitted++
-	t.mu.Unlock()
-}
-
-func (t *tenantTable) noteShed(tenant string) {
-	if t == nil {
-		return
-	}
-	now := t.nowFn()
-	t.mu.Lock()
-	t.stateLocked(tenant, now).shed++
-	t.mu.Unlock()
-}
-
-func (t *tenantTable) noteCacheHit(tenant string) {
-	if t == nil {
-		return
-	}
-	now := t.nowFn()
-	t.mu.Lock()
-	t.stateLocked(tenant, now).cacheHit()
-	t.mu.Unlock()
-}
-
-func (st *tenantState) cacheHit() { st.cacheHits++ }
-
-func (t *tenantTable) noteCacheMiss(tenant string) {
-	if t == nil {
-		return
-	}
-	now := t.nowFn()
-	t.mu.Lock()
-	t.stateLocked(tenant, now).cacheMisses++
-	t.mu.Unlock()
-}
-
-// snapshot drains the delta counters into a report block, largest
-// tenants first, folding the tail past maxTenantsPerReport into
-// tenantOverflow so totals conserve. Tenants with nothing to report
-// are skipped (their buckets stay).
-func (t *tenantTable) snapshot() []proto.TenantLoad {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	var out []proto.TenantLoad
-	for name, st := range t.m {
-		if st.admitted == 0 && st.shed == 0 && st.cacheHits == 0 && st.cacheMisses == 0 {
-			continue
-		}
-		out = append(out, proto.TenantLoad{
-			Tenant:      name,
-			Admitted:    st.admitted,
-			Shed:        st.shed,
-			CacheHits:   st.cacheHits,
-			CacheMisses: st.cacheMisses,
-		})
-		st.admitted, st.shed, st.cacheHits, st.cacheMisses = 0, 0, 0, 0
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		la := out[a].Admitted + out[a].Shed + out[a].CacheHits + out[a].CacheMisses
-		lb := out[b].Admitted + out[b].Shed + out[b].CacheHits + out[b].CacheMisses
-		if la != lb {
-			return la > lb
-		}
-		return out[a].Tenant < out[b].Tenant
-	})
-	if len(out) > maxTenantsPerReport {
-		var rest proto.TenantLoad
-		rest.Tenant = tenantOverflow
-		for _, tl := range out[maxTenantsPerReport:] {
-			rest.Admitted += tl.Admitted
-			rest.Shed += tl.Shed
-			rest.CacheHits += tl.CacheHits
-			rest.CacheMisses += tl.CacheMisses
-		}
-		out = append(out[:maxTenantsPerReport], rest)
-	}
-	return out
-}
-
-// restore folds an undelivered report's tenant deltas back (the
-// counterpart of Frontend.RestoreHealthReport).
-func (t *tenantTable) restore(tls []proto.TenantLoad) {
-	if t == nil || len(tls) == 0 {
-		return
-	}
-	now := t.nowFn()
-	t.mu.Lock()
-	for _, tl := range tls {
-		st := t.stateLocked(tl.Tenant, now)
-		st.admitted += tl.Admitted
-		st.shed += tl.Shed
-		st.cacheHits += tl.CacheHits
-		st.cacheMisses += tl.CacheMisses
-	}
-	t.mu.Unlock()
 }
 
 // tenantAdmit applies the quota for one query given its priority class

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"roar/internal/pps"
-	"roar/internal/proto"
 )
 
 // fakeClock (hedgebudget_test.go) serves as the hand-advanced time
@@ -53,16 +52,12 @@ func TestTenantTableDisabled(t *testing.T) {
 			t.Fatal("rate <= 0 must disable quota enforcement")
 		}
 	}
+	if len(tt.m) != 0 {
+		t.Fatalf("a disabled table grew %d buckets", len(tt.m))
+	}
 	var nilTable *tenantTable
 	if !nilTable.take("a") {
 		t.Fatal("nil table must admit")
-	}
-	nilTable.noteAdmitted("a") // no-ops, must not panic
-	nilTable.noteShed("a")
-	nilTable.noteCacheHit("a")
-	nilTable.noteCacheMiss("a")
-	if nilTable.snapshot() != nil {
-		t.Fatal("nil table snapshot must be empty")
 	}
 }
 
@@ -100,90 +95,17 @@ func TestTenantAdmitClasses(t *testing.T) {
 	}
 }
 
-func TestTenantSnapshotDrainsAndRestores(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	tt := newTenantTable(1, 8, clk.now)
-	tt.noteAdmitted("a")
-	tt.noteAdmitted("a")
-	tt.noteShed("a")
-	tt.noteCacheHit("b")
-	tt.noteCacheMiss("b")
-
-	snap := tt.snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d tenants, want 2", len(snap))
-	}
-	byName := map[string]proto.TenantLoad{}
-	for _, tl := range snap {
-		byName[tl.Tenant] = tl
-	}
-	if a := byName["a"]; a.Admitted != 2 || a.Shed != 1 {
-		t.Errorf("tenant a: %+v", a)
-	}
-	if b := byName["b"]; b.CacheHits != 1 || b.CacheMisses != 1 {
-		t.Errorf("tenant b: %+v", b)
-	}
-	// Destructive: a second snapshot reports nothing.
-	if again := tt.snapshot(); len(again) != 0 {
-		t.Fatalf("second snapshot not empty: %v", again)
-	}
-	// Restore folds the deltas back for the next report.
-	tt.restore(snap)
-	if back := tt.snapshot(); len(back) != 2 {
-		t.Fatalf("restore lost tenants: %v", back)
-	}
-}
-
-func TestTenantSnapshotOverflowFolds(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	tt := newTenantTable(1, 8, clk.now)
-	const n = maxTenantsPerReport + 40
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("t%03d", i)
-		// Larger index = more load, so the fold takes the small tail.
-		for j := 0; j <= i%7; j++ {
-			tt.noteAdmitted(name)
-		}
-		tt.noteShed(name)
-	}
-	snap := tt.snapshot()
-	if len(snap) != maxTenantsPerReport+1 {
-		t.Fatalf("snapshot has %d entries, want %d named + 1 overflow",
-			len(snap), maxTenantsPerReport)
-	}
-	var admitted, shed int
-	sawOverflow := false
-	for _, tl := range snap {
-		admitted += tl.Admitted
-		shed += tl.Shed
-		if tl.Tenant == tenantOverflow {
-			sawOverflow = true
-		}
-	}
-	if !sawOverflow {
-		t.Fatal("overflow bucket missing")
-	}
-	wantAdmitted := 0
-	for i := 0; i < n; i++ {
-		wantAdmitted += i%7 + 1
-	}
-	if admitted != wantAdmitted || shed != n {
-		t.Errorf("totals not conserved across fold: admitted=%d want %d, shed=%d want %d",
-			admitted, wantAdmitted, shed, n)
-	}
-}
-
 func TestTenantTableEvictsLeastRecentlyActive(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	tt := newTenantTable(1, 8, clk.now)
 	for i := 0; i < maxTenantStates; i++ {
-		tt.noteAdmitted(fmt.Sprintf("t%04d", i))
+		tt.take(fmt.Sprintf("t%04d", i))
 		clk.advance(time.Millisecond)
 	}
 	// Touch t0000 so t0001 becomes the eviction victim.
-	tt.noteAdmitted("t0000")
+	tt.take("t0000")
 	clk.advance(time.Millisecond)
-	tt.noteAdmitted("fresh")
+	tt.take("fresh")
 	tt.mu.Lock()
 	_, kept := tt.m["t0000"]
 	_, evicted := tt.m["t0001"]
@@ -201,8 +123,7 @@ func TestTenantTableEvictsLeastRecentlyActive(t *testing.T) {
 }
 
 // TestQueryBulkTenantShed: end-to-end through Query — a bulk tenant past
-// its burst is rejected with ErrTenantShed before taking a slot, and the
-// shed shows up in the health report's tenant block.
+// its burst is rejected with ErrTenantShed before taking a slot.
 func TestQueryBulkTenantShed(t *testing.T) {
 	enc := slimEncoder()
 	v, nodes := testView(t, enc, 2, 1)
@@ -226,17 +147,5 @@ func TestQueryBulkTenantShed(t *testing.T) {
 	// A well-behaved tenant is unaffected.
 	if _, err := fe.Query(context.Background(), QuerySpec{Enc: q, Tenant: "ok", Priority: PriorityBulk}); err != nil {
 		t.Fatalf("other tenant sheds with the hot one: %v", err)
-	}
-
-	rep := fe.HealthReport()
-	byName := map[string]proto.TenantLoad{}
-	for _, tl := range rep.Tenants {
-		byName[tl.Tenant] = tl
-	}
-	if b := byName["batch"]; b.Admitted != 2 || b.Shed != 1 {
-		t.Errorf("tenant batch telemetry: %+v, want 2 admitted / 1 shed", b)
-	}
-	if o := byName["ok"]; o.Admitted != 1 || o.Shed != 0 {
-		t.Errorf("tenant ok telemetry: %+v, want 1 admitted / 0 shed", o)
 	}
 }

@@ -65,17 +65,13 @@ func newASEnv(t *testing.T, nodes, rings, p int) *asEnv {
 }
 
 // report pushes one synthetic fleet-wide health report: every node at
-// the given queue depth, plus optional shed and suspicion counts.
-func (e *asEnv) report(depth, shed int, suspicions map[ring.NodeID]int) {
+// the given queue depth, plus optional shed and failure counts.
+func (e *asEnv) report(depth, shed int, fails map[ring.NodeID]int) {
 	e.t.Helper()
 	e.seq++
 	rep := proto.HealthReport{FE: "fe-test", Seq: e.seq, Shed: shed}
 	for _, id := range e.ids {
-		nh := proto.NodeHealth{ID: int(id), QueueDepth: depth}
-		if suspicions != nil {
-			nh.Suspicions = suspicions[id]
-		}
-		rep.Nodes = append(rep.Nodes, nh)
+		rep.Nodes = append(rep.Nodes, proto.NodeHealth{ID: int(id), QueueDepth: depth, Fails: fails[id]})
 	}
 	e.c.ReportHealth(rep)
 }

@@ -1,11 +1,10 @@
 // Membership-side health aggregation: the coordinator folds the
-// periodic per-frontend HealthReports (suspicion events, probe
-// outcomes, queue depths) into one failure-evidence score per node,
-// quarantines nodes whose score crosses a threshold by publishing views
-// with the node demoted from scheduling — NOT dropped from storage, so
-// recovery is a view flip rather than a data transfer — and
-// un-quarantines them when recovery evidence (successful probes)
-// drains the score back down.
+// periodic per-frontend HealthReports (each node's failed and answered
+// legs and probes, queue depths) into one failure-evidence score per
+// node, quarantines nodes whose score crosses a threshold by publishing
+// views with the node demoted from scheduling — NOT dropped from
+// storage, so recovery is a view flip rather than a data transfer — and
+// un-quarantines them when answers drain the score back to zero.
 //
 // This closes the loop §5 assumes: a single frontend's timeout never
 // redistributes a node's range (expensive and irreversible). Failure
@@ -26,41 +25,41 @@ import (
 // HealthConfig tunes the failure/overload control loop.
 type HealthConfig struct {
 	// QuarantineThreshold is the evidence score at which a node is
-	// demoted from scheduling. Each suspicion event reported by a
-	// frontend adds 1, each failed recovery probe 0.5; successful
-	// probes and real sub-query completions subtract. Default 3 — e.g.
-	// three frontends suspecting in one interval, or one frontend
-	// suspecting across three.
+	// demoted from scheduling. Each failed leg or probe a frontend
+	// reports adds 1 and each answer subtracts ½, at most 2 per report.
+	// Default 3 — e.g. three frontends each seeing one failure in an
+	// interval, or one frontend seeing failures across three.
 	QuarantineThreshold float64
-	// RecoverThreshold is the score at or below which a quarantined
-	// node is re-admitted to scheduling. Default 0: recovery evidence
-	// must fully drain the accumulated suspicion (hysteresis against
-	// flapping).
-	RecoverThreshold float64
-	// MaxQuarantineFraction refuses to quarantine beyond this fraction
-	// of the cluster (correlated slowness means overload, not failure —
-	// quarantining everyone would turn congestion into an outage).
-	// Default 0.5.
-	MaxQuarantineFraction float64
 	// Now injects the clock used to stamp quarantine entry times (the
 	// autoscaler's quarantine-deadline decommission measures against
 	// these). Tests override; nil means time.Now.
 	Now func() time.Time
 }
 
-// scoreCapFactor × QuarantineThreshold bounds the score, so a long
-// outage cannot make recovery arbitrarily slow.
-const scoreCapFactor = 2.0
+const (
+	// scoreCapFactor × QuarantineThreshold bounds the score, so a long
+	// outage cannot make recovery arbitrarily slow.
+	scoreCapFactor = 2.0
+	// answerWeight is what one answered leg or probe subtracts, and
+	// maxAnswersPerReport caps how many of a report's answers count: a
+	// busy interval must not bank unbounded goodwill against the next
+	// failures.
+	answerWeight        = 0.5
+	maxAnswersPerReport = 4
+	// A quarantined node is re-admitted once answers drain its score to
+	// zero: all the accumulated evidence, which is the hysteresis
+	// against flapping.
+	recoverScore = 0
+	// maxQuarantineFraction refuses to quarantine beyond this fraction
+	// of the serving nodes (correlated slowness means overload, not
+	// failure — quarantining everyone would turn congestion into an
+	// outage).
+	maxQuarantineFraction = 0.5
+)
 
 func (hc HealthConfig) withDefaults() HealthConfig {
 	if hc.QuarantineThreshold <= 0 {
 		hc.QuarantineThreshold = 3
-	}
-	if hc.RecoverThreshold < 0 {
-		hc.RecoverThreshold = 0
-	}
-	if hc.MaxQuarantineFraction <= 0 {
-		hc.MaxQuarantineFraction = 0.5
 	}
 	if hc.Now == nil {
 		hc.Now = time.Now //lint:allow wallclock — clock-injection default
@@ -87,20 +86,7 @@ type healthState struct {
 	queueWaitAt      map[string]time.Time  // when each frontend's gauge last refreshed
 	depths           map[ring.NodeID]int   // last reported queue depth per node
 	latP99           map[ring.NodeID]int64 // last reported latency p99 per node (ns)
-
-	// Per-tenant economics (the second extension block): fleet-wide
-	// cumulative admissions, sheds, and cache traffic keyed by tenant id.
-	// Frontends ship deltas; the aggregate answers "who is being shed".
-	tenants map[string]proto.TenantLoad
 }
-
-// maxTenantTotals bounds the aggregate tenant map; past it, new tenant
-// ids fold into the same overflow bucket frontends use, so totals still
-// conserve while a tenant-id flood cannot exhaust coordinator memory.
-const (
-	maxTenantTotals      = 4096
-	tenantTotalsOverflow = "~other"
-)
 
 // feGaugeStaleness expires a frontend's queue-wait gauge when it stops
 // reporting (crashed or decommissioned FE): a last-writer-wins gauge
@@ -117,13 +103,12 @@ func newHealthState(cfg HealthConfig) *healthState {
 		queueWaitAt:  map[string]time.Time{},
 		depths:       map[ring.NodeID]int{},
 		latP99:       map[ring.NodeID]int64{},
-		tenants:      map[string]proto.TenantLoad{},
 	}
 }
 
 // adjustLocked applies an evidence delta and returns true when the
-// node's quarantine status flipped. total is the schedulable-cluster
-// size, for the max-fraction guard.
+// node's quarantine status flipped. total is the number of serving
+// nodes, for the max-fraction guard.
 func (h *healthState) adjustLocked(id ring.NodeID, delta float64, total int) (flipped bool) {
 	s := h.scores[id] + delta
 	if s < 0 {
@@ -136,12 +121,12 @@ func (h *healthState) adjustLocked(id ring.NodeID, delta float64, total int) (fl
 	_, inQ := h.quarantined[id]
 	switch {
 	case !inQ && s >= h.cfg.QuarantineThreshold:
-		if float64(len(h.quarantined)+1) > h.cfg.MaxQuarantineFraction*float64(total) {
+		if float64(len(h.quarantined)+1) > maxQuarantineFraction*float64(total) {
 			return false // refuse: too much of the cluster already demoted
 		}
 		h.quarantined[id] = h.cfg.Now()
 		return true
-	case inQ && s <= h.cfg.RecoverThreshold:
+	case inQ && s <= recoverScore:
 		delete(h.quarantined, id)
 		return true
 	}
@@ -157,27 +142,27 @@ func (h *healthState) forget(id ring.NodeID) {
 	h.mu.Unlock()
 }
 
-func (h *healthState) quarantinedSorted() []int {
-	out := make([]int, 0, len(h.quarantined))
-	for id := range h.quarantined {
-		out = append(out, int(id))
+// serving returns the nodes on enabled rings: the ones views publish,
+// whose evidence ReportHealth folds, and whose count bounds quarantine.
+func (c *Coordinator) serving() map[ring.NodeID]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[ring.NodeID]bool, len(c.ringOf))
+	for id, k := range c.ringOf {
+		if !c.disabled[k] {
+			out[id] = true
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // ReportHealth folds one frontend's observation deltas into the
 // per-node evidence scores, applies any quarantine transitions (each
-// bumps the view epoch), and answers with the current verdict so the
+// bumps the view epoch), and answers with the current epoch so the
 // frontend can re-pull the view immediately when it is stale. Only a
 // report that moved the epoch commits: most reports flip nothing.
 func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, error) {
-	c.mu.Lock()
-	members := make(map[ring.NodeID]bool, len(c.ringOf))
-	for id := range c.ringOf {
-		members[id] = true
-	}
-	c.mu.Unlock()
+	serving := c.serving()
 
 	h := c.health
 	h.mu.Lock()
@@ -188,29 +173,14 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, er
 		// — its evidence must keep flowing, not be silenced until the
 		// new counter outruns the old incarnation's.
 		if last, ok := h.feSeq[rep.FE]; ok && rep.Seq == last {
-			resp := proto.HealthResp{Quarantined: h.quarantinedSorted()}
 			h.mu.Unlock()
-			resp.Epoch = c.Epoch()
-			return resp, nil
+			return proto.HealthResp{Epoch: c.Epoch()}, nil
 		}
 		h.feSeq[rep.FE] = rep.Seq
 	}
 	h.shedTotal += int64(rep.Shed)
 	h.shedNormalTotal += int64(rep.ShedNormal)
 	h.hedgeDeniedTotal += int64(rep.HedgesDenied)
-	for _, tl := range rep.Tenants {
-		name := tl.Tenant
-		if _, known := h.tenants[name]; !known && len(h.tenants) >= maxTenantTotals {
-			name = tenantTotalsOverflow
-		}
-		cur := h.tenants[name]
-		cur.Tenant = name
-		cur.Admitted += tl.Admitted
-		cur.Shed += tl.Shed
-		cur.CacheHits += tl.CacheHits
-		cur.CacheMisses += tl.CacheMisses
-		h.tenants[name] = cur
-	}
 	if rep.FE != "" {
 		h.queueWaitP99[rep.FE] = rep.QueueP99Nanos
 		h.queueWaitAt[rep.FE] = h.cfg.Now()
@@ -219,7 +189,7 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, er
 	speeds := map[ring.NodeID]float64{}
 	for _, nh := range rep.Nodes {
 		id := ring.NodeID(nh.ID)
-		if !members[id] {
+		if !serving[id] {
 			continue
 		}
 		if nh.Speed > 0 {
@@ -229,25 +199,13 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, er
 		if nh.LatP99Nanos > 0 {
 			h.latP99[id] = nh.LatP99Nanos
 		}
-		bad := float64(nh.Suspicions) + 0.5*float64(nh.ProbeFails)
-		good := 0.5 * float64(nh.ProbeOKs)
-		if nh.Contacts > 0 {
-			// Real completions are the strongest health signal, but cap
-			// their weight: a high-traffic interval must not let one
-			// node bank unbounded goodwill against future evidence.
-			cw := float64(nh.Contacts)
-			if cw > 4 {
-				cw = 4
-			}
-			good += cw
-		}
-		if delta := bad - good; delta != 0 || h.scores[id] != 0 {
-			if h.adjustLocked(id, delta, len(members)) {
+		delta := float64(nh.Fails) - answerWeight*float64(min(nh.OKs, maxAnswersPerReport))
+		if delta != 0 || h.scores[id] != 0 {
+			if h.adjustLocked(id, delta, len(serving)) {
 				flips++
 			}
 		}
 	}
-	resp := proto.HealthResp{Quarantined: h.quarantinedSorted()}
 	h.mu.Unlock()
 
 	if len(speeds) > 0 {
@@ -261,16 +219,20 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, er
 			return proto.HealthResp{}, err
 		}
 	}
-	resp.Epoch = c.Epoch()
-	return resp, nil
+	return proto.HealthResp{Epoch: c.Epoch()}, nil
 }
 
 // Quarantined returns the node ids currently demoted from scheduling,
 // sorted ascending.
 func (c *Coordinator) Quarantined() []int {
 	c.health.mu.Lock()
-	defer c.health.mu.Unlock()
-	return c.health.quarantinedSorted()
+	out := make([]int, 0, len(c.health.quarantined))
+	for id := range c.health.quarantined {
+		out = append(out, int(id))
+	}
+	c.health.mu.Unlock()
+	sort.Ints(out)
+	return out
 }
 
 // HealthScore exposes a node's current evidence score (tests,
@@ -279,28 +241,6 @@ func (c *Coordinator) HealthScore(id ring.NodeID) float64 {
 	c.health.mu.Lock()
 	defer c.health.mu.Unlock()
 	return c.health.scores[id]
-}
-
-// TenantTotals snapshots the fleet-wide per-tenant economics aggregated
-// from health reports, sorted by total load descending then tenant id —
-// the operator's answer to "who is consuming the fleet and who is being
-// shed".
-func (c *Coordinator) TenantTotals() []proto.TenantLoad {
-	c.health.mu.Lock()
-	out := make([]proto.TenantLoad, 0, len(c.health.tenants))
-	for _, tl := range c.health.tenants {
-		out = append(out, tl)
-	}
-	c.health.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		la := out[a].Admitted + out[a].Shed + out[a].CacheHits + out[a].CacheMisses
-		lb := out[b].Admitted + out[b].Shed + out[b].CacheHits + out[b].CacheMisses
-		if la != lb {
-			return la > lb
-		}
-		return out[a].Tenant < out[b].Tenant
-	})
-	return out
 }
 
 // QuarantineInfo names one quarantined node and when it entered
@@ -334,14 +274,7 @@ type FleetPressure struct {
 // pressure indefinitely. Per-frontend gauges expire when the frontend
 // stops reporting.
 func (c *Coordinator) FleetPressure() FleetPressure {
-	c.mu.Lock()
-	schedulable := make(map[ring.NodeID]bool, len(c.ringOf))
-	for id, k := range c.ringOf {
-		if !c.disabled[k] {
-			schedulable[id] = true
-		}
-	}
-	c.mu.Unlock()
+	schedulable := c.serving()
 
 	h := c.health
 	h.mu.Lock()

@@ -2,7 +2,6 @@ package membership
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"roar/internal/proto"
@@ -37,29 +36,29 @@ func report(fe string, seq uint64, nh ...proto.NodeHealth) proto.HealthReport {
 }
 
 // TestHealthAggregationQuarantinesAndRecovers walks the whole
-// aggregator state machine: suspicion evidence accumulates across
+// aggregator state machine: failure evidence accumulates across
 // frontends and report intervals, crosses the threshold, the node is
-// quarantined in the published view (still present, demoted), and probe
-// successes drain the score until it is re-admitted.
+// quarantined in the published view (still present, demoted), and
+// answers drain the score until it is re-admitted.
 func TestHealthAggregationQuarantinesAndRecovers(t *testing.T) {
 	c, ids := healthCoordinator(t, 4, HealthConfig{QuarantineThreshold: 3})
 	bad := ids[1]
 	epoch0 := c.Epoch()
 
-	// Two frontends each report one suspicion: 2 < 3, no quarantine.
-	c.ReportHealth(report("a", 1, proto.NodeHealth{ID: int(bad), Suspicions: 1}))
-	resp, _ := c.ReportHealth(report("b", 1, proto.NodeHealth{ID: int(bad), Suspicions: 1}))
-	if len(resp.Quarantined) != 0 {
-		t.Fatalf("quarantined below threshold: %v", resp.Quarantined)
+	// Two frontends each report one failure: 2 < 3, no quarantine.
+	c.ReportHealth(report("a", 1, proto.NodeHealth{ID: int(bad), Fails: 1}))
+	c.ReportHealth(report("b", 1, proto.NodeHealth{ID: int(bad), Fails: 1}))
+	if got := c.Quarantined(); len(got) != 0 {
+		t.Fatalf("quarantined below threshold: %v", got)
 	}
 	if got := c.HealthScore(bad); got != 2 {
 		t.Fatalf("score = %v, want 2", got)
 	}
 
-	// A third frontend's suspicion crosses the threshold.
-	resp, _ = c.ReportHealth(report("c", 1, proto.NodeHealth{ID: int(bad), Suspicions: 1}))
-	if len(resp.Quarantined) != 1 || resp.Quarantined[0] != int(bad) {
-		t.Fatalf("Quarantined = %v, want [%d]", resp.Quarantined, bad)
+	// A third frontend's failure crosses the threshold.
+	resp, _ := c.ReportHealth(report("c", 1, proto.NodeHealth{ID: int(bad), Fails: 1}))
+	if got := c.Quarantined(); len(got) != 1 || got[0] != int(bad) {
+		t.Fatalf("Quarantined = %v, want [%d]", got, bad)
 	}
 	if resp.Epoch == epoch0 {
 		t.Fatal("quarantine must bump the view epoch")
@@ -78,14 +77,14 @@ func TestHealthAggregationQuarantinesAndRecovers(t *testing.T) {
 		t.Fatalf("quarantined node in view: found=%v flagged=%v", found, flagged)
 	}
 
-	// Recovery evidence: successful probes drain the score to the
-	// recover threshold (0), which un-quarantines and republishes.
+	// Recovery evidence: answers drain the score to zero, which
+	// un-quarantines and republishes.
 	epochQ := c.Epoch()
 	for i := 0; i < 20 && len(c.Quarantined()) > 0; i++ {
-		c.ReportHealth(report("a", uint64(2+i), proto.NodeHealth{ID: int(bad), ProbeOKs: 2}))
+		c.ReportHealth(report("a", uint64(2+i), proto.NodeHealth{ID: int(bad), OKs: 2}))
 	}
 	if got := c.Quarantined(); len(got) != 0 {
-		t.Fatalf("probe evidence never recovered the node: %v (score %v)", got, c.HealthScore(bad))
+		t.Fatalf("answers never recovered the node: %v (score %v)", got, c.HealthScore(bad))
 	}
 	if c.Epoch() == epochQ {
 		t.Fatal("recovery must bump the view epoch")
@@ -97,34 +96,56 @@ func TestHealthAggregationQuarantinesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestHealthContactsOutweighStaleSuspicion: a node with real completions
-// sheds old evidence fast, but goodwill is capped — contacts cannot
-// bank unbounded credit against future failures.
+// TestHealthContactsOutweighStaleSuspicion: a node that answers sheds
+// old evidence fast, but goodwill is capped — answers cannot bank
+// unbounded credit against future failures.
 func TestHealthContactsOutweighStaleSuspicion(t *testing.T) {
 	c, ids := healthCoordinator(t, 3, HealthConfig{QuarantineThreshold: 3})
 	id := int(ids[0])
-	c.ReportHealth(report("a", 1, proto.NodeHealth{ID: id, Suspicions: 2}))
-	c.ReportHealth(report("a", 2, proto.NodeHealth{ID: id, Contacts: 500}))
+	c.ReportHealth(report("a", 1, proto.NodeHealth{ID: id, Fails: 2}))
+	c.ReportHealth(report("a", 2, proto.NodeHealth{ID: id, OKs: 500}))
 	if got := c.HealthScore(ids[0]); got != 0 {
 		t.Fatalf("score after healthy interval = %v, want 0", got)
 	}
-	// The capped goodwill means 2 fresh suspicions in later intervals
+	// The capped goodwill means 2 fresh failures in later intervals
 	// still count in full.
-	c.ReportHealth(report("a", 3, proto.NodeHealth{ID: id, Suspicions: 2}))
+	c.ReportHealth(report("a", 3, proto.NodeHealth{ID: id, Fails: 2}))
 	if got := c.HealthScore(ids[0]); got != 2 {
-		t.Fatalf("fresh suspicions discounted by banked goodwill: score %v, want 2", got)
+		t.Fatalf("fresh failures discounted by banked goodwill: score %v, want 2", got)
 	}
 }
 
 // TestHealthMaxQuarantineFraction: correlated slowness must not let the
 // aggregator quarantine the whole cluster out of scheduling.
 func TestHealthMaxQuarantineFraction(t *testing.T) {
-	c, ids := healthCoordinator(t, 4, HealthConfig{QuarantineThreshold: 1, MaxQuarantineFraction: 0.5})
+	c, ids := healthCoordinator(t, 4, HealthConfig{QuarantineThreshold: 1})
 	for i, id := range ids {
-		c.ReportHealth(report("a", uint64(i+1), proto.NodeHealth{ID: int(id), Suspicions: 5}))
+		c.ReportHealth(report("a", uint64(i+1), proto.NodeHealth{ID: int(id), Fails: 5}))
 	}
 	if got := len(c.Quarantined()); got != 2 {
 		t.Fatalf("quarantined %d of 4 nodes; the 0.5 fraction cap must hold at 2", got)
+	}
+}
+
+// TestHealthQuarantineCapCountsServingNodes: the fraction cap bounds
+// the nodes that serve, not the ones on a powered-down ring. With ring
+// 1 dark, 4 of 8 nodes serve, and failing all of them may quarantine
+// only 2.
+func TestHealthQuarantineCapCountsServingNodes(t *testing.T) {
+	env := newASEnv(t, 8, 2, 2)
+	if err := env.c.SetRingEnabled(context.Background(), 1, false); err != nil {
+		t.Fatal(err)
+	}
+	rep := report("a", 1)
+	for _, ni := range env.c.View().Nodes {
+		rep.Nodes = append(rep.Nodes, proto.NodeHealth{ID: ni.ID, Fails: 5})
+	}
+	if len(rep.Nodes) != 4 {
+		t.Fatalf("%d nodes serving, want 4", len(rep.Nodes))
+	}
+	env.c.ReportHealth(rep)
+	if got := env.c.Quarantined(); len(got) != 2 {
+		t.Fatalf("quarantined %v of 4 serving nodes; the 0.5 cap must hold at 2", got)
 	}
 }
 
@@ -134,77 +155,20 @@ func TestHealthMaxQuarantineFraction(t *testing.T) {
 // keep flowing immediately.
 func TestHealthDuplicateReportIgnored(t *testing.T) {
 	c, ids := healthCoordinator(t, 3, HealthConfig{QuarantineThreshold: 5})
-	rep := report("a", 7, proto.NodeHealth{ID: int(ids[0]), Suspicions: 1})
+	rep := report("a", 7, proto.NodeHealth{ID: int(ids[0]), Fails: 1})
 	c.ReportHealth(rep)
 	c.ReportHealth(rep)
 	if got := c.HealthScore(ids[0]); got != 1 {
 		t.Fatalf("duplicate report double-counted: score %v, want 1", got)
 	}
 	// Restart: seq drops back to 1; the report must be folded.
-	c.ReportHealth(report("a", 1, proto.NodeHealth{ID: int(ids[0]), Suspicions: 1}))
+	c.ReportHealth(report("a", 1, proto.NodeHealth{ID: int(ids[0]), Fails: 1}))
 	if got := c.HealthScore(ids[0]); got != 2 {
 		t.Fatalf("restarted frontend's report dropped: score %v, want 2", got)
 	}
 	// And the restarted incarnation's own continuity works from there.
-	c.ReportHealth(report("a", 2, proto.NodeHealth{ID: int(ids[0]), Suspicions: 1}))
+	c.ReportHealth(report("a", 2, proto.NodeHealth{ID: int(ids[0]), Fails: 1}))
 	if got := c.HealthScore(ids[0]); got != 3 {
 		t.Fatalf("post-restart report dropped: score %v, want 3", got)
-	}
-}
-
-// TestHealthTenantAggregation: per-tenant deltas from multiple
-// frontends accumulate into fleet totals, and a tenant-id flood folds
-// into the overflow bucket instead of growing without bound.
-func TestHealthTenantAggregation(t *testing.T) {
-	c, _ := healthCoordinator(t, 1, HealthConfig{})
-	repA := report("a", 1)
-	repA.Tenants = []proto.TenantLoad{{Tenant: "acme", Admitted: 5, Shed: 1, CacheHits: 3}}
-	c.ReportHealth(repA)
-	repB := report("b", 1)
-	repB.Tenants = []proto.TenantLoad{
-		{Tenant: "acme", Admitted: 2, CacheMisses: 4},
-		{Tenant: "beta", Shed: 7},
-	}
-	c.ReportHealth(repB)
-
-	totals := c.TenantTotals()
-	if len(totals) != 2 {
-		t.Fatalf("got %d tenants, want 2: %v", len(totals), totals)
-	}
-	if acme := totals[0]; acme.Tenant != "acme" || acme.Admitted != 7 || acme.Shed != 1 ||
-		acme.CacheHits != 3 || acme.CacheMisses != 4 {
-		t.Errorf("acme totals wrong: %+v", acme)
-	}
-	if beta := totals[1]; beta.Tenant != "beta" || beta.Shed != 7 {
-		t.Errorf("beta totals wrong: %+v", beta)
-	}
-
-	// A duplicate report (same FE, same seq) must not double-count.
-	c.ReportHealth(repB)
-	if got := c.TenantTotals()[1]; got.Shed != 7 {
-		t.Errorf("duplicate report double-counted tenant deltas: %+v", got)
-	}
-
-	// Flood: past the cap, new ids fold into the overflow bucket.
-	h := c.health
-	h.mu.Lock()
-	for i := len(h.tenants); i < maxTenantTotals; i++ {
-		name := fmt.Sprintf("f%05d", i)
-		h.tenants[name] = proto.TenantLoad{Tenant: name}
-	}
-	h.mu.Unlock()
-	repC := report("c", 1)
-	repC.Tenants = []proto.TenantLoad{{Tenant: "brand-new", Admitted: 9}}
-	c.ReportHealth(repC)
-	h.mu.Lock()
-	_, grewPast := h.tenants["brand-new"]
-	over := h.tenants[tenantTotalsOverflow]
-	n := len(h.tenants)
-	h.mu.Unlock()
-	if grewPast || n > maxTenantTotals+1 {
-		t.Errorf("tenant flood grew the table: n=%d newTenantTracked=%v", n, grewPast)
-	}
-	if over.Admitted != 9 {
-		t.Errorf("overflow bucket did not absorb the flood delta: %+v", over)
 	}
 }

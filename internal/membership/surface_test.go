@@ -158,7 +158,7 @@ func TestMemberSurface(t *testing.T) {
 		{proto.MMemberJoin, proto.JoinReq{Addr: nodes[2], SpeedHint: 1}, true},
 		{proto.MMemberLoad, proto.LoadReq{Path: path}, true},
 		{proto.MMemberSetP, proto.SetPReq{P: 2}, true},
-		{proto.MMemberHealth, proto.HealthReport{FE: "fe", Seq: 1, Nodes: []proto.NodeHealth{{ID: 0, Suspicions: 3}}}, true},
+		{proto.MMemberHealth, proto.HealthReport{FE: "fe", Seq: 1, Nodes: []proto.NodeHealth{{ID: 0, Fails: 3}}}, true},
 		{proto.MMemberLeave, proto.LeaveReq{ID: 2}, true},
 		{proto.MMemberIngest, proto.IngestReq{Records: corpus(t, enc, 2)}, true},
 	}

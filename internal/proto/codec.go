@@ -517,14 +517,11 @@ func (p *PingResp) DecodeWire(data []byte) error {
 // frontend pushes one per report interval, so at fleet scale the
 // membership server decodes them continuously and the JSON envelope tax
 // (base64-free here, but per-field keys and decimal counters) is worth
-// shedding. A NodeHealth entry needs at least 16 wire bytes (eight
-// 1-byte varints plus the 8-byte speed) and a TenantLoad at least 5,
-// which bound the decoder's count-versus-bytes sanity checks.
+// shedding. A NodeHealth entry needs at least 13 wire bytes (five
+// 1-byte varints plus the 8-byte speed), which bounds the decoder's
+// count-versus-bytes sanity check.
 
-const (
-	nodeHealthMinBytes = 16
-	tenantLoadMinBytes = 5
-)
+const nodeHealthMinBytes = 13
 
 // AppendWire implements wire.WireAppender.
 func (h HealthReport) AppendWire(b []byte) []byte {
@@ -534,28 +531,15 @@ func (h HealthReport) AppendWire(b []byte) []byte {
 	b = appendZigzag(b, int64(h.Shed))
 	b = appendZigzag(b, int64(h.ShedNormal))
 	b = appendZigzag(b, int64(h.HedgesDenied))
-	b = appendZigzag(b, h.QueueP50Nanos)
 	b = appendZigzag(b, h.QueueP99Nanos)
 	b = binary.AppendUvarint(b, uint64(len(h.Nodes)))
 	for _, nh := range h.Nodes {
 		b = appendZigzag(b, int64(nh.ID))
-		b = appendZigzag(b, int64(nh.Suspicions))
-		b = appendZigzag(b, int64(nh.ProbeOKs))
-		b = appendZigzag(b, int64(nh.ProbeFails))
-		b = appendZigzag(b, int64(nh.Contacts))
+		b = appendZigzag(b, int64(nh.Fails))
+		b = appendZigzag(b, int64(nh.OKs))
 		b = appendZigzag(b, int64(nh.QueueDepth))
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(nh.Speed))
-		b = appendZigzag(b, nh.LatP50Nanos)
 		b = appendZigzag(b, nh.LatP99Nanos)
-	}
-	b = binary.AppendUvarint(b, uint64(len(h.Tenants)))
-	for _, tl := range h.Tenants {
-		b = binary.AppendUvarint(b, uint64(len(tl.Tenant)))
-		b = append(b, tl.Tenant...)
-		b = appendZigzag(b, int64(tl.Admitted))
-		b = appendZigzag(b, int64(tl.Shed))
-		b = appendZigzag(b, int64(tl.CacheHits))
-		b = appendZigzag(b, int64(tl.CacheMisses))
 	}
 	return b
 }
@@ -568,7 +552,6 @@ func (h *HealthReport) DecodeWire(data []byte) error {
 	h.Shed = int(r.zigzag("HealthReport.Shed"))
 	h.ShedNormal = int(r.zigzag("HealthReport.ShedNormal"))
 	h.HedgesDenied = int(r.zigzag("HealthReport.HedgesDenied"))
-	h.QueueP50Nanos = r.zigzag("HealthReport.QueueP50Nanos")
 	h.QueueP99Nanos = r.zigzag("HealthReport.QueueP99Nanos")
 	n := r.count("HealthReport.Nodes", nodeHealthMinBytes)
 	h.Nodes = nil
@@ -577,29 +560,12 @@ func (h *HealthReport) DecodeWire(data []byte) error {
 		for i := 0; i < n && r.err == nil; i++ {
 			var nh NodeHealth
 			nh.ID = int(r.zigzag("NodeHealth.ID"))
-			nh.Suspicions = int(r.zigzag("NodeHealth.Suspicions"))
-			nh.ProbeOKs = int(r.zigzag("NodeHealth.ProbeOKs"))
-			nh.ProbeFails = int(r.zigzag("NodeHealth.ProbeFails"))
-			nh.Contacts = int(r.zigzag("NodeHealth.Contacts"))
+			nh.Fails = int(r.zigzag("NodeHealth.Fails"))
+			nh.OKs = int(r.zigzag("NodeHealth.OKs"))
 			nh.QueueDepth = int(r.zigzag("NodeHealth.QueueDepth"))
 			nh.Speed = math.Float64frombits(r.u64("NodeHealth.Speed"))
-			nh.LatP50Nanos = r.zigzag("NodeHealth.LatP50Nanos")
 			nh.LatP99Nanos = r.zigzag("NodeHealth.LatP99Nanos")
 			h.Nodes = append(h.Nodes, nh)
-		}
-	}
-	nt := r.count("HealthReport.Tenants", tenantLoadMinBytes)
-	h.Tenants = nil
-	if nt > 0 && r.err == nil {
-		h.Tenants = make([]TenantLoad, 0, capHint(nt))
-		for i := 0; i < nt && r.err == nil; i++ {
-			var tl TenantLoad
-			tl.Tenant = string(r.bytes("TenantLoad.Tenant"))
-			tl.Admitted = int(r.zigzag("TenantLoad.Admitted"))
-			tl.Shed = int(r.zigzag("TenantLoad.Shed"))
-			tl.CacheHits = int(r.zigzag("TenantLoad.CacheHits"))
-			tl.CacheMisses = int(r.zigzag("TenantLoad.CacheMisses"))
-			h.Tenants = append(h.Tenants, tl)
 		}
 	}
 	return r.finish("HealthReport")
@@ -607,25 +573,12 @@ func (h *HealthReport) DecodeWire(data []byte) error {
 
 // AppendWire implements wire.WireAppender.
 func (h HealthResp) AppendWire(b []byte) []byte {
-	b = appendZigzag(b, int64(h.Epoch))
-	b = binary.AppendUvarint(b, uint64(len(h.Quarantined)))
-	for _, id := range h.Quarantined {
-		b = appendZigzag(b, int64(id))
-	}
-	return b
+	return appendZigzag(b, int64(h.Epoch))
 }
 
 // DecodeWire implements wire.WireDecoder.
 func (h *HealthResp) DecodeWire(data []byte) error {
 	r := &reader{data: data}
 	h.Epoch = int(r.zigzag("HealthResp.Epoch"))
-	n := r.count("HealthResp.Quarantined", 1)
-	h.Quarantined = nil
-	if n > 0 && r.err == nil {
-		h.Quarantined = make([]int, 0, capHint(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			h.Quarantined = append(h.Quarantined, int(r.zigzag("HealthResp.Quarantined id")))
-		}
-	}
 	return r.finish("HealthResp")
 }

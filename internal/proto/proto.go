@@ -87,9 +87,9 @@ type FEQueryReq struct {
 	Priority int         `json:"priority,omitempty"`
 	Plain    *PlainQuery `json:"plain,omitempty"`
 
-	// Tenant names the accounting principal for per-tenant admission
-	// quotas and shed counters; empty means the anonymous default
-	// tenant. CacheControl is one of the Cache* values above.
+	// Tenant names the principal the per-tenant admission quota
+	// meters; empty means the anonymous default tenant. CacheControl is
+	// one of the Cache* values above.
 	Tenant       string `json:"tenant,omitempty"`
 	CacheControl uint8  `json:"cache_control,omitempty"`
 }
@@ -153,14 +153,14 @@ type QueryResp struct {
 	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
-// PingReq is a liveness/recovery probe (MNodePing). It carries no
+// PingReq is the liveness probe (MNodePing). It carries no
 // fields; having a named type lets the probe ride the binary hot-path
 // codec instead of a JSON null.
 type PingReq struct{}
 
-// PingResp answers a liveness/recovery probe (MNodePing) with the
-// node's current load, so a recovering node rejoins the schedule with a
-// realistic queue estimate instead of a blank slate.
+// PingResp answers the liveness probe (MNodePing) with the node's
+// current load, so the frontend's queue estimate of every node stays
+// fresh even while the scheduler keeps away from it.
 type PingResp struct {
 	QueueDepth int `json:"queue_depth"`
 }
@@ -333,24 +333,18 @@ type SetPReq struct {
 // them across frontends without double counting.
 type NodeHealth struct {
 	ID int `json:"id"`
-	// Suspicions counts healthy/recovering -> suspected transitions
-	// (sub-query timeouts or transport errors).
-	Suspicions int `json:"suspicions,omitempty"`
-	// ProbeOKs / ProbeFails count background recovery-probe outcomes.
-	ProbeOKs   int `json:"probe_oks,omitempty"`
-	ProbeFails int `json:"probe_fails,omitempty"`
-	// Contacts counts successful sub-query completions.
-	Contacts int `json:"contacts,omitempty"`
+	// Fails and OKs count the node's failed and answered legs and
+	// probes (a leg that timed out or hit a transport error fails).
+	Fails int `json:"fails,omitempty"`
+	OKs   int `json:"oks,omitempty"`
 	// QueueDepth is the node's last self-reported queue depth.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// Speed is the frontend's EWMA speed estimate (fraction/s; 0 =
 	// no observation yet).
 	Speed float64 `json:"speed,omitempty"`
-
-	// Latency digest: p50/p99 of this frontend's recent sub-query
-	// latencies against the node, from the same per-node histories the
+	// LatP99Nanos is the p99 of this frontend's recent sub-query
+	// latencies against the node, from the same per-node history the
 	// adaptive hedge delay uses. Zero until the tracker has warmed up.
-	LatP50Nanos int64 `json:"lat_p50_ns,omitempty"`
 	LatP99Nanos int64 `json:"lat_p99_ns,omitempty"`
 }
 
@@ -371,7 +365,7 @@ type HealthReport struct {
 
 	// --- autoscale telemetry ---
 	//
-	// The fields below (plus NodeHealth's latency digest) feed the
+	// The fields below (plus NodeHealth's latency p99) feed the
 	// membership elasticity controller.
 
 	// ShedNormal counts PriorityNormal queries rejected because the
@@ -384,38 +378,15 @@ type HealthReport struct {
 	// sustained denial means the tail is being left unprotected for
 	// lack of capacity.
 	HedgesDenied int `json:"hedges_denied,omitempty"`
-	// QueueP50Nanos / QueueP99Nanos digest the admission-queue wait of
-	// recently admitted queries (gauges over a rolling window, not
-	// deltas).
-	QueueP50Nanos int64 `json:"queue_p50_ns,omitempty"`
+	// QueueP99Nanos digests the admission-queue wait of recently
+	// admitted queries (a gauge over a rolling window, not a delta).
 	QueueP99Nanos int64 `json:"queue_p99_ns,omitempty"`
-
-	// Tenants carries per-tenant admission/shed/cache deltas since the
-	// last report, feeding the autoscale controller's fairness view.
-	Tenants []TenantLoad `json:"tenants,omitempty"`
-}
-
-// TenantLoad is one frontend's per-tenant admission counters since its
-// last report (deltas, like NodeHealth).
-type TenantLoad struct {
-	Tenant string `json:"tenant"`
-	// Admitted counts queries that passed admission (quota + semaphore).
-	Admitted int `json:"admitted,omitempty"`
-	// Shed counts queries rejected by quota exhaustion or overload.
-	Shed int `json:"shed,omitempty"`
-	// CacheHits / CacheMisses split the tenant's cache traffic; hits
-	// bypass admission entirely, so Admitted+Shed+CacheHits is the
-	// tenant's offered load.
-	CacheHits   int `json:"cache_hits,omitempty"`
-	CacheMisses int `json:"cache_misses,omitempty"`
 }
 
 // HealthResp acknowledges a health report with the aggregator's current
-// verdict, closing the loop: a frontend seeing an Epoch ahead of its
-// installed view should re-pull the view immediately instead of waiting
-// for its poll timer.
+// epoch, closing the loop: a frontend seeing an Epoch other than its
+// installed view's re-pulls the view immediately instead of waiting for
+// its poll timer.
 type HealthResp struct {
 	Epoch int `json:"epoch"`
-	// Quarantined lists the node ids currently demoted from scheduling.
-	Quarantined []int `json:"quarantined,omitempty"`
 }

@@ -98,9 +98,9 @@ func TestMembershipMessages(t *testing.T) {
 	roundTrip(t, SetPReq{P: 6})
 	roundTrip(t, HealthReport{
 		FE: "fe-0", Seq: 3, Shed: 2,
-		Nodes: []NodeHealth{{ID: 1, Suspicions: 1, ProbeOKs: 2, ProbeFails: 3, Contacts: 4, QueueDepth: 5, Speed: 1.5}},
+		Nodes: []NodeHealth{{ID: 1, Fails: 3, OKs: 4, QueueDepth: 5, Speed: 1.5}},
 	})
-	roundTrip(t, HealthResp{Epoch: 9, Quarantined: []int{1, 4}})
+	roundTrip(t, HealthResp{Epoch: 9})
 }
 
 // parentViewJSON is json.Marshal of the view below at the last commit
