@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,6 +26,8 @@ type cursorModel struct {
 	appended []pps.Encoded // appended[i] carries sequence i+1
 	oldest   uint64        // first sequence TruncateThrough has left
 	readers  []*modelReader
+	// zeroedCrashes counts crashes that left zeros past the last frame.
+	zeroedCrashes int
 }
 
 // modelReader is a cursor and the sequence it has read through.
@@ -60,7 +61,9 @@ func (m *cursorModel) randRec() pps.Encoded {
 }
 
 func (m *cursorModel) append() {
-	recs := make([]pps.Encoded, 1+m.rng.Intn(300))
+	// 1 to 256 records: small batches end inside a segment's zeroed
+	// tail, large ones force rotations.
+	recs := make([]pps.Encoded, 1<<m.rng.Intn(9))
 	for i := range recs {
 		recs[i] = m.randRec()
 	}
@@ -71,6 +74,19 @@ func (m *cursorModel) append() {
 	m.appended = append(m.appended, recs...)
 	if seq != uint64(len(m.appended)) {
 		m.t.Fatalf("append returned seq %d, want %d", seq, len(m.appended))
+	}
+	// Every closed segment is sealed: its file ends at its last frame.
+	m.w.mu.Lock()
+	closed := append([]segment(nil), m.w.segs[:len(m.w.segs)-1]...)
+	m.w.mu.Unlock()
+	for _, s := range closed {
+		st, err := os.Stat(s.path)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		if st.Size() != s.size {
+			m.t.Fatalf("closed segment %s is %d bytes long, its frames end at %d", s.path, st.Size(), s.size)
+		}
 	}
 }
 
@@ -115,12 +131,31 @@ func (m *cursorModel) replay() {
 	}
 }
 
-// reopen closes the WAL, optionally leaves a torn frame at the tail of
-// the last segment as a crash would, and opens it again. Cursors of the
-// closed WAL must fail with ErrClosed; each is replaced by one that
-// resumes where it stood.
-func (m *cursorModel) reopen(torn bool) {
-	if err := m.w.Close(); err != nil {
+// crash abandons w as a killed process would: nothing is flushed or
+// sealed, and the file is closed as it stands. Like Close, it makes the
+// cursors of w fail with ErrClosed.
+func (w *WAL) crash() {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	w.f.Close()
+}
+
+// reopen closes the WAL, or abandons it as a crash would (its zeroed
+// tail stays), optionally leaves a torn frame at the durable end of the
+// last segment as a crash mid-write would, and opens it again. Cursors
+// of the closed WAL must fail with ErrClosed; each is replaced by one
+// that resumes where it stood.
+func (m *cursorModel) reopen(crash, torn bool) {
+	m.w.mu.Lock()
+	last := m.w.segs[len(m.w.segs)-1]
+	m.w.mu.Unlock()
+	if crash {
+		m.w.crash()
+		if st, err := os.Stat(last.path); err == nil && st.Size() > last.size {
+			m.zeroedCrashes++
+		}
+	} else if err := m.w.Close(); err != nil {
 		m.t.Fatalf("close: %v", err)
 	}
 	for _, r := range m.readers {
@@ -130,14 +165,18 @@ func (m *cursorModel) reopen(torn bool) {
 		r.cur.close()
 	}
 	if torn {
-		names, _ := filepath.Glob(filepath.Join(m.dir, "wal-*.seg"))
+		// Cut the frame before its last non-zero byte: the zeros a crash
+		// leaves after the cut must not complete it.
 		frame := AppendFrame(nil, uint64(len(m.appended)+1), m.randRec())
-		frame = frame[:1+m.rng.Intn(len(frame)-1)]
-		f, err := os.OpenFile(names[len(names)-1], os.O_APPEND|os.O_WRONLY, 0o644)
+		end := len(frame) - 1
+		for frame[end] == 0 {
+			end--
+		}
+		f, err := os.OpenFile(last.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		if _, err := f.Write(frame); err != nil {
+		if _, err := f.WriteAt(frame[:1+m.rng.Intn(end)], last.size); err != nil {
 			m.t.Fatal(err)
 		}
 		f.Close()
@@ -166,7 +205,9 @@ func (m *cursorModel) truncate() {
 	}
 }
 
-func runCursorProgram(t *testing.T, seed int64, steps int) {
+// runCursorProgram plays one seeded program and returns how many of its
+// crashes left a zeroed tail behind.
+func runCursorProgram(t *testing.T, seed int64, steps int) (zeroedCrashes int) {
 	rng := rand.New(rand.NewSource(seed))
 	m := &cursorModel{
 		t: t, rng: rng, dir: t.TempDir(), oldest: 1,
@@ -189,7 +230,7 @@ func runCursorProgram(t *testing.T, seed int64, steps int) {
 		case op == 7:
 			m.replay()
 		case op == 8:
-			m.reopen(rng.Intn(2) == 0)
+			m.reopen(rng.Intn(2) == 0, rng.Intn(2) == 0)
 		default:
 			m.truncate()
 		}
@@ -202,18 +243,23 @@ func runCursorProgram(t *testing.T, seed int64, steps int) {
 		}
 		r.cur.close()
 	}
+	return m.zeroedCrashes
 }
 
 func TestCursorEqualsAppended(t *testing.T) {
+	zeroed := 0
 	for seed := int64(1); seed <= 40; seed++ {
-		runCursorProgram(t, seed, 60)
+		zeroed += runCursorProgram(t, seed, 60)
+	}
+	if zeroed == 0 {
+		t.Fatal("no program crashed with a zeroed tail in its last segment")
 	}
 }
 
 // FuzzCursorEqualsAppended explores programs of appends, forced
 // rotations, partial cursor reads, independent cursors and replays,
-// reopen with and without a torn tail, and truncation behind the
-// slowest cursor.
+// clean and crash reopen with and without a torn frame at the durable
+// end, and truncation behind the slowest cursor.
 func FuzzCursorEqualsAppended(f *testing.F) {
 	f.Add(int64(1), uint8(20))
 	f.Add(int64(7), uint8(80))
@@ -348,13 +394,11 @@ func TestDrainDecodesEachFrameOnce(t *testing.T) {
 	c.Start(0)
 	waitDrained(t, c, seq)
 	c.Stop()
-	names, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(names) != 1 {
-		t.Fatalf("expected one segment, found %v", names)
-	}
-	st, err := os.Stat(names[0])
-	if err != nil {
-		t.Fatal(err)
+	w.mu.Lock()
+	segs := w.segs
+	w.mu.Unlock()
+	if len(segs) != 1 {
+		t.Fatalf("expected one segment, found %d", len(segs))
 	}
 	if s.calls != (n+255)/256 {
 		t.Fatalf("drained in %d batches, want %d", s.calls, (n+255)/256)
@@ -362,8 +406,8 @@ func TestDrainDecodesEachFrameOnce(t *testing.T) {
 	if c.cur.frames != n {
 		t.Fatalf("decoded %d frames to drain %d records", c.cur.frames, n)
 	}
-	if c.cur.bytesRead != st.Size() {
-		t.Fatalf("read %d bytes of a %d-byte segment", c.cur.bytesRead, st.Size())
+	if c.cur.bytesRead != segs[0].size {
+		t.Fatalf("read %d bytes of a segment whose frames end at %d", c.cur.bytesRead, segs[0].size)
 	}
 }
 

@@ -26,11 +26,19 @@
 // corruption anywhere else is an error — silent data loss is never an
 // option for the middle of the log.
 //
+// The active segment may carry up to preallocBytes of zeros past its
+// last frame: a flush that runs past the zeroed length zeroes the next
+// chunk before its fsync, so the flushes after it overwrite allocated
+// blocks and their fsyncs commit no new file size. Zeros decode as a
+// bad frame, so recovery treats them as a torn tail. A closed segment
+// is sealed: it ends exactly at its last frame.
+//
 // Reading has one implementation, the tailing cursor of cursor.go:
 // Replay and the consumer both read through it, each frame once, and
 // never past the byte end the WAL recorded at its last successful
-// fsync, so a half-written group commit is "not there yet" and any
-// damage below that end is an error, not a place to stop quietly.
+// fsync, so a half-written group commit (or the zeroed tail) is "not
+// there yet" and any damage below that end is an error, not a place to
+// stop quietly.
 package ingest
 
 import (
@@ -60,7 +68,16 @@ const (
 	// maxFramePayload bounds a declared payload length so a corrupt
 	// header cannot provoke a giant allocation.
 	maxFramePayload = 64 << 20
+	// preallocBytes is how far past its last frame a flush that extends
+	// the active segment zero-fills it (never past SegmentBytes). An
+	// fsync that has to commit a larger file size costs more than one
+	// that overwrites allocated blocks, and this makes about one flush
+	// per MiB of log pay it.
+	preallocBytes = 1 << 20
 )
+
+// zeros is the source of the zero fill.
+var zeros [64 << 10]byte
 
 // ErrShortFrame reports that the input ends before the frame does —
 // recovery treats it as a torn tail, not corruption.
@@ -168,7 +185,9 @@ func (r *frameReader) view(what string) []byte {
 // Options tunes a WAL.
 type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
-	// bytes. Default 8 MiB.
+	// bytes. Default 8 MiB. The active segment's file may run up to
+	// 1 MiB of zeros past its last frame, but not past this size unless
+	// its frames do; a closed segment ends at its last frame.
 	SegmentBytes int64
 	// NoSync skips fsync on flush (benchmarks measuring raw encode and
 	// write throughput; never durable deployments).
@@ -184,9 +203,10 @@ func (o Options) withDefaults() Options {
 
 // segment is one on-disk log file. first is the sequence of its first
 // frame; a segment with no frames yet has first = the next sequence to
-// be written. size is the durable byte end: the file's length as of the
-// last successful fsync (flushLocked), final once a successor segment
-// exists. Readers never look at bytes at or past it.
+// be written. size is the durable byte end: where the last frame ends
+// as of the last successful fsync (flushLocked), final (and the file's
+// length) once a successor segment exists. Readers never look at bytes
+// at or past it.
 type segment struct {
 	path  string
 	first uint64
@@ -204,9 +224,11 @@ type WAL struct {
 	cond *sync.Cond
 	// f is the active segment; only the current flusher (the Append
 	// call that observed flushing == false) touches it, so file I/O
-	// happens outside mu.
+	// happens outside mu. fsize is where its last frame ends, falloc
+	// its length: the bytes between them are zeros.
 	f        *os.File
 	fsize    int64
+	falloc   int64
 	segs     []segment
 	nextSeq  uint64 // last assigned sequence
 	pending  []byte // encoded frames awaiting flush
@@ -297,18 +319,29 @@ func (w *WAL) recover() error {
 		f.Close()
 		return err
 	}
-	w.f, w.fsize = f, size
+	w.f, w.fsize, w.falloc = f, size, size
 	return nil
 }
 
 // recoverSegment validates one segment: magic, and contiguous frames
 // from the sequence its file name declares. On the last segment a torn
-// tail is truncated in place; returns the number of valid frames and
-// the byte length they end at.
+// tail (a zeroed one included) is truncated in place, and a file
+// shorter than the magic gets its magic back; returns the number of
+// valid frames and the byte length they end at.
 func (w *WAL) recoverSegment(path string, first uint64, tolerateTail bool) (frames uint64, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
+	}
+	if len(data) < segHeaderBytes && tolerateTail {
+		// A crash between openSegment's create and its fsync. No frame
+		// was ever written here (the magic is fsynced first), so the log
+		// continues at the sequence the name carries.
+		f, err := w.initSegment(path, os.O_TRUNC)
+		if err != nil {
+			return 0, 0, fmt.Errorf("ingest: rewriting the magic of %s: %w", path, err)
+		}
+		return 0, int64(segHeaderBytes), f.Close()
 	}
 	if len(data) < segHeaderBytes || string(data[:segHeaderBytes]) != segMagic {
 		return 0, 0, fmt.Errorf("ingest: %s: bad segment magic", path)
@@ -341,30 +374,35 @@ func (w *WAL) recoverSegment(path string, first uint64, tolerateTail bool) (fram
 // carry sequence first. Caller must be the flusher (or Open).
 func (w *WAL) openSegment(first uint64) error {
 	path := segPath(w.dir, first)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := w.initSegment(path, os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return err
-	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	if !w.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := syncDir(w.dir); err != nil {
-			f.Close()
-			return err
-		}
 	}
 	if w.f != nil {
 		w.f.Close()
 	}
-	w.f, w.fsize = f, int64(segHeaderBytes)
+	w.f, w.fsize, w.falloc = f, int64(segHeaderBytes), int64(segHeaderBytes)
 	w.segs = append(w.segs, segment{path: path, first: first, size: w.fsize})
 	return nil
+}
+
+// initSegment opens path with flag added to O_RDWR, writes the magic,
+// and makes the file and its name durable.
+func (w *WAL) initSegment(path string, flag int) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write([]byte(segMagic)); err == nil && !w.opts.NoSync {
+		if err = f.Sync(); err == nil {
+			err = syncDir(w.dir)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // syncDir fsyncs a directory so a freshly created segment's name is
@@ -449,8 +487,10 @@ func (w *WAL) flushLocked() {
 }
 
 // writeAndSync rotates if the active segment is over budget, writes one
-// batch of frames, and fsyncs. Only the flusher calls it, so w.f and
-// w.fsize need no lock.
+// batch of frames over the zeroed tail, and fsyncs. A batch that runs
+// past the tail zeroes the next chunk after its frames, in the same
+// fsync. Only the flusher calls it, so w.f, w.fsize and w.falloc need no
+// lock.
 func (w *WAL) writeAndSync(buf []byte, firstSeq uint64) error {
 	if len(buf) == 0 {
 		return nil
@@ -460,24 +500,73 @@ func (w *WAL) writeAndSync(buf []byte, firstSeq uint64) error {
 			return err
 		}
 	}
-	if _, err := w.f.Write(buf); err != nil {
+	if _, err := w.f.WriteAt(buf, w.fsize); err != nil {
 		return fmt.Errorf("ingest: wal write: %w", err)
 	}
-	w.fsize += int64(len(buf))
+	end := w.fsize + int64(len(buf))
+	if end > w.falloc {
+		w.falloc = max(end, min(end+preallocBytes, w.opts.SegmentBytes))
+		for off := end; off < w.falloc; {
+			n, err := w.f.WriteAt(zeros[:min(int64(len(zeros)), w.falloc-off)], off)
+			if err != nil {
+				return fmt.Errorf("ingest: wal zero fill: %w", err)
+			}
+			off += int64(n)
+		}
+	}
 	if !w.opts.NoSync {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("ingest: wal fsync: %w", err)
 		}
 	}
+	w.fsize = end
 	return nil
 }
 
-// rotate closes the active segment and opens a fresh one. The segs
-// slice append needs mu (Replay snapshots it).
+// rotate seals the active segment, then opens a fresh one: a crash
+// between the two leaves the sealed segment as the last. The segs slice
+// append needs mu (Replay snapshots it).
 func (w *WAL) rotate(firstSeq uint64) error {
+	if err := w.seal(); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.openSegment(firstSeq)
+}
+
+// seal cuts the zeroed tail off the active segment and fsyncs the cut,
+// so the file ends at its last frame. (A segment rotates once its frames
+// reach SegmentBytes and the tail never runs past that, so at rotation
+// there is nothing to cut; sealing there keeps closed segments exact if
+// the growth rule ever changes.) The file is left alone if the bytes
+// after the last frame are no longer zeros: in a replica set sharing
+// the directory, a successor that has reopened the log and appended to
+// this segment keeps its frames when the deposed leader closes its
+// handle.
+func (w *WAL) seal() error {
+	if w.falloc == w.fsize {
+		return nil
+	}
+	var next [frameHeaderBytes]byte
+	n, err := w.f.ReadAt(next[:], w.fsize)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("ingest: sealing wal segment: %w", err)
+	}
+	if string(next[:n]) != string(zeros[:n]) {
+		return nil
+	}
+	if err := w.f.Truncate(w.fsize); err != nil {
+		return fmt.Errorf("ingest: sealing wal segment: %w", err)
+	}
+	w.falloc = w.fsize
+	if w.opts.NoSync {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("ingest: sealing wal segment: %w", err)
+	}
+	return nil
 }
 
 // LastSeq returns the last assigned sequence (0 before any append).
@@ -548,8 +637,8 @@ func (w *WAL) TruncateThrough(seq uint64) (int, error) {
 	return removed, nil
 }
 
-// Close flushes pending frames and closes the active segment. Further
-// operations fail with ErrClosed.
+// Close flushes pending frames, seals the active segment and closes it.
+// Further operations fail with ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	for w.flushing {
@@ -564,14 +653,15 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	err := w.err
-	f := w.f
-	w.f = nil
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+	// No flush starts once closed is set: the seal has the active
+	// segment to itself.
+	if serr := w.seal(); err == nil {
+		err = serr
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

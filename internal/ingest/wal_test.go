@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 
 	// Simulate a crash mid-write: a complete extra frame followed by a
-	// torn one at the tail of the last segment.
+	// torn one at the tail of the last segment, which Close sealed.
 	names, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if len(names) != 1 {
 		t.Fatalf("expected 1 segment, found %v", names)
@@ -235,6 +236,167 @@ func TestWALRotationAndTruncateThrough(t *testing.T) {
 	// TruncateThrough never deletes the active segment.
 	if removed, _ := w.TruncateThrough(100); removed != 0 {
 		t.Fatalf("active segment was deleted (%d removed)", removed)
+	}
+}
+
+// TestWALGrowsOncePerChunk pins the mechanism by count: a flush writes
+// into the zeroed tail and only one that runs past it extends the file,
+// so 200 appends of ~6 KiB change the segment's length about once per
+// MiB, not once per append.
+func TestWALGrowsOncePerChunk(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recs := testRecs(13, 64)
+	growths := 0
+	var path string
+	var length int64
+	for range 200 {
+		if _, err := w.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		active := w.segs[len(w.segs)-1].path
+		w.mu.Unlock()
+		st, err := os.Stat(active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if active != path {
+			path, length = active, int64(segHeaderBytes)
+		}
+		if st.Size() != length {
+			growths++
+			length = st.Size()
+		}
+	}
+	w.mu.Lock()
+	segs := w.segs
+	w.mu.Unlock()
+	var written int64
+	for _, s := range segs {
+		written += s.size - int64(segHeaderBytes)
+	}
+	chunks := int((written + preallocBytes - 1) / preallocBytes)
+	if limit := chunks + len(segs); growths > limit {
+		t.Fatalf("the active segment changed length %d times over 200 appends of %d bytes in %d segment(s), want <= %d",
+			growths, written, len(segs), limit)
+	}
+}
+
+// TestWALTornSegmentCreation: a crash between a segment's create and its
+// fsync leaves a last file shorter than the magic. It holds no frames,
+// so Open gives it its magic back and the log continues at the sequence
+// its name carries.
+func TestWALTornSegmentCreation(t *testing.T) {
+	for _, torn := range []string{"", segMagic[:3]} {
+		dir := t.TempDir()
+		w, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := testRecs(14, 12)
+		for _, r := range recs {
+			if _, err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := w.LastSeq()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segPath(dir, last+1), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		names, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if len(names) < 4 {
+			t.Fatalf("want a log of at least 4 segments, have %d", len(names))
+		}
+
+		w2, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatalf("a %d-byte last segment: %v", len(torn), err)
+		}
+		if got := w2.LastSeq(); got != last {
+			t.Fatalf("recovered LastSeq %d, want %d", got, last)
+		}
+		extra := testRecs(15, 1)
+		if seq, err := w2.Append(extra...); err != nil || seq != last+1 {
+			t.Fatalf("append after recovery: seq %d, %v; want %d", seq, err, last+1)
+		}
+		seqs, got := replayAll(t, w2, 0)
+		if len(seqs) != int(last)+1 || !sameRec(got[last], extra[0]) || !sameRec(got[0], recs[0]) {
+			t.Fatalf("replay after recovery yielded %d records, want %d", len(seqs), last+1)
+		}
+		w2.Close()
+	}
+}
+
+// TestWALShortClosedSegmentRejected: the same damage in a segment that
+// is not the last one is corruption, not a torn creation.
+func TestWALShortClosedSegmentRejected(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range testRecs(16, 12) {
+		if _, err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if len(names) < 4 {
+		t.Fatalf("want a log of at least 4 segments, have %d", len(names))
+	}
+	if err := os.Truncate(names[1], 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{SegmentBytes: 256}); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
+		t.Fatalf("open with a 3-byte closed segment: %v, want bad segment magic", err)
+	}
+}
+
+// TestWALCloseKeepsSuccessorFrames: replicas sharing a WAL directory
+// hand it over by reopening it. A deposed leader that closes its handle
+// after the successor has appended to the same segment must not cut the
+// successor's frames off with its zeroed tail.
+func TestWALCloseKeepsSuccessorFrames(t *testing.T) {
+	dir := t.TempDir()
+	old, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecs(17, 20)
+	if _, err := old.Append(recs[:10]...); err != nil {
+		t.Fatal(err)
+	}
+	successor, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := successor.Append(recs[10:]...); err != nil || seq != 20 {
+		t.Fatalf("successor append: seq %d, %v", seq, err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := successor.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	seqs, got := replayAll(t, w, 0)
+	if len(seqs) != 20 || !sameRec(got[19], recs[19]) {
+		t.Fatalf("reopened log holds %d records, want 20", len(seqs))
 	}
 }
 
