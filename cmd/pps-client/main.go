@@ -290,7 +290,7 @@ func loadTest(addr string, req proto.FEQueryReq, count, conc, pool int, timeout 
 	if conc < 1 {
 		conc = 1
 	}
-	cl := wire.NewClientWithConfig(addr, wire.ClientConfig{PoolSize: pool})
+	cl := wire.NewPooledClient(addr, pool)
 	defer cl.Close()
 	var (
 		wg       sync.WaitGroup

@@ -383,7 +383,7 @@ func (f *Frontend) ApplyView(v proto.View) error {
 			}
 			h = &handle{
 				id: id, addr: ni.Addr, speed: sp, lat: f.nodeLat[id],
-				client:  wire.NewClientWithConfig(ni.Addr, wire.ClientConfig{PoolSize: f.cfg.PoolSize}),
+				client:  wire.NewPooledClient(ni.Addr, f.cfg.PoolSize),
 				credits: semaphore(f.cfg.NodeMaxOutstanding),
 			}
 			f.nodes[id] = h

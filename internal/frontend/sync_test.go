@@ -116,7 +116,7 @@ func TestPushHealthAnyFailureRecredits(t *testing.T) {
 		{"remote unknown-method", &wire.RemoteError{Method: proto.MMemberHealth,
 			Msg: fmt.Sprintf("wire: unknown method %q", proto.MMemberHealth)}},
 		{"remote trailing-bytes", &wire.RemoteError{Method: proto.MMemberHealth,
-			Msg: "proto: 7 trailing bytes after HealthReport"}},
+			Msg: "invalid character 'x' after top-level value"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := &scriptedMember{errs: []error{tc.err}}

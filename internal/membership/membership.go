@@ -23,6 +23,7 @@ package membership
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"roar/internal/ingest"
@@ -305,60 +306,11 @@ func (c *Coordinator) allNodesLocked() []ring.NodeID {
 // pushes travel mostly intra-rack (§4.9.2's cross-sectional bandwidth
 // optimisation). Falls back to hotspot placement when the rack is new.
 func (c *Coordinator) JoinRack(ctx context.Context, addr string, speedHint float64, rack string) (proto.JoinResp, error) {
-	resp, err := c.joinRack(ctx, addr, speedHint, rack)
+	resp, err := c.join(ctx, addr, speedHint, rack)
 	if err != nil {
 		return proto.JoinResp{}, err
 	}
 	return resp, c.commitState()
-}
-
-func (c *Coordinator) joinRack(ctx context.Context, addr string, speedHint float64, rack string) (proto.JoinResp, error) {
-	if rack == "" {
-		return c.join(ctx, addr, speedHint, "")
-	}
-	c.mu.Lock()
-	var anchor ring.NodeID = ring.InvalidNode
-	var anchorRing int
-	for id, rk := range c.racks {
-		if rk == rack {
-			if k, ok := c.ringOf[id]; ok {
-				anchor, anchorRing = id, k
-				break
-			}
-		}
-	}
-	if anchor == ring.InvalidNode {
-		c.mu.Unlock()
-		return c.join(ctx, addr, speedHint, rack)
-	}
-	// Split the same-rack anchor's range: the new node lands next to it.
-	r := c.rings[anchorRing]
-	a, err := r.Range(anchor)
-	if err != nil {
-		c.mu.Unlock()
-		return proto.JoinResp{}, err
-	}
-	id := c.nextID
-	c.nextID++
-	start := a.Start.Add(a.Length / 2)
-	if err := r.Insert(id, start); err != nil {
-		c.mu.Unlock()
-		return proto.JoinResp{}, fmt.Errorf("membership: rack join: %w", err)
-	}
-	c.ringOf[id] = anchorRing
-	c.addrs[id] = addr
-	c.speeds[id] = speedHint
-	c.racks[id] = rack
-	c.clients[id] = wire.NewClient(addr)
-	c.epoch++
-	c.mu.Unlock()
-	if err := c.pushStored(ctx, id); err != nil {
-		return proto.JoinResp{}, err
-	}
-	if err := c.sendRetain(ctx, anchor); err != nil {
-		return proto.JoinResp{}, err
-	}
-	return proto.JoinResp{ID: int(id), Ring: anchorRing, Start: float64(start)}, nil
 }
 
 // RackOf returns a node's rack label ("" when unlabelled).
@@ -376,58 +328,33 @@ func (c *Coordinator) Join(ctx context.Context, addr string, speedHint float64) 
 	return c.JoinRack(ctx, addr, speedHint, "")
 }
 
-// join places a node at the hotspot and labels it with rack, if any.
+// usableSpeed reports whether s is positive and finite. NaN fails every
+// comparison, so a plain s <= 0 test lets it through.
+func usableSpeed(s float64) bool {
+	return s > 0 && s <= math.MaxFloat64
+}
+
+// join places a node where placeLocked says, labels it with rack, if
+// any, loads it with its stored set and trims the neighbour whose range
+// it split.
 func (c *Coordinator) join(ctx context.Context, addr string, speedHint float64, rack string) (proto.JoinResp, error) {
-	if speedHint <= 0 {
+	if !usableSpeed(speedHint) {
 		speedHint = 1
 	}
 	c.mu.Lock()
+	k, start, err := c.placeLocked(rack)
+	if err != nil {
+		c.mu.Unlock()
+		return proto.JoinResp{}, err
+	}
+	r := c.rings[k]
 	id := c.nextID
-	c.nextID++
-	// Ring with least total capacity (§4.9: equal capacity per ring).
-	bestRing, bestCap := 0, -1.0
-	for k, r := range c.rings {
-		var cap float64
-		for _, nid := range r.IDs() {
-			cap += c.speeds[nid]
-		}
-		if bestCap < 0 || cap < bestCap {
-			bestRing, bestCap = k, cap
-		}
-		_ = r
-	}
-	r := c.rings[bestRing]
-	var start ring.Point
-	if r.Len() == 0 {
-		start = 0
-	} else {
-		// Hottest node: largest range/speed ratio.
-		hot, hotScore := ring.InvalidNode, -1.0
-		for _, nid := range r.IDs() {
-			a, err := r.Range(nid)
-			if err != nil {
-				continue
-			}
-			sp := c.speeds[nid]
-			if sp <= 0 {
-				sp = 1
-			}
-			if score := a.Length / sp; score > hotScore {
-				hot, hotScore = nid, score
-			}
-		}
-		a, err := r.Range(hot)
-		if err != nil {
-			c.mu.Unlock()
-			return proto.JoinResp{}, fmt.Errorf("membership: hotspot lookup: %w", err)
-		}
-		start = a.Start.Add(a.Length / 2) // split the hot range in half
-	}
 	if err := r.Insert(id, start); err != nil {
 		c.mu.Unlock()
 		return proto.JoinResp{}, fmt.Errorf("membership: inserting node: %w", err)
 	}
-	c.ringOf[id] = bestRing
+	c.nextID++
+	c.ringOf[id] = k
 	c.addrs[id] = addr
 	c.speeds[id] = speedHint
 	if rack != "" {
@@ -437,8 +364,8 @@ func (c *Coordinator) join(ctx context.Context, addr string, speedHint float64, 
 	c.epoch++
 	c.mu.Unlock()
 
-	// Load the new node, then trim the split neighbour (it keeps data
-	// for its shrunken stored set only).
+	// Load the new node, then trim its predecessor, the split neighbour
+	// (it keeps data for its shrunken stored set only).
 	if err := c.pushStored(ctx, id); err != nil {
 		return proto.JoinResp{}, err
 	}
@@ -450,7 +377,59 @@ func (c *Coordinator) join(ctx context.Context, addr string, speedHint float64, 
 			return proto.JoinResp{}, err
 		}
 	}
-	return proto.JoinResp{ID: int(id), Ring: bestRing, Start: float64(start)}, nil
+	return proto.JoinResp{ID: int(id), Ring: k, Start: float64(start)}, nil
+}
+
+// placeLocked picks a joining node's ring and start point. A node whose
+// rack already has a member splits that member's range. Any other node
+// joins the ring with the least total capacity (§4.9: equal capacity per
+// ring) and splits the range of its hottest node.
+func (c *Coordinator) placeLocked(rack string) (int, ring.Point, error) {
+	if rack != "" {
+		for id, rk := range c.racks {
+			if k, ok := c.ringOf[id]; ok && rk == rack {
+				a, err := c.rings[k].Range(id)
+				if err != nil {
+					return 0, 0, err
+				}
+				return k, a.Start.Add(a.Length / 2), nil
+			}
+		}
+	}
+	bestRing, bestCap := 0, -1.0
+	for k, r := range c.rings {
+		var cap float64
+		for _, nid := range r.IDs() {
+			cap += c.speeds[nid]
+		}
+		if bestCap < 0 || cap < bestCap {
+			bestRing, bestCap = k, cap
+		}
+	}
+	r := c.rings[bestRing]
+	if r.Len() == 0 {
+		return bestRing, 0, nil
+	}
+	// Hottest node: largest range/speed ratio.
+	hot, hotScore := ring.InvalidNode, -1.0
+	for _, nid := range r.IDs() {
+		a, err := r.Range(nid)
+		if err != nil {
+			continue
+		}
+		sp := c.speeds[nid]
+		if sp <= 0 {
+			sp = 1
+		}
+		if score := a.Length / sp; score > hotScore {
+			hot, hotScore = nid, score
+		}
+	}
+	a, err := r.Range(hot)
+	if err != nil {
+		return 0, 0, fmt.Errorf("membership: hotspot lookup: %w", err)
+	}
+	return bestRing, a.Start.Add(a.Length / 2), nil // split the hot range in half
 }
 
 // Leave removes a node gracefully (§4.4 "Removing Nodes"): its range is
@@ -552,7 +531,6 @@ func (c *Coordinator) changeP(ctx context.Context, newP int) error {
 	}
 	// newP < oldP: push each node the replica arc it lacks:
 	// (start-1/newP, start-1/oldP].
-	grow := 1/float64(newP) - 1/float64(oldP)
 	for _, id := range ids {
 		c.mu.Lock()
 		arc, _, err := c.nodeRangeLocked(id)
@@ -564,7 +542,6 @@ func (c *Coordinator) changeP(ctx context.Context, newP int) error {
 		}
 		lo := arc.Start.Add(-1 / float64(newP))
 		hi := arc.Start.Add(-1 / float64(oldP))
-		_ = grow
 		recs := c.backend.InArc(lo, hi)
 		if err := c.pushRecords(ctx, cl, id, epoch, recs); err != nil {
 			return err
@@ -687,7 +664,7 @@ func (c *Coordinator) ReportSpeeds(speeds map[ring.NodeID]float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, s := range speeds {
-		if _, ok := c.ringOf[id]; ok && s > 0 {
+		if _, ok := c.ringOf[id]; ok && usableSpeed(s) {
 			c.speeds[id] = s
 		}
 	}

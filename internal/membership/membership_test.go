@@ -2,6 +2,8 @@ package membership
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -234,6 +236,54 @@ func TestReportSpeeds(t *testing.T) {
 	}
 	if unknown {
 		t.Error("speeds for unknown nodes must be ignored")
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		c.ReportSpeeds(map[ring.NodeID]float64{ring.NodeID(j.ID): bad})
+		c.mu.Lock()
+		got := c.speeds[ring.NodeID(j.ID)]
+		c.mu.Unlock()
+		if got != 42 {
+			t.Errorf("reported speed %v replaced 42 with %v", bad, got)
+		}
+	}
+}
+
+// TestJoinSpeedHintNormalised: a join hint that is not a positive finite
+// speed is stored as 1 on both placement paths, so the exported state
+// always encodes (encoding/json refuses NaN and ±Inf, and a replicated
+// coordinator ships that state with every commit).
+func TestJoinSpeedHintNormalised(t *testing.T) {
+	c, err := New(Config{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, addrs := startNodes(t, slimEncoder(), 4)
+	joins := []struct {
+		hint float64
+		rack string
+	}{
+		{1, "rackA"},
+		{0, "rackA"}, // splits the first node's range
+		{math.NaN(), ""},
+		{math.Inf(1), ""},
+	}
+	for i, j := range joins {
+		if _, err := c.JoinRack(context.Background(), addrs[i], j.hint, j.rack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.ExportState()
+	if len(st.Nodes) != len(joins) {
+		t.Fatalf("exported %d nodes, want %d", len(st.Nodes), len(joins))
+	}
+	for _, n := range st.Nodes {
+		if n.Speed != 1 {
+			t.Errorf("node %d exported speed %v, want 1", n.ID, n.Speed)
+		}
+	}
+	if _, err := json.Marshal(st); err != nil {
+		t.Errorf("exported state does not encode: %v", err)
 	}
 }
 

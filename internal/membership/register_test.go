@@ -2,6 +2,7 @@ package membership
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -47,23 +48,43 @@ type memPeer struct {
 	from, to string
 }
 
+// Call carries in and the answer through encoding/json, as the wire
+// does, so no replica ever holds a slice of another's entries.
 func (p memPeer) Call(_ context.Context, method string, in, out interface{}) error {
 	if p.net.down[[2]string{p.from, p.to}] {
 		return errLinkDown
 	}
 	dst := p.net.reps[p.to]
+	var resp interface{}
 	switch method {
 	case proto.MMemberLease:
-		*out.(*proto.LeaseResp) = dst.HandleLease(in.(proto.LeaseReq))
+		var req proto.LeaseReq
+		if err := jsonCopy(in, &req); err != nil {
+			return err
+		}
+		resp = dst.HandleLease(req)
 	case proto.MMemberReplicate:
-		*out.(*proto.ReplicateResp) = dst.HandleReplicate(in.(proto.ReplicateReq))
+		var req proto.ReplicateReq
+		if err := jsonCopy(in, &req); err != nil {
+			return err
+		}
+		resp = dst.HandleReplicate(req)
 	default:
 		return fmt.Errorf("memNet: no method %s", method)
 	}
 	if p.net.down[[2]string{p.to, p.from}] {
 		return errLinkDown
 	}
-	return nil
+	return jsonCopy(resp, out)
+}
+
+// jsonCopy decodes the JSON encoding of v into out.
+func jsonCopy(v, out interface{}) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, out)
 }
 
 func (memPeer) Close() error { return nil }

@@ -1,12 +1,13 @@
-// Binary hot-path body codecs. The bodies encoded here carry nearly all
-// of the cluster's steady-state bytes: sub-query fan-out
-// (QueryReq/QueryResp, sent p times per query), replica pushes (PutReq,
-// once per stored record), and the liveness probes that gate failure
-// recovery (PingReq/PingResp). JSON spends 4/3× on base64 for every
-// trapdoor, nonce and filter and ~20 decimal characters per object id;
-// these encodings ship raw bytes, varints, and delta-compressed sorted
-// id sets instead. Everything else (membership, stats, retain) stays
-// JSON inside the binary envelope (see internal/wire/codec.go).
+// Binary body codecs. A body is binary exactly when it carries records,
+// trapdoors or id sets: QueryReq and FEQueryReq (trapdoor matrices),
+// QueryResp (a sorted id set), PutReq and IngestReq (record nonces and
+// filters). Those five carry nearly all of the cluster's steady-state
+// bytes, and JSON would spend 4/3× on base64 for every trapdoor, nonce
+// and filter and ~20 decimal characters per object id; these encodings
+// ship raw bytes, varints, and delta-compressed sorted id sets instead.
+// Every other body (pings, health reports, replication, leases, ingest
+// acks, membership, stats, retain) travels as JSON inside the binary
+// envelope (see internal/wire/codec.go).
 //
 // Every encoding is one flat field list: scalars are always written, an
 // optional struct sits behind a presence byte. A type has exactly one
@@ -118,7 +119,7 @@ func (r *reader) bytes(what string) []byte {
 // TrailingBytesError is the strict decoders' rejection of input that
 // continues past the last field.
 type TrailingBytesError struct {
-	What string // body name, e.g. "HealthReport"
+	What string // body name, e.g. "PutReq"
 	N    int    // unread byte count
 }
 
@@ -434,10 +435,11 @@ func (p *PutReq) DecodeWire(data []byte) error {
 	return r.finish("PutReq")
 }
 
-// --- IngestReq / IngestResp ---
+// --- IngestReq ---
 
 // Ingest appends carry the same raw nonce/filter bytes as replica
-// pushes, so they ride the binary path too.
+// pushes, so they ride the binary path too; their ack (IngestResp) is
+// two counters and travels as JSON.
 
 // AppendWire implements wire.WireAppender.
 func (q IngestReq) AppendWire(b []byte) []byte {
@@ -468,117 +470,4 @@ func (q *IngestReq) DecodeWire(data []byte) error {
 		}
 	}
 	return r.finish("IngestReq")
-}
-
-// AppendWire implements wire.WireAppender.
-func (q IngestResp) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, q.Seq)
-	b = binary.AppendUvarint(b, q.Drained)
-	return b
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (q *IngestResp) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Seq = r.uvarint("IngestResp.Seq")
-	q.Drained = r.uvarint("IngestResp.Drained")
-	return r.finish("IngestResp")
-}
-
-// --- PingReq / PingResp ---
-
-// AppendWire implements wire.WireAppender (a ping carries no payload;
-// the empty binary body still skips the JSON envelope).
-func (PingReq) AppendWire(b []byte) []byte { return b }
-
-// DecodeWire implements wire.WireDecoder.
-func (*PingReq) DecodeWire(data []byte) error {
-	if len(data) != 0 {
-		return &TrailingBytesError{What: "PingReq", N: len(data)}
-	}
-	return nil
-}
-
-// AppendWire implements wire.WireAppender.
-func (p PingResp) AppendWire(b []byte) []byte {
-	return appendZigzag(b, int64(p.QueueDepth))
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (p *PingResp) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	p.QueueDepth = int(r.zigzag("PingResp.QueueDepth"))
-	return r.finish("PingResp")
-}
-
-// --- HealthReport / HealthResp ---
-
-// Health reports ride the binary path like the hot bodies: every
-// frontend pushes one per report interval, so at fleet scale the
-// membership server decodes them continuously and the JSON envelope tax
-// (base64-free here, but per-field keys and decimal counters) is worth
-// shedding. A NodeHealth entry needs at least 13 wire bytes (five
-// 1-byte varints plus the 8-byte speed), which bounds the decoder's
-// count-versus-bytes sanity check.
-
-const nodeHealthMinBytes = 13
-
-// AppendWire implements wire.WireAppender.
-func (h HealthReport) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(h.FE)))
-	b = append(b, h.FE...)
-	b = binary.AppendUvarint(b, h.Seq)
-	b = appendZigzag(b, int64(h.Shed))
-	b = appendZigzag(b, int64(h.ShedNormal))
-	b = appendZigzag(b, int64(h.HedgesDenied))
-	b = appendZigzag(b, h.QueueP99Nanos)
-	b = binary.AppendUvarint(b, uint64(len(h.Nodes)))
-	for _, nh := range h.Nodes {
-		b = appendZigzag(b, int64(nh.ID))
-		b = appendZigzag(b, int64(nh.Fails))
-		b = appendZigzag(b, int64(nh.OKs))
-		b = appendZigzag(b, int64(nh.QueueDepth))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(nh.Speed))
-		b = appendZigzag(b, nh.LatP99Nanos)
-	}
-	return b
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (h *HealthReport) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	h.FE = string(r.bytes("HealthReport.FE"))
-	h.Seq = r.uvarint("HealthReport.Seq")
-	h.Shed = int(r.zigzag("HealthReport.Shed"))
-	h.ShedNormal = int(r.zigzag("HealthReport.ShedNormal"))
-	h.HedgesDenied = int(r.zigzag("HealthReport.HedgesDenied"))
-	h.QueueP99Nanos = r.zigzag("HealthReport.QueueP99Nanos")
-	n := r.count("HealthReport.Nodes", nodeHealthMinBytes)
-	h.Nodes = nil
-	if n > 0 && r.err == nil {
-		h.Nodes = make([]NodeHealth, 0, capHint(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			var nh NodeHealth
-			nh.ID = int(r.zigzag("NodeHealth.ID"))
-			nh.Fails = int(r.zigzag("NodeHealth.Fails"))
-			nh.OKs = int(r.zigzag("NodeHealth.OKs"))
-			nh.QueueDepth = int(r.zigzag("NodeHealth.QueueDepth"))
-			nh.Speed = math.Float64frombits(r.u64("NodeHealth.Speed"))
-			nh.LatP99Nanos = r.zigzag("NodeHealth.LatP99Nanos")
-			h.Nodes = append(h.Nodes, nh)
-		}
-	}
-	return r.finish("HealthReport")
-}
-
-// AppendWire implements wire.WireAppender.
-func (h HealthResp) AppendWire(b []byte) []byte {
-	return appendZigzag(b, int64(h.Epoch))
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (h *HealthResp) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	h.Epoch = int(r.zigzag("HealthResp.Epoch"))
-	return r.finish("HealthResp")
 }

@@ -63,28 +63,7 @@ func TestBinaryCodecGoldenRoundTrip(t *testing.T) {
 		{"QueryResp/empty", QueryResp{}, &QueryResp{}},
 		{"PutReq", PutReq{Records: testRecords(7)}, &PutReq{}},
 		{"PutReq/empty", PutReq{}, &PutReq{}},
-		{"PingReq", PingReq{}, &PingReq{}},
-		{"PingResp", PingResp{QueueDepth: 42}, &PingResp{}},
-		{"HealthReport", HealthReport{
-			FE: "fe-127.0.0.1:8000", Seq: 77, Shed: 3,
-			Nodes: []NodeHealth{
-				{ID: 0, Fails: 7, QueueDepth: 9, Speed: 0.125},
-				{ID: 41, OKs: 1003, Speed: 123456.75},
-			},
-		}, &HealthReport{}},
-		{"HealthReport/empty", HealthReport{}, &HealthReport{}},
-		{"HealthReport/ext", HealthReport{
-			FE: "fe-1", Seq: 8, Shed: 2, ShedNormal: 5, HedgesDenied: 17,
-			QueueP99Nanos: 48_000_000,
-			Nodes: []NodeHealth{
-				{ID: 1, OKs: 40, Speed: 2.5, LatP99Nanos: 22_000_000},
-				{ID: 2, OKs: 12}, // no p99 yet (tracker warming up)
-				{ID: 9, Fails: 1, LatP99Nanos: 140_000_000},
-			},
-		}, &HealthReport{}},
 		{"PutReq/fenced", PutReq{Records: testRecords(3), Epoch: 42}, &PutReq{}},
-		{"HealthResp", HealthResp{Epoch: 12}, &HealthResp{}},
-		{"HealthResp/empty", HealthResp{}, &HealthResp{}},
 	}
 	type appender interface{ AppendWire([]byte) []byte }
 	type decoder interface{ DecodeWire([]byte) error }
@@ -302,23 +281,6 @@ func TestFlatCodecGoldenBytes(t *testing.T) {
 			func() decoder { return &PutReq{} },
 			"\x01\x07\x02\x01\x02\x01\x03" + "\x2a"},
 		{"PutReq/unfenced", PutReq{}, func() decoder { return &PutReq{} }, "\x00\x00"},
-		{"HealthReport", HealthReport{
-			FE: "fe", Seq: 3, Shed: 4, ShedNormal: 2, HedgesDenied: 9, QueueP99Nanos: 900,
-			Nodes: []NodeHealth{
-				{ID: 5, Fails: 1, OKs: 2, QueueDepth: 2, Speed: 1.5, LatP99Nanos: 99},
-				{ID: 6}, // no p99 yet: the zeros are written, not omitted
-			},
-		}, func() decoder { return &HealthReport{} },
-			"\x02fe\x03\x08\x04\x12\x88\x0e" +
-				"\x02" +
-				"\x0a\x02\x04\x04" + f64(1.5) + "\xc6\x01" +
-				"\x0c\x00\x00\x00" + f64(0) + "\x00"},
-		{"HealthReport/empty", HealthReport{}, func() decoder { return &HealthReport{} },
-			"\x00\x00\x00\x00\x00\x00\x00"},
-		{"HealthResp", HealthResp{Epoch: 12}, func() decoder { return &HealthResp{} }, "\x18"},
-		{"LeaseResp", LeaseResp{Term: 3, Granted: true, Leader: "a:1", LastIndex: 41},
-			func() decoder { return &LeaseResp{} }, "\x03\x01\x03a:1\x29"},
-		{"LeaseResp/refused", LeaseResp{Term: 7}, func() decoder { return &LeaseResp{} }, "\x07\x00\x00\x00"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -400,42 +362,6 @@ func FuzzDecodeQueryResp(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q QueryResp
 		_ = q.DecodeWire(data)
-	})
-}
-
-// FuzzDecodeHealthReport: truncated/corrupt health pushes must error or
-// decode, never panic or over-allocate; valid decodes must re-encode to
-// a decodable body.
-func FuzzDecodeHealthReport(f *testing.F) {
-	f.Add(HealthReport{
-		FE: "fe", Seq: 9, Shed: 1,
-		Nodes: []NodeHealth{{ID: 4, Fails: 1, Speed: 2.5}},
-	}.AppendWire(nil))
-	f.Add(HealthReport{
-		FE: "fe", Seq: 10, ShedNormal: 3, HedgesDenied: 2, QueueP99Nanos: 7,
-		Nodes: []NodeHealth{{ID: 4, OKs: 2, LatP99Nanos: 50}, {ID: 5, Fails: 3}},
-	}.AppendWire(nil))
-	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var h HealthReport
-		if err := h.DecodeWire(data); err != nil {
-			return
-		}
-		var back HealthReport
-		if err := back.DecodeWire(h.AppendWire(nil)); err != nil {
-			t.Fatalf("re-decode of valid HealthReport failed: %v", err)
-		}
-	})
-}
-
-// FuzzDecodeHealthResp: same contract for the aggregator's verdict.
-func FuzzDecodeHealthResp(f *testing.F) {
-	f.Add(HealthResp{Epoch: 3}.AppendWire(nil))
-	f.Add([]byte{0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var h HealthResp
-		_ = h.DecodeWire(data)
 	})
 }
 

@@ -153,9 +153,7 @@ type QueryResp struct {
 	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
-// PingReq is the liveness probe (MNodePing). It carries no
-// fields; having a named type lets the probe ride the binary hot-path
-// codec instead of a JSON null.
+// PingReq is the liveness probe (MNodePing). It carries no fields.
 type PingReq struct{}
 
 // PingResp answers the liveness probe (MNodePing) with the node's

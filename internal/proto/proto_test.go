@@ -77,6 +77,7 @@ func TestFrontendMessages(t *testing.T) {
 func TestNodeQueryMessages(t *testing.T) {
 	roundTrip(t, QueryReq{QID: 9, Lo: 0.125, Hi: 0.875, Q: testQuery(t)})
 	roundTrip(t, QueryResp{IDs: []uint64{3, 1}, Scanned: 400, MatchNanos: 55, QueueDepth: 3})
+	roundTrip(t, PingReq{})
 	roundTrip(t, PingResp{QueueDepth: 2})
 }
 
@@ -97,10 +98,42 @@ func TestMembershipMessages(t *testing.T) {
 	roundTrip(t, LeaveReq{ID: 8})
 	roundTrip(t, SetPReq{P: 6})
 	roundTrip(t, HealthReport{
-		FE: "fe-0", Seq: 3, Shed: 2,
-		Nodes: []NodeHealth{{ID: 1, Fails: 3, OKs: 4, QueueDepth: 5, Speed: 1.5}},
+		FE: "fe-0", Seq: 3, Shed: 2, ShedNormal: 5, HedgesDenied: 17, QueueP99Nanos: 48_000_000,
+		Nodes: []NodeHealth{
+			{ID: 1, Fails: 3, OKs: 4, QueueDepth: 5, Speed: 1.5, LatP99Nanos: 22_000_000},
+			{ID: 2, OKs: 12}, // no p99 yet (tracker warming up)
+		},
 	})
 	roundTrip(t, HealthResp{Epoch: 9})
+	roundTrip(t, IngestResp{Seq: 1 << 40, Drained: 77})
+	roundTrip(t, ReplicateReq{
+		Term: 5, Leader: "127.0.0.1:7001", Commit: 12,
+		Entries: []LogEntry{
+			{Index: 12, Term: 5, Kind: EntryState, State: testControlState()},
+			{Index: 13, Term: 5, Kind: EntryIntent, State: ControlState{Epoch: 18, P: 4, PendingP: 2, Rings: 1}},
+		},
+	})
+	roundTrip(t, ReplicateReq{Term: 9, Leader: "a:1", Commit: 44}) // a heartbeat: no entries
+	roundTrip(t, ReplicateResp{Term: 5, OK: true, LastIndex: 13})
+	roundTrip(t, LeaseReq{Term: 6, Candidate: "127.0.0.1:7002", LastIndex: 13, LastTerm: 5})
+	roundTrip(t, LeaseResp{Term: 6, Granted: true, Leader: "127.0.0.1:7002", LastIndex: 13})
+	roundTrip(t, LeaseResp{Term: 7, Leader: "127.0.0.1:7001"}) // refused
+}
+
+// testControlState is a snapshot with every field set. Its quarantine
+// timestamp, 1.7e18 + 1 ns, is an integer a float64 cannot hold exactly.
+func testControlState() ControlState {
+	return ControlState{
+		Epoch: 17, P: 4, PendingP: 2, NextID: 9, Rings: 2,
+		Disabled:      []int{1},
+		IngestDrained: 21,
+		Nodes: []NodeState{
+			{ID: 0, Ring: 0, Start: 0, Addr: "127.0.0.1:9001", Speed: 1.5, Rack: "r1"},
+			{ID: 3, Ring: 0, Start: 0.25, Addr: "127.0.0.1:9002"},
+			{ID: 7, Ring: 1, Start: 0.5, Addr: "127.0.0.1:9003", Speed: 0.5,
+				Quarantined: true, QuarantinedAtUnixNanos: 1_700_000_000_000_000_001},
+		},
+	}
 }
 
 // parentViewJSON is json.Marshal of the view below at the last commit

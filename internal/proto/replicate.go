@@ -1,21 +1,15 @@
-// Control-plane replication bodies (member.replicate / member.lease)
-// and their binary codecs. The coordinator's decisions are pushed to
-// follower replicas continuously — every view publish, quarantine flip,
-// ChangeP, ring power change, decommission, and autoscale decision is
-// one log entry — so these bodies ride the binary codec like the
-// data-plane hot bodies: varints, raw float bits, and length-prefixed
-// strings instead of JSON keys and decimal counters.
+// Control-plane replication bodies (member.replicate / member.lease).
+// Every view publish, quarantine flip, ChangeP, ring power change,
+// decommission and autoscale decision is one log entry, pushed to the
+// follower replicas on the next heartbeat. A body is binary exactly when
+// it carries records, trapdoors or id sets (codec.go); these carry none,
+// so they travel as JSON like every other control body.
 //
 // Every LogEntry carries a complete ControlState snapshot. That makes
 // follower apply a replacement, not a merge: catch-up after a partition
 // is one push of the leader's newest entry, and a replica can always be
 // rebuilt from its single latest committed entry.
 package proto
-
-import (
-	"encoding/binary"
-	"math"
-)
 
 // LogEntry kinds. Every kind carries a full snapshot; the kind records
 // why the entry exists, which matters for takeover: an intent entry
@@ -138,199 +132,4 @@ type LeaseResp struct {
 	// LastIndex is the index of the voter's newest entry, so a refused
 	// candidate learns how far behind it is without another round trip.
 	LastIndex uint64 `json:"last_index,omitempty"`
-}
-
-// --- codecs ---
-
-// A NodeState needs at least 22 wire bytes (two 1-byte varints, two
-// 8-byte floats, two 1-byte length prefixes, the quarantine byte and a
-// 1-byte varint timestamp); a ControlState at least 7 (five 1-byte
-// varints plus two empty counts); a LogEntry at least 10 (index, term,
-// kind plus its state). These bound the decoders' count-versus-bytes
-// sanity checks.
-const (
-	nodeStateMinBytes = 22
-	logEntryMinBytes  = 10
-)
-
-// boolByte encodes a bool as one wire byte. (Expression form, so the
-// codecsync analyzer attributes the field read to its wire position;
-// an if-statement condition would be invisible to it.)
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func appendNodeState(b []byte, n NodeState) []byte {
-	b = appendZigzag(b, int64(n.ID))
-	b = appendZigzag(b, int64(n.Ring))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(n.Start))
-	b = binary.AppendUvarint(b, uint64(len(n.Addr)))
-	b = append(b, n.Addr...)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(n.Speed))
-	b = binary.AppendUvarint(b, uint64(len(n.Rack)))
-	b = append(b, n.Rack...)
-	b = append(b, boolByte(n.Quarantined))
-	b = appendZigzag(b, n.QuarantinedAtUnixNanos)
-	return b
-}
-
-func readNodeState(r *reader) NodeState {
-	var n NodeState
-	n.ID = int(r.zigzag("NodeState.ID"))
-	n.Ring = int(r.zigzag("NodeState.Ring"))
-	n.Start = math.Float64frombits(r.u64("NodeState.Start"))
-	n.Addr = string(r.bytes("NodeState.Addr"))
-	n.Speed = math.Float64frombits(r.u64("NodeState.Speed"))
-	n.Rack = string(r.bytes("NodeState.Rack"))
-	n.Quarantined = r.byte("NodeState.Quarantined") != 0
-	n.QuarantinedAtUnixNanos = r.zigzag("NodeState.QuarantinedAtUnixNanos")
-	return n
-}
-
-func appendControlState(b []byte, s ControlState) []byte {
-	b = appendZigzag(b, int64(s.Epoch))
-	b = appendZigzag(b, int64(s.P))
-	b = appendZigzag(b, int64(s.PendingP))
-	b = appendZigzag(b, int64(s.NextID))
-	b = appendZigzag(b, int64(s.Rings))
-	b = binary.AppendUvarint(b, uint64(len(s.Disabled)))
-	for _, k := range s.Disabled {
-		b = appendZigzag(b, int64(k))
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.Nodes)))
-	for _, n := range s.Nodes {
-		b = appendNodeState(b, n)
-	}
-	b = binary.AppendUvarint(b, s.IngestDrained)
-	return b
-}
-
-func readControlState(r *reader) ControlState {
-	var s ControlState
-	s.Epoch = int(r.zigzag("ControlState.Epoch"))
-	s.P = int(r.zigzag("ControlState.P"))
-	s.PendingP = int(r.zigzag("ControlState.PendingP"))
-	s.NextID = int(r.zigzag("ControlState.NextID"))
-	s.Rings = int(r.zigzag("ControlState.Rings"))
-	nd := r.count("ControlState.Disabled", 1)
-	for i := 0; i < nd && r.err == nil; i++ {
-		s.Disabled = append(s.Disabled, int(r.zigzag("ControlState.Disabled ring")))
-	}
-	nn := r.count("ControlState.Nodes", nodeStateMinBytes)
-	if nn > 0 && r.err == nil {
-		s.Nodes = make([]NodeState, 0, capHint(nn))
-		for i := 0; i < nn && r.err == nil; i++ {
-			s.Nodes = append(s.Nodes, readNodeState(r))
-		}
-	}
-	s.IngestDrained = r.uvarint("ControlState.IngestDrained")
-	return s
-}
-
-func appendLogEntry(b []byte, e LogEntry) []byte {
-	b = binary.AppendUvarint(b, e.Index)
-	b = binary.AppendUvarint(b, e.Term)
-	b = append(b, e.Kind)
-	b = appendControlState(b, e.State)
-	return b
-}
-
-func readLogEntry(r *reader) LogEntry {
-	var e LogEntry
-	e.Index = r.uvarint("LogEntry.Index")
-	e.Term = r.uvarint("LogEntry.Term")
-	e.Kind = r.byte("LogEntry.Kind")
-	e.State = readControlState(r)
-	return e
-}
-
-// AppendWire implements wire.WireAppender.
-func (q ReplicateReq) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, q.Term)
-	b = binary.AppendUvarint(b, uint64(len(q.Leader)))
-	b = append(b, q.Leader...)
-	b = binary.AppendUvarint(b, q.Commit)
-	b = binary.AppendUvarint(b, uint64(len(q.Entries)))
-	for _, e := range q.Entries {
-		b = appendLogEntry(b, e)
-	}
-	return b
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (q *ReplicateReq) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Term = r.uvarint("ReplicateReq.Term")
-	q.Leader = string(r.bytes("ReplicateReq.Leader"))
-	q.Commit = r.uvarint("ReplicateReq.Commit")
-	n := r.count("ReplicateReq.Entries", logEntryMinBytes)
-	q.Entries = nil
-	if n > 0 && r.err == nil {
-		q.Entries = make([]LogEntry, 0, capHint(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			e := readLogEntry(r)
-			q.Entries = append(q.Entries, e)
-		}
-	}
-	return r.finish("ReplicateReq")
-}
-
-// AppendWire implements wire.WireAppender.
-func (q ReplicateResp) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, q.Term)
-	b = append(b, boolByte(q.OK))
-	b = binary.AppendUvarint(b, q.LastIndex)
-	return b
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (q *ReplicateResp) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Term = r.uvarint("ReplicateResp.Term")
-	q.OK = r.byte("ReplicateResp.OK") != 0
-	q.LastIndex = r.uvarint("ReplicateResp.LastIndex")
-	return r.finish("ReplicateResp")
-}
-
-// AppendWire implements wire.WireAppender.
-func (q LeaseReq) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, q.Term)
-	b = binary.AppendUvarint(b, uint64(len(q.Candidate)))
-	b = append(b, q.Candidate...)
-	b = binary.AppendUvarint(b, q.LastIndex)
-	b = binary.AppendUvarint(b, q.LastTerm)
-	return b
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (q *LeaseReq) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Term = r.uvarint("LeaseReq.Term")
-	q.Candidate = string(r.bytes("LeaseReq.Candidate"))
-	q.LastIndex = r.uvarint("LeaseReq.LastIndex")
-	q.LastTerm = r.uvarint("LeaseReq.LastTerm")
-	return r.finish("LeaseReq")
-}
-
-// AppendWire implements wire.WireAppender.
-func (q LeaseResp) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, q.Term)
-	b = append(b, boolByte(q.Granted))
-	b = binary.AppendUvarint(b, uint64(len(q.Leader)))
-	b = append(b, q.Leader...)
-	b = binary.AppendUvarint(b, q.LastIndex)
-	return b
-}
-
-// DecodeWire implements wire.WireDecoder.
-func (q *LeaseResp) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Term = r.uvarint("LeaseResp.Term")
-	q.Granted = r.byte("LeaseResp.Granted") != 0
-	q.Leader = string(r.bytes("LeaseResp.Leader"))
-	q.LastIndex = r.uvarint("LeaseResp.LastIndex")
-	return r.finish("LeaseResp")
 }

@@ -11,13 +11,15 @@ package wire
 //	byte    body codec: 0 JSON, 1 binary (absent on cancel)
 //	...     body bytes (the rest of the frame)
 //
-// The body codec is decided by the body's Go type: the high-volume
-// bodies (sub-query fan-out, replica pushes, health reports, log
-// replication) implement WireAppender/WireDecoder (internal/proto) and
-// ship raw bytes, varints and delta-compressed id sets; control messages
-// (views, joins, stats) ride as JSON inside the same envelope. The codec
-// byte is the check on outside input: a payload whose codec does not
-// match the receiving type is rejected, never reinterpreted.
+// The body codec is decided by the body's Go type. A body is binary
+// exactly when it carries records, trapdoors or id sets: sub-queries and
+// their id sets, frontend queries, replica pushes and ingest appends
+// implement WireAppender/WireDecoder (internal/proto) and ship raw
+// bytes, varints and delta-compressed id sets. Every other body (pings,
+// health reports, replication, leases, views, joins, stats) rides as
+// JSON inside the same envelope. The codec byte is the check on outside
+// input: a payload whose codec does not match the receiving type is
+// rejected, never reinterpreted.
 //
 // Frame scratch is pooled: envelopes and bodies are appended into
 // reusable buffers, so the steady-state hot path performs no per-frame
@@ -34,7 +36,7 @@ import (
 // Version names the one dialect this build speaks: the envelope above
 // plus the body encodings of internal/proto. Any change to either bumps
 // it.
-const Version = 4
+const Version = 5
 
 // preambleLen is the size of the connection preamble: the magic "ROAR"
 // followed by big-endian uint32(Version).

@@ -96,7 +96,7 @@ func TestBinaryBodyBothWays(t *testing.T) {
 // binary calls without cross-talk.
 func TestBinaryFramingConcurrent(t *testing.T) {
 	s, _, _ := startBinEcho(t)
-	cl := NewClientWithConfig(s.Addr(), ClientConfig{PoolSize: 2})
+	cl := NewPooledClient(s.Addr(), 2)
 	defer cl.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -213,9 +213,10 @@ func TestBodyCodecMustMatchType(t *testing.T) {
 }
 
 // TestOneCodecPerMessage: which codec a message travels in is decided
-// by its Go type and nothing else. Observed in the server-side handler:
-// every high-volume body arrives binary, a view arrives as JSON, and a
-// view pull (nil request, JSON response) decodes.
+// by its Go type and nothing else, one row per proto body. Observed in
+// the server-side handler: the five bodies that carry records, trapdoors
+// or id sets arrive binary, every other body arrives as JSON, and a view
+// pull (nil request, JSON response) decodes.
 func TestOneCodecPerMessage(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]byte{}
@@ -241,12 +242,19 @@ func TestOneCodecPerMessage(t *testing.T) {
 		codec  byte
 	}{
 		{proto.MNodeQuery, proto.QueryReq{QID: 1, Hi: 1}, codecBinary},
+		{"query.resp", proto.QueryResp{IDs: []uint64{1, 2}}, codecBinary},
 		{proto.MNodePut, proto.PutReq{Epoch: 1}, codecBinary},
-		{proto.MMemberHealth, proto.HealthReport{FE: "fe", Seq: 1}, codecBinary},
 		{proto.MFEQuery, proto.FEQueryReq{Tenant: "t"}, codecBinary},
 		{proto.MMemberIngest, proto.IngestReq{}, codecBinary},
-		{proto.MMemberReplicate, proto.ReplicateReq{Term: 1}, codecBinary},
-		{proto.MMemberLease, proto.LeaseReq{Term: 1}, codecBinary},
+		{proto.MNodePing, proto.PingReq{}, codecJSON},
+		{"ping.resp", proto.PingResp{QueueDepth: 2}, codecJSON},
+		{"ingest.resp", proto.IngestResp{Seq: 3, Drained: 2}, codecJSON},
+		{proto.MMemberHealth, proto.HealthReport{FE: "fe", Seq: 1}, codecJSON},
+		{"health.resp", proto.HealthResp{Epoch: 4}, codecJSON},
+		{proto.MMemberReplicate, proto.ReplicateReq{Term: 1}, codecJSON},
+		{"replicate.resp", proto.ReplicateResp{Term: 1, OK: true}, codecJSON},
+		{proto.MMemberLease, proto.LeaseReq{Term: 1}, codecJSON},
+		{"lease.resp", proto.LeaseResp{Term: 1, Granted: true}, codecJSON},
 		{"view.push", proto.View{Epoch: 1}, codecJSON},
 	} {
 		if err := cl.Call(ctx, tc.method, tc.in, nil); err != nil {

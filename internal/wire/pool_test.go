@@ -14,7 +14,7 @@ func TestPoolDefaultsToSingleConn(t *testing.T) {
 	if len(c.slots) != 1 {
 		t.Fatalf("default pool size = %d, want 1", len(c.slots))
 	}
-	c2 := NewClientWithConfig("127.0.0.1:1", ClientConfig{PoolSize: -3})
+	c2 := NewPooledClient("127.0.0.1:1", -3)
 	defer c2.Close()
 	if len(c2.slots) != 1 {
 		t.Fatalf("negative pool size should normalise to 1, got %d", len(c2.slots))
@@ -23,7 +23,7 @@ func TestPoolDefaultsToSingleConn(t *testing.T) {
 
 func TestPoolLazyDial(t *testing.T) {
 	_, addr := startEcho(t)
-	c := NewClientWithConfig(addr, ClientConfig{PoolSize: 4})
+	c := NewPooledClient(addr, 4)
 	defer c.Close()
 	if st := c.Stats(); st.Conns != 0 {
 		t.Fatalf("no call yet, but %d conns open", st.Conns)
@@ -38,7 +38,7 @@ func TestPoolLazyDial(t *testing.T) {
 
 func TestPoolStripesAcrossConns(t *testing.T) {
 	s, addr := startEcho(t)
-	c := NewClientWithConfig(addr, ClientConfig{PoolSize: 3})
+	c := NewPooledClient(addr, 3)
 	defer c.Close()
 	for i := 0; i < 6; i++ {
 		if err := c.Call(context.Background(), "echo", echoReq{Msg: "x"}, nil); err != nil {
@@ -59,7 +59,7 @@ func TestPoolStripesAcrossConns(t *testing.T) {
 
 func TestPoolConcurrentCalls(t *testing.T) {
 	_, addr := startEcho(t)
-	c := NewClientWithConfig(addr, ClientConfig{PoolSize: 4})
+	c := NewPooledClient(addr, 4)
 	defer c.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 128)
@@ -90,7 +90,7 @@ func TestPoolConcurrentCalls(t *testing.T) {
 // without constructing a new client.
 func TestPoolEvictsAndRedials(t *testing.T) {
 	s, addr := startEcho(t)
-	c := NewClientWithConfig(addr, ClientConfig{PoolSize: 3})
+	c := NewPooledClient(addr, 3)
 	defer c.Close()
 	for i := 0; i < 3; i++ {
 		if err := c.Call(context.Background(), "echo", echoReq{Msg: "x"}, nil); err != nil {
@@ -131,7 +131,7 @@ func TestPoolEvictsAndRedials(t *testing.T) {
 
 func TestPoolCloseFailsCalls(t *testing.T) {
 	_, addr := startEcho(t)
-	c := NewClientWithConfig(addr, ClientConfig{PoolSize: 2})
+	c := NewPooledClient(addr, 2)
 	if err := c.Call(context.Background(), "echo", echoReq{Msg: "x"}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -299,19 +299,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// ClientConfig tunes a client's connection pool.
-type ClientConfig struct {
-	// PoolSize is the number of TCP connections calls are striped
-	// across (default 1). One multiplexed connection is correct but
-	// serialises all request writes behind a single mutex and a single
-	// kernel send buffer; a pool removes that bottleneck under high
-	// frontend concurrency.
-	PoolSize int
-}
-
 // Client is a pooled, multiplexing RPC client for one remote server.
-// Safe for concurrent use. Calls are striped round-robin across up to
-// PoolSize connections, each dialled lazily on first use; every
+// Safe for concurrent use. Calls are striped round-robin across the
+// pool's connections, each dialled lazily on first use; every
 // connection multiplexes many in-flight requests by id. A connection
 // that fails (dial, write, or read error) is evicted from the pool and
 // redialled on the next call that lands on its slot.
@@ -358,12 +348,16 @@ var errClosed = errors.New("wire: client closed")
 // NewClient returns a lazy single-connection client; the connection
 // opens on first Call.
 func NewClient(addr string) *Client {
-	return NewClientWithConfig(addr, ClientConfig{})
+	return NewPooledClient(addr, 1)
 }
 
-// NewClientWithConfig returns a lazy pooled client.
-func NewClientWithConfig(addr string, cfg ClientConfig) *Client {
-	c := &Client{addr: addr, slots: make([]*slot, max(cfg.PoolSize, 1))}
+// NewPooledClient returns a lazy client that stripes calls across size
+// TCP connections (a size below 1 means 1). One multiplexed connection
+// is correct but serialises all request writes behind a single mutex and
+// a single kernel send buffer; a pool removes that bottleneck under high
+// frontend concurrency.
+func NewPooledClient(addr string, size int) *Client {
+	c := &Client{addr: addr, slots: make([]*slot, max(size, 1))}
 	for i := range c.slots {
 		c.slots[i] = &slot{}
 	}
