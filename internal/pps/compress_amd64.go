@@ -2,21 +2,32 @@
 
 package pps
 
-// shaniBuilt reports whether this build carries blockSHANI.
-const shaniBuilt = true
+//go:generate go run gen_hmac16.go
+
+// shaniBuilt and lanesBuilt report whether this build carries
+// blockSHANI and hmac16.
+const shaniBuilt, lanesBuilt = true, true
 
 // useSHANI mirrors crypto/sha256's own test for its SHA-NI block
 // function: AVX with OS support for the YMM state, SHA, SSE4.1, SSSE3.
-var useSHANI = func() bool {
+// useLanes asks for AVX-512F with OS support for the opmask and ZMM
+// state, which is everything hmac16 executes.
+var useSHANI, useLanes = func() (shani, lanes bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	_, ebx7, _, _ := cpuid(7, 0)
 	bit := func(r uint32, n uint) bool { return r>>n&1 == 1 }
-	osAVX := bit(ecx1, 27) && xgetbv()&6 == 6 // OSXSAVE; XMM and YMM enabled
-	return bit(ecx1, 28) && osAVX && bit(ebx7, 29) && bit(ecx1, 19) && bit(ecx1, 9)
+	if !bit(ecx1, 27) { // OSXSAVE: XGETBV may run
+		return false, false
+	}
+	xcr0 := xgetbv()
+	osAVX := xcr0&6 == 6          // XMM and YMM enabled
+	osAVX512 := xcr0&0xe6 == 0xe6 // and opmask, ZMM0-15 upper halves, ZMM16-31
+	shani = bit(ecx1, 28) && osAVX && bit(ebx7, 29) && bit(ecx1, 19) && bit(ecx1, 9)
+	return shani, osAVX512 && bit(ebx7, 16)
 }()
 
 // blockSHANI is Go's SHA-NI block function (sha256block_amd64.s): it
@@ -24,6 +35,22 @@ var useSHANI = func() bool {
 //
 //go:noescape
 func blockSHANI(dig *[8]uint32, p []byte)
+
+// hmac16 is the 16-lane HMAC-SHA-256 (hmac16_amd64.s, written by
+// gen_hmac16.go): lane i evaluates HMAC under the KeySchedule whose
+// words are kt[0..15][i] of the 32-byte message whose big-endian words
+// are msg[el[i]], and writes the digest's words 0 and 1 to out[0][i]
+// and out[1][i]. It gathers by index and checks no bounds: the caller
+// guarantees every el[i] indexes its slice.
+//
+//go:noescape
+func hmac16(kt *[16][16]uint32, msg *[8]uint32, el *[16]int32, out *[2][16]uint32)
+
+// prefetch asks the CPU to bring in the cache lines of filter and of
+// *ks (if ks is not nil), without waiting for them.
+//
+//go:noescape
+func prefetch(filter []byte, ks *KeySchedule)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,0 +1,278 @@
+//go:build ignore
+
+// gen_hmac16 writes hmac16_amd64.s, the 16-lane HMAC-SHA-256 kernel of
+// the lane path (lanes.go). Run it in this directory:
+//
+//	go generate    # or: go run gen_hmac16.go
+//
+// CI regenerates the file and fails if it differs from the one checked
+// in, so edit this program, never the output.
+//
+// The kernel evaluates HMAC(key, x) for a 32-byte x in each of 16
+// lanes, one lane per 32-bit slot of a zmm register. The caller stores
+// the lanes' KeySchedules transposed (kt[w][i] is word w of lane i's),
+// so each chaining value word is one load; lane i's message is the
+// big-endian words msg[el[i]], gathered by index. With x fixed at 32
+// bytes, words 8-15 of the inner block (x padded after the 64-byte
+// ipad block) and of the outer block (the inner digest padded after the
+// opad block) are the same constants, which the generator folds into
+// the round constants and the message schedule. Only digest words 0
+// and 1 leave the kernel: matching reads the leading 8 bytes of the
+// HMAC.
+//
+// Registers: Z0-Z7 the inner state, then the outer message; Z8-Z23 the
+// inner message schedule (Z8-Z15 also the outer's); Z16-Z23 the outer
+// state; Z24-Z26 temporaries; Z31 the gather offsets.
+//
+// The file also carries prefetch, which the lane path calls on the
+// filter and key schedule of a record a few entries before it enters a
+// lane, so that neither load waits on memory.
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"log"
+	"math/bits"
+	"os"
+)
+
+// k256 is SHA-256's round constants (FIPS 180-4 §4.2.2).
+var k256 = [64]uint32{
+	0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+	0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+	0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+	0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+	0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+	0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+	0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+}
+
+// pad is words 8-15 of both blocks the kernel compresses: 32 bytes of
+// message after a 64-byte pad block, then 0x80, zeros and the bit
+// length 8·(64+32).
+var pad = [8]uint32{0x80000000, 0, 0, 0, 0, 0, 0, 8 * (64 + 32)}
+
+const t0, t1, t2 = "Z24", "Z25", "Z26"
+
+func z(i int) string { return fmt.Sprintf("Z%d", i) }
+
+type gen struct {
+	out    bytes.Buffer
+	consts []uint32       // the constant table, in order of first use
+	index  map[uint32]int // constant -> position in consts
+}
+
+func (g *gen) op(format string, args ...any) {
+	fmt.Fprintf(&g.out, "\t"+format+"\n", args...)
+}
+
+func (g *gen) comment(s string) { fmt.Fprintf(&g.out, "\n\t// %s\n", s) }
+
+// constant returns the address of c in the constant table, for an
+// embedded broadcast.
+func (g *gen) constant(c uint32) string {
+	i, ok := g.index[c]
+	if !ok {
+		i = len(g.consts)
+		g.index[c] = i
+		g.consts = append(g.consts, c)
+	}
+	return fmt.Sprintf("consts<>+%d(SB)", 4*i)
+}
+
+func rotr(x uint32, n int) uint32 { return bits.RotateLeft32(x, -n) }
+
+// sigma0 and sigma1 are the message schedule's σ0 and σ1, for folding
+// constant words.
+func sigma0(x uint32) uint32 { return rotr(x, 7) ^ rotr(x, 18) ^ x>>3 }
+func sigma1(x uint32) uint32 { return rotr(x, 17) ^ rotr(x, 19) ^ x>>10 }
+
+// xor3 leaves in t0 the XOR of x rotated right by r1 and r2 and x
+// rotated right (shift false) or shifted right (shift true) by r3.
+func (g *gen) xor3(x string, r1, r2, r3 int, shift bool) {
+	g.op("VPRORD $%d, %s, %s", r1, x, t0)
+	g.op("VPRORD $%d, %s, %s", r2, x, t1)
+	if shift {
+		g.op("VPSRLD $%d, %s, %s", r3, x, t2)
+	} else {
+		g.op("VPRORD $%d, %s, %s", r3, x, t2)
+	}
+	g.op("VPTERNLOGD $0x96, %s, %s, %s", t2, t1, t0)
+}
+
+// schedule is the 16-word message window of one compression: slot i
+// holds W[t] for t ≡ i (mod 16) in register reg[i], or, while known[i],
+// the constant val[i] and nothing in the register.
+type schedule struct {
+	reg   [16]string
+	known [16]bool
+	val   [16]uint32
+}
+
+// next computes W[t] (t ≥ 16) into slot t%16:
+// W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+func (g *gen) next(w *schedule, t int) {
+	d := t % 16
+	dst := w.reg[d]
+	var c uint32
+	held := !w.known[d] // dst holds a partial sum
+	if !held {
+		c = w.val[d]
+	}
+	add := func(r string) {
+		if held {
+			g.op("VPADDD %s, %s, %s", r, dst, dst)
+		} else {
+			g.op("VMOVDQA32 %s, %s", r, dst)
+			held = true
+		}
+	}
+	if s := (t - 15) % 16; w.known[s] {
+		c += sigma0(w.val[s])
+	} else {
+		g.xor3(w.reg[s], 7, 18, 3, true)
+		add(t0)
+	}
+	if s := (t - 7) % 16; w.known[s] {
+		c += w.val[s]
+	} else {
+		add(w.reg[s])
+	}
+	if s := (t - 2) % 16; w.known[s] {
+		c += sigma1(w.val[s])
+	} else {
+		g.xor3(w.reg[s], 17, 19, 10, true)
+		add(t0)
+	}
+	w.known[d], w.val[d] = !held, c
+	if held && c != 0 {
+		g.op("VPADDD.BCST %s, %s, %s", g.constant(c), dst, dst)
+	}
+}
+
+// compress emits the 64 rounds of SHA-256 on the state registers s
+// (a..h) and message w. The registers rotate by name, not by moves, so
+// after 64 rounds the state is back in s.
+func (g *gen) compress(s [8]string, w *schedule) {
+	for t := 0; t < 64; t++ {
+		if t >= 16 {
+			g.next(w, t)
+		}
+		a, b, c, d, e, f, gg, h := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		k := k256[t]
+		if slot := t % 16; w.known[slot] {
+			k += w.val[slot]
+		} else {
+			g.op("VPADDD %s, %s, %s", w.reg[slot], h, h)
+		}
+		g.op("VPADDD.BCST %s, %s, %s", g.constant(k), h, h)
+		g.xor3(e, 6, 11, 25, false) // Σ1(e)
+		g.op("VPADDD %s, %s, %s", t0, h, h)
+		g.op("VMOVDQA32 %s, %s", e, t0)
+		g.op("VPTERNLOGD $0xca, %s, %s, %s", gg, f, t0) // Ch(e, f, g)
+		g.op("VPADDD %s, %s, %s", t0, h, h)             // h = T1
+		g.op("VPADDD %s, %s, %s", h, d, d)              // the next e
+		g.xor3(a, 2, 13, 22, false)                     // Σ0(a)
+		g.op("VPADDD %s, %s, %s", t0, h, h)
+		g.op("VMOVDQA32 %s, %s", a, t0)
+		g.op("VPTERNLOGD $0xe8, %s, %s, %s", c, b, t0) // Maj(a, b, c)
+		g.op("VPADDD %s, %s, %s", t0, h, h)            // the next a
+		s = [8]string{h, a, b, c, d, e, f, gg}
+	}
+}
+
+func main() {
+	g := &gen{index: map[uint32]int{}}
+	g.op("MOVQ kt+0(FP), AX")
+	g.op("MOVQ msg+8(FP), BX")
+	g.op("MOVQ el+16(FP), DX")
+	g.op("MOVQ out+24(FP), SI")
+	g.op("VMOVDQU32 (DX), Z31")
+	g.op("VPSLLD $3, Z31, Z31") // 8 words per element
+
+	var inner, outer [8]string
+	for i := range inner {
+		inner[i], outer[i] = z(i), z(16+i)
+	}
+	g.comment("Inner hash: the chaining value after ipad, then the padded element.")
+	for i, r := range inner {
+		g.op("VMOVDQU32 %d(AX), %s", 64*i, r)
+	}
+	var w schedule
+	for i := range w.reg {
+		w.reg[i] = z(8 + i)
+	}
+	for i := 0; i < 8; i++ {
+		g.op("KXNORW K1, K1, K1")
+		g.op("VPGATHERDD %d(BX)(Z31*4), K1, %s", 4*i, w.reg[i])
+		w.known[8+i], w.val[8+i] = true, pad[i]
+	}
+	g.compress(inner, &w)
+	for i, r := range inner {
+		g.op("VPADDD %d(AX), %s, %s", 64*i, r, r)
+	}
+
+	g.comment("Outer hash: the chaining value after opad, then the inner digest.")
+	for i, r := range outer {
+		g.op("VMOVDQU32 %d(AX), %s", 64*(8+i), r)
+	}
+	w = schedule{}
+	for i := range w.reg {
+		w.reg[i] = z(i)
+	}
+	for i := 0; i < 8; i++ {
+		w.known[8+i], w.val[8+i] = true, pad[i]
+	}
+	g.compress(outer, &w)
+	g.op("VPADDD 512(AX), Z16, Z16")
+	g.op("VPADDD 576(AX), Z17, Z17")
+	g.op("VMOVDQU32 Z16, (SI)")
+	g.op("VMOVDQU32 Z17, 64(SI)")
+	g.op("VZEROUPPER")
+	g.op("RET")
+
+	var f bytes.Buffer
+	f.WriteString(`// Code generated by gen_hmac16.go; DO NOT EDIT.
+
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+`)
+	for i, c := range g.consts {
+		fmt.Fprintf(&f, "DATA consts<>+%d(SB)/4, $0x%08x\n", 4*i, c)
+	}
+	fmt.Fprintf(&f, "GLOBL consts<>(SB), RODATA|NOPTR, $%d\n\n", 4*len(g.consts))
+	f.WriteString("// func hmac16(kt *[16][16]uint32, msg *[8]uint32, el *[16]int32, out *[2][16]uint32)\n")
+	f.WriteString("TEXT ·hmac16(SB), NOSPLIT, $0-32\n")
+	f.Write(g.out.Bytes())
+	f.WriteString(`
+// func prefetch(filter []byte, ks *KeySchedule)
+TEXT ·prefetch(SB), NOSPLIT, $0-32
+	MOVQ ks+24(FP), AX
+	TESTQ AX, AX
+	JZ   filter
+	PREFETCHT0 (AX)
+
+filter:
+	MOVQ filter_base+0(FP), AX
+	MOVQ filter_len+8(FP), BX
+	ADDQ AX, BX
+	ANDQ $~63, AX
+
+line:
+	CMPQ AX, BX
+	JAE  done
+	PREFETCHT0 (AX)
+	ADDQ $64, AX
+	JMP  line
+
+done:
+	RET
+`)
+	if err := os.WriteFile("hmac16_amd64.s", f.Bytes(), 0o644); err != nil {
+		log.Fatal(err)
+	}
+}

@@ -40,6 +40,15 @@ package pps
 // crypto/hmac itself — the function the tests use as their reference
 // (prf in prf.go).
 //
+// Beside the kernel, a CPU with AVX-512F (probed with the same CPUID
+// code, useLanes) gives a Run the lane path (lanes.go): hmac16
+// evaluates 16 records' HMACs of one 32-byte element each per call,
+// in zmm registers, from the same KeySchedules. It runs in
+// Run.MatchScheduled once the predicate order is settled, and only for
+// queries whose trapdoor elements are all 32 bytes; sampling, single
+// records and a batch's last few live lanes stay on this kernel. Its
+// answers are the per-record loop's, ids in the same order.
+//
 // A kernel is NOT safe for concurrent use; embed one per Run (matching)
 // or per pooled encode state (EncryptMetadata).
 

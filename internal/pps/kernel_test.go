@@ -28,6 +28,21 @@ func TestFastPRFSelected(t *testing.T) {
 	if k.path != bestPath {
 		t.Fatalf("init selected path %d, bestPath is %d", k.path, bestPath)
 	}
+	flags := cpuFlags(t)
+	want := pathPortable
+	if shaniBuilt && flags["sha_ni"] && flags["ssse3"] && flags["sse4_1"] && flags["avx"] {
+		want = pathSHANI
+	}
+	if bestPath != want {
+		t.Fatalf("bestPath = %d, want %d (SHA-NI built: %v; cpuinfo sha_ni=%v ssse3=%v sse4_1=%v avx=%v)",
+			bestPath, want, shaniBuilt, flags["sha_ni"], flags["ssse3"], flags["sse4_1"], flags["avx"])
+	}
+}
+
+// cpuFlags returns the CPU flags Linux lists in /proc/cpuinfo, or skips
+// the test where there are none to cross-check a probe against.
+func cpuFlags(t *testing.T) map[string]bool {
+	t.Helper()
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no CPU flags to cross-check the probe against: %v", err)
@@ -41,14 +56,7 @@ func TestFastPRFSelected(t *testing.T) {
 			break
 		}
 	}
-	want := pathPortable
-	if shaniBuilt && flags["sha_ni"] && flags["ssse3"] && flags["sse4_1"] && flags["avx"] {
-		want = pathSHANI
-	}
-	if bestPath != want {
-		t.Fatalf("bestPath = %d, want %d (SHA-NI built: %v; cpuinfo sha_ni=%v ssse3=%v sse4_1=%v avx=%v)",
-			bestPath, want, shaniBuilt, flags["sha_ni"], flags["ssse3"], flags["sse4_1"], flags["avx"])
-	}
+	return flags
 }
 
 // prfPaths names every evaluation path this build and CPU can run.
@@ -61,6 +69,28 @@ func prfPaths() map[string]prfPath {
 		paths["portable"] = pathPortable
 	}
 	return paths
+}
+
+// scanPaths names every way this build and CPU can scan a scheduled
+// batch: each evaluation path on the per-record loop, and "avx512", the
+// lane path (whose tail runs on bestPath).
+func scanPaths() map[string]prfPath {
+	paths := prfPaths()
+	if useLanes {
+		paths["avx512"] = bestPath
+	}
+	return paths
+}
+
+// newScanRun returns a Run for q on evaluation path p, with or without
+// the lane path.
+func newScanRun(m *Matcher, q Query, p prfPath, lanes bool) *Run {
+	run := m.NewRun(q)
+	run.prf.initPath(p)
+	if !lanes {
+		run.lanes = nil
+	}
+	return run
 }
 
 // kernelPaths returns a kernel on each evaluation path.
@@ -273,22 +303,21 @@ func TestShortFilterMatchesNothing(t *testing.T) {
 }
 
 // TestMatchSteadyStateZeroAlloc is the acceptance gate: on every
-// compress path, once the predicate order settles, matching a record
-// performs no heap allocations — keyed from its nonce or from a stored
-// schedule — and neither does deriving the schedules into a pre-grown
-// slice.
+// compress path and on the lane path, once the predicate order settles,
+// matching a 256-record batch performs no heap allocations — keyed from
+// the nonces or from stored schedules — and neither does deriving the
+// schedules into a pre-grown slice.
 func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
 	}
-	m, q, mds := kernelCorpus(t, SelectivitySamples+64, 3)
+	m, q, mds := kernelCorpus(t, SelectivitySamples+256, 3)
 	steady := mds[SelectivitySamples:]
-	for name, p := range prfPaths() {
+	for name, p := range scanPaths() {
 		if p == pathGeneric {
 			continue // crypto/hmac allocates per evaluation
 		}
-		run := m.NewRun(q)
-		run.prf.initPath(p)
+		run := newScanRun(m, q, p, name == "avx512")
 		for i := 0; i < SelectivitySamples; i++ {
 			run.Match(mds[i%len(mds)].BloomMetadata)
 		}
@@ -326,14 +355,21 @@ func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// scanBatch is the store's default BatchSize: the records one
+// MatchScheduled call sees.
+const scanBatch = 256
+
 // BenchmarkMatchKernel compares, in the settled-order steady state, the
 // generic crypto/hmac evaluation per hash (as MatchOne does) against the
-// zero-allocation kernel keyed per record from the nonce ("kernel": what
-// MatchFile and MatchAll pay) and from a stored schedule ("scheduled":
-// what store.MatchArc pays), then "scheduled" on each evaluation path
-// this build and CPU can run ("scheduled/<path>"). Run with -benchmem.
+// zero-allocation kernel keyed per record from the nonce ("kernel":
+// Run.Match, one record per call) and from stored schedules in 256-record
+// batches ("scheduled": what store.MatchArc pays, on the best path),
+// then "scheduled" on each path this build and CPU can run
+// ("scheduled/<path>", the lane path as "avx512"). An op is one record.
+// Run with -benchmem.
 func BenchmarkMatchKernel(b *testing.B) {
-	m, q, mds := kernelCorpus(b, SelectivitySamples+1024, 3)
+	const batch = scanBatch
+	m, q, mds := kernelCorpus(b, SelectivitySamples+4*batch, 3)
 	steady := mds[SelectivitySamples:]
 
 	// Settle one run to copy its order for the legacy loop.
@@ -379,28 +415,70 @@ func BenchmarkMatchKernel(b *testing.B) {
 		}
 		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 	})
-	scheduled := func(p prfPath) func(*testing.B) {
+	scheduled := func(p prfPath, lanes bool) func(*testing.B) {
 		return func(b *testing.B) {
-			run := m.NewRun(q)
-			run.prf.initPath(p)
+			run := newScanRun(m, q, p, lanes)
 			run.MatchBatch(mds[:SelectivitySamples], nil)
 			ks := AppendKeySchedules(nil, steady)
-			out := make([]uint64, 0, 1)
+			out := make([]uint64, 0, batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			matched := 0
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < b.N; i += batch { // an op is a record
 				j := i % len(steady)
-				matched += len(run.MatchScheduled(steady[j:j+1], ks[j:j+1], out[:0]))
+				n := min(batch, b.N-i)
+				matched += len(run.MatchScheduled(steady[j:j+n], ks[j:j+n], out[:0]))
 			}
 			b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 		}
 	}
-	b.Run("scheduled", scheduled(bestPath))
-	for _, name := range []string{"shani", "portable", "generic"} {
-		if p, ok := prfPaths()[name]; ok {
-			b.Run("scheduled/"+name, scheduled(p))
+	b.Run("scheduled", scheduled(bestPath, useLanes))
+	for _, name := range []string{"avx512", "shani", "portable", "generic"} {
+		if p, ok := scanPaths()[name]; ok {
+			b.Run("scheduled/"+name, scheduled(p, name == "avx512"))
 		}
+	}
+}
+
+// prfSink keeps BenchmarkPRFEval's results live.
+var prfSink uint64
+
+// BenchmarkPRFEval is the cost of one PRF evaluation of a 32-byte
+// element under a stored schedule: "shani" is one compress-path
+// evaluation (keys cycling through a 256-record batch), "avx512" one
+// hmac16 call divided by its 16 lanes (16 keys installed).
+func BenchmarkPRFEval(b *testing.B) {
+	const batch = scanBatch
+	rng := rand.New(rand.NewSource(3))
+	recs := make([]Encoded, batch)
+	for i := range recs {
+		recs[i].Nonce = make([]byte, 16)
+		rng.Read(recs[i].Nonce)
+	}
+	ks := AppendKeySchedules(nil, recs)
+	x := make([]byte, 32)
+	rng.Read(x)
+	if useSHANI {
+		b.Run("shani", func(b *testing.B) {
+			var k prfKernel
+			k.initPath(pathSHANI)
+			m := padMsg(x)
+			for i := 0; i < b.N; i++ {
+				k.install(&ks[i%batch])
+				prfSink += k.sum64(m)
+			}
+		})
+	}
+	if useLanes {
+		b.Run("avx512", func(b *testing.B) {
+			l := newLanes(Query{Preds: []BloomQuery{{Trapdoor: [][]byte{x}}}})
+			for j := range l.el {
+				l.setKey(j, &ks[j])
+			}
+			for i := 0; i < b.N; i += 16 { // an op is one lane's evaluation
+				hmac16(&l.kt, &l.msg[0], &l.el, &l.h)
+			}
+		})
 	}
 }
 

@@ -66,9 +66,23 @@ const SelectivitySamples = 225
 // Run owns a reusable PRF kernel, keyed once per record — from the
 // record's nonce, or from a KeySchedule the caller derived earlier — and
 // pads each trapdoor element once, so the settled-order steady state
-// performs zero heap allocations per record. Run is not safe for
-// concurrent use; create one per matching thread and merge results, or
-// share one behind the store's batching.
+// performs zero heap allocations per record.
+//
+// On a CPU with AVX-512F, MatchScheduled (and so MatchBatch) takes the
+// lane path (lanes.go) once the order is settled, at once for a single
+// predicate: 16 records advance together, one 16-lane HMAC call per
+// step, keyed from the caller's schedules or, without them, from
+// schedules derived as each record enters a lane. Sampling and Match
+// stay per-record, as does a whole Run whose trapdoor elements are not
+// all 32 bytes, and fewer than laneMin live lanes at the end of a batch
+// finish on the per-record kernel. The lane path keeps every rule of
+// the per-record one (a short filter matches nothing, an empty
+// predicate holds, AND and OR short-circuit in the settled order, the
+// bit is the digest's leading 8 bytes mod MBits) and returns the same
+// ids in the same record order.
+//
+// Run is not safe for concurrent use; create one per matching thread
+// and merge results, or share one behind the store's batching.
 type Run struct {
 	m       *Matcher
 	q       Query
@@ -77,6 +91,7 @@ type Run struct {
 	sampled int
 	order   []int // settled evaluation order (nil until settled)
 	prf     prfKernel
+	lanes   *lanes // the lane path's state; nil where it cannot run
 }
 
 // NewRun starts the matching state for one query.
@@ -89,6 +104,7 @@ func (m *Matcher) NewRun(q Query) *Run {
 		}
 	}
 	r.prf.init()
+	r.lanes = newLanes(q)
 	return r
 }
 
@@ -143,10 +159,17 @@ func (r *Run) MatchBatch(recs []Encoded, out []uint64) []uint64 {
 // MatchScheduled is MatchBatch for a caller that holds the records' key
 // schedules (ks[i] = the schedule of recs[i].Nonce, from
 // AppendKeySchedules): installing one replaces the per-record key
-// derivation. A nil ks derives from the nonces.
+// derivation, and past sampling the lane path takes the rest of the
+// batch where the CPU has one. A nil ks derives from the nonces.
 func (r *Run) MatchScheduled(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
 	scheduled := ks != nil && r.prf.path != pathGeneric
 	for i := range recs {
+		if r.lanesReady() {
+			if ks != nil {
+				ks = ks[i:]
+			}
+			return r.matchLanes(recs[i:], ks, out)
+		}
 		if scheduled {
 			r.prf.install(&ks[i])
 		} else {
