@@ -226,11 +226,11 @@ func asyncPut(addr, path string, wait bool) error {
 	cl := wire.NewClient(addr)
 	defer cl.Close()
 	const batch = 256
-	var last proto.FEPutResp
+	var last proto.IngestResp
 	start := time.Now()
 	for at := 0; at < len(recs); at += batch {
 		end := min(at+batch, len(recs))
-		if err := cl.Call(context.Background(), proto.MFEPut, proto.FEPutReq{Records: recs[at:end]}, &last); err != nil {
+		if err := cl.Call(context.Background(), proto.MFEPut, proto.IngestReq{Records: recs[at:end]}, &last); err != nil {
 			return fmt.Errorf("fe.put batch at %d: %w", at, err)
 		}
 	}
@@ -241,8 +241,8 @@ func asyncPut(addr, path string, wait bool) error {
 	}
 	for last.Drained < last.Seq {
 		time.Sleep(100 * time.Millisecond)
-		var poll proto.FEPutResp
-		if err := cl.Call(context.Background(), proto.MFEPut, proto.FEPutReq{}, &poll); err != nil {
+		var poll proto.IngestResp
+		if err := cl.Call(context.Background(), proto.MFEPut, proto.IngestReq{}, &poll); err != nil {
 			return err
 		}
 		last.Drained = poll.Drained

@@ -119,9 +119,10 @@ func main() {
 	})
 	d.Register(proto.MFEPut, func(ctx context.Context, _ string, body wire.Body) (interface{}, error) {
 		// Async put: forward the batch to the coordinator's durable
-		// ingest WAL. The reply means the records are fsynced there;
-		// delivery to the owning nodes happens behind the WAL.
-		var req proto.FEPutReq
+		// ingest WAL and answer its IngestResp. The reply means the
+		// records are fsynced there; delivery to the owning nodes happens
+		// behind the WAL.
+		var req proto.IngestReq
 		if err := body.Decode(&req); err != nil {
 			return nil, err
 		}
@@ -129,7 +130,7 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		return proto.FEPutResp{Seq: resp.Seq, Drained: resp.Drained}, nil
+		return resp, nil
 	})
 	srv, err := wire.Serve(*listen, d.Handle)
 	if err != nil {

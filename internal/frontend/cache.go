@@ -25,10 +25,10 @@ package frontend
 
 import (
 	"container/list"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
+	"roar/internal/pps"
 	"roar/internal/proto"
 )
 
@@ -278,20 +278,11 @@ func (c *resultCache) stats() CacheStats {
 // and nothing else — tenant, priority, and cache-control affect
 // admission, not the answer, so they share entries.
 func cacheKey(spec QuerySpec) string {
-	b := make([]byte, 0, 128)
+	q := spec.Enc
 	if spec.Plain != nil {
-		p := spec.Plain
-		b = append(b, 1, p.Mode)
-		b = binary.AppendVarint(b, int64(p.MinMatch))
-		b = binary.AppendVarint(b, int64(p.Limit))
-		b = binary.AppendUvarint(b, uint64(len(p.Terms)))
-		for _, t := range p.Terms {
-			b = binary.AppendUvarint(b, uint64(len(t)))
-			b = append(b, t...)
-		}
-		return string(b)
+		q = pps.Query{} // the plaintext plane ignores the encrypted query
 	}
-	return string(spec.Enc.AppendKey(append(b, 0)))
+	return string(proto.AppendQuery(make([]byte, 0, 128), q, spec.Plain))
 }
 
 // ObserveIngest feeds the frontend an ingest-watermark observation

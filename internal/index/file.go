@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/bits"
 	"os"
+
+	"roar/internal/binfmt"
 )
 
 // Disk segment layout (little-endian where fixed-width, uvarint
@@ -34,11 +36,11 @@ import (
 //	  array:  cardinality × uint16 LE   (1 ≤ card ≤ 4096)
 //	  words:  8192 bytes                (card = popcount > 4096)
 //
-// Decoders are strict — trailing bytes, unsorted keys or values,
-// non-canonical container forms, and count/size mismatches are all
-// rejected — and allocation is bounded by the input length, so a
-// corrupt or adversarial segment cannot provoke huge allocations
-// (FuzzDecodeSegment leans on both properties).
+// Decoders read through binfmt's cursor and are strict — trailing bytes,
+// unsorted keys or values, non-canonical container forms, and
+// count/size mismatches are all rejected — and allocation is bounded by
+// the input length, so a corrupt or adversarial segment cannot provoke
+// huge allocations (FuzzDecodeSegment leans on both properties).
 
 var segMagic = [8]byte{'R', 'O', 'A', 'R', 'S', 'E', 'G', '1'}
 
@@ -140,96 +142,30 @@ func (w *writerBuf) Write(p []byte) (int, error) {
 
 // --- decoding ---
 
-// segReader is a bounds-checked cursor (same discipline as the proto
-// body codecs: fail once, stay failed, finish() surfaces it).
-type segReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *segReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("index: truncated or corrupt %s", what)
-	}
-}
-
-func (r *segReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *segReader) byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
-}
-
-func (r *segReader) take(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.data)-r.off < n {
-		r.fail(what)
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// count guards a declared element count against the bytes present.
-func (r *segReader) count(what string, minBytes int) int {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64((len(r.data)-r.off)/minBytes+1) {
-		r.fail(what + " count")
-		return 0
-	}
-	return int(n)
-}
-
 // decodeBitmapInto parses one bitmap from the cursor.
-func decodeBitmapInto(r *segReader) *Bitmap {
+func decodeBitmapInto(r *binfmt.Reader) *Bitmap {
 	// A container costs at least key(1) + form(1) + card(1) + 2 bytes.
-	n := r.count("bitmap containers", 5)
+	n := r.Count("bitmap containers", 5)
 	b := NewBitmap()
 	prevKey := uint64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.uvarint("container key")
+	for i := 0; i < n && r.Err() == nil; i++ {
+		key := r.Uvarint("container key")
 		if i > 0 && key <= prevKey {
-			r.fail("container key order")
+			r.Fail("container key order")
 			return nil
 		}
 		prevKey = key
-		form := r.byte("container form")
-		card := int(r.uvarint("container cardinality"))
+		form := r.Byte("container form")
+		card := int(r.Uvarint("container cardinality"))
 		var c *container
 		switch form {
 		case 0:
 			if card < 1 || card > arrayMaxCard {
-				r.fail("array container cardinality")
+				r.Fail("array container cardinality")
 				return nil
 			}
-			raw := r.take(2*card, "array container values")
-			if r.err != nil {
+			raw := r.Take(2*card, "array container values")
+			if r.Err() != nil {
 				return nil
 			}
 			arr := make([]uint16, card)
@@ -237,7 +173,7 @@ func decodeBitmapInto(r *segReader) *Bitmap {
 			for j := range arr {
 				v := binary.LittleEndian.Uint16(raw[2*j:])
 				if int(v) <= prev {
-					r.fail("array container value order")
+					r.Fail("array container value order")
 					return nil
 				}
 				prev = int(v)
@@ -245,8 +181,8 @@ func decodeBitmapInto(r *segReader) *Bitmap {
 			}
 			c = &container{array: arr, card: card}
 		case 1:
-			raw := r.take(containerWords*8, "words container payload")
-			if r.err != nil {
+			raw := r.Take(containerWords*8, "words container payload")
+			if r.Err() != nil {
 				return nil
 			}
 			words := make([]uint64, containerWords)
@@ -257,19 +193,19 @@ func decodeBitmapInto(r *segReader) *Bitmap {
 			}
 			if got != card || card <= arrayMaxCard {
 				// card ≤ 4096 must be array form (canonical encoding).
-				r.fail("words container cardinality")
+				r.Fail("words container cardinality")
 				return nil
 			}
 			c = &container{words: words, card: card}
 		default:
-			r.fail("container form byte")
+			r.Fail("container form byte")
 			return nil
 		}
 		b.keys = append(b.keys, key)
 		b.cs = append(b.cs, c)
 		b.card += c.card
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return b
@@ -277,13 +213,10 @@ func decodeBitmapInto(r *segReader) *Bitmap {
 
 // DecodeBitmap parses one encoded bitmap, rejecting trailing bytes.
 func DecodeBitmap(data []byte) (*Bitmap, error) {
-	r := &segReader{data: data}
-	b := decodeBitmapInto(r)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("index: %d trailing bytes after bitmap", len(r.data)-r.off)
+	r := binfmt.NewReader(data)
+	b := decodeBitmapInto(&r)
+	if err := r.Finish("bitmap"); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -291,20 +224,20 @@ func DecodeBitmap(data []byte) (*Bitmap, error) {
 // decodeHeader parses magic, docIDs, and the dictionary, returning a
 // segment whose postingInfo offsets are absolute. The cursor is left at
 // the first posting blob.
-func decodeHeader(r *segReader, name string) *Segment {
-	magic := r.take(8, "segment magic")
-	if r.err == nil && string(magic) != string(segMagic[:]) {
-		r.fail("segment magic")
+func decodeHeader(r *binfmt.Reader, name string) *Segment {
+	magic := r.Take(8, "segment magic")
+	if r.Err() == nil && string(magic) != string(segMagic[:]) {
+		r.Fail("segment magic")
 	}
-	nDocs := r.count("segment docIDs", 1)
-	docIDs := make([]uint64, 0, capDocs(nDocs))
+	nDocs := r.Count("segment docIDs", 1)
+	docIDs := make([]uint64, 0, binfmt.CapHint(nDocs))
 	prev := uint64(0)
-	for i := 0; i < nDocs && r.err == nil; i++ {
-		v := r.uvarint("segment docID")
+	for i := 0; i < nDocs && r.Err() == nil; i++ {
+		v := r.Uvarint("segment docID")
 		if i > 0 {
 			v += prev
 			if v <= prev {
-				r.fail("segment docID order")
+				r.Fail("segment docID order")
 				break
 			}
 		}
@@ -312,39 +245,39 @@ func decodeHeader(r *segReader, name string) *Segment {
 		prev = v
 	}
 	// A dict entry costs at least termLen(1) + card(1) + size(1).
-	nTerms := r.count("segment terms", 3)
-	s := &Segment{name: name, docIDs: docIDs, dict: make(map[string]postingInfo, capDocs(nTerms))}
+	nTerms := r.Count("segment terms", 3)
+	s := &Segment{name: name, docIDs: docIDs, dict: make(map[string]postingInfo, binfmt.CapHint(nTerms))}
 	blobBytes := int64(0)
 	prevTerm := ""
-	for i := 0; i < nTerms && r.err == nil; i++ {
-		tl := int(r.uvarint("term length"))
-		term := string(r.take(tl, "term bytes"))
-		if r.err != nil {
+	for i := 0; i < nTerms && r.Err() == nil; i++ {
+		tl := int(r.Uvarint("term length"))
+		term := string(r.Take(tl, "term bytes"))
+		if r.Err() != nil {
 			break
 		}
 		if i > 0 && term <= prevTerm {
-			r.fail("term order")
+			r.Fail("term order")
 			break
 		}
 		prevTerm = term
-		card := int(r.uvarint("term cardinality"))
-		size := int(r.uvarint("posting size"))
-		if r.err != nil {
+		card := int(r.Uvarint("term cardinality"))
+		size := int(r.Uvarint("posting size"))
+		if r.Err() != nil {
 			break
 		}
 		if card < 0 || size < 0 {
-			r.fail("dict entry")
+			r.Fail("dict entry")
 			break
 		}
 		s.terms = append(s.terms, term)
 		s.dict[term] = postingInfo{off: blobBytes, size: size, card: card}
 		blobBytes += int64(size)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	// Rebase offsets to the end of the header.
-	base := int64(r.off)
+	base := int64(r.Offset())
 	for t, info := range s.dict {
 		info.off += base
 		s.dict[t] = info
@@ -352,31 +285,22 @@ func decodeHeader(r *segReader, name string) *Segment {
 	return s
 }
 
-// capDocs bounds up-front slice allocation for decoded counts.
-func capDocs(n int) int {
-	const maxHint = 4096
-	if n > maxHint {
-		return maxHint
-	}
-	return n
-}
-
 // DecodeSegment parses a complete segment image into a memory-resident
 // segment, validating every posting (cardinality and size must match
 // the dictionary) and rejecting trailing bytes. OpenFile is the
 // lazy-loading production path; this is the oracle the fuzzer drives.
 func DecodeSegment(data []byte) (*Segment, error) {
-	r := &segReader{data: data}
-	s := decodeHeader(r, "<bytes>")
-	if r.err != nil {
-		return nil, r.err
+	r := binfmt.NewReader(data)
+	s := decodeHeader(&r, "<bytes>")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	s.mem = make(map[string]*Bitmap, len(s.terms))
 	for _, t := range s.terms {
 		info := s.dict[t]
-		blob := r.take(info.size, "posting blob")
-		if r.err != nil {
-			return nil, r.err
+		blob := r.Take(info.size, "posting blob")
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		bm, err := DecodeBitmap(blob)
 		if err != nil {
@@ -391,8 +315,8 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		}
 		s.mem[t] = bm
 	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("index: %d trailing bytes after segment", len(r.data)-r.off)
+	if err := r.Finish("segment"); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -466,13 +390,13 @@ func openHeader(f *os.File, size int64, path string) (*Segment, int64, error) {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, 0, err
 		}
-		r := &segReader{data: buf}
-		s := decodeHeader(r, path)
-		if r.err == nil {
-			return s, int64(r.off), nil
+		r := binfmt.NewReader(buf)
+		s := decodeHeader(&r, path)
+		if r.Err() == nil {
+			return s, int64(r.Offset()), nil
 		}
 		if chunk == size {
-			return nil, 0, fmt.Errorf("index: %s: %w", path, r.err)
+			return nil, 0, fmt.Errorf("index: %s: %w", path, r.Err())
 		}
 		chunk *= 4
 	}

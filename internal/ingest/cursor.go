@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"roar/internal/binfmt"
 	"roar/internal/pps"
 )
 
@@ -210,9 +211,9 @@ func (c *cursor) frame() (seq uint64, rec pps.Encoded, err error) {
 	}
 	frame := c.buf[c.r : c.r+size]
 	if c.seq < c.after {
-		var n int
-		if seq, n = binary.Uvarint(frame[frameHeaderBytes:]); n <= 0 {
-			return 0, pps.Encoded{}, c.corrupt(fmt.Errorf("truncated or corrupt frame seq"))
+		r := binfmt.NewReader(frame[frameHeaderBytes:])
+		if seq = r.Uvarint("frame seq"); r.Err() != nil {
+			return 0, pps.Encoded{}, c.corrupt(r.Err())
 		}
 	} else {
 		c.frames++

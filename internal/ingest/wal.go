@@ -10,13 +10,15 @@
 // is fsynced here, and delivery — however many retries, replays and
 // reconfigurations it takes — happens behind the durable buffer.
 //
-// On-disk layout (house codec style, see store.SaveFile and the index
-// segment format): each segment file starts with an 8-byte magic and
+// On-disk layout: each segment file starts with an 8-byte magic and
 // carries length-prefixed frames,
 //
 //	frame   := u32 payload-length | u32 crc32(payload) | payload
-//	payload := uvarint seq | uvarint id | uvarint nonce-len | nonce |
-//	           uvarint filter-len | filter
+//	payload := uvarint seq | record
+//
+// where record is the one binary form of a record (pps.AppendRecord:
+// uvarint id, uvarint-length nonce, uvarint-length filter), the same
+// bytes a replica push, an ingest append and the corpus file carry.
 //
 // Sequence numbers are global across segments, contiguous, and start
 // at 1; a segment's file name carries the sequence its first frame
@@ -55,6 +57,7 @@ import (
 	"strings"
 	"sync"
 
+	"roar/internal/binfmt"
 	"roar/internal/pps"
 )
 
@@ -93,12 +96,7 @@ func AppendFrame(b []byte, seq uint64, rec pps.Encoded) []byte {
 	hdrAt := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
 	payloadAt := len(b)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, rec.ID)
-	b = binary.AppendUvarint(b, uint64(len(rec.Nonce)))
-	b = append(b, rec.Nonce...)
-	b = binary.AppendUvarint(b, uint64(len(rec.Filter)))
-	b = append(b, rec.Filter...)
+	b = pps.AppendRecord(binary.AppendUvarint(b, seq), rec)
 	payload := b[payloadAt:]
 	binary.BigEndian.PutUint32(b[hdrAt:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[hdrAt+4:], crc32.ChecksumIEEE(payload))
@@ -124,62 +122,13 @@ func DecodeFrame(data []byte) (seq uint64, rec pps.Encoded, n int, err error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(data[4:]); got != want {
 		return 0, pps.Encoded{}, 0, fmt.Errorf("ingest: frame crc mismatch (got %08x want %08x)", got, want)
 	}
-	r := &frameReader{data: payload}
-	seq = r.uvarint("frame seq")
-	rec.ID = r.uvarint("record id")
-	nonce := r.view("record nonce")
-	rec.Nonce, rec.Filter = pps.CopyMetadata(nonce, r.view("record filter"))
-	if r.err == nil && r.off != len(r.data) {
-		r.err = fmt.Errorf("ingest: %d trailing bytes in frame payload", len(r.data)-r.off)
-	}
-	if r.err != nil {
-		return 0, pps.Encoded{}, 0, r.err
+	r := binfmt.NewReader(payload)
+	seq = r.Uvarint("frame seq")
+	pps.DecodeRecord(&r, &rec)
+	if err := r.Finish("frame payload"); err != nil {
+		return 0, pps.Encoded{}, 0, fmt.Errorf("ingest: %w", err)
 	}
 	return seq, rec, frameHeaderBytes + int(plen), nil
-}
-
-// frameReader is the bounds-checked payload cursor (the same shape as
-// the proto package's strict decoders; duplicated here because that
-// cursor is unexported and ingest must not depend on proto).
-type frameReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *frameReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ingest: truncated or corrupt %s", what)
-	}
-}
-
-func (r *frameReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// view reads a uvarint-length-prefixed byte string in place; the result
-// aliases the payload.
-func (r *frameReader) view(what string) []byte {
-	l := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.data)-r.off) < l {
-		r.fail(what)
-		return nil
-	}
-	out := r.data[r.off : r.off+int(l)]
-	r.off += int(l)
-	return out
 }
 
 // Options tunes a WAL.

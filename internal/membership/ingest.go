@@ -70,6 +70,11 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	if len(recs) == 0 {
+		// A drain poll (pps-client -put -wait): answered from the
+		// watermarks, with no WAL write and no replicated commit.
+		return c.IngestSeq(), nil
+	}
 	seq, err := c.wal.Append(recs...)
 	if err != nil {
 		return 0, err

@@ -1,7 +1,6 @@
 package pps
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,43 +26,6 @@ type Document struct {
 type Encoded struct {
 	ID uint64
 	BloomMetadata
-}
-
-// MarshalBinary encodes the record for the wire and the on-disk store.
-func (e Encoded) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 8+2+len(e.Nonce)+4+len(e.Filter))
-	binary.BigEndian.PutUint64(buf, e.ID)
-	off := 8
-	binary.BigEndian.PutUint16(buf[off:], uint16(len(e.Nonce)))
-	off += 2
-	off += copy(buf[off:], e.Nonce)
-	binary.BigEndian.PutUint32(buf[off:], uint32(len(e.Filter)))
-	off += 4
-	copy(buf[off:], e.Filter)
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a record produced by MarshalBinary.
-func (e *Encoded) UnmarshalBinary(b []byte) error {
-	if len(b) < 14 {
-		return fmt.Errorf("pps: encoded record too short (%d bytes)", len(b))
-	}
-	e.ID = binary.BigEndian.Uint64(b)
-	off := 8
-	nl := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+nl+4 {
-		return fmt.Errorf("pps: encoded record truncated in nonce")
-	}
-	nonce := b[off : off+nl]
-	off += nl
-	fl := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	if len(b) < off+fl {
-		return fmt.Errorf("pps: encoded record truncated in filter")
-	}
-	e.Nonce, e.Filter = CopyMetadata(nonce, b[off:off+fl])
-	return nil
 }
 
 // Encoder turns plaintext documents and queries into their encrypted
@@ -298,27 +260,11 @@ const (
 	Or
 )
 
-// Query is an encrypted multi-predicate query as shipped to servers.
+// Query is an encrypted multi-predicate query as shipped to servers, in
+// the binary form AppendQuery writes.
 type Query struct {
 	Preds []BloomQuery
 	Op    BoolOp
-}
-
-// AppendKey appends the query's canonical bytes: the operator and every
-// trapdoor element, length-prefixed. Two queries with equal keys are
-// matched identically by every server, so the bytes identify the answer
-// in the frontend's result cache and the nodes' match memo.
-func (q Query) AppendKey(b []byte) []byte {
-	b = append(b, byte(q.Op))
-	b = binary.AppendUvarint(b, uint64(len(q.Preds)))
-	for _, pred := range q.Preds {
-		b = binary.AppendUvarint(b, uint64(len(pred.Trapdoor)))
-		for _, td := range pred.Trapdoor {
-			b = binary.AppendUvarint(b, uint64(len(td)))
-			b = append(b, td...)
-		}
-	}
-	return b
 }
 
 // EncryptQuery compiles a conjunction/disjunction of predicates.

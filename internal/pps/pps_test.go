@@ -473,32 +473,6 @@ func TestEncoderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodedMarshalRoundTrip(t *testing.T) {
-	e := testEncoder(t)
-	md, err := e.EncryptDocument(testDoc(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := md.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Encoded
-	if err := back.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != md.ID || !bytes.Equal(back.Nonce, md.Nonce) || !bytes.Equal(back.Filter, md.Filter) {
-		t.Error("marshal round trip mismatch")
-	}
-	// Truncations must error, not panic.
-	for cut := 0; cut < len(b); cut += 7 {
-		var e2 Encoded
-		if err := e2.UnmarshalBinary(b[:cut]); err == nil && cut < len(b)-1 {
-			t.Fatalf("truncation at %d silently accepted", cut)
-		}
-	}
-}
-
 func TestMultiPredicateAndOr(t *testing.T) {
 	e := testEncoder(t)
 	m, _ := NewMatcher(e.ServerParams())

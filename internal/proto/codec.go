@@ -9,9 +9,12 @@
 // acks, membership, stats, retain) travels as JSON inside the binary
 // envelope (see internal/wire/codec.go).
 //
-// Every encoding is one flat field list: scalars are always written, an
-// optional struct sits behind a presence byte. A type has exactly one
-// wire form; changing one bumps wire.Version.
+// A record and an encrypted query each have one binary form, owned by
+// pps (AppendRecord/DecodeRecord, AppendQuery/DecodeQuery): the bodies
+// here frame them and add their own scalars, and every decoder reads
+// through binfmt's cursor. Scalars are always written, an optional
+// struct sits behind a presence byte. A type has exactly one wire form;
+// changing one bumps wire.Version.
 //
 // Encoders use value receivers (bodies are passed to wire.Call by
 // value); decoders use pointer receivers and copy every byte slice they
@@ -23,109 +26,9 @@ import (
 	"fmt"
 	"math"
 
+	"roar/internal/binfmt"
 	"roar/internal/pps"
 )
-
-// appendZigzag appends a signed integer in zigzag-uvarint form.
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
-}
-
-// reader is a bounds-checked cursor over one body.
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("proto: truncated or corrupt %s", what)
-	}
-}
-
-func (r *reader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) zigzag(what string) int64 {
-	u := r.uvarint(what)
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (r *reader) byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-// view reads a uvarint-length-prefixed byte string in place: the result
-// aliases the pooled input, so whatever is kept must be copied.
-func (r *reader) view(what string) []byte {
-	l := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.data)-r.off) < l {
-		r.fail(what)
-		return nil
-	}
-	out := r.data[r.off : r.off+int(l)]
-	r.off += int(l)
-	return out
-}
-
-// bytes reads a uvarint-length-prefixed byte string and COPIES it (the
-// underlying buffer is pooled); an empty string is nil.
-func (r *reader) bytes(what string) []byte {
-	v := r.view(what)
-	if len(v) == 0 {
-		return nil
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out
-}
-
-// TrailingBytesError is the strict decoders' rejection of input that
-// continues past the last field.
-type TrailingBytesError struct {
-	What string // body name, e.g. "PutReq"
-	N    int    // unread byte count
-}
-
-func (e *TrailingBytesError) Error() string {
-	return fmt.Sprintf("proto: %d trailing bytes after %s", e.N, e.What)
-}
 
 // UnknownFlagsError is the decoders' rejection of a flags byte with a bit
 // this version does not define.
@@ -136,44 +39,6 @@ type UnknownFlagsError struct {
 
 func (e *UnknownFlagsError) Error() string {
 	return fmt.Sprintf("proto: unknown bits %#02x in %s", e.Bits, e.What)
-}
-
-// remaining reports unread bytes; a strict decoder rejects trailers.
-func (r *reader) finish(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return &TrailingBytesError{What: what, N: len(r.data) - r.off}
-	}
-	return nil
-}
-
-// count guards a declared element count against the bytes actually
-// present (each element needs at least minBytes on the wire). Decoders
-// additionally grow their slices incrementally from a capped capacity
-// hint, because in-memory element sizes dwarf wire minimums — a corrupt
-// count must not provoke a huge up-front allocation.
-func (r *reader) count(what string, minBytes int) int {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64((len(r.data)-r.off)/minBytes+1) {
-		r.fail(what + " count")
-		return 0
-	}
-	return int(n)
-}
-
-// capHint bounds the initial capacity of a decoded slice; growth past
-// it is paid only as real elements parse successfully.
-func capHint(n int) int {
-	const maxHint = 1024
-	if n > maxHint {
-		return maxHint
-	}
-	return n
 }
 
 // --- id set encoding ---
@@ -216,68 +81,94 @@ func appendIDs(b []byte, ids []uint64) []byte {
 	return b
 }
 
-func (r *reader) ids(what string) []uint64 {
-	flag := r.byte(what)
-	if r.err == nil && flag != idsAbsolute && flag != idsDelta {
-		r.fail(what + " encoding flag")
+func decodeIDs(r *binfmt.Reader, what string) []uint64 {
+	flag := r.Byte(what)
+	if flag != idsAbsolute && flag != idsDelta {
+		r.Fail(what + " encoding flag")
+	}
+	n := r.Count(what, 1)
+	if n == 0 {
 		return nil
 	}
-	n := r.count(what, 1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, capHint(n))
+	out := make([]uint64, 0, binfmt.CapHint(n))
 	prev := uint64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		v := r.uvarint(what)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		v := r.Uvarint(what)
 		if flag == idsDelta && i > 0 {
 			v += prev
 		}
 		out = append(out, v)
 		prev = v
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return out
 }
 
-// --- PlainQuery (optional sub-struct of both query bodies) ---
+// --- the query block both query bodies share ---
 
-// appendPlain appends an optional plaintext query: a presence byte,
-// then the fields when present.
-func appendPlain(b []byte, p *PlainQuery) []byte {
-	if p == nil {
+// AppendQuery appends the block QueryReq and FEQueryReq share, which is
+// also the frontend's result-cache key: the encrypted query in its one
+// form (pps.AppendQuery), then the optional plaintext query behind a
+// presence byte.
+func AppendQuery(b []byte, q pps.Query, plain *PlainQuery) []byte {
+	b = pps.AppendQuery(b, q)
+	if plain == nil {
 		return append(b, 0)
 	}
-	b = append(b, 1)
-	b = append(b, p.Mode)
-	b = appendZigzag(b, int64(p.MinMatch))
-	b = appendZigzag(b, int64(p.Limit))
-	b = binary.AppendUvarint(b, uint64(len(p.Terms)))
-	for _, t := range p.Terms {
+	b = append(b, 1, plain.Mode)
+	b = binary.AppendVarint(b, int64(plain.MinMatch))
+	b = binary.AppendVarint(b, int64(plain.Limit))
+	b = binary.AppendUvarint(b, uint64(len(plain.Terms)))
+	for _, t := range plain.Terms {
 		b = binary.AppendUvarint(b, uint64(len(t)))
 		b = append(b, t...)
 	}
 	return b
 }
 
-func (r *reader) plain() *PlainQuery {
-	if flag := r.byte("PlainQuery presence"); r.err != nil || flag == 0 {
+// decodeQuery reads the block AppendQuery wrote.
+func decodeQuery(r *binfmt.Reader) (q pps.Query, plain *PlainQuery) {
+	pps.DecodeQuery(r, &q)
+	if r.Byte("PlainQuery presence") == 0 {
+		return q, nil
+	}
+	plain = &PlainQuery{Mode: r.Byte("PlainQuery.Mode")}
+	plain.MinMatch = int(r.Varint("PlainQuery.MinMatch"))
+	plain.Limit = int(r.Varint("PlainQuery.Limit"))
+	n := r.Count("PlainQuery.Terms", 1)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		plain.Terms = append(plain.Terms, string(r.View("PlainQuery term")))
+	}
+	return q, plain
+}
+
+// --- record lists ---
+
+// appendRecords appends a uvarint count, then each record in its one
+// form (pps.AppendRecord).
+func appendRecords(b []byte, recs []pps.Encoded) []byte {
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for i := range recs {
+		b = pps.AppendRecord(b, recs[i])
+	}
+	return b
+}
+
+// decodeRecords reads what appendRecords wrote: one allocation for the
+// slice and one per record. A record takes at least 3 bytes.
+func decodeRecords(r *binfmt.Reader, what string) []pps.Encoded {
+	n := r.Count(what, 3)
+	if n == 0 {
 		return nil
 	}
-	p := &PlainQuery{}
-	p.Mode = r.byte("PlainQuery.Mode")
-	p.MinMatch = int(r.zigzag("PlainQuery.MinMatch"))
-	p.Limit = int(r.zigzag("PlainQuery.Limit"))
-	nTerms := r.count("PlainQuery.Terms", 1)
-	for i := 0; i < nTerms && r.err == nil; i++ {
-		p.Terms = append(p.Terms, string(r.bytes("PlainQuery term")))
+	recs := make([]pps.Encoded, 0, binfmt.CapHint(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		recs = append(recs, pps.Encoded{})
+		pps.DecodeRecord(r, &recs[len(recs)-1])
 	}
-	if r.err != nil {
-		return nil
-	}
-	return p
+	return recs
 }
 
 // --- QueryReq ---
@@ -288,186 +179,90 @@ func (q QueryReq) AppendWire(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(q.Lo))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(q.Hi))
 	b = append(b, q.Flags)
-	b = append(b, byte(q.Q.Op))
-	b = binary.AppendUvarint(b, uint64(len(q.Q.Preds)))
-	for _, p := range q.Q.Preds {
-		b = binary.AppendUvarint(b, uint64(len(p.Trapdoor)))
-		for _, x := range p.Trapdoor {
-			b = binary.AppendUvarint(b, uint64(len(x)))
-			b = append(b, x...)
-		}
-	}
-	return appendPlain(b, q.Plain)
+	return AppendQuery(b, q.Q, q.Plain)
 }
 
 // DecodeWire implements wire.WireDecoder.
 func (q *QueryReq) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.QID = r.uvarint("QueryReq.QID")
-	q.Lo = math.Float64frombits(r.u64("QueryReq.Lo"))
-	q.Hi = math.Float64frombits(r.u64("QueryReq.Hi"))
-	q.Flags = r.byte("QueryReq.Flags")
-	if unknown := q.Flags &^ queryFlagsKnown; unknown != 0 && r.err == nil {
-		r.err = &UnknownFlagsError{What: "QueryReq.Flags", Bits: unknown}
+	r := binfmt.NewReader(data)
+	q.QID = r.Uvarint("QueryReq.QID")
+	q.Lo = math.Float64frombits(r.U64("QueryReq.Lo"))
+	q.Hi = math.Float64frombits(r.U64("QueryReq.Hi"))
+	q.Flags = r.Byte("QueryReq.Flags")
+	if unknown := q.Flags &^ queryFlagsKnown; unknown != 0 {
+		r.FailWith(&UnknownFlagsError{What: "QueryReq.Flags", Bits: unknown})
 	}
-	q.Q.Op = pps.BoolOp(r.byte("QueryReq.Op"))
-	nPreds := r.count("QueryReq.Preds", 1)
-	q.Q.Preds = nil
-	if nPreds > 0 && r.err == nil {
-		q.Q.Preds = make([]pps.BloomQuery, 0, capHint(nPreds))
-		for i := 0; i < nPreds && r.err == nil; i++ {
-			nTd := r.count("QueryReq.Trapdoor", 1)
-			if r.err != nil {
-				break
-			}
-			td := make([][]byte, 0, capHint(nTd))
-			for j := 0; j < nTd && r.err == nil; j++ {
-				td = append(td, r.bytes("QueryReq.Trapdoor element"))
-			}
-			q.Q.Preds = append(q.Q.Preds, pps.BloomQuery{Trapdoor: td})
-		}
-	}
-	q.Plain = r.plain()
-	return r.finish("QueryReq")
+	q.Q, q.Plain = decodeQuery(&r)
+	return r.Finish("QueryReq")
 }
 
 // --- FEQueryReq ---
 
 // AppendWire implements wire.WireAppender.
 func (q FEQueryReq) AppendWire(b []byte) []byte {
-	b = appendZigzag(b, int64(q.Priority))
-	b = append(b, byte(q.Q.Op))
-	b = binary.AppendUvarint(b, uint64(len(q.Q.Preds)))
-	for _, p := range q.Q.Preds {
-		b = binary.AppendUvarint(b, uint64(len(p.Trapdoor)))
-		for _, x := range p.Trapdoor {
-			b = binary.AppendUvarint(b, uint64(len(x)))
-			b = append(b, x...)
-		}
-	}
-	b = appendPlain(b, q.Plain)
+	b = binary.AppendVarint(b, int64(q.Priority))
+	b = AppendQuery(b, q.Q, q.Plain)
 	b = binary.AppendUvarint(b, uint64(len(q.Tenant)))
 	b = append(b, q.Tenant...)
-	b = append(b, q.CacheControl)
-	return b
+	return append(b, q.CacheControl)
 }
 
 // DecodeWire implements wire.WireDecoder.
 func (q *FEQueryReq) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Priority = int(r.zigzag("FEQueryReq.Priority"))
-	q.Q.Op = pps.BoolOp(r.byte("FEQueryReq.Op"))
-	nPreds := r.count("FEQueryReq.Preds", 1)
-	q.Q.Preds = nil
-	if nPreds > 0 && r.err == nil {
-		q.Q.Preds = make([]pps.BloomQuery, 0, capHint(nPreds))
-		for i := 0; i < nPreds && r.err == nil; i++ {
-			nTd := r.count("FEQueryReq.Trapdoor", 1)
-			if r.err != nil {
-				break
-			}
-			td := make([][]byte, 0, capHint(nTd))
-			for j := 0; j < nTd && r.err == nil; j++ {
-				td = append(td, r.bytes("FEQueryReq.Trapdoor element"))
-			}
-			q.Q.Preds = append(q.Q.Preds, pps.BloomQuery{Trapdoor: td})
-		}
-	}
-	q.Plain = r.plain()
-	q.Tenant = string(r.bytes("FEQueryReq.Tenant"))
-	q.CacheControl = r.byte("FEQueryReq.CacheControl")
-	return r.finish("FEQueryReq")
+	r := binfmt.NewReader(data)
+	q.Priority = int(r.Varint("FEQueryReq.Priority"))
+	q.Q, q.Plain = decodeQuery(&r)
+	q.Tenant = string(r.View("FEQueryReq.Tenant"))
+	q.CacheControl = r.Byte("FEQueryReq.CacheControl")
+	return r.Finish("FEQueryReq")
 }
 
 // --- QueryResp ---
 
 // AppendWire implements wire.WireAppender.
 func (q QueryResp) AppendWire(b []byte) []byte {
-	b = appendZigzag(b, int64(q.Scanned))
-	b = appendZigzag(b, q.MatchNanos)
-	b = appendZigzag(b, int64(q.QueueDepth))
-	b = appendIDs(b, q.IDs)
-	return b
+	b = binary.AppendVarint(b, int64(q.Scanned))
+	b = binary.AppendVarint(b, q.MatchNanos)
+	b = binary.AppendVarint(b, int64(q.QueueDepth))
+	return appendIDs(b, q.IDs)
 }
 
 // DecodeWire implements wire.WireDecoder.
 func (q *QueryResp) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	q.Scanned = int(r.zigzag("QueryResp.Scanned"))
-	q.MatchNanos = r.zigzag("QueryResp.MatchNanos")
-	q.QueueDepth = int(r.zigzag("QueryResp.QueueDepth"))
-	q.IDs = r.ids("QueryResp.IDs")
-	return r.finish("QueryResp")
+	r := binfmt.NewReader(data)
+	q.Scanned = int(r.Varint("QueryResp.Scanned"))
+	q.MatchNanos = r.Varint("QueryResp.MatchNanos")
+	q.QueueDepth = int(r.Varint("QueryResp.QueueDepth"))
+	q.IDs = decodeIDs(&r, "QueryResp.IDs")
+	return r.Finish("QueryResp")
 }
 
 // --- PutReq ---
 
 // AppendWire implements wire.WireAppender.
 func (p PutReq) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p.Records)))
-	for _, rec := range p.Records {
-		b = binary.AppendUvarint(b, rec.ID)
-		b = binary.AppendUvarint(b, uint64(len(rec.Nonce)))
-		b = append(b, rec.Nonce...)
-		b = binary.AppendUvarint(b, uint64(len(rec.Filter)))
-		b = append(b, rec.Filter...)
-	}
-	b = appendZigzag(b, int64(p.Epoch))
-	return b
+	b = appendRecords(b, p.Records)
+	return binary.AppendVarint(b, int64(p.Epoch))
 }
 
 // DecodeWire implements wire.WireDecoder.
 func (p *PutReq) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	n := r.count("PutReq.Records", 3)
-	p.Records = nil
-	if n > 0 && r.err == nil {
-		p.Records = make([]pps.Encoded, 0, capHint(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			var rec pps.Encoded
-			rec.ID = r.uvarint("PutReq record id")
-			nonce := r.view("PutReq record nonce")
-			rec.Nonce, rec.Filter = pps.CopyMetadata(nonce, r.view("PutReq record filter"))
-			p.Records = append(p.Records, rec)
-		}
-	}
-	p.Epoch = int(r.zigzag("PutReq.Epoch"))
-	return r.finish("PutReq")
+	r := binfmt.NewReader(data)
+	p.Records = decodeRecords(&r, "PutReq.Records")
+	p.Epoch = int(r.Varint("PutReq.Epoch"))
+	return r.Finish("PutReq")
 }
 
 // --- IngestReq ---
 
-// Ingest appends carry the same raw nonce/filter bytes as replica
-// pushes, so they ride the binary path too; their ack (IngestResp) is
-// two counters and travels as JSON.
-
 // AppendWire implements wire.WireAppender.
 func (q IngestReq) AppendWire(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(q.Records)))
-	for _, rec := range q.Records {
-		b = binary.AppendUvarint(b, rec.ID)
-		b = binary.AppendUvarint(b, uint64(len(rec.Nonce)))
-		b = append(b, rec.Nonce...)
-		b = binary.AppendUvarint(b, uint64(len(rec.Filter)))
-		b = append(b, rec.Filter...)
-	}
-	return b
+	return appendRecords(b, q.Records)
 }
 
 // DecodeWire implements wire.WireDecoder.
 func (q *IngestReq) DecodeWire(data []byte) error {
-	r := &reader{data: data}
-	n := r.count("IngestReq.Records", 3)
-	q.Records = nil
-	if n > 0 && r.err == nil {
-		q.Records = make([]pps.Encoded, 0, capHint(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			var rec pps.Encoded
-			rec.ID = r.uvarint("IngestReq record id")
-			nonce := r.view("IngestReq record nonce")
-			rec.Nonce, rec.Filter = pps.CopyMetadata(nonce, r.view("IngestReq record filter"))
-			q.Records = append(q.Records, rec)
-		}
-	}
-	return r.finish("IngestReq")
+	r := binfmt.NewReader(data)
+	q.Records = decodeRecords(&r, "IngestReq.Records")
+	return r.Finish("IngestReq")
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"roar/internal/binfmt"
 	"roar/internal/pps"
 )
 
@@ -300,9 +301,9 @@ func TestFlatCodecGoldenBytes(t *testing.T) {
 					t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(got))
 				}
 			}
-			var tbe *TrailingBytesError
+			var tbe *binfmt.TrailingBytesError
 			if err := c.out().DecodeWire(append(got, 0)); !errors.As(err, &tbe) {
-				t.Fatalf("trailing byte: %v, want *TrailingBytesError", err)
+				t.Fatalf("trailing byte: %v, want *binfmt.TrailingBytesError", err)
 			}
 		})
 	}

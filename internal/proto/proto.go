@@ -35,7 +35,8 @@ const (
 	// write-ahead log; delivery to the owning nodes is asynchronous.
 	MMemberIngest = "member.ingest"
 
-	// Frontend client-facing methods (cmd/roar-frontend).
+	// Frontend client-facing methods (cmd/roar-frontend). fe.put takes
+	// an IngestReq and answers the coordinator's IngestResp.
 	MFEQuery = "fe.query"
 	MFEPut   = "fe.put"
 )
@@ -203,18 +204,6 @@ type IngestReq struct {
 // can poll for Drained >= Seq when it needs delivery, not just
 // durability.
 type IngestResp struct {
-	Seq     uint64 `json:"seq"`
-	Drained uint64 `json:"drained"`
-}
-
-// FEPutReq is a client write through a frontend (MFEPut): the frontend
-// forwards it to the coordinator's ingest WAL.
-type FEPutReq struct {
-	Records []pps.Encoded `json:"records"`
-}
-
-// FEPutResp mirrors IngestResp for frontend clients.
-type FEPutResp struct {
 	Seq     uint64 `json:"seq"`
 	Drained uint64 `json:"drained"`
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"roar/internal/binfmt"
 	"roar/internal/pps"
 )
 
@@ -17,35 +19,43 @@ import (
 // files through the same producer/consumer pipeline as the in-memory
 // path, reproducing the I/O-bound vs CPU-bound crossover the paper
 // measures.
+//
+// A corpus file is an 8-byte magic, then each record as a big-endian
+// u32 length and the record's one binary form (pps.AppendRecord). A
+// file without the magic, such as one in an older layout, fails to load.
 
-// SaveFile writes records sequentially, each as a uint32 length prefix
-// plus the record's binary encoding.
+const (
+	fileMagic = "ROARREC1"
+	// maxRecordBytes bounds a record's declared length, so a corrupt or
+	// hostile file cannot provoke a giant allocation: a record is a nonce
+	// and one Bloom filter, a few KiB.
+	maxRecordBytes = 1 << 20
+)
+
+// SaveFile writes records sequentially in the corpus file layout.
 func SaveFile(path string, recs []pps.Encoded) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("store: creating %s: %w", path, err)
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
+	b := []byte(fileMagic)
 	for i := range recs {
-		b, err := recs[i].MarshalBinary()
-		if err != nil {
+		at := len(b)
+		b = pps.AppendRecord(append(b, 0, 0, 0, 0), recs[i])
+		n := len(b) - at - 4
+		if n > maxRecordBytes {
 			f.Close()
-			return fmt.Errorf("store: encoding record %d: %w", recs[i].ID, err)
+			return fmt.Errorf("store: record %d of %d bytes exceeds the limit", recs[i].ID, n)
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			f.Close()
-			return err
-		}
+		binary.BigEndian.PutUint32(b[at:], uint32(n))
+		_, _ = w.Write(b) // a failed write sticks: Flush reports it
+		b = b[:0]
 	}
+	_, _ = w.Write(b)
 	if err := w.Flush(); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("store: writing %s: %w", path, err)
 	}
 	return f.Close()
 }
@@ -96,7 +106,8 @@ func (s *Store) LoadFrom(ctx context.Context, path string) error {
 
 // StreamFile reads records sequentially, delivering them to fn in
 // batches. Returns the number of records read. fn returning false stops
-// the stream early.
+// the stream early. Every record is read into one reused buffer, so a
+// record costs the one allocation its decode makes.
 func StreamFile(ctx context.Context, path string, batchSize int, fn func([]pps.Encoded) bool) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -107,29 +118,38 @@ func StreamFile(ctx context.Context, path string, batchSize int, fn func([]pps.E
 		batchSize = 256
 	}
 	r := bufio.NewReaderSize(f, 1<<20)
+	var magic [len(fileMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != fileMagic {
+		return 0, fmt.Errorf("store: %s is not a corpus file (no %q magic)", path, fileMagic)
+	}
 	total := 0
 	batch := make([]pps.Encoded, 0, batchSize)
+	var hdr [4]byte
+	var buf []byte
 	for {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		var hdr [4]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF {
 				break
 			}
 			return total, fmt.Errorf("store: reading %s: %w", path, err)
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		buf := make([]byte, n)
+		n := int(binary.BigEndian.Uint32(hdr[:]))
+		if n > maxRecordBytes {
+			return total, fmt.Errorf("store: record of %d bytes in %s exceeds the limit", n, path)
+		}
+		buf = slices.Grow(buf[:0], n)[:n]
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return total, fmt.Errorf("store: truncated record in %s: %w", path, err)
 		}
-		var rec pps.Encoded
-		if err := rec.UnmarshalBinary(buf); err != nil {
+		rd := binfmt.NewReader(buf)
+		batch = append(batch, pps.Encoded{})
+		pps.DecodeRecord(&rd, &batch[len(batch)-1])
+		if err := rd.Finish("record"); err != nil {
 			return total, fmt.Errorf("store: corrupt record in %s: %w", path, err)
 		}
-		batch = append(batch, rec)
 		total++
 		if len(batch) >= batchSize {
 			if !fn(batch) {

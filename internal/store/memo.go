@@ -75,7 +75,7 @@ type memoEntry struct {
 }
 
 // matchMemo is one store's memo: entries by the SHA-256 of the query's
-// canonical bytes (pps.Query.AppendKey), least recently used first out.
+// one binary form (pps.AppendQuery), least recently used first out.
 type matchMemo struct {
 	mu       sync.Mutex
 	entries  map[[sha256.Size]byte]*memoEntry
@@ -132,7 +132,7 @@ func (s *Store) matchMemo() *matchMemo {
 // entry finds or creates q's entry and marks it most recently used.
 func (mm *matchMemo) entry(q pps.Query) *memoEntry {
 	var buf [512]byte
-	key := sha256.Sum256(q.AppendKey(buf[:0]))
+	key := sha256.Sum256(pps.AppendQuery(buf[:0], q))
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	mm.lookups++

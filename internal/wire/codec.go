@@ -19,7 +19,8 @@ package wire
 // health reports, replication, leases, views, joins, stats) rides as
 // JSON inside the same envelope. The codec byte is the check on outside
 // input: a payload whose codec does not match the receiving type is
-// rejected, never reinterpreted.
+// rejected, never reinterpreted. The envelope, like every binary body,
+// is parsed through binfmt's bounds-checked cursor.
 //
 // Frame scratch is pooled: envelopes and bodies are appended into
 // reusable buffers, so the steady-state hot path performs no per-frame
@@ -31,12 +32,14 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"roar/internal/binfmt"
 )
 
 // Version names the one dialect this build speaks: the envelope above
 // plus the body encodings of internal/proto. Any change to either bumps
 // it.
-const Version = 5
+const Version = 6
 
 // preambleLen is the size of the connection preamble: the magic "ROAR"
 // followed by big-endian uint32(Version).
@@ -249,48 +252,30 @@ func readFrame(r io.Reader) (*frame, error) {
 // decodeBinaryFrame parses an envelope. The returned frame's Body
 // aliases data.
 func decodeBinaryFrame(data []byte) (*frame, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("wire: binary frame of %d bytes too short", len(data))
-	}
-	f := &frame{kind: data[0]}
-	rest := data[1:]
-	id, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("wire: binary frame: bad id varint")
-	}
-	f.ID = id
-	rest = rest[n:]
+	r := binfmt.NewReader(data)
+	f := &frame{kind: r.Byte("frame kind")}
+	f.ID = r.Uvarint("frame id")
 	switch f.kind {
 	case kindCancel:
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("wire: cancel frame with %d trailing bytes", len(rest))
+		if err := r.Finish("cancel frame"); err != nil {
+			return nil, fmt.Errorf("wire: %w", err)
 		}
 		return f, nil
 	case kindRequest:
-		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < l {
-			return nil, fmt.Errorf("wire: binary frame: bad method length")
-		}
-		f.Type = string(rest[n : n+int(l)])
-		rest = rest[n+int(l):]
+		f.Type = string(r.View("frame method"))
 	case kindResponse:
-		l, n := binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < l {
-			return nil, fmt.Errorf("wire: binary frame: bad error length")
-		}
-		f.Err = string(rest[n : n+int(l)])
-		rest = rest[n+int(l):]
+		f.Err = string(r.View("frame error"))
 	default:
-		return nil, fmt.Errorf("wire: unknown frame kind %d", f.kind)
+		r.FailWith(fmt.Errorf("unknown frame kind %d", f.kind))
 	}
-	if len(rest) < 1 {
-		return nil, fmt.Errorf("wire: binary frame missing body codec")
-	}
-	f.codec = rest[0]
+	f.codec = r.Byte("frame body codec")
 	if f.codec != codecJSON && f.codec != codecBinary {
-		return nil, fmt.Errorf("wire: unknown body codec %d", f.codec)
+		r.FailWith(fmt.Errorf("unknown body codec %d", f.codec))
 	}
-	f.Body = rest[1:]
+	f.Body = r.Take(len(data)-r.Offset(), "frame body")
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
 	return f, nil
 }
 

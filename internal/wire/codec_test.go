@@ -246,6 +246,7 @@ func TestOneCodecPerMessage(t *testing.T) {
 		{proto.MNodePut, proto.PutReq{Epoch: 1}, codecBinary},
 		{proto.MFEQuery, proto.FEQueryReq{Tenant: "t"}, codecBinary},
 		{proto.MMemberIngest, proto.IngestReq{}, codecBinary},
+		{proto.MFEPut, proto.IngestReq{}, codecBinary},
 		{proto.MNodePing, proto.PingReq{}, codecJSON},
 		{"ping.resp", proto.PingResp{QueueDepth: 2}, codecJSON},
 		{"ingest.resp", proto.IngestResp{Seq: 3, Drained: 2}, codecJSON},
