@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"roar/internal/binfmt"
 )
 
 func TestMasterKeyDerivation(t *testing.T) {
@@ -469,6 +471,35 @@ func TestEncoderRoundTrip(t *testing.T) {
 		}
 		if got := m.MatchOne(bq, md.BloomMetadata); got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestEncodedMarshalRoundTrip: an encrypted document survives the one
+// record form, and truncations error rather than panic or decode.
+func TestEncodedMarshalRoundTrip(t *testing.T) {
+	e := testEncoder(t)
+	md, err := e.EncryptDocument(testDoc(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := AppendRecord(nil, md)
+	r := binfmt.NewReader(b)
+	var back Encoded
+	DecodeRecord(&r, &back)
+	if err := r.Finish("record"); err != nil {
+		t.Fatal(err)
+	}
+	if back.ID != md.ID || !bytes.Equal(back.Nonce, md.Nonce) || !bytes.Equal(back.Filter, md.Filter) {
+		t.Error("marshal round trip mismatch")
+	}
+	// Truncations must error, not panic.
+	for cut := 0; cut < len(b); cut += 7 {
+		r := binfmt.NewReader(b[:cut])
+		var e2 Encoded
+		DecodeRecord(&r, &e2)
+		if r.Finish("record") == nil {
+			t.Fatalf("truncation at %d silently accepted", cut)
 		}
 	}
 }
