@@ -1,15 +1,20 @@
 // Command roar-member runs the membership server (§4.9): it owns the
 // ring topology, loads the corpus onto joining nodes, drives p changes,
-// and publishes views to frontends.
+// and publishes views to frontends. Every record it takes, by
+// member.load or member.ingest, goes through its write-ahead log (-wal),
+// and the coordinator rebuilds its corpus from that log when it starts
+// or wins an election.
 //
-// Standalone (single coordinator, the original deployment):
+// Standalone (single coordinator, the original deployment; without -wal
+// the log lives in a temporary directory removed at exit):
 //
 //	roar-member -listen 127.0.0.1:7000 -p 4 -rings 1
 //
 // Replicated (HA control plane; run one process per peer, each naming
-// the full peer list — see docs/HA.md):
+// the full peer list and the one log directory they share — see
+// docs/HA.md):
 //
-//	roar-member -listen 127.0.0.1:7001 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
+//	roar-member -listen 127.0.0.1:7001 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 -wal /shared/wal
 //
 // Both serve the same member.* table (membership.RegisterHandlers).
 // -peers only picks the constructor and the coordinator behind the
@@ -41,7 +46,7 @@ func main() {
 		rings   = flag.Int("rings", 1, "number of rings")
 		qThresh = flag.Float64("quarantine-threshold", 0, "failure-evidence score that quarantines a node (0 = default 3)")
 
-		walDir = flag.String("wal", "", "durable ingest WAL directory — enables member.ingest (async writes); replicas must share it")
+		walDir = flag.String("wal", "", "write-ahead log directory every record enters through; replicas must share it (empty = a temporary directory, standalone only)")
 
 		peers     = flag.String("peers", "", "comma-separated replica addresses (including this one) — enables the replicated control plane")
 		self      = flag.String("self", "", "this replica's advertised address (default: -listen)")
@@ -74,6 +79,9 @@ func main() {
 		banner        string
 	)
 	if *peers != "" {
+		if *walDir == "" {
+			fatal(fmt.Errorf("-peers needs -wal: a new leader rebuilds the corpus from the log the replicas share"))
+		}
 		rep := newReplica(*listen, *self, *peers, *lease, *heartbeat, *walDir, coordCfg)
 		defer rep.Stop()
 		rep.RegisterHandlers(d)
@@ -82,14 +90,19 @@ func main() {
 	} else {
 		// Standalone has no peers to race on segment creation, so it opens
 		// the WAL eagerly (replicas open it on winning an election).
-		if *walDir != "" {
-			wal, err := ingest.Open(*walDir, ingest.Options{})
+		if *walDir == "" {
+			dir, err := os.MkdirTemp("", "roar-member-wal-")
 			if err != nil {
 				fatal(err)
 			}
-			defer wal.Close()
-			coordCfg.WAL = wal
+			defer os.RemoveAll(dir)
+			*walDir = dir
 		}
+		wal, err := ingest.Open(*walDir, ingest.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		coordCfg.WAL = wal
 		coord, err := membership.New(coordCfg)
 		if err != nil {
 			fatal(err)
@@ -157,10 +170,6 @@ func newReplica(listen, self, peerList string, lease, heartbeat time.Duration, w
 			peers = append(peers, p)
 		}
 	}
-	var openWAL func() (*ingest.WAL, error)
-	if walDir != "" {
-		openWAL = func() (*ingest.WAL, error) { return ingest.Open(walDir, ingest.Options{}) }
-	}
 	rep, err := membership.NewReplica(membership.ReplicaConfig{
 		Self:        self,
 		Peers:       peers,
@@ -168,7 +177,7 @@ func newReplica(listen, self, peerList string, lease, heartbeat time.Duration, w
 		Heartbeat:   heartbeat,
 		Coordinator: coordCfg,
 		Ingest:      membership.IngestConfig{Logf: log.Printf},
-		OpenWAL:     openWAL,
+		OpenWAL:     func() (*ingest.WAL, error) { return ingest.Open(walDir, ingest.Options{}) },
 		Logf:        log.Printf,
 	})
 	if err != nil {

@@ -18,7 +18,7 @@
 //
 // The same topology runs as real processes with:
 //
-//	roar-member -listen :7001 -peers :7001,:7002,:7003 ...
+//	roar-member -listen :7001 -peers :7001,:7002,:7003 -wal /shared/wal ...
 //	roar-frontend -member :7001,:7002,:7003 ...
 //
 // See docs/HA.md for the protocol.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"roar/internal/frontend"
@@ -55,8 +56,9 @@ type Options struct {
 	// 500B of metadata).
 	Encoder *pps.EncoderConfig
 
-	// IngestDir, when set, opens a durable ingest WAL there and starts
-	// the drain consumer — enables Cluster.IngestPut. Use t.TempDir().
+	// IngestDir is the coordinator's WAL directory, through which every
+	// record reaches the nodes (LoadEncoded and IngestPut alike). Empty
+	// means a temporary directory that Close removes.
 	IngestDir string
 	// IngestBatch caps records per drain round (0 = consumer default).
 	IngestBatch int
@@ -77,7 +79,7 @@ type Cluster struct {
 	servers  []*wire.Server
 	ids      []ring.NodeID
 	extraFEs []*frontend.Frontend
-	wal      *ingest.WAL
+	tmpDir   string // the WAL directory Close removes, if the harness made it
 	rng      *rand.Rand
 }
 
@@ -110,24 +112,22 @@ func Start(opts Options) (*Cluster, error) {
 	// material, and a shared key lets callers reuse encrypted corpora.
 	enc := pps.NewEncoder(pps.TestKey(1), encCfg)
 
-	coordCfg := membership.Config{Rings: opts.Rings, P: opts.P, Health: opts.Health}
-	var wal *ingest.WAL
-	if opts.IngestDir != "" {
-		var err error
-		wal, err = ingest.Open(opts.IngestDir, ingest.Options{})
-		if err != nil {
-			return nil, err
-		}
-		coordCfg.WAL = wal
-	}
-	coord, err := membership.New(coordCfg)
+	dir, tmpDir, err := logDir(opts.IngestDir)
 	if err != nil {
-		if wal != nil {
-			wal.Close()
-		}
 		return nil, err
 	}
-	c := &Cluster{Enc: enc, Coord: coord, wal: wal, rng: rand.New(rand.NewSource(opts.Seed))}
+	wal, err := ingest.Open(dir, ingest.Options{})
+	if err != nil {
+		os.RemoveAll(tmpDir)
+		return nil, err
+	}
+	coord, err := membership.New(membership.Config{Rings: opts.Rings, P: opts.P, Health: opts.Health, WAL: wal})
+	if err != nil {
+		wal.Close()
+		os.RemoveAll(tmpDir)
+		return nil, err
+	}
+	c := &Cluster{Enc: enc, Coord: coord, tmpDir: tmpDir, rng: rand.New(rand.NewSource(opts.Seed))}
 
 	for i := 0; i < opts.Nodes; i++ {
 		ncfg := node.Config{
@@ -173,18 +173,26 @@ func Start(opts Options) (*Cluster, error) {
 	if opts.Autoscale != nil {
 		c.AS = coord.NewAutoscaler(*opts.Autoscale)
 	}
-	if wal != nil {
-		if err := coord.StartIngest(membership.IngestConfig{Batch: opts.IngestBatch}); err != nil {
-			c.Close()
-			return nil, err
-		}
+	if err := coord.StartIngest(membership.IngestConfig{Batch: opts.IngestBatch}); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// IngestPut appends records to the durable ingest WAL (requires
-// Options.IngestDir) and returns the sequence of the last one; delivery
-// to the owning nodes is asynchronous — WaitIngestDrained blocks on it.
+// logDir returns dir, or when it is empty a fresh temporary directory,
+// which it also returns as tmp for the harness's Close to remove.
+func logDir(dir string) (use, tmp string, err error) {
+	if dir != "" {
+		return dir, "", nil
+	}
+	tmp, err = os.MkdirTemp("", "roar-wal-")
+	return tmp, tmp, err
+}
+
+// IngestPut appends records to the coordinator's WAL and returns the
+// sequence of the last one; delivery to the owning nodes is
+// asynchronous — WaitIngestDrained blocks on it.
 func (c *Cluster) IngestPut(ctx context.Context, recs ...pps.Encoded) (uint64, error) {
 	return c.Coord.IngestAppend(ctx, recs)
 }
@@ -283,14 +291,12 @@ func (c *Cluster) Close() {
 	if c.Coord != nil {
 		c.Coord.Close()
 	}
-	if c.wal != nil {
-		c.wal.Close()
-	}
 	for _, s := range c.servers {
 		if s != nil {
 			s.Close()
 		}
 	}
+	os.RemoveAll(c.tmpDir)
 }
 
 // Nodes returns the in-process node handles (for direct inspection).
@@ -321,7 +327,7 @@ func (c *Cluster) GenerateCorpus(n int) ([]pps.Document, error) {
 		}
 		recs[i] = r
 	}
-	if err := c.Coord.LoadCorpus(context.Background(), recs); err != nil {
+	if err := c.LoadEncoded(recs); err != nil {
 		return nil, err
 	}
 	return docs, nil
@@ -334,9 +340,15 @@ func limitKeywords(kws []string, max int) []string {
 	return kws[:max]
 }
 
-// LoadEncoded loads pre-encrypted records.
+// LoadEncoded loads pre-encrypted records through the WAL and returns
+// once they reached every owner, then hands every frontend the view
+// whose advanced ingest watermarks fence its result cache — the
+// harness's stand-in for the frontends' view poll.
 func (c *Cluster) LoadEncoded(recs []pps.Encoded) error {
-	return c.Coord.LoadCorpus(context.Background(), recs)
+	if err := c.Coord.LoadCorpus(context.Background(), recs); err != nil {
+		return err
+	}
+	return c.SyncView()
 }
 
 // Query executes a query against the cluster.
@@ -375,7 +387,3 @@ func (c *Cluster) NodeStats(ctx context.Context) []proto.StatsResp {
 	}
 	return out
 }
-
-// WaitSettled gives in-flight background work a moment; used by tests
-// after reconfigurations.
-func (c *Cluster) WaitSettled() { time.Sleep(20 * time.Millisecond) } //lint:allow wallclock — real goroutines need real time to settle

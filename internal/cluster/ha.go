@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"time"
 
 	"roar/internal/coordclient"
@@ -22,7 +23,6 @@ import (
 	"roar/internal/node"
 	"roar/internal/pps"
 	"roar/internal/proto"
-	"roar/internal/store"
 	"roar/internal/wire"
 )
 
@@ -39,10 +39,11 @@ type HAOptions struct {
 
 	Frontend frontend.Config
 	Health   membership.HealthConfig
-	// IngestDir, when set, opens one durable ingest WAL shared by every
-	// replica — like the shared backend store, the stand-in for the
-	// paper's shared corpus storage. Only the leader drains it; a new
-	// leader resumes from the replicated watermark.
+	// IngestDir is the log directory the replicas share, as every
+	// roar-member -peers names one -wal. Each replica opens its own
+	// handle on winning an election and rebuilds its own backend from
+	// it; only the leader drains it, resuming from the replicated
+	// watermark. Empty means a temporary directory that Close removes.
 	IngestDir string
 	// IngestBatch caps records per drain round (0 = consumer default).
 	IngestBatch int
@@ -71,14 +72,15 @@ type HACluster struct {
 	killed      []bool
 	nodes       []*node.Node
 	nodeSrvs    []*wire.Server
-	wal         *ingest.WAL
+	tmpDir      string // the log directory Close removes, if StartHA made it
 	rng         *rand.Rand
 }
 
 // StartHA builds and starts a replicated cluster: all replica
 // listeners are bound first (each replica must know the full peer list
-// up front), replicas share one backend store — the paper's shared
-// NFS stand-in (§4.1) — and nodes join through the failover client.
+// up front), and nodes join through the failover client. Replicas share
+// nothing but the log directory, exactly as separate roar-member -peers
+// processes do.
 func StartHA(opts HAOptions) (*HACluster, error) {
 	if opts.Nodes <= 0 || opts.P <= 0 {
 		return nil, fmt.Errorf("cluster: need Nodes and P")
@@ -92,14 +94,12 @@ func StartHA(opts HAOptions) (*HACluster, error) {
 	enc := pps.NewEncoder(pps.TestKey(1), SlimEncoderConfig())
 	c := &HACluster{Enc: enc, rng: rand.New(rand.NewSource(opts.Seed))}
 
-	backend := store.New()
-	if opts.IngestDir != "" {
-		wal, err := ingest.Open(opts.IngestDir, ingest.Options{})
-		if err != nil {
-			return nil, err
-		}
-		c.wal = wal
+	dir, tmpDir, err := logDir(opts.IngestDir)
+	if err != nil {
+		return nil, err
 	}
+	c.tmpDir = tmpDir
+	openWAL := func() (*ingest.WAL, error) { return ingest.Open(dir, ingest.Options{}) }
 	lns := make([]net.Listener, opts.Replicas)
 	c.addrs = make([]string, opts.Replicas)
 	for i := range lns {
@@ -114,16 +114,12 @@ func StartHA(opts HAOptions) (*HACluster, error) {
 	c.killed = make([]bool, opts.Replicas)
 	for i := range lns {
 		rep, err := membership.NewReplica(membership.ReplicaConfig{
-			Self:      c.addrs[i],
-			Peers:     c.addrs,
-			Lease:     opts.Lease,
-			Heartbeat: opts.Heartbeat,
-			Coordinator: membership.Config{
-				Rings: opts.Rings, P: opts.P,
-				Health:  opts.Health,
-				Backend: backend,
-				WAL:     c.wal,
-			},
+			Self:              c.addrs[i],
+			Peers:             c.addrs,
+			Lease:             opts.Lease,
+			Heartbeat:         opts.Heartbeat,
+			Coordinator:       membership.Config{Rings: opts.Rings, P: opts.P, Health: opts.Health},
+			OpenWAL:           openWAL,
 			Ingest:            membership.IngestConfig{Batch: opts.IngestBatch, Logf: opts.Logf},
 			Logf:              opts.Logf,
 			OnIntentCommitted: opts.OnIntentCommitted,
@@ -237,33 +233,22 @@ func (c *HACluster) ReplicaIndex(r *membership.Replica) int {
 	return -1
 }
 
-// LoadEncoded loads pre-encrypted records through the current leader,
-// retrying across a failover.
+// LoadEncoded loads pre-encrypted records as member.load does, through
+// the current leader's log, and returns once they are drained; both
+// steps retry across a failover.
 func (c *HACluster) LoadEncoded(recs []pps.Encoded) error {
-	var err error
-	for attempt := 0; attempt < 20; attempt++ {
-		l := c.Leader()
-		if l == nil {
-			if _, err = c.WaitLeader(10 * time.Second); err != nil {
-				return err
-			}
-			continue
-		}
-		var coord *membership.Coordinator
-		if coord, err = l.LeaderCoord(); err == nil {
-			if err = coord.LoadCorpus(context.Background(), recs); err == nil {
-				return nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond) //lint:allow wallclock — harness retries across real elections
+	ctx := context.Background()
+	resp, err := c.IngestPut(ctx, recs...)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("cluster: corpus load never landed: %w", err)
+	return c.WaitIngestDrained(ctx, resp.Seq)
 }
 
-// IngestPut appends records through the current leader's durable ingest
-// WAL (requires HAOptions.IngestDir), failing over with the shared
-// coordclient — a mid-append failover surfaces as a retriable error,
-// which this helper absorbs (record-ID dedup makes re-appending safe).
+// IngestPut appends records through the current leader's log, failing
+// over with the shared coordclient — a mid-append failover surfaces as
+// a retriable error, which this helper absorbs (record-ID dedup makes
+// re-appending safe).
 func (c *HACluster) IngestPut(ctx context.Context, recs ...pps.Encoded) (proto.IngestResp, error) {
 	var resp proto.IngestResp
 	var err error
@@ -323,7 +308,5 @@ func (c *HACluster) Close() {
 			s.Close()
 		}
 	}
-	if c.wal != nil {
-		c.wal.Close()
-	}
+	os.RemoveAll(c.tmpDir)
 }

@@ -1,7 +1,10 @@
 // Durable ingest: the coordinator's half of the internal/ingest
 // pipeline. IngestAppend accepts records into the write-ahead log —
-// acceptance means durability, not delivery — and StartIngest runs the
-// consumer that drains the log to the p owning nodes.
+// acceptance means durability, not delivery — and StartIngest rebuilds
+// the backend from the log and runs the consumer that drains it to the
+// p owning nodes. The log is the only way a record enters the system
+// (LoadCorpus appends to it too), so it is also the corpus every
+// coordinator rebuilds its backend from.
 //
 // Routing happens once per delivery attempt through routeBatch, which
 // reads the CURRENT topology and epoch for the whole batch under one
@@ -19,9 +22,10 @@
 //     of landing on a node that no longer owns the record, and the
 //     retry re-routes under the new epoch.
 //
-// Replicated coordinators (replica.go) share the WAL and replicate the
-// drained watermark in ControlState; a new leader calls StartIngest
-// with the restored watermark and resumes — re-delivering at most the
+// Replicated coordinators (replica.go) open the log directory the
+// replicas share only while they lead, and replicate the drained
+// watermark in ControlState; a new leader calls StartIngest with the
+// restored watermark and resumes — re-delivering at most the
 // un-replicated tail, which node-side dedup absorbs.
 package membership
 
@@ -52,9 +56,6 @@ type IngestConfig struct {
 	// After injects the backoff timer (tests). Nil means real time.
 	After func(time.Duration) <-chan time.Time
 }
-
-// IngestEnabled reports whether this coordinator has a WAL attached.
-func (c *Coordinator) IngestEnabled() bool { return c.wal != nil }
 
 // IngestAppend durably accepts records: they are fsynced to the WAL and
 // inserted into the backend before the call returns; delivery to the
@@ -93,10 +94,11 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 
 var errIngestDisabled = errors.New("membership: ingest disabled (no WAL configured)")
 
-// StartIngest replays the WAL into the backend (restart recovery;
-// backend inserts dedup by ID, so replaying records the backend already
-// holds is a no-op) and starts the drain consumer from the given
-// watermark bookkeeping. No-op without a WAL or when already started.
+// StartIngest replays the WAL into the backend, which is how every
+// coordinator, restarted or newly elected, rebuilds its corpus (backend
+// inserts dedup by ID, so replaying records the backend already holds is
+// a no-op), and starts the drain consumer from the restored drained
+// watermark. No-op without a WAL or when already started.
 func (c *Coordinator) StartIngest(cfg IngestConfig) error {
 	if c.wal == nil {
 		return nil
@@ -141,9 +143,8 @@ func (c *Coordinator) StartIngest(cfg IngestConfig) error {
 	return nil
 }
 
-// StopIngest halts the drain consumer (idempotent; the WAL itself stays
-// open — it is owned by the caller that built it, and a replicated
-// coordinator shares it across replica generations).
+// StopIngest halts the drain consumer (idempotent; the WAL stays open
+// until Close).
 func (c *Coordinator) StopIngest() {
 	c.mu.Lock()
 	cons := c.consumer

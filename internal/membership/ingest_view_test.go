@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"roar/internal/ingest"
-	"roar/internal/proto"
 )
 
 // TestViewCarriesIngestWatermarks: every view reports the coordinator's
@@ -70,7 +69,7 @@ func TestEmptyIngestCommitsNothing(t *testing.T) {
 	defer c.Close()
 	defer wal.Close()
 	commits := 0
-	c.commit = func(uint64, uint8, proto.ControlState) error { commits++; return nil }
+	c.commit = func(uint8) error { commits++; return nil }
 	ctx := context.Background()
 	seq, err := c.IngestAppend(ctx, corpus(t, slimEncoder(), 3))
 	if err != nil {

@@ -7,7 +7,10 @@
 //
 // The coordinator doubles as the backend file store of §4.1 (the NFS
 // stand-in): it holds the full corpus and pushes each node exactly the
-// records its stored set requires.
+// records its stored set requires. A record enters that backend one way,
+// through the coordinator's write-ahead log (ingest.go), and every
+// coordinator, a newly elected leader's included, rebuilds its backend
+// from the log before it serves.
 //
 // One type serves every caller. The Coordinator owns the state machine
 // and decides every commit point: each mutator applies its change (data
@@ -38,20 +41,15 @@ import (
 type Config struct {
 	Rings int // number of rings (default 1)
 	P     int // initial partitioning level (required)
-	// Backend, when set, is used as the corpus store instead of a fresh
-	// empty one. In-process replica sets point every replica at the
-	// same store — the paper's shared NFS backend (§4.1) — so a newly
-	// elected leader can complete data-moving reconfigurations without
-	// re-ingesting the corpus. Separate processes cannot share one.
-	Backend *store.Store
 	// Health tunes the failure/overload control loop (health.go).
 	// Zero values use the documented defaults.
 	Health HealthConfig
-	// WAL, when set, enables the durable ingest pipeline (ingest.go):
-	// IngestAppend accepts writes into it and StartIngest drains them
-	// to the owning nodes asynchronously. Replicated coordinators point
-	// every replica at the same WAL (like Backend) so a newly elected
-	// leader resumes the drain from the replicated watermark.
+	// WAL is the coordinator's log (ingest.go): IngestAppend and
+	// LoadCorpus append to it, and StartIngest rebuilds the backend from
+	// it and drains it to the owning nodes. The coordinator closes it in
+	// Close. A replica opens its leader's log through
+	// ReplicaConfig.OpenWAL instead. Without one the coordinator takes
+	// no records but AddObject's.
 	WAL *ingest.WAL
 }
 
@@ -86,7 +84,6 @@ type Coordinator struct {
 	// consumer drains them, ingestSeq/ingestDrained are the accepted and
 	// delivered watermarks.
 	wal           *ingest.WAL
-	ownsWAL       bool // opened for this coordinator alone; Close closes it
 	consumer      *ingest.Consumer
 	ingestSeq     uint64
 	ingestDrained uint64
@@ -99,13 +96,18 @@ type Coordinator struct {
 	// Transfer accounting for the reconfiguration experiments.
 	objectsPushed int64
 
+	// pendingP is the p a ChangeP in progress moves to (0 when none).
+	// It rides every snapshot, so a decision committed while data moves
+	// keeps the intent for a successor to finish.
+	pendingP int
+
 	// term and commit are set once, by the Replica that builds this
 	// coordinator for its leadership term, before anyone else sees it:
-	// commit replicates one decision of that term to the replicas and
-	// returns after a majority holds it. Nil (and term 0) on a standalone
-	// coordinator.
+	// commit replicates the coordinator's state, snapshotted when the
+	// entry's turn comes, as one decision of that term and returns after
+	// a majority holds it. Nil (and term 0) on a standalone coordinator.
 	term   uint64
-	commit func(term uint64, kind uint8, st proto.ControlState) error
+	commit func(kind uint8) error
 }
 
 // commitState commits the coordinator's current state (a no-op without
@@ -115,7 +117,7 @@ func (c *Coordinator) commitState() error {
 	if c.commit == nil {
 		return nil
 	}
-	return c.commit(c.term, proto.EntryState, c.ExportState())
+	return c.commit(proto.EntryState)
 }
 
 // commitAfter commits once a mutation succeeded, and passes a failed
@@ -135,10 +137,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Rings <= 0 {
 		cfg.Rings = 1
 	}
-	backend := cfg.Backend
-	if backend == nil {
-		backend = store.New()
-	}
 	c := &Coordinator{
 		cfg:      cfg,
 		ringOf:   map[ring.NodeID]int{},
@@ -148,7 +146,7 @@ func New(cfg Config) (*Coordinator, error) {
 		clients:  map[ring.NodeID]*wire.Client{},
 		disabled: map[int]bool{},
 		p:        cfg.P,
-		backend:  backend,
+		backend:  store.New(),
 		health:   newHealthState(cfg.Health),
 		wal:      cfg.WAL,
 	}
@@ -158,12 +156,12 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the ingest drain and shuts node clients. The consumer is
-// stopped before taking mu: its drain goroutine routes through mu, so
-// stopping it under the lock would deadlock.
+// Close stops the ingest drain, closes the WAL and shuts node clients.
+// The consumer is stopped before taking mu: its drain goroutine routes
+// through mu, so stopping it under the lock would deadlock.
 func (c *Coordinator) Close() {
 	c.StopIngest()
-	if c.ownsWAL && c.wal != nil {
+	if c.wal != nil {
 		c.wal.Close()
 	}
 	c.mu.Lock()
@@ -226,25 +224,24 @@ func (c *Coordinator) viewLocked() proto.View {
 	return v
 }
 
-// LoadCorpus installs the full object set on the backend and pushes
-// every node its stored range. Call after the nodes have joined. On a
-// replicated coordinator the closing commit is the term fence: a leader
-// deposed while loading fails it, and the caller retries on the new one.
+// LoadCorpus appends a corpus to the WAL and waits, as long as ctx
+// allows, until the drain has delivered it to every owning node: one
+// IngestAppend and one WaitIngestDrained. Call after StartIngest. Like
+// any write it advances the ingest watermarks, which is what fences the
+// frontends' result caches.
 func (c *Coordinator) LoadCorpus(ctx context.Context, recs []pps.Encoded) error {
-	c.mu.Lock()
-	c.backend.Insert(recs...)
-	ids := c.allNodesLocked()
-	c.mu.Unlock()
-	for _, id := range ids {
-		if err := c.pushStored(ctx, id); err != nil {
-			return err
-		}
+	seq, err := c.IngestAppend(ctx, recs)
+	if err != nil {
+		return err
 	}
-	return c.commitState()
+	return c.WaitIngestDrained(ctx, seq)
 }
 
 // AddObject stores one new object and pushes it to its current replica
-// set — the update path whose cost grows with r (Fig 7.4). It returns
+// set — the update path whose cost grows with r (Fig 7.4). The record
+// goes to the backend and the nodes but not to the WAL, so a successor
+// coordinator never sees it: no binary calls AddObject on a replicated
+// coordinator, and durable writes go through IngestAppend. It returns
 // the number of replicas the object actually reached: nil clients and
 // failed pushes do not count, and the push counter advances only for
 // deliveries that succeeded. On error the successes made before (and
@@ -497,13 +494,20 @@ func (c *Coordinator) ChangeP(ctx context.Context, newP int) error {
 		return fmt.Errorf("membership: p must be positive")
 	}
 	if c.commit != nil && newP != c.P() {
-		intent := c.ExportState()
-		intent.PendingP = newP
-		if err := c.commit(c.term, proto.EntryIntent, intent); err != nil {
+		c.setPendingP(newP)
+		if err := c.commit(proto.EntryIntent); err != nil {
 			return err
 		}
 	}
-	return c.commitAfter(c.changeP(ctx, newP))
+	err := c.changeP(ctx, newP)
+	c.setPendingP(0)
+	return c.commitAfter(err)
+}
+
+func (c *Coordinator) setPendingP(p int) {
+	c.mu.Lock()
+	c.pendingP = p
+	c.mu.Unlock()
 }
 
 func (c *Coordinator) changeP(ctx context.Context, newP int) error {

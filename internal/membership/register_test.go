@@ -200,7 +200,9 @@ func (h *registerRun) step(i int, kind, arg byte) string {
 		if role, term, _, _ := snapshot(r); role == RoleLeader {
 			// A propose without a majority fails and steps the leader
 			// down; the invariants judge whatever it left behind.
-			_ = r.propose(term, proto.EntryState, proto.ControlState{Epoch: 1000 + i, P: 2, Rings: 1, NextID: int(arg % 3)})
+			_ = r.propose(term, proto.EntryState, func() proto.ControlState {
+				return proto.ControlState{Epoch: 1000 + i, P: 2, Rings: 1, NextID: int(arg % 3)}
+			})
 		}
 		return fmt.Sprintf("%s proposes", r.Self())
 	case stepHeartbeat:

@@ -16,9 +16,10 @@
 //     pollPeers, over the one-method peer interface.
 //   - Apply is the follower half of HandleReplicate (adopt the committed
 //     snapshot) plus becomeLeader (rebuild a live Coordinator from
-//     accepted, raise its epoch floor, commit a takeover barrier, resume
-//     the ingest drain, re-drive an inherited ChangeP).
-//   - Commit points belong to the Coordinator. becomeLeader installs
+//     accepted, raise its epoch floor, commit a takeover barrier, replay
+//     the log into its backend and resume the drain, and only then
+//     publish it and re-drive an inherited ChangeP).
+//   - Commit points belong to the Coordinator. takeover installs
 //     commitEntry on the coordinator it builds for term T, with T; every
 //     mutator calls it after its change (ChangeP also before its first
 //     push), so member.* handlers, the autoscaler and tests call the
@@ -139,9 +140,8 @@ type ReplicaConfig struct {
 	// Heartbeat is the replication/renewal cadence. Default Lease/4.
 	Heartbeat time.Duration
 	// Coordinator is the local coordinator configuration; it must match
-	// across replicas. Only in-process replica sets can share a Backend:
-	// separate processes cannot share a *store.Store, so there a new
-	// leader's backend holds only what its own WAL replay put in it.
+	// across replicas, and it names no WAL: the leader opens its log
+	// through OpenWAL.
 	Coordinator Config
 	// Now/After inject the clock (tests). Nil means real time.
 	Now   func() time.Time
@@ -154,19 +154,18 @@ type ReplicaConfig struct {
 	// exact moment the intent is durable but the work is not.
 	OnIntentCommitted func(newP int)
 	// Ingest tunes the durable ingest drain the leader runs when
-	// Coordinator.WAL is set. The drained watermark replicates via the
+	// OpenWAL is set. The drained watermark replicates via the
 	// heartbeat (maybeReplicateIngest), never from the drain goroutine: a
 	// failed propose steps the leader down, and closing the coordinator
 	// waits for that very goroutine.
 	Ingest IngestConfig
-	// OpenWAL, when set, opens the shared ingest WAL lazily on winning
-	// an election (and the coordinator closes it on step-down). Separate
-	// processes sharing a WAL directory must use this rather than
-	// Coordinator.WAL: opening at startup would race the other replicas
-	// on segment creation, and a follower's handle would go stale the
-	// moment the leader appends. The lease keeps open handles exclusive
-	// the same way it keeps leaders exclusive. In-process replica sets
-	// (one *ingest.WAL shared by reference) keep using Coordinator.WAL.
+	// OpenWAL opens the log directory the replicas share, on winning an
+	// election (the coordinator closes it on step-down); the new leader
+	// rebuilds its backend from it before it serves. Opening at start-up
+	// would race the other replicas on segment creation, and a
+	// follower's handle would go stale the moment the leader appends.
+	// The lease keeps open handles exclusive the same way it keeps
+	// leaders exclusive. Without it the leader takes no records.
 	OpenWAL func() (*ingest.WAL, error)
 }
 
@@ -250,6 +249,9 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	if !self {
 		return nil, fmt.Errorf("membership: Peers must include Self (%s)", cfg.Self)
+	}
+	if cfg.Coordinator.WAL != nil {
+		return nil, fmt.Errorf("membership: a replica opens its log through OpenWAL, not Coordinator.WAL")
 	}
 	r := &Replica{
 		cfg:      cfg,
@@ -435,9 +437,11 @@ func (r *Replica) stepDownLocked(format string, args ...any) *Coordinator {
 }
 
 // becomeLeader installs the elected role: rebuild a live coordinator
-// from the accepted entry, fence the epoch past everything the old
-// leader published, commit a takeover barrier entry, and re-drive any
-// reconfiguration whose intent committed without its completion.
+// from the accepted entry (takeover), and publish it only once it holds
+// the whole corpus, then re-drive any reconfiguration whose intent
+// committed without its completion. Until it is published LeaderCoord
+// refuses, so no Join, Leave or ChangeP can push from a backend the log
+// has not filled yet.
 //
 // The rebuild base is accepted, not committed: an entry the old leader
 // majority-acked may sit above every survivor's committed (the
@@ -454,68 +458,32 @@ func (r *Replica) becomeLeader(term uint64) {
 		return
 	}
 	base := r.accepted.State
-	// Multi-process replica sets open the shared WAL only while leading
-	// (the lease that keeps leaders exclusive keeps writers exclusive);
-	// the fresh scan also picks up everything the previous leader wrote.
-	coordCfg := r.cfg.Coordinator
-	var wal *ingest.WAL
-	if r.cfg.OpenWAL != nil && coordCfg.WAL == nil {
-		var err error
-		if wal, err = r.cfg.OpenWAL(); err != nil {
-			r.role = RoleFollower
-			r.mu.Unlock()
-			r.logf("takeover aborted: ingest WAL: %v", err)
-			return
-		}
-		coordCfg.WAL = wal
-	}
-	var (
-		coord *Coordinator
-		err   error
-	)
-	if r.accepted.Index > 0 {
-		coord, err = NewFromState(coordCfg, base)
-	} else {
-		coord, err = New(coordCfg)
-	}
-	if err != nil {
-		if wal != nil {
-			wal.Close()
-		}
-		r.role = RoleFollower
-		r.mu.Unlock()
-		r.logf("takeover aborted: %v", err)
-		return
-	}
-	coord.ownsWAL = wal != nil
-	coord.term, coord.commit = term, r.commitEntry
-	coord.SetEpochFloor(base.Epoch + 1)
 	r.role = RoleLeader
 	r.leader = r.cfg.Self
-	r.coord = coord
 	r.ackIndex = map[string]uint64{}
 	r.leaseUntil = r.cfg.Now().Add(r.cfg.Lease)
-	pendingP := base.PendingP
 	r.mu.Unlock()
 	r.logf("elected leader at term %d", term)
 
-	st := coord.ExportState()
-	st.PendingP = pendingP // keep the intent durable across takeovers
-	if err := r.propose(term, proto.EntryTakeover, st); err != nil {
-		r.logf("takeover barrier failed: %v", err)
+	coord, err := r.takeover(term, base)
+	r.mu.Lock()
+	led := r.role == RoleLeader && r.term == term
+	switch {
+	case err != nil && led:
+		r.stepDownLocked("takeover failed: %v", err)
+	case err == nil && led:
+		r.coord = coord
+	}
+	r.mu.Unlock()
+	if err != nil {
+		r.logf("takeover aborted: %v", err)
 		return
 	}
-	// Resume the ingest drain from the replicated watermark: the old
-	// leader's drained-but-unreplicated tail (at most one heartbeat of
-	// lag) is re-delivered, and node-side dedup absorbs it.
-	if coord.IngestEnabled() {
-		if err := coord.StartIngest(r.cfg.Ingest); err != nil {
-			r.logf("ingest drain resume failed: %v", err)
-		} else {
-			r.logf("ingest drain resumed from watermark %d", coord.IngestDrained())
-		}
+	if !led {
+		coord.Close()
+		return
 	}
-	if pendingP != 0 {
+	if pendingP := base.PendingP; pendingP != 0 {
 		// Finish the half-done ChangeP on a fresh goroutine: propose and
 		// the data pushes both block, and the caller is the election
 		// loop. Pushes are idempotent, so re-driving a transition the
@@ -529,6 +497,49 @@ func (r *Replica) becomeLeader(term uint64) {
 			}
 		}()
 	}
+}
+
+// takeover builds term's coordinator from base and readies it to serve:
+// it opens the log, fences the epoch past everything the old leader
+// published, commits the takeover barrier, replays the log into the
+// backend and resumes the drain. Nothing else sees the coordinator
+// before it returns; on error it is closed.
+func (r *Replica) takeover(term uint64, base proto.ControlState) (*Coordinator, error) {
+	cfg := r.cfg.Coordinator
+	if r.cfg.OpenWAL != nil {
+		wal, err := r.cfg.OpenWAL()
+		if err != nil {
+			return nil, fmt.Errorf("ingest WAL: %w", err)
+		}
+		cfg.WAL = wal
+	}
+	coord, err := NewFromState(cfg, base)
+	if err != nil {
+		if cfg.WAL != nil {
+			cfg.WAL.Close()
+		}
+		return nil, err
+	}
+	coord.term = term
+	coord.commit = func(kind uint8) error { return r.commitEntry(term, kind, coord.ExportState) }
+	coord.SetEpochFloor(base.Epoch + 1)
+	// The barrier carries base's PendingP (NewFromState keeps it), so the
+	// intent stays durable across takeovers.
+	if err := r.propose(term, proto.EntryTakeover, coord.ExportState); err != nil {
+		coord.Close()
+		return nil, fmt.Errorf("barrier: %w", err)
+	}
+	// The drain resumes from the replicated watermark: the old leader's
+	// drained-but-unreplicated tail (at most one heartbeat of lag) is
+	// re-delivered, and node-side dedup absorbs it.
+	if err := coord.StartIngest(r.cfg.Ingest); err != nil {
+		coord.Close()
+		return nil, fmt.Errorf("ingest replay: %w", err)
+	}
+	if cfg.WAL != nil {
+		r.logf("ingest drain resumed from watermark %d", coord.IngestDrained())
+	}
+	return coord, nil
 }
 
 // maybeReplicateIngest commits the ingest drained watermark when it has
@@ -545,7 +556,7 @@ func (r *Replica) maybeReplicateIngest() {
 	committed := r.committed.State.IngestDrained
 	r.mu.Unlock()
 	if c.IngestDrained() > committed {
-		if err := r.propose(c.term, proto.EntryState, c.ExportState()); err != nil {
+		if err := r.propose(c.term, proto.EntryState, c.ExportState); err != nil {
 			r.logf("ingest watermark replication failed: %v", err)
 		}
 	}
@@ -620,12 +631,15 @@ func (r *Replica) replicateRound(term uint64) int {
 // accepted entry, at accepted.Index+1, and replicates it, returning nil
 // only after a majority holds it — then committed = accepted. A replica
 // that no longer leads that term refuses, so a deposed coordinator can
-// never commit under its successor. Proposals are serialised; a propose
-// that cannot reach a majority steps the leader down, closes its
-// coordinator, and errors.
-func (r *Replica) propose(term uint64, kind uint8, st proto.ControlState) error {
+// never commit under its successor. Proposals are serialised, and snap
+// is taken once this one's turn comes, so an entry never carries a
+// state older than the entry committed before it; a propose that cannot
+// reach a majority steps the leader down, closes its coordinator, and
+// errors.
+func (r *Replica) propose(term uint64, kind uint8, snap func() proto.ControlState) error {
 	r.proposeMu.Lock()
 	defer r.proposeMu.Unlock()
+	st := snap()
 	r.mu.Lock()
 	if r.role != RoleLeader || r.term != term {
 		leader := r.leader
@@ -658,12 +672,13 @@ func (r *Replica) propose(term uint64, kind uint8, st proto.ControlState) error 
 	return nil
 }
 
-// commitEntry is the commit hook becomeLeader installs on its
-// coordinator. An intent's commit is the crash point OnIntentCommitted
-// marks; it fires after proposeMu is released, so a hook that blocks
-// cannot stall the heartbeat's own proposals.
-func (r *Replica) commitEntry(term uint64, kind uint8, st proto.ControlState) error {
-	if err := r.propose(term, kind, st); err != nil {
+// commitEntry is the commit hook takeover installs on its coordinator.
+// An intent's commit is the crash point OnIntentCommitted marks; it
+// fires after proposeMu is released, so a hook that blocks cannot stall
+// the heartbeat's own proposals.
+func (r *Replica) commitEntry(term uint64, kind uint8, snap func() proto.ControlState) error {
+	var st proto.ControlState
+	if err := r.propose(term, kind, func() proto.ControlState { st = snap(); return st }); err != nil {
 		return err
 	}
 	if kind == proto.EntryIntent && r.cfg.OnIntentCommitted != nil {
@@ -772,11 +787,12 @@ func (r *Replica) HandleLease(req proto.LeaseReq) proto.LeaseResp {
 // Self returns this replica's address.
 func (r *Replica) Self() string { return r.cfg.Self }
 
-// IsLeader reports whether this replica currently holds the lease.
+// IsLeader reports whether this replica holds the lease and serves as
+// leader: its coordinator has rebuilt its backend and is published.
 func (r *Replica) IsLeader() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.role == RoleLeader
+	return r.role == RoleLeader && r.coord != nil
 }
 
 // Leader returns the last known leader address ("" when unknown).

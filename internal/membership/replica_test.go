@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/ingest"
 	"roar/internal/proto"
-	"roar/internal/store"
 	"roar/internal/wire"
 )
 
@@ -17,11 +17,10 @@ import (
 // full peer list, including itself, before any is constructed), then
 // serves each replica on its listener the way roar-member -peers does.
 // tmpl supplies everything but Self and Peers; its Lease and Heartbeat
-// default short. All replicas share one backend store — the paper's
-// shared-NFS stand-in (§4.1), which only an in-process replica set can
-// have — so a new leader can finish data-moving reconfigurations. kill
-// crashes one replica: it stops and its server closes, so peers see
-// connection failures.
+// default short, and its OpenWAL defaults to one log directory for the
+// set, as roar-member -peers -wal gives it: each leader opens its own
+// handle and rebuilds its own backend from it. kill crashes one replica:
+// it stops and its server closes, so peers see connection failures.
 func startReplicas(t *testing.T, n int, tmpl ReplicaConfig) (reps []*Replica, kill func(*Replica)) {
 	t.Helper()
 	if tmpl.Lease == 0 {
@@ -30,7 +29,10 @@ func startReplicas(t *testing.T, n int, tmpl ReplicaConfig) (reps []*Replica, ki
 	if tmpl.Logf == nil {
 		tmpl.Logf = t.Logf
 	}
-	tmpl.Coordinator.Backend = store.New()
+	if tmpl.OpenWAL == nil {
+		dir := t.TempDir()
+		tmpl.OpenWAL = func() (*ingest.WAL, error) { return ingest.Open(dir, ingest.Options{}) }
+	}
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
 	for i := range lns {
@@ -388,7 +390,7 @@ func TestReplicaRedrivesInheritedChangeP(t *testing.T) {
 	// the leader before it executes — the worst-case crash point.
 	intent := c.ExportState()
 	intent.PendingP = 2
-	if err := leader.propose(c.term, proto.EntryIntent, intent); err != nil {
+	if err := leader.propose(c.term, proto.EntryIntent, func() proto.ControlState { return intent }); err != nil {
 		t.Fatal(err)
 	}
 	leader.Stop()
@@ -422,5 +424,44 @@ func TestReplicaRedrivesInheritedChangeP(t *testing.T) {
 			t.Fatalf("pending marker should clear after re-drive: %+v", st)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestReplicaIntentRidesEveryCommit: an entry committed while a ChangeP
+// moves data (here one more state commit at the crash point) keeps the
+// intent, so a successor would still finish the move; the closing entry
+// clears it.
+func TestReplicaIntentRidesEveryCommit(t *testing.T) {
+	enc := slimEncoder()
+	_, addrs := startNodes(t, enc, 2)
+	var c *Coordinator
+	var leader *Replica
+	during := -1
+	reps, _ := startReplicas(t, 3, ReplicaConfig{
+		Coordinator: Config{P: 4},
+		OnIntentCommitted: func(int) {
+			if err := c.commitState(); err != nil {
+				t.Error(err)
+			}
+			st, _ := leader.CommittedState()
+			during = st.PendingP
+		},
+	})
+	leader = waitLeader(t, reps)
+	c = leaderCoord(t, leader)
+	ctx := context.Background()
+	for _, a := range addrs {
+		if _, err := c.Join(ctx, a, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.ChangeP(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if during != 2 {
+		t.Errorf("a commit during the move left PendingP %d, want 2", during)
+	}
+	if st, _ := leader.CommittedState(); st.PendingP != 0 || st.P != 2 {
+		t.Errorf("after the move: P %d, PendingP %d, want 2 and 0", st.P, st.PendingP)
 	}
 }

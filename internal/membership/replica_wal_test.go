@@ -8,10 +8,8 @@ import (
 	"roar/internal/ingest"
 )
 
-// TestReplicaLazyWALOpenAndHandoff pins the multi-process WAL
-// lifecycle: replicas sharing a WAL *directory* (separate handles, not
-// the in-process shared *ingest.WAL) must open it only on winning an
-// election — opening at startup races the peers on segment creation
+// TestReplicaLazyWALOpenAndHandoff pins the WAL lifecycle: replicas
+// sharing a WAL directory must open it only on winning an election — opening at startup races the peers on segment creation
 // and leaves followers with handles that go stale the moment the
 // leader appends. On failover the successor's fresh open must see
 // everything the previous leader fsynced.

@@ -24,7 +24,8 @@ import (
 )
 
 // ExportState snapshots the full replicable control state: topology,
-// partitioning level, ring power, node records, quarantine verdicts.
+// partitioning level and any pending change of it, ring power, node
+// records, quarantine verdicts.
 func (c *Coordinator) ExportState() proto.ControlState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -34,6 +35,7 @@ func (c *Coordinator) ExportState() proto.ControlState {
 		NextID:        int(c.nextID),
 		Rings:         len(c.rings),
 		IngestDrained: c.ingestDrained,
+		PendingP:      c.pendingP,
 	}
 	for k := range c.rings {
 		if c.disabled[k] {
@@ -71,7 +73,7 @@ func (c *Coordinator) ExportState() proto.ControlState {
 // NewFromState builds a live coordinator from a replicated snapshot —
 // the takeover path of a freshly elected leader. cfg supplies the
 // local, non-replicated configuration (tuning, health thresholds, the
-// shared Backend); the snapshot supplies everything replicable.
+// leader's WAL); the snapshot supplies everything replicable.
 func NewFromState(cfg Config, st proto.ControlState) (*Coordinator, error) {
 	if cfg.P <= 0 {
 		cfg.P = st.P
@@ -91,6 +93,7 @@ func NewFromState(cfg Config, st proto.ControlState) (*Coordinator, error) {
 	c.epoch = st.Epoch
 	c.nextID = ring.NodeID(st.NextID)
 	c.ingestDrained = st.IngestDrained
+	c.pendingP = st.PendingP
 	for _, k := range st.Disabled {
 		if k >= 0 && k < len(c.rings) {
 			c.disabled[k] = true

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"roar/internal/ingest"
 	"roar/internal/proto"
 	"roar/internal/store"
 	"roar/internal/wire"
@@ -126,16 +125,11 @@ func TestMemberSurface(t *testing.T) {
 	if err := store.SaveFile(path, corpus(t, enc, 40)); err != nil {
 		t.Fatal(err)
 	}
-	wal, err := ingest.Open(t.TempDir(), ingest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wal.Close() })
 	var intentPuts atomic.Int64
 	intentPuts.Store(-1)
 	intents := &intentLog{}
 	reps, _ := startReplicas(t, 3, ReplicaConfig{
-		Coordinator: Config{P: 4, WAL: wal},
+		Coordinator: Config{P: 4},
 		OnIntentCommitted: func(p int) {
 			intentPuts.Store(puts.Load())
 			intents.hook(p)
@@ -280,7 +274,7 @@ func TestMemberSurfaceStaleTermCommitRefused(t *testing.T) {
 	r.role, r.term = RoleLeader, 5
 	r.mu.Unlock()
 	var nle *NotLeaderError
-	if err := r.commitEntry(4, proto.EntryState, proto.ControlState{P: 2, Rings: 1}); !errors.As(err, &nle) {
+	if err := r.commitEntry(4, proto.EntryState, func() proto.ControlState { return proto.ControlState{P: 2, Rings: 1} }); !errors.As(err, &nle) {
 		t.Fatalf("term-4 commit on a term-5 leader: %v, want NotLeaderError", err)
 	}
 	if n := r.LastIndex(); n != 0 {

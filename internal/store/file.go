@@ -60,14 +60,6 @@ func SaveFile(path string, recs []pps.Encoded) error {
 	return f.Close()
 }
 
-// SaveTo persists the whole store.
-func (s *Store) SaveTo(path string) error {
-	s.mu.RLock()
-	recs := append([]pps.Encoded(nil), s.recs...)
-	s.mu.RUnlock()
-	return SaveFile(path, recs)
-}
-
 // LoadFile reads every record from a file written by SaveFile,
 // abandoning the read when ctx ends.
 func LoadFile(ctx context.Context, path string) ([]pps.Encoded, error) {
@@ -80,28 +72,6 @@ func LoadFile(ctx context.Context, path string) ([]pps.Encoded, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// LoadFrom replaces the store contents from a file, abandoning the
-// read when ctx ends. The file is read and sorted outside the lock and
-// swapped in under one write-lock hold, so a concurrent scan sees the
-// old contents or the new, never an empty store in between. The old
-// backing arrays are dropped whole; the next scan re-derives the
-// schedules, as after RetainStored.
-func (s *Store) LoadFrom(ctx context.Context, path string) error {
-	recs, err := LoadFile(ctx, path)
-	if err != nil {
-		return err
-	}
-	recs = SortedUnique(recs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	s.touchAllLocked()
-	s.scheduled.Store(false)
-	s.ks = nil
-	s.recs = recs
-	return nil
 }
 
 // StreamFile reads records sequentially, delivering them to fn in

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -182,7 +181,6 @@ func memoEqualsScan(t *testing.T, w *memoWorld, seed int64) {
 		s.matchMemo().budget = 8 * (memoEntryBytes + 8*8)
 	}
 	s.Insert(w.recs(rng, 60)...)
-	dir := t.TempDir()
 	for step := 0; step < 150; step++ {
 		when := fmt.Sprintf("seed %d step %d", seed, step)
 		switch op := rng.Intn(16); {
@@ -201,16 +199,6 @@ func memoEqualsScan(t *testing.T, w *memoWorld, seed int64) {
 		case op == 6:
 			if rng.Intn(3) == 0 {
 				s.RetainStored(ring.NewArc(ring.Point(rng.Float64()), 0.1+rng.Float64()/2), 2+rng.Intn(6))
-			}
-		case op == 7:
-			if rng.Intn(3) == 0 {
-				path := filepath.Join(dir, "load.dat")
-				if err := SaveFile(path, w.recs(rng, 20+rng.Intn(60))); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.LoadFrom(context.Background(), path); err != nil {
-					t.Fatal(err)
-				}
 			}
 		case op == 8:
 			// A fill cut short after a few batches: an error, and nothing
@@ -247,9 +235,9 @@ func memoEqualsScan(t *testing.T, w *memoWorld, seed int64) {
 
 // FuzzMemoEqualsScan: under any sequence of Insert (fresh ids, overwrites
 // that flip a match, batches across buckets), Delete, RetainStored,
-// LoadFrom, cancelled fills, refills and evictions, a memoized lookup of
-// any arc returns what a fresh MatchArc returns. It is also the test
-// that fails when a mutator of recs forgets to stamp its buckets.
+// cancelled fills, refills and evictions, a memoized lookup of any arc
+// returns what a fresh MatchArc returns. It is also the test that fails
+// when a mutator of recs forgets to stamp its buckets.
 func FuzzMemoEqualsScan(f *testing.F) {
 	w := newMemoWorld(f)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -412,44 +400,5 @@ func TestMemoConcurrent(t *testing.T) {
 		}
 		checkMemoInvariants(t, s, "quiescent")
 		checkScheduleInvariants(t, s, "quiescent")
-	}
-}
-
-// TestLoadFromNeverEmpty: LoadFrom swaps the contents under one lock
-// hold, so a concurrent reader sees the old records or the new ones,
-// never the emptied store a truncate-then-insert showed it (which a
-// sub-query would have answered with a complete-looking empty result).
-func TestLoadFromNeverEmpty(t *testing.T) {
-	recs, _ := testRecords(t, 400)
-	path := filepath.Join(t.TempDir(), "store.dat")
-	if err := SaveFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.Insert(recs...)
-	var stop atomic.Bool
-	var empties atomic.Int64
-	var scanner sync.WaitGroup
-	scanner.Add(1)
-	go func() {
-		defer scanner.Done()
-		for !stop.Load() {
-			if s.CountArc(0, 0) == 0 {
-				empties.Add(1)
-			}
-		}
-	}()
-	for i := 0; i < 30; i++ {
-		if err := s.LoadFrom(context.Background(), path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stop.Store(true)
-	scanner.Wait()
-	if n := empties.Load(); n != 0 {
-		t.Fatalf("a reader saw the store empty %d times during LoadFrom of a same-sized file", n)
-	}
-	if s.Len() != len(recs) {
-		t.Fatalf("Len = %d after LoadFrom, want %d", s.Len(), len(recs))
 	}
 }

@@ -35,10 +35,10 @@
 // whenever the records it holds there change. The match memo (memo.go)
 // rests on those stamps: an answer remembered for a bucket is current
 // exactly while the bucket's stamp is no newer than the answer. Every
-// mutator of recs (Insert, Delete, RetainStored, LoadFrom) stamps what
-// it changes through touchLocked or touchAllLocked, under the write lock
-// that covers the change; a new mutator must do the same, and
-// FuzzMemoEqualsScan is the test that catches one that forgets.
+// mutator of recs (Insert, Delete, RetainStored) stamps what it changes
+// through touchLocked, under the write lock that covers the change; a
+// new mutator must do the same, and FuzzMemoEqualsScan is the test that
+// catches one that forgets.
 package store
 
 import (
@@ -111,14 +111,6 @@ type Store struct {
 // touchLocked stamps the bucket of a record that the caller, holding the
 // write lock and having advanced gen, inserts, replaces or removes.
 func (s *Store) touchLocked(id uint64) { s.changed[bucketOf(id)] = s.gen }
-
-// touchAllLocked stamps every bucket, for a mutator that replaces the
-// contents wholesale.
-func (s *Store) touchAllLocked() {
-	for b := range s.changed {
-		s.changed[b] = s.gen
-	}
-}
 
 // New returns an empty store.
 func New() *Store { return &Store{} }

@@ -476,35 +476,6 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-func TestStoreSaveToLoadFrom(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.dat")
-	s := New()
-	recs, _ := testRecords(t, 80)
-	s.Insert(recs...)
-	if err := s.SaveTo(path); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New()
-	if err := s2.LoadFrom(context.Background(), path); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 80 {
-		t.Fatalf("loaded store has %d records", s2.Len())
-	}
-	// Replacing the contents of a store that has been scanned replaces
-	// its key schedules with them.
-	s.Delete(recs[0].ID)
-	s.activateSchedules()
-	if err := s.LoadFrom(context.Background(), path); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 80 {
-		t.Fatalf("reloaded store has %d records", s.Len())
-	}
-	checkScheduleInvariants(t, s, "after LoadFrom")
-}
-
 func TestMatchFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "meta.dat")
