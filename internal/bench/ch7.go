@@ -222,10 +222,12 @@ func fig74(quick bool) (Table, error) {
 			c.Close()
 			return t, err
 		}
-		// Update stream: re-push existing objects continuously.
-		stop := make(chan struct{})
+		// Update stream: re-push existing objects continuously. Its
+		// counters are read, and the cluster closed, only after it exits.
+		stop, done := make(chan struct{}), make(chan struct{})
 		var updates, replicas int
 		go func() {
+			defer close(done)
 			rng := rand.New(rand.NewSource(1))
 			for {
 				select {
@@ -248,6 +250,7 @@ func fig74(quick bool) (Table, error) {
 		}()
 		loaded, _, err := throughput(c, q, 3, dur)
 		close(stop)
+		<-done
 		c.Close()
 		if err != nil {
 			return t, err

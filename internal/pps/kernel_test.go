@@ -306,7 +306,8 @@ func TestShortFilterMatchesNothing(t *testing.T) {
 // compress path and on the lane path, once the predicate order settles,
 // matching a 256-record batch performs no heap allocations — keyed from
 // the nonces or from stored schedules — and neither does deriving the
-// schedules into a pre-grown slice.
+// schedules into a pre-grown slice, nor a round of sampling that
+// settles the order.
 func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
@@ -346,6 +347,15 @@ func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: settled-order MatchScheduled allocates %.1f objects per scan, want 0", name, allocs)
 		}
+		sample := mds[:SelectivitySamples]
+		sks := AppendKeySchedules(nil, sample)
+		allocs = testing.AllocsPerRun(50, func() {
+			run.restartSampling()
+			out = run.MatchScheduled(sample, sks, out[:0])
+		})
+		if allocs != 0 || run.Order() == nil {
+			t.Errorf("%s: sampling %d records allocates %.1f objects (settled on %v), want 0", name, len(sample), allocs, run.Order())
+		}
 	}
 	ks := make([]KeySchedule, 0, len(steady))
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -365,8 +375,11 @@ const scanBatch = 256
 // Run.Match, one record per call) and from stored schedules in 256-record
 // batches ("scheduled": what store.MatchArc pays, on the best path),
 // then "scheduled" on each path this build and CPU can run
-// ("scheduled/<path>", the lane path as "avx512"). An op is one record.
-// Run with -benchmem.
+// ("scheduled/<path>", the lane path as "avx512"). "sampling/<path>",
+// on every path but generic, is the cost of a sampled record: a
+// two-predicate Run over its first SelectivitySamples records, every
+// predicate evaluated, restarted without allocating for the next round.
+// An op is one record. Run with -benchmem.
 func BenchmarkMatchKernel(b *testing.B) {
 	const batch = scanBatch
 	m, q, mds := kernelCorpus(b, SelectivitySamples+4*batch, 3)
@@ -432,12 +445,43 @@ func BenchmarkMatchKernel(b *testing.B) {
 			b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 		}
 	}
+	sampling := func(p prfPath, lanes bool) func(*testing.B) {
+		return func(b *testing.B) {
+			two := Query{Op: q.Op, Preds: q.Preds[:2]}
+			run := newScanRun(m, two, p, lanes)
+			recs := mds[:SelectivitySamples]
+			ks := AppendKeySchedules(nil, recs)
+			out := make([]uint64, 0, len(recs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(recs) { // an op is a record
+				run.restartSampling()
+				n := min(len(recs), b.N-i)
+				run.MatchScheduled(recs[:n], ks[:n], out[:0])
+				if n == len(recs) && run.Order() == nil {
+					b.Fatal("sampling did not settle")
+				}
+			}
+		}
+	}
 	b.Run("scheduled", scheduled(bestPath, useLanes))
 	for _, name := range []string{"avx512", "shani", "portable", "generic"} {
 		if p, ok := scanPaths()[name]; ok {
 			b.Run("scheduled/"+name, scheduled(p, name == "avx512"))
 		}
 	}
+	for _, name := range []string{"avx512", "shani", "portable"} {
+		if p, ok := scanPaths()[name]; ok {
+			b.Run("sampling/"+name, sampling(p, name == "avx512"))
+		}
+	}
+}
+
+// restartSampling returns a Run to its first record's state, keeping its
+// storage, so a benchmark can sample again without allocating.
+func (r *Run) restartSampling() {
+	r.sampled, r.order = 0, nil
+	clear(r.counts)
 }
 
 // prfSink keeps BenchmarkPRFEval's results live.

@@ -5,8 +5,8 @@ import (
 	"math/bits"
 )
 
-// The lane path: on CPUs with AVX-512F (useLanes), a settled scan
-// advances 16 records at once instead of one. Each step
+// The lane path: on CPUs with AVX-512F (useLanes), a scan advances 16
+// records at once instead of one. Each step
 //
 //  1. evaluates every lane's next trapdoor element under that lane's
 //     record key schedule in one hmac16 call (digest words 0-1 only);
@@ -23,13 +23,23 @@ import (
 // without AVX-512F run the per-record loop unchanged: feeding the lanes
 // through SHA-NI one at a time measured slower than that loop.
 //
+// A pass (lanePass) takes a window of records through the lanes in one
+// order of predicates and leaves a bitmap of the matches. A settled Run
+// (or one with a single predicate) makes one pass per window in its
+// settled order. A Run that is still sampling makes one pass per
+// predicate over the records that complete its quota, each in that
+// predicate alone: the bitmaps count toward the selectivities and
+// combine by AND or OR into the verdicts, and the Run settles exactly at
+// SelectivitySamples records, as the per-record loop would.
+//
 // The lane path gives exactly the per-record loop's answer, ids in
-// record order; FuzzLanesMatchPerRecord compares the two. Each lane
-// steps through the settled order with the same rules as orderedMatch
-// and evalPred: an empty predicate holds, AND stops at the first
-// predicate that fails, OR at the first that holds, and the bit
-// position is the digest's leading 8 bytes mod MBits. A record whose
-// filter is shorter than MBits never enters a lane and matches nothing.
+// record order, with the same Sampled and Order after every call;
+// FuzzLanesMatchPerRecord compares the two. Each lane steps through its
+// order with the same rules as orderedMatch and evalPred: an empty
+// predicate holds, AND stops at the first predicate that fails, OR at
+// the first that holds, and the bit position is the digest's leading 8
+// bytes mod MBits. A record whose filter is shorter than MBits never
+// enters a lane, matches nothing and is not a sample.
 
 const (
 	// laneMin: once no record is left to enter, fewer live lanes than
@@ -37,7 +47,7 @@ const (
 	// cost more than their SHA-NI evaluations.
 	laneMin = 6
 	// laneWindow is the most records one lane pass takes: the size of
-	// the hit bitmap.
+	// a hit bitmap.
 	laneWindow = 64 * 64
 	// laneAhead is how many records ahead of the next to enter a lane
 	// the lane path prefetches filters and key schedules: about two
@@ -53,6 +63,11 @@ type lanes struct {
 	// and first[p+1] one past its last.
 	msg   [][8]uint32
 	first []int32
+
+	// preds[p] is p: preds[p:p+1] is the one-predicate order a sampling
+	// pass evaluates predicate p in, and the whole of a one-predicate
+	// Run's order, as it never samples.
+	preds []int
 
 	// hmac16's operands: the lanes' KeySchedules transposed (kt[w][i]
 	// is word w of lane i's), the element (index into msg) each lane
@@ -80,8 +95,9 @@ func newLanes(q Query) *lanes {
 	if !useLanes || len(q.Preds) == 0 {
 		return nil
 	}
-	l := &lanes{first: make([]int32, 0, len(q.Preds)+1)}
-	for _, p := range q.Preds {
+	l := &lanes{first: make([]int32, 0, len(q.Preds)+1), preds: make([]int, len(q.Preds))}
+	for i, p := range q.Preds {
+		l.preds[i] = i
 		l.first = append(l.first, int32(len(l.msg)))
 		for _, x := range p.Trapdoor {
 			if len(x) != 32 {
@@ -98,40 +114,106 @@ func newLanes(q Query) *lanes {
 	return l
 }
 
-// onlyPred is the order of a one-predicate Run, which never samples.
-var onlyPred = []int{0}
-
-// lanesReady reports whether the lane path may take the Run's next
-// record: there are lanes and key schedules, and the order is settled
-// (or there is nothing to order).
+// lanesReady reports whether the lane path takes the Run's records:
+// there are lanes, and key schedules to feed them.
 func (r *Run) lanesReady() bool {
-	return r.lanes != nil && r.prf.path != pathGeneric && (r.order != nil || len(r.q.Preds) == 1)
+	return r.lanes != nil && r.prf.path != pathGeneric
 }
 
-// matchLanes is MatchScheduled's lane path, for a Run past sampling. A
-// nil ks derives each record's schedule as it enters a lane.
+// matchLanes is MatchScheduled's lane path. A nil ks derives each
+// record's schedule as it enters a lane.
 func (r *Run) matchLanes(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
 	for len(recs) > 0 {
 		n := min(len(recs), laneWindow)
+		sampling := r.order == nil && len(r.q.Preds) > 1
+		samples := 0
+		if sampling {
+			n, samples = r.sampleSpan(recs[:n])
+		}
 		var wks []KeySchedule
 		if ks != nil {
 			wks, ks = ks[:n], ks[n:]
 		}
-		out = r.laneWindow(recs[:n], wks, out)
+		if sampling {
+			out = r.sampleLanes(recs[:n], wks, samples, out)
+		} else {
+			order := r.order
+			if order == nil {
+				order = r.lanes.preds
+			}
+			r.lanePass(recs[:n], wks, order, r.q.Op == And)
+			out = appendHits(r.lanes.hits[:(n+63)/64], recs[:n], out)
+		}
 		recs = recs[n:]
 	}
 	return out
 }
 
-// laneWindow matches recs (at most laneWindow of them) on the lanes and
-// appends the ids of the matches in record order.
-func (r *Run) laneWindow(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
-	l := r.lanes
-	order := r.order
-	if order == nil {
-		order = onlyPred
+// sampleSpan is how many of recs sampling takes next: through the record
+// that completes the quota of SelectivitySamples samples, or all of
+// them. A sample is a record whose filter is long enough to match
+// (matchKeyed's rule); samples is how many the span holds.
+func (r *Run) sampleSpan(recs []Encoded) (n, samples int) {
+	quota := SelectivitySamples - r.sampled
+	for n < len(recs) && samples < quota {
+		if len(recs[n].Filter)*8 >= r.m.mBits {
+			samples++
+		}
+		n++
 	}
+	return n, samples
+}
+
+// sampleLanes samples recs, which hold samples samples and no more than
+// the quota left, on the lanes: one pass per predicate, in that
+// predicate alone (a one-predicate order evaluates the same under AND
+// and OR). Each pass's hits count toward its predicate and combine into
+// the verdicts, on a bitmap on the stack; the Run then settles if the
+// quota is met, exactly as sampleMatch would have after these records.
+// Without ks, every pass derives a record's schedule anew.
+func (r *Run) sampleLanes(recs []Encoded, ks []KeySchedule, samples int, out []uint64) []uint64 {
+	l := r.lanes
 	and := r.q.Op == And
+	var verdicts [laneWindow / 64]uint64
+	words := (len(recs) + 63) / 64
+	for p := range r.q.Preds {
+		r.lanePass(recs, ks, l.preds[p:p+1], true)
+		for w, h := range l.hits[:words] {
+			l.hits[w] = 0
+			r.counts[p] += bits.OnesCount64(h)
+			switch {
+			case p == 0:
+				verdicts[w] = h
+			case and:
+				verdicts[w] &= h
+			default:
+				verdicts[w] |= h
+			}
+		}
+	}
+	r.sampled += samples
+	if r.sampled >= SelectivitySamples {
+		r.settle()
+	}
+	return appendHits(verdicts[:words], recs, out)
+}
+
+// appendHits appends the ids of the records whose bits are set in hits
+// (bit i: recs[i] matched), in record order, and clears hits.
+func appendHits(hits []uint64, recs []Encoded, out []uint64) []uint64 {
+	for w, h := range hits {
+		for b := h; b != 0; b &= b - 1 {
+			out = append(out, recs[64*w+bits.TrailingZeros64(b)].ID)
+		}
+		hits[w] = 0
+	}
+	return out
+}
+
+// lanePass takes recs (at most laneWindow of them) through the lanes in
+// order, AND or OR, and leaves the matches in l.hits.
+func (r *Run) lanePass(recs []Encoded, ks []KeySchedule, order []int, and bool) {
+	l := r.lanes
 	mBits := uint64(r.m.mBits)
 
 	ahead := func(rec int) {
@@ -223,17 +305,9 @@ func (r *Run) laneWindow(recs []Encoded, ks []KeySchedule, out []uint64) []uint6
 		l.el[i], l.filter[i] = 0, nil
 	}
 	l.live = 0
-
-	for w := range (len(recs) + 63) / 64 {
-		for b := l.hits[w]; b != 0; b &= b - 1 {
-			out = append(out, recs[64*w+bits.TrailingZeros64(b)].ID)
-		}
-		l.hits[w] = 0
-	}
-	return out
 }
 
-// hit records that record rec of the window matched.
+// hit records that record rec of the pass matched.
 func (l *lanes) hit(rec int) { l.hits[rec/64] |= 1 << (rec % 64) }
 
 // setKey installs s as lane i's key, unrolled: a record enters a lane

@@ -79,7 +79,11 @@ func TestHMAC16MatchesHMAC(t *testing.T) {
 
 // laneCase is one random scan FuzzLanesMatchPerRecord derives from its
 // inputs: a query, records whose filters are dense enough that some
-// match, and the batches the records arrive in.
+// match, and the batches the records arrive in. Shape bits 0-1 choose
+// one to three predicates, bit 2 OR, bit 3 an element of another size;
+// bit 4 makes one record in four short, so the sample holds short
+// filters; bit 5 ends the first batch two samples before the quota, so
+// the second straddles the SelectivitySamples-th sample.
 func laneCase(seed int64, n uint16, shape uint8) (*Matcher, Query, []Encoded, []int) {
 	rng := mrand.New(mrand.NewSource(seed))
 	m := &Matcher{mBits: 1 + rng.Intn(3000)}
@@ -103,6 +107,10 @@ func laneCase(seed int64, n uint16, shape uint8) (*Matcher, Query, []Encoded, []
 		}
 		q.Preds = append(q.Preds, BloomQuery{Trapdoor: td})
 	}
+	short := 20
+	if shape&16 != 0 {
+		short = 4
+	}
 	recs := make([]Encoded, int(n)%1000)
 	for i := range recs {
 		r := &recs[i]
@@ -110,7 +118,7 @@ func laneCase(seed int64, n uint16, shape uint8) (*Matcher, Query, []Encoded, []
 		r.Nonce = make([]byte, 16)
 		rng.Read(r.Nonce)
 		size := (m.mBits + 7) / 8
-		switch rng.Intn(20) {
+		switch rng.Intn(short) {
 		case 0:
 			size = rng.Intn(size) // short: matches nothing
 		case 1:
@@ -125,7 +133,21 @@ func laneCase(seed int64, n uint16, shape uint8) (*Matcher, Query, []Encoded, []
 		}
 	}
 	var batches []int
-	for left := len(recs); left > 0; {
+	left := len(recs)
+	if shape&32 != 0 {
+		samples := 0
+		for i := range recs {
+			if len(recs[i].Filter)*8 >= m.mBits {
+				samples++
+			}
+			if samples == SelectivitySamples-2 {
+				batches = append(batches, i+1)
+				left -= i + 1
+				break
+			}
+		}
+	}
+	for left > 0 {
 		b := min(left, rng.Intn(301))
 		batches = append(batches, b)
 		left -= b
@@ -134,12 +156,18 @@ func laneCase(seed int64, n uint16, shape uint8) (*Matcher, Query, []Encoded, []
 }
 
 // FuzzLanesMatchPerRecord: the lane path and the per-record path return
-// the same ids in the same order, batch by batch, whatever the records
-// (short filters among them), the predicates (one to three, empty ones,
-// elements of other sizes), AND or OR, and the batch lengths (0-300).
+// the same ids in the same order, and have sampled as many records and
+// settled on the same order, batch by batch, whatever the records
+// (short filters among them, inside the sample too), the predicates
+// (one to three, empty ones, elements of other sizes), AND or OR, and
+// the batch lengths (0-300, and batches that straddle the end of
+// sampling).
 func FuzzLanesMatchPerRecord(f *testing.F) {
 	for shape := range uint8(16) {
 		f.Add(int64(shape), uint16(700), shape)
+	}
+	for _, shape := range []uint8{17, 18, 21, 22, 33, 34, 37, 38, 49, 50, 53, 54} {
+		f.Add(int64(shape), uint16(900), shape)
 	}
 	f.Add(int64(99), uint16(40), uint8(0))
 	f.Add(int64(98), uint16(0), uint8(1))
@@ -158,7 +186,57 @@ func FuzzLanesMatchPerRecord(f *testing.F) {
 				t.Fatalf("after records [%d, %d) (%v, %d predicates, lanes %v): lane path %v, per-record %v",
 					from, from+b, q.Op, len(q.Preds), lanes.lanes != nil, got, want)
 			}
+			if lanes.Sampled() != ref.Sampled() || !slices.Equal(lanes.Order(), ref.Order()) {
+				t.Fatalf("after records [%d, %d) (%v, %d predicates, lanes %v): lane path sampled %d and settled on %v, per-record %d and %v",
+					from, from+b, q.Op, len(q.Preds), lanes.lanes != nil, lanes.Sampled(), lanes.Order(), ref.Sampled(), ref.Order())
+			}
 			from += b
 		}
 	})
+}
+
+// TestSettleSkipsSampling: a Run handed a permutation of its predicates
+// samples no record and returns the ids of a Run that sampled, on the
+// lane path and the per-record one, whatever the order (the sampled one
+// or its reverse). An order of the wrong length, with a repeat or with
+// an index out of range is ignored, and the Run samples as usual.
+func TestSettleSkipsSampling(t *testing.T) {
+	m, q, mds := kernelCorpus(t, SelectivitySamples+300, 3)
+	ks := AppendKeySchedules(nil, mds)
+	ref := newScanRun(m, q, bestPath, false)
+	want := ref.MatchScheduled(mds, ks, nil)
+	sampled := ref.Order()
+	if sampled == nil || ref.Sampled() != SelectivitySamples {
+		t.Fatalf("the reference Run sampled %d records and settled on %v", ref.Sampled(), sampled)
+	}
+	reversed := slices.Clone(sampled)
+	slices.Reverse(reversed)
+	for _, lanes := range []bool{false, true} {
+		if lanes && !useLanes {
+			continue
+		}
+		for _, order := range [][]int{sampled, reversed} {
+			run := newScanRun(m, q, bestPath, lanes)
+			run.Settle(order)
+			got := run.MatchScheduled(mds, ks, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("lanes %v, settled on %v: %d ids, the sampling Run %d", lanes, order, len(got), len(want))
+			}
+			if run.Sampled() != 0 || !slices.Equal(run.Order(), order) {
+				t.Fatalf("lanes %v, settled on %v: sampled %d records, order %v", lanes, order, run.Sampled(), run.Order())
+			}
+		}
+		for _, bad := range [][]int{nil, {0, 1}, {0, 1, 2, 0}, {0, 0, 1}, {0, 1, 3}, {-1, 0, 1}} {
+			run := newScanRun(m, q, bestPath, lanes)
+			run.Settle(bad)
+			if run.Order() != nil {
+				t.Fatalf("lanes %v: Settle(%v) settled on %v", lanes, bad, run.Order())
+			}
+			got := run.MatchScheduled(mds, ks, nil)
+			if !slices.Equal(got, want) || run.Sampled() != SelectivitySamples || !slices.Equal(run.Order(), sampled) {
+				t.Fatalf("lanes %v, after Settle(%v): %d ids (want %d), sampled %d, order %v (want %v)",
+					lanes, bad, len(got), len(want), run.Sampled(), run.Order(), sampled)
+			}
+		}
+	}
 }

@@ -1,8 +1,9 @@
 package pps
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ServerParams are the public parameters a matching server needs: only
@@ -61,25 +62,29 @@ const SelectivitySamples = 225
 // ordering (§5.6.5): the first SelectivitySamples records are matched
 // against every predicate while counting per-predicate selectivity;
 // afterwards predicates are sorted (most selective first for AND, least
-// selective first for OR) and evaluation short-circuits.
+// selective first for OR) and evaluation short-circuits. A caller that
+// already knows a settled order for the query (the store's match memo
+// keeps the first one a fill settled on) hands it to Settle, and the Run
+// samples nothing.
 //
 // Run owns a reusable PRF kernel, keyed once per record — from the
 // record's nonce, or from a KeySchedule the caller derived earlier — and
 // pads each trapdoor element once, so the settled-order steady state
 // performs zero heap allocations per record.
 //
-// On a CPU with AVX-512F, MatchScheduled (and so MatchBatch) takes the
-// lane path (lanes.go) once the order is settled, at once for a single
-// predicate: 16 records advance together, one 16-lane HMAC call per
-// step, keyed from the caller's schedules or, without them, from
-// schedules derived as each record enters a lane. Sampling and Match
-// stay per-record, as does a whole Run whose trapdoor elements are not
-// all 32 bytes, and fewer than laneMin live lanes at the end of a batch
-// finish on the per-record kernel. The lane path keeps every rule of
-// the per-record one (a short filter matches nothing, an empty
-// predicate holds, AND and OR short-circuit in the settled order, the
-// bit is the digest's leading 8 bytes mod MBits) and returns the same
-// ids in the same record order.
+// On a CPU with AVX-512F, MatchScheduled (and so MatchBatch) takes every
+// record on the lane path (lanes.go): 16 records advance together, one
+// 16-lane HMAC call per step, keyed from the caller's schedules or,
+// without them, from schedules derived as each record enters a lane.
+// Sampled records ride the lanes too, one single-predicate pass per
+// predicate. Match stays per-record, as does a whole Run whose trapdoor
+// elements are not all 32 bytes, and fewer than laneMin live lanes at
+// the end of a pass finish on the per-record kernel. The lane path
+// keeps every rule of the per-record one (a short filter matches
+// nothing and is no sample, an empty predicate holds, AND and OR
+// short-circuit in the settled order, the bit is the digest's leading 8
+// bytes mod MBits) and returns the same ids in the same record order,
+// with the same Sampled and Order after every call.
 //
 // Run is not safe for concurrent use; create one per matching thread
 // and merge results, or share one behind the store's batching.
@@ -89,14 +94,17 @@ type Run struct {
 	padded  [][]paddedMsg // q.Preds[i].Trapdoor[j] with its SHA-256 padding
 	counts  []int         // matches per predicate during sampling
 	sampled int
-	order   []int // settled evaluation order (nil until settled)
+	order   []int // settled evaluation order: perm once settled, nil before
+	perm    []int // the storage order is settled into
 	prf     prfKernel
 	lanes   *lanes // the lane path's state; nil where it cannot run
 }
 
 // NewRun starts the matching state for one query.
 func (m *Matcher) NewRun(q Query) *Run {
-	r := &Run{m: m, q: q, counts: make([]int, len(q.Preds)), padded: make([][]paddedMsg, len(q.Preds))}
+	n := len(q.Preds)
+	ints := make([]int, 2*n)
+	r := &Run{m: m, q: q, counts: ints[:n:n], perm: ints[n:], padded: make([][]paddedMsg, n)}
 	for i, p := range q.Preds {
 		r.padded[i] = make([]paddedMsg, len(p.Trapdoor))
 		for j, x := range p.Trapdoor {
@@ -113,6 +121,25 @@ func (r *Run) Sampled() int { return r.sampled }
 
 // Order returns the settled predicate order, or nil while sampling.
 func (r *Run) Order() []int { return r.order }
+
+// Settle ends sampling with order as the settled predicate order, for a
+// caller that learned it from an earlier Run of the same query: the Run
+// samples no record from here on. An order that is not a permutation of
+// the predicates' indexes (a wrong length, a repeat, an index out of
+// range) is ignored. The order decides how soon a record's evaluation
+// stops, never its answer.
+func (r *Run) Settle(order []int) {
+	if len(order) != len(r.perm) {
+		return
+	}
+	for i, p := range order {
+		if p < 0 || p >= len(order) || slices.Contains(order[:i], p) {
+			return
+		}
+	}
+	copy(r.perm, order)
+	r.order = r.perm
+}
 
 // evalPred checks predicate p against the record the kernel is currently
 // keyed for, whose filter matchKeyed has length-checked.
@@ -159,17 +186,14 @@ func (r *Run) MatchBatch(recs []Encoded, out []uint64) []uint64 {
 // MatchScheduled is MatchBatch for a caller that holds the records' key
 // schedules (ks[i] = the schedule of recs[i].Nonce, from
 // AppendKeySchedules): installing one replaces the per-record key
-// derivation, and past sampling the lane path takes the rest of the
-// batch where the CPU has one. A nil ks derives from the nonces.
+// derivation, and the lane path takes the whole batch, sampled records
+// included, where the CPU has one. A nil ks derives from the nonces.
 func (r *Run) MatchScheduled(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
+	if r.lanesReady() {
+		return r.matchLanes(recs, ks, out)
+	}
 	scheduled := ks != nil && r.prf.path != pathGeneric
 	for i := range recs {
-		if r.lanesReady() {
-			if ks != nil {
-				ks = ks[i:]
-			}
-			return r.matchLanes(recs[i:], ks, out)
-		}
 		if scheduled {
 			r.prf.install(&ks[i])
 		} else {
@@ -204,19 +228,20 @@ func (r *Run) sampleMatch(filter []byte) bool {
 	return any
 }
 
+// settle orders the predicates by their sampled counts, ties in index
+// order, into the Run's own storage: settling allocates nothing.
 func (r *Run) settle() {
-	r.order = make([]int, len(r.q.Preds))
-	for i := range r.order {
-		r.order[i] = i
+	for i := range r.perm {
+		r.perm[i] = i
 	}
-	asc := r.q.Op == And // AND: fewest matches (most selective) first
-	sort.SliceStable(r.order, func(a, b int) bool {
-		ca, cb := r.counts[r.order[a]], r.counts[r.order[b]]
-		if asc {
-			return ca < cb
+	and := r.q.Op == And // AND: fewest matches (most selective) first
+	slices.SortStableFunc(r.perm, func(a, b int) int {
+		if and {
+			return cmp.Compare(r.counts[a], r.counts[b])
 		}
-		return ca > cb
+		return cmp.Compare(r.counts[b], r.counts[a])
 	})
+	r.order = r.perm
 }
 
 func (r *Run) orderedMatch(filter []byte) bool {

@@ -61,13 +61,17 @@ func (s *bucketSet) count() int {
 }
 
 // memoEntry is what the memo knows about one query. mu guards asOf,
-// covered and ids and is taken before the store's lock, never after; the
-// remaining fields belong to matchMemo.mu.
+// covered, ids and order and is taken before the store's lock, never
+// after; the remaining fields belong to matchMemo.mu.
 type memoEntry struct {
 	mu      sync.Mutex
 	asOf    uint64    // store gen the entry was last reconciled at
 	covered bucketSet // buckets whose matches ids holds
 	ids     []uint64  // ascending: the matches, at asOf, in the covered buckets
+	// order is the predicate order the first fill that settled one
+	// settled on, which seeds every later fill's Runs so that none
+	// samples. A hint only: AND and OR do not depend on the order.
+	order []int
 
 	key  [sha256.Size]byte
 	size int64         // bytes counted in matchMemo.resident
@@ -84,11 +88,15 @@ type matchMemo struct {
 	resident int64
 
 	lookups, reused, rescanned, evictions int64
+	sampled, batches                      int64
 }
 
 // MemoStats snapshots a store's match memo. Reused and Rescanned count
 // the buckets of completed lookups' arcs answered from memory and
 // scanned; both are exact for a fixed sequence of operations.
+// RecordsSampled counts the records fills sampled to order a query's
+// predicates, and Batches the batches their matchers took; both are
+// exact for a fixed sequence with one matching thread.
 type MemoStats struct {
 	Lookups          int64
 	BucketsReused    int64
@@ -96,6 +104,8 @@ type MemoStats struct {
 	Evictions        int64
 	Entries          int
 	Bytes            int64
+	RecordsSampled   int64
+	Batches          int64
 }
 
 // MemoStats reports the memo's counters; all zero for a store that never
@@ -114,6 +124,8 @@ func (s *Store) MemoStats() MemoStats {
 		Evictions:        mm.evictions,
 		Entries:          len(mm.entries),
 		Bytes:            mm.resident,
+		RecordsSampled:   mm.sampled,
+		Batches:          mm.batches,
 	}
 }
 
@@ -147,13 +159,22 @@ func (mm *matchMemo) entry(q pps.Query) *memoEntry {
 	return e
 }
 
-// settle accounts a finished lookup: its bucket counts, the entry's new
-// size, and whatever the budget then evicts. The caller holds e.mu.
-func (mm *matchMemo) settle(e *memoEntry, reused, rescanned int) {
+// lookupCounts is what one lookup did.
+type lookupCounts struct {
+	scanned           int // records
+	reused, rescanned int // buckets
+	sampled, batches  int // the fill's
+}
+
+// settle accounts a finished lookup: its counts, the entry's new size,
+// and whatever the budget then evicts. The caller holds e.mu.
+func (mm *matchMemo) settle(e *memoEntry, c lookupCounts) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	mm.reused += int64(reused)
-	mm.rescanned += int64(rescanned)
+	mm.reused += int64(c.reused)
+	mm.rescanned += int64(c.rescanned)
+	mm.sampled += int64(c.sampled)
+	mm.batches += int64(c.batches)
 	if e.elem == nil {
 		return // evicted during the lookup: the answer stands, the entry is garbage
 	}
@@ -179,24 +200,25 @@ func (mm *matchMemo) removeLocked(e *memoEntry) {
 // MatchArcMemo answers like MatchArc, re-scanning only the buckets of
 // (lo, hi] that q's memo entry does not cover or that were written since
 // it did; scanned counts the records that took. refill drops what the
-// entry holds first, for a caller that suspects it. An error from ctx or
-// the limiter leaves the entry without anything of the cut-short scan.
+// entry holds first, its predicate order included, for a caller that
+// suspects it. An error from ctx or the limiter leaves the entry without
+// anything of the cut-short scan.
 func (s *Store) MatchArcMemo(ctx context.Context, m *pps.Matcher, q pps.Query, lo, hi ring.Point, opts MatchOptions, refill bool) (ids []uint64, scanned int, err error) {
 	mm := s.matchMemo()
 	e := mm.entry(q)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if refill {
-		e.covered, e.ids = bucketSet{}, e.ids[:0]
+		e.covered, e.ids, e.order = bucketSet{}, e.ids[:0], nil
 	}
-	ids, scanned, reused, rescanned, err := s.lookup(ctx, e, m, q, arcSpans(lo, hi), opts)
-	mm.settle(e, reused, rescanned) // a failed lookup too: it may have made the entry
-	return ids, scanned, err
+	ids, c, err := s.lookup(ctx, e, m, q, arcSpans(lo, hi), opts)
+	mm.settle(e, c) // a failed lookup too: it may have made the entry
+	return ids, c.scanned, err
 }
 
 // lookup reconciles e with the store, fills the buckets of spans it does
 // not cover, and copies out the ids inside spans. The caller holds e.mu.
-func (s *Store) lookup(ctx context.Context, e *memoEntry, m *pps.Matcher, q pps.Query, spans []idSpan, opts MatchOptions) (ids []uint64, scanned, reused, rescanned int, err error) {
+func (s *Store) lookup(ctx context.Context, e *memoEntry, m *pps.Matcher, q pps.Query, spans []idSpan, opts MatchOptions) (ids []uint64, c lookupCounts, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for !s.scheduled.Load() {
@@ -232,8 +254,9 @@ func (s *Store) lookup(ctx context.Context, e *memoEntry, m *pps.Matcher, q pps.
 	for w := range missing {
 		missing[w] &^= e.covered[w]
 	}
-	rescanned = missing.count()
-	if rescanned > 0 {
+	c.rescanned = missing.count()
+	c.reused = need - c.rescanned
+	if c.rescanned > 0 {
 		var runs []indexRange // one per run of consecutive missing buckets
 		for b := 0; b < numBuckets; b++ {
 			if !missing.has(b) {
@@ -251,14 +274,17 @@ func (s *Store) lookup(ctx context.Context, e *memoEntry, m *pps.Matcher, q pps.
 				runs = append(runs, indexRange{from, to})
 			}
 		}
-		var matched []uint64
-		matched, scanned, err = s.scanLocked(ctx, m, q, opts, runs)
+		sc, err := s.scanLocked(ctx, m, q, e.order, opts, runs)
 		if err != nil {
-			return nil, scanned, 0, 0, err
+			return nil, lookupCounts{scanned: sc.scanned}, err
 		}
-		e.ids = mergeDisjoint(e.ids, matched)
+		c.scanned, c.sampled, c.batches = sc.scanned, sc.sampled, sc.batches
+		e.ids = mergeDisjoint(e.ids, sc.ids)
 		for w := range missing {
 			e.covered[w] |= missing[w]
+		}
+		if e.order == nil {
+			e.order = sc.order
 		}
 	}
 	e.asOf = s.gen
@@ -270,7 +296,7 @@ func (s *Store) lookup(ctx context.Context, e *memoEntry, m *pps.Matcher, q pps.
 		to := sort.Search(len(e.ids), func(j int) bool { return e.ids[j] > sp.last })
 		ids = append(ids, e.ids[from:to]...)
 	}
-	return ids, scanned, need - rescanned, rescanned, nil
+	return ids, c, nil
 }
 
 // mergeDisjoint merges ascending b into ascending a, in a's storage when

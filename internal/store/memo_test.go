@@ -402,3 +402,86 @@ func TestMemoConcurrent(t *testing.T) {
 		checkScheduleInvariants(t, s, "quiescent")
 	}
 }
+
+// TestMemoFillKeepsOrderAndGathers pins what a warm fill costs once the
+// entry knows its predicate order: after a cold lookup of a
+// two-predicate query has sampled SelectivitySamples records and
+// settled, an Insert into three non-adjacent buckets makes the next
+// lookup re-scan those three buckets in one batch, sampling nothing,
+// with one matching thread or two. A refill drops the order and samples
+// again.
+func TestMemoFillKeepsOrderAndGathers(t *testing.T) {
+	w := newMemoWorld(t)
+	q := w.queries[4] // "even" OR "absent"
+	if len(q.Preds) != 2 || q.Op != pps.Or {
+		t.Fatalf("query 4 is %v over %d predicates, want OR over two", q.Op, len(q.Preds))
+	}
+	rng := rand.New(rand.NewSource(5))
+	s := New()
+	recs := make([]pps.Encoded, 2000)
+	for i := range recs {
+		recs[i] = w.meta[rng.Intn(len(w.meta))]
+		recs[i].ID = rng.Uint64()
+	}
+	s.Insert(recs...)
+	n := s.Len()
+
+	checkMemoLookup(t, s, w, q, 0, 0, MatchOptions{}, false, "cold")
+	cold := s.MemoStats()
+	if want := (n + 255) / 256; cold.RecordsSampled != pps.SelectivitySamples || cold.Batches != int64(want) {
+		t.Fatalf("cold lookup of %d records: %+v, want %d records sampled in %d batches", n, cold, pps.SelectivitySamples, want)
+	}
+
+	for round, threads := range []int{1, 2} {
+		before := s.MemoStats()
+		dirty := []int{100, 300, 700}
+		for _, b := range dirty {
+			r := w.meta[0]
+			r.ID = uint64(b)<<bucketShift + uint64(round+1)*12345
+			s.Insert(r)
+		}
+		inBuckets := 0
+		for _, held := range s.InArc(0, 0) {
+			if slices.Contains(dirty, bucketOf(held.ID)) {
+				inBuckets++
+			}
+		}
+		got, scanned, err := s.MatchArcMemo(context.Background(), w.m, q, 0, 0, MatchOptions{Threads: threads}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := s.MatchArc(context.Background(), w.m, q, 0, 0, MatchOptions{})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d threads: the warm lookup returned %d ids, a scan %d", threads, len(got), len(want))
+		}
+		st := s.MemoStats()
+		if scanned != inBuckets || st.BucketsRescanned != before.BucketsRescanned+3 ||
+			st.RecordsSampled != before.RecordsSampled || st.Batches != before.Batches+1 {
+			t.Fatalf("%d threads: warm lookup scanned %d records (3 buckets hold %d): %+v after %+v, want 3 buckets re-scanned in 1 batch, none sampled",
+				threads, scanned, inBuckets, st, before)
+		}
+	}
+
+	before := s.MemoStats()
+	if _, scanned, err := s.MatchArcMemo(context.Background(), w.m, q, 0, 0, MatchOptions{}, true); err != nil || scanned != s.Len() {
+		t.Fatalf("refill scanned %d of %d records (err %v)", scanned, s.Len(), err)
+	}
+	if st := s.MemoStats(); st.RecordsSampled != before.RecordsSampled+pps.SelectivitySamples {
+		t.Fatalf("a refill sampled %d records, want %d", st.RecordsSampled-before.RecordsSampled, pps.SelectivitySamples)
+	}
+
+	// Every gather the fills took went back cleared: the pool holds no
+	// record's bytes.
+	g := getGather(256)
+	for i, r := range g.recs[:cap(g.recs)] {
+		if r.Nonce != nil || r.Filter != nil || r.ID != 0 {
+			t.Fatalf("a pooled gather still holds record %d (id %d)", i, r.ID)
+		}
+	}
+	for i, k := range g.ks[:cap(g.ks)] {
+		if k != (pps.KeySchedule{}) {
+			t.Fatalf("a pooled gather still holds key schedule %d", i)
+		}
+	}
+	g.release()
+}

@@ -483,10 +483,41 @@ type MatchOptions struct {
 }
 
 // matchJob is one batch for a matcher: records and, from a store that
-// keeps them, their key schedules (nil otherwise).
+// keeps them, their key schedules (nil otherwise). A batch gathered from
+// short ranges carries its buffer, which the matcher releases once it
+// has matched the batch.
 type matchJob struct {
 	recs []pps.Encoded
 	ks   []pps.KeySchedule
+	g    *gather
+}
+
+// gather is one batch copied together from ranges shorter than a batch
+// (a fill of scattered buckets), so that they take one lane pass instead
+// of one short one each: a record costs its Encoded header and its
+// KeySchedule, ~120 bytes. The buffers are pooled, and one goes back
+// only cleared, so that no pooled buffer holds a record's bytes.
+type gather struct {
+	recs []pps.Encoded
+	ks   []pps.KeySchedule
+}
+
+var gathers sync.Pool // of *gather
+
+// getGather returns an empty gather with room for n records.
+func getGather(n int) *gather {
+	g, _ := gathers.Get().(*gather)
+	if g == nil || cap(g.recs) < n {
+		g = &gather{recs: make([]pps.Encoded, 0, n), ks: make([]pps.KeySchedule, 0, n)}
+	}
+	return g
+}
+
+func (g *gather) release() {
+	clear(g.recs)
+	clear(g.ks)
+	g.recs, g.ks = g.recs[:0], g.ks[:0]
+	gathers.Put(g)
 }
 
 // matchPool is the consumer side of the §5.6.3 pipeline, shared by the
@@ -498,39 +529,59 @@ type matchJob struct {
 // surfaced by join, because a partially-scanned arc must never look
 // like a complete answer.
 type matchPool struct {
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	matched []uint64
-	total   int
-	limErr  error
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	limErr error
+	scan   scanResult // the threads' results merged, ids unordered
 }
 
-func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, threads int, limiter func(context.Context, int) error, jobs <-chan matchJob) *matchPool {
+// scanResult is what a scan found: the matching ids and the records
+// scanned, and what its Runs did, for the memo to keep and count.
+type scanResult struct {
+	ids     []uint64
+	scanned int
+	order   []int // an order one of the Runs settled on; nil if none did
+	sampled int   // records the Runs sampled to order the predicates
+	batches int   // batches matched
+}
+
+// runMatchers starts the consumers. A non-nil order seeds every thread's
+// Run with it (pps.Run.Settle), so none samples.
+func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, order []int, threads int, limiter func(context.Context, int) error, jobs <-chan matchJob) *matchPool {
 	p := &matchPool{}
 	for t := 0; t < threads; t++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			run := m.NewRun(q) // per-thread dynamic predicate ordering
+			if order != nil {
+				run.Settle(order)
+			}
 			local := make([]uint64, 0, 64)
-			n := 0
+			n, batches := 0, 0
 			var aborted error
 			for job := range jobs {
-				if aborted != nil {
-					continue // drain the channel so the producer unblocks
+				// Once aborted, drain the channel so the producer unblocks.
+				if aborted == nil && limiter != nil {
+					aborted = limiter(ctx, len(job.recs))
 				}
-				if limiter != nil {
-					if err := limiter(ctx, len(job.recs)); err != nil {
-						aborted = err
-						continue
-					}
+				if aborted == nil {
+					local = run.MatchScheduled(job.recs, job.ks, local)
+					n += len(job.recs)
+					batches++
 				}
-				local = run.MatchScheduled(job.recs, job.ks, local)
-				n += len(job.recs)
+				if job.g != nil {
+					job.g.release()
+				}
 			}
 			p.mu.Lock()
-			p.matched = append(p.matched, local...)
-			p.total += n
+			p.scan.ids = append(p.scan.ids, local...)
+			p.scan.scanned += n
+			p.scan.batches += batches
+			p.scan.sampled += run.Sampled()
+			if p.scan.order == nil {
+				p.scan.order = run.Order()
+			}
 			if aborted != nil && p.limErr == nil {
 				p.limErr = aborted
 			}
@@ -541,11 +592,11 @@ func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, threads int, 
 }
 
 // join waits for the consumers (the jobs channel must be closed first)
-// and returns the merged matches, records scanned, and the first
-// limiter error.
-func (p *matchPool) join() ([]uint64, int, error) {
+// and returns what they found, the ids unordered, and the first limiter
+// error.
+func (p *matchPool) join() (scanResult, error) {
 	p.wg.Wait()
-	return p.matched, p.total, p.limErr
+	return p.scan, p.limErr
 }
 
 // activateSchedules derives the key schedule of every record: the
@@ -584,17 +635,21 @@ func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, h
 		s.activateSchedules()
 		s.mu.RLock()
 	}
-	return s.scanLocked(ctx, m, q, opts, s.arcRangesLocked(lo, hi))
+	sc, err := s.scanLocked(ctx, m, q, nil, opts, s.arcRangesLocked(lo, hi))
+	return sc.ids, sc.scanned, err
 }
 
 // scanLocked matches q against the records of ranges, all through one
-// producer/consumer pipeline, and returns the matching ids ascending
-// and the number of records scanned. It is the one scan both MatchArc
-// and the memo's fill run. The caller holds the read lock, with the
-// schedules active, until scanLocked returns. A scan that ctx or the
-// limiter cut short returns the error and no ids: a partial scan must
-// never look like a complete answer.
-func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, q pps.Query, opts MatchOptions, ranges []indexRange) (ids []uint64, scanned int, err error) {
+// producer/consumer pipeline, and returns the matching ids ascending,
+// the number of records scanned and what the Runs did. A non-nil order
+// is a settled predicate order to seed every Run with. It is the one
+// scan both MatchArc and the memo's fill run. The caller holds the read
+// lock, with the schedules active, until scanLocked returns. A range of
+// a batch or more goes to the matchers as views into the store; when
+// two or more are shorter, those are copied together into pooled
+// batches. A scan that ctx or the limiter cut short returns the error
+// and no ids: a partial scan must never look like a complete answer.
+func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, q pps.Query, order []int, opts MatchOptions, ranges []indexRange) (scanResult, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 1
@@ -603,27 +658,64 @@ func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, q pps.Query, opt
 	if batch <= 0 {
 		batch = 256
 	}
+	short := 0
+	for _, r := range ranges {
+		if r.to-r.from < batch {
+			short++
+		}
+	}
 	jobs := make(chan matchJob, 2*threads)
-	pool := runMatchers(ctx, m, q, threads, opts.Limiter, jobs)
+	pool := runMatchers(ctx, m, q, order, threads, opts.Limiter, jobs)
+	send := func(j matchJob) bool {
+		select {
+		case <-ctx.Done():
+			return false
+		case jobs <- j:
+			return true
+		}
+	}
+	var g *gather // the batch being gathered
+	flush := func() bool {
+		ok := send(matchJob{g.recs, g.ks, g})
+		if !ok {
+			g.release()
+		}
+		g = nil
+		return ok
+	}
 feed:
 	for _, r := range ranges {
+		if short > 1 && r.to-r.from < batch {
+			if g != nil && len(g.recs)+r.to-r.from > batch {
+				if !flush() {
+					break feed
+				}
+			}
+			if g == nil {
+				g = getGather(batch)
+			}
+			g.recs = append(g.recs, s.recs[r.from:r.to]...)
+			g.ks = append(g.ks, s.ks[r.from:r.to]...)
+			continue
+		}
 		for from := r.from; from < r.to; from += batch {
 			end := min(from+batch, r.to)
-			select {
-			case <-ctx.Done():
+			if !send(matchJob{recs: s.recs[from:end], ks: s.ks[from:end]}) {
 				break feed
-			case jobs <- matchJob{s.recs[from:end], s.ks[from:end]}:
 			}
 		}
 	}
+	if g != nil {
+		flush()
+	}
 	close(jobs)
-	matched, total, limErr := pool.join()
+	sc, limErr := pool.join()
 	if err := ctx.Err(); err != nil {
-		return nil, total, err
+		return scanResult{scanned: sc.scanned}, err
 	}
 	if limErr != nil {
-		return nil, total, limErr
+		return scanResult{scanned: sc.scanned}, limErr
 	}
-	sort.Slice(matched, func(a, b int) bool { return matched[a] < matched[b] })
-	return matched, total, nil
+	slices.Sort(sc.ids)
+	return sc, nil
 }
