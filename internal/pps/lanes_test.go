@@ -194,49 +194,3 @@ func FuzzLanesMatchPerRecord(f *testing.F) {
 		}
 	})
 }
-
-// TestSettleSkipsSampling: a Run handed a permutation of its predicates
-// samples no record and returns the ids of a Run that sampled, on the
-// lane path and the per-record one, whatever the order (the sampled one
-// or its reverse). An order of the wrong length, with a repeat or with
-// an index out of range is ignored, and the Run samples as usual.
-func TestSettleSkipsSampling(t *testing.T) {
-	m, q, mds := kernelCorpus(t, SelectivitySamples+300, 3)
-	ks := AppendKeySchedules(nil, mds)
-	ref := newScanRun(m, q, bestPath, false)
-	want := ref.MatchScheduled(mds, ks, nil)
-	sampled := ref.Order()
-	if sampled == nil || ref.Sampled() != SelectivitySamples {
-		t.Fatalf("the reference Run sampled %d records and settled on %v", ref.Sampled(), sampled)
-	}
-	reversed := slices.Clone(sampled)
-	slices.Reverse(reversed)
-	for _, lanes := range []bool{false, true} {
-		if lanes && !useLanes {
-			continue
-		}
-		for _, order := range [][]int{sampled, reversed} {
-			run := newScanRun(m, q, bestPath, lanes)
-			run.Settle(order)
-			got := run.MatchScheduled(mds, ks, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("lanes %v, settled on %v: %d ids, the sampling Run %d", lanes, order, len(got), len(want))
-			}
-			if run.Sampled() != 0 || !slices.Equal(run.Order(), order) {
-				t.Fatalf("lanes %v, settled on %v: sampled %d records, order %v", lanes, order, run.Sampled(), run.Order())
-			}
-		}
-		for _, bad := range [][]int{nil, {0, 1}, {0, 1, 2, 0}, {0, 0, 1}, {0, 1, 3}, {-1, 0, 1}} {
-			run := newScanRun(m, q, bestPath, lanes)
-			run.Settle(bad)
-			if run.Order() != nil {
-				t.Fatalf("lanes %v: Settle(%v) settled on %v", lanes, bad, run.Order())
-			}
-			got := run.MatchScheduled(mds, ks, nil)
-			if !slices.Equal(got, want) || run.Sampled() != SelectivitySamples || !slices.Equal(run.Order(), sampled) {
-				t.Fatalf("lanes %v, after Settle(%v): %d ids (want %d), sampled %d, order %v (want %v)",
-					lanes, bad, len(got), len(want), run.Sampled(), run.Order(), sampled)
-			}
-		}
-	}
-}

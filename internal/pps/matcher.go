@@ -62,10 +62,8 @@ const SelectivitySamples = 225
 // ordering (§5.6.5): the first SelectivitySamples records are matched
 // against every predicate while counting per-predicate selectivity;
 // afterwards predicates are sorted (most selective first for AND, least
-// selective first for OR) and evaluation short-circuits. A caller that
-// already knows a settled order for the query (the store's match memo
-// keeps the first one a fill settled on) hands it to Settle, and the Run
-// samples nothing.
+// selective first for OR) and evaluation short-circuits. A Run of one
+// predicate has nothing to order and samples nothing.
 //
 // Run owns a reusable PRF kernel, keyed once per record — from the
 // record's nonce, or from a KeySchedule the caller derived earlier — and
@@ -121,25 +119,6 @@ func (r *Run) Sampled() int { return r.sampled }
 
 // Order returns the settled predicate order, or nil while sampling.
 func (r *Run) Order() []int { return r.order }
-
-// Settle ends sampling with order as the settled predicate order, for a
-// caller that learned it from an earlier Run of the same query: the Run
-// samples no record from here on. An order that is not a permutation of
-// the predicates' indexes (a wrong length, a repeat, an index out of
-// range) is ignored. The order decides how soon a record's evaluation
-// stops, never its answer.
-func (r *Run) Settle(order []int) {
-	if len(order) != len(r.perm) {
-		return
-	}
-	for i, p := range order {
-		if p < 0 || p >= len(order) || slices.Contains(order[:i], p) {
-			return
-		}
-	}
-	copy(r.perm, order)
-	r.order = r.perm
-}
 
 // evalPred checks predicate p against the record the kernel is currently
 // keyed for, whose filter matchKeyed has length-checked.

@@ -111,11 +111,12 @@ type FEQueryResp struct {
 const (
 	// QueryMemo lets the node answer the encrypted scan from its match
 	// memo, re-scanning only the ring buckets written since it last
-	// scanned them for this query. A frontend sets it for a query its own
-	// result cache may answer.
+	// scanned them for one of the query's predicates. A frontend sets it
+	// for a query its own result cache may answer.
 	QueryMemo uint8 = 1 << 0
 	// QueryMemoRefill has the node drop what its memo holds for the
-	// query, scan the arc and remember the fresh answer (CacheRefresh).
+	// query's predicates, scan the arc and remember the fresh answers
+	// (CacheRefresh).
 	QueryMemoRefill uint8 = 1 << 1
 
 	queryFlagsKnown = QueryMemo | QueryMemoRefill

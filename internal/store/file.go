@@ -148,7 +148,7 @@ func MatchFile(ctx context.Context, path string, m *pps.Matcher, q pps.Query, op
 		batch = 256
 	}
 	jobs := make(chan matchJob, 2*threads)
-	pool := runMatchers(ctx, m, q, nil, threads, opts.Limiter, jobs)
+	pool := runMatchers(ctx, m, []pps.Query{q}, threads, opts.Limiter, jobs)
 	total, serr := StreamFile(ctx, path, batch, func(recs []pps.Encoded) bool {
 		select {
 		case <-ctx.Done():
@@ -171,5 +171,5 @@ func MatchFile(ctx context.Context, path string, m *pps.Matcher, q pps.Query, op
 	if limErr != nil {
 		return nil, total, limErr
 	}
-	return sc.ids, total, nil
+	return sc.ids[0], total, nil
 }

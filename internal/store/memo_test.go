@@ -21,6 +21,7 @@ import (
 // ring buckets, sit on bucket edges and sit at the ends of the id space.
 type memoWorld struct {
 	m       *pps.Matcher
+	enc     *pps.Encoder
 	queries []pps.Query
 	meta    []pps.Encoded // metadata only; rec stamps an id on one
 	ids     []uint64
@@ -32,20 +33,12 @@ func newMemoWorld(t testing.TB) *memoWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &memoWorld{m: m, meta: meta}
+	w := &memoWorld{m: m, enc: enc, meta: meta}
 	// Every single word and every ordered pair under both operators: more
 	// keys than a small budget holds, answers from none to all records.
 	words := []string{"even", "odd", "absent"}
 	add := func(op pps.BoolOp, ws ...string) {
-		preds := make([]pps.Predicate, len(ws))
-		for i, word := range ws {
-			preds[i] = pps.Predicate{Kind: pps.Keyword, Word: word}
-		}
-		q, err := enc.EncryptQuery(op, preds...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.queries = append(w.queries, q)
+		w.queries = append(w.queries, w.query(t, op, ws...))
 	}
 	for _, a := range words {
 		add(pps.And, a)
@@ -68,6 +61,19 @@ func newMemoWorld(t testing.TB) *memoWorld {
 		w.ids = append(w.ids, rng.Uint64())
 	}
 	return w
+}
+
+// query encrypts the op over one keyword predicate per word.
+func (w *memoWorld) query(t testing.TB, op pps.BoolOp, words ...string) pps.Query {
+	preds := make([]pps.Predicate, len(words))
+	for i, word := range words {
+		preds[i] = pps.Predicate{Kind: pps.Keyword, Word: word}
+	}
+	q, err := w.enc.EncryptQuery(op, preds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 // rec is a record for a random id of the world carrying random metadata,
@@ -103,8 +109,9 @@ func (w *memoWorld) arc(rng *rand.Rand) (lo, hi ring.Point) {
 
 // checkMemoLookup runs one memoized lookup and holds it to a fresh
 // MatchArc of the same arc: the same ids, and no more records scanned
-// than the store holds in the buckets the arc touches.
-func checkMemoLookup(t *testing.T, s *Store, w *memoWorld, q pps.Query, lo, hi ring.Point, opts MatchOptions, refill bool, when string) {
+// than the store holds in the buckets the arc touches. It returns the
+// records the lookup scanned.
+func checkMemoLookup(t *testing.T, s *Store, w *memoWorld, q pps.Query, lo, hi ring.Point, opts MatchOptions, refill bool, when string) int {
 	t.Helper()
 	got, scanned, err := s.MatchArcMemo(context.Background(), w.m, q, lo, hi, opts, refill)
 	if err != nil {
@@ -130,6 +137,7 @@ func checkMemoLookup(t *testing.T, s *Store, w *memoWorld, q pps.Query, lo, hi r
 	if scanned > bound {
 		t.Fatalf("%s: MatchArcMemo(%v, %v) scanned %d records, the arc's buckets hold %d", when, lo, hi, scanned, bound)
 	}
+	return scanned
 }
 
 // checkMemoInvariants asserts, at a quiescent point, what the memo
@@ -338,14 +346,17 @@ func TestMemoBudget(t *testing.T) {
 }
 
 // TestMemoConcurrent: writers of every kind race memoized lookups of the
-// same key and of different keys. Run under -race in CI. A lock-order
-// inversion between an entry's mutex and the store's lock would hang it;
-// at every quiescent point each key must answer like a fresh scan.
+// same key, of different keys, and of A AND B against B AND A, which
+// share both entries. Run under -race in CI. A lock-order inversion
+// between two entries' mutexes, or between one and the store's lock,
+// would hang it; at every quiescent point each key must answer like a
+// fresh scan.
 func TestMemoConcurrent(t *testing.T) {
 	w := newMemoWorld(t)
 	s := New()
 	s.Insert(w.recs(rand.New(rand.NewSource(3)), 100)...)
 	s.matchMemo().budget = 16 * memoEntryBytes // evictions race the lookups too
+	evenOdd, oddEven := w.query(t, pps.And, "even", "odd"), w.query(t, pps.And, "odd", "even")
 	for round := int64(0); round < 4; round++ {
 		var stop atomic.Bool
 		var writers, readers sync.WaitGroup
@@ -367,13 +378,20 @@ func TestMemoConcurrent(t *testing.T) {
 				}
 			}(rand.New(rand.NewSource(100*round + i)))
 		}
-		for i := int64(0); i < 4; i++ {
+		for i := int64(0); i < 6; i++ {
 			readers.Add(1)
 			go func(i int64, rng *rand.Rand) {
 				defer readers.Done()
 				for !stop.Load() {
-					q := w.queries[0] // two readers share a key
-					if i >= 2 {
+					var q pps.Query
+					switch i {
+					case 0, 1:
+						q = w.queries[0] // two readers share a key
+					case 2:
+						q = evenOdd // two readers share two keys in opposite orders
+					case 3:
+						q = oddEven
+					default:
 						q = w.queries[rng.Intn(len(w.queries))]
 					}
 					lo, hi := w.arc(rng)
@@ -403,19 +421,14 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestMemoFillKeepsOrderAndGathers pins what a warm fill costs once the
-// entry knows its predicate order: after a cold lookup of a
-// two-predicate query has sampled SelectivitySamples records and
-// settled, an Insert into three non-adjacent buckets makes the next
-// lookup re-scan those three buckets in one batch, sampling nothing,
-// with one matching thread or two. A refill drops the order and samples
-// again.
-func TestMemoFillKeepsOrderAndGathers(t *testing.T) {
+// TestMemoFillGathers pins what a warm fill of scattered buckets costs:
+// after a cold lookup of a two-predicate query, an Insert into three
+// non-adjacent buckets makes the next lookup re-scan those three buckets
+// in one batch for both predicates, with one matching thread or two, and
+// every gather goes back to its pool cleared.
+func TestMemoFillGathers(t *testing.T) {
 	w := newMemoWorld(t)
-	q := w.queries[4] // "even" OR "absent"
-	if len(q.Preds) != 2 || q.Op != pps.Or {
-		t.Fatalf("query 4 is %v over %d predicates, want OR over two", q.Op, len(q.Preds))
-	}
+	q := w.query(t, pps.Or, "even", "absent")
 	rng := rand.New(rand.NewSource(5))
 	s := New()
 	recs := make([]pps.Encoded, 2000)
@@ -428,8 +441,8 @@ func TestMemoFillKeepsOrderAndGathers(t *testing.T) {
 
 	checkMemoLookup(t, s, w, q, 0, 0, MatchOptions{}, false, "cold")
 	cold := s.MemoStats()
-	if want := (n + 255) / 256; cold.RecordsSampled != pps.SelectivitySamples || cold.Batches != int64(want) {
-		t.Fatalf("cold lookup of %d records: %+v, want %d records sampled in %d batches", n, cold, pps.SelectivitySamples, want)
+	if want := (n + 255) / 256; cold.Batches != int64(want) || cold.Entries != 2 {
+		t.Fatalf("cold lookup of %d records: %+v, want 2 entries filled in %d batches", n, cold, want)
 	}
 
 	for round, threads := range []int{1, 2} {
@@ -446,28 +459,12 @@ func TestMemoFillKeepsOrderAndGathers(t *testing.T) {
 				inBuckets++
 			}
 		}
-		got, scanned, err := s.MatchArcMemo(context.Background(), w.m, q, 0, 0, MatchOptions{Threads: threads}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, _ := s.MatchArc(context.Background(), w.m, q, 0, 0, MatchOptions{})
-		if !slices.Equal(got, want) {
-			t.Fatalf("%d threads: the warm lookup returned %d ids, a scan %d", threads, len(got), len(want))
-		}
+		scanned := checkMemoLookup(t, s, w, q, 0, 0, MatchOptions{Threads: threads}, false, "warm")
 		st := s.MemoStats()
-		if scanned != inBuckets || st.BucketsRescanned != before.BucketsRescanned+3 ||
-			st.RecordsSampled != before.RecordsSampled || st.Batches != before.Batches+1 {
-			t.Fatalf("%d threads: warm lookup scanned %d records (3 buckets hold %d): %+v after %+v, want 3 buckets re-scanned in 1 batch, none sampled",
+		if scanned != inBuckets || st.BucketsRescanned != before.BucketsRescanned+3 || st.Batches != before.Batches+1 {
+			t.Fatalf("%d threads: warm lookup scanned %d records (3 buckets hold %d): %+v after %+v, want 3 buckets re-scanned in 1 batch",
 				threads, scanned, inBuckets, st, before)
 		}
-	}
-
-	before := s.MemoStats()
-	if _, scanned, err := s.MatchArcMemo(context.Background(), w.m, q, 0, 0, MatchOptions{}, true); err != nil || scanned != s.Len() {
-		t.Fatalf("refill scanned %d of %d records (err %v)", scanned, s.Len(), err)
-	}
-	if st := s.MemoStats(); st.RecordsSampled != before.RecordsSampled+pps.SelectivitySamples {
-		t.Fatalf("a refill sampled %d records, want %d", st.RecordsSampled-before.RecordsSampled, pps.SelectivitySamples)
 	}
 
 	// Every gather the fills took went back cleared: the pool holds no
@@ -484,4 +481,187 @@ func TestMemoFillKeepsOrderAndGathers(t *testing.T) {
 		}
 	}
 	g.release()
+}
+
+// TestMemoSharesPredicates pins that entries are per predicate: once
+// "even" and "odd" have each been looked up, every AND and OR of the two,
+// in either order, is answered from their two entries without a scan,
+// and a one-record insert re-scans its bucket once for both predicates.
+func TestMemoSharesPredicates(t *testing.T) {
+	w := newMemoWorld(t)
+	s := New()
+	s.Insert(w.recs(rand.New(rand.NewSource(4)), 200)...)
+	for _, word := range []string{"even", "odd"} {
+		if scanned := checkMemoLookup(t, s, w, w.query(t, pps.And, word), 0, 0, MatchOptions{}, false, word); scanned != s.Len() {
+			t.Fatalf("cold lookup of %q scanned %d of %d records", word, scanned, s.Len())
+		}
+	}
+	cold := s.MemoStats()
+	if cold.Entries != 2 || cold.BucketsRescanned != 2*numBuckets {
+		t.Fatalf("after two cold lookups: %+v, want 2 entries and every bucket re-scanned twice", cold)
+	}
+
+	and := w.query(t, pps.And, "even", "odd")
+	for _, q := range []pps.Query{and, w.query(t, pps.And, "odd", "even"), w.query(t, pps.Or, "even", "odd")} {
+		if scanned := checkMemoLookup(t, s, w, q, 0, 0, MatchOptions{}, false, "shared"); scanned != 0 {
+			t.Fatalf("a query over two remembered predicates scanned %d records", scanned)
+		}
+	}
+	st := s.MemoStats()
+	if st.Entries != 2 || st.Lookups != 5 || st.BucketsRescanned != cold.BucketsRescanned || st.BucketsReused != 3*numBuckets {
+		t.Fatalf("after three shared lookups: %+v, want 2 entries, 5 lookups, none re-scanned, 3 arcs reused", st)
+	}
+
+	r := w.meta[0]
+	r.ID = 512<<bucketShift + 12345
+	s.Insert(r)
+	inBucket := 0
+	for _, held := range s.InArc(0, 0) {
+		if bucketOf(held.ID) == 512 {
+			inBucket++
+		}
+	}
+	if scanned := checkMemoLookup(t, s, w, and, 0, 0, MatchOptions{}, false, "after an insert"); scanned != inBucket {
+		t.Fatalf("after a one-record insert \"even\" AND \"odd\" scanned %d records, bucket 512 holds %d", scanned, inBucket)
+	}
+	if after := s.MemoStats(); after.BucketsRescanned != st.BucketsRescanned+1 || after.Batches != st.Batches+1 {
+		t.Fatalf("after the insert: %+v, want 1 bucket re-scanned in 1 batch after %+v", after, st)
+	}
+	for _, word := range []string{"even", "odd"} {
+		if scanned := checkMemoLookup(t, s, w, w.query(t, pps.And, word), 0, 0, MatchOptions{}, false, word); scanned != 0 {
+			t.Fatalf("%q alone scanned %d records after the two-predicate fill", word, scanned)
+		}
+	}
+}
+
+// TestMemoEdgeQueries: a repeated predicate is one entry, and a query
+// without predicates matches nothing without making one, under AND and
+// OR alike; each answers like MatchArc.
+func TestMemoEdgeQueries(t *testing.T) {
+	w := newMemoWorld(t)
+	s := New()
+	s.Insert(w.recs(rand.New(rand.NewSource(6)), 120)...)
+
+	for _, op := range []pps.BoolOp{pps.And, pps.Or} {
+		if scanned := checkMemoLookup(t, s, w, pps.Query{Op: op}, 0.1, 0.6, MatchOptions{}, false, "no predicate"); scanned != s.CountArc(0.1, 0.6) {
+			t.Fatalf("%v without predicates scanned %d of the arc's %d records", op, scanned, s.CountArc(0.1, 0.6))
+		}
+	}
+	if st := s.MemoStats(); st != (MemoStats{}) {
+		t.Fatalf("queries without predicates touched the memo: %+v", st)
+	}
+
+	checkMemoLookup(t, s, w, w.query(t, pps.And, "even", "even"), 0, 0, MatchOptions{}, false, "even AND even")
+	if st := s.MemoStats(); st.Entries != 1 || st.BucketsRescanned != numBuckets {
+		t.Fatalf("even AND even: %+v, want 1 entry, every bucket scanned once", st)
+	}
+	for _, q := range []pps.Query{w.query(t, pps.And, "even"), w.query(t, pps.Or, "even", "even"), w.query(t, pps.Or, "even")} {
+		if scanned := checkMemoLookup(t, s, w, q, 0.3, 0.9, MatchOptions{}, false, "even"); scanned != 0 {
+			t.Fatalf("a query over the remembered \"even\" alone scanned %d records", scanned)
+		}
+	}
+	if st := s.MemoStats(); st.Entries != 1 {
+		t.Fatalf("one predicate in four spellings made %d entries", st.Entries)
+	}
+}
+
+// TestMemoBroadPredicate pins the tombstone of a predicate too broad to
+// keep: an AND checks it on the candidates its other predicates leave,
+// exactly those records and no more; an OR over it and the predicate
+// alone take the plain scan; a refill drops the tombstone.
+func TestMemoBroadPredicate(t *testing.T) {
+	w := newMemoWorld(t)
+	rng := rand.New(rand.NewSource(8))
+	s := New()
+	recs := make([]pps.Encoded, 300)
+	for i := range recs {
+		recs[i] = w.meta[1] // "odd"
+		if i%20 == 0 {
+			recs[i] = w.meta[0] // "even"
+		}
+		recs[i].ID = rng.Uint64()
+	}
+	s.Insert(recs...)
+	n := s.Len()
+	mm := s.matchMemo()
+	mm.budget = 8 * (memoEntryBytes + 8*64) // room for "even", not for "odd"
+
+	and := w.query(t, pps.And, "even", "odd")
+	if scanned := checkMemoLookup(t, s, w, and, 0, 0, MatchOptions{}, false, "cold"); scanned != n {
+		t.Fatalf("cold lookup scanned %d of %d records", scanned, n)
+	}
+	if st := s.MemoStats(); st.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("after the cold lookup: %+v, want \"even\" kept and \"odd\" a tombstone", st)
+	}
+	checkMemoInvariants(t, s, "tombstone")
+
+	for _, arc := range [][2]ring.Point{{0, 0}, {0.25, 0.75}, {0.8, 0.3}} {
+		lo, hi := arc[0], arc[1]
+		cands, _, err := s.MatchArc(context.Background(), w.m, w.query(t, pps.And, "even"), lo, hi, MatchOptions{})
+		if err != nil || len(cands) == 0 {
+			t.Fatalf("arc (%v, %v): %d \"even\" records (err %v)", lo, hi, len(cands), err)
+		}
+		before := s.MemoStats()
+		for _, q := range []pps.Query{and, w.query(t, pps.And, "odd", "even")} {
+			if scanned := checkMemoLookup(t, s, w, q, lo, hi, MatchOptions{}, false, "candidates"); scanned != len(cands) {
+				t.Fatalf("arc (%v, %v): the AND over a tombstone scanned %d records, its candidates are %d", lo, hi, scanned, len(cands))
+			}
+		}
+		if st := s.MemoStats(); st.Batches != before.Batches+2 || st.BucketsRescanned != before.BucketsRescanned {
+			t.Fatalf("arc (%v, %v): %+v after %+v, want each candidate check in 1 batch and no bucket re-scanned", lo, hi, st, before)
+		}
+	}
+
+	for _, q := range []pps.Query{w.query(t, pps.And, "odd"), w.query(t, pps.Or, "even", "odd")} {
+		if scanned := checkMemoLookup(t, s, w, q, 0, 0, MatchOptions{}, false, "plain"); scanned != n {
+			t.Fatalf("a query the memo cannot answer scanned %d of %d records", scanned, n)
+		}
+	}
+	if st := s.MemoStats(); st.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("plain scans changed the memo: %+v", st)
+	}
+
+	if scanned := checkMemoLookup(t, s, w, and, 0, 0, MatchOptions{}, true, "refill"); scanned != n {
+		t.Fatalf("a refill scanned %d of %d records", scanned, n)
+	}
+	if st := s.MemoStats(); st.Entries != 2 || st.Evictions != 2 {
+		t.Fatalf("after the refill: %+v, want \"odd\" filled and turned into a tombstone again", st)
+	}
+	checkMemoInvariants(t, s, "after the refill")
+}
+
+// BenchmarkMemoLookup is the cost of a lookup the memo answers without a
+// scan, over a 4 000-record store, on the full ring: warm repeats a
+// one-predicate query; shared asks an AND of two predicates whose entries
+// single-predicate lookups made.
+func BenchmarkMemoLookup(b *testing.B) {
+	w := newMemoWorld(b)
+	rng := rand.New(rand.NewSource(9))
+	s := New()
+	recs := make([]pps.Encoded, 4000)
+	for i := range recs {
+		recs[i] = w.meta[rng.Intn(len(w.meta))]
+		recs[i].ID = rng.Uint64()
+	}
+	s.Insert(recs...)
+	ctx := context.Background()
+	even, absent := w.query(b, pps.And, "even"), w.query(b, pps.And, "absent")
+	for _, q := range []pps.Query{even, absent} {
+		if _, _, err := s.MatchArcMemo(ctx, w.m, q, 0, 0, MatchOptions{}, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		q    pps.Query
+	}{{"warm", even}, {"shared", w.query(b, pps.And, "even", "absent")}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, scanned, err := s.MatchArcMemo(ctx, w.m, bc.q, 0.2, 0.7, MatchOptions{}, false); err != nil || scanned != 0 {
+					b.Fatalf("scanned %d (err %v)", scanned, err)
+				}
+			}
+		})
+	}
 }

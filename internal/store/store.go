@@ -535,29 +535,30 @@ type matchPool struct {
 	scan   scanResult // the threads' results merged, ids unordered
 }
 
-// scanResult is what a scan found: the matching ids and the records
-// scanned, and what its Runs did, for the memo to keep and count.
+// scanResult is what a scan found: per query, the matching ids, and the
+// records scanned and batches matched, for the memo to keep and count.
 type scanResult struct {
-	ids     []uint64
+	ids     [][]uint64 // ids[i]: the matches of the scan's query i
 	scanned int
-	order   []int // an order one of the Runs settled on; nil if none did
-	sampled int   // records the Runs sampled to order the predicates
-	batches int   // batches matched
+	batches int
 }
 
-// runMatchers starts the consumers. A non-nil order seeds every thread's
-// Run with it (pps.Run.Settle), so none samples.
-func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, order []int, threads int, limiter func(context.Context, int) error, jobs <-chan matchJob) *matchPool {
-	p := &matchPool{}
+// runMatchers starts the consumers. Each thread keeps one Run per query
+// and hands every batch to all of them in turn, so a batch is read from
+// memory once however many queries it answers; a record counts as
+// scanned once.
+func runMatchers(ctx context.Context, m *pps.Matcher, qs []pps.Query, threads int, limiter func(context.Context, int) error, jobs <-chan matchJob) *matchPool {
+	p := &matchPool{scan: scanResult{ids: make([][]uint64, len(qs))}}
 	for t := 0; t < threads; t++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			run := m.NewRun(q) // per-thread dynamic predicate ordering
-			if order != nil {
-				run.Settle(order)
+			runs := make([]*pps.Run, len(qs)) // per-thread dynamic predicate ordering
+			local := make([][]uint64, len(qs))
+			for i, q := range qs {
+				runs[i] = m.NewRun(q)
+				local[i] = make([]uint64, 0, 64)
 			}
-			local := make([]uint64, 0, 64)
 			n, batches := 0, 0
 			var aborted error
 			for job := range jobs {
@@ -566,7 +567,9 @@ func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, order []int, 
 					aborted = limiter(ctx, len(job.recs))
 				}
 				if aborted == nil {
-					local = run.MatchScheduled(job.recs, job.ks, local)
+					for i, run := range runs {
+						local[i] = run.MatchScheduled(job.recs, job.ks, local[i])
+					}
 					n += len(job.recs)
 					batches++
 				}
@@ -575,13 +578,11 @@ func runMatchers(ctx context.Context, m *pps.Matcher, q pps.Query, order []int, 
 				}
 			}
 			p.mu.Lock()
-			p.scan.ids = append(p.scan.ids, local...)
+			for i := range local {
+				p.scan.ids[i] = append(p.scan.ids[i], local[i]...)
+			}
 			p.scan.scanned += n
 			p.scan.batches += batches
-			p.scan.sampled += run.Sampled()
-			if p.scan.order == nil {
-				p.scan.order = run.Order()
-			}
 			if aborted != nil && p.limErr == nil {
 				p.limErr = aborted
 			}
@@ -635,21 +636,24 @@ func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, h
 		s.activateSchedules()
 		s.mu.RLock()
 	}
-	sc, err := s.scanLocked(ctx, m, q, nil, opts, s.arcRangesLocked(lo, hi))
-	return sc.ids, sc.scanned, err
+	sc, err := s.scanLocked(ctx, m, []pps.Query{q}, opts, s.arcRangesLocked(lo, hi))
+	if err != nil {
+		return nil, sc.scanned, err
+	}
+	return sc.ids[0], sc.scanned, nil
 }
 
-// scanLocked matches q against the records of ranges, all through one
-// producer/consumer pipeline, and returns the matching ids ascending,
-// the number of records scanned and what the Runs did. A non-nil order
-// is a settled predicate order to seed every Run with. It is the one
-// scan both MatchArc and the memo's fill run. The caller holds the read
-// lock, with the schedules active, until scanLocked returns. A range of
-// a batch or more goes to the matchers as views into the store; when
-// two or more are shorter, those are copied together into pooled
-// batches. A scan that ctx or the limiter cut short returns the error
-// and no ids: a partial scan must never look like a complete answer.
-func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, q pps.Query, order []int, opts MatchOptions, ranges []indexRange) (scanResult, error) {
+// scanLocked matches every query of qs against the records of ranges,
+// all through one producer/consumer pipeline, and returns each query's
+// matching ids ascending and the number of records scanned. It is the
+// one scan MatchArc and the memo's fills and candidate checks run. The
+// caller holds the read lock, with the schedules active, until
+// scanLocked returns. A range of a batch or more goes to the matchers as
+// views into the store; when two or more are shorter, those are copied
+// together into pooled batches. A scan that ctx or the limiter cut short
+// returns the error and no ids: a partial scan must never look like a
+// complete answer.
+func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, qs []pps.Query, opts MatchOptions, ranges []indexRange) (scanResult, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 1
@@ -665,7 +669,7 @@ func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, q pps.Query, ord
 		}
 	}
 	jobs := make(chan matchJob, 2*threads)
-	pool := runMatchers(ctx, m, q, order, threads, opts.Limiter, jobs)
+	pool := runMatchers(ctx, m, qs, threads, opts.Limiter, jobs)
 	send := func(j matchJob) bool {
 		select {
 		case <-ctx.Done():
@@ -716,6 +720,8 @@ feed:
 	if limErr != nil {
 		return scanResult{scanned: sc.scanned}, limErr
 	}
-	slices.Sort(sc.ids)
+	for _, ids := range sc.ids {
+		slices.Sort(ids)
+	}
 	return sc, nil
 }
