@@ -18,9 +18,10 @@ import (
 // whole process, on its way from IngestAppend to every replica: the WAL
 // append and group commit, the coordinator's backend insert, the drain's
 // read, order, route and pushes, both ends of the wire and each holder's
-// decode and apply. Measured 8.6 (24.8 when the drain routed each record
-// under its own lock and every decode allocated nonce and filter
-// apart); the room is one allocation per record.
+// decode and apply. Measured 8.4 (8.6 while a batch insert allocated
+// its ids' positions, 24.8 when the drain routed each record under its
+// own lock and every decode allocated nonce and filter apart); the room
+// is one allocation per record.
 const drainAllocsCeiling = 9.6
 
 // TestDrainAllocsPerRecord is the count gate on the write path's per
@@ -28,8 +29,9 @@ const drainAllocsCeiling = 9.6
 // universe of ids every node already holds, rewritten in 64-record
 // IngestPuts and drained. The drain batch is one put, so every batch
 // holds exactly 64 records however the drain and the writer interleave,
-// and the count is exact; at the default batch of 256 it moves between
-// about 6.7 and 8.3 with the interleaving.
+// and the count is exact. At the default round cap of 1 024 a round
+// takes every put the writer got in ahead of the drain, and the count,
+// 6.2 in eight runs, depends on that interleaving.
 func TestDrainAllocsPerRecord(t *testing.T) {
 	c, err := Start(Options{
 		Nodes: 8, P: 2, IngestDir: t.TempDir(), IngestBatch: 64, Seed: 1,

@@ -450,3 +450,35 @@ func TestDrainRoutesOncePerAttempt(t *testing.T) {
 		}
 	}
 }
+
+// TestConsumerDefaultRoundCap pins the default round cap by exact
+// counts: 2 500 records appended before the drain starts are a backlog,
+// and ConsumerConfig{} drains it in rounds of 1 024, 1 024 and 452.
+func TestConsumerDefaultRoundCap(t *testing.T) {
+	w := openTestWAL(t)
+	seq, err := w.Append(testRecs(50, 2500)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sink{}
+	var mu sync.Mutex
+	var rounds []int
+	route := func(dst []Placement, batch []pps.Encoded) ([]Placement, error) {
+		mu.Lock()
+		rounds = append(rounds, len(batch))
+		mu.Unlock()
+		return staticRoute(Target{Key: "s", Push: s.push})(dst, batch)
+	}
+	c := NewConsumer(w, ConsumerConfig{Route: route})
+	c.Start(0)
+	defer c.Stop()
+	waitDrained(t, c, seq)
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(rounds, []int{1024, 1024, 452}) {
+		t.Fatalf("a 2 500-record backlog drained in Route calls of %v records, want [1024 1024 452]", rounds)
+	}
+	if got, n := s.ids(); len(got) != 2500 || n != 2500 {
+		t.Fatalf("delivered %d records, %d distinct, want 2 500 once each", n, len(got))
+	}
+}

@@ -11,8 +11,8 @@ import (
 )
 
 // cursorBufBytes is the read buffer a cursor allocates at its first
-// read: a default consumer batch (256 frames of a slim record) in one
-// pread. A frame larger than this grows the buffer to fit.
+// read: 256 frames of a slim record in one pread, so a default consumer
+// batch takes a few. A frame larger than this grows the buffer to fit.
 const cursorBufBytes = 64 << 10
 
 // cursor is the one reader of the log. It stays positioned after the

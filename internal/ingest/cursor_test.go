@@ -390,7 +390,7 @@ func TestDrainDecodesEachFrameOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &sink{}
-	c := NewConsumer(w, ConsumerConfig{Route: staticRoute(Target{Key: "s", Push: s.push})})
+	c := NewConsumer(w, ConsumerConfig{Route: staticRoute(Target{Key: "s", Push: s.push}), BatchSize: 256})
 	c.Start(0)
 	waitDrained(t, c, seq)
 	c.Stop()

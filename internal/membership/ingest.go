@@ -60,10 +60,13 @@ type IngestConfig struct {
 // IngestAppend durably accepts records: they are fsynced to the WAL and
 // inserted into the backend before the call returns; delivery to the
 // owning nodes happens asynchronously. Returns the WAL sequence of the
-// last record — WaitIngestDrained on it blocks until delivery. A
-// replicated coordinator commits before it acknowledges: a deposed
-// leader's accepted batch errors out, the producer retries on the new
-// leader, and record-ID dedup absorbs the duplicate append.
+// last record — WaitIngestDrained on it blocks until delivery. The
+// backend takes the records in WAL order, after every earlier sequence,
+// so of two appends of one id it keeps the one the log keeps; on a
+// reopened log that means after StartIngest's replay. A replicated
+// coordinator commits before it acknowledges: a deposed leader's
+// accepted batch errors out, the producer retries on the new leader,
+// and record-ID dedup absorbs the duplicate append.
 func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uint64, error) {
 	if c.wal == nil {
 		return 0, errIngestDisabled
@@ -80,8 +83,17 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 	if err != nil {
 		return 0, err
 	}
+	// The appenders one group commit wakes reach mu in any order.
+	first := seq - uint64(len(recs)) + 1
 	c.mu.Lock()
-	c.backend.Insert(recs...)
+	for c.ingestApplied+1 < first {
+		c.ingestTurn.Wait()
+	}
+	if c.ingestApplied < seq { // else the replay applied them
+		c.backend.Insert(recs[c.ingestApplied+1-first:]...)
+		c.ingestApplied = seq
+		c.ingestTurn.Broadcast()
+	}
 	if seq > c.ingestSeq {
 		c.ingestSeq = seq
 	}
@@ -95,17 +107,23 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 var errIngestDisabled = errors.New("membership: ingest disabled (no WAL configured)")
 
 // StartIngest replays the WAL into the backend, which is how every
-// coordinator, restarted or newly elected, rebuilds its corpus (backend
-// inserts dedup by ID, so replaying records the backend already holds is
-// a no-op), and starts the drain consumer from the restored drained
-// watermark. No-op without a WAL or when already started.
+// coordinator, restarted or newly elected, rebuilds its corpus (records
+// an append already applied are skipped, so the backend still takes
+// every sequence once and in order), and starts the drain consumer from
+// the restored drained watermark. No-op without a WAL or when already
+// started.
 func (c *Coordinator) StartIngest(cfg IngestConfig) error {
 	if c.wal == nil {
 		return nil
 	}
 	var recs []pps.Encoded
+	var first, replayed uint64 // the sequences of recs
 	err := c.wal.Replay(0, func(seq uint64, rec pps.Encoded) bool {
+		if first == 0 {
+			first = seq
+		}
 		recs = append(recs, rec)
+		replayed = seq
 		return true
 	})
 	if err != nil {
@@ -117,7 +135,13 @@ func (c *Coordinator) StartIngest(cfg IngestConfig) error {
 		c.mu.Unlock()
 		return nil
 	}
-	c.backend.Insert(recs...)
+	if replayed > c.ingestApplied {
+		// Appends to a fresh log may have applied a prefix already.
+		skip := max(c.ingestApplied+1, first) - first
+		c.backend.Insert(recs[skip:]...)
+		c.ingestApplied = replayed
+		c.ingestTurn.Broadcast()
+	}
 	if last > c.ingestSeq {
 		c.ingestSeq = last
 	}

@@ -87,6 +87,12 @@ type Coordinator struct {
 	consumer      *ingest.Consumer
 	ingestSeq     uint64
 	ingestDrained uint64
+	// ingestApplied is the last WAL sequence the backend holds: it takes
+	// records in WAL order, StartIngest's replay first, then each
+	// append's once every earlier sequence is in. ingestTurn (on mu)
+	// wakes the appenders waiting for their turn.
+	ingestApplied uint64
+	ingestTurn    sync.Cond
 	// ingestTargets holds the delivery target routeBatch built for each
 	// node under ingestTargetsEpoch, so the records of a batch share one
 	// key string and push closure per node; emptied when the epoch moves.
@@ -150,6 +156,7 @@ func New(cfg Config) (*Coordinator, error) {
 		health:   newHealthState(cfg.Health),
 		wal:      cfg.WAL,
 	}
+	c.ingestTurn.L = &c.mu
 	for k := 0; k < cfg.Rings; k++ {
 		c.rings = append(c.rings, ring.New())
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"roar/internal/pps"
@@ -104,24 +105,68 @@ func TestInsertBatchCases(t *testing.T) {
 	}
 }
 
-// BenchmarkInsertExisting is the drain's steady state: a batch of ids the
-// store already holds (a re-delivery, or a rewrite of existing objects).
+// BenchmarkInsertExisting is the drain's steady state: sorted batches of
+// ids the store already holds (a re-delivery, or a rewrite of existing
+// objects), reported per record. one-bucket holds 8 192 records whose
+// ids all share bucket 0, so the directory narrows nothing and a lookup
+// searches the whole slice. spread is a node's shape: 9 stores of 11–17k
+// records at random ids, each taking a 128-record batch in turn, so a
+// lookup's probes miss the cache as they do beside the rest of a node.
 func BenchmarkInsertExisting(b *testing.B) {
-	const n, k = 8192, 256
-	recs := make([]pps.Encoded, n)
-	for i := range recs {
-		recs[i].ID = uint64(i) << 40
-		recs[i].Nonce = make([]byte, 16)
-		recs[i].Filter = make([]byte, 64)
-	}
-	s := New()
-	s.Insert(recs...)
-	batch := make([]pps.Encoded, k)
-	for i := range batch {
-		batch[i] = recs[i*(n/k)]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Insert(batch...)
-	}
+	b.Run("one-bucket", func(b *testing.B) {
+		const n, k = 8192, 256
+		recs := make([]pps.Encoded, n)
+		for i := range recs {
+			recs[i] = benchRec(uint64(i) << 40)
+		}
+		s := New()
+		s.Insert(recs...)
+		batch := make([]pps.Encoded, k)
+		for i := range batch {
+			batch[i] = recs[i*(n/k)]
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Insert(batch...)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/rec")
+	})
+	b.Run("spread", func(b *testing.B) {
+		const stores, k, batches = 9, 128, 16
+		rng := rand.New(rand.NewSource(1))
+		type node struct {
+			s       *Store
+			batches [][]pps.Encoded // sorted, held ids
+		}
+		nodes := make([]node, stores)
+		for i := range nodes {
+			recs := make([]pps.Encoded, 11000+rng.Intn(6000))
+			for j := range recs {
+				recs[j] = benchRec(rng.Uint64())
+			}
+			nodes[i].s = New()
+			nodes[i].s.Insert(recs...)
+			for range batches {
+				batch := make([]pps.Encoded, k)
+				for j := range batch {
+					batch[j] = recs[rng.Intn(len(recs))]
+				}
+				nodes[i].batches = append(nodes[i].batches, SortedUnique(batch))
+			}
+		}
+		recsIn := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nd := &nodes[i%stores]
+			batch := nd.batches[(i/stores)%batches]
+			nd.s.Insert(batch...)
+			recsIn += len(batch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recsIn), "ns/rec")
+	})
+}
+
+// benchRec is a record at id with a zeroed nonce and filter.
+func benchRec(id uint64) pps.Encoded {
+	return pps.Encoded{ID: id, BloomMetadata: pps.BloomMetadata{Nonce: make([]byte, 16), Filter: make([]byte, 64)}}
 }

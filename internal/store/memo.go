@@ -432,15 +432,11 @@ func (s *Store) bucketRangesLocked(set *bucketSet) []indexRange {
 		if !set.has(b) {
 			continue
 		}
-		from := s.lowerLocked(uint64(b) << bucketShift)
+		from := int(s.start[b])
 		for b+1 < numBuckets && set.has(b+1) {
 			b++
 		}
-		to := len(s.recs)
-		if b+1 < numBuckets {
-			to = s.lowerLocked(uint64(b+1) << bucketShift)
-		}
-		if from < to {
+		if to := int(s.start[b+1]); from < to {
 			runs = append(runs, indexRange{from, to})
 		}
 	}

@@ -18,7 +18,9 @@ import (
 	"roar/internal/ring"
 )
 
-// checkScheduleInvariants asserts the store's structural invariants.
+// checkScheduleInvariants asserts the store's structural invariants:
+// records sorted and unique, the bucket directory in step with them, and
+// one schedule per record, its nonce's, while the store keeps schedules.
 func checkScheduleInvariants(t *testing.T, s *Store, when string) {
 	t.Helper()
 	s.mu.RLock()
@@ -26,6 +28,18 @@ func checkScheduleInvariants(t *testing.T, s *Store, when string) {
 	for i := 1; i < len(s.recs); i++ {
 		if s.recs[i-1].ID >= s.recs[i].ID {
 			t.Fatalf("%s: recs not sorted and unique at %d: %d then %d", when, i, s.recs[i-1].ID, s.recs[i].ID)
+		}
+	}
+	var held [numBuckets]int // records per bucket
+	for _, r := range s.recs {
+		held[bucketOf(r.ID)]++
+	}
+	for b, below := 0, 0; b <= numBuckets; b++ {
+		if int(s.start[b]) != below {
+			t.Fatalf("%s: directory says bucket %d starts at record %d, the records say %d", when, b, s.start[b], below)
+		}
+		if b < numBuckets {
+			below += held[b]
 		}
 	}
 	if !s.scheduled.Load() {

@@ -8,19 +8,31 @@
 // id scaled into [0, 1). Records are kept sorted so a sub-query's id arc
 // maps to at most two contiguous slices.
 //
-// Insert has three cases. One record: binary search, then one memmove of
-// the records above it if its id is fresh, O(log n) or O(n). A batch of
+// The ring is cut into numBuckets fixed buckets (the top bits of the
+// identifier), and a directory of numBuckets+1 offsets says where each
+// bucket's records start. A record is found by a search of its bucket
+// alone, O(log(n/numBuckets)) probes for ids spread over the ring: a
+// handful of cache lines instead of a search path through the whole
+// slice. A mutator keeps the directory in step under its write lock: a
+// single fresh insert or delete adjusts the offsets above its bucket, a
+// batch with fresh ids makes one pass over the batch and the directory,
+// a batch delete and RetainStored rebuild it in the pass they make
+// anyway, and a replacement moves nothing, so it touches nothing.
+//
+// Insert has three cases. One record: a bucket search, then one memmove
+// of the records above it if its id is fresh, O(n) only then. A batch of
 // k records whose ids the store all holds already (an at-least-once
-// re-delivery, an update of existing objects): ordered, located by
-// search from the previous position and overwritten in place, O(k log k
-// + k log n), nothing moves. A batch with fresh ids: the same search, one
-// growth of the slices, and each run of stored records between two
-// insertion points moved up once, O(k log k + n). A batch that arrives
-// strictly ascending, as every push of the ingest drain does, is ordered
-// by one O(k) check instead of a sort, so its k log k term goes; any
-// other batch is ordered through a sorted index permutation, never by
-// swapping the records themselves (SortedUnique). The key schedules move
-// in step with the records in every case.
+// re-delivery, an update of existing objects): ordered, located by a
+// search inside each id's bucket from the previous position and
+// overwritten in place, nothing moves. A batch with fresh ids: the same
+// search, one growth of the slices, and each run of stored records
+// between two insertion points moved up once, O(k log k + n +
+// numBuckets). A batch that arrives strictly ascending, as every push of
+// the ingest drain does, is ordered by one O(k) check instead of a sort,
+// so its k log k term goes; any other batch is ordered through a sorted
+// index permutation, never by swapping the records themselves
+// (SortedUnique). The key schedules move in step with the records in
+// every case.
 //
 // A store that has been scanned also holds, per record and by value, the
 // 64-byte HMAC key schedule of the record's nonce (pps.KeySchedule), so
@@ -30,15 +42,15 @@
 // store that is never scanned (the coordinator's backend, a node that
 // only ingests) derives and holds none.
 //
-// The ring is also cut into numBuckets fixed buckets (the top bits of
-// the identifier), and the store stamps a bucket with its generation
-// whenever the records it holds there change. The match memo (memo.go)
-// rests on those stamps: an answer remembered for a bucket is current
-// exactly while the bucket's stamp is no newer than the answer. Every
-// mutator of recs (Insert, Delete, RetainStored) stamps what it changes
-// through touchLocked, under the write lock that covers the change; a
-// new mutator must do the same, and FuzzMemoEqualsScan is the test that
-// catches one that forgets.
+// The store also stamps a bucket with its generation whenever the
+// records it holds there change. The match memo (memo.go) rests on those
+// stamps: an answer remembered for a bucket is current exactly while the
+// bucket's stamp is no newer than the answer. Every mutator of recs
+// (Insert, Delete, RetainStored) stamps what it changes through
+// touchLocked and keeps the directory in step, under the write lock that
+// covers the change; a new mutator must do the same. FuzzMemoEqualsScan
+// is the test that catches a forgotten stamp, and the store's structural
+// check (checkScheduleInvariants) a directory out of step.
 package store
 
 import (
@@ -103,6 +115,11 @@ type Store struct {
 	// bucket b (touchLocked); zero for a bucket never written.
 	changed [numBuckets]uint64
 
+	// start is the bucket directory: bucket b holds recs[start[b]:start[b+1]]
+	// and start[numBuckets] == len(recs), so the zero value is the empty
+	// store's. It changes with recs, under the write lock.
+	start [numBuckets + 1]int32
+
 	// memo is built by the first memoized lookup (MatchArcMemo), so a
 	// store that never serves one carries only this pointer.
 	memo atomic.Pointer[matchMemo]
@@ -123,13 +140,13 @@ func (s *Store) Len() int {
 }
 
 // Insert adds or replaces records (replica pushes are idempotent).
-// Single-record inserts take the binary-search + shift fast path.
+// Single-record inserts take the bucket-search + shift fast path.
 // A batch of k records into n stored ones is ordered (SortedUnique: O(k)
 // when already strictly ascending, O(k log k) otherwise) and located by
-// search, O(k log n); when the store already holds every id (a
-// re-delivery, an update of existing objects) that is the whole cost,
-// and when some are fresh the stored records above the first fresh id
-// move once, O(n), instead of the O(k·n) memmove of per-record
+// a search inside each id's bucket; when the store already holds every
+// id (a re-delivery, an update of existing objects) that is the whole
+// cost, and when some are fresh the stored records above the first
+// fresh id move once, O(n), instead of the O(k·n) memmove of per-record
 // insertion. Ordering, and deriving the batch's key schedules when the
 // store keeps them, happen before the write lock is taken.
 func (s *Store) Insert(recs ...pps.Encoded) {
@@ -168,6 +185,7 @@ func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 	if fresh {
 		s.recs = append(s.recs, pps.Encoded{})
 		copy(s.recs[i+1:], s.recs[i:])
+		s.shiftDirectoryLocked(r.ID, 1)
 	}
 	s.recs[i] = r
 	if !s.scheduled.Load() {
@@ -220,13 +238,37 @@ func SortedUnique(recs []pps.Encoded) []pps.Encoded {
 	return out
 }
 
+// shiftDirectoryLocked moves the start of every bucket above id's by
+// delta: one record fresh (1) or removed (-1) in id's bucket.
+func (s *Store) shiftDirectoryLocked(id uint64, delta int32) {
+	for b := bucketOf(id) + 1; b <= numBuckets; b++ {
+		s.start[b] += delta
+	}
+}
+
+// indexBucketsLocked rebuilds the directory from recs in one pass.
+func (s *Store) indexBucketsLocked() {
+	i := 0
+	for b := 0; b <= numBuckets; b++ {
+		for i < len(s.recs) && bucketOf(s.recs[i].ID) < b {
+			i++
+		}
+		s.start[b] = int32(i)
+	}
+}
+
 // seekLocked is the index of the first record at or after from with
-// ID >= id, found by doubling steps from `from` and bisecting the last:
-// O(log gap), so a sorted batch locates all its ids in O(k log(n/k))
-// and a dense one in the same steps as a linear walk.
+// ID >= id; every record before from must have ID < id. It searches
+// id's bucket only, by doubling steps from the later of from and the
+// bucket's start and bisecting the last: O(log gap) inside the bucket,
+// so a sorted batch locates a dense run of ids in the same steps as a
+// linear walk, and a store whose ids share one bucket costs what a
+// search of the whole slice does.
 func (s *Store) seekLocked(from int, id uint64) int {
-	n := len(s.recs)
-	lo, step := from, 1 // every record before lo has ID < id
+	// Every record before lo has ID < id, and every record from n on is
+	// in a later bucket.
+	b := bucketOf(id)
+	lo, n, step := max(from, int(s.start[b])), int(s.start[b+1]), 1
 	for lo+step <= n && s.recs[lo+step-1].ID < id {
 		lo += step
 		step *= 2
@@ -235,61 +277,57 @@ func (s *Store) seekLocked(from int, id uint64) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return s.recs[lo+i].ID >= id })
 }
 
-// mergeLocked bulk-inserts a SortedUnique batch. It locates every id
-// first; ids the store holds are overwritten where they are, and when
-// some are fresh the slices grow once and the runs of old records
-// between insertion points move up with copy, back to front. ks holds
-// the batch's schedules when the store keeps them and moves in step
-// with the records.
+// mergeLocked bulk-inserts a SortedUnique batch in one pass that locates
+// every id: an id the store holds is overwritten where it is, and a
+// fresh one is noted with its insertion point. When some are fresh the
+// slices grow once, and back to front the run of old records above each
+// insertion point moves up once, by the number of fresh ids at or below
+// it, and so does the start of every bucket above the fresh id's and not
+// above the next fresh id's. A batch the store holds entirely allocates
+// nothing and moves nothing. ks holds the batch's schedules when the
+// store keeps them and moves in step with the records.
 func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
+	scheduled := s.scheduled.Load()
 	old := len(s.recs)
-	pos := make([]int, len(batch)) // pos[j]: first index with ID >= batch[j].ID
-	fresh, at := 0, 0
+	type insertion struct{ j, at int } // batch[j] goes before recs[at]
+	var fresh []insertion
+	at := 0
 	for j := range batch {
 		at = s.seekLocked(at, batch[j].ID)
-		pos[j] = at
 		if at == old || s.recs[at].ID != batch[j].ID {
-			fresh++
+			fresh = append(fresh, insertion{j, at})
+			continue
+		}
+		s.recs[at] = batch[j]
+		if scheduled {
+			s.ks[at] = ks[j]
 		}
 	}
-	scheduled := s.scheduled.Load()
-	if fresh > 0 {
-		s.recs = append(s.recs, make([]pps.Encoded, fresh)...)
-		if scheduled {
-			s.ks = append(s.ks, make([]pps.KeySchedule, fresh)...)
-		}
+	if len(fresh) == 0 {
+		return
 	}
-	// shift is the number of fresh ids at or below batch[j]: how far the
-	// old records above it move. Writes land above pos[j], so recs[pos[j]]
-	// is still the old record when it is compared. Once shift is zero the
-	// rest of the batch is overwritten in place.
-	end, shift := old, fresh
-	for j := len(batch) - 1; j >= 0; j-- {
-		p := pos[j]
-		from := p
-		replaces := p < old && s.recs[p].ID == batch[j].ID
-		if replaces {
-			from++
+	s.recs = append(s.recs, make([]pps.Encoded, len(fresh))...)
+	if scheduled {
+		s.ks = append(s.ks, make([]pps.KeySchedule, len(fresh))...)
+	}
+	end, b := old, numBuckets
+	for shift := len(fresh); shift > 0; shift-- {
+		f := fresh[shift-1]
+		for ; b > bucketOf(batch[f.j].ID); b-- {
+			s.start[b] += int32(shift)
 		}
-		if shift > 0 {
-			copy(s.recs[from+shift:end+shift], s.recs[from:end])
-			if scheduled {
-				copy(s.ks[from+shift:end+shift], s.ks[from:end])
-			}
-		}
-		if !replaces {
-			shift--
-		}
-		s.recs[p+shift] = batch[j]
+		copy(s.recs[f.at+shift:end+shift], s.recs[f.at:end])
+		s.recs[f.at+shift-1] = batch[f.j]
 		if scheduled {
-			s.ks[p+shift] = ks[j]
+			copy(s.ks[f.at+shift:end+shift], s.ks[f.at:end])
+			s.ks[f.at+shift-1] = ks[f.j]
 		}
-		end = p
+		end = f.at
 	}
 }
 
 // Delete removes records by id; absent ids are ignored. A single id
-// takes the binary-search + shift fast path; batches sort the ids and
+// takes the bucket-search + shift fast path; batches sort the ids and
 // compact the store in one forward pass, so deleting k of n records
 // costs O(k log k + n) instead of one O(n) memmove per id. Freed tail
 // slots are zeroed so the removed records' blobs are GC-eligible.
@@ -309,6 +347,7 @@ func (s *Store) Delete(ids ...uint64) {
 			copy(s.recs[i:], s.recs[i+1:])
 			clear(s.recs[len(s.recs)-1:])
 			s.recs = s.recs[:len(s.recs)-1]
+			s.shiftDirectoryLocked(id, -1)
 			if scheduled {
 				s.ks = append(s.ks[:i], s.ks[i+1:]...)
 			}
@@ -336,6 +375,7 @@ func (s *Store) Delete(ids ...uint64) {
 	}
 	clear(s.recs[w:])
 	s.recs = s.recs[:w]
+	s.indexBucketsLocked()
 	if scheduled {
 		s.ks = s.ks[:w]
 	}
@@ -400,13 +440,14 @@ func arcSpans(lo, hi ring.Point) []idSpan {
 }
 
 // lowerLocked is the index of the first record with ID >= id.
-func (s *Store) lowerLocked(id uint64) int {
-	return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID >= id })
-}
+func (s *Store) lowerLocked(id uint64) int { return s.seekLocked(0, id) }
 
 // upperLocked is the index of the first record with ID > id.
 func (s *Store) upperLocked(id uint64) int {
-	return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].ID > id })
+	if id == math.MaxUint64 {
+		return len(s.recs)
+	}
+	return s.seekLocked(0, id+1)
 }
 
 // indexRange is the records recs[from:to]. It indexes the internal
@@ -461,6 +502,7 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 	// slice growth.
 	clear(old[len(kept):])
 	s.recs = kept
+	s.indexBucketsLocked()
 	return dropped
 }
 
