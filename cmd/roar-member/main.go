@@ -108,11 +108,9 @@ func main() {
 			fatal(err)
 		}
 		defer coord.Close()
-		// Recover the backend from the WAL and start the drain now: there
-		// is no election to wait for.
-		if err := coord.StartIngest(membership.IngestConfig{Logf: log.Printf}); err != nil {
-			fatal(err)
-		}
+		// New recovered the backend from the WAL; start the drain now:
+		// there is no election to wait for.
+		coord.StartIngest(membership.IngestConfig{Logf: log.Printf})
 		lead = func() (*membership.Coordinator, error) { return coord, nil }
 		newAutoscaler = coord.NewAutoscaler
 		banner = fmt.Sprintf("(p=%d rings=%d)", *p, *rings)

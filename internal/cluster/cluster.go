@@ -173,10 +173,7 @@ func Start(opts Options) (*Cluster, error) {
 	if opts.Autoscale != nil {
 		c.AS = coord.NewAutoscaler(*opts.Autoscale)
 	}
-	if err := coord.StartIngest(membership.IngestConfig{Batch: opts.IngestBatch}); err != nil {
-		c.Close()
-		return nil, err
-	}
+	coord.StartIngest(membership.IngestConfig{Batch: opts.IngestBatch})
 	return c, nil
 }
 

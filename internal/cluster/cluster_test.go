@@ -389,42 +389,6 @@ func TestClusterTwoRingsAndPowerCycle(t *testing.T) {
 	checkResult(t, res, want)
 }
 
-func TestClusterAddObject(t *testing.T) {
-	c, docs := startCluster(t, Options{Nodes: 9, P: 3, Seed: 11})
-	doc := pps.Document{
-		ID:       123456789,
-		Path:     "/new/file",
-		Size:     10,
-		Modified: docs[0].Modified,
-		Keywords: []string{"freshly-added"},
-	}
-	rec, err := c.Enc.EncryptDocument(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicas, err := c.Coord.AddObject(context.Background(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// r = n/p = 3; the replication arc touches r or r+1 nodes.
-	if replicas < 3 || replicas > 5 {
-		t.Errorf("object stored on %d nodes, want ~r+1=4", replicas)
-	}
-	res, err := c.Query(context.Background(), pps.And, pps.Predicate{Kind: pps.Keyword, Word: "freshly-added"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, id := range res.IDs {
-		if id == doc.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("freshly added object not returned by query")
-	}
-}
-
 func TestClusterThrottledNodes(t *testing.T) {
 	speeds := make([]float64, 6)
 	for i := range speeds {

@@ -88,13 +88,6 @@ func (pl *Placement) replaceSub(s SubQuery, failed map[ring.NodeID]bool, est Est
 	return SubQuery{}, SubQuery{}, fmt.Errorf("core: could not re-place sub-query around failed node %d after %d tries", s.Node, retries)
 }
 
-// CoveredByPair verifies the §4.4 coverage argument for one object: an
-// object the failed node stored is stored by n1 or n2 (used by the
-// property tests and the availability simulation).
-func (pl *Placement) CoveredByPair(obj ring.Point, n1, n2 ring.NodeID) bool {
-	return pl.Stores(n1, obj) || pl.Stores(n2, obj)
-}
-
 // SafePQ returns the partitioning level the frontend may use while a
 // reconfiguration from oldP to newP is in flight (§4.5): increasing p
 // (dropping replicas) is safe immediately; decreasing p (adding

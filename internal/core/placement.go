@@ -51,17 +51,6 @@ func NewPlacement(p int, rings ...*ring.Ring) (*Placement, error) {
 // P returns the current minimum partitioning level.
 func (pl *Placement) P() int { return pl.p }
 
-// SetP changes the partitioning level. Callers are responsible for the
-// §4.5 transition protocol (see Transition); SetP itself only moves the
-// number.
-func (pl *Placement) SetP(p int) error {
-	if p <= 0 {
-		return fmt.Errorf("core: partitioning level must be positive, got %d", p)
-	}
-	pl.p = p
-	return nil
-}
-
 // Rings returns the underlying rings (shared, not copied).
 func (pl *Placement) Rings() []*ring.Ring { return pl.rings }
 

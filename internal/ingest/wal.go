@@ -187,6 +187,13 @@ type WAL struct {
 	closed   bool
 	err      error // sticky write/fsync failure
 
+	// follow is the applier Follow installed (nil before). While it is
+	// set, pendingRecs holds the records of pending's frames, and
+	// spareRecs is its emptied twin, swapped the way the buffers are.
+	follow      func([]pps.Encoded)
+	pendingRecs []pps.Encoded
+	spareRecs   []pps.Encoded
+
 	notify chan struct{} // capacity 1; a token means "durable advanced"
 }
 
@@ -386,6 +393,9 @@ func (w *WAL) Append(recs ...pps.Encoded) (uint64, error) {
 		w.nextSeq++
 		w.pending = AppendFrame(w.pending, w.nextSeq, recs[i])
 	}
+	if w.follow != nil {
+		w.pendingRecs = append(w.pendingRecs, recs...)
+	}
 	myLast := w.nextSeq
 	for w.durable < myLast {
 		if w.err != nil {
@@ -408,16 +418,23 @@ func (w *WAL) Append(recs ...pps.Encoded) (uint64, error) {
 // flusher exclusive). Appends arriving meanwhile fill the spare buffer,
 // and the one written becomes the spare once the write returns, so two
 // buffers serve every group commit and neither regrows from nothing.
+// A follower takes the group's records after the fsync succeeds and
+// before durable moves, so no reader can see them first.
 func (w *WAL) flushLocked() {
 	w.flushing = true
-	buf := w.pending
+	buf, recs, follow := w.pending, w.pendingRecs, w.follow
 	w.pending, w.spare = w.spare[:0], nil
+	w.pendingRecs, w.spareRecs = w.spareRecs[:0], nil
 	last := w.nextSeq
 	first := w.durable + 1
-	w.mu.Unlock() //lint:allow lock — group commit: the flushing flag keeps the flusher exclusive while the fsync runs unlocked
+	w.mu.Unlock() //lint:allow lock — group commit: the flushing flag keeps the flusher exclusive while the fsync and the follower run unlocked
 	err := w.writeAndSync(buf, first)
+	if err == nil && follow != nil && len(recs) > 0 {
+		follow(recs)
+	}
+	clear(recs) // the spare must not pin the appenders' records
 	w.mu.Lock() //lint:allow lock — re-acquired for the caller, who entered holding it
-	w.spare = buf[:0]
+	w.spare, w.spareRecs = buf[:0], recs[:0]
 	if err != nil && w.err == nil {
 		w.err = err
 	}
@@ -518,14 +535,55 @@ func (w *WAL) seal() error {
 	return nil
 }
 
-// LastSeq returns the last assigned sequence (0 before any append).
-// Records up to the sequence returned by a completed Append are
-// durable; LastSeq may briefly run ahead of durability while another
-// producer's flush is in flight.
-func (w *WAL) LastSeq() uint64 {
+// Follow makes apply the log's one applier: it hands apply every
+// durable record, in sequence order and each once. The records the log
+// already holds go first, before Follow returns; then each group
+// commit's records, after their write and fsync succeed and before
+// anyone else (Append's callers, DurableSeq, Replay, a consumer's
+// cursor) can see them as durable. A failed write applies nothing.
+// Appends made while Follow replays queue behind it and are applied
+// after it. apply runs with the flush slot held, so it must never call
+// back into the WAL; the slices it gets are reused after it returns.
+// A WAL takes one follower.
+func (w *WAL) Follow(apply func([]pps.Encoded)) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextSeq
+	// Frames appended before the follower was set have no records beside
+	// them: make them durable first, so the replay below covers them.
+	for w.flushing || (len(w.pending) > 0 && w.err == nil && !w.closed) {
+		if w.flushing {
+			w.cond.Wait()
+			continue
+		}
+		w.flushLocked()
+	}
+	err := w.err
+	if w.closed {
+		err = ErrClosed
+	} else if err == nil && w.follow != nil {
+		err = errors.New("ingest: wal already has a follower")
+	}
+	if err != nil {
+		w.mu.Unlock()
+		return err
+	}
+	w.follow, w.flushing = apply, true
+	w.mu.Unlock()
+	var recs []pps.Encoded
+	err = w.Replay(0, func(_ uint64, rec pps.Encoded) bool {
+		recs = append(recs, rec)
+		return true
+	})
+	if err == nil && len(recs) > 0 {
+		apply(recs)
+	}
+	w.mu.Lock()
+	if err != nil {
+		w.follow, w.pendingRecs = nil, nil
+	}
+	w.flushing = false
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	return err
 }
 
 // DurableSeq returns the highest fsynced sequence.

@@ -91,8 +91,8 @@ func TestWALAppendReplayReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if got := w2.LastSeq(); got != 10 {
-		t.Fatalf("recovered LastSeq %d, want 10", got)
+	if got := w2.DurableSeq(); got != 10 {
+		t.Fatalf("recovered DurableSeq %d, want 10", got)
 	}
 	_, got = replayAll(t, w2, 0)
 	if len(got) != 10 || !sameRec(got[9], recs[9]) {
@@ -147,8 +147,8 @@ func TestWALTornTailTruncated(t *testing.T) {
 	defer w2.Close()
 	// The complete frame survives, the torn one is gone, and the next
 	// append takes the torn frame's sequence.
-	if got := w2.LastSeq(); got != 6 {
-		t.Fatalf("recovered LastSeq %d, want 6", got)
+	if got := w2.DurableSeq(); got != 6 {
+		t.Fatalf("recovered DurableSeq %d, want 6", got)
 	}
 	seq, err := w2.Append(testRecs(6, 1)...)
 	if err != nil {
@@ -303,7 +303,7 @@ func TestWALTornSegmentCreation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		last := w.LastSeq()
+		last := w.DurableSeq()
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -319,8 +319,8 @@ func TestWALTornSegmentCreation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("a %d-byte last segment: %v", len(torn), err)
 		}
-		if got := w2.LastSeq(); got != last {
-			t.Fatalf("recovered LastSeq %d, want %d", got, last)
+		if got := w2.DurableSeq(); got != last {
+			t.Fatalf("recovered DurableSeq %d, want %d", got, last)
 		}
 		extra := testRecs(15, 1)
 		if seq, err := w2.Append(extra...); err != nil || seq != last+1 {

@@ -1,10 +1,12 @@
 // Durable ingest: the coordinator's half of the internal/ingest
 // pipeline. IngestAppend accepts records into the write-ahead log —
-// acceptance means durability, not delivery — and StartIngest rebuilds
-// the backend from the log and runs the consumer that drains it to the
-// p owning nodes. The log is the only way a record enters the system
-// (LoadCorpus appends to it too), so it is also the corpus every
-// coordinator rebuilds its backend from.
+// acceptance means durability, not delivery — and StartIngest runs the
+// consumer that drains it to the p owning nodes. The log is the only way
+// a record enters the system (LoadCorpus appends to it too), and its
+// follower, installed by New, is the only writer of the backend: it
+// takes the log's records in sequence order, each group commit before
+// the log publishes it as durable, so the drain never routes a record
+// the backend lacks.
 //
 // Routing happens once per delivery attempt through routeBatch, which
 // reads the CURRENT topology and epoch for the whole batch under one
@@ -24,9 +26,10 @@
 //
 // Replicated coordinators (replica.go) open the log directory the
 // replicas share only while they lead, and replicate the drained
-// watermark in ControlState; a new leader calls StartIngest with the
-// restored watermark and resumes — re-delivering at most the
-// un-replicated tail, which node-side dedup absorbs.
+// watermark in ControlState; a new leader replays the log in
+// NewFromState, then calls StartIngest with the restored watermark and
+// resumes — re-delivering at most the un-replicated tail, which
+// node-side dedup absorbs.
 package membership
 
 import (
@@ -57,16 +60,14 @@ type IngestConfig struct {
 	After func(time.Duration) <-chan time.Time
 }
 
-// IngestAppend durably accepts records: they are fsynced to the WAL and
-// inserted into the backend before the call returns; delivery to the
-// owning nodes happens asynchronously. Returns the WAL sequence of the
-// last record — WaitIngestDrained on it blocks until delivery. The
-// backend takes the records in WAL order, after every earlier sequence,
-// so of two appends of one id it keeps the one the log keeps; on a
-// reopened log that means after StartIngest's replay. A replicated
-// coordinator commits before it acknowledges: a deposed leader's
-// accepted batch errors out, the producer retries on the new leader,
-// and record-ID dedup absorbs the duplicate append.
+// IngestAppend durably accepts records: they are fsynced to the WAL,
+// and so in the backend (New made it the log's follower), before the
+// call returns; delivery to the owning nodes happens asynchronously.
+// Returns the WAL sequence of the last record — WaitIngestDrained on it
+// blocks until delivery. A replicated coordinator commits before it
+// acknowledges: a deposed leader's accepted batch errors out, the
+// producer retries on the new leader, and record-ID dedup absorbs the
+// duplicate append.
 func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uint64, error) {
 	if c.wal == nil {
 		return 0, errIngestDisabled
@@ -83,21 +84,6 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 	if err != nil {
 		return 0, err
 	}
-	// The appenders one group commit wakes reach mu in any order.
-	first := seq - uint64(len(recs)) + 1
-	c.mu.Lock()
-	for c.ingestApplied+1 < first {
-		c.ingestTurn.Wait()
-	}
-	if c.ingestApplied < seq { // else the replay applied them
-		c.backend.Insert(recs[c.ingestApplied+1-first:]...)
-		c.ingestApplied = seq
-		c.ingestTurn.Broadcast()
-	}
-	if seq > c.ingestSeq {
-		c.ingestSeq = seq
-	}
-	c.mu.Unlock()
 	if err := c.commitState(); err != nil {
 		return 0, err
 	}
@@ -106,44 +92,16 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 
 var errIngestDisabled = errors.New("membership: ingest disabled (no WAL configured)")
 
-// StartIngest replays the WAL into the backend, which is how every
-// coordinator, restarted or newly elected, rebuilds its corpus (records
-// an append already applied are skipped, so the backend still takes
-// every sequence once and in order), and starts the drain consumer from
-// the restored drained watermark. No-op without a WAL or when already
-// started.
-func (c *Coordinator) StartIngest(cfg IngestConfig) error {
+// StartIngest starts the drain consumer from the restored drained
+// watermark. No-op without a WAL or when already started.
+func (c *Coordinator) StartIngest(cfg IngestConfig) {
 	if c.wal == nil {
-		return nil
+		return
 	}
-	var recs []pps.Encoded
-	var first, replayed uint64 // the sequences of recs
-	err := c.wal.Replay(0, func(seq uint64, rec pps.Encoded) bool {
-		if first == 0 {
-			first = seq
-		}
-		recs = append(recs, rec)
-		replayed = seq
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	last := c.wal.LastSeq()
 	c.mu.Lock()
 	if c.consumer != nil {
 		c.mu.Unlock()
-		return nil
-	}
-	if replayed > c.ingestApplied {
-		// Appends to a fresh log may have applied a prefix already.
-		skip := max(c.ingestApplied+1, first) - first
-		c.backend.Insert(recs[skip:]...)
-		c.ingestApplied = replayed
-		c.ingestTurn.Broadcast()
-	}
-	if last > c.ingestSeq {
-		c.ingestSeq = last
+		return
 	}
 	from := c.ingestDrained
 	cons := ingest.NewConsumer(c.wal, ingest.ConsumerConfig{
@@ -164,7 +122,6 @@ func (c *Coordinator) StartIngest(cfg IngestConfig) error {
 	c.consumer = cons
 	c.mu.Unlock()
 	cons.Start(from)
-	return nil
 }
 
 // StopIngest halts the drain consumer (idempotent; the WAL stays open
@@ -244,11 +201,14 @@ func nodeKey(id ring.NodeID) string {
 	return "node-" + strconv.Itoa(int(id))
 }
 
-// IngestSeq returns the last accepted (durable) WAL sequence.
+// IngestSeq returns the last accepted (durable) WAL sequence, 0
+// without a WAL. It takes no coordinator lock: views call it under c.mu,
+// and the lock order is c.mu before the WAL's.
 func (c *Coordinator) IngestSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ingestSeq
+	if c.wal == nil {
+		return 0
+	}
+	return c.wal.DurableSeq()
 }
 
 // IngestDrained returns the delivery watermark: every accepted record

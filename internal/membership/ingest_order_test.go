@@ -59,3 +59,70 @@ func TestIngestAppendFollowsWALOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestBackendHoldsEveryDurableRecord: the log applies each group commit
+// to the backend before anyone can see it as durable, so a Join or
+// ChangeP that copies the backend never misses a record the drain may
+// already have delivered under the epoch before. Six appenders write
+// distinct ids while a poller reads the durable sequence and then the
+// backend's size: a backend that holds every durable record is never
+// the shorter.
+func TestBackendHoldsEveryDurableRecord(t *testing.T) {
+	wal, err := ingest.Open(t.TempDir(), ingest.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{P: 1, WAL: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const appenders, appends = 6, 2000
+	var wg sync.WaitGroup
+	errs := make([]error, appenders)
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				rec := pps.Encoded{ID: uint64(a*appends + i + 1), BloomMetadata: pps.BloomMetadata{
+					Nonce: make([]byte, 16), Filter: []byte{byte(a)},
+				}}
+				if _, errs[a] = c.IngestAppend(ctx, []pps.Encoded{rec}); errs[a] != nil {
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	polls, short := 0, 0
+	for finished := false; !finished; polls++ {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		// Durable first: the backend only grows, so a size read after it
+		// must cover it.
+		durable := wal.DurableSeq()
+		if uint64(c.backend.Len()) < durable {
+			short++
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if short > 0 {
+		t.Errorf("%d of %d polls saw the backend hold fewer records than the log's durable sequence", short, polls)
+	}
+	if held, durable := c.backend.Len(), wal.DurableSeq(); held != appenders*appends || durable != appenders*appends {
+		t.Errorf("after the appends the backend holds %d records and the log %d, want %d", held, durable, appenders*appends)
+	}
+}

@@ -7,10 +7,13 @@
 //
 // The coordinator doubles as the backend file store of §4.1 (the NFS
 // stand-in): it holds the full corpus and pushes each node exactly the
-// records its stored set requires. A record enters that backend one way,
-// through the coordinator's write-ahead log (ingest.go), and every
-// coordinator, a newly elected leader's included, rebuilds its backend
-// from the log before it serves.
+// records its stored set requires. A record enters that backend one way:
+// New makes the backend the follower of the coordinator's write-ahead
+// log (ingest.go), which applies the records it holds before New
+// returns and then each group commit before anyone can see it as
+// durable. So every coordinator, a newly elected leader's included,
+// rebuilds its backend from the log before it serves, and the drain
+// never delivers a record a Join or ChangeP could miss copying.
 //
 // One type serves every caller. The Coordinator owns the state machine
 // and decides every commit point: each mutator applies its change (data
@@ -45,11 +48,11 @@ type Config struct {
 	// Zero values use the documented defaults.
 	Health HealthConfig
 	// WAL is the coordinator's log (ingest.go): IngestAppend and
-	// LoadCorpus append to it, and StartIngest rebuilds the backend from
-	// it and drains it to the owning nodes. The coordinator closes it in
-	// Close. A replica opens its leader's log through
-	// ReplicaConfig.OpenWAL instead. Without one the coordinator takes
-	// no records but AddObject's.
+	// LoadCorpus append to it, New makes the backend its follower, and
+	// StartIngest drains it to the owning nodes. The coordinator closes
+	// it in Close. A replica opens its leader's log through
+	// ReplicaConfig.OpenWAL instead. Without one the coordinator takes no
+	// records.
 	WAL *ingest.WAL
 }
 
@@ -80,19 +83,12 @@ type Coordinator struct {
 	backend *store.Store // full corpus
 	health  *healthState // failure-evidence aggregation (health.go)
 
-	// Durable ingest pipeline (ingest.go): wal buffers accepted writes,
-	// consumer drains them, ingestSeq/ingestDrained are the accepted and
-	// delivered watermarks.
+	// Durable ingest pipeline (ingest.go): wal buffers accepted writes
+	// and applies them to the backend, consumer drains them to the
+	// nodes, ingestDrained is the delivered watermark.
 	wal           *ingest.WAL
 	consumer      *ingest.Consumer
-	ingestSeq     uint64
 	ingestDrained uint64
-	// ingestApplied is the last WAL sequence the backend holds: it takes
-	// records in WAL order, StartIngest's replay first, then each
-	// append's once every earlier sequence is in. ingestTurn (on mu)
-	// wakes the appenders waiting for their turn.
-	ingestApplied uint64
-	ingestTurn    sync.Cond
 	// ingestTargets holds the delivery target routeBatch built for each
 	// node under ingestTargetsEpoch, so the records of a batch share one
 	// key string and push closure per node; emptied when the epoch moves.
@@ -156,9 +152,17 @@ func New(cfg Config) (*Coordinator, error) {
 		health:   newHealthState(cfg.Health),
 		wal:      cfg.WAL,
 	}
-	c.ingestTurn.L = &c.mu
 	for k := 0; k < cfg.Rings; k++ {
 		c.rings = append(c.rings, ring.New())
+	}
+	if c.wal != nil {
+		// The log is the backend's one applier: it hands over the records
+		// it holds now, then each group commit's before the commit is
+		// visible to anyone, so the backend holds every record in WAL
+		// order and the drain never routes one the backend lacks.
+		if err := c.wal.Follow(func(recs []pps.Encoded) { c.backend.Insert(recs...) }); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -207,7 +211,7 @@ func (c *Coordinator) viewLocked() proto.View {
 	// result caches against deliveries that never bump the epoch.
 	v := proto.View{
 		Term: c.term, Epoch: c.epoch, P: c.p,
-		Ingested: c.ingestSeq, Drained: c.ingestDrained,
+		Ingested: c.IngestSeq(), Drained: c.ingestDrained,
 	}
 	c.health.mu.Lock()
 	quarantined := make(map[ring.NodeID]bool, len(c.health.quarantined))
@@ -242,59 +246,6 @@ func (c *Coordinator) LoadCorpus(ctx context.Context, recs []pps.Encoded) error 
 		return err
 	}
 	return c.WaitIngestDrained(ctx, seq)
-}
-
-// AddObject stores one new object and pushes it to its current replica
-// set — the update path whose cost grows with r (Fig 7.4). The record
-// goes to the backend and the nodes but not to the WAL, so a successor
-// coordinator never sees it: no binary calls AddObject on a replicated
-// coordinator, and durable writes go through IngestAppend. It returns
-// the number of replicas the object actually reached: nil clients and
-// failed pushes do not count, and the push counter advances only for
-// deliveries that succeeded. On error the successes made before (and
-// after — the remaining targets are still attempted) are all included,
-// so the caller knows the true replication factor achieved.
-func (c *Coordinator) AddObject(ctx context.Context, rec pps.Encoded) (replicas int, err error) {
-	c.mu.Lock()
-	c.backend.Insert(rec)
-	pt := store.PointOf(rec.ID)
-	repl := ring.ReplicationArc(pt, c.p)
-	epoch := c.epoch
-	var targets []ring.NodeID
-	for k, r := range c.rings {
-		if c.disabled[k] {
-			continue
-		}
-		targets = r.AppendHolders(targets, repl)
-	}
-	clients := make([]*wire.Client, 0, len(targets))
-	for _, id := range targets {
-		clients = append(clients, c.clients[id])
-	}
-	c.mu.Unlock()
-	var firstErr error
-	for i, cl := range clients {
-		if cl == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("membership: no client for node %d", targets[i])
-			}
-			continue
-		}
-		if perr := putRecords(ctx, cl, epoch, []pps.Encoded{rec}); perr != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("membership: pushing object %d: %w", rec.ID, perr)
-			}
-			continue
-		}
-		replicas++
-	}
-	c.mu.Lock()
-	c.objectsPushed += int64(replicas)
-	c.mu.Unlock()
-	if firstErr != nil {
-		return replicas, firstErr
-	}
-	return replicas, c.commitState()
 }
 
 func (c *Coordinator) allNodesLocked() []ring.NodeID {

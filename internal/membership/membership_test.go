@@ -72,9 +72,7 @@ func newLogged(t *testing.T, p int) *Coordinator {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	if err := c.StartIngest(IngestConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	c.StartIngest(IngestConfig{})
 	return c
 }
 

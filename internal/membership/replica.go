@@ -500,10 +500,10 @@ func (r *Replica) becomeLeader(term uint64) {
 }
 
 // takeover builds term's coordinator from base and readies it to serve:
-// it opens the log, fences the epoch past everything the old leader
-// published, commits the takeover barrier, replays the log into the
-// backend and resumes the drain. Nothing else sees the coordinator
-// before it returns; on error it is closed.
+// it opens the log (NewFromState replays it into the backend), fences
+// the epoch past everything the old leader published, commits the
+// takeover barrier and resumes the drain. Nothing else sees the
+// coordinator before it returns; on error it is closed.
 func (r *Replica) takeover(term uint64, base proto.ControlState) (*Coordinator, error) {
 	cfg := r.cfg.Coordinator
 	if r.cfg.OpenWAL != nil {
@@ -532,10 +532,7 @@ func (r *Replica) takeover(term uint64, base proto.ControlState) (*Coordinator, 
 	// The drain resumes from the replicated watermark: the old leader's
 	// drained-but-unreplicated tail (at most one heartbeat of lag) is
 	// re-delivered, and node-side dedup absorbs it.
-	if err := coord.StartIngest(r.cfg.Ingest); err != nil {
-		coord.Close()
-		return nil, fmt.Errorf("ingest replay: %w", err)
-	}
+	coord.StartIngest(r.cfg.Ingest)
 	if cfg.WAL != nil {
 		r.logf("ingest drain resumed from watermark %d", coord.IngestDrained())
 	}

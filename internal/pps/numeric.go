@@ -71,9 +71,6 @@ func NewInequality(k MasterKey, points []float64) (*Inequality, error) {
 	return &Inequality{bloom: NewBloom(k, cfg), points: pts}, nil
 }
 
-// Points returns the reference points (for overhead accounting).
-func (s *Inequality) Points() []float64 { return s.points }
-
 // IneqOp is the comparison direction of an inequality query.
 type IneqOp int
 

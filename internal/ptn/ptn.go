@@ -11,7 +11,6 @@ package ptn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"roar/internal/core"
 	"roar/internal/ring"
@@ -96,10 +95,6 @@ func (c *PTN) ClusterOf(id ring.NodeID) int {
 	}
 	return k
 }
-
-// StoreCluster picks the cluster for a new object (uniformly random, as
-// in §3.1).
-func (c *PTN) StoreCluster(rng *rand.Rand) int { return rng.Intn(len(c.clusters)) }
 
 // Assignment is one sub-query of a PTN plan.
 type Assignment struct {

@@ -8,7 +8,6 @@ package sw
 
 import (
 	"fmt"
-	"math/rand"
 
 	"roar/internal/core"
 	"roar/internal/ring"
@@ -52,9 +51,6 @@ func (s *SW) Replicas(slot int) []ring.NodeID {
 	}
 	return out
 }
-
-// StoreSlot picks the storage slot for a new object.
-func (s *SW) StoreSlot(rng *rand.Rand) int { return rng.Intn(len(s.nodes)) }
 
 // Assignment is one sub-query of an SW plan.
 type Assignment struct {

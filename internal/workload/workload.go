@@ -90,9 +90,6 @@ func NewCorpus(vocabSize int, seed int64) *Corpus {
 	}
 }
 
-// Vocab returns the vocabulary (for query generation).
-func (c *Corpus) Vocab() []string { return c.vocab }
-
 // Word draws a vocabulary word under the popularity law.
 func (c *Corpus) Word() string { return c.vocab[c.zipf.Draw()] }
 
@@ -209,9 +206,6 @@ var (
 	Dell1850 = ServerModel{Name: "Dell 1850", DiskSpeed: 220e3, MemSpeed: 1.2e6, Cores: 2, IdleWatts: 190, ActiveWatts: 290}
 	SunX4100 = ServerModel{Name: "Sun X4100", DiskSpeed: 200e3, MemSpeed: 1.0e6, Cores: 2, IdleWatts: 180, ActiveWatts: 270}
 )
-
-// Models lists all profiles in a stable order.
-func Models() []ServerModel { return []ServerModel{Dell1950, Dell2950, Dell1850, SunX4100} }
 
 // HenFleet returns the per-node server models of an n-node testbed in
 // the rough mix of the 50-server Hen deployment (§7.1): a majority of
