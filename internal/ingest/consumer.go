@@ -37,8 +37,11 @@ import (
 
 // Target is one delivery destination for a record: Key identifies the
 // node across attempts (what it has taken is remembered under it) and
-// Push performs the delivery RPC. Push must not keep recs after it
-// returns: the consumer reuses the slice.
+// Push performs the delivery RPC. Push must not keep recs, or their
+// nonces and filters, after it returns: the consumer reuses the slice,
+// and the records are views of the round's byte buffer, which the next
+// round overwrites. A push that must keep them copies them, as the
+// wire's encode and store.Store.Insert do.
 type Target struct {
 	Key  string
 	Push func(ctx context.Context, recs []pps.Encoded) error
@@ -125,9 +128,10 @@ type Consumer struct {
 	cur *cursor
 
 	// Scratch the drain goroutine reuses from batch to batch: the records
-	// read, the placements Route returns, and the groups' records laid
-	// end to end.
+	// read and the bytes they view, the placements Route returns, and the
+	// groups' records laid end to end.
 	read   []pps.Encoded
+	bytes  []byte
 	routes []Placement
 	pushed []pps.Encoded
 }
@@ -241,17 +245,26 @@ func (c *Consumer) run() {
 // them. A read error drops the cursor. Records read before the error
 // are good and are delivered first, so the drain stalls at the last
 // good sequence and the error recurs, alone, at the next read.
+//
+// The cursor lends each record as a view of its read buffer; readBatch
+// copies the bytes into c.bytes, which every round reuses, so a round
+// allocates nothing per record. The batch's records view c.bytes until
+// the next round. A growth mid-round leaves the records before it
+// viewing the old array, which nothing writes again.
 func (c *Consumer) readBatch() (recs []pps.Encoded, last uint64, err error) {
 	if c.cur == nil {
 		c.cur = c.wal.newCursor(c.Drained())
 	}
-	recs = c.read[:0]
+	recs, buf := c.read[:0], c.bytes[:0]
 	err = c.cur.read(c.cfg.BatchSize, func(seq uint64, rec pps.Encoded) bool {
+		at, mid := len(buf), len(buf)+len(rec.Nonce)
+		buf = append(append(buf, rec.Nonce...), rec.Filter...)
+		rec.Nonce, rec.Filter = buf[at:mid:mid], buf[mid:len(buf):len(buf)]
 		recs = append(recs, rec)
 		last = seq
 		return true
 	})
-	c.read = recs
+	c.read, c.bytes = recs, buf
 	if err != nil {
 		c.cur.close()
 		c.cur = nil

@@ -27,7 +27,7 @@ const cursorBufBytes = 64 << 10
 //     end a bad CRC, a short frame or a sequence gap is corruption and
 //     comes back as an error; nothing is skipped.
 //   - Frames at or below `after` are passed over by their header and
-//     sequence varint alone: no CRC, no copy (recovery validated them).
+//     sequence varint alone: no CRC, no decode (recovery validated them).
 //   - At the final end of a closed segment it moves to the segment that
 //     starts at the next sequence.
 //
@@ -48,7 +48,7 @@ type cursor struct {
 	r     int
 
 	// Exact counts for the tests that pin the drain's cost: frames
-	// decoded (CRC + copy), and bytes read from segment files.
+	// decoded (CRC + view), and bytes read from segment files.
 	frames, bytesRead int64
 }
 
@@ -157,8 +157,9 @@ func (c *cursor) consume(n int) {
 
 // read yields up to n records to fn, in sequence order, and returns
 // when n are yielded, fn returns false, or the cursor has caught up
-// with the durable end of the log. Slices in a yielded record are the
-// record's own (DecodeFrame copies them out of the read buffer).
+// with the durable end of the log. A yielded record's nonce and filter
+// are CRC-checked views of the read buffer (viewFrame), good only until
+// fn returns: fn copies what it keeps.
 func (c *cursor) read(n int, fn func(seq uint64, rec pps.Encoded) bool) error {
 	if err := c.sync(); err != nil {
 		return err
@@ -217,7 +218,7 @@ func (c *cursor) frame() (seq uint64, rec pps.Encoded, err error) {
 		}
 	} else {
 		c.frames++
-		if seq, rec, _, err = DecodeFrame(frame); err != nil {
+		if seq, rec, _, err = viewFrame(frame); err != nil {
 			return 0, pps.Encoded{}, c.corrupt(err)
 		}
 	}

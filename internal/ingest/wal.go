@@ -108,6 +108,15 @@ func AppendFrame(b []byte, seq uint64, rec pps.Encoded) []byte {
 // input may alias a reused read buffer). ErrShortFrame means data ends
 // mid-frame; any other error means the bytes are corrupt.
 func DecodeFrame(data []byte) (seq uint64, rec pps.Encoded, n int, err error) {
+	seq, rec, n, err = viewFrame(data)
+	rec.Nonce, rec.Filter = pps.CopyMetadata(rec.Nonce, rec.Filter)
+	return seq, rec, n, err
+}
+
+// viewFrame is DecodeFrame with the record's nonce and filter left as
+// views of data (pps.ViewRecord): good only while data is, and it
+// allocates nothing.
+func viewFrame(data []byte) (seq uint64, rec pps.Encoded, n int, err error) {
 	if len(data) < frameHeaderBytes {
 		return 0, pps.Encoded{}, 0, ErrShortFrame
 	}
@@ -124,7 +133,7 @@ func DecodeFrame(data []byte) (seq uint64, rec pps.Encoded, n int, err error) {
 	}
 	r := binfmt.NewReader(payload)
 	seq = r.Uvarint("frame seq")
-	pps.DecodeRecord(&r, &rec)
+	pps.ViewRecord(&r, &rec)
 	if err := r.Finish("frame payload"); err != nil {
 		return 0, pps.Encoded{}, 0, fmt.Errorf("ingest: %w", err)
 	}
@@ -305,7 +314,7 @@ func (w *WAL) recoverSegment(path string, first uint64, tolerateTail bool) (fram
 	off := segHeaderBytes
 	seq := first - 1
 	for off < len(data) {
-		fseq, _, n, err := DecodeFrame(data[off:])
+		fseq, _, n, err := viewFrame(data[off:])
 		if err != nil {
 			if tolerateTail {
 				// Crash mid-write: everything before off was fsynced in a
@@ -602,7 +611,8 @@ func (w *WAL) Notify() <-chan struct{} { return w.notify }
 // stopping early when fn returns false. It reads the durable prefix as
 // of the call; records appended afterwards are not included. An `after`
 // below the oldest record TruncateThrough has left starts there. Damage
-// anywhere in the replayed range is returned as an error.
+// anywhere in the replayed range is returned as an error. The records fn
+// gets are its own to keep: each is copied out of the cursor's buffer.
 func (w *WAL) Replay(after uint64, fn func(seq uint64, rec pps.Encoded) bool) error {
 	w.mu.Lock()
 	closed, limit := w.closed, w.durable
@@ -618,7 +628,10 @@ func (w *WAL) Replay(after uint64, fn func(seq uint64, rec pps.Encoded) bool) er
 	}
 	cur := w.newCursor(after)
 	defer cur.close()
-	return cur.read(int(min(limit-after, math.MaxInt)), fn)
+	return cur.read(int(min(limit-after, math.MaxInt)), func(seq uint64, rec pps.Encoded) bool {
+		rec.Nonce, rec.Filter = pps.CopyMetadata(rec.Nonce, rec.Filter)
+		return fn(seq, rec)
+	})
 }
 
 // TruncateThrough deletes whole segments whose every record has

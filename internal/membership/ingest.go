@@ -63,7 +63,8 @@ type IngestConfig struct {
 // IngestAppend durably accepts records: they are fsynced to the WAL,
 // and so in the backend (New made it the log's follower), before the
 // call returns; delivery to the owning nodes happens asynchronously.
-// Returns the WAL sequence of the last record — WaitIngestDrained on it
+// The backend keeps a copy of every record, so the caller may reuse
+// recs and their bytes once the call returns. Returns the WAL sequence of the last record — WaitIngestDrained on it
 // blocks until delivery. A replicated coordinator commits before it
 // acknowledges: a deposed leader's accepted batch errors out, the
 // producer retries on the new leader, and record-ID dedup absorbs the

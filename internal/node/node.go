@@ -206,7 +206,10 @@ func (n *Node) observeEpoch(e int) int {
 // node has observed; an unfenced request (Epoch == 0, a bulk loader)
 // is always accepted. Insert dedups by record ID with last-write-wins,
 // so re-delivery of the same records is a no-op — the idempotent-apply
-// half of the ingest pipeline's at-least-once contract.
+// half of the ingest pipeline's at-least-once contract. Put is the one
+// receiver of a decoded PutReq, whose records are views of the request
+// body: Insert copies what the store keeps, and nothing here keeps the
+// records past the return, so the wire may reuse the body then.
 func (n *Node) Put(req proto.PutReq) (proto.PutResp, error) {
 	if req.Epoch > 0 {
 		if cur := n.observeEpoch(req.Epoch); req.Epoch < cur {

@@ -222,3 +222,55 @@ func TestPointConsistencyWithStore(t *testing.T) {
 		t.Error("PointOf(0) != 0")
 	}
 }
+
+// TestNodePutKeepsNoFrameBytes: a decoded PutReq's records are views of
+// the request body, which the wire reuses once the handler returns, so
+// Put must leave nothing of the body in the node. Each round decodes a
+// push, puts it, overwrites the body and then checks the store byte for
+// byte and by query: first fresh records, then the same ids rewritten
+// with other bytes of the same lengths, which the store copies over its
+// own.
+func TestNodePutKeepsNoFrameBytes(t *testing.T) {
+	n, enc := testSetup(t)
+	for _, word := range []string{"kw", "other"} {
+		recs := make([]pps.Encoded, 8)
+		for i := range recs {
+			rec, err := enc.EncryptDocument(pps.Document{
+				ID: uint64(i+1) << 40, Path: "/e", Size: 9,
+				Modified: time.Unix(1.2e9, 0), Keywords: []string{word},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = rec
+		}
+		body := proto.PutReq{Records: recs, Epoch: 1}.AppendWire(nil)
+		var req proto.PutReq
+		if err := req.DecodeWire(body); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Put(req); err != nil {
+			t.Fatal(err)
+		}
+		for i := range body {
+			body[i] = 0xAA
+		}
+		for _, want := range recs {
+			got, ok := n.Store().Get(want.ID)
+			if !ok || string(got.Nonce) != string(want.Nonce) || string(got.Filter) != string(want.Filter) {
+				t.Fatalf("%s: record %d changed when the push body was overwritten", word, want.ID)
+			}
+		}
+		q, err := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: word})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := n.Query(context.Background(), proto.QueryReq{Lo: 0.5, Hi: 0.5, Q: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.IDs) != len(recs) {
+			t.Fatalf("%s: the query matches %d of the %d records put", word, len(resp.IDs), len(recs))
+		}
+	}
+}

@@ -30,6 +30,24 @@ func DecodeRecord(r *binfmt.Reader, rec *Encoded) {
 	rec.Nonce, rec.Filter = CopyMetadata(nonce, r.View("record filter"))
 }
 
+// ViewRecord reads into rec one record AppendRecord wrote, its nonce and
+// filter left as views of r's input, each capped at its length so that
+// appending to one never writes into the input; an empty field is nil.
+// It allocates nothing, and rec is good only while the input is.
+func ViewRecord(r *binfmt.Reader, rec *Encoded) {
+	rec.ID = r.Uvarint("record id")
+	rec.Nonce = capped(r.View("record nonce"))
+	rec.Filter = capped(r.View("record filter"))
+}
+
+// capped is b with its capacity cut to its length, or nil when empty.
+func capped(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
+
 // AppendQuery appends q's one binary form: the operator byte, then a
 // uvarint predicate count, each predicate a uvarint element count and
 // each trapdoor element behind a uvarint length. Two queries with equal

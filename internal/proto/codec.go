@@ -10,7 +10,7 @@
 // envelope (see internal/wire/codec.go).
 //
 // A record and an encrypted query each have one binary form, owned by
-// pps (AppendRecord/DecodeRecord, AppendQuery/DecodeQuery): the bodies
+// pps (AppendRecord/ViewRecord, AppendQuery/DecodeQuery): the bodies
 // here frame them and add their own scalars, and every decoder reads
 // through binfmt's cursor. Scalars are always written, an optional
 // struct sits behind a presence byte. A type has exactly one wire form;
@@ -18,7 +18,10 @@
 //
 // Encoders use value receivers (bodies are passed to wire.Call by
 // value); decoders use pointer receivers and copy every byte slice they
-// retain, because the input aliases a pooled read buffer.
+// retain, because the input aliases a pooled read buffer. PutReq is the
+// one exception: its records are views, which its one receiver
+// (node.Node.Put) hands to store.Store.Insert, the copy they get, before
+// the handler returns.
 package proto
 
 import (
@@ -156,9 +159,10 @@ func appendRecords(b []byte, recs []pps.Encoded) []byte {
 	return b
 }
 
-// decodeRecords reads what appendRecords wrote: one allocation for the
-// slice and one per record. A record takes at least 3 bytes.
-func decodeRecords(r *binfmt.Reader, what string) []pps.Encoded {
+// viewRecords reads what appendRecords wrote, each record's nonce and
+// filter a view of the input (pps.ViewRecord): one allocation, the
+// slice. A record takes at least 3 bytes.
+func viewRecords(r *binfmt.Reader, what string) []pps.Encoded {
 	n := r.Count(what, 3)
 	if n == 0 {
 		return nil
@@ -166,7 +170,7 @@ func decodeRecords(r *binfmt.Reader, what string) []pps.Encoded {
 	recs := make([]pps.Encoded, 0, binfmt.CapHint(n))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		recs = append(recs, pps.Encoded{})
-		pps.DecodeRecord(r, &recs[len(recs)-1])
+		pps.ViewRecord(r, &recs[len(recs)-1])
 	}
 	return recs
 }
@@ -245,10 +249,12 @@ func (p PutReq) AppendWire(b []byte) []byte {
 	return binary.AppendVarint(b, int64(p.Epoch))
 }
 
-// DecodeWire implements wire.WireDecoder.
+// DecodeWire implements wire.WireDecoder. It is the one decoder that
+// does not copy: every record's nonce and filter are views of data (see
+// PutReq).
 func (p *PutReq) DecodeWire(data []byte) error {
 	r := binfmt.NewReader(data)
-	p.Records = decodeRecords(&r, "PutReq.Records")
+	p.Records = viewRecords(&r, "PutReq.Records")
 	p.Epoch = int(r.Varint("PutReq.Epoch"))
 	return r.Finish("PutReq")
 }
@@ -260,9 +266,15 @@ func (q IngestReq) AppendWire(b []byte) []byte {
 	return appendRecords(b, q.Records)
 }
 
-// DecodeWire implements wire.WireDecoder.
+// DecodeWire implements wire.WireDecoder. The coordinator keeps the
+// records past the call, so each is copied out of data in one allocation
+// (pps.CopyMetadata).
 func (q *IngestReq) DecodeWire(data []byte) error {
 	r := binfmt.NewReader(data)
-	q.Records = decodeRecords(&r, "IngestReq.Records")
+	q.Records = viewRecords(&r, "IngestReq.Records")
+	for i := range q.Records {
+		rec := &q.Records[i]
+		rec.Nonce, rec.Filter = pps.CopyMetadata(rec.Nonce, rec.Filter)
+	}
 	return r.Finish("IngestReq")
 }

@@ -91,11 +91,14 @@ func TestBinaryCodecGoldenRoundTrip(t *testing.T) {
 }
 
 // TestBinaryCodecDecodeCopies: decoded byte slices must not alias the
-// input buffer (it is pooled and will be overwritten).
+// input buffer (it is pooled and will be overwritten). IngestReq is the
+// record body whose decode copies: the coordinator keeps its records past
+// the call. PutReq's records are views by design; that nothing keeps
+// them past the node's handler is TestNodePutKeepsNoFrameBytes (node).
 func TestBinaryCodecDecodeCopies(t *testing.T) {
-	in := PutReq{Records: testRecords(2)}
+	in := IngestReq{Records: testRecords(2)}
 	buf := in.AppendWire(nil)
-	var out PutReq
+	var out IngestReq
 	if err := out.DecodeWire(buf); err != nil {
 		t.Fatal(err)
 	}

@@ -167,6 +167,12 @@ type PingResp struct {
 
 // PutReq pushes replica records to a node (the backend update server
 // strategy of §4.1).
+//
+// A decoded PutReq does not own its records' bytes: DecodeWire leaves
+// every nonce and filter a view of the request body, which the wire
+// keeps valid only until the handler returns. Its one receiver,
+// node.Node.Put, inserts them into the store, which copies what it
+// keeps, before then; nothing else may keep them.
 type PutReq struct {
 	Records []pps.Encoded `json:"records"`
 

@@ -19,8 +19,9 @@ import (
 )
 
 // checkScheduleInvariants asserts the store's structural invariants:
-// records sorted and unique, the bucket directory in step with them, and
-// one schedule per record, its nonce's, while the store keeps schedules.
+// records sorted and unique, the id array and the bucket directory in
+// step with them, and one schedule per record, its nonce's, while the
+// store keeps schedules.
 func checkScheduleInvariants(t *testing.T, s *Store, when string) {
 	t.Helper()
 	s.mu.RLock()
@@ -28,6 +29,14 @@ func checkScheduleInvariants(t *testing.T, s *Store, when string) {
 	for i := 1; i < len(s.recs); i++ {
 		if s.recs[i-1].ID >= s.recs[i].ID {
 			t.Fatalf("%s: recs not sorted and unique at %d: %d then %d", when, i, s.recs[i-1].ID, s.recs[i].ID)
+		}
+	}
+	if len(s.ids) != len(s.recs) {
+		t.Fatalf("%s: %d ids for %d records", when, len(s.ids), len(s.recs))
+	}
+	for i, r := range s.recs {
+		if s.ids[i] != r.ID {
+			t.Fatalf("%s: ids[%d] is %d, the record there is %d", when, i, s.ids[i], r.ID)
 		}
 	}
 	var held [numBuckets]int // records per bucket

@@ -27,8 +27,11 @@ func fuzzRec(idByte, version byte) pps.Encoded {
 // FuzzInsertBatchEqualsSequential: one Insert of an arbitrary batch (any
 // order, repeated ids, sorted or not, into a store holding any records)
 // leaves the store exactly as inserting the batch one record at a time
-// does: the same records, Len, key schedules and stamped buckets, every
-// stamp the call's one generation. The caller's batch is not modified.
+// does: the same records, byte for byte, Len, key schedules and stamped
+// buckets, every stamp the call's one generation. The caller's batch is
+// not modified, and the store keeps none of its bytes: the batch's (and
+// the stored records') input bytes are overwritten once Insert returns,
+// while the sequential reference inserts copies nobody overwrites.
 //
 // Input: data[0] is the number of records stored first, data[1] bit 0
 // keeps schedules and bit 1 sorts the batch ascending (duplicates stay),
@@ -53,25 +56,28 @@ func FuzzInsertBatchEqualsSequential(f *testing.F) {
 		if flags&2 != 0 {
 			slices.SortFunc(batch, func(a, b pps.Encoded) int { return cmp.Compare(a.ID, b.ID) })
 		}
+		pristine := cloneRecs(recs)
 		got, want := New(), New()
 		got.Insert(recs[:stored]...)
-		want.Insert(recs[:stored]...)
+		clobber(recs[:stored])
+		want.Insert(pristine[:stored]...)
 		if flags&1 != 0 {
 			got.activateSchedules()
 			want.activateSchedules()
 		}
-		before := slices.Clone(batch)
 		genBefore, wantGenBefore := got.gen, want.gen
 		got.Insert(batch...)
-		for _, r := range batch {
-			want.Insert(r)
-		}
-
-		for i := range batch {
-			if batch[i].ID != before[i].ID || !bytes.Equal(batch[i].Filter, before[i].Filter) {
+		for i, r := range batch {
+			p := pristine[stored+i]
+			if r.ID != p.ID || !bytes.Equal(r.Nonce, p.Nonce) || !bytes.Equal(r.Filter, p.Filter) {
 				t.Fatalf("Insert modified the caller's batch at %d", i)
 			}
 		}
+		clobber(batch)
+		for _, r := range pristine[stored:] {
+			want.Insert(r)
+		}
+
 		checkScheduleInvariants(t, got, "batch")
 		checkScheduleInvariants(t, want, "sequential")
 		if got.Len() != want.Len() {
@@ -104,4 +110,26 @@ func FuzzInsertBatchEqualsSequential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// cloneRecs returns recs with every nonce and filter copied.
+func cloneRecs(recs []pps.Encoded) []pps.Encoded {
+	out := make([]pps.Encoded, len(recs))
+	for i, r := range recs {
+		out[i] = r
+		out[i].Nonce, out[i].Filter = slices.Clone(r.Nonce), slices.Clone(r.Filter)
+	}
+	return out
+}
+
+// clobber inverts every byte of every nonce and filter of recs, as a
+// caller reusing its buffers would overwrite them.
+func clobber(recs []pps.Encoded) {
+	for _, r := range recs {
+		for _, b := range [][]byte{r.Nonce, r.Filter} {
+			for i := range b {
+				b[i] = ^b[i]
+			}
+		}
+	}
 }

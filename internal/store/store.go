@@ -8,16 +8,28 @@
 // id scaled into [0, 1). Records are kept sorted so a sub-query's id arc
 // maps to at most two contiguous slices.
 //
+// The store is the one place a record's bytes are kept. Insert copies
+// the nonce and filter of every record it keeps, so the write path's
+// decoders upstream (a node's push decode, the ingest drain) lend views
+// of their buffers and allocate nothing per record. A record that
+// replaces a held id with fields of the same lengths is copied over the
+// bytes it replaces, with no allocation; any other takes one. No view of
+// the stored bytes leaves the lock: Get and InArc return copies, and the
+// scans that read them in place hold the read lock, which an overwrite's
+// write lock excludes.
+//
 // The ring is cut into numBuckets fixed buckets (the top bits of the
 // identifier), and a directory of numBuckets+1 offsets says where each
 // bucket's records start. A record is found by a search of its bucket
-// alone, O(log(n/numBuckets)) probes for ids spread over the ring: a
-// handful of cache lines instead of a search path through the whole
-// slice. A mutator keeps the directory in step under its write lock: a
-// single fresh insert or delete adjusts the offsets above its bucket, a
-// batch with fresh ids makes one pass over the batch and the directory,
-// a batch delete and RetainStored rebuild it in the pass they make
-// anyway, and a replacement moves nothing, so it touches nothing.
+// alone, O(log(n/numBuckets)) probes for ids spread over the ring, and
+// the search reads ids, a dense array of the records' identifiers kept in
+// step with them: a bucket's ids fill a cache line or two instead of a
+// line per record. A mutator keeps the directory and ids in step under
+// its write lock: a single fresh insert or delete adjusts the offsets
+// above its bucket, a batch with fresh ids makes one pass over the batch
+// and the directory, a batch delete and RetainStored rebuild it in the
+// pass they make anyway, and a replacement moves nothing, so it touches
+// neither.
 //
 // Insert has three cases. One record: a bucket search, then one memmove
 // of the records above it if its id is fresh, O(n) only then. A batch of
@@ -101,7 +113,12 @@ func bucketOf(id uint64) int { return int(id >> bucketShift) }
 // Store holds one node's replica set. Safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
-	recs []pps.Encoded // sorted by ID, unique
+	recs []pps.Encoded // sorted by ID, unique; every nonce and filter the store's own
+
+	// ids[i] == recs[i].ID: the dense array a seek searches, eight bytes a
+	// record, so a bucket's ids take a cache line or two where its records
+	// take one line each. It changes with recs, under the write lock.
+	ids []uint64
 
 	// ks[i] is the key schedule of recs[i].Nonce while scheduled is set;
 	// otherwise ks is empty. Both change only under the write lock, and
@@ -149,6 +166,9 @@ func (s *Store) Len() int {
 // fresh id move once, O(n), instead of the O(k·n) memmove of per-record
 // insertion. Ordering, and deriving the batch's key schedules when the
 // store keeps them, happen before the write lock is taken.
+//
+// The store keeps a copy of every record's nonce and filter (keepLocked),
+// so the caller may reuse its buffers once Insert returns.
 func (s *Store) Insert(recs ...pps.Encoded) {
 	if len(recs) == 0 {
 		return
@@ -181,13 +201,16 @@ func (s *Store) Insert(recs ...pps.Encoded) {
 // keeps schedules.
 func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 	i := s.lowerLocked(r.ID)
-	fresh := i == len(s.recs) || s.recs[i].ID != r.ID
+	fresh := i == len(s.ids) || s.ids[i] != r.ID
 	if fresh {
 		s.recs = append(s.recs, pps.Encoded{})
 		copy(s.recs[i+1:], s.recs[i:])
+		s.ids = append(s.ids, 0)
+		copy(s.ids[i+1:], s.ids[i:])
+		s.ids[i] = r.ID
 		s.shiftDirectoryLocked(r.ID, 1)
 	}
-	s.recs[i] = r
+	s.keepLocked(i, r, !fresh)
 	if !s.scheduled.Load() {
 		return
 	}
@@ -196,6 +219,23 @@ func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 		copy(s.ks[i+1:], s.ks[i:])
 	}
 	s.ks[i] = ks[0]
+}
+
+// keepLocked stores r at recs[i] in bytes the store owns. A record that
+// replaces the one held there (held) with a nonce and a filter of the
+// same lengths is copied over the old bytes and allocates nothing; any
+// other gets one allocation (pps.CopyMetadata). The write lock keeps
+// every scan, whose batches are views of these bytes, out meanwhile, and
+// no view of them leaves the lock.
+func (s *Store) keepLocked(i int, r pps.Encoded, held bool) {
+	old := &s.recs[i]
+	if held && len(old.Nonce) == len(r.Nonce) && len(old.Filter) == len(r.Filter) {
+		copy(old.Nonce, r.Nonce)
+		copy(old.Filter, r.Filter)
+		return
+	}
+	r.Nonce, r.Filter = pps.CopyMetadata(r.Nonce, r.Filter)
+	*old = r
 }
 
 // SortedUnique returns recs ordered by ID with one record per ID, the
@@ -250,7 +290,7 @@ func (s *Store) shiftDirectoryLocked(id uint64, delta int32) {
 func (s *Store) indexBucketsLocked() {
 	i := 0
 	for b := 0; b <= numBuckets; b++ {
-		for i < len(s.recs) && bucketOf(s.recs[i].ID) < b {
+		for i < len(s.ids) && bucketOf(s.ids[i]) < b {
 			i++
 		}
 		s.start[b] = int32(i)
@@ -258,23 +298,23 @@ func (s *Store) indexBucketsLocked() {
 }
 
 // seekLocked is the index of the first record at or after from with
-// ID >= id; every record before from must have ID < id. It searches
-// id's bucket only, by doubling steps from the later of from and the
-// bucket's start and bisecting the last: O(log gap) inside the bucket,
-// so a sorted batch locates a dense run of ids in the same steps as a
-// linear walk, and a store whose ids share one bucket costs what a
-// search of the whole slice does.
+// ID >= id; every record before from must have ID < id. It reads ids,
+// not recs, and searches id's bucket only, by doubling steps from the
+// later of from and the bucket's start and bisecting the last: O(log
+// gap) inside the bucket, so a sorted batch locates a dense run of ids
+// in the same steps as a linear walk, and a store whose ids share one
+// bucket costs what a search of the whole slice does.
 func (s *Store) seekLocked(from int, id uint64) int {
 	// Every record before lo has ID < id, and every record from n on is
 	// in a later bucket.
 	b := bucketOf(id)
 	lo, n, step := max(from, int(s.start[b])), int(s.start[b+1]), 1
-	for lo+step <= n && s.recs[lo+step-1].ID < id {
+	for lo+step <= n && s.ids[lo+step-1] < id {
 		lo += step
 		step *= 2
 	}
 	hi := min(lo+step-1, n)
-	return lo + sort.Search(hi-lo, func(i int) bool { return s.recs[lo+i].ID >= id })
+	return lo + sort.Search(hi-lo, func(i int) bool { return s.ids[lo+i] >= id })
 }
 
 // mergeLocked bulk-inserts a SortedUnique batch in one pass that locates
@@ -283,9 +323,10 @@ func (s *Store) seekLocked(from int, id uint64) int {
 // slices grow once, and back to front the run of old records above each
 // insertion point moves up once, by the number of fresh ids at or below
 // it, and so does the start of every bucket above the fresh id's and not
-// above the next fresh id's. A batch the store holds entirely allocates
-// nothing and moves nothing. ks holds the batch's schedules when the
-// store keeps them and moves in step with the records.
+// above the next fresh id's. A batch the store holds entirely, with
+// fields of the lengths it holds, allocates nothing and moves nothing
+// (keepLocked). ks holds the batch's schedules when the store keeps them
+// and moves in step with the records, as ids does.
 func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
 	scheduled := s.scheduled.Load()
 	old := len(s.recs)
@@ -294,11 +335,11 @@ func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
 	at := 0
 	for j := range batch {
 		at = s.seekLocked(at, batch[j].ID)
-		if at == old || s.recs[at].ID != batch[j].ID {
+		if at == old || s.ids[at] != batch[j].ID {
 			fresh = append(fresh, insertion{j, at})
 			continue
 		}
-		s.recs[at] = batch[j]
+		s.keepLocked(at, batch[j], true)
 		if scheduled {
 			s.ks[at] = ks[j]
 		}
@@ -307,6 +348,7 @@ func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
 		return
 	}
 	s.recs = append(s.recs, make([]pps.Encoded, len(fresh))...)
+	s.ids = append(s.ids, make([]uint64, len(fresh))...)
 	if scheduled {
 		s.ks = append(s.ks, make([]pps.KeySchedule, len(fresh))...)
 	}
@@ -317,7 +359,9 @@ func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
 			s.start[b] += int32(shift)
 		}
 		copy(s.recs[f.at+shift:end+shift], s.recs[f.at:end])
-		s.recs[f.at+shift-1] = batch[f.j]
+		copy(s.ids[f.at+shift:end+shift], s.ids[f.at:end])
+		s.ids[f.at+shift-1] = batch[f.j].ID
+		s.keepLocked(f.at+shift-1, batch[f.j], false)
 		if scheduled {
 			copy(s.ks[f.at+shift:end+shift], s.ks[f.at:end])
 			s.ks[f.at+shift-1] = ks[f.j]
@@ -342,11 +386,12 @@ func (s *Store) Delete(ids ...uint64) {
 	if len(ids) == 1 {
 		id := ids[0]
 		i := s.lowerLocked(id)
-		if i < len(s.recs) && s.recs[i].ID == id {
+		if i < len(s.ids) && s.ids[i] == id {
 			s.touchLocked(id)
 			copy(s.recs[i:], s.recs[i+1:])
 			clear(s.recs[len(s.recs)-1:])
 			s.recs = s.recs[:len(s.recs)-1]
+			s.ids = append(s.ids[:i], s.ids[i+1:]...)
 			s.shiftDirectoryLocked(id, -1)
 			if scheduled {
 				s.ks = append(s.ks[:i], s.ks[i+1:]...)
@@ -358,8 +403,7 @@ func (s *Store) Delete(ids ...uint64) {
 	sort.Slice(del, func(a, b int) bool { return del[a] < del[b] })
 	w := 0
 	j := 0
-	for i := range s.recs {
-		id := s.recs[i].ID
+	for i, id := range s.ids {
 		for j < len(del) && del[j] < id {
 			j++
 		}
@@ -368,41 +412,73 @@ func (s *Store) Delete(ids ...uint64) {
 			continue
 		}
 		s.recs[w] = s.recs[i]
+		s.ids[w] = id
 		if scheduled {
 			s.ks[w] = s.ks[i]
 		}
 		w++
 	}
 	clear(s.recs[w:])
-	s.recs = s.recs[:w]
+	s.recs, s.ids = s.recs[:w], s.ids[:w]
 	s.indexBucketsLocked()
 	if scheduled {
 		s.ks = s.ks[:w]
 	}
 }
 
-// Get returns the record with the given id.
+// Get returns a copy of the record with the given id.
 func (s *Store) Get(id uint64) (pps.Encoded, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	i := s.lowerLocked(id)
-	if i < len(s.recs) && s.recs[i].ID == id {
-		return s.recs[i], true
+	if i == len(s.ids) || s.ids[i] != id {
+		return pps.Encoded{}, false
 	}
-	return pps.Encoded{}, false
+	r := s.recs[i]
+	r.Nonce, r.Filter = pps.CopyMetadata(r.Nonce, r.Filter)
+	return r, true
 }
 
 // InArc returns copies of the records whose ring point lies in the
 // half-open arc (lo, hi] — the match set of a sub-query. The arc may
-// wrap zero, producing at most two contiguous slices internally.
+// wrap zero, producing at most two contiguous slices internally. The
+// copies' nonces and filters share one allocation, each capped at its
+// length.
 func (s *Store) InArc(lo, hi ring.Point) []pps.Encoded {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []pps.Encoded
-	for _, r := range s.arcRangesLocked(lo, hi) {
-		out = append(out, s.recs[r.from:r.to]...)
+	ranges := s.arcRangesLocked(lo, hi)
+	n, size := 0, 0
+	for _, r := range ranges {
+		n += r.to - r.from
+		for i := r.from; i < r.to; i++ {
+			size += s.recs[i].Bytes()
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]pps.Encoded, 0, n)
+	buf := make([]byte, 0, size)
+	for _, r := range ranges {
+		for _, rec := range s.recs[r.from:r.to] {
+			buf, rec.Nonce = appendField(buf, rec.Nonce)
+			buf, rec.Filter = appendField(buf, rec.Filter)
+			out = append(out, rec)
+		}
 	}
 	return out
+}
+
+// appendField appends f to buf, which must have room for it, and returns
+// buf and the copy of f, capped at its length; an empty f copies as nil.
+func appendField(buf, f []byte) ([]byte, []byte) {
+	if len(f) == 0 {
+		return buf, nil
+	}
+	at := len(buf)
+	buf = append(buf, f...)
+	return buf, buf[at:len(buf):len(buf)]
 }
 
 // CountArc returns the number of records in (lo, hi].
@@ -445,7 +521,7 @@ func (s *Store) lowerLocked(id uint64) int { return s.seekLocked(0, id) }
 // upperLocked is the index of the first record with ID > id.
 func (s *Store) upperLocked(id uint64) int {
 	if id == math.MaxUint64 {
-		return len(s.recs)
+		return len(s.ids)
 	}
 	return s.seekLocked(0, id+1)
 }
@@ -490,6 +566,7 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 		pt := PointOf(r.ID)
 		d := keepLo.DistCW(pt)
 		if d > 0 && d < keepLo.DistCW(keepHi) {
+			s.ids[len(kept)] = r.ID
 			kept = append(kept, r)
 		} else {
 			s.touchLocked(r.ID)
@@ -501,7 +578,7 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 	// blobs are garbage-collectable instead of pinned until the next
 	// slice growth.
 	clear(old[len(kept):])
-	s.recs = kept
+	s.recs, s.ids = kept, s.ids[:len(kept)]
 	s.indexBucketsLocked()
 	return dropped
 }

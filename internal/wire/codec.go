@@ -87,7 +87,10 @@ type WireAppender interface {
 
 // WireDecoder is the decode side, implemented with pointer receivers.
 // Implementations must copy any byte slices they retain: the input
-// aliases a pooled read buffer.
+// aliases a pooled read buffer. The one named exception is
+// proto.PutReq, whose records stay views of the input: its handler
+// (node.Node.Put) has the store copy them before it returns, and the
+// buffer is not reused until then.
 type WireDecoder interface {
 	DecodeWire(data []byte) error
 }

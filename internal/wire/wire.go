@@ -65,7 +65,10 @@ const dialTimeout = 5 * time.Second
 // Handler serves one request. Returning an error sends it to the caller
 // as a call failure; the connection stays up. The body's backing bytes
 // are only valid for the duration of the call — Decode copies whatever
-// the request struct retains, so decode-then-use handlers need no care.
+// the request struct retains, so decode-then-use handlers need no care,
+// except for a type whose decoder lends views of the body
+// (proto.PutReq, see WireDecoder): its handler must be done with them,
+// or have copied them, when it returns.
 type Handler func(ctx context.Context, method string, body Body) (interface{}, error)
 
 // --- errors ---
