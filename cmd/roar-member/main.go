@@ -2,8 +2,8 @@
 // ring topology, loads the corpus onto joining nodes, drives p changes,
 // and publishes views to frontends. Every record it takes, by
 // member.load or member.ingest, goes through its write-ahead log (-wal),
-// and the coordinator rebuilds its corpus from that log when it starts
-// or wins an election.
+// and the coordinator reads the corpus from that log whenever it pushes
+// a node its stored set, after a restart or an election too.
 //
 // Standalone (single coordinator, the original deployment; without -wal
 // the log lives in a temporary directory removed at exit):
@@ -80,7 +80,7 @@ func main() {
 	)
 	if *peers != "" {
 		if *walDir == "" {
-			fatal(fmt.Errorf("-peers needs -wal: a new leader rebuilds the corpus from the log the replicas share"))
+			fatal(fmt.Errorf("-peers needs -wal: a new leader reads the corpus from the log the replicas share"))
 		}
 		rep := newReplica(*listen, *self, *peers, *lease, *heartbeat, *walDir, coordCfg)
 		defer rep.Stop()
@@ -108,8 +108,8 @@ func main() {
 			fatal(err)
 		}
 		defer coord.Close()
-		// New recovered the backend from the WAL; start the drain now:
-		// there is no election to wait for.
+		// Start the drain now: there is no election to wait for. The
+		// backend fills from the WAL at the first push.
 		coord.StartIngest(membership.IngestConfig{Logf: log.Printf})
 		lead = func() (*membership.Coordinator, error) { return coord, nil }
 		newAutoscaler = coord.NewAutoscaler

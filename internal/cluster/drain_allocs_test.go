@@ -16,14 +16,14 @@ import (
 
 // drainAllocsCeiling is what one accepted record may allocate, in the
 // whole process, on its way from IngestAppend to every replica: the WAL
-// append and group commit, the coordinator's backend insert, the drain's
-// read, order, route and pushes, both ends of the wire and each holder's
-// decode and apply. Measured 2.4 since the store keeps the only copy of
-// a record's bytes and overwrites a held id's in place (8.4 while the
-// drain's read and every holder's decode copied each record, 8.6 while a
-// batch insert allocated its ids' positions, 24.8 when the drain routed
-// each record under its own lock and every decode allocated nonce and
-// filter apart); the room is one allocation per record.
+// append and group commit, the drain's read, order, route and pushes,
+// both ends of the wire and each holder's decode and apply. Measured 2.4
+// since the store keeps the only copy of a record's bytes and overwrites
+// a held id's in place (8.4 while the drain's read and every holder's
+// decode copied each record, 8.6 while a batch insert allocated its ids'
+// positions, 24.8 when the drain routed each record under its own lock
+// and every decode allocated nonce and filter apart); the room is one
+// allocation per record.
 const drainAllocsCeiling = 3.4
 
 // TestDrainAllocsPerRecord is the count gate on the write path's per

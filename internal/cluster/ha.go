@@ -41,9 +41,9 @@ type HAOptions struct {
 	Health   membership.HealthConfig
 	// IngestDir is the log directory the replicas share, as every
 	// roar-member -peers names one -wal. Each replica opens its own
-	// handle on winning an election and rebuilds its own backend from
-	// it; only the leader drains it, resuming from the replicated
-	// watermark. Empty means a temporary directory that Close removes.
+	// handle on winning an election and reads its own backend from it at
+	// its first push; only the leader drains it, resuming from the
+	// replicated watermark. Empty means a temporary directory that Close removes.
 	IngestDir string
 	// IngestBatch caps records per drain round (0 = consumer default).
 	IngestBatch int

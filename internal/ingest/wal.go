@@ -196,13 +196,6 @@ type WAL struct {
 	closed   bool
 	err      error // sticky write/fsync failure
 
-	// follow is the applier Follow installed (nil before). While it is
-	// set, pendingRecs holds the records of pending's frames, and
-	// spareRecs is its emptied twin, swapped the way the buffers are.
-	follow      func([]pps.Encoded)
-	pendingRecs []pps.Encoded
-	spareRecs   []pps.Encoded
-
 	notify chan struct{} // capacity 1; a token means "durable advanced"
 }
 
@@ -402,9 +395,6 @@ func (w *WAL) Append(recs ...pps.Encoded) (uint64, error) {
 		w.nextSeq++
 		w.pending = AppendFrame(w.pending, w.nextSeq, recs[i])
 	}
-	if w.follow != nil {
-		w.pendingRecs = append(w.pendingRecs, recs...)
-	}
 	myLast := w.nextSeq
 	for w.durable < myLast {
 		if w.err != nil {
@@ -427,23 +417,16 @@ func (w *WAL) Append(recs ...pps.Encoded) (uint64, error) {
 // flusher exclusive). Appends arriving meanwhile fill the spare buffer,
 // and the one written becomes the spare once the write returns, so two
 // buffers serve every group commit and neither regrows from nothing.
-// A follower takes the group's records after the fsync succeeds and
-// before durable moves, so no reader can see them first.
 func (w *WAL) flushLocked() {
 	w.flushing = true
-	buf, recs, follow := w.pending, w.pendingRecs, w.follow
+	buf := w.pending
 	w.pending, w.spare = w.spare[:0], nil
-	w.pendingRecs, w.spareRecs = w.spareRecs[:0], nil
 	last := w.nextSeq
 	first := w.durable + 1
-	w.mu.Unlock() //lint:allow lock — group commit: the flushing flag keeps the flusher exclusive while the fsync and the follower run unlocked
+	w.mu.Unlock() //lint:allow lock — group commit: the flushing flag keeps the flusher exclusive while the fsync runs unlocked
 	err := w.writeAndSync(buf, first)
-	if err == nil && follow != nil && len(recs) > 0 {
-		follow(recs)
-	}
-	clear(recs) // the spare must not pin the appenders' records
 	w.mu.Lock() //lint:allow lock — re-acquired for the caller, who entered holding it
-	w.spare, w.spareRecs = buf[:0], recs[:0]
+	w.spare = buf[:0]
 	if err != nil && w.err == nil {
 		w.err = err
 	}
@@ -544,57 +527,6 @@ func (w *WAL) seal() error {
 	return nil
 }
 
-// Follow makes apply the log's one applier: it hands apply every
-// durable record, in sequence order and each once. The records the log
-// already holds go first, before Follow returns; then each group
-// commit's records, after their write and fsync succeed and before
-// anyone else (Append's callers, DurableSeq, Replay, a consumer's
-// cursor) can see them as durable. A failed write applies nothing.
-// Appends made while Follow replays queue behind it and are applied
-// after it. apply runs with the flush slot held, so it must never call
-// back into the WAL; the slices it gets are reused after it returns.
-// A WAL takes one follower.
-func (w *WAL) Follow(apply func([]pps.Encoded)) error {
-	w.mu.Lock()
-	// Frames appended before the follower was set have no records beside
-	// them: make them durable first, so the replay below covers them.
-	for w.flushing || (len(w.pending) > 0 && w.err == nil && !w.closed) {
-		if w.flushing {
-			w.cond.Wait()
-			continue
-		}
-		w.flushLocked()
-	}
-	err := w.err
-	if w.closed {
-		err = ErrClosed
-	} else if err == nil && w.follow != nil {
-		err = errors.New("ingest: wal already has a follower")
-	}
-	if err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.follow, w.flushing = apply, true
-	w.mu.Unlock()
-	var recs []pps.Encoded
-	err = w.Replay(0, func(_ uint64, rec pps.Encoded) bool {
-		recs = append(recs, rec)
-		return true
-	})
-	if err == nil && len(recs) > 0 {
-		apply(recs)
-	}
-	w.mu.Lock()
-	if err != nil {
-		w.follow, w.pendingRecs = nil, nil
-	}
-	w.flushing = false
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return err
-}
-
 // DurableSeq returns the highest fsynced sequence.
 func (w *WAL) DurableSeq() uint64 {
 	w.mu.Lock()
@@ -639,7 +571,9 @@ func (w *WAL) Replay(after uint64, fn func(seq uint64, rec pps.Encoded) bool) er
 // number of segments removed. It is only legal for seq <= the drained
 // watermark of every consumer of this log, so it only ever removes
 // segments behind their cursors; a cursor whose next segment is gone
-// reports an error, it does not skip.
+// reports an error, it does not skip. A reader that Replays from a
+// sequence it keeps needs seq <= that sequence too: Replay from below
+// the oldest surviving record starts there, silently.
 func (w *WAL) TruncateThrough(seq uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

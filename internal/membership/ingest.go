@@ -2,11 +2,11 @@
 // pipeline. IngestAppend accepts records into the write-ahead log —
 // acceptance means durability, not delivery — and StartIngest runs the
 // consumer that drains it to the p owning nodes. The log is the only way
-// a record enters the system (LoadCorpus appends to it too), and its
-// follower, installed by New, is the only writer of the backend: it
-// takes the log's records in sequence order, each group commit before
-// the log publishes it as durable, so the drain never routes a record
-// the backend lacks.
+// a record enters the system (LoadCorpus appends to it too), and the
+// only source of the backend: a push catches the backend up from it
+// (catchUp) after the topology it pushes for is visible to routeBatch,
+// so any record the drain routed by the topology before is in what the
+// push reads.
 //
 // Routing happens once per delivery attempt through routeBatch, which
 // reads the CURRENT topology and epoch for the whole batch under one
@@ -26,10 +26,10 @@
 //
 // Replicated coordinators (replica.go) open the log directory the
 // replicas share only while they lead, and replicate the drained
-// watermark in ControlState; a new leader replays the log in
-// NewFromState, then calls StartIngest with the restored watermark and
-// resumes — re-delivering at most the un-replicated tail, which
-// node-side dedup absorbs.
+// watermark in ControlState; a new leader calls StartIngest with the
+// restored watermark and resumes — re-delivering at most the
+// un-replicated tail, which node-side dedup absorbs — and reads the log
+// into its backend at its first push, like any coordinator.
 package membership
 
 import (
@@ -60,15 +60,14 @@ type IngestConfig struct {
 	After func(time.Duration) <-chan time.Time
 }
 
-// IngestAppend durably accepts records: they are fsynced to the WAL,
-// and so in the backend (New made it the log's follower), before the
-// call returns; delivery to the owning nodes happens asynchronously.
-// The backend keeps a copy of every record, so the caller may reuse
-// recs and their bytes once the call returns. Returns the WAL sequence of the last record — WaitIngestDrained on it
-// blocks until delivery. A replicated coordinator commits before it
-// acknowledges: a deposed leader's accepted batch errors out, the
-// producer retries on the new leader, and record-ID dedup absorbs the
-// duplicate append.
+// IngestAppend durably accepts records: they are fsynced to the WAL
+// before the call returns; delivery to the owning nodes happens
+// asynchronously. The log keeps the records' bytes, so the caller may
+// reuse recs and their bytes once the call returns. Returns the WAL
+// sequence of the last record — WaitIngestDrained on it blocks until
+// delivery. A replicated coordinator commits before it acknowledges: a
+// deposed leader's accepted batch errors out, the producer retries on
+// the new leader, and record-ID dedup absorbs the duplicate append.
 func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uint64, error) {
 	if c.wal == nil {
 		return 0, errIngestDisabled
@@ -92,6 +91,46 @@ func (c *Coordinator) IngestAppend(ctx context.Context, recs []pps.Encoded) (uin
 }
 
 var errIngestDisabled = errors.New("membership: ingest disabled (no WAL configured)")
+
+// catchUpBatch is how many records catchUp inserts into the backend at
+// once.
+const catchUpBatch = 1024
+
+// catchUp reads the log's records past applied, up to its durable end,
+// into the backend. A push calls it after the topology it pushes for is
+// visible to routeBatch and before it reads the backend: the drain
+// routes only durable records, so every record it routed by the
+// topology before has a sequence at or below the durable end read here,
+// and the push carries it to the holders that topology lacked. A read
+// error fails the push. No-op without a WAL.
+func (c *Coordinator) catchUp() error {
+	if c.wal == nil {
+		return nil
+	}
+	c.catchMu.Lock()
+	defer c.catchMu.Unlock()
+	batch := make([]pps.Encoded, 0, catchUpBatch)
+	var last uint64
+	insert := func() {
+		c.backend.Insert(batch...)
+		c.applied = last
+		batch = batch[:0]
+	}
+	err := c.wal.Replay(c.applied, func(seq uint64, rec pps.Encoded) bool {
+		batch, last = append(batch, rec), seq
+		if len(batch) == catchUpBatch {
+			insert()
+		}
+		return true
+	})
+	if len(batch) > 0 {
+		insert()
+	}
+	if err != nil {
+		return fmt.Errorf("membership: reading the log into the backend: %w", err)
+	}
+	return nil
+}
 
 // StartIngest starts the drain consumer from the restored drained
 // watermark. No-op without a WAL or when already started.
@@ -139,9 +178,10 @@ func (c *Coordinator) StopIngest() {
 
 // routeBatch resolves the CURRENT owners of every record of a batch
 // under one hold of c.mu: the holders of each record's replication arc
-// on every enabled ring, with pushes fenced by the epoch read once for
-// the batch. Called fresh on every delivery attempt (ingest.Route
-// contract); only the per-node Target value is reused within an epoch.
+// on every enabled ring, by the lower of p and a pending p, with pushes
+// fenced by the epoch read once for the batch. Called fresh on every
+// delivery attempt (ingest.Route contract); only the per-node Target
+// value is reused within an epoch.
 func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([]ingest.Placement, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -149,10 +189,17 @@ func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([
 		c.ingestTargets = make(map[ring.NodeID]ingestTarget)
 		c.ingestTargetsEpoch = c.epoch
 	}
+	// A p decrease in progress routes by its target already: its holders
+	// include the current p's, and what the drain delivers from here on
+	// is not in the arcs changeP pushes to the ones it adds.
+	p := c.p
+	if c.pendingP > 0 {
+		p = min(p, c.pendingP)
+	}
 	var buf [16]ring.NodeID
 	holders := buf[:0]
 	for i, rec := range batch {
-		repl := ring.ReplicationArc(store.PointOf(rec.ID), c.p)
+		repl := ring.ReplicationArc(store.PointOf(rec.ID), p)
 		holders = holders[:0]
 		for k, r := range c.rings {
 			if !c.disabled[k] {

@@ -6,14 +6,13 @@
 // to track diurnal load (§4.9.1).
 //
 // The coordinator doubles as the backend file store of §4.1 (the NFS
-// stand-in): it holds the full corpus and pushes each node exactly the
-// records its stored set requires. A record enters that backend one way:
-// New makes the backend the follower of the coordinator's write-ahead
-// log (ingest.go), which applies the records it holds before New
-// returns and then each group commit before anyone can see it as
-// durable. So every coordinator, a newly elected leader's included,
-// rebuilds its backend from the log before it serves, and the drain
-// never delivers a record a Join or ChangeP could miss copying.
+// stand-in): it pushes each node exactly the records its stored set
+// requires when that set changes. The store it reads them from is its
+// write-ahead log (ingest.go), the one way a record enters the system:
+// the backend is the log's records read into an id-keyed store, and a
+// push first catches it up to the log's durable end (catchUp). So the
+// backend is empty until the first push, a newly elected leader's
+// included, and writes never touch it.
 //
 // One type serves every caller. The Coordinator owns the state machine
 // and decides every commit point: each mutator applies its change (data
@@ -48,11 +47,11 @@ type Config struct {
 	// Zero values use the documented defaults.
 	Health HealthConfig
 	// WAL is the coordinator's log (ingest.go): IngestAppend and
-	// LoadCorpus append to it, New makes the backend its follower, and
-	// StartIngest drains it to the owning nodes. The coordinator closes
-	// it in Close. A replica opens its leader's log through
-	// ReplicaConfig.OpenWAL instead. Without one the coordinator takes no
-	// records.
+	// LoadCorpus append to it, StartIngest drains it to the owning nodes,
+	// and every push reads the backend's new records from it. The
+	// coordinator closes it in Close. A replica opens its leader's log
+	// through ReplicaConfig.OpenWAL instead. Without one the coordinator
+	// takes no records.
 	WAL *ingest.WAL
 }
 
@@ -80,12 +79,17 @@ type Coordinator struct {
 	epoch    int
 	nextID   ring.NodeID
 
-	backend *store.Store // full corpus
-	health  *healthState // failure-evidence aggregation (health.go)
+	health *healthState // failure-evidence aggregation (health.go)
 
-	// Durable ingest pipeline (ingest.go): wal buffers accepted writes
-	// and applies them to the backend, consumer drains them to the
-	// nodes, ingestDrained is the delivered watermark.
+	// backend holds the log's records up to sequence applied, the last
+	// write of each id. Only catchUp writes either, under catchMu.
+	catchMu sync.Mutex
+	backend *store.Store
+	applied uint64
+
+	// Durable ingest pipeline (ingest.go): wal buffers accepted writes,
+	// consumer drains them to the nodes, ingestDrained is the delivered
+	// watermark.
 	wal           *ingest.WAL
 	consumer      *ingest.Consumer
 	ingestDrained uint64
@@ -99,8 +103,9 @@ type Coordinator struct {
 	objectsPushed int64
 
 	// pendingP is the p a ChangeP in progress moves to (0 when none).
-	// It rides every snapshot, so a decision committed while data moves
-	// keeps the intent for a successor to finish.
+	// routeBatch routes by it when it is the lower. It rides every
+	// snapshot, so a decision committed while data moves keeps the intent
+	// for a successor to finish.
 	pendingP int
 
 	// term and commit are set once, by the Replica that builds this
@@ -154,15 +159,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	for k := 0; k < cfg.Rings; k++ {
 		c.rings = append(c.rings, ring.New())
-	}
-	if c.wal != nil {
-		// The log is the backend's one applier: it hands over the records
-		// it holds now, then each group commit's before the commit is
-		// visible to anyone, so the backend holds every record in WAL
-		// order and the drain never routes one the backend lacks.
-		if err := c.wal.Follow(func(recs []pps.Encoded) { c.backend.Insert(recs...) }); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }
@@ -440,7 +436,10 @@ func (c *Coordinator) Decommission(ctx context.Context, id ring.NodeID) error {
 // Increasing p (dropping replicas) switches the safe level immediately
 // and lets nodes trim in their own time. Decreasing p (adding replicas)
 // pushes the missing arc to every node, waits for all confirmations,
-// and only then publishes the new level.
+// and only then publishes the new level. From before the first push
+// until the publish the drain routes by the new level (pendingP), so a
+// record accepted meanwhile also reaches the holders it is about to
+// gain, whose pushes may have read the backend before it.
 //
 // A replicated coordinator brackets the transition with log entries: an
 // intent (PendingP = newP) commits before any data moves, so a successor
@@ -451,10 +450,12 @@ func (c *Coordinator) ChangeP(ctx context.Context, newP int) error {
 	if newP <= 0 {
 		return fmt.Errorf("membership: p must be positive")
 	}
-	if c.commit != nil && newP != c.P() {
+	if newP != c.P() {
 		c.setPendingP(newP)
-		if err := c.commit(proto.EntryIntent); err != nil {
-			return err
+		if c.commit != nil {
+			if err := c.commit(proto.EntryIntent); err != nil {
+				return err
+			}
 		}
 	}
 	err := c.changeP(ctx, newP)
@@ -492,7 +493,12 @@ func (c *Coordinator) changeP(ctx context.Context, newP int) error {
 		return nil
 	}
 	// newP < oldP: push each node the replica arc it lacks:
-	// (start-1/newP, start-1/oldP].
+	// (start-1/newP, start-1/oldP]. The drain routes by newP already
+	// (ChangeP set pendingP), so the backend, once caught up, holds every
+	// record it routed by oldP.
+	if err := c.catchUp(); err != nil {
+		return err
+	}
 	for _, id := range ids {
 		c.mu.Lock()
 		arc, _, err := c.nodeRangeLocked(id)
@@ -641,7 +647,10 @@ func (c *Coordinator) nodeRangeLocked(id ring.NodeID) (ring.Arc, int, error) {
 	return a, k, err
 }
 
-// pushStored sends a node every backend record in its stored set.
+// pushStored sends a node every backend record in its stored set. Its
+// caller made the node's new range visible to routeBatch before, so the
+// backend, once caught up, holds every record the drain routed by the
+// old one.
 func (c *Coordinator) pushStored(ctx context.Context, id ring.NodeID) error {
 	c.mu.Lock()
 	arc, _, err := c.nodeRangeLocked(id)
@@ -650,6 +659,9 @@ func (c *Coordinator) pushStored(ctx context.Context, id ring.NodeID) error {
 	epoch := c.epoch
 	c.mu.Unlock()
 	if err != nil {
+		return err
+	}
+	if err := c.catchUp(); err != nil {
 		return err
 	}
 	repl := 1 / float64(p)

@@ -16,9 +16,10 @@
 //     pollPeers, over the one-method peer interface.
 //   - Apply is the follower half of HandleReplicate (adopt the committed
 //     snapshot) plus becomeLeader (rebuild a live Coordinator from
-//     accepted, raise its epoch floor, commit a takeover barrier, replay
-//     the log into its backend and resume the drain, and only then
-//     publish it and re-drive an inherited ChangeP).
+//     accepted, raise its epoch floor, commit a takeover barrier and
+//     resume the drain, and only then publish it and re-drive an
+//     inherited ChangeP). The log is read into the backend by the first
+//     push, not at takeover.
 //   - Commit points belong to the Coordinator. takeover installs
 //     commitEntry on the coordinator it builds for term T, with T; every
 //     mutator calls it after its change (ChangeP also before its first
@@ -160,8 +161,9 @@ type ReplicaConfig struct {
 	// waits for that very goroutine.
 	Ingest IngestConfig
 	// OpenWAL opens the log directory the replicas share, on winning an
-	// election (the coordinator closes it on step-down); the new leader
-	// rebuilds its backend from it before it serves. Opening at start-up
+	// election (the coordinator closes it on step-down); Open validates
+	// every frame, so a leader whose log cannot be opened steps down, and
+	// its first push reads the log into its backend. Opening at start-up
 	// would race the other replicas on segment creation, and a
 	// follower's handle would go stale the moment the leader appends.
 	// The lease keeps open handles exclusive the same way it keeps
@@ -437,11 +439,11 @@ func (r *Replica) stepDownLocked(format string, args ...any) *Coordinator {
 }
 
 // becomeLeader installs the elected role: rebuild a live coordinator
-// from the accepted entry (takeover), and publish it only once it holds
-// the whole corpus, then re-drive any reconfiguration whose intent
+// from the accepted entry (takeover), publish it once the takeover
+// barrier has committed, then re-drive any reconfiguration whose intent
 // committed without its completion. Until it is published LeaderCoord
-// refuses, so no Join, Leave or ChangeP can push from a backend the log
-// has not filled yet.
+// refuses. Its backend starts empty: the first push reads the log into
+// it.
 //
 // The rebuild base is accepted, not committed: an entry the old leader
 // majority-acked may sit above every survivor's committed (the
@@ -500,10 +502,10 @@ func (r *Replica) becomeLeader(term uint64) {
 }
 
 // takeover builds term's coordinator from base and readies it to serve:
-// it opens the log (NewFromState replays it into the backend), fences
-// the epoch past everything the old leader published, commits the
-// takeover barrier and resumes the drain. Nothing else sees the
-// coordinator before it returns; on error it is closed.
+// it opens the log (Open validates every frame), fences the epoch past
+// everything the old leader published, commits the takeover barrier and
+// resumes the drain. Nothing else sees the coordinator before it
+// returns; on error it is closed.
 func (r *Replica) takeover(term uint64, base proto.ControlState) (*Coordinator, error) {
 	cfg := r.cfg.Coordinator
 	if r.cfg.OpenWAL != nil {
@@ -785,7 +787,8 @@ func (r *Replica) HandleLease(req proto.LeaseReq) proto.LeaseResp {
 func (r *Replica) Self() string { return r.cfg.Self }
 
 // IsLeader reports whether this replica holds the lease and serves as
-// leader: its coordinator has rebuilt its backend and is published.
+// leader: its coordinator has committed its takeover barrier and is
+// published.
 func (r *Replica) IsLeader() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

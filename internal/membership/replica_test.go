@@ -387,10 +387,11 @@ func TestReplicaRedrivesInheritedChangeP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Commit the ChangeP intent exactly as the leader would, then kill
-	// the leader before it executes — the worst-case crash point.
-	intent := c.ExportState()
-	intent.PendingP = 2
-	if err := leader.propose(c.term, proto.EntryIntent, func() proto.ControlState { return intent }); err != nil {
+	// the leader before it executes — the worst-case crash point. The
+	// coordinator holds the intent, as ChangeP's does, so an entry the
+	// heartbeat commits after it (the drained watermark) keeps it too.
+	c.setPendingP(2)
+	if err := leader.propose(c.term, proto.EntryIntent, c.ExportState); err != nil {
 		t.Fatal(err)
 	}
 	leader.Stop()

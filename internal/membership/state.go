@@ -73,8 +73,8 @@ func (c *Coordinator) ExportState() proto.ControlState {
 // NewFromState builds a live coordinator from a replicated snapshot —
 // the takeover path of a freshly elected leader. cfg supplies the
 // local, non-replicated configuration (tuning, health thresholds, the
-// leader's WAL, which New replays into the backend); the snapshot
-// supplies everything replicable.
+// leader's WAL, which the first push reads into the backend); the
+// snapshot supplies everything replicable.
 func NewFromState(cfg Config, st proto.ControlState) (*Coordinator, error) {
 	if cfg.P <= 0 {
 		cfg.P = st.P

@@ -220,11 +220,6 @@ func (n *Node) Put(req proto.PutReq) (proto.PutResp, error) {
 	return proto.PutResp{Stored: len(req.Records), Total: n.store.Len()}, nil
 }
 
-// Delete removes records.
-func (n *Node) Delete(req proto.DeleteReq) {
-	n.store.Delete(req.IDs...)
-}
-
 // Retain applies a range/p change, dropping records outside the new
 // stored set (§4.5). A retain carrying the publishing view's epoch
 // advances the fence, so epoch-fenced puts routed under older views
@@ -259,8 +254,8 @@ func (n *Node) Stats() proto.StatsResp {
 }
 
 // Serve exposes the node over TCP on addr ("127.0.0.1:0" for ephemeral).
-// The hot methods (query, put, ping) take binary request bodies; delete,
-// retain and stats take JSON.
+// The hot methods (query, put, ping) take binary request bodies; retain
+// and stats take JSON.
 func (n *Node) Serve(addr string) (*wire.Server, error) {
 	d := wire.NewDispatcher()
 	d.Register(proto.MNodeQuery, func(ctx context.Context, _ string, body wire.Body) (interface{}, error) {
@@ -276,14 +271,6 @@ func (n *Node) Serve(addr string) (*wire.Server, error) {
 			return nil, fmt.Errorf("node: bad put request: %w", err)
 		}
 		return n.Put(req)
-	})
-	d.Register(proto.MNodeDelete, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
-		var req proto.DeleteReq
-		if err := body.Decode(&req); err != nil {
-			return nil, fmt.Errorf("node: bad delete request: %w", err)
-		}
-		n.Delete(req)
-		return struct{}{}, nil
 	})
 	d.Register(proto.MNodeRetain, func(_ context.Context, _ string, body wire.Body) (interface{}, error) {
 		var req proto.RetainReq

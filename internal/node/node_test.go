@@ -123,15 +123,6 @@ func TestNodeRetain(t *testing.T) {
 	}
 }
 
-func TestNodeDelete(t *testing.T) {
-	n, enc := testSetup(t)
-	ids := loadDocs(t, n, enc, []string{"aa", "bb"})
-	n.Delete(proto.DeleteReq{IDs: []uint64{ids[0]}})
-	if n.Store().Len() != 1 {
-		t.Errorf("Len = %d after delete", n.Store().Len())
-	}
-}
-
 func TestNodeThrottle(t *testing.T) {
 	enc := pps.NewEncoder(pps.TestKey(1), pps.EncoderConfig{
 		MaxKeywords: 2, MaxPathDir: 1,

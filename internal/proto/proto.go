@@ -12,7 +12,6 @@ const (
 	// Node methods.
 	MNodeQuery  = "node.query"
 	MNodePut    = "node.put"
-	MNodeDelete = "node.delete"
 	MNodeRetain = "node.retain"
 	MNodeStats  = "node.stats"
 	MNodePing   = "node.ping"
@@ -190,11 +189,6 @@ type PutReq struct {
 type PutResp struct {
 	Stored int `json:"stored"`
 	Total  int `json:"total"` // node's record count after the put
-}
-
-// DeleteReq removes records by id.
-type DeleteReq struct {
-	IDs []uint64 `json:"ids"`
 }
 
 // IngestReq appends records to the coordinator's durable ingest WAL

@@ -84,7 +84,6 @@ func TestNodeQueryMessages(t *testing.T) {
 func TestNodeDataMessages(t *testing.T) {
 	roundTrip(t, PutReq{Records: []pps.Encoded{testRecord(t)}})
 	roundTrip(t, PutResp{Stored: 1, Total: 10})
-	roundTrip(t, DeleteReq{IDs: []uint64{5, 6}})
 	roundTrip(t, RetainReq{Start: 0.25, Length: 0.5, P: 4})
 	roundTrip(t, RetainResp{Dropped: 3, Remaining: 7})
 	roundTrip(t, StatsResp{Objects: 9, Queries: 100, Scanned: 5000,
