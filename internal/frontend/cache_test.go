@@ -16,7 +16,7 @@ import (
 // resultCache unit tests: generation fencing, LRU budget, single-flight.
 
 func TestResultCacheGetPutGenFence(t *testing.T) {
-	c := newResultCache(1<<20, 4)
+	c := newResultCache(1 << 20)
 	c.put("k", []uint64{1, 2, 3}, 1)
 	ids, ok := c.get("k", 1)
 	if !ok || len(ids) != 3 {
@@ -47,10 +47,9 @@ func TestResultCacheGetPutGenFence(t *testing.T) {
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	// One shard so the LRU order is fully observable. Budget fits two
-	// of the three entries below.
+	// The budget fits two of the three entries below.
 	entrySize := int64(1) + 8*4 + entryOverhead
-	c := newResultCache(2*entrySize, 1)
+	c := newResultCache(2 * entrySize)
 	c.put("a", []uint64{1, 2, 3, 4}, 1)
 	c.put("b", []uint64{1, 2, 3, 4}, 1)
 	c.get("a", 1) // touch a so b is the LRU victim
@@ -66,7 +65,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if st := c.stats(); st.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
-	// An entry larger than a whole shard is skipped, not stored.
+	// An entry larger than the whole budget is skipped, not stored.
 	big := make([]uint64, 1024)
 	c.put("huge", big, 1)
 	if _, ok := c.get("huge", 1); ok {
@@ -75,7 +74,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 }
 
 func TestResultCacheReplaceSameKey(t *testing.T) {
-	c := newResultCache(1<<20, 1)
+	c := newResultCache(1 << 20)
 	c.put("k", []uint64{1}, 1)
 	c.put("k", []uint64{2, 3}, 2)
 	if st := c.stats(); st.Entries != 1 {
@@ -88,7 +87,7 @@ func TestResultCacheReplaceSameKey(t *testing.T) {
 }
 
 func TestResultCacheSingleFlight(t *testing.T) {
-	c := newResultCache(1<<20, 4)
+	c := newResultCache(1 << 20)
 	fl, leader := c.startFlight("k", 1)
 	if !leader || fl == nil {
 		t.Fatal("first flight must lead")
@@ -199,8 +198,8 @@ func TestQueryCacheHitSourceAndStats(t *testing.T) {
 	if len(r2.IDs) != len(r1.IDs) {
 		t.Fatalf("cache hit changed the answer: %v vs %v", r2.IDs, r1.IDs)
 	}
-	if r2.Cache.Hits != 1 || r2.Cache.Misses != 1 {
-		t.Errorf("CacheStats hits=%d misses=%d, want 1/1", r2.Cache.Hits, r2.Cache.Misses)
+	if st := fe.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("CacheStats hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 	if bd := fe.DelayBreakdown(); bd.CacheHit.N != 1 {
 		t.Errorf("DelayBreakdown.CacheHit.N = %d, want 1", bd.CacheHit.N)
@@ -375,6 +374,36 @@ func TestQueryCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestObserveIngestFence: only a delivered write moves the generation.
+// An accepted write (seq) alone moves nothing, an advance of drained
+// moves it exactly once, and a repeated or lower drained moves nothing.
+func TestObserveIngestFence(t *testing.T) {
+	fe := New(Config{CacheBudget: 1 << 20, ProbeInterval: -1})
+	defer fe.Close()
+	for i, step := range []struct {
+		seq, drained uint64
+		moves        bool
+	}{
+		{seq: 5},                          // accepted, on no node yet
+		{seq: 9},                          // more accepted
+		{seq: 9, drained: 5, moves: true}, // delivered
+		{seq: 9, drained: 5},              // repeated
+		{seq: 12, drained: 3},             // a lagging report
+		{seq: 12, drained: 9, moves: true},
+	} {
+		before := fe.cacheGen.Load()
+		fe.ObserveIngest(step.seq, step.drained)
+		want := before
+		if step.moves {
+			want++
+		}
+		if got := fe.cacheGen.Load(); got != want {
+			t.Errorf("step %d ObserveIngest(%d, %d): generation %d -> %d, want %d",
+				i, step.seq, step.drained, before, got, want)
+		}
+	}
+}
+
 // TestApplyViewCacheFencing: re-applying the installed view (the harness
 // SyncView path) must keep the cache warm; a strictly newer epoch must
 // flush it.
@@ -461,11 +490,11 @@ func TestQueryCoalesce(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Race hammer: concurrent Get / Put / Invalidate on the sharded cache
-// (run with -race; the assertions also hold without it).
+// Race hammer: concurrent Get / Put / Invalidate on the cache (run with
+// -race; the assertions also hold without it).
 
 func TestResultCacheRaceHammer(t *testing.T) {
-	c := newResultCache(64<<10, 8)
+	c := newResultCache(64 << 10)
 	var gen atomic.Uint64
 	gen.Store(1)
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}

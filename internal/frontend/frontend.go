@@ -179,9 +179,6 @@ type Result struct {
 	// coalesced fan-out), SourceHedged (fan-out with hedged legs), or
 	// SourceFanout. Empty only on error.
 	Source string
-	// Cache snapshots the result-cache counters at completion (zero
-	// value when caching is disabled).
-	Cache CacheStats
 }
 
 // Frontend schedules and executes queries against a node view.
@@ -210,12 +207,11 @@ type Frontend struct {
 
 	// Result cache (nil when Config.CacheBudget is 0) and its fence.
 	// cacheGen advances on every strictly-newer view install and every
-	// ingest-watermark advance (ObserveIngest); entries from older
-	// generations are unservable. ingSeq/ingDrained are the high-water
-	// ingest observations backing that monotonicity.
+	// advance of the drained watermark (ObserveIngest); entries from
+	// older generations are unservable. ingDrained is the highest
+	// drained watermark observed, backing that monotonicity.
 	cache      *resultCache
 	cacheGen   atomic.Uint64
-	ingSeq     atomic.Uint64
 	ingDrained atomic.Uint64
 	// tenants holds the per-tenant quota buckets (always non-nil; quota
 	// enforcement off when Config.TenantRate is 0).
@@ -283,7 +279,7 @@ func New(cfg Config) *Frontend {
 	f.timerFn = time.NewTimer                                          //lint:allow wallclock — clock-injection default
 	f.afterFn = time.After                                             //lint:allow wallclock — clock-injection default
 	f.lifeCtx, f.lifeCancel = context.WithCancel(context.Background()) //lint:allow background — frontend lifetime root, cancelled in Close
-	f.cache = newResultCache(cfg.CacheBudget, cacheShards)
+	f.cache = newResultCache(cfg.CacheBudget)
 	f.tenants = newTenantTable(cfg.TenantRate, cfg.TenantBurst, func() time.Time { return f.nowFn() })
 	if cfg.ProbeInterval > 0 {
 		go f.probeLoop()
@@ -403,9 +399,9 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	if newer && f.cache != nil {
 		f.cacheGen.Add(1)
 	}
-	// The view also carries the coordinator's ingest watermarks; feed
-	// them through the same fence (atomics — safe under f.mu).
-	f.ObserveIngest(v.Ingested, v.Drained)
+	// The view also carries the coordinator's drained watermark; feed
+	// it through the same fence (atomics — safe under f.mu).
+	f.ObserveIngest(0, v.Drained)
 	return nil
 }
 
@@ -553,7 +549,7 @@ func (f *Frontend) cacheHit(ids []uint64, t0 time.Time) Result {
 	f.statMu.Lock()
 	f.phases.hit.add(delay)
 	f.statMu.Unlock()
-	return Result{IDs: ids, Delay: delay, Source: SourceCache, Cache: f.cache.stats()}
+	return Result{IDs: ids, Delay: delay, Source: SourceCache}
 }
 
 // execute is the uncached pipeline: admission (overload shed, tenant
@@ -649,9 +645,6 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if out.Hedges > 0 {
 		out.Source = SourceHedged
 	}
-	if f.cache != nil {
-		out.Cache = f.cache.stats()
-	}
 	if out.HedgesDenied > 0 {
 		f.hdgDenied.Add(int64(out.HedgesDenied))
 	}
@@ -670,7 +663,7 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	}
 	// Store only results still provably current: if the generation
 	// moved while the fan-out ran (a view installed, a write was
-	// observed), this merge may predate the change — serving it later
+	// delivered), this merge may predate the change — serving it later
 	// would be exactly the stale hit the fence exists to prevent.
 	if f.cache != nil && key != "" && gen == f.cacheGen.Load() {
 		f.cache.put(key, out.IDs, gen)

@@ -543,10 +543,10 @@ func TestApplyViewKeepsClients(t *testing.T) {
 }
 
 // TestApplyViewFromParentJSON applies view bytes as the previous
-// release's coordinator publishes them (proto's TestViewBytesUnchanged
-// pins that today's coordinator emits the same bytes, which is the other
-// direction), and the same view carrying the retired "tuning" key, which
-// must change nothing.
+// release's coordinator publishes them, with the retired "ingested" key
+// (proto's TestViewBytesUnchanged pins what today's coordinator emits,
+// which is the other direction), and the same view carrying the retired
+// "tuning" key too, which must change nothing.
 func TestApplyViewFromParentJSON(t *testing.T) {
 	const parent = `{"epoch":7,"p":2,"nodes":[{"id":0,"ring":0,"start":0,"addr":"127.0.0.1:7001"},{"id":1,"ring":0,"start":0.5,"addr":"127.0.0.1:7002","quarantined":true},{"id":2,"ring":1,"start":0.25,"addr":"127.0.0.1:7003"}],"term":3,"ingested":41,"drained":40}`
 	withKey := strings.Replace(parent, `"term":3`, `"tuning":{"pool_size":9,"max_in_flight":1,"node_max_outstanding":1},"term":3`, 1)

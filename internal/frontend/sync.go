@@ -88,15 +88,22 @@ func (s *Syncer) PullViewOnce(ctx context.Context) error {
 	return s.fe.ApplyView(v)
 }
 
-// pullIfStale refreshes only when the coordinator's epoch moved, so the
-// poll loop does not rebuild placements for identical views.
+// pullIfStale installs the polled view only when the coordinator's
+// (Term, Epoch) moved, so the poll loop does not rebuild placements for
+// identical views or reset local suspicion. A view with the installed
+// (Term, Epoch) still carries the drained watermark, which a drain moves
+// without an epoch bump: that goes to the cache fence.
 func (s *Syncer) pullIfStale(ctx context.Context) {
 	var v proto.View
 	if err := s.mc.Call(ctx, proto.MMemberView, nil, &v); err != nil {
 		return
 	}
 	installed := s.fe.View()
-	if (v.Epoch != installed.Epoch || v.Term != installed.Term) && len(v.Nodes) > 0 {
+	if v.Epoch == installed.Epoch && v.Term == installed.Term {
+		s.fe.ObserveIngest(0, v.Drained)
+		return
+	}
+	if len(v.Nodes) > 0 {
 		if err := s.fe.ApplyView(v); err != nil {
 			s.logf("frontend: view refresh rejected: %v", err)
 		}
@@ -134,9 +141,8 @@ func (s *Syncer) Ingest(ctx context.Context, recs []pps.Encoded) (proto.IngestRe
 	if err := s.mc.Call(ctx, proto.MMemberIngest, proto.IngestReq{Records: recs}, &resp); err != nil {
 		return proto.IngestResp{}, err
 	}
-	// A write acknowledged THROUGH this frontend invalidates its result
-	// cache immediately — the tightest read-your-writes signal there
-	// is, ahead of the next view poll carrying the same watermarks.
+	// The ack carries the drained watermark too: an advance fences the
+	// result cache ahead of the next view poll.
 	s.fe.ObserveIngest(resp.Seq, resp.Drained)
 	return resp, nil
 }

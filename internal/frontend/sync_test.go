@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"roar/internal/pps"
 	"roar/internal/proto"
 	"roar/internal/wire"
 )
@@ -163,5 +165,54 @@ func TestPushHealthEpochAheadRepullsView(t *testing.T) {
 	}
 	if got := fe.View().Epoch; got != 5 {
 		t.Errorf("epoch-ahead reply should trigger an immediate view pull; installed epoch %d", got)
+	}
+}
+
+// TestPollDeliversDrainToCache: a drain moves no (Term, Epoch), so a
+// poll that finds the installed view must still hand its drained
+// watermark to the cache fence, or a cached frontend keeps answering
+// from before a write its nodes already hold. The poll must not install
+// that view either: local suspicion survives it.
+func TestPollDeliversDrainToCache(t *testing.T) {
+	enc := slimEncoder()
+	v, nodes := testView(t, enc, 2, 1)
+	loadAll(t, nodes, enc, []string{"aa"})
+	fe := New(Config{CacheBudget: 1 << 20, ProbeInterval: -1})
+	defer fe.Close()
+	if err := fe.ApplyView(v); err != nil {
+		t.Fatal(err)
+	}
+	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
+	ask := func() Result {
+		t.Helper()
+		res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if r := ask(); len(r.IDs) != 1 {
+		t.Fatalf("before the write: %d ids, want 1", len(r.IDs))
+	}
+	rec, err := enc.EncryptDocument(pps.Document{
+		ID: 7 << 40, Path: "/x", Size: 5, Modified: time.Unix(1.2e9, 0), Keywords: []string{"aa"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range nodes {
+		nd.Put(proto.PutReq{Records: []pps.Encoded{rec}})
+	}
+	fe.nodes[0].observe(false, 0)
+
+	drained := v
+	drained.Drained = v.Drained + 1
+	NewSyncer(fe, &scriptedMember{view: drained}, SyncConfig{}).pullIfStale(context.Background())
+	if st := fe.Health()[0]; st != stateSuspected.String() {
+		t.Errorf("a poll of the installed view reset node 0 to %q", st)
+	}
+	fe.nodes[0].observe(true, 0)
+	if r := ask(); len(r.IDs) != 2 {
+		t.Fatalf("after a poll carrying the drain: %d ids from %s, want 2", len(r.IDs), r.Source)
 	}
 }

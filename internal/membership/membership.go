@@ -203,12 +203,9 @@ func (c *Coordinator) View() proto.View {
 }
 
 func (c *Coordinator) viewLocked() proto.View {
-	// The ingest watermarks ride every view so frontends can fence their
-	// result caches against deliveries that never bump the epoch.
-	v := proto.View{
-		Term: c.term, Epoch: c.epoch, P: c.p,
-		Ingested: c.IngestSeq(), Drained: c.ingestDrained,
-	}
+	// The drained watermark rides every view so frontends can fence
+	// their result caches against deliveries that never bump the epoch.
+	v := proto.View{Term: c.term, Epoch: c.epoch, P: c.p, Drained: c.ingestDrained}
 	c.health.mu.Lock()
 	quarantined := make(map[ring.NodeID]bool, len(c.health.quarantined))
 	for id := range c.health.quarantined {
@@ -667,7 +664,7 @@ func (c *Coordinator) pushStored(ctx context.Context, id ring.NodeID) error {
 	repl := 1 / float64(p)
 	var recs []pps.Encoded
 	if arc.Length+repl >= 1 {
-		recs = c.backend.InArc(0.5, 0.5-1e-15) // effectively everything
+		recs = c.backend.InArc(0, 0) // lo == hi: the whole ring
 	} else {
 		recs = c.backend.InArc(arc.Start.Add(-repl), arc.End())
 	}

@@ -144,6 +144,41 @@ func TestLoadCorpusDistributesStoredSets(t *testing.T) {
 	}
 }
 
+// TestJoinPushesWholeRing: at p = 1 every node stores the whole ring, so
+// a joining node is pushed every record, those near ring point 0.5
+// (2^63 and just below it) included.
+func TestJoinPushesWholeRing(t *testing.T) {
+	c := newLogged(t, 1)
+	enc := slimEncoder()
+	nodes, addrs := startNodes(t, enc, 2)
+	ctx := context.Background()
+	if _, err := c.Join(ctx, addrs[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	ids := []uint64{1 << 63, 1<<63 - 4096, 12345}
+	var recs []pps.Encoded
+	for _, id := range ids {
+		r, err := enc.EncryptDocument(pps.Document{
+			ID: id, Path: "/x", Size: 5, Modified: time.Unix(1.2e9, 0), Keywords: []string{"w"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	if err := c.LoadCorpus(ctx, recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Join(ctx, addrs[1], 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, ok := nodes[1].Store().Get(id); !ok {
+			t.Errorf("joined node lacks record %d", id)
+		}
+	}
+}
+
 func TestChangePAccounting(t *testing.T) {
 	c := newLogged(t, 4)
 	enc := slimEncoder()

@@ -282,15 +282,12 @@ type View struct {
 	// sorts below every elected term.
 	Term uint64 `json:"term,omitempty"`
 
-	// Ingested / Drained are the coordinator's ingest WAL watermarks at
-	// view-build time (see docs/INGEST.md): Ingested is the last durable
-	// append sequence, Drained the last sequence delivered to every
-	// owning node. Frontends use them to invalidate their result caches
-	// when asynchronous writes land without an epoch bump — a drain
-	// advances data without changing placement. Zero (a WAL-less
-	// coordinator) means "no ingest signal", never "rewind".
-	Ingested uint64 `json:"ingested,omitempty"`
-	Drained  uint64 `json:"drained,omitempty"`
+	// Drained is the coordinator's drained watermark at view-build time
+	// (see docs/INGEST.md): the last WAL sequence delivered to every
+	// owning node. Frontends fence their result caches on it, since a
+	// drain changes what a fan-out returns without an epoch bump. Zero
+	// (a WAL-less coordinator) means "no ingest signal", never "rewind".
+	Drained uint64 `json:"drained,omitempty"`
 }
 
 // JoinReq registers a node with the membership server.

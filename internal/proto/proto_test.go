@@ -135,19 +135,19 @@ func testControlState() ControlState {
 	}
 }
 
-// parentViewJSON is json.Marshal of the view below at the last commit
-// whose View still declared a "tuning" overlay (PR 27): no coordinator
-// could set that field, so these are the bytes every running system
-// publishes.
+// parentViewJSON is json.Marshal of the view below while View still
+// declared "ingested", the accepted-write watermark: the bytes every
+// running system published until that field went. No coordinator ever
+// set the older "tuning" overlay, so it never appears.
 const parentViewJSON = `{"epoch":7,"p":2,"nodes":[{"id":0,"ring":0,"start":0,"addr":"127.0.0.1:7001"},{"id":1,"ring":0,"start":0.5,"addr":"127.0.0.1:7002","quarantined":true},{"id":2,"ring":1,"start":0.25,"addr":"127.0.0.1:7003"}],"term":3,"ingested":41,"drained":40}`
 
 // TestViewBytesUnchanged pins the view's JSON form across the removal
-// of that field, in both directions: today's coordinator emits exactly
-// the parent's bytes (so a parent frontend decodes them), and a view
-// that does carry the retired "tuning" key still decodes, the key
-// ignored.
+// of those fields, in both directions: today's coordinator emits the
+// parent's bytes less the "ingested" key (a parent frontend decodes its
+// absence as zero, which fences nothing), and a view that carries a
+// retired key, "ingested" or "tuning", still decodes, the key ignored.
 func TestViewBytesUnchanged(t *testing.T) {
-	v := View{Epoch: 7, P: 2, Term: 3, Ingested: 41, Drained: 40, Nodes: []NodeInfo{
+	v := View{Epoch: 7, P: 2, Term: 3, Drained: 40, Nodes: []NodeInfo{
 		{ID: 0, Ring: 0, Start: 0, Addr: "127.0.0.1:7001"},
 		{ID: 1, Ring: 0, Start: 0.5, Addr: "127.0.0.1:7002", Quarantined: true},
 		{ID: 2, Ring: 1, Start: 0.25, Addr: "127.0.0.1:7003"},
@@ -157,16 +157,18 @@ func TestViewBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != parentViewJSON {
-		t.Fatalf("view bytes moved:\n got %s\nwant %s", b, parentViewJSON)
+	if want := strings.Replace(parentViewJSON, `"ingested":41,`, "", 1); string(b) != want {
+		t.Fatalf("view bytes moved:\n got %s\nwant %s", b, want)
 	}
 	withKey := strings.Replace(parentViewJSON, `"term":3`, `"tuning":{"pool_size":2,"max_in_flight":32},"term":3`, 1)
-	var got View
-	if err := json.Unmarshal([]byte(withKey), &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, v) {
-		t.Fatalf("view with a tuning key decoded to %+v, want %+v", got, v)
+	for _, raw := range []string{parentViewJSON, withKey} {
+		var got View
+		if err := json.Unmarshal([]byte(raw), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("view with retired keys decoded to %+v, want %+v", got, v)
+		}
 	}
 }
 

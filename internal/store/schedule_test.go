@@ -98,8 +98,8 @@ func TestScheduleMaintenanceProperty(t *testing.T) {
 		}
 		scans := 0
 		for step := 0; step < 300; step++ {
-			op := rng.Intn(7)
-			if step < 20 && op == 6 {
+			op := rng.Intn(5)
+			if step < 20 && op == 4 {
 				op = 0 // a stretch of mutations on a store never scanned
 			}
 			switch op {
@@ -112,18 +112,10 @@ func TestScheduleMaintenanceProperty(t *testing.T) {
 				recs = append(recs, recs[0], recs[len(recs)/2]) // duplicate ids inside one batch
 				s.Insert(recs...)
 			case 3:
-				s.Delete(pick().ID)
-			case 4:
-				ids := []uint64{rng.Uint64()} // one absent id
-				for _, r := range pickN() {
-					ids = append(ids, r.ID)
-				}
-				s.Delete(ids...)
-			case 5:
 				if rng.Intn(4) == 0 { // rare in production too
 					s.RetainStored(ring.NewArc(ring.Point(rng.Float64()), 0.2), 1+rng.Intn(3))
 				}
-			case 6:
+			case 4:
 				lo, hi := ring.Point(rng.Float64()), ring.Point(rng.Float64())
 				if rng.Intn(3) == 0 {
 					hi = lo // full ring
@@ -158,9 +150,7 @@ func TestNeverScannedStoreDerivesNothing(t *testing.T) {
 	s := New()
 	s.Insert(recs[:30]...)
 	s.Insert(recs[30])
-	s.Delete(recs[3].ID)
 	s.InArc(0, 0)
-	s.CountArc(0.1, 0.7)
 	s.Get(recs[5].ID)
 	if s.scheduled.Load() || s.ks != nil {
 		t.Fatalf("a store that was never scanned holds schedules (scheduled=%v, %d held)", s.scheduled.Load(), len(s.ks))

@@ -25,11 +25,10 @@
 // the search reads ids, a dense array of the records' identifiers kept in
 // step with them: a bucket's ids fill a cache line or two instead of a
 // line per record. A mutator keeps the directory and ids in step under
-// its write lock: a single fresh insert or delete adjusts the offsets
-// above its bucket, a batch with fresh ids makes one pass over the batch
-// and the directory, a batch delete and RetainStored rebuild it in the
-// pass they make anyway, and a replacement moves nothing, so it touches
-// neither.
+// its write lock: a single fresh insert adjusts the offsets above its
+// bucket, a batch with fresh ids makes one pass over the batch and the
+// directory, RetainStored rebuilds it in the pass it makes anyway, and a
+// replacement moves nothing, so it touches neither.
 //
 // Insert has three cases. One record: a bucket search, then one memmove
 // of the records above it if its id is fresh, O(n) only then. A batch of
@@ -50,15 +49,16 @@
 // 64-byte HMAC key schedule of the record's nonce (pps.KeySchedule), so
 // a scan keys its matcher with two copies instead of two SHA-256
 // compressions per record per query. The schedules are derived at the
-// first MatchArc and maintained by Insert and Delete from then on; a
-// store that is never scanned (the coordinator's backend, a node that
+// first MatchArc and maintained by Insert from then on (RetainStored
+// drops them, and the next scan derives them again); a store that is
+// never scanned (the coordinator's backend, a node that
 // only ingests) derives and holds none.
 //
 // The store also stamps a bucket with its generation whenever the
 // records it holds there change. The match memo (memo.go) rests on those
 // stamps: an answer remembered for a bucket is current exactly while the
 // bucket's stamp is no newer than the answer. Every mutator of recs
-// (Insert, Delete, RetainStored) stamps what it changes through
+// (Insert, RetainStored) stamps what it changes through
 // touchLocked and keeps the directory in step, under the write lock that
 // covers the change; a new mutator must do the same. FuzzMemoEqualsScan
 // is the test that catches a forgotten stamp, and the store's structural
@@ -208,7 +208,7 @@ func (s *Store) insertOneLocked(r pps.Encoded, ks []pps.KeySchedule) {
 		s.ids = append(s.ids, 0)
 		copy(s.ids[i+1:], s.ids[i:])
 		s.ids[i] = r.ID
-		s.shiftDirectoryLocked(r.ID, 1)
+		s.shiftDirectoryLocked(r.ID)
 	}
 	s.keepLocked(i, r, !fresh)
 	if !s.scheduled.Load() {
@@ -278,11 +278,11 @@ func SortedUnique(recs []pps.Encoded) []pps.Encoded {
 	return out
 }
 
-// shiftDirectoryLocked moves the start of every bucket above id's by
-// delta: one record fresh (1) or removed (-1) in id's bucket.
-func (s *Store) shiftDirectoryLocked(id uint64, delta int32) {
+// shiftDirectoryLocked moves the start of every bucket above id's up by
+// one: one record fresh in id's bucket.
+func (s *Store) shiftDirectoryLocked(id uint64) {
 	for b := bucketOf(id) + 1; b <= numBuckets; b++ {
-		s.start[b] += delta
+		s.start[b]++
 	}
 }
 
@@ -370,62 +370,6 @@ func (s *Store) mergeLocked(batch []pps.Encoded, ks []pps.KeySchedule) {
 	}
 }
 
-// Delete removes records by id; absent ids are ignored. A single id
-// takes the bucket-search + shift fast path; batches sort the ids and
-// compact the store in one forward pass, so deleting k of n records
-// costs O(k log k + n) instead of one O(n) memmove per id. Freed tail
-// slots are zeroed so the removed records' blobs are GC-eligible.
-func (s *Store) Delete(ids ...uint64) {
-	if len(ids) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	scheduled := s.scheduled.Load()
-	if len(ids) == 1 {
-		id := ids[0]
-		i := s.lowerLocked(id)
-		if i < len(s.ids) && s.ids[i] == id {
-			s.touchLocked(id)
-			copy(s.recs[i:], s.recs[i+1:])
-			clear(s.recs[len(s.recs)-1:])
-			s.recs = s.recs[:len(s.recs)-1]
-			s.ids = append(s.ids[:i], s.ids[i+1:]...)
-			s.shiftDirectoryLocked(id, -1)
-			if scheduled {
-				s.ks = append(s.ks[:i], s.ks[i+1:]...)
-			}
-		}
-		return
-	}
-	del := append([]uint64(nil), ids...)
-	sort.Slice(del, func(a, b int) bool { return del[a] < del[b] })
-	w := 0
-	j := 0
-	for i, id := range s.ids {
-		for j < len(del) && del[j] < id {
-			j++
-		}
-		if j < len(del) && del[j] == id {
-			s.touchLocked(id)
-			continue
-		}
-		s.recs[w] = s.recs[i]
-		s.ids[w] = id
-		if scheduled {
-			s.ks[w] = s.ks[i]
-		}
-		w++
-	}
-	clear(s.recs[w:])
-	s.recs, s.ids = s.recs[:w], s.ids[:w]
-	s.indexBucketsLocked()
-	if scheduled {
-		s.ks = s.ks[:w]
-	}
-}
-
 // Get returns a copy of the record with the given id.
 func (s *Store) Get(id uint64) (pps.Encoded, bool) {
 	s.mu.RLock()
@@ -479,17 +423,6 @@ func appendField(buf, f []byte) ([]byte, []byte) {
 	at := len(buf)
 	buf = append(buf, f...)
 	return buf, buf[at:len(buf):len(buf)]
-}
-
-// CountArc returns the number of records in (lo, hi].
-func (s *Store) CountArc(lo, hi ring.Point) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, r := range s.arcRangesLocked(lo, hi) {
-		n += r.to - r.from
-	}
-	return n
 }
 
 // idSpan is a closed interval of identifiers.

@@ -97,26 +97,6 @@ func TestInsertSortedUnique(t *testing.T) {
 	}
 }
 
-func TestDeleteAndGet(t *testing.T) {
-	s := New()
-	recs, _ := testRecords(t, 20)
-	s.Insert(recs...)
-	if _, ok := s.Get(recs[3].ID); !ok {
-		t.Fatal("Get should find inserted record")
-	}
-	s.Delete(recs[3].ID, recs[7].ID)
-	if s.Len() != 18 {
-		t.Fatalf("Len after delete = %d", s.Len())
-	}
-	if _, ok := s.Get(recs[3].ID); ok {
-		t.Fatal("deleted record still present")
-	}
-	s.Delete(recs[3].ID) // absent: no-op
-	if s.Len() != 18 {
-		t.Fatal("deleting absent id changed Len")
-	}
-}
-
 func TestInArcWrap(t *testing.T) {
 	s := New()
 	// Craft ids at known points: 0.1, 0.5, 0.9.
@@ -127,15 +107,12 @@ func TestInArcWrap(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("wrap arc matched %d records, want 2 (0.9 and 0.1)", len(got))
 	}
-	if n := s.CountArc(0.8, 0.2); n != 2 {
-		t.Fatalf("CountArc = %d", n)
-	}
-	if n := s.CountArc(0.2, 0.8); n != 1 {
-		t.Fatalf("CountArc(0.2,0.8) = %d, want 1 (0.5)", n)
+	if n := len(s.InArc(0.2, 0.8)); n != 1 {
+		t.Fatalf("InArc(0.2,0.8) matched %d records, want 1 (0.5)", n)
 	}
 	// lo == hi is the full ring by the MatchSpan convention (pq = 1).
-	if n := s.CountArc(0.3, 0.3); n != 3 {
-		t.Fatalf("full-ring CountArc = %d, want 3", n)
+	if n := len(s.InArc(0.3, 0.3)); n != 3 {
+		t.Fatalf("full-ring InArc matched %d records, want 3", n)
 	}
 }
 
@@ -402,8 +379,8 @@ func BenchmarkInsertBatch(b *testing.B) {
 	})
 }
 
-// TestConcurrentInsertAndMatch: writers of every kind race scans on a
-// store whose key schedules are live (the first MatchArc below activates
+// TestConcurrentInsertAndMatch: single and batch writers race scans on
+// a store whose key schedules are live (the first MatchArc below activates
 // them, possibly mid-insert). Run under -race in CI; afterwards the
 // schedules must still line up with the records.
 func TestConcurrentInsertAndMatch(t *testing.T) {
@@ -413,7 +390,7 @@ func TestConcurrentInsertAndMatch(t *testing.T) {
 	m, _ := pps.NewMatcher(enc.ServerParams())
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "odd"})
 	var writers sync.WaitGroup
-	writers.Add(3)
+	writers.Add(2)
 	go func() { // single inserts
 		defer writers.Done()
 		for _, r := range recs[250:400] {
@@ -424,14 +401,6 @@ func TestConcurrentInsertAndMatch(t *testing.T) {
 		defer writers.Done()
 		for i := 400; i < 500; i += 20 {
 			s.Insert(append(recs[i:i+20:i+20], recs[i-400:i-390]...)...)
-		}
-	}()
-	go func() { // deletes, then the same records back
-		defer writers.Done()
-		for i := 0; i < 100; i += 10 {
-			s.Delete(recs[i].ID)
-			s.Delete(recs[i+1].ID, recs[i+2].ID, recs[i+3].ID)
-			s.Insert(recs[i : i+4]...)
 		}
 	}()
 	for i := 0; i < 20; i++ {
