@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"roar/internal/coordclient"
+	"roar/internal/debughttp"
 	"roar/internal/frontend"
 	"roar/internal/proto"
 	"roar/internal/wire"
@@ -49,8 +50,17 @@ func main() {
 		cacheB   = flag.Int64("cache-budget", 0, "result cache memory budget in bytes (0 = cache off)")
 		tenRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 = quotas off)")
 		tenBurst = flag.Float64("tenant-burst", 0, "per-tenant admission token bucket capacity (0 = max(rate, 8))")
+		dbgAddr  = flag.String("debug-addr", "", "serve /debug/pprof/ and /debug/vars on this address (empty = off)")
 	)
 	flag.Parse()
+	dbg, err := debughttp.Serve(*dbgAddr)
+	if err != nil {
+		fatal(err)
+	}
+	defer dbg.Close()
+	if dbg != nil {
+		fmt.Printf("debug endpoints on http://%s/debug/\n", dbg.Addr())
+	}
 
 	fe := frontend.New(frontend.Config{
 		Name: *listen,

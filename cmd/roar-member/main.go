@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"roar/internal/debughttp"
 	"roar/internal/ingest"
 	"roar/internal/membership"
 	"roar/internal/wire"
@@ -63,8 +64,17 @@ func main() {
 		asMinP     = flag.Int("autoscale-min-p", 0, "floor for emergency p-down steps (0 = default 1)")
 		asCostGate = flag.Float64("autoscale-cost-gate", 0, "refuse a p step moving more than this many corpus copies (0 = default 1.0)")
 		qDeadline  = flag.Duration("quarantine-deadline", 0, "auto-decommission a node quarantined longer than this (0 = off)")
+		dbgAddr    = flag.String("debug-addr", "", "serve /debug/pprof/ and /debug/vars on this address (empty = off)")
 	)
 	flag.Parse()
+	dbg, err := debughttp.Serve(*dbgAddr)
+	if err != nil {
+		fatal(err)
+	}
+	defer dbg.Close()
+	if dbg != nil {
+		fmt.Printf("debug endpoints on http://%s/debug/\n", dbg.Addr())
+	}
 
 	coordCfg := membership.Config{
 		P: *p, Rings: *rings,

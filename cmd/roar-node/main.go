@@ -15,6 +15,7 @@ import (
 	"syscall"
 
 	"roar/internal/coordclient"
+	"roar/internal/debughttp"
 	"roar/internal/index"
 	"roar/internal/node"
 	"roar/internal/pps"
@@ -31,8 +32,17 @@ func main() {
 		hint     = flag.Float64("hint", 1, "speed hint reported at join")
 		idxFiles = flag.String("index", "", "comma-separated roaring segment files to serve plaintext queries from")
 		idxMem   = flag.Int64("index-budget", 0, "posting-cache memory budget in bytes (0 = 32 MiB default)")
+		dbgAddr  = flag.String("debug-addr", "", "serve /debug/pprof/ and /debug/vars on this address (empty = off)")
 	)
 	flag.Parse()
+	dbg, err := debughttp.Serve(*dbgAddr)
+	if err != nil {
+		fatal(err)
+	}
+	defer dbg.Close()
+	if dbg != nil {
+		fmt.Printf("debug endpoints on http://%s/debug/\n", dbg.Addr())
+	}
 
 	params := pps.ServerParams{MBits: *mbits}
 	if *mbits == 0 {

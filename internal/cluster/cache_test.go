@@ -215,7 +215,9 @@ func TestCacheIngestInvalidationChaos(t *testing.T) {
 // end: a cached frontend kept in step by its Syncer's own poll loop, and
 // a write appended through the coordinator by another client, so no ack
 // reaches this frontend. The drain moves no (Term, Epoch), yet the poll
-// must carry it to the cache fence: the record shows within a few polls.
+// must carry its watermark to the cache: the record shows within a few
+// polls, brought into the cached answer by a patch over the records the
+// Syncer reads from the leader's log (member.drained), not by a drop.
 func TestClusterCachePollSeesDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated-control-plane e2e is not short")
@@ -224,8 +226,10 @@ func TestClusterCachePollSeesDrain(t *testing.T) {
 		Replicas: 3, Nodes: 2, P: 2, Seed: 13,
 		Lease:     250 * time.Millisecond,
 		Heartbeat: 60 * time.Millisecond,
-		Frontend:  frontend.Config{Name: "fe-cached", CacheBudget: 1 << 20},
-		Logf:      t.Logf,
+		// Probes every 20 ms: the nodes' MBits are known long before
+		// the first poll (1 s) hands the frontend the drain.
+		Frontend: frontend.Config{Name: "fe-cached", CacheBudget: 1 << 20, ProbeInterval: 20 * time.Millisecond},
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,6 +272,10 @@ func TestClusterCachePollSeesDrain(t *testing.T) {
 		res := query()
 		if len(res.IDs) == len(want) {
 			checkIDSet(t, res, want, "after the drain")
+			if st := hc.FE.CacheStats(); res.Source != frontend.SourceCache || st.Patched == 0 || st.Invalidations != 0 {
+				t.Fatalf("the drained record came via %s (patched %d, dropped %d), want a patched cache entry",
+					res.Source, st.Patched, st.Invalidations)
+			}
 			return
 		}
 		select {

@@ -164,7 +164,10 @@ func Start(opts Options) (*Cluster, error) {
 		c.ids = append(c.ids, ring.NodeID(jr.ID))
 	}
 
+	// The coordinator's log is where a cached frontend reads the records
+	// that bring its answers forward past a drain.
 	fe := frontend.New(opts.Frontend)
+	fe.SetDrainSource(coord)
 	c.FE = fe
 	if err := c.SyncView(); err != nil {
 		c.Close()
@@ -243,10 +246,12 @@ func (c *Cluster) SyncView() error {
 
 // AddFrontend starts an additional frontend against the current view —
 // the harness's stand-in for a real multi-frontend deployment (health
-// aggregation across frontends, quarantine quorums). Closed with the
+// aggregation across frontends, quarantine quorums) — reading drained
+// records from the coordinator, as Start's does. Closed with the
 // cluster.
 func (c *Cluster) AddFrontend(cfg frontend.Config) (*frontend.Frontend, error) {
 	fe := frontend.New(cfg)
+	fe.SetDrainSource(c.Coord)
 	if err := fe.ApplyView(c.Coord.View()); err != nil {
 		fe.Close()
 		return nil, err

@@ -38,14 +38,16 @@ func memoTotals(c *Cluster, skip int) (lookups, reused, rescanned int64) {
 // (the frontend's cache was just flushed, so the legs go to the nodes'
 // memo) equals the same query with CacheBypass (a plain scan) at every
 // quiescent point. Reconfiguration reaches the memo as ordinary store
-// mutations: there is no flush to forget.
+// mutations: there is no flush to forget. The frontend does not probe,
+// so it cannot patch its cached answers past a write: a write, like a
+// view, drops them, and every step reaches the nodes.
 func TestClusterIngestMemoReconfig(t *testing.T) {
 	const killIdx = 5
 	docs, recs := sharedCorpus(t)
 	c, err := Start(Options{
 		Nodes: 8, P: 4, Seed: 23,
 		IngestDir: t.TempDir(),
-		Frontend:  frontend.Config{CacheBudget: 4 << 20, SubQueryTimeout: 500 * time.Millisecond},
+		Frontend:  frontend.Config{CacheBudget: 4 << 20, SubQueryTimeout: 500 * time.Millisecond, ProbeInterval: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -188,10 +188,12 @@ func TestClusterHAFailoverRebuildsCorpus(t *testing.T) {
 }
 
 // TestClusterLoadFencesCache: a load advances the ingest watermarks
-// like any write, so a cached frontend's next query after it fans out
-// and sees the new record instead of the cached answer.
+// like any write, so a cached frontend's next query after it sees the
+// new record instead of the cached answer. This frontend does not
+// probe, so it cannot patch (its nodes report no MBits): the entry is
+// dropped and the query fans out.
 func TestClusterLoadFencesCache(t *testing.T) {
-	c, err := Start(Options{Nodes: 4, P: 2, Seed: 5, Frontend: frontend.Config{CacheBudget: 1 << 20}})
+	c, err := Start(Options{Nodes: 4, P: 2, Seed: 5, Frontend: frontend.Config{CacheBudget: 1 << 20, ProbeInterval: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -550,3 +550,21 @@ func itoa(v int) string {
 	}
 	return string(b[i:])
 }
+
+// TestFullRingPlanIsExact: a pq = 1 sub-query is the full ring, Lo ==
+// Hi exactly, wherever the plan starts. Lo computed as Hi - 1 rounds for
+// most starts, and an arc one ulp long matches nothing: the query then
+// returns no ids at all.
+func TestFullRingPlanIsExact(t *testing.T) {
+	pl := mustPlacement(t, 1, ring.NewEqual(3))
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		plan := pl.planAt(ring.Norm(rng.Float64()), 1, uniformEst)
+		if s := plan.Subs[0]; s.Lo != s.Hi || s.Size() != 1 {
+			t.Fatalf("start %v: sub-query (%v, %v] spans %v, want the full ring", plan.Start, s.Lo, s.Hi, s.Size())
+		}
+	}
+	if plan, err := pl.Schedule(1, uniformEst); err != nil || plan.Subs[0].Size() != 1 {
+		t.Fatalf("Schedule(1): %+v, %v; want one full-ring sub-query", plan, err)
+	}
+}

@@ -185,10 +185,16 @@ func (pl *Placement) planAt(start ring.Point, pq int, est Estimator) Plan {
 	for i := 0; i < pq; i++ {
 		probe := start.Add(float64(i) / float64(pq))
 		node, rk, fin := pl.fastestOwner(probe, size, est)
+		lo := probe.Add(-size)
+		if pq == 1 {
+			// The full ring is Lo == Hi exactly; probe - 1 rounds, and
+			// an arc one ulp long matches nothing.
+			lo = probe
+		}
 		plan.Subs = append(plan.Subs, SubQuery{
 			Node: node,
 			Ring: rk,
-			Lo:   probe.Add(-size),
+			Lo:   lo,
 			Hi:   probe,
 			Est:  fin,
 		})

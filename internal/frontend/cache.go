@@ -1,30 +1,33 @@
 // Result cache: a memory-budgeted LRU over merged query results, keyed
-// by the query's canonical bytes and fenced by a generation counter so
-// asynchronous writes can never serve stale hits silently
-// (docs/ECONOMICS.md).
+// by the query's canonical bytes, so asynchronous writes can never serve
+// stale hits silently (docs/ECONOMICS.md). Two fences keep an entry
+// honest:
 //
-// The generation is the frontend's summary of "the answer may have
-// changed". It moves on exactly two events: a strictly newer view
-// installs (placement or quarantine moved), or the drained watermark
-// advances (records reached their nodes without an epoch bump — see
-// Frontend.ObserveIngest). Every cached entry records the generation it
-// was computed under; a hit requires generation equality, and a put is
-// dropped when the generation moved while the query was in flight. That
-// makes invalidation O(1) at write-observation time and lazy at the
-// entries (they fall out on next touch or by LRU pressure), at the cost
-// of flushing the whole cache per delivered write batch — the right
-// trade for a read-heavy tier, and the only safe one without per-arc
-// dependency tracking.
+//   - The generation moves when a strictly newer view installs
+//     (placement or quarantine moved). An entry from another generation
+//     is dropped on sight: which nodes answer for which arcs changed.
+//   - The drained watermark (Frontend.ObserveIngest) is the last log
+//     sequence delivered to every owning node. Every entry records asOf,
+//     the watermark read before its fan-out started. A hit at a higher
+//     watermark brings the entry forward instead of dropping it: the
+//     records drained since asOf, read from the coordinator's log
+//     (drainlog.go), are matched against the entry's own encrypted
+//     query, and each id written there leaves the answer and returns if
+//     its last write matches. Where that cannot be done (no log source,
+//     nodes that have not reported one matching parameter, a log window
+//     that no longer reaches back to asOf), the entry is dropped as a
+//     newer view drops it.
 //
 // Misses single-flight: concurrent queries for the same key at the same
-// generation collapse onto one fan-out (the leader), and followers wait
-// for its result instead of multiplying the herd by p sub-queries each.
-// A follower whose leader fails falls back to its own execution, so the
-// cache can slow nothing down, only shed work.
+// generation and watermark collapse onto one fan-out (the leader), and
+// followers wait for its result instead of multiplying the herd by p
+// sub-queries each. A follower whose leader fails falls back to its own
+// execution, so the cache can slow nothing down, only shed work.
 package frontend
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"roar/internal/pps"
@@ -45,29 +48,34 @@ const (
 // CacheStats is a point-in-time snapshot of the result cache's
 // counters. Counters are cumulative since the frontend started.
 type CacheStats struct {
-	Hits          int64 // generation-fresh lookups served from memory
+	Hits          int64 // lookups served from memory, patched ones included
 	Misses        int64 // lookups that fell through to a fan-out
 	Coalesced     int64 // queries that joined another query's fan-out
 	Evictions     int64 // entries dropped by the byte budget
-	Invalidations int64 // entries dropped on generation mismatch
+	Invalidations int64 // entries dropped on a lookup: a newer view, or no way to patch
+	Patched       int64 // entries a hit brought forward over drained records
+	Fences        int64 // generation moves (view installs)
 	Entries       int   // live entries
 	Bytes         int64 // resident budget
 }
 
-// cacheEntry is one cached merged result.
+// cacheEntry is one cached merged result. It is never written once
+// stored: a patch stores a new entry in its place, so a lookup may read
+// one outside the lock.
 type cacheEntry struct {
 	key  string
 	ids  []uint64
 	gen  uint64
+	asOf uint64 // drained watermark read before the answer was computed
 	size int64
 }
 
 // flight is one in-progress fan-out other queries may coalesce onto.
 type flight struct {
-	gen  uint64
-	done chan struct{}
-	ids  []uint64
-	err  error
+	gen, asOf uint64
+	done      chan struct{}
+	ids       []uint64
+	err       error
 }
 
 // resultCache is one LRU list, its key map, the single-flight table and
@@ -99,43 +107,79 @@ func newResultCache(budget int64) *resultCache {
 	}
 }
 
-// get returns the cached ids for key at exactly generation gen. An
-// entry from an older generation is removed on sight (a write was
-// observed since it was stored) and counts as an invalidation plus a
-// miss. The returned slice is a copy — callers own their Result.
-func (c *resultCache) get(key string, gen uint64) ([]uint64, bool) {
+// get looks key up at generation gen and drained watermark w. A hit
+// returns a copy of the ids (callers own their Result). An entry from
+// another generation is removed and counts as an invalidation plus a
+// miss. An entry computed before w is returned as stale, uncounted: the
+// caller brings it forward (patched) or drops it (dropStale).
+func (c *resultCache) get(key string, gen, w uint64) (ids []uint64, hit bool, stale *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.st.Misses++
-		return nil, false
+		return nil, false, nil
 	}
 	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
+	switch {
+	case e.gen != gen:
 		c.removeLocked(el, e)
 		c.st.Invalidations++
 		c.st.Misses++
-		return nil, false
+		return nil, false, nil
+	case e.asOf < w:
+		return nil, false, e
 	}
 	c.lru.MoveToFront(el)
 	c.st.Hits++
-	ids := make([]uint64, len(e.ids))
-	copy(ids, e.ids)
-	return ids, true
+	return slices.Clone(e.ids), true, nil
 }
 
-// put stores a merged result computed under generation gen. A result
-// bigger than the whole budget is served uncached rather than wiping
-// the cache for one entry.
-func (c *resultCache) put(key string, ids []uint64, gen uint64) {
-	size := int64(len(key)) + 8*int64(len(ids)) + entryOverhead
+// patched replaces stale, if it is still its key's entry, with its
+// answer as of watermark asOf, charges the new size to the budget and
+// counts a patched hit.
+func (c *resultCache) patched(stale *cacheEntry, ids []uint64, asOf uint64) {
+	e := &cacheEntry{key: stale.key, ids: ids, gen: stale.gen, asOf: asOf, size: entrySize(stale.key, ids)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.st.Hits++
+	c.st.Patched++
+	el, ok := c.byKey[stale.key]
+	if !ok || el.Value != stale {
+		return // evicted, replaced or patched meanwhile
+	}
+	el.Value = e
+	c.lru.MoveToFront(el)
+	c.bytes += e.size - stale.size
+	c.evictLocked()
+}
+
+// dropStale removes stale, if it is still its key's entry, and counts an
+// invalidation plus a miss.
+func (c *resultCache) dropStale(stale *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.st.Invalidations++
+	c.st.Misses++
+	if el, ok := c.byKey[stale.key]; ok && el.Value == stale {
+		c.removeLocked(el, stale)
+	}
+}
+
+func entrySize(key string, ids []uint64) int64 {
+	return int64(len(key)) + 8*int64(len(ids)) + entryOverhead
+}
+
+// put stores a merged result computed under generation gen from a
+// fan-out that started at drained watermark asOf. A result bigger than
+// the whole budget is served uncached rather than wiping the cache for
+// one entry.
+func (c *resultCache) put(key string, ids []uint64, gen, asOf uint64) {
+	size := entrySize(key, ids)
 	if size > c.budget {
 		return
 	}
-	stored := make([]uint64, len(ids))
-	copy(stored, ids)
-	e := &cacheEntry{key: key, ids: stored, gen: gen, size: size}
+	e := &cacheEntry{key: key, ids: slices.Clone(ids), gen: gen, asOf: asOf, size: size}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -143,6 +187,11 @@ func (c *resultCache) put(key string, ids []uint64, gen uint64) {
 	}
 	c.byKey[key] = c.lru.PushFront(e)
 	c.bytes += size
+	c.evictLocked()
+}
+
+// evictLocked drops least recently used entries until the budget holds.
+func (c *resultCache) evictLocked() {
 	for c.bytes > c.budget {
 		back := c.lru.Back()
 		c.removeLocked(back, back.Value.(*cacheEntry))
@@ -157,24 +206,25 @@ func (c *resultCache) removeLocked(el *list.Element, e *cacheEntry) {
 	c.bytes -= e.size
 }
 
-// startFlight registers a single-flight for (key, gen). The second
-// return is true when the caller is the leader and must execute the
-// fan-out then call finishFlight; false means another query's fan-out
-// for the same key and generation is in progress and the caller should
-// wait on fl.done. A flight registered under a DIFFERENT generation is
-// not joinable — the waiter would inherit a result the fence already
-// outdated — so the caller leads unregistered (fl == nil): it executes
-// without publishing, and the stale flight finishes on its own.
-func (c *resultCache) startFlight(key string, gen uint64) (fl *flight, leader bool) {
+// startFlight registers a single-flight for (key, gen, asOf). The
+// second return is true when the caller is the leader and must execute
+// the fan-out then call finishFlight; false means another query's
+// fan-out for the same key, generation and drained watermark is in
+// progress and the caller should wait on fl.done. A flight registered
+// under a DIFFERENT generation or watermark is not joinable — its
+// fan-out may predate a view or a delivered write the caller has
+// already seen — so the caller leads unregistered (fl == nil): it
+// executes without publishing, and the other flight finishes on its own.
+func (c *resultCache) startFlight(key string, gen, asOf uint64) (fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cur, ok := c.flights[key]; ok {
-		if cur.gen == gen {
+		if cur.gen == gen && cur.asOf == asOf {
 			return cur, false
 		}
-		return nil, true // stale flight in progress; lead unregistered
+		return nil, true // older flight in progress; lead unregistered
 	}
-	fl = &flight{gen: gen, done: make(chan struct{})}
+	fl = &flight{gen: gen, asOf: asOf, done: make(chan struct{})}
 	c.flights[key] = fl
 	return fl, true
 }
@@ -207,7 +257,8 @@ func (c *resultCache) stats() CacheStats {
 }
 
 // cacheKey canonicalises a query's payload. Two QuerySpecs with the
-// same key are guaranteed the same answer at the same generation:
+// same key are guaranteed the same answer at the same generation and
+// watermark, and ask the same encrypted query (which a patch matches):
 // every field that reaches the nodes' matchers is folded in (data
 // plane, operator, trapdoor bytes or terms, mode, threshold, limit),
 // and nothing else — tenant, priority, and cache-control affect
@@ -220,15 +271,55 @@ func cacheKey(spec QuerySpec) string {
 	return string(proto.AppendQuery(make([]byte, 0, 128), q, spec.Plain))
 }
 
+// cachedAnswer serves key from the cache at generation gen and drained
+// watermark w: a fresh entry as it is, a stale one brought forward to w
+// when the frontend can (see bringForward), else dropped.
+func (f *Frontend) cachedAnswer(key string, spec QuerySpec, gen, w uint64) ([]uint64, bool) {
+	ids, hit, stale := f.cache.get(key, gen, w)
+	if stale == nil {
+		return ids, hit
+	}
+	if ids, ok := f.bringForward(spec, stale, w); ok {
+		f.cache.patched(stale, ids, w)
+		return slices.Clone(ids), true
+	}
+	f.cache.dropStale(stale)
+	return nil, false
+}
+
+// bringForward returns e's answer as of drained watermark w, or false
+// when the frontend cannot compute it. A plaintext entry reads nothing a
+// drain writes, so its ids stand. An encrypted one is patched with the
+// records in (e.asOf, w] (patchIDs), which needs a drained-record
+// source, nodes that agree on the matching parameter (patcher), and a
+// log window that holds those records. It only looks at the window:
+// reading the log is followDrain's, so a hit never waits on the
+// coordinator, and nothing here runs under the cache's lock or f.mu.
+func (f *Frontend) bringForward(spec QuerySpec, e *cacheEntry, w uint64) ([]uint64, bool) {
+	m := f.patcher()
+	if m == nil {
+		return nil, false
+	}
+	if spec.Plain != nil {
+		return e.ids, true
+	}
+	recs, ks, ok := f.drained.view(e.asOf, w)
+	if !ok {
+		return nil, false
+	}
+	return patchIDs(e.ids, recs, ks, m.NewRun(spec.Enc)), true
+}
+
 // ObserveIngest feeds the frontend the coordinator's drained watermark
-// (from a view poll, an fe.put acknowledgement, or any IngestResp).
-// Whenever it advances past everything observed before, the cache
-// generation moves: records reached their nodes since the cached results
-// were computed, so those may be stale. seq, the last accepted write, is
+// (from a view poll, an fe.put acknowledgement, or any IngestResp): the
+// last log sequence delivered to every owning node. It is a monotonic
+// store — a lagging report (an old view, a slow replica) never rewinds
+// it — that wakes the goroutine reading drained records (followDrain)
+// and does no I/O, since ApplyView calls it under f.mu. A cached answer
+// computed before the watermark is brought forward or dropped at its
+// next hit. seq, the last accepted write, is
 // ignored: a record accepted but not yet drained is on no node, so no
 // fan-out can return it and no cached answer is contradicted by it.
-// Monotonic — a lagging report (an old view, a slow replica) can never
-// rewind the watermark or resurrect invalidated entries.
 func (f *Frontend) ObserveIngest(seq, drained uint64) {
 	for {
 		cur := f.ingDrained.Load()
@@ -236,11 +327,11 @@ func (f *Frontend) ObserveIngest(seq, drained uint64) {
 			return
 		}
 		if f.ingDrained.CompareAndSwap(cur, drained) {
-			break
+			if f.drained != nil {
+				f.drained.poke()
+			}
+			return
 		}
-	}
-	if f.cache != nil {
-		f.cacheGen.Add(1)
 	}
 }
 
@@ -250,7 +341,9 @@ func (f *Frontend) CacheStats() CacheStats {
 	if f.cache == nil {
 		return CacheStats{}
 	}
-	return f.cache.stats()
+	st := f.cache.stats()
+	st.Fences = int64(f.cacheGen.Load())
+	return st
 }
 
 // memoFlags is what a sub-query of spec asks of the nodes' match memo:

@@ -17,19 +17,19 @@ import (
 
 func TestResultCacheGetPutGenFence(t *testing.T) {
 	c := newResultCache(1 << 20)
-	c.put("k", []uint64{1, 2, 3}, 1)
-	ids, ok := c.get("k", 1)
+	c.put("k", []uint64{1, 2, 3}, 1, 0)
+	ids, ok, _ := c.get("k", 1, 0)
 	if !ok || len(ids) != 3 {
 		t.Fatalf("same-generation get: ok=%v ids=%v", ok, ids)
 	}
 	// The returned slice is a copy — mutating it must not poison the cache.
 	ids[0] = 99
-	ids2, _ := c.get("k", 1)
+	ids2, _, _ := c.get("k", 1, 0)
 	if ids2[0] != 1 {
 		t.Fatal("cached ids aliased to a caller's slice")
 	}
 	// A newer generation invalidates on sight and removes the entry.
-	if _, ok := c.get("k", 2); ok {
+	if _, ok, _ := c.get("k", 2, 0); ok {
 		t.Fatal("stale-generation entry served as a hit")
 	}
 	st := c.stats()
@@ -41,7 +41,7 @@ func TestResultCacheGetPutGenFence(t *testing.T) {
 	}
 	// Even back at the original generation the entry is gone: removal is
 	// permanent, not a filter.
-	if _, ok := c.get("k", 1); ok {
+	if _, ok, _ := c.get("k", 1, 0); ok {
 		t.Fatal("invalidated entry resurrected")
 	}
 }
@@ -50,15 +50,15 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	// The budget fits two of the three entries below.
 	entrySize := int64(1) + 8*4 + entryOverhead
 	c := newResultCache(2 * entrySize)
-	c.put("a", []uint64{1, 2, 3, 4}, 1)
-	c.put("b", []uint64{1, 2, 3, 4}, 1)
-	c.get("a", 1) // touch a so b is the LRU victim
-	c.put("c", []uint64{1, 2, 3, 4}, 1)
-	if _, ok := c.get("b", 1); ok {
+	c.put("a", []uint64{1, 2, 3, 4}, 1, 0)
+	c.put("b", []uint64{1, 2, 3, 4}, 1, 0)
+	c.get("a", 1, 0) // touch a so b is the LRU victim
+	c.put("c", []uint64{1, 2, 3, 4}, 1, 0)
+	if _, ok, _ := c.get("b", 1, 0); ok {
 		t.Error("LRU victim b survived over-budget put")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k, 1); !ok {
+		if _, ok, _ := c.get(k, 1, 0); !ok {
 			t.Errorf("entry %q evicted though within budget", k)
 		}
 	}
@@ -67,20 +67,20 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 	// An entry larger than the whole budget is skipped, not stored.
 	big := make([]uint64, 1024)
-	c.put("huge", big, 1)
-	if _, ok := c.get("huge", 1); ok {
+	c.put("huge", big, 1, 0)
+	if _, ok, _ := c.get("huge", 1, 0); ok {
 		t.Error("oversized entry stored; should be served uncached")
 	}
 }
 
 func TestResultCacheReplaceSameKey(t *testing.T) {
 	c := newResultCache(1 << 20)
-	c.put("k", []uint64{1}, 1)
-	c.put("k", []uint64{2, 3}, 2)
+	c.put("k", []uint64{1}, 1, 0)
+	c.put("k", []uint64{2, 3}, 2, 0)
 	if st := c.stats(); st.Entries != 1 {
 		t.Fatalf("replacing put left %d entries", st.Entries)
 	}
-	ids, ok := c.get("k", 2)
+	ids, ok, _ := c.get("k", 2, 0)
 	if !ok || len(ids) != 2 {
 		t.Fatalf("replaced entry: ok=%v ids=%v", ok, ids)
 	}
@@ -88,19 +88,24 @@ func TestResultCacheReplaceSameKey(t *testing.T) {
 
 func TestResultCacheSingleFlight(t *testing.T) {
 	c := newResultCache(1 << 20)
-	fl, leader := c.startFlight("k", 1)
+	fl, leader := c.startFlight("k", 1, 0)
 	if !leader || fl == nil {
 		t.Fatal("first flight must lead")
 	}
-	fl2, leader2 := c.startFlight("k", 1)
+	fl2, leader2 := c.startFlight("k", 1, 0)
 	if leader2 || fl2 != fl {
 		t.Fatal("same-generation second flight must join the first")
 	}
 	// A different generation must NOT join the stale flight: its result
 	// is already fenced out. The caller leads unregistered.
-	fl3, leader3 := c.startFlight("k", 2)
+	fl3, leader3 := c.startFlight("k", 2, 0)
 	if !leader3 || fl3 != nil {
 		t.Fatalf("newer-generation flight joined a stale one: fl=%v leader=%v", fl3, leader3)
+	}
+	// Nor may a query that has seen a later drained watermark: the
+	// flight's fan-out may predate a delivered write.
+	if fl4, leader4 := c.startFlight("k", 1, 5); !leader4 || fl4 != nil {
+		t.Fatalf("later-watermark flight joined an earlier one: fl=%v leader=%v", fl4, leader4)
 	}
 	done := make(chan []uint64)
 	go func() {
@@ -117,7 +122,7 @@ func TestResultCacheSingleFlight(t *testing.T) {
 		t.Fatal("follower never woke")
 	}
 	// The finished flight is deregistered; a new one can lead.
-	if _, leader := c.startFlight("k", 1); !leader {
+	if _, leader := c.startFlight("k", 1, 0); !leader {
 		t.Fatal("flight table did not clear after finishFlight")
 	}
 }
@@ -374,32 +379,30 @@ func TestQueryCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestObserveIngestFence: only a delivered write moves the generation.
-// An accepted write (seq) alone moves nothing, an advance of drained
-// moves it exactly once, and a repeated or lower drained moves nothing.
+// TestObserveIngestFence: only a delivered write moves the drained
+// watermark, and no write moves the generation. An accepted write (seq)
+// alone moves nothing, an advance of drained is stored, and a repeated
+// or lower drained moves nothing.
 func TestObserveIngestFence(t *testing.T) {
 	fe := New(Config{CacheBudget: 1 << 20, ProbeInterval: -1})
 	defer fe.Close()
 	for i, step := range []struct {
 		seq, drained uint64
-		moves        bool
+		want         uint64 // watermark after the step
 	}{
-		{seq: 5},                          // accepted, on no node yet
-		{seq: 9},                          // more accepted
-		{seq: 9, drained: 5, moves: true}, // delivered
-		{seq: 9, drained: 5},              // repeated
-		{seq: 12, drained: 3},             // a lagging report
-		{seq: 12, drained: 9, moves: true},
+		{seq: 5},                       // accepted, on no node yet
+		{seq: 9},                       // more accepted
+		{seq: 9, drained: 5, want: 5},  // delivered
+		{seq: 9, drained: 5, want: 5},  // repeated
+		{seq: 12, drained: 3, want: 5}, // a lagging report
+		{seq: 12, drained: 9, want: 9},
 	} {
-		before := fe.cacheGen.Load()
 		fe.ObserveIngest(step.seq, step.drained)
-		want := before
-		if step.moves {
-			want++
+		if got := fe.ingDrained.Load(); got != step.want {
+			t.Errorf("step %d ObserveIngest(%d, %d): watermark %d, want %d", i, step.seq, step.drained, got, step.want)
 		}
-		if got := fe.cacheGen.Load(); got != want {
-			t.Errorf("step %d ObserveIngest(%d, %d): generation %d -> %d, want %d",
-				i, step.seq, step.drained, before, got, want)
+		if g := fe.cacheGen.Load(); g != 0 {
+			t.Errorf("step %d ObserveIngest(%d, %d) moved the generation to %d", i, step.seq, step.drained, g)
 		}
 	}
 }
@@ -531,16 +534,16 @@ func TestResultCacheRaceHammer(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					// Store ids stamped with the generation they claim.
-					c.put(k, []uint64{g}, g)
+					c.put(k, []uint64{g}, g, 0)
 				case 1:
-					if ids, ok := c.get(k, g); ok {
+					if ids, ok, _ := c.get(k, g, 0); ok {
 						if len(ids) != 1 || ids[0] != g {
 							t.Errorf("get(%q, gen %d) returned ids from generation %d", k, g, ids[0])
 							return
 						}
 					}
 				default:
-					if fl, leader := c.startFlight(k, g); leader && fl != nil {
+					if fl, leader := c.startFlight(k, g, 0); leader && fl != nil {
 						c.finishFlight(k, fl, []uint64{g}, nil)
 					} else if fl != nil {
 						<-fl.done

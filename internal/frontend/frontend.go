@@ -205,14 +205,18 @@ type Frontend struct {
 	queueLat  latTracker    // admission-queue waits of admitted queries (report digest)
 	reportSeq atomic.Uint64 // health report sequence numbers
 
-	// Result cache (nil when Config.CacheBudget is 0) and its fence.
-	// cacheGen advances on every strictly-newer view install and every
-	// advance of the drained watermark (ObserveIngest); entries from
-	// older generations are unservable. ingDrained is the highest
-	// drained watermark observed, backing that monotonicity.
+	// Result cache (nil when Config.CacheBudget is 0) and its fences.
+	// cacheGen advances on every strictly-newer view install; entries
+	// from older generations are unservable. ingDrained is the highest
+	// drained watermark observed (ObserveIngest); an entry computed
+	// before it is brought forward over the records of drained, the
+	// frontend's window on the log (nil without a cache), with the
+	// matcher of the MBits its nodes agree on (patcher).
 	cache      *resultCache
 	cacheGen   atomic.Uint64
 	ingDrained atomic.Uint64
+	drained    *drainLog
+	matcher    atomic.Pointer[patchMatcher]
 	// tenants holds the per-tenant quota buckets (always non-nil; quota
 	// enforcement off when Config.TenantRate is 0).
 	tenants *tenantTable
@@ -280,6 +284,9 @@ func New(cfg Config) *Frontend {
 	f.afterFn = time.After                                             //lint:allow wallclock — clock-injection default
 	f.lifeCtx, f.lifeCancel = context.WithCancel(context.Background()) //lint:allow background — frontend lifetime root, cancelled in Close
 	f.cache = newResultCache(cfg.CacheBudget)
+	if f.cache != nil {
+		f.drained = newDrainLog()
+	}
 	f.tenants = newTenantTable(cfg.TenantRate, cfg.TenantBurst, func() time.Time { return f.nowFn() })
 	if cfg.ProbeInterval > 0 {
 		go f.probeLoop()
@@ -357,7 +364,7 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	if f.pl != nil && viewOlder(v, f.view) {
 		return ErrStaleView
 	}
-	// A strictly newer (Term, Epoch) invalidates the result cache:
+	// A strictly newer (Term, Epoch) moves the cache's generation:
 	// placement, quarantine, or membership moved, so cached merges may
 	// no longer reflect what a fan-out would return. Re-applying the
 	// installed view (the harness's SyncView refresh, a poll answering
@@ -399,8 +406,8 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	if newer && f.cache != nil {
 		f.cacheGen.Add(1)
 	}
-	// The view also carries the coordinator's drained watermark; feed
-	// it through the same fence (atomics — safe under f.mu).
+	// The view also carries the coordinator's drained watermark
+	// (an atomic store — safe under f.mu).
 	f.ObserveIngest(0, v.Drained)
 	return nil
 }
@@ -497,24 +504,26 @@ type QuerySpec struct {
 // merge.
 //
 // Cache hits bypass admission entirely — they consume no slot and no
-// quota token, which is the point of having the cache. A miss that finds another query already fanning out for
-// the same key and generation waits for that flight instead of
-// dispatching its own; if the flight fails, the waiter falls back to a
-// full execution of its own, so coalescing can only remove work.
+// quota token, which is the point of having the cache. A miss that
+// finds another query already fanning out for the same key, generation
+// and drained watermark waits for that flight instead of dispatching
+// its own; if the flight fails, the waiter falls back to a full
+// execution of its own, so coalescing can only remove work.
 func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 	t0 := f.nowFn()
 	c := f.cache
 	cc := cacheControl(spec.CacheControl)
 	var key string
-	var gen uint64
+	var gen, asOf uint64
 	if c != nil && cc != proto.CacheBypass {
 		key = cacheKey(spec)
 		gen = f.cacheGen.Load()
+		asOf = f.ingDrained.Load()
 		if cc == proto.CacheDefault {
-			if ids, ok := c.get(key, gen); ok {
+			if ids, ok := f.cachedAnswer(key, spec, gen, asOf); ok {
 				return f.cacheHit(ids, t0), nil
 			}
-			if fl, leader := c.startFlight(key, gen); !leader {
+			if fl, leader := c.startFlight(key, gen, asOf); !leader {
 				select {
 				case <-fl.done:
 				case <-ctx.Done():
@@ -528,18 +537,18 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 				}
 				// The leader failed (shed, timeout, fan-out error); its
 				// failure is not necessarily ours. Execute independently.
-				return f.execute(ctx, spec, t0, key, gen)
+				return f.execute(ctx, spec, t0, key, gen, asOf)
 			} else if fl != nil {
-				res, err := f.execute(ctx, spec, t0, key, gen)
+				res, err := f.execute(ctx, spec, t0, key, gen, asOf)
 				c.finishFlight(key, fl, res.IDs, err)
 				return res, err
 			}
-			// fl == nil: a stale-generation flight is still draining;
-			// lead unregistered rather than inherit its fenced result.
-			return f.execute(ctx, spec, t0, key, gen)
+			// fl == nil: an older flight is still running; lead
+			// unregistered rather than inherit its outdated result.
+			return f.execute(ctx, spec, t0, key, gen, asOf)
 		}
 	}
-	return f.execute(ctx, spec, t0, key, gen)
+	return f.execute(ctx, spec, t0, key, gen, asOf)
 }
 
 // cacheHit builds the Result of a query answered without a fan-out and
@@ -554,11 +563,12 @@ func (f *Frontend) cacheHit(ids []uint64, t0 time.Time) Result {
 
 // execute is the uncached pipeline: admission (overload shed, tenant
 // quota, in-flight window), scheduling, dispatch, merge, and — when key
-// is non-empty, the query succeeded, and the generation fence has not
-// moved — the cache store. PriorityLow and PriorityBulk queries are
-// shed with ErrShed — before consuming an admission slot — while the
-// cluster's reported queue depths are over the shed high-water mark.
-func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, key string, gen uint64) (Result, error) {
+// is non-empty, the query succeeded, and the generation has not moved —
+// the cache store, as of the drained watermark asOf read before it.
+// PriorityLow and PriorityBulk queries are shed with ErrShed — before
+// consuming an admission slot — while the cluster's reported queue
+// depths are over the shed high-water mark.
+func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, key string, gen, asOf uint64) (Result, error) {
 	if spec.Priority < PriorityNormal && f.overloaded() {
 		f.shed.Add(1)
 		return Result{}, ErrShed
@@ -661,12 +671,12 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if derr != nil {
 		return out, derr
 	}
-	// Store only results still provably current: if the generation
-	// moved while the fan-out ran (a view installed, a write was
-	// delivered), this merge may predate the change — serving it later
-	// would be exactly the stale hit the fence exists to prevent.
+	// Store only results of the installed generation: if a newer view
+	// installed while the fan-out ran, this merge may predate it. A
+	// write delivered meanwhile needs no check: the entry is as of asOf,
+	// and its next hit brings it forward.
 	if f.cache != nil && key != "" && gen == f.cacheGen.Load() {
-		f.cache.put(key, out.IDs, gen)
+		f.cache.put(key, out.IDs, gen, asOf)
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roar/internal/proto"
@@ -64,6 +65,10 @@ type handle struct {
 	credits chan struct{} // per-node outstanding cap; nil = unlimited
 	speed   *stats.EWMA
 	lat     *latTracker // the node's entry in Frontend.nodeLat
+
+	// mbits is the matching parameter the node's last answered probe
+	// reported; 0 until one answers (see Frontend.patcher).
+	mbits atomic.Int64
 
 	mu          sync.Mutex
 	state       nodeState
@@ -298,6 +303,9 @@ func (f *Frontend) probeAll(timeout time.Duration) {
 			var pr proto.PingResp
 			err := h.client.Call(ctx, proto.MNodePing, proto.PingReq{}, &pr)
 			h.observe(err == nil, pr.QueueDepth)
+			if err == nil {
+				h.mbits.Store(int64(pr.MBits))
+			}
 		}(h)
 	}
 	wg.Wait()

@@ -62,9 +62,25 @@ type Syncer struct {
 	wg       sync.WaitGroup
 }
 
-// NewSyncer binds a frontend to its coordinator transport.
+// NewSyncer binds a frontend to its coordinator transport, and installs
+// the coordinator's log, read over member.drained, as the frontend's
+// drained-record source (Frontend.SetDrainSource).
 func NewSyncer(fe *Frontend, mc MemberCaller, cfg SyncConfig) *Syncer {
+	fe.SetDrainSource(memberDrained{mc})
 	return &Syncer{fe: fe, mc: mc, cfg: cfg.withDefaults(), stop: make(chan struct{})}
+}
+
+// memberDrained is a DrainSource that asks the coordinator. A
+// coordinator that does not serve member.drained answers
+// wire.UnknownMethodError, which the frontend takes as a gap.
+type memberDrained struct{ mc MemberCaller }
+
+func (m memberDrained) DrainedSince(ctx context.Context, after uint64, max int) ([]pps.Encoded, error) {
+	var resp proto.DrainedResp
+	if err := m.mc.Call(ctx, proto.MMemberDrained, proto.DrainedReq{After: after, Max: max}, &resp); err != nil {
+		return nil, err
+	}
+	return resp.Records, nil
 }
 
 func (s *Syncer) logf(format string, args ...any) {
@@ -92,12 +108,15 @@ func (s *Syncer) PullViewOnce(ctx context.Context) error {
 // (Term, Epoch) moved, so the poll loop does not rebuild placements for
 // identical views or reset local suspicion. A view with the installed
 // (Term, Epoch) still carries the drained watermark, which a drain moves
-// without an epoch bump: that goes to the cache fence.
+// without an epoch bump: that goes to ObserveIngest, once the records up
+// to it are read into the cache's window (Frontend.readAhead), so the
+// hits that follow patch their entries instead of dropping them.
 func (s *Syncer) pullIfStale(ctx context.Context) {
 	var v proto.View
 	if err := s.mc.Call(ctx, proto.MMemberView, nil, &v); err != nil {
 		return
 	}
+	s.fe.readAhead(ctx, v.Drained)
 	installed := s.fe.View()
 	if v.Epoch == installed.Epoch && v.Term == installed.Term {
 		s.fe.ObserveIngest(0, v.Drained)
@@ -141,8 +160,8 @@ func (s *Syncer) Ingest(ctx context.Context, recs []pps.Encoded) (proto.IngestRe
 	if err := s.mc.Call(ctx, proto.MMemberIngest, proto.IngestReq{Records: recs}, &resp); err != nil {
 		return proto.IngestResp{}, err
 	}
-	// The ack carries the drained watermark too: an advance fences the
-	// result cache ahead of the next view poll.
+	// The ack carries the drained watermark too: the cache learns of an
+	// advance ahead of the next view poll.
 	s.fe.ObserveIngest(resp.Seq, resp.Drained)
 	return resp, nil
 }

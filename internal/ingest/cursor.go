@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"roar/internal/binfmt"
@@ -228,4 +229,92 @@ func (c *cursor) frame() (seq uint64, rec pps.Encoded, err error) {
 	c.seq = seq
 	c.consume(size)
 	return seq, rec, nil
+}
+
+// tailMarks is how many positions a Tail remembers: where its last
+// reads ended. Frontends that follow the drain each ask from where one
+// of them ended, so a few drains' worth covers any number of them.
+const tailMarks = 16
+
+// Tail is an exported cursor for readers that follow the log forward in
+// ranges, as the coordinator does when frontends ask for the records
+// drained since their cached answers. It stays where its last read
+// ended, and remembers where its last tailMarks reads ended: a read
+// that starts elsewhere re-positions at the nearest of those at or
+// before its start (else at the start of its segment), and passes the
+// frames in between by their headers, read but not decoded. So each of
+// several requesters that follow the drain, each from where its own
+// last range ended, reads about the frames it asks for. Nothing is
+// opened before the first read. A Tail belongs to one goroutine at a
+// time.
+type Tail struct {
+	w     *WAL
+	cur   *cursor
+	marks []tailMark // oldest first
+}
+
+// tailMark is a cursor position between two frames: seq is the frame
+// before it, off the byte offset of the next in segment path.
+type tailMark struct {
+	seq   uint64
+	path  string
+	first uint64
+	off   int64
+}
+
+// Tail returns a reader of w that has read nothing yet.
+func (w *WAL) Tail() *Tail { return &Tail{w: w} }
+
+// Read yields the n records after sequence `after` to fn, in order,
+// stopping early when fn returns false or the log's durable end comes
+// first. A yielded record's nonce and filter are views of the read
+// buffer, good only until fn returns. A read error drops the position
+// and the marks.
+func (t *Tail) Read(after uint64, n int, fn func(seq uint64, rec pps.Encoded) bool) error {
+	if t.cur == nil || t.cur.seq != after {
+		t.seek(after)
+	}
+	if err := t.cur.read(n, fn); err != nil {
+		t.Close()
+		t.marks = nil
+		return err
+	}
+	if c := t.cur; c.path != "" {
+		t.marks = slices.DeleteFunc(t.marks, func(m tailMark) bool { return m.seq == c.seq })
+		if len(t.marks) == tailMarks {
+			t.marks = t.marks[1:]
+		}
+		t.marks = append(t.marks, tailMark{seq: c.seq, path: c.path, first: c.first, off: c.off})
+	}
+	return nil
+}
+
+// seek positions the cursor to read the records after `after`: at the
+// latest mark at or before it, else unplaced (sync then starts at the
+// start of the segment that holds after+1). The read buffer and the
+// counts carry over.
+func (t *Tail) seek(after uint64) {
+	if t.cur == nil {
+		t.cur = t.w.newCursor(after)
+	}
+	c := t.cur
+	c.close()
+	c.after, c.seq, c.path, c.first, c.end, c.off, c.buf, c.r = after, after, "", 0, 0, 0, c.buf[:0], 0
+	var best *tailMark
+	for i := range t.marks {
+		if m := &t.marks[i]; m.seq <= after && (best == nil || m.seq > best.seq) {
+			best = m
+		}
+	}
+	if best != nil {
+		c.seq, c.path, c.first, c.off = best.seq, best.path, best.first, best.off
+	}
+}
+
+// Close releases the reader's file; the next Read re-opens it.
+func (t *Tail) Close() {
+	if t.cur != nil {
+		t.cur.close()
+		t.cur = nil
+	}
 }

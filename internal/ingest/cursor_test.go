@@ -541,3 +541,116 @@ func TestCursorTailsUnderConcurrentAppend(t *testing.T) {
 		t.Fatalf("consumer delivered through %d of %d", delivered, w.DurableSeq())
 	}
 }
+
+// TestTailReadsFromWhereItStopped: consecutive ranges of a Tail read
+// each frame once, from where the last read ended, across a rotation;
+// a range that starts anywhere else re-positions it and yields exactly
+// that range. Concurrent appends land beside the reads (run under
+// -race).
+func TestTailReadsFromWhereItStopped(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 16 << 10, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recs := testRecs(43, 600)
+	if _, err := w.Append(recs[:300]...); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 300; i < len(recs); i += 20 {
+			if _, err := w.Append(recs[i : i+20]...); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	tail := w.Tail()
+	defer tail.Close()
+	read := func(after uint64, n int) {
+		t.Helper()
+		want := after + 1
+		if err := tail.Read(after, n, func(seq uint64, rec pps.Encoded) bool {
+			if seq != want || !sameRec(rec, recs[seq-1]) {
+				t.Errorf("read (%d, +%d]: sequence %d, want %d with its record", after, n, seq, want)
+			}
+			want++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := want - after - 1; got != uint64(n) {
+			t.Fatalf("read (%d, +%d] yielded %d records", after, n, got)
+		}
+	}
+	for after := uint64(0); after < 300; after += 16 {
+		read(after, int(min(16, 300-after)))
+	}
+	if tail.cur.frames != 300 {
+		t.Fatalf("consecutive ranges decoded %d frames to yield 300", tail.cur.frames)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	read(300, 300)
+	if tail.cur.frames != 600 {
+		t.Fatalf("following the appends decoded %d frames in all, want 600", tail.cur.frames)
+	}
+	read(100, 5) // an older range re-positions
+	if tail.cur.frames != 605 {
+		t.Fatalf("re-positioned tail decoded %d frames to yield 5", tail.cur.frames-600)
+	}
+	read(105, 3)
+}
+
+// TestTailServesRequestersInTurn: requesters that each follow the log
+// from where their own last range ended, taking turns on one Tail as
+// frontends do on the coordinator's, read about the frames they ask
+// for: each re-positions at a mark, never at the start of its segment.
+// Without marks every turn re-reads its segment from the start, and the
+// bytes read grow with the square of the log.
+func TestTailServesRequestersInTurn(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 20, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const requesters, batch, batches = 3, 16, 40
+	recs := testRecs(47, batch*batches)
+	tail := w.Tail()
+	defer tail.Close()
+	var ends [requesters]uint64
+	for b := 0; b < batches; b++ {
+		if _, err := w.Append(recs[b*batch : (b+1)*batch]...); err != nil {
+			t.Fatal(err)
+		}
+		for r := range ends {
+			want := ends[r] + 1
+			if err := tail.Read(ends[r], batch, func(seq uint64, rec pps.Encoded) bool {
+				if seq != want || !sameRec(rec, recs[seq-1]) {
+					t.Errorf("requester %d: sequence %d, want %d with its record", r, seq, want)
+				}
+				want++
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ends[r] = want - 1
+		}
+	}
+	w.mu.Lock()
+	logBytes := w.segs[len(w.segs)-1].size
+	segs := len(w.segs)
+	w.mu.Unlock()
+	if segs != 1 {
+		t.Fatalf("the log spans %d segments, want 1", segs)
+	}
+	if got, want := tail.cur.frames, int64(requesters*batch*batches); got != want {
+		t.Errorf("decoded %d frames, want %d", got, want)
+	}
+	if got := tail.cur.bytesRead; got > requesters*logBytes {
+		t.Errorf("read %d bytes for %d requesters of a %d-byte log", got, requesters, logBytes)
+	}
+}

@@ -41,6 +41,7 @@ import (
 
 	"roar/internal/ingest"
 	"roar/internal/pps"
+	"roar/internal/proto"
 	"roar/internal/ring"
 	"roar/internal/store"
 	"roar/internal/wire"
@@ -265,6 +266,47 @@ func (c *Coordinator) IngestDrained() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ingestDrained
+}
+
+// DrainedSince returns the log's records with sequence in (after,
+// drained], at most max of them and never more than proto.MaxDrained,
+// in sequence order: what a frontend brings its cached answers forward
+// with (frontend.DrainSource). A negative max is refused. They are read
+// through one tail reader (ingest.Tail) that stays where its last read
+// ended and re-positions at where a recent read ended, so each frontend
+// following the drain reads about the frames it asks for. The records
+// are the caller's to keep.
+func (c *Coordinator) DrainedSince(ctx context.Context, after uint64, max int) ([]pps.Encoded, error) {
+	if c.wal == nil {
+		return nil, errIngestDisabled
+	}
+	if max < 0 {
+		return nil, fmt.Errorf("membership: drained records: negative max %d", max)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	max = min(max, proto.MaxDrained)
+	drained := c.IngestDrained()
+	if drained <= after || max == 0 {
+		return nil, nil
+	}
+	n := int(min(drained-after, uint64(max)))
+	recs := make([]pps.Encoded, 0, n)
+	c.tailMu.Lock()
+	defer c.tailMu.Unlock()
+	if c.tail == nil {
+		c.tail = c.wal.Tail()
+	}
+	err := c.tail.Read(after, n, func(_ uint64, rec pps.Encoded) bool {
+		rec.Nonce, rec.Filter = pps.CopyMetadata(rec.Nonce, rec.Filter)
+		recs = append(recs, rec)
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("membership: reading drained records after %d: %w", after, err)
+	}
+	return recs, nil
 }
 
 // WaitIngestDrained blocks until the delivery watermark reaches seq or

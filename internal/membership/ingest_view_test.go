@@ -1,12 +1,15 @@
 package membership
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"roar/internal/ingest"
+	"roar/internal/pps"
+	"roar/internal/proto"
 )
 
 // TestViewCarriesIngestWatermarks: every view reports the coordinator's
@@ -88,5 +91,83 @@ func TestEmptyIngestCommitsNothing(t *testing.T) {
 	defer bare.Close()
 	if _, err := bare.IngestAppend(ctx, nil); !errors.Is(err, errIngestDisabled) {
 		t.Errorf("empty append without a WAL = %v, want errIngestDisabled", err)
+	}
+}
+
+// TestDrainedSinceFollowsTheDrain: member.drained answers the records in
+// (after, drained], capped at max and at proto.MaxDrained, each the
+// log's own write in sequence order, and nothing past the drained
+// watermark; a negative max is refused. The tail reader opens
+// at the first request only: a coordinator that drains, pushes and
+// answers views for frontends that never ask has none.
+func TestDrainedSinceFollowsTheDrain(t *testing.T) {
+	wal, err := ingest.Open(t.TempDir(), ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{P: 1, WAL: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	enc := slimEncoder()
+	_, addrs := startNodes(t, enc, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.Join(ctx, addrs[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	c.StartIngest(IngestConfig{})
+	recs := corpus(t, enc, proto.MaxDrained+20)
+	seq, err := c.IngestAppend(ctx, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitIngestDrained(ctx, seq); err != nil {
+		t.Fatal(err)
+	}
+	if c.tail != nil {
+		t.Fatal("the tail reader opened before any frontend asked for drained records")
+	}
+	check := func(after uint64, max int, want []pps.Encoded) {
+		t.Helper()
+		got, err := c.DrainedSince(ctx, after, max)
+		if err != nil {
+			t.Fatalf("DrainedSince(%d, %d): %v", after, max, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("DrainedSince(%d, %d): %d records, want %d", after, max, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || !bytes.Equal(got[i].Nonce, want[i].Nonce) || !bytes.Equal(got[i].Filter, want[i].Filter) {
+				t.Fatalf("DrainedSince(%d, %d): record %d differs from the log's", after, max, i)
+			}
+		}
+	}
+	check(0, 8, recs[:8])
+	check(8, 100, recs[8:108])
+	check(3, 4, recs[3:7]) // an older range re-positions the reader
+	check(seq, 100, nil)
+	check(2, 0, nil)
+	check(10, 1<<30, recs[10:10+proto.MaxDrained]) // an oversized max is capped
+	if _, err := c.DrainedSince(ctx, 0, -1); err == nil {
+		t.Error("DrainedSince with a negative max answered")
+	}
+
+	// A record accepted but not drained is on no node: it is not served.
+	c.StopIngest()
+	more := corpus(t, enc, len(recs)+1)[len(recs):]
+	if _, err := c.IngestAppend(ctx, more); err != nil {
+		t.Fatal(err)
+	}
+	check(seq, 100, nil)
+
+	noLog, err := New(Config{P: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer noLog.Close()
+	if _, err := noLog.DrainedSince(ctx, 0, 10); !errors.Is(err, errIngestDisabled) {
+		t.Fatalf("DrainedSince without a log: %v, want errIngestDisabled", err)
 	}
 }

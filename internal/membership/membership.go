@@ -93,6 +93,10 @@ type Coordinator struct {
 	wal           *ingest.WAL
 	consumer      *ingest.Consumer
 	ingestDrained uint64
+	// tail reads the drained records frontends ask for (DrainedSince),
+	// from where its last read ended; nil until the first request.
+	tailMu sync.Mutex
+	tail   *ingest.Tail
 	// ingestTargets holds the delivery target routeBatch built for each
 	// node under ingestTargetsEpoch, so the records of a batch share one
 	// key string and push closure per node; emptied when the epoch moves.
@@ -168,6 +172,11 @@ func New(cfg Config) (*Coordinator, error) {
 // through mu, so stopping it under the lock would deadlock.
 func (c *Coordinator) Close() {
 	c.StopIngest()
+	c.tailMu.Lock()
+	if c.tail != nil {
+		c.tail.Close()
+	}
+	c.tailMu.Unlock()
 	if c.wal != nil {
 		c.wal.Close()
 	}
@@ -787,5 +796,16 @@ func RegisterHandlers(d *wire.Dispatcher, lead func() (*Coordinator, error)) {
 			return nil, err
 		}
 		return proto.IngestResp{Seq: seq, Drained: c.IngestDrained()}, nil
+	})
+	handle(proto.MMemberDrained, func(ctx context.Context, c *Coordinator, body wire.Body) (interface{}, error) {
+		var req proto.DrainedReq
+		if err := body.Decode(&req); err != nil {
+			return nil, err
+		}
+		recs, err := c.DrainedSince(ctx, req.After, req.Max)
+		if err != nil {
+			return nil, err
+		}
+		return proto.DrainedResp{Records: recs}, nil
 	})
 }

@@ -154,6 +154,7 @@ func TestMemberSurface(t *testing.T) {
 		{proto.MMemberSetP, proto.SetPReq{P: 2}, true},
 		{proto.MMemberHealth, proto.HealthReport{FE: "fe", Seq: 1, Nodes: []proto.NodeHealth{{ID: 0, Fails: 3}}}, true},
 		{proto.MMemberLeave, proto.LeaveReq{ID: 2}, true},
+		{proto.MMemberDrained, proto.DrainedReq{After: 0, Max: 8}, false},
 		{proto.MMemberIngest, proto.IngestReq{Records: corpus(t, enc, 2)}, true},
 	}
 	ctx := context.Background()

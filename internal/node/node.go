@@ -293,7 +293,7 @@ func (n *Node) Serve(addr string) (*wire.Server, error) {
 				return nil, ctx.Err()
 			}
 		}
-		return proto.PingResp{QueueDepth: n.QueueDepth()}, nil
+		return proto.PingResp{QueueDepth: n.QueueDepth(), MBits: n.cfg.Params.MBits}, nil
 	})
 	return wire.Serve(addr, d.Handle)
 }

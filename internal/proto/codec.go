@@ -1,12 +1,12 @@
 // Binary body codecs. A body is binary exactly when it carries records,
 // trapdoors or id sets: QueryReq and FEQueryReq (trapdoor matrices),
-// QueryResp (a sorted id set), PutReq and IngestReq (record nonces and
-// filters). Those five carry nearly all of the cluster's steady-state
+// QueryResp (a sorted id set), PutReq, IngestReq and DrainedResp (record
+// nonces and filters). Those six carry nearly all of the cluster's steady-state
 // bytes, and JSON would spend 4/3× on base64 for every trapdoor, nonce
 // and filter and ~20 decimal characters per object id; these encodings
 // ship raw bytes, varints, and delta-compressed sorted id sets instead.
 // Every other body (pings, health reports, replication, leases, ingest
-// acks, membership, stats, retain) travels as JSON inside the binary
+// acks, drained-record requests, membership, stats, retain) travels as JSON inside the binary
 // envelope (see internal/wire/codec.go).
 //
 // A record and an encrypted query each have one binary form, owned by
@@ -277,4 +277,24 @@ func (q *IngestReq) DecodeWire(data []byte) error {
 		rec.Nonce, rec.Filter = pps.CopyMetadata(rec.Nonce, rec.Filter)
 	}
 	return r.Finish("IngestReq")
+}
+
+// --- DrainedResp ---
+
+// AppendWire implements wire.WireAppender.
+func (q DrainedResp) AppendWire(b []byte) []byte {
+	return appendRecords(b, q.Records)
+}
+
+// DecodeWire implements wire.WireDecoder. The frontend keeps the records
+// past the call, so each is copied out of data in one allocation
+// (pps.CopyMetadata).
+func (q *DrainedResp) DecodeWire(data []byte) error {
+	r := binfmt.NewReader(data)
+	q.Records = viewRecords(&r, "DrainedResp.Records")
+	for i := range q.Records {
+		rec := &q.Records[i]
+		rec.Nonce, rec.Filter = pps.CopyMetadata(rec.Nonce, rec.Filter)
+	}
+	return r.Finish("DrainedResp")
 }

@@ -285,6 +285,10 @@ func TestFlatCodecGoldenBytes(t *testing.T) {
 			func() decoder { return &PutReq{} },
 			"\x01\x07\x02\x01\x02\x01\x03" + "\x2a"},
 		{"PutReq/unfenced", PutReq{}, func() decoder { return &PutReq{} }, "\x00\x00"},
+		{"DrainedResp", DrainedResp{Records: []pps.Encoded{{ID: 7, BloomMetadata: pps.BloomMetadata{Nonce: []byte{1, 2}, Filter: []byte{3}}}}},
+			func() decoder { return &DrainedResp{} },
+			"\x01\x07\x02\x01\x02\x01\x03"},
+		{"DrainedResp/empty", DrainedResp{}, func() decoder { return &DrainedResp{} }, "\x00"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestIngestCodecRoundTrip: the member.ingest request's binary codec
-// must agree with its JSON encoding (the reference), including an empty
-// batch.
+// TestIngestCodecRoundTrip: the member.ingest request's and the
+// member.drained response's binary codecs must agree with their JSON
+// encoding (the reference), including an empty batch.
 func TestIngestCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -17,6 +17,8 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 	}{
 		{"IngestReq", IngestReq{Records: testRecords(5)}, &IngestReq{}},
 		{"IngestReq/empty", IngestReq{}, &IngestReq{}},
+		{"DrainedResp", DrainedResp{Records: testRecords(5)}, &DrainedResp{}},
+		{"DrainedResp/empty", DrainedResp{}, &DrainedResp{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -33,6 +33,10 @@ const (
 	// Durable ingest: producers append records to the coordinator's
 	// write-ahead log; delivery to the owning nodes is asynchronous.
 	MMemberIngest = "member.ingest"
+	// MMemberDrained reads the log's drained records after a sequence
+	// (DrainedReq, DrainedResp): what a frontend brings its cached
+	// answers forward with.
+	MMemberDrained = "member.drained"
 
 	// Frontend client-facing methods (cmd/roar-frontend). fe.put takes
 	// an IngestReq and answers the coordinator's IngestResp.
@@ -159,9 +163,13 @@ type PingReq struct{}
 
 // PingResp answers the liveness probe (MNodePing) with the node's
 // current load, so the frontend's queue estimate of every node stays
-// fresh even while the scheduler keeps away from it.
+// fresh even while the scheduler keeps away from it, and with the
+// node's matching parameter: a frontend matches logged records against
+// its cached queries only once every node in its view reports the same
+// MBits. Zero (an older node) reports none.
 type PingResp struct {
 	QueueDepth int `json:"queue_depth"`
+	MBits      int `json:"mbits,omitempty"`
 }
 
 // PutReq pushes replica records to a node (the backend update server
@@ -207,6 +215,24 @@ type IngestReq struct {
 type IngestResp struct {
 	Seq     uint64 `json:"seq"`
 	Drained uint64 `json:"drained"`
+}
+
+// DrainedReq asks the coordinator for the records of its log with
+// sequence in (After, drained], at most Max of them (MMemberDrained).
+// The coordinator serves at most MaxDrained, and refuses a negative Max.
+type DrainedReq struct {
+	After uint64 `json:"after"`
+	Max   int    `json:"max"`
+}
+
+// MaxDrained is the most records one DrainedResp carries.
+const MaxDrained = 1024
+
+// DrainedResp carries the records DrainedReq asked for, in sequence
+// order: Records[i] has sequence After+1+i. Fewer than asked means the
+// coordinator's drained watermark ends there.
+type DrainedResp struct {
+	Records []pps.Encoded `json:"records"`
 }
 
 // RetainReq tells a node its (possibly new) range and partitioning

@@ -78,7 +78,7 @@ func TestNodeQueryMessages(t *testing.T) {
 	roundTrip(t, QueryReq{QID: 9, Lo: 0.125, Hi: 0.875, Q: testQuery(t)})
 	roundTrip(t, QueryResp{IDs: []uint64{3, 1}, Scanned: 400, MatchNanos: 55, QueueDepth: 3})
 	roundTrip(t, PingReq{})
-	roundTrip(t, PingResp{QueueDepth: 2})
+	roundTrip(t, PingResp{QueueDepth: 2, MBits: 512})
 }
 
 func TestNodeDataMessages(t *testing.T) {
@@ -105,6 +105,7 @@ func TestMembershipMessages(t *testing.T) {
 	})
 	roundTrip(t, HealthResp{Epoch: 9})
 	roundTrip(t, IngestResp{Seq: 1 << 40, Drained: 77})
+	roundTrip(t, DrainedReq{After: 40, Max: 1024})
 	roundTrip(t, ReplicateReq{
 		Term: 5, Leader: "127.0.0.1:7001", Commit: 12,
 		Entries: []LogEntry{

@@ -214,7 +214,7 @@ func TestBodyCodecMustMatchType(t *testing.T) {
 
 // TestOneCodecPerMessage: which codec a message travels in is decided
 // by its Go type and nothing else, one row per proto body. Observed in
-// the server-side handler: the five bodies that carry records, trapdoors
+// the server-side handler: the six bodies that carry records, trapdoors
 // or id sets arrive binary, every other body arrives as JSON, and a view
 // pull (nil request, JSON response) decodes.
 func TestOneCodecPerMessage(t *testing.T) {
@@ -247,6 +247,8 @@ func TestOneCodecPerMessage(t *testing.T) {
 		{proto.MFEQuery, proto.FEQueryReq{Tenant: "t"}, codecBinary},
 		{proto.MMemberIngest, proto.IngestReq{}, codecBinary},
 		{proto.MFEPut, proto.IngestReq{}, codecBinary},
+		{proto.MMemberDrained, proto.DrainedReq{After: 3, Max: 8}, codecJSON},
+		{"drained.resp", proto.DrainedResp{}, codecBinary},
 		{proto.MNodePing, proto.PingReq{}, codecJSON},
 		{"ping.resp", proto.PingResp{QueueDepth: 2}, codecJSON},
 		{"ingest.resp", proto.IngestResp{Seq: 3, Drained: 2}, codecJSON},
