@@ -39,12 +39,8 @@ func main() {
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = unlimited)")
 		queueTO  = flag.Duration("queue-timeout", 0, "admission queue wait limit (0 = caller context)")
 		nodeOut  = flag.Int("node-outstanding", 0, "max in-flight sub-queries per node (per-node backpressure, 0 = unlimited)")
-		hedge    = flag.Duration("hedge-delay", 0, "re-dispatch a slow sub-query onto replicas after this delay (0 = off)")
-		hedgeQ   = flag.Float64("hedge-quantile", 0, "derive the hedge delay from this quantile of observed sub-query latency, e.g. 0.95 (0 = fixed -hedge-delay)")
+		hedge    = flag.Duration("hedge-delay", 0, "hedge a slow sub-query onto replicas after at least this delay; above it the delay adapts to the p95 leg latency, and hedged legs are budgeted to ~5% of sub-queries (0 = off)")
 		probe    = flag.Duration("probe-interval", 0, "cadence of the probe of every node (0 = 500ms default, <0 = off)")
-		hedgeB   = flag.Float64("hedge-budget", 0, "hedged legs per primary sub-query, the Kraus-style rate limit (0 = default 0.05, <0 = unlimited)")
-		hedgeBB  = flag.Float64("hedge-burst", 0, "hedge token-bucket capacity (0 = default 4)")
-		hedgePQ  = flag.Int("hedge-per-query", 0, "max hedged legs per query (0 = unlimited)")
 		shedHW   = flag.Int("shed-highwater", 0, "mean reported node queue depth that triggers overload shedding (0 = off)")
 		healthIv = flag.Duration("health-interval", time.Second, "health report push cadence")
 		cacheB   = flag.Int64("cache-budget", 0, "result cache memory budget in bytes (0 = cache off)")
@@ -66,11 +62,8 @@ func main() {
 		Name: *listen,
 		PQ:   *pq, RangeAdjust: *adjust, MaxSplits: *splits,
 		PoolSize: *pool, MaxInFlight: *inflight, QueueTimeout: *queueTO,
-		NodeMaxOutstanding: *nodeOut,
-		HedgeDelay:         *hedge, HedgeQuantile: *hedgeQ,
-		ProbeInterval:       *probe,
-		HedgeBudgetFraction: *hedgeB, HedgeBudgetBurst: *hedgeBB,
-		HedgeMaxPerQuery: *hedgePQ, ShedHighWater: *shedHW,
+		NodeMaxOutstanding: *nodeOut, HedgeDelay: *hedge,
+		ProbeInterval: *probe, ShedHighWater: *shedHW,
 		CacheBudget: *cacheB,
 		TenantRate:  *tenRate, TenantBurst: *tenBurst,
 	})

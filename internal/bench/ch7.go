@@ -655,23 +655,27 @@ func fig711(quick bool) (Table, error) {
 	if err != nil {
 		return t, err
 	}
+	// One sample per phase of the Result, in the row order below.
+	names := []string{"queue", "scheduling", "dispatch+match", "merge", "total"}
+	phases := make([]*stats.Sample, len(names))
+	for i := range phases {
+		phases[i] = stats.NewSample(queries)
+	}
 	for i := 0; i < queries; i++ {
-		if _, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q}); err != nil {
+		res, err := c.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
+		if err != nil {
 			return t, err
 		}
+		for j, d := range []time.Duration{res.Queue, res.Schedule, res.Dispatch, res.Merge, res.Delay} {
+			phases[j].Add(d.Seconds())
+		}
 	}
-	bd := c.FE.DelayBreakdown()
-	total := bd.Total.Mean
-	row := func(name string, s stats.Summary) {
-		t.AddRow(name, fms(time.Duration(s.Mean*float64(time.Second))),
-			fms(time.Duration(s.P90*float64(time.Second))),
-			fmt.Sprintf("%.1f%%", s.Mean/total*100))
+	total := phases[len(phases)-1].Mean()
+	for j, s := range phases {
+		t.AddRow(names[j], fms(time.Duration(s.Mean()*float64(time.Second))),
+			fms(time.Duration(s.Percentile(90)*float64(time.Second))),
+			fmt.Sprintf("%.1f%%", s.Mean()/total*100))
 	}
-	row("queue", bd.Queue)
-	row("scheduling", bd.Schedule)
-	row("dispatch+match", bd.Dispatch)
-	row("merge", bd.Merge)
-	row("total", bd.Total)
 	t.Notes = "dispatch (network + remote matching) dominates; scheduling, admission queueing and merge are small slices (paper Fig 7.11)"
 	return t, nil
 }

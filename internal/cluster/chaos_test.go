@@ -227,8 +227,9 @@ func TestClusterChaosFailureLoop(t *testing.T) {
 // TestClusterChaosHedgeBudget is the broad-slowness acceptance test:
 // with EVERY node slow-walked past the hedge delay, an un-budgeted
 // frontend would hedge every sub-query and double the offered load;
-// the token bucket must keep hedged legs within HedgeBudgetFraction of
-// primaries (plus the burst), while results stay correct.
+// the token bucket every hedging frontend runs must keep hedged legs
+// within 5 % of primaries (plus its burst of 4), while results stay
+// correct.
 func TestClusterChaosHedgeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is not short")
@@ -237,18 +238,16 @@ func TestClusterChaosHedgeBudget(t *testing.T) {
 		nodes    = 8
 		p        = 4
 		queries  = 40
-		fraction = 0.05
-		burst    = 2
+		fraction = 0.05 // the frontend's hedge budget
+		burst    = 4
 	)
 	c, err := Start(Options{
 		Nodes: nodes, P: p, Seed: 13,
 		Frontend: frontend.Config{
-			PQ:                  nodes,
-			SubQueryTimeout:     2 * time.Second,
-			HedgeDelay:          5 * time.Millisecond,
-			HedgeBudgetFraction: fraction,
-			HedgeBudgetBurst:    burst,
-			ProbeInterval:       -1,
+			PQ:              nodes,
+			SubQueryTimeout: 2 * time.Second,
+			HedgeDelay:      5 * time.Millisecond,
+			ProbeInterval:   -1,
 		},
 	})
 	if err != nil {
@@ -286,5 +285,44 @@ func TestClusterChaosHedgeBudget(t *testing.T) {
 	}
 	if hedged == 0 {
 		t.Fatal("budget denied every hedge; burst tokens should have admitted some")
+	}
+}
+
+// TestClusterChaosTwoRingRepair: with two rings (§4.7) every arc has a
+// holder on each, so a sub-query that finds its node dead is re-sent to
+// the other ring's owner of its arc. At n = p per ring each range is
+// 1/p, too wide for the §4.4 bracket pair on the dead node's own ring;
+// a repair that only brackets fails the query.
+func TestClusterChaosTwoRingRepair(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos e2e is not short")
+	}
+	c, err := Start(Options{
+		Nodes: 8, Rings: 2, P: 4, Seed: 21,
+		Frontend: frontend.Config{SubQueryTimeout: 200 * time.Millisecond, ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	docs, recs := sharedCorpus(t)
+	docs, recs = docs[:400], recs[:400]
+	if err := c.LoadEncoded(recs); err != nil {
+		t.Fatal(err)
+	}
+	word := pickWord(docs)
+	want := expectKeyword(docs, word)
+	if err := c.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		res, err := c.Query(context.Background(), pps.And, pps.Predicate{Kind: pps.Keyword, Word: word})
+		if err != nil {
+			t.Fatalf("query %d after killing node 0: %v", i, err)
+		}
+		checkResult(t, res, want)
+		if i == 0 && res.Failures == 0 {
+			t.Fatalf("the first query did not meet the dead node: %+v", res)
+		}
 	}
 }

@@ -464,20 +464,6 @@ func TestRepairPlanMultipleFailures(t *testing.T) {
 	}
 }
 
-func TestSafePQ(t *testing.T) {
-	// Increasing p: switch immediately.
-	if got := SafePQ(5, 10, false); got != 10 {
-		t.Errorf("SafePQ(5->10, unconfirmed) = %d, want 10", got)
-	}
-	// Decreasing p: stay on old until confirmed.
-	if got := SafePQ(10, 5, false); got != 10 {
-		t.Errorf("SafePQ(10->5, unconfirmed) = %d, want 10", got)
-	}
-	if got := SafePQ(10, 5, true); got != 5 {
-		t.Errorf("SafePQ(10->5, confirmed) = %d, want 5", got)
-	}
-}
-
 func TestStoredSet(t *testing.T) {
 	pl := mustPlacement(t, 4, ring.NewEqual(8))
 	arc, err := pl.StoredSet(2) // node 2 owns [0.25, 0.375)

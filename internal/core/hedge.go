@@ -1,65 +1,46 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"roar/internal/ring"
 )
 
-// This file implements replica selection for hedged re-dispatch: when a
-// sub-query is slow but its node is not (yet) declared failed, the
-// frontend speculatively launches the same work on other replicas and
-// keeps whichever answer arrives first (Tail-Tolerant Distributed
-// Search; Dean's "tail at scale" hedging). Unlike the §4.4 failure
-// fallback, hedging must not assume the primary is gone — the selection
-// merely avoids it.
+// This file holds the one rule that re-sends a sub-query to other
+// replicas. The frontend uses it twice: to hedge a slow sub-query (Tail-
+// Tolerant Distributed Search; Dean's "tail at scale" hedging), where the
+// primary is only avoided, and to repair a failed one (§4.4, through
+// RepairPlan), where the primary is gone. Both want the same thing: nodes
+// other than the primary whose stored sets cover the sub-query's arc, as
+// few and as fast as possible.
 
-// HedgeSubs returns sub-queries that, together, match exactly the same
-// object arc as s on nodes other than s.Node (and other than any node
-// in avoid). Preference order:
+// Replace returns sub-queries that, together, match exactly the object
+// arc of s on nodes other than s.Node and those in avoid. Preference
+// order:
 //
-//  1. A single node whose stored set covers the whole arc — possible
-//     with multiple rings (§4.7), where every object has an independent
-//     replica holder per ring, or when a node's range is wide enough.
-//  2. The §4.4 bracket pair: two nodes at most 1/p−δ apart whose stored
-//     sets jointly cover the arc. This always exists on a single ring
-//     when enough non-avoided nodes remain.
+//  1. The cheapest single node, on any ring, that owns s.Hi and can
+//     serve the whole arc. With multiple rings (§4.7) every arc has an
+//     independent holder on each ring, so a failed or slow node's arc
+//     is re-sent as one leg to another ring's owner; that also covers a
+//     node whose range is too wide to bracket on its own ring.
+//  2. The §4.4 bracket pair on s's ring: two nodes at most 1/p−δ apart
+//     whose stored sets jointly cover the arc (failure.go).
 //
-// The returned sub-queries keep s's (Lo, Hi] match bounds, so replica
-// overlap produces only duplicate ids, which the frontend's streaming
-// aggregator discards on arrival.
-func (pl *Placement) HedgeSubs(s SubQuery, avoid map[ring.NodeID]bool, est Estimator, rng *rand.Rand) ([]SubQuery, error) {
-	excluded := func(id ring.NodeID) bool {
-		return id == ring.InvalidNode || id == s.Node || avoid[id]
-	}
-	// Single covering replica: the owner of the sub-query's destination
-	// point on each ring is the only candidate per ring (its range must
-	// contain Hi for its stored set to reach the arc's end).
-	bestID, bestRing, bestFin := ring.InvalidNode, -1, 0.0
+// Every returned sub-query keeps s's (Lo, Hi] match bounds, so replica
+// overlap produces only duplicate ids, which the frontend's merge drops.
+func (pl *Placement) Replace(s SubQuery, avoid map[ring.NodeID]bool, est Estimator, rng *rand.Rand) ([]SubQuery, error) {
+	best := SubQuery{Ring: -1}
 	for k, r := range pl.rings {
 		id := r.Owner(s.Hi)
-		if excluded(id) || !pl.CanServe(id, s.Lo, s.Hi) {
+		if id == ring.InvalidNode || id == s.Node || avoid[id] || !pl.CanServe(id, s.Lo, s.Hi) {
 			continue
 		}
-		fin := est.EstimateFinish(id, s.Size())
-		if bestRing < 0 || fin < bestFin {
-			bestID, bestRing, bestFin = id, k, fin
+		if fin := est.EstimateFinish(id, s.Size()); best.Ring < 0 || fin < best.Est {
+			best = SubQuery{Node: id, Ring: k, Lo: s.Lo, Hi: s.Hi, Est: fin}
 		}
 	}
-	if bestRing >= 0 {
-		return []SubQuery{{Node: bestID, Ring: bestRing, Lo: s.Lo, Hi: s.Hi, Est: bestFin}}, nil
+	if best.Ring >= 0 {
+		return []SubQuery{best}, nil
 	}
-	// Bracket pair around the primary, reusing the §4.4 placement with
-	// the primary treated as unavailable for selection purposes only.
-	failed := make(map[ring.NodeID]bool, len(avoid)+1)
-	for id := range avoid {
-		failed[id] = true
-	}
-	failed[s.Node] = true
-	a, b, err := pl.replaceSub(s, failed, est, rng)
-	if err != nil {
-		return nil, fmt.Errorf("core: no hedge replica for sub-query (%v,%v]: %w", s.Lo, s.Hi, err)
-	}
-	return []SubQuery{a, b}, nil
+	return pl.bracket(s, avoid, est, rng)
 }

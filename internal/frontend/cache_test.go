@@ -206,8 +206,8 @@ func TestQueryCacheHitSourceAndStats(t *testing.T) {
 	if st := fe.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("CacheStats hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
-	if bd := fe.DelayBreakdown(); bd.CacheHit.N != 1 {
-		t.Errorf("DelayBreakdown.CacheHit.N = %d, want 1", bd.CacheHit.N)
+	if r2.Delay <= 0 || r2.Queue != 0 || r2.Schedule != 0 || r2.Dispatch != 0 || r2.Merge != 0 {
+		t.Errorf("cache hit phases %+v, want a delay and no fan-out phase", r2)
 	}
 
 	// Bypass: served by fan-out and the entry is neither read nor written.

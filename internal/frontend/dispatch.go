@@ -16,9 +16,9 @@ import (
 // call on the query's sink; the loop in dispatch waits on a completion
 // from that sink, one timer armed to the earliest pending deadline (a
 // primary's hedge delay, a leg's SubQueryTimeout) and the caller's
-// context. A hedge launch, the first-side-wins race, the §4.4
-// split-and-repair of a failed sub-query and the three hedge gates are
-// state transitions of that loop, so nothing here is locked. The one
+// context. A hedge launch, the first-side-wins race, the repair of a
+// failed sub-query and the two hedge gates are state transitions of
+// that loop, so nothing here is locked. The one
 // goroutine the dispatcher can start is the waiter of a leg whose node
 // has no free credit.
 
@@ -321,10 +321,10 @@ func (d *dispatcher) onTimer() {
 // hedgeDecision runs when a primary is slower than its hedge delay:
 // race replicas against it. All hedge legs must succeed for the hedge
 // side to cover the arc (a bracket pair covers it jointly; a cross-ring
-// replica alone). But hedging is pure extra load, so it must clear
-// three gates first: the overload brake (no speculation while reported
-// queue depths are over the high-water mark), the per-query cap, and
-// the global token-bucket budget, one token per replica leg.
+// replica alone). But hedging is pure extra load, so it must clear two
+// gates first: the overload brake (no speculation while reported queue
+// depths are over the high-water mark) and the global token-bucket
+// budget, one token per replica leg.
 func (d *dispatcher) hedgeDecision(l *leg, now time.Time) {
 	f := d.f
 	l.hedge, l.deadline = hedgeOff, l.start.Add(f.cfg.SubQueryTimeout)
@@ -332,7 +332,7 @@ func (d *dispatcher) hedgeDecision(l *leg, now time.Time) {
 		d.res.HedgesDenied++
 		return
 	}
-	hsubs, err := f.hedgeCandidates(d.pl, d.est, l.sub)
+	hsubs, err := f.replicas(d.pl, d.est, l.sub)
 	if err != nil {
 		return // no replica available
 	}
@@ -343,7 +343,7 @@ func (d *dispatcher) hedgeDecision(l *leg, now time.Time) {
 		}
 	}
 	n := len(hedges)
-	if m := f.cfg.HedgeMaxPerQuery; (m > 0 && d.res.HedgedSubs+n > m) || !f.budget.take(n) {
+	if !f.budget.take(n) {
 		d.res.HedgesDenied++
 		return
 	}
@@ -434,22 +434,20 @@ func (d *dispatcher) hedgeLost(p *leg) {
 	}
 }
 
-// repair is the failure path: the node is already suspected; split the
-// sub-query in two around it (§4.4) and dispatch the pieces.
+// repair is the failure path: the node is already suspected; re-send
+// the sub-query by the rule a hedge uses (§4.4, §4.7) and dispatch the
+// replacements.
 func (d *dispatcher) repair(l *leg, err error) {
 	d.res.Failures++
 	if l.depth >= maxRepairDepth {
 		d.err = fmt.Errorf("frontend: sub-query (%v,%v] failed beyond retry depth: %w", l.sub.Lo, l.sub.Hi, err)
 		return
 	}
-	suspected := d.f.suspectedSet()
-	d.f.rngMu.Lock()
-	repaired, rerr := d.pl.RepairPlan(core.Plan{Subs: []core.SubQuery{l.sub}}, suspected, d.est, d.f.rng)
-	d.f.rngMu.Unlock()
+	subs, rerr := d.f.replicas(d.pl, d.est, l.sub)
 	if rerr != nil {
 		d.err = fmt.Errorf("frontend: cannot re-place failed sub-query: %w", rerr)
 		return
 	}
 	d.open--
-	d.startSubs(repaired.Subs, l.depth+1)
+	d.startSubs(subs, l.depth+1)
 }

@@ -109,7 +109,7 @@ func TestFanoutGoroutinesPerQuery(t *testing.T) {
 		b.waitIdle(t, "after the fan-out")
 	})
 	t.Run("hedge cancels its loser", func(t *testing.T) {
-		b := newOptBed(t, 8, 4, Config{PQ: 8, HedgeDelay: 10 * time.Millisecond, HedgeBudgetFraction: -1, ProbeInterval: -1})
+		b := newOptBed(t, 8, 4, Config{PQ: 8, HedgeDelay: 10 * time.Millisecond, ProbeInterval: -1})
 		b.nodes[0].set(300*time.Millisecond, 0)
 		if res := b.query(t, optSpec); res.HedgeWins == 0 {
 			t.Fatalf("the slow primary was not hedged away: %+v", res)
@@ -157,7 +157,7 @@ func slowNodeBed(t *testing.T, slow int, delay time.Duration) *Frontend {
 	t.Helper()
 	v, nodes := testView(t, slimEncoder(), 8, 8)
 	nodes[slow].SetDelay(delay)
-	fe := New(Config{HedgeQuantile: 0.9, HedgeDelay: time.Millisecond, ProbeInterval: -1})
+	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1})
 	t.Cleanup(fe.Close)
 	if err := fe.ApplyView(v); err != nil {
 		t.Fatal(err)

@@ -90,35 +90,19 @@ type Config struct {
 	// on that node's own credit channel, so one slow node delays only
 	// the legs bound for it. 0 = unlimited.
 	NodeMaxOutstanding int
-	// HedgeDelay launches a speculative replica re-dispatch for a
-	// sub-query still unanswered after this long (must be below
-	// SubQueryTimeout to matter). 0 disables hedging unless
-	// HedgeQuantile produces an adaptive delay.
+	// HedgeDelay turns hedging on: a sub-query still unanswered after
+	// the hedge delay is speculatively re-sent to replicas (it must be
+	// below SubQueryTimeout to matter). HedgeDelay is the delay's floor
+	// and cold-start value; above it the delay adapts to the 0.95
+	// quantile of observed leg latencies, and hedged legs are budgeted
+	// to about 5 % of primaries (hedge.go, hedgebudget.go). 0 = off.
 	HedgeDelay time.Duration
-	// HedgeQuantile, in (0, 1), derives the hedge delay from that
-	// quantile of recently observed sub-query latencies (e.g. 0.95
-	// hedges the slowest ~5%). HedgeDelay then acts as the floor and
-	// the cold-start value. 0 uses the fixed HedgeDelay only.
-	HedgeQuantile float64
 	// ProbeInterval is the cadence of the background probe that pings
 	// every node in the view. 0 defaults to 500ms; negative disables
 	// probing (a node is then observed only through its legs, and
 	// suspicion clears only via view retention).
 	ProbeInterval time.Duration
 
-	// HedgeBudgetFraction rate-limits hedging: every primary sub-query
-	// dispatch earns this many tokens, every hedged replica leg spends
-	// one, so hedged legs stay ≤ fraction × primaries + burst even when
-	// the whole cluster is slow (Kraus et al.: hedging only pays off
-	// rate-limited). 0 uses the default 0.05 (≤5% of sub-queries);
-	// negative disables the budget entirely.
-	HedgeBudgetFraction float64
-	// HedgeBudgetBurst is the token-bucket capacity and initial
-	// balance. 0 uses the default 4.
-	HedgeBudgetBurst float64
-	// HedgeMaxPerQuery caps hedged replica legs launched for a single
-	// query. 0 = unlimited (the global budget still applies).
-	HedgeMaxPerQuery int
 	// ShedHighWater, when positive, is the mean node-reported queue
 	// depth at which the frontend declares overload: hedging pauses and
 	// PriorityLow admissions are rejected with ErrShed. 0 disables.
@@ -172,7 +156,7 @@ type Result struct {
 	Failures     int           // failed sub-queries recovered
 	Hedges       int           // speculative replica dispatches launched
 	HedgedSubs   int           // hedged replica legs sent (budget denominator)
-	HedgesDenied int           // hedges suppressed by budget, cap, or overload
+	HedgesDenied int           // hedges suppressed by the budget or overload
 	HedgeWins    int           // hedges that answered before the primary
 	Scanned      int           // objects scanned across nodes
 	// Source attributes the answer: SourceCache (result cache or
@@ -185,7 +169,7 @@ type Result struct {
 type Frontend struct {
 	cfg    Config        // defaults resolved in New; read-only afterwards
 	admit  chan struct{} // admission slots (nil = unlimited)
-	budget *hedgeBudget  // hedge rate limit; nil = un-budgeted
+	budget *hedgeBudget  // hedge rate limit
 	qid    atomic.Uint64 // query ids for tracing
 
 	mu    sync.RWMutex
@@ -201,7 +185,7 @@ type Frontend struct {
 
 	shed      atomic.Int64  // PriorityLow queries shed since the last health report
 	shedNorm  atomic.Int64  // queries rejected on admission-queue timeout since the last report
-	hdgDenied atomic.Int64  // hedges denied (budget/cap/overload) since the last report
+	hdgDenied atomic.Int64  // hedges denied (budget/overload) since the last report
 	queueLat  latTracker    // admission-queue waits of admitted queries (report digest)
 	reportSeq atomic.Uint64 // health report sequence numbers
 
@@ -239,9 +223,6 @@ type Frontend struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	statMu sync.Mutex
-	phases phaseStats // DelayBreakdown's bounded per-phase delay history
 }
 
 func semaphore(n int) chan struct{} {
@@ -262,22 +243,14 @@ func New(cfg Config) *Frontend {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = defaultProbeInterval
 	}
-	if cfg.HedgeBudgetFraction == 0 {
-		cfg.HedgeBudgetFraction = defaultHedgeBudgetFraction
-	}
-	if cfg.HedgeBudgetBurst <= 0 {
-		cfg.HedgeBudgetBurst = defaultHedgeBudgetBurst
-	}
 	f := &Frontend{
 		cfg:     cfg,
 		admit:   semaphore(cfg.MaxInFlight),
+		budget:  newHedgeBudget(hedgeBudgetFraction, hedgeBudgetBurst, nil),
 		nodes:   make(map[ring.NodeID]*handle),
 		nodeLat: make(map[ring.NodeID]*latTracker),
 		stop:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.HedgeBudgetFraction > 0 {
-		f.budget = newHedgeBudget(cfg.HedgeBudgetFraction, cfg.HedgeBudgetBurst, nil)
 	}
 	f.nowFn = time.Now                                                 //lint:allow wallclock — clock-injection default
 	f.timerFn = time.NewTimer                                          //lint:allow wallclock — clock-injection default
@@ -551,14 +524,9 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 	return f.execute(ctx, spec, t0, key, gen, asOf)
 }
 
-// cacheHit builds the Result of a query answered without a fan-out and
-// records its delay.
+// cacheHit builds the Result of a query answered without a fan-out.
 func (f *Frontend) cacheHit(ids []uint64, t0 time.Time) Result {
-	delay := f.nowFn().Sub(t0)
-	f.statMu.Lock()
-	f.phases.hit.add(delay)
-	f.statMu.Unlock()
-	return Result{IDs: ids, Delay: delay, Source: SourceCache}
+	return Result{IDs: ids, Delay: f.nowFn().Sub(t0), Source: SourceCache}
 }
 
 // execute is the uncached pipeline: admission (overload shed, tenant
@@ -658,16 +626,8 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if out.HedgesDenied > 0 {
 		f.hdgDenied.Add(int64(out.HedgesDenied))
 	}
-	// Record the phase breakdown before the error check: failed queries
-	// are exactly the ones whose delay anatomy the breakdown must not
-	// undercount.
-	f.statMu.Lock()
-	f.phases.queue.add(queueDur)
-	f.phases.schedule.add(schedDur)
-	f.phases.dispatch.add(dispatchDur)
-	f.phases.merge.add(mergeDur)
-	f.phases.total.add(out.Delay)
-	f.statMu.Unlock()
+	// A failed fan-out returns its phases too: its delay anatomy is the
+	// one worth diagnosing.
 	if derr != nil {
 		return out, derr
 	}

@@ -214,9 +214,9 @@ func TestNodeCreditBackpressure(t *testing.T) {
 	}
 }
 
-// TestBreakdownRecordsFailedQueries pins the satellite bugfix: the
-// phase breakdown must include queries that end in error — those are
-// exactly the delays worth diagnosing.
+// TestBreakdownRecordsFailedQueries: a query that ends in error still
+// returns its phase breakdown — those are exactly the delays worth
+// diagnosing.
 func TestBreakdownRecordsFailedQueries(t *testing.T) {
 	enc := slimEncoder()
 	// A view whose only node is a dead address: every dispatch fails.
@@ -229,15 +229,12 @@ func TestBreakdownRecordsFailedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err == nil {
+	res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
+	if err == nil {
 		t.Fatal("query against a dead-only view must fail")
 	}
-	bd := fe.DelayBreakdown()
-	if bd.Total.N != 1 {
-		t.Errorf("failed query missing from breakdown: N = %d, want 1", bd.Total.N)
-	}
-	if bd.Dispatch.N != 1 || bd.Dispatch.Mean <= 0 {
-		t.Errorf("dispatch phase of the failed query not recorded: %+v", bd.Dispatch)
+	if res.Dispatch <= 0 || res.Delay < res.Dispatch {
+		t.Errorf("failed query's phases not returned: %+v", res)
 	}
 }
 

@@ -18,9 +18,15 @@ import (
 // overlap can only produce duplicate ids, which the streaming
 // aggregator already discards on arrival.
 
-// minHedgeDelay floors the adaptive delay so microsecond-scale latency
-// samples cannot turn every sub-query into a hedge storm.
-const minHedgeDelay = time.Millisecond
+const (
+	// minHedgeDelay floors the adaptive delay so microsecond-scale
+	// latency samples cannot turn every sub-query into a hedge storm.
+	minHedgeDelay = time.Millisecond
+	// hedgeQuantile is the latency quantile the adaptive delay tracks:
+	// the slowest ~5 % of legs are hedged, the rate the budget pays for
+	// (hedgeBudgetFraction).
+	hedgeQuantile = 0.95
+)
 
 // latTracker keeps a ring of recent sub-query latencies and answers
 // quantile queries for the adaptive hedge delay. The quantile is
@@ -111,18 +117,17 @@ func (f *Frontend) observeLatency(id ring.NodeID, d time.Duration) {
 }
 
 // hedgeDelay returns the current delay before a slow sub-query on node
-// id is hedged, or 0 when hedging is off. With a quantile configured
-// the delay adapts to the node's own latency distribution once it has
-// latWarmup samples, falling back to the global distribution below that
-// floor (fixed HedgeDelay serves as floor and cold-start value in both
-// cases); otherwise the fixed delay is used as-is. Judging a node
+// id is hedged, or 0 when hedging is off (HedgeDelay 0). It is the
+// largest of HedgeDelay (the floor and cold-start value), the
+// hedgeQuantile of the node's own leg latencies once it has latWarmup
+// samples, else of every node's, and minHedgeDelay. Judging a node
 // against its own history matters: a node serving a large arc is
 // legitimately slower than the fleet, and the global quantile would
 // hedge every one of its sub-queries.
 func (f *Frontend) hedgeDelay(id ring.NodeID) time.Duration {
-	hd, hq := f.cfg.HedgeDelay, f.cfg.HedgeQuantile
-	if hq <= 0 || hq >= 1 {
-		return hd
+	hd := f.cfg.HedgeDelay
+	if hd <= 0 {
+		return 0
 	}
 	f.mu.RLock()
 	nl := f.nodeLat[id]
@@ -131,22 +136,16 @@ func (f *Frontend) hedgeDelay(id ring.NodeID) time.Duration {
 	if nl != nil && nl.count() >= latWarmup {
 		lat = nl
 	}
-	if q := lat.quantile(hq); q > hd {
-		hd = q
-	}
-	if hd > 0 && hd < minHedgeDelay {
-		hd = minHedgeDelay
-	}
-	return hd
+	return max(hd, lat.quantile(hedgeQuantile), minHedgeDelay)
 }
 
-// hedgeCandidates picks replica sub-queries covering sub's arc while
-// avoiding the primary and every currently suspected node.
-func (f *Frontend) hedgeCandidates(pl *core.Placement, est core.Estimator, sub core.SubQuery) ([]core.SubQuery, error) {
+// replicas picks the sub-queries that re-send sub's arc, for a hedge or
+// a repair, avoiding the primary and every currently suspected node.
+func (f *Frontend) replicas(pl *core.Placement, est core.Estimator, sub core.SubQuery) ([]core.SubQuery, error) {
 	avoid := f.suspectedSet()
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
-	return pl.HedgeSubs(sub, avoid, est, f.rng)
+	return pl.Replace(sub, avoid, est, f.rng)
 }
 
 // observeSlow folds a cancelled primary's elapsed time into its node's

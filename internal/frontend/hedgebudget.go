@@ -6,21 +6,22 @@ import (
 )
 
 // Hedge budget (Tail-Tolerant Distributed Search: replica hedging only
-// pays off when it is rate-limited). Without a budget, broad slowness —
-// an overloaded cluster, not one straggler — makes *every* sub-query
-// cross the hedge delay, and speculative re-dispatch doubles offered
-// load exactly when capacity is scarce. The budget is a token bucket
-// denominated in sub-queries: every primary dispatch earns `fraction`
-// tokens, every hedged replica leg spends one, so hedged legs are
-// bounded by fraction × primaries + burst no matter how slow the
+// pays off when it is rate-limited), always on while hedging is. Without
+// it, broad slowness — an overloaded cluster, not one straggler — makes
+// *every* sub-query cross the hedge delay, and speculative re-dispatch
+// doubles offered load exactly when capacity is scarce. The budget is a
+// token bucket denominated in sub-queries: every primary dispatch earns
+// `fraction` tokens, every hedged replica leg spends one, so hedged legs
+// are bounded by fraction × primaries + burst no matter how slow the
 // cluster gets. Tokens also trickle back at fraction per second of
 // wall-clock idleness (through the injectable clock), so a frontend
 // that went quiet re-arms its burst headroom.
 
-// Defaults applied when Config leaves the knobs zero.
+// The budget every hedging frontend runs: hedged legs stay within 5 %
+// of primaries (the rate hedgeQuantile asks for) plus a burst of 4.
 const (
-	defaultHedgeBudgetFraction = 0.05
-	defaultHedgeBudgetBurst    = 4
+	hedgeBudgetFraction = 0.05
+	hedgeBudgetBurst    = 4
 )
 
 type hedgeBudget struct {
@@ -57,9 +58,6 @@ func (b *hedgeBudget) trickleLocked() {
 
 // earn credits the budget for n dispatched primary sub-queries.
 func (b *hedgeBudget) earn(n int) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.trickleLocked()
 	b.tokens += float64(n) * b.fraction
@@ -70,11 +68,7 @@ func (b *hedgeBudget) earn(n int) {
 }
 
 // take attempts to spend n tokens (one per hedge leg about to launch).
-// A nil budget means hedging is un-budgeted and always allowed.
 func (b *hedgeBudget) take(n int) bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.trickleLocked()
@@ -87,9 +81,6 @@ func (b *hedgeBudget) take(n int) bool {
 
 // balance reports the current token count (tests, introspection).
 func (b *hedgeBudget) balance() float64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.trickleLocked()

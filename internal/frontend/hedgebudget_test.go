@@ -80,17 +80,21 @@ func TestHedgeBudgetClockTrickleRefills(t *testing.T) {
 }
 
 // TestHedgeBudgetBoundsGlobalSlownessFraction is the provable-fraction
-// property: simulate a workload where EVERY primary wants to hedge (the
-// broad-slowness disaster case) and require hedged legs ≤ fraction ×
-// primaries + burst, exactly.
+// property of the budget every hedging frontend runs: simulate a
+// workload where EVERY primary wants to hedge (the broad-slowness
+// disaster case) and require hedged legs ≤ fraction × primaries +
+// burst, exactly.
 func TestHedgeBudgetBoundsGlobalSlownessFraction(t *testing.T) {
 	const (
-		fraction  = 0.05
-		burst     = 4.0
+		fraction  = hedgeBudgetFraction
+		burst     = hedgeBudgetBurst
 		primaries = 10000
 	)
+	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1})
+	defer fe.Close()
+	b := fe.budget
 	clk := newFakeClock() // frozen: no trickle, the bound is pure
-	b := budgetAt(fraction, burst, clk)
+	b.now, b.last = clk.now, clk.now()
 	hedged := 0
 	for i := 0; i < primaries; i++ {
 		b.earn(1)
@@ -109,36 +113,23 @@ func TestHedgeBudgetBoundsGlobalSlownessFraction(t *testing.T) {
 		hedged, primaries, 100*float64(hedged)/primaries, 100*fraction)
 }
 
-// TestHedgeBudgetNilUnlimited: a nil budget (HedgeBudgetFraction < 0)
-// never refuses.
-func TestHedgeBudgetNilUnlimited(t *testing.T) {
-	var b *hedgeBudget
-	for i := 0; i < 100; i++ {
-		if !b.take(2) {
-			t.Fatal("nil budget refused a hedge")
-		}
-	}
-	b.earn(1) // must not panic
-}
-
-// TestPerNodeHedgeDelay pins the satellite fix for the global latency
-// distribution: a node that is legitimately slow (large arc) must be
-// judged against its own latency history once it has enough samples,
-// instead of the fleet-wide quantile that would hedge its every
-// sub-query. Below the sample floor the global distribution still
-// applies.
+// TestPerNodeHedgeDelay: a node that is legitimately slow (large arc)
+// must be judged against its own latency history once it has enough
+// samples, instead of the fleet-wide quantile that would hedge its
+// every sub-query. Below the sample floor the global distribution
+// still applies.
 func TestPerNodeHedgeDelay(t *testing.T) {
-	fe := New(Config{HedgeQuantile: 0.9, ProbeInterval: -1})
+	fe := New(Config{HedgeDelay: minHedgeDelay, ProbeInterval: -1})
 	defer fe.Close()
 	fast, slow, cold := ring.NodeID(1), ring.NodeID(2), ring.NodeID(3)
-	// The fleet is fast: enough 2ms samples that the global quantile
-	// stays fast even after the slow node's samples join the ring...
-	for i := 0; i < 512; i++ {
-		fe.observeLatency(fast, 2*time.Millisecond)
-	}
-	// ...while the large-arc node consistently takes 50ms.
+	// The large-arc node consistently takes 50ms...
 	for i := 0; i < latWarmup; i++ {
 		fe.observeLatency(slow, 50*time.Millisecond)
+	}
+	// ...while the fleet is fast: 2ms samples fill the global ring, so
+	// its quantile is the fleet's.
+	for i := 0; i < 512; i++ {
+		fe.observeLatency(fast, 2*time.Millisecond)
 	}
 	fastDelay := fe.hedgeDelay(fast)
 	slowDelay := fe.hedgeDelay(slow)
@@ -176,7 +167,7 @@ func TestHedgeDelayBimodalLegs(t *testing.T) {
 		{"one in fifty cold", 50, minHedgeDelay},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fe := New(Config{HedgeQuantile: 0.9, ProbeInterval: -1})
+			fe := New(Config{HedgeDelay: time.Microsecond, ProbeInterval: -1})
 			defer fe.Close()
 			n := ring.NodeID(1)
 			for i := 0; i < 400; i++ {
@@ -193,20 +184,20 @@ func TestHedgeDelayBimodalLegs(t *testing.T) {
 	}
 }
 
-// TestPerNodeTrackerRegression is the end-to-end form of the fix: with
-// a fleet-dominated global distribution, the slow node's OWN quantile
-// decides, so a primary at its typical latency is not hedged.
-// (Before the fix, hedgeDelay ignored the node and the 90th-percentile
-// global delay sat near 2ms — every 50ms sub-query hedged.)
+// TestPerNodeTrackerRegressionVsGlobal: with a fleet-dominated global
+// distribution, the slow node's OWN quantile decides once it has
+// latWarmup samples, so a primary at its typical latency is not hedged.
+// (A hedgeDelay that ignored the node would sit near the fleet's 2ms —
+// every 50ms sub-query hedged.)
 func TestPerNodeTrackerRegressionVsGlobal(t *testing.T) {
-	fe := New(Config{HedgeQuantile: 0.9, ProbeInterval: -1})
+	fe := New(Config{HedgeDelay: minHedgeDelay, ProbeInterval: -1})
 	defer fe.Close()
 	slow := ring.NodeID(7)
-	for i := 0; i < 512; i++ {
-		fe.observeLatency(ring.NodeID(1), 2*time.Millisecond)
-	}
 	for i := 0; i < latWarmup-1; i++ {
 		fe.observeLatency(slow, 50*time.Millisecond)
+	}
+	for i := 0; i < 512; i++ {
+		fe.observeLatency(ring.NodeID(1), 2*time.Millisecond)
 	}
 	// One sample short of the floor: still global, still eager.
 	if d := fe.hedgeDelay(slow); d >= 50*time.Millisecond {
@@ -215,5 +206,33 @@ func TestPerNodeTrackerRegressionVsGlobal(t *testing.T) {
 	fe.observeLatency(slow, 50*time.Millisecond) // crosses the floor
 	if d := fe.hedgeDelay(slow); d < 45*time.Millisecond {
 		t.Fatalf("at the floor the node's own distribution should rule, got %v", d)
+	}
+}
+
+// TestHedgeDelayFloorAndOff: HedgeDelay 0 turns hedging off whatever
+// the latency history says, and any other value is the delay's floor:
+// a fleet far faster than it adapts the delay no lower.
+func TestHedgeDelayFloorAndOff(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		floor time.Duration
+		want  time.Duration
+	}{
+		{"off", 0, 0},
+		{"floor above the fleet", 20 * time.Millisecond, 20 * time.Millisecond},
+		{"fleet above the floor", minHedgeDelay, 2 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fe := New(Config{HedgeDelay: tc.floor, ProbeInterval: -1})
+			defer fe.Close()
+			for i := 0; i < 512; i++ {
+				fe.observeLatency(ring.NodeID(i%8), 2*time.Millisecond)
+			}
+			for id := ring.NodeID(0); id < 9; id++ { // 8 warm nodes and a cold one
+				if d := fe.hedgeDelay(id); d != tc.want {
+					t.Fatalf("node %d: hedge delay %v, want %v", id, d, tc.want)
+				}
+			}
+		})
 	}
 }

@@ -326,22 +326,3 @@ func TestCacheBudgetInvariant(t *testing.T) {
 		t.Fatalf("DropSegment left residue: %+v", st)
 	}
 }
-
-func TestTokenizeAndNgrams(t *testing.T) {
-	got := Tokenize("Hello, World-2026! go_go")
-	want := []string{"hello", "world", "2026", "go", "go"}
-	if len(got) != len(want) {
-		t.Fatalf("tokenize: %v", got)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("tokenize[%d] = %q want %q", i, got[i], want[i])
-		}
-	}
-	if g := Ngrams("abcab", 3); len(g) != 3 || g[0] != "abc" || g[1] != "bca" || g[2] != "cab" {
-		t.Fatalf("ngrams: %v", g)
-	}
-	if g := Ngrams("ab", 3); len(g) != 1 || g[0] != "ab" {
-		t.Fatalf("short ngrams: %v", g)
-	}
-}

@@ -19,8 +19,8 @@ const (
 )
 
 // Query is a plaintext index query. Terms are matched exactly against
-// the indexed term strings (tokenization happens at build time; see
-// Tokenize/Ngrams).
+// the indexed term strings; whatever analyzer built the segment must
+// produce the query's terms.
 type Query struct {
 	Terms []string
 	Mode  Mode

@@ -384,8 +384,8 @@ type HealthReport struct {
 	// last report — the second shed priority class, distinct from the
 	// sheddable-low Shed counter.
 	ShedNormal int `json:"shed_normal,omitempty"`
-	// HedgesDenied counts hedges suppressed by budget exhaustion, the
-	// per-query cap, or the overload brake since the last report —
+	// HedgesDenied counts hedges suppressed by budget exhaustion or the
+	// overload brake since the last report —
 	// sustained denial means the tail is being left unprotected for
 	// lack of capacity.
 	HedgesDenied int `json:"hedges_denied,omitempty"`
