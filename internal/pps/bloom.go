@@ -2,6 +2,7 @@ package pps
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -23,9 +24,10 @@ type Bloom struct {
 
 	// enc pools reusable encode states: r kernels pre-keyed with the
 	// sub-keys plus one blinding kernel re-keyed per document by the
-	// nonce. EncryptMetadata is the write-side hot path (replica pushes
-	// encrypt whole corpora); the pool keeps it allocation-free past the
-	// filter itself while staying safe for concurrent encoders.
+	// nonce, and on a CPU with AVX-512F the 16 lanes that blind instead
+	// of it. EncryptMetadata is the write-side hot path (every corpus
+	// load encrypts whole corpora); the pool keeps it allocation-free
+	// past the filter itself while staying safe for concurrent encoders.
 	enc sync.Pool
 }
 
@@ -35,6 +37,19 @@ type encState struct {
 	blind prfKernel          // keyed per document by the nonce
 	word  []byte             // the current word, padded once for all r sub-keys
 	td    [prfBlockSize]byte // digestBlock: the current trapdoor element, padded
+	lanes *blindLanes        // the lane path's state; nil where it cannot run
+}
+
+// blindLanes is encryptMetadata's lane path state: hmac16's operands,
+// with the document's schedule installed in all 16 lanes of kt and lane
+// i evaluating element msg[i]. n elements are gathered; the lanes past
+// them are dead.
+type blindLanes struct {
+	kt  [16][16]uint32
+	msg [16][8]uint32 // trapdoor elements as big-endian words
+	el  [16]int32     // el[i] = i
+	h   [2][16]uint32
+	n   int
 }
 
 // BloomConfig sizes the filter.
@@ -69,16 +84,27 @@ func NewBloom(k MasterKey, cfg BloomConfig) *Bloom {
 		sub[i] = k.Derive(fmt.Sprintf("bloom-%d", i))
 	}
 	s := &Bloom{subkeys: sub, mBits: cfg.MaxWords * cfg.BitsPerWord, r: cfg.Hashes, maxWords: cfg.MaxWords}
-	s.enc.New = func() interface{} {
-		st := &encState{sub: make([]prfKernel, len(s.subkeys)), td: digestBlock()}
-		for i := range st.sub {
-			st.sub[i].init()
-			st.sub[i].setKey(s.subkeys[i])
-		}
-		st.blind.init()
-		return st
-	}
+	s.enc.New = func() any { return s.newEncState(bestPath, useLanes) }
 	return s
+}
+
+// newEncState returns an encode state whose kernels are on path p, with
+// the lane path if lanes holds and p is not generic (hmac16 takes key
+// schedules, which the generic path has none of).
+func (s *Bloom) newEncState(p prfPath, lanes bool) *encState {
+	st := &encState{sub: make([]prfKernel, len(s.subkeys)), td: digestBlock()}
+	for i := range st.sub {
+		st.sub[i].initPath(p)
+		st.sub[i].setKey(s.subkeys[i])
+	}
+	st.blind.initPath(p)
+	if lanes && p != pathGeneric {
+		st.lanes = new(blindLanes)
+		for i := range st.lanes.el {
+			st.lanes.el[i] = int32(i)
+		}
+	}
+	return st
 }
 
 // MBits returns the filter size in bits (for overhead accounting).
@@ -126,13 +152,15 @@ func CopyMetadata(nonce, filter []byte) (nonceCopy, filterCopy []byte) {
 	return nonceCopy, filterCopy
 }
 
-// EncryptQuery produces the trapdoor for one keyword.
+// EncryptQuery produces the trapdoor for one keyword: the r elements of
+// Trapdoor(word), each a view into its one buffer.
 func (s *Bloom) EncryptQuery(word string) BloomQuery {
-	td := make([][]byte, s.r)
-	for i, k := range s.subkeys {
-		td[i] = prf(k, []byte(word))
+	td := s.Trapdoor(word)
+	q := BloomQuery{Trapdoor: make([][]byte, s.r)}
+	for i := range q.Trapdoor {
+		q.Trapdoor[i] = td[i*sha256.Size : (i+1)*sha256.Size : (i+1)*sha256.Size]
 	}
-	return BloomQuery{Trapdoor: td}
+	return q
 }
 
 // WordTrapdoor is a word's r sub-key PRF values, concatenated: the
@@ -172,10 +200,23 @@ func (s *Bloom) EncryptMetadata(words []string, trapdoors ...WordTrapdoor) (Bloo
 
 // encryptMetadata is EncryptMetadata under a given nonce.
 func (s *Bloom) encryptMetadata(rnd []byte, words []string, trapdoors []WordTrapdoor) BloomMetadata {
-	filter := make([]byte, (s.mBits+7)/8)
 	st := s.enc.Get().(*encState)
-	st.blind.setKey(rnd)
+	filter := s.encrypt(st, rnd, words, trapdoors)
+	s.enc.Put(st)
+	return BloomMetadata{Nonce: rnd, Filter: filter}
+}
+
+// encrypt builds the filter on st's path. Each trapdoor element x (a
+// word's r sub-key digests, and every element of trapdoors) sets bit
+// PRF_rnd(x)'s leading 8 bytes mod MBits, on every path.
+func (s *Bloom) encrypt(st *encState, rnd []byte, words []string, trapdoors []WordTrapdoor) []byte {
+	filter := make([]byte, (s.mBits+7)/8)
 	mBits := uint64(s.mBits)
+	if st.lanes != nil {
+		st.encryptLanes(rnd, filter, mBits, words, trapdoors)
+		return filter
+	}
+	st.blind.setKey(rnd)
 	x := paddedMsg{st.td[:], sha256.Size}
 	for _, w := range words {
 		st.word = appendPadded(st.word[:0], w)
@@ -191,8 +232,58 @@ func (s *Bloom) encryptMetadata(rnd []byte, words []string, trapdoors []WordTrap
 			setBit(filter, int(st.blind.sum64(x)%mBits))
 		}
 	}
-	s.enc.Put(st)
-	return BloomMetadata{Nonce: rnd, Filter: filter}
+	return filter
+}
+
+// encryptLanes is encrypt's lane path: the loop above with its blinding
+// step on hmac16. The nonce's schedule is derived once and installed in
+// every lane, the elements are gathered as big-endian words, and each 16
+// are blinded by one call.
+func (st *encState) encryptLanes(rnd, filter []byte, mBits uint64, words []string, trapdoors []WordTrapdoor) {
+	l := st.lanes
+	ks := st.blind.derive(rnd)
+	for w, v := range ks {
+		for i := range l.kt[w] {
+			l.kt[w][i] = v
+		}
+	}
+	for _, w := range words {
+		st.word = appendPadded(st.word[:0], w)
+		word := paddedMsg{st.word, len(w)}
+		for i := range st.sub {
+			l.msg[l.n] = st.sub[i].hmac(word)
+			l.gathered(filter, mBits)
+		}
+	}
+	for _, td := range trapdoors {
+		for ; len(td) >= sha256.Size; td = td[sha256.Size:] {
+			for w := range l.msg[l.n] {
+				l.msg[l.n][w] = binary.BigEndian.Uint32(td[4*w:])
+			}
+			l.gathered(filter, mBits)
+		}
+	}
+	if l.n > 0 {
+		l.blind(filter, mBits)
+	}
+}
+
+// gathered counts the element just written to msg[n], blinding all 16
+// once the lanes are full.
+func (l *blindLanes) gathered(filter []byte, mBits uint64) {
+	if l.n++; l.n == len(l.msg) {
+		l.blind(filter, mBits)
+	}
+}
+
+// blind evaluates the gathered elements in one hmac16 call and sets the
+// bit of each of the n live lanes; a dead lane's digest is ignored.
+func (l *blindLanes) blind(filter []byte, mBits uint64) {
+	hmac16(&l.kt, &l.msg[0], &l.el, &l.h)
+	for i := range l.n {
+		setBit(filter, int((uint64(l.h[0][i])<<32|uint64(l.h[1][i]))%mBits))
+	}
+	l.n = 0
 }
 
 // codeword maps a trapdoor element to a blinded bit position:

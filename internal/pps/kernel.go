@@ -47,7 +47,11 @@ package pps
 // Run.MatchScheduled once the predicate order is settled, and only for
 // queries whose trapdoor elements are all 32 bytes; sampling, single
 // records and a batch's last few live lanes stay on this kernel. Its
-// answers are the per-record loop's, ids in the same order.
+// answers are the per-record loop's, ids in the same order. The same
+// hmac16 serves EncryptMetadata's nonce-keyed half (bloom.go): one
+// document's schedule in all 16 lanes, 16 of its trapdoor elements per
+// call, bit for bit the filter this kernel writes one element at a time.
+// The word trapdoors under the r sub-keys stay on this kernel.
 //
 // A kernel is NOT safe for concurrent use; embed one per Run (matching)
 // or per pooled encode state (EncryptMetadata).
@@ -106,6 +110,9 @@ func appendPadded[T string | []byte](dst []byte, x T) []byte {
 	}
 	return binary.BigEndian.AppendUint64(dst, uint64(prfBlockSize+len(x))*8)
 }
+
+// paddedLen is the length appendPadded appends for an x of n bytes.
+func paddedLen(n int) int { return (n + 1 + 8 + prfBlockSize - 1) / prfBlockSize * prfBlockSize }
 
 // padMsg pads x into a buffer of its own.
 func padMsg(x []byte) paddedMsg { return paddedMsg{appendPadded(nil, x), len(x)} }

@@ -365,6 +365,32 @@ func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNewRunAllocations: a Run costs a fixed handful of allocations
+// whatever its trapdoors' length (every element is padded into one
+// buffer): at most 8 for the slim encoding's one-keyword predicate (17
+// elements), which every node leg and every patched cache hit builds, and
+// for a three-predicate query.
+func TestNewRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	e := NewEncoder(TestKey(63), slimConfig())
+	m, err := NewMatcher(e.ServerParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw := Predicate{Kind: Keyword, Word: "alpha"}
+	for _, preds := range [][]Predicate{{kw}, {kw, {Kind: PathComponent, Word: "docs"}, {Kind: SizeGreater, Value: 1e6}}} {
+		q, err := e.EncryptQuery(And, preds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.NewRun(q) }); allocs > 8 {
+			t.Errorf("NewRun of %d predicates (%d elements each) allocates %.1f objects, want at most 8", len(preds), len(q.Preds[0].Trapdoor), allocs)
+		}
+	}
+}
+
 // scanBatch is the store's default BatchSize: the records one
 // MatchScheduled call sees.
 const scanBatch = 256
@@ -515,7 +541,7 @@ func BenchmarkPRFEval(b *testing.B) {
 	}
 	if useLanes {
 		b.Run("avx512", func(b *testing.B) {
-			l := newLanes(Query{Preds: []BloomQuery{{Trapdoor: [][]byte{x}}}})
+			l := (&Matcher{mBits: 1}).NewRun(Query{Preds: []BloomQuery{{Trapdoor: [][]byte{x}}}}).lanes
 			for j := range l.el {
 				l.setKey(j, &ks[j])
 			}
@@ -549,8 +575,7 @@ func BenchmarkEncryptMetadata(b *testing.B) {
 // document (slots being filled) and on later ones (slots reused), from
 // concurrent encoders, for a slim and the default configuration.
 func TestSignatureTrapdoorsMatchWords(t *testing.T) {
-	slim := EncoderConfig{MaxKeywords: 4, MaxPathDir: 4, SizePoints: LinearPoints(0, 1e9, 16), DateDays: 90, DateSpan: 40, RankBuckets: []int{1, 5}}
-	for name, cfg := range map[string]EncoderConfig{"slim": slim, "default": {}} {
+	for name, cfg := range map[string]EncoderConfig{"slim": slimConfig(), "default": {}} {
 		e := NewEncoder(TestKey(5), cfg)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {

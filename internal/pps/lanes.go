@@ -6,7 +6,9 @@ import (
 )
 
 // The lane path: on CPUs with AVX-512F (useLanes), a scan advances 16
-// records at once instead of one. Each step
+// records at once instead of one. (The encoder uses hmac16 the other way
+// round: one document's key in every lane, 16 of its trapdoor elements
+// per call; see Bloom.encrypt.) Each step
 //
 //  1. evaluates every lane's next trapdoor element under that lane's
 //     record key schedule in one hmac16 call (digest words 0-1 only);
@@ -59,8 +61,8 @@ const (
 // matcher goroutine's stack, and hmac16 takes pointers into it.
 type lanes struct {
 	// msg is every trapdoor element, as big-endian words, predicate
-	// after predicate; first[p] is predicate p's first element in msg
-	// and first[p+1] one past its last.
+	// after predicate; first is the Run's: predicate p's elements are
+	// msg[first[p]:first[p+1]].
 	msg   [][8]uint32
 	first []int32
 
@@ -89,16 +91,17 @@ type lanes struct {
 	hits [laneWindow / 64]uint64 // bit i: record i of the window matched
 }
 
-// newLanes returns the lane state for q, or nil if the lane path cannot
-// run it: no AVX-512F, no predicate, or an element hmac16 cannot take.
-func newLanes(q Query) *lanes {
+// newLanes returns the lane state for q, whose elements the Run indexes
+// by first, with preds (len(q.Preds) ints) as its storage; or nil if the
+// lane path cannot run it: no AVX-512F, no predicate, or an element
+// hmac16 cannot take.
+func newLanes(q Query, first []int32, preds []int) *lanes {
 	if !useLanes || len(q.Preds) == 0 {
 		return nil
 	}
-	l := &lanes{first: make([]int32, 0, len(q.Preds)+1), preds: make([]int, len(q.Preds))}
+	l := &lanes{msg: make([][8]uint32, 0, first[len(q.Preds)]), first: first, preds: preds}
 	for i, p := range q.Preds {
 		l.preds[i] = i
-		l.first = append(l.first, int32(len(l.msg)))
 		for _, x := range p.Trapdoor {
 			if len(x) != 32 {
 				return nil
@@ -110,7 +113,6 @@ func newLanes(q Query) *lanes {
 			l.msg = append(l.msg, w)
 		}
 	}
-	l.first = append(l.first, int32(len(l.msg)))
 	return l
 }
 
@@ -292,8 +294,7 @@ func (r *Run) lanePass(recs []Encoded, ks []KeySchedule, order []int, and bool) 
 		}
 		r.prf.install(&s)
 		for {
-			p := order[l.pos[i]]
-			pos := r.prf.sum64(r.padded[p][l.el[i]-l.first[p]]) % mBits
+			pos := r.prf.sum64(r.padded[l.el[i]]) % mBits
 			done, match := l.advance(i, getBit(l.filter[i], int(pos)), order, and)
 			if done {
 				if match {

@@ -89,8 +89,9 @@ const SelectivitySamples = 225
 type Run struct {
 	m       *Matcher
 	q       Query
-	padded  [][]paddedMsg // q.Preds[i].Trapdoor[j] with its SHA-256 padding
-	counts  []int         // matches per predicate during sampling
+	padded  []paddedMsg // every trapdoor element with its SHA-256 padding, predicate after predicate
+	first   []int32     // predicate p's elements are padded[first[p]:first[p+1]]
+	counts  []int       // matches per predicate during sampling
 	sampled int
 	order   []int // settled evaluation order: perm once settled, nil before
 	perm    []int // the storage order is settled into
@@ -98,19 +99,32 @@ type Run struct {
 	lanes   *lanes // the lane path's state; nil where it cannot run
 }
 
-// NewRun starts the matching state for one query.
+// NewRun starts the matching state for one query. Every trapdoor
+// element is padded into one buffer, sized exactly: a Run costs a fixed
+// handful of allocations whatever the query's length.
 func (m *Matcher) NewRun(q Query) *Run {
 	n := len(q.Preds)
-	ints := make([]int, 2*n)
-	r := &Run{m: m, q: q, counts: ints[:n:n], perm: ints[n:], padded: make([][]paddedMsg, n)}
-	for i, p := range q.Preds {
-		r.padded[i] = make([]paddedMsg, len(p.Trapdoor))
-		for j, x := range p.Trapdoor {
-			r.padded[i][j] = padMsg(x)
+	elems, size := 0, 0
+	for _, p := range q.Preds {
+		elems += len(p.Trapdoor)
+		for _, x := range p.Trapdoor {
+			size += paddedLen(len(x))
 		}
 	}
+	ints := make([]int, 3*n)
+	r := &Run{m: m, q: q, counts: ints[:n:n], perm: ints[n : 2*n : 2*n], first: make([]int32, n+1), padded: make([]paddedMsg, 0, elems)}
+	blocks := make([]byte, 0, size)
+	for i, p := range q.Preds {
+		r.first[i] = int32(len(r.padded))
+		for _, x := range p.Trapdoor {
+			from := len(blocks)
+			blocks = appendPadded(blocks, x)
+			r.padded = append(r.padded, paddedMsg{blocks[from:len(blocks):len(blocks)], len(x)})
+		}
+	}
+	r.first[n] = int32(len(r.padded))
 	r.prf.init()
-	r.lanes = newLanes(q)
+	r.lanes = newLanes(q, r.first, ints[2*n:])
 	return r
 }
 
@@ -124,7 +138,7 @@ func (r *Run) Order() []int { return r.order }
 // keyed for, whose filter matchKeyed has length-checked.
 func (r *Run) evalPred(p int, filter []byte) bool {
 	mBits := uint64(r.m.mBits)
-	for _, x := range r.padded[p] {
+	for _, x := range r.padded[r.first[p]:r.first[p+1]] {
 		if !getBit(filter, int(r.prf.sum64(x)%mBits)) {
 			return false
 		}

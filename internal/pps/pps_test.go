@@ -714,13 +714,27 @@ func BenchmarkDictionaryMatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEncryptDocument is one document's encryption: "default" in
+// the default configuration on the best path, and "slim/<path>" in the
+// slim one (the harness corpora's, whose loads set-up times measure) on
+// each path this build and CPU can encrypt on, the lane path as
+// "avx512".
 func BenchmarkEncryptDocument(b *testing.B) {
-	e := NewEncoder(TestKey(103), EncoderConfig{})
-	doc := testDoc(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.EncryptDocument(doc); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, e *Encoder) {
+		doc := testDoc(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.EncryptDocument(doc); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	b.Run("default", func(b *testing.B) { run(b, NewEncoder(TestKey(103), EncoderConfig{})) })
+	for name, p := range scanPaths() {
+		b.Run("slim/"+name, func(b *testing.B) {
+			e := NewEncoder(TestKey(103), slimConfig())
+			encodeOnPath(e, name, p)
+			run(b, e)
+		})
 	}
 }
