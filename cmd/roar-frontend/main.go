@@ -18,7 +18,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"roar/internal/coordclient"
 	"roar/internal/debughttp"
@@ -34,7 +33,7 @@ func main() {
 		pq       = flag.Int("pq", 0, "query partitioning level override (0 = view p)")
 		adjust   = flag.Bool("adjust", true, "enable range adjustment (§4.8.2)")
 		splits   = flag.Int("splits", 0, "max slow-sub-query splits per query")
-		poll     = flag.Duration("poll", time.Second, "view poll interval")
+		poll     = flag.Duration("poll", 0, "view poll interval (0 = default 1s)")
 		pool     = flag.Int("pool", 2, "wire connections per node")
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = unlimited)")
 		queueTO  = flag.Duration("queue-timeout", 0, "admission queue wait limit (0 = caller context)")
@@ -42,7 +41,7 @@ func main() {
 		hedge    = flag.Duration("hedge-delay", 0, "hedge a slow sub-query onto replicas after at least this delay; above it the delay adapts to the p95 leg latency, and hedged legs are budgeted to ~5% of sub-queries (0 = off)")
 		probe    = flag.Duration("probe-interval", 0, "cadence of the probe of every node (0 = 500ms default, <0 = off)")
 		shedHW   = flag.Int("shed-highwater", 0, "mean reported node queue depth that triggers overload shedding (0 = off)")
-		healthIv = flag.Duration("health-interval", time.Second, "health report push cadence")
+		healthIv = flag.Duration("health-interval", 0, "health report push cadence (0 = default 1s)")
 		cacheB   = flag.Int64("cache-budget", 0, "result cache memory budget in bytes (0 = cache off)")
 		tenRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 = quotas off)")
 		tenBurst = flag.Float64("tenant-burst", 0, "per-tenant admission token bucket capacity (0 = max(rate, 8))")

@@ -16,11 +16,12 @@
 //
 //	roar-member -listen 127.0.0.1:7001 -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 -wal /shared/wal
 //
-// Both serve the same member.* table (membership.RegisterHandlers).
-// -peers only picks the constructor and the coordinator behind the
-// table: standalone, it is the one coordinator, which commits nothing;
-// replicated, it is the current leader's, and followers answer with a
-// "leader=<addr>" redirect.
+// Both are built by membership.Serve, which the cluster harness starts
+// too, and serve the same member.* table (membership.RegisterHandlers).
+// -peers only picks the coordinator behind the table: standalone, it is
+// the one coordinator, which commits nothing; replicated, it is the
+// current leader's, and followers answer with a "leader=<addr>"
+// redirect.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,9 +37,7 @@ import (
 	"time"
 
 	"roar/internal/debughttp"
-	"roar/internal/ingest"
 	"roar/internal/membership"
-	"roar/internal/wire"
 )
 
 func main() {
@@ -76,64 +76,54 @@ func main() {
 		fmt.Printf("debug endpoints on http://%s/debug/\n", dbg.Addr())
 	}
 
-	coordCfg := membership.Config{
-		P: *p, Rings: *rings,
-		Health: membership.HealthConfig{QuarantineThreshold: *qThresh},
+	cfg := membership.ServerConfig{
+		Coordinator: membership.Config{
+			P: *p, Rings: *rings,
+			Health: membership.HealthConfig{QuarantineThreshold: *qThresh},
+		},
+		WALDir:    *walDir,
+		Ingest:    membership.IngestConfig{Logf: log.Printf},
+		Self:      *self,
+		Lease:     *lease,
+		Heartbeat: *heartbeat,
+		Logf:      log.Printf,
 	}
-
-	d := wire.NewDispatcher()
-	var (
-		lead          func() (*membership.Coordinator, error)
-		newAutoscaler func(membership.AutoscaleConfig) *membership.Autoscaler
-		start         = func() {}
-		banner        string
-	)
-	if *peers != "" {
-		if *walDir == "" {
+	for _, peer := range strings.Split(*peers, ",") {
+		if peer = strings.TrimSpace(peer); peer != "" {
+			cfg.Peers = append(cfg.Peers, peer)
+		}
+	}
+	if cfg.Self == "" {
+		cfg.Self = *listen
+	}
+	if cfg.WALDir == "" {
+		// Replicas share one log, so only a standalone coordinator may
+		// keep its own in a temporary directory.
+		if len(cfg.Peers) > 0 {
 			fatal(fmt.Errorf("-peers needs -wal: a new leader reads the corpus from the log the replicas share"))
 		}
-		rep := newReplica(*listen, *self, *peers, *lease, *heartbeat, *walDir, coordCfg)
-		defer rep.Stop()
-		rep.RegisterHandlers(d)
-		lead, newAutoscaler, start = rep.LeaderCoord, rep.NewAutoscaler, rep.Start
-		banner = fmt.Sprintf("replica %s", rep.Self())
-	} else {
-		// Standalone has no peers to race on segment creation, so it opens
-		// the WAL eagerly (replicas open it on winning an election).
-		if *walDir == "" {
-			dir, err := os.MkdirTemp("", "roar-member-wal-")
-			if err != nil {
-				fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			*walDir = dir
-		}
-		wal, err := ingest.Open(*walDir, ingest.Options{})
+		dir, err := os.MkdirTemp("", "roar-member-wal-")
 		if err != nil {
 			fatal(err)
 		}
-		coordCfg.WAL = wal
-		coord, err := membership.New(coordCfg)
-		if err != nil {
-			fatal(err)
-		}
-		defer coord.Close()
-		// Start the drain now: there is no election to wait for. The
-		// backend fills from the WAL at the first push.
-		coord.StartIngest(membership.IngestConfig{Logf: log.Printf})
-		lead = func() (*membership.Coordinator, error) { return coord, nil }
-		newAutoscaler = coord.NewAutoscaler
-		banner = fmt.Sprintf("(p=%d rings=%d)", *p, *rings)
+		defer os.RemoveAll(dir)
+		cfg.WALDir = dir
 	}
-	membership.RegisterHandlers(d, lead)
-
-	srv, err := wire.Serve(*listen, d.Handle)
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
-	start()
+	ms, err := membership.Serve(ln, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	defer ms.Close()
+	banner := fmt.Sprintf("(p=%d rings=%d)", *p, *rings)
+	if ms.Replica != nil {
+		banner = fmt.Sprintf("replica %s", ms.Replica.Self())
+	}
 	if *autoscale || *asDryRun {
-		as := newAutoscaler(membership.AutoscaleConfig{
+		as := ms.NewAutoscaler(membership.AutoscaleConfig{
 			DryRun:             *asDryRun,
 			Interval:           *asInterval,
 			HighPressure:       *asHigh,
@@ -156,42 +146,10 @@ func main() {
 		}
 		log.Printf("autoscale controller started (%s, interval %v)", mode, iv)
 	}
-	fmt.Printf("roar-member serving on %s %s\n", srv.Addr(), banner)
+	fmt.Printf("roar-member serving on %s %s\n", ms.Addr(), banner)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	srv.Close()
-}
-
-// newReplica builds one member of the replicated control plane. Replica
-// sets open the shared WAL directory lazily on winning an election:
-// opening it at start-up would race the peer processes on segment
-// creation, and a follower's handle would go stale the moment the
-// leader appends.
-func newReplica(listen, self, peerList string, lease, heartbeat time.Duration, walDir string, coordCfg membership.Config) *membership.Replica {
-	if self == "" {
-		self = listen
-	}
-	var peers []string
-	for _, p := range strings.Split(peerList, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	rep, err := membership.NewReplica(membership.ReplicaConfig{
-		Self:        self,
-		Peers:       peers,
-		Lease:       lease,
-		Heartbeat:   heartbeat,
-		Coordinator: coordCfg,
-		Ingest:      membership.IngestConfig{Logf: log.Printf},
-		OpenWAL:     func() (*ingest.WAL, error) { return ingest.Open(walDir, ingest.Options{}) },
-		Logf:        log.Printf,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	return rep
 }
 
 func fatal(err error) {

@@ -5,8 +5,8 @@
 // what the replication buys:
 //
 //  1. three replicas elect a lease holder; nodes join and a frontend
-//     syncs its view through the failover client, never caring which
-//     replica answers;
+//     keeps its view current through the failover client, never caring
+//     which replica answers;
 //  2. a repartitioning (ChangeP 4→2) starts, and the leader is killed
 //     right after the intent commits — before any data moves;
 //  3. a follower takes over within the lease timeout, finds the durable
@@ -51,7 +51,7 @@ func main() {
 	var once sync.Once
 	intentHit := make(chan struct{})
 	release := make(chan struct{})
-	hc, err := cluster.StartHA(cluster.HAOptions{
+	hc, err := cluster.Start(cluster.Options{
 		Replicas: 3, Nodes: nodes, P: p, Seed: 42,
 		Lease:     300 * time.Millisecond,
 		Heartbeat: 75 * time.Millisecond,
@@ -159,7 +159,7 @@ func main() {
 
 	// The frontend fails over and installs the new view; the deposed
 	// leader's last view is fenced out.
-	if err := hc.Syncer.PullViewOnce(context.Background()); err != nil {
+	if err := hc.SyncView(); err != nil {
 		log.Fatal(err)
 	}
 	if err := hc.FE.ApplyView(staleView); errors.Is(err, frontend.ErrStaleView) {

@@ -47,10 +47,7 @@ func main() {
 	day := query("daytime, both rings:")
 
 	// Night falls: power down ring 1. Half the fleet sleeps.
-	if err := c.Coord.SetRingEnabled(context.Background(), 1, false); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.SyncView(); err != nil {
+	if err := c.SetRingEnabled(context.Background(), 1, false); err != nil {
 		log.Fatal(err)
 	}
 	night := query("night, ring 1 off:")
@@ -65,10 +62,7 @@ func main() {
 	// Morning: ring 1 returns; nodes kept their ranges so only the
 	// overnight delta is re-pushed (here: everything is idempotent).
 	before := c.Coord.ObjectsPushed()
-	if err := c.Coord.SetRingEnabled(context.Background(), 1, true); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.SyncView(); err != nil {
+	if err := c.SetRingEnabled(context.Background(), 1, true); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  -> ring 1 back: %d records refreshed\n", c.Coord.ObjectsPushed()-before)

@@ -31,7 +31,7 @@ const (
 // failoverRun measures one leader kill, returning the time from kill to
 // elected successor and the count of failed queries across the run.
 func failoverRun() (time.Duration, int64, error) {
-	hc, err := cluster.StartHA(cluster.HAOptions{
+	hc, err := cluster.Start(cluster.Options{
 		Replicas: 3, Nodes: failoverNodes, P: failoverP, Seed: 5,
 		Lease:     200 * time.Millisecond,
 		Heartbeat: 50 * time.Millisecond,

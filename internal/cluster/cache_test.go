@@ -110,9 +110,9 @@ func TestCacheZipfHitRatio(t *testing.T) {
 }
 
 // TestCacheIngestInvalidationChaos interleaves async ingest batches with
-// queries: the put ack fences nothing, and once the frontend observes
-// the drain watermark via the view, its answers must be identical to an
-// uncached frontend's — zero stale results at every step.
+// queries: an accepted write fences nothing, and once the frontend's
+// Syncer has polled the drain watermark, its answers must be identical
+// to an uncached frontend's — zero stale results at every step.
 func TestCacheIngestInvalidationChaos(t *testing.T) {
 	c, err := Start(Options{
 		Nodes: 6, P: 2, Seed: 5,
@@ -177,12 +177,11 @@ func TestCacheIngestInvalidationChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The put ack fences nothing: an accepted record is on no node
-		// until the drain delivers it, and the frontend learns of that
-		// only from the drained watermark. The drain is racing the nodes,
-		// so a fan-out may return the pre- or post-batch set; an answer
-		// from cache is the entry stored before the put.
-		c.FE.ObserveIngest(seq, 0)
+		// An accepted record is on no node until the drain delivers it,
+		// and the frontend learns of that only from the drained
+		// watermark its Syncer polls. The drain is racing the nodes, so a
+		// fan-out may return the pre- or post-batch set; an answer from
+		// cache is the entry stored before the put.
 		got, err := c.FE.Query(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("batch %d post-ack: %v", batch, err)
@@ -200,7 +199,8 @@ func TestCacheIngestInvalidationChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The drain watermark arrives with the next view sync.
+		// The drain watermark reaches the frontend only through its
+		// Syncer: one poll of the installed view.
 		if err := c.SyncView(); err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +212,9 @@ func TestCacheIngestInvalidationChaos(t *testing.T) {
 }
 
 // TestClusterCachePollSeesDrain drives the roar-frontend path end to
-// end: a cached frontend kept in step by its Syncer's own poll loop, and
-// a write appended through the coordinator by another client, so no ack
-// reaches this frontend. The drain moves no (Term, Epoch), yet the poll
+// end beside a replicated control plane: a cached frontend kept in step
+// by its Syncer's own poll loop, and a write appended through the
+// coordinator by another client, so no ack reaches this frontend. The drain moves no (Term, Epoch), yet the poll
 // must carry its watermark to the cache: the record shows within a few
 // polls, brought into the cached answer by a patch over the records the
 // Syncer reads from the leader's log (member.drained), not by a drop.
@@ -222,7 +222,7 @@ func TestClusterCachePollSeesDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated-control-plane e2e is not short")
 	}
-	hc, err := StartHA(HAOptions{
+	hc, err := Start(Options{
 		Replicas: 3, Nodes: 2, P: 2, Seed: 13,
 		Lease:     250 * time.Millisecond,
 		Heartbeat: 60 * time.Millisecond,
@@ -235,7 +235,7 @@ func TestClusterCachePollSeesDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hc.Close()
-	want, q := haCorpus(t, hc)
+	want, q := chaosCorpus(t, hc)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	query := func() frontend.Result {
@@ -266,7 +266,6 @@ func TestClusterCachePollSeesDrain(t *testing.T) {
 		t.Fatalf("no entry cached before the write to be fenced (source %q)", res.Source)
 	}
 
-	hc.Syncer.Start(ctx)
 	want[id] = true
 	for {
 		res := query()

@@ -59,11 +59,13 @@ func checkResult(t *testing.T, res frontend.Result, want map[uint64]bool) {
 	}
 }
 
-// failedNodes lists the nodes fe currently suspects, sorted.
+// failedNodes lists the nodes fe currently suspects or, once its
+// Syncer's health pushes have quarantined them, holds quarantined,
+// sorted.
 func failedNodes(fe *frontend.Frontend) []int {
 	var out []int
 	for id, st := range fe.Health() {
-		if st == "suspected" {
+		if st == "suspected" || st == "quarantined" {
 			out = append(out, id)
 		}
 	}
@@ -359,10 +361,7 @@ func TestClusterTwoRingsAndPowerCycle(t *testing.T) {
 	}
 	checkResult(t, res, want)
 	// Power down ring 1; ring 0 alone holds all data.
-	if err := c.Coord.SetRingEnabled(context.Background(), 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SyncView(); err != nil {
+	if err := c.SetRingEnabled(context.Background(), 1, false); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Query(context.Background(), pps.And, pps.Predicate{Kind: pps.Keyword, Word: word})
@@ -371,14 +370,11 @@ func TestClusterTwoRingsAndPowerCycle(t *testing.T) {
 	}
 	checkResult(t, res, want)
 	// Cannot power down the last ring.
-	if err := c.Coord.SetRingEnabled(context.Background(), 0, false); err == nil {
+	if err := c.SetRingEnabled(context.Background(), 0, false); err == nil {
 		t.Error("disabling the last ring must fail")
 	}
 	// Power ring 1 back up.
-	if err := c.Coord.SetRingEnabled(context.Background(), 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SyncView(); err != nil {
+	if err := c.SetRingEnabled(context.Background(), 1, true); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Query(context.Background(), pps.And, pps.Predicate{Kind: pps.Keyword, Word: word})
@@ -413,9 +409,8 @@ func TestMultipleFrontends(t *testing.T) {
 	c, docs := startCluster(t, Options{Nodes: 10, P: 5, Seed: 20})
 	word := pickWord(docs)
 	want := expectKeyword(docs, word)
-	fe2 := frontend.New(frontend.Config{})
-	defer fe2.Close()
-	if err := fe2.ApplyView(c.Coord.View()); err != nil {
+	fe2, err := c.AddFrontend(frontend.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	q, err := c.Enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: word})

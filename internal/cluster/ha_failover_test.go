@@ -3,49 +3,13 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"roar/internal/frontend"
-	"roar/internal/pps"
 )
-
-// haCorpus mirrors chaosCorpus for the replicated harness: 60 documents,
-// 20 carrying the target keyword, loaded through the current leader.
-func haCorpus(t *testing.T, c *HACluster) (map[uint64]bool, pps.Query) {
-	t.Helper()
-	want := map[uint64]bool{}
-	var recs []pps.Encoded
-	for i := 0; i < 60; i++ {
-		kw := "filler"
-		if i%3 == 0 {
-			kw = "target"
-		}
-		id := uint64(i+1) << 32
-		rec, err := c.Enc.EncryptDocument(pps.Document{
-			ID: id, Path: fmt.Sprintf("/d/%d", i), Size: int64(i),
-			Modified: time.Unix(1.2e9, 0), Keywords: []string{kw},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-		if kw == "target" {
-			want[id] = true
-		}
-	}
-	if err := c.LoadEncoded(recs); err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.Enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "target"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return want, q
-}
 
 // TestClusterChaosLeaderFailover is the control-plane kill test: the
 // lease holder dies at the worst possible instant — after a ChangeP
@@ -81,7 +45,7 @@ func TestClusterChaosLeaderFailover(t *testing.T) {
 		}
 	}
 
-	hc, err := StartHA(HAOptions{
+	hc, err := Start(Options{
 		Replicas: 3, Nodes: nodes, P: p, Seed: 23,
 		Lease:     250 * time.Millisecond,
 		Heartbeat: 60 * time.Millisecond,
@@ -97,7 +61,7 @@ func TestClusterChaosLeaderFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hc.Close()
-	want, q := haCorpus(t, hc)
+	want, q := chaosCorpus(t, hc)
 
 	// Undisturbed baseline: the reference id set the chaos run must match.
 	res, err := hc.FE.Query(context.Background(), frontend.QuerySpec{Enc: q})
@@ -202,7 +166,7 @@ func TestClusterChaosLeaderFailover(t *testing.T) {
 
 	// The frontend fails over to the new leader through coordclient and
 	// installs the post-reconfiguration view...
-	if err := hc.Syncer.PullViewOnce(context.Background()); err != nil {
+	if err := hc.SyncView(); err != nil {
 		t.Fatal(err)
 	}
 	fv := hc.FE.View()

@@ -18,7 +18,7 @@ func TestClusterChaosTermZeroViewFence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated-control-plane e2e is not short")
 	}
-	hc, err := StartHA(HAOptions{
+	hc, err := Start(Options{
 		Replicas: 3, Nodes: 2, P: 2, Seed: 7,
 		Lease:     250 * time.Millisecond,
 		Heartbeat: 60 * time.Millisecond,
@@ -29,13 +29,13 @@ func TestClusterChaosTermZeroViewFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hc.Close()
-	want, q := haCorpus(t, hc)
+	want, q := chaosCorpus(t, hc)
 
 	leader, err := hc.WaitLeader(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hc.Syncer.PullViewOnce(context.Background()); err != nil {
+	if err := hc.SyncView(); err != nil {
 		t.Fatal(err)
 	}
 	elected := hc.FE.View()

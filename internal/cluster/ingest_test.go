@@ -170,7 +170,7 @@ func TestClusterIngestReplay(t *testing.T) {
 // it is draining: the new leader must resume the drain from the
 // log-replicated watermark against the shared WAL, re-delivering at
 // most the un-replicated tail — which node-side dedup absorbs. The
-// producer's appends fail over through the coordclient transport.
+// producer's appends retry on whichever replica leads next.
 func TestClusterIngestFailoverResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is not short")
@@ -179,7 +179,7 @@ func TestClusterIngestFailoverResume(t *testing.T) {
 		nodes = 6
 		p     = 3
 	)
-	hc, err := StartHA(HAOptions{
+	hc, err := Start(Options{
 		Replicas: 3, Nodes: nodes, P: p, Seed: 29,
 		Lease:       250 * time.Millisecond,
 		Heartbeat:   60 * time.Millisecond,
@@ -210,11 +210,11 @@ func TestClusterIngestFailoverResume(t *testing.T) {
 	// leader while its consumer is mid-drain.
 	var lastSeq uint64
 	for at := 0; at < len(recs); at += 10 {
-		resp, err := hc.IngestPut(ctx, recs[at:at+10]...)
+		seq, err := hc.IngestPut(ctx, recs[at:at+10]...)
 		if err != nil {
 			t.Fatalf("ingest batch at %d: %v", at, err)
 		}
-		lastSeq = resp.Seq
+		lastSeq = seq
 	}
 	killedAt := time.Now()
 	hc.KillReplica(leaderIdx)
@@ -235,7 +235,7 @@ func TestClusterIngestFailoverResume(t *testing.T) {
 
 	// The frontend fails over and the id set is exactly the
 	// no-failure set.
-	if err := hc.Syncer.PullViewOnce(ctx); err != nil {
+	if err := hc.SyncView(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := hc.FE.Query(ctx, frontend.QuerySpec{Enc: q})
@@ -251,11 +251,11 @@ func TestClusterIngestFailoverResume(t *testing.T) {
 	for i, n := range hc.Nodes() {
 		before[i] = n.Store().Len()
 	}
-	resp, err := hc.IngestPut(ctx, recs...)
+	seq, err := hc.IngestPut(ctx, recs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hc.WaitIngestDrained(ctx, resp.Seq); err != nil {
+	if err := hc.WaitIngestDrained(ctx, seq); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range hc.Nodes() {

@@ -77,7 +77,7 @@ func TestClusterHAFailoverRebuildsCorpus(t *testing.T) {
 		t.Skip("HA e2e is not short")
 	}
 	const nRecs = 400
-	hc, err := StartHA(HAOptions{
+	hc, err := Start(Options{
 		Replicas: 3, Nodes: 4, P: 4, Seed: 43,
 		Lease:     250 * time.Millisecond,
 		Heartbeat: 60 * time.Millisecond,
@@ -170,7 +170,7 @@ func TestClusterHAFailoverRebuildsCorpus(t *testing.T) {
 		t.Errorf("p=2 after the failover: the 4 nodes hold %d records, want %d", got, 3*nRecs)
 	}
 
-	if err := hc.Syncer.PullViewOnce(ctx); err != nil {
+	if err := hc.SyncView(); err != nil {
 		t.Fatal(err)
 	}
 	q, err := hc.Enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "target"})

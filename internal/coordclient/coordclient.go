@@ -77,9 +77,6 @@ func New(peers []string, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Peers returns the configured peer addresses.
-func (c *Client) Peers() []string { return append([]string(nil), c.peers...) }
-
 // Current returns the address of the peer the client is currently
 // stuck to.
 func (c *Client) Current() string {

@@ -15,8 +15,8 @@ import (
 // DrainSource reads the coordinator's log: the records with sequence in
 // (after, drained], at most max of them, in sequence order, for the
 // caller to keep. Fewer than asked means the source's drained watermark
-// ends there. membership.Coordinator is one (in process); a Syncer
-// installs one that asks its coordinator over member.drained.
+// ends there. A Syncer installs one that asks its coordinator over
+// member.drained.
 type DrainSource interface {
 	DrainedSince(ctx context.Context, after uint64, max int) ([]pps.Encoded, error)
 }
@@ -37,19 +37,19 @@ const drainLogSize = proto.MaxDrained
 // delays the window: a hit meanwhile drops its entry and fans out.
 const drainReadTimeout = time.Second
 
-// SetDrainSource installs where the frontend reads drained records to
+// setDrainSource installs where the frontend reads drained records to
 // bring its cached answers forward, and starts the goroutine that reads
 // them (followDrain). It is called once, before the frontend serves; a
 // second call panics. No-op without a cache or a source. Without one,
 // or while reads fail, a cached answer computed before the drained
 // watermark is dropped at its next hit.
-func (f *Frontend) SetDrainSource(src DrainSource) {
+func (f *Frontend) setDrainSource(src DrainSource) {
 	d := f.drained
 	if d == nil || src == nil {
 		return
 	}
 	if !d.following.CompareAndSwap(false, true) {
-		panic("frontend: SetDrainSource called twice")
+		panic("frontend: drain source set twice")
 	}
 	go f.followDrain(src)
 }

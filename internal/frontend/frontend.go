@@ -340,8 +340,7 @@ func (f *Frontend) ApplyView(v proto.View) error {
 	// A strictly newer (Term, Epoch) moves the cache's generation:
 	// placement, quarantine, or membership moved, so cached merges may
 	// no longer reflect what a fan-out would return. Re-applying the
-	// installed view (the harness's SyncView refresh, a poll answering
-	// with the same epoch) must NOT — it proves nothing changed.
+	// installed (Term, Epoch) must NOT — it proves nothing changed.
 	newer := f.pl == nil || v.Term > f.view.Term || (v.Term == f.view.Term && v.Epoch > f.view.Epoch)
 	seen := map[ring.NodeID]bool{}
 	for _, ni := range v.Nodes {

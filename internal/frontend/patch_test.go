@@ -93,7 +93,7 @@ func patchingFrontend(t *testing.T, v proto.View, src DrainSource) *Frontend {
 	if err := fe.ApplyView(v); err != nil {
 		t.Fatal(err)
 	}
-	fe.SetDrainSource(src)
+	fe.setDrainSource(src)
 	fe.probeAll(time.Second)
 	if fe.patcher() == nil {
 		t.Fatal("frontend cannot patch after probing its nodes")
@@ -196,7 +196,7 @@ func TestNoPatchWithoutCacheSourceOrMBits(t *testing.T) {
 	if err := uncached.ApplyView(v); err != nil {
 		t.Fatal(err)
 	}
-	uncached.SetDrainSource(log)
+	uncached.setDrainSource(log)
 	uncached.probeAll(time.Second)
 	run("a frontend without a cache", uncached, SourceFanout)
 
@@ -205,7 +205,7 @@ func TestNoPatchWithoutCacheSourceOrMBits(t *testing.T) {
 	if err := unprobed.ApplyView(v); err != nil {
 		t.Fatal(err)
 	}
-	unprobed.SetDrainSource(log)
+	unprobed.setDrainSource(log)
 	run("a frontend that does not probe", unprobed, SourceFanout)
 
 	older := patchingFrontend(t, v, log)

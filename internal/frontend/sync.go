@@ -64,9 +64,9 @@ type Syncer struct {
 
 // NewSyncer binds a frontend to its coordinator transport, and installs
 // the coordinator's log, read over member.drained, as the frontend's
-// drained-record source (Frontend.SetDrainSource).
+// drained-record source.
 func NewSyncer(fe *Frontend, mc MemberCaller, cfg SyncConfig) *Syncer {
-	fe.SetDrainSource(memberDrained{mc})
+	fe.setDrainSource(memberDrained{mc})
 	return &Syncer{fe: fe, mc: mc, cfg: cfg.withDefaults(), stop: make(chan struct{})}
 }
 
@@ -89,11 +89,11 @@ func (s *Syncer) logf(format string, args ...any) {
 	}
 }
 
-// PullViewOnce fetches the coordinator's current view and installs it.
+// pullView fetches the coordinator's current view and installs it.
 // An empty view (membership has no nodes yet) and a stale view
 // (ErrStaleView — a deposed leader answered) both error without
 // changing the installed view.
-func (s *Syncer) PullViewOnce(ctx context.Context) error {
+func (s *Syncer) pullView(ctx context.Context) error {
 	var v proto.View
 	if err := s.mc.Call(ctx, proto.MMemberView, nil, &v); err != nil {
 		return err
@@ -104,37 +104,41 @@ func (s *Syncer) PullViewOnce(ctx context.Context) error {
 	return s.fe.ApplyView(v)
 }
 
-// pullIfStale installs the polled view only when the coordinator's
-// (Term, Epoch) moved, so the poll loop does not rebuild placements for
+// Poll fetches the coordinator's view and installs it only when its
+// (Term, Epoch) moved, so polling does not rebuild placements for
 // identical views or reset local suspicion. A view with the installed
 // (Term, Epoch) still carries the drained watermark, which a drain moves
 // without an epoch bump: that goes to ObserveIngest, once the records up
 // to it are read into the cache's window (Frontend.readAhead), so the
-// hits that follow patch their entries instead of dropping them.
-func (s *Syncer) pullIfStale(ctx context.Context) {
+// hits that follow patch their entries instead of dropping them. The
+// poll loop runs it on every tick; an empty view installs nothing.
+func (s *Syncer) Poll(ctx context.Context) error {
 	var v proto.View
 	if err := s.mc.Call(ctx, proto.MMemberView, nil, &v); err != nil {
-		return
+		return err
 	}
 	s.fe.readAhead(ctx, v.Drained)
 	installed := s.fe.View()
 	if v.Epoch == installed.Epoch && v.Term == installed.Term {
 		s.fe.ObserveIngest(0, v.Drained)
-		return
+		return nil
 	}
-	if len(v.Nodes) > 0 {
-		if err := s.fe.ApplyView(v); err != nil {
-			s.logf("frontend: view refresh rejected: %v", err)
-		}
+	if len(v.Nodes) == 0 {
+		return nil
 	}
+	if err := s.fe.ApplyView(v); err != nil {
+		s.logf("frontend: view refresh rejected: %v", err)
+		return err
+	}
+	return nil
 }
 
-// WaitFirstView retries PullViewOnce on a one-second cadence until a
+// WaitFirstView retries pullView on a one-second cadence until a
 // usable view installs, attempts runs out, or ctx ends.
 func (s *Syncer) WaitFirstView(ctx context.Context, attempts int) error {
 	var err error
 	for i := 0; i < attempts; i++ {
-		if err = s.PullViewOnce(ctx); err == nil {
+		if err = s.pullView(ctx); err == nil {
 			return nil
 		}
 		select {
@@ -183,7 +187,7 @@ func (s *Syncer) PushHealthOnce(ctx context.Context) error {
 		return err
 	}
 	if hr.Epoch != s.fe.View().Epoch {
-		s.pullIfStale(ctx)
+		_ = s.Poll(ctx)
 	}
 	return nil
 }
@@ -201,7 +205,7 @@ func (s *Syncer) Start(ctx context.Context) {
 			case <-s.stop:
 				return
 			case <-s.cfg.After(s.cfg.Poll):
-				s.pullIfStale(ctx)
+				_ = s.Poll(ctx)
 			}
 		}
 	}()

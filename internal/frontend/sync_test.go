@@ -207,7 +207,7 @@ func TestPollDeliversDrainToCache(t *testing.T) {
 
 	drained := v
 	drained.Drained = v.Drained + 1
-	NewSyncer(fe, &scriptedMember{view: drained}, SyncConfig{}).pullIfStale(context.Background())
+	NewSyncer(fe, &scriptedMember{view: drained}, SyncConfig{}).Poll(context.Background())
 	if st := fe.Health()[0]; st != stateSuspected.String() {
 		t.Errorf("a poll of the installed view reset node 0 to %q", st)
 	}

@@ -268,15 +268,15 @@ func (c *Coordinator) IngestDrained() uint64 {
 	return c.ingestDrained
 }
 
-// DrainedSince returns the log's records with sequence in (after,
+// drainedSince returns the log's records with sequence in (after,
 // drained], at most max of them and never more than proto.MaxDrained,
-// in sequence order: what a frontend brings its cached answers forward
-// with (frontend.DrainSource). A negative max is refused. They are read
+// in sequence order: what member.drained answers a frontend that brings
+// its cached answers forward. A negative max is refused. They are read
 // through one tail reader (ingest.Tail) that stays where its last read
 // ended and re-positions at where a recent read ended, so each frontend
 // following the drain reads about the frames it asks for. The records
 // are the caller's to keep.
-func (c *Coordinator) DrainedSince(ctx context.Context, after uint64, max int) ([]pps.Encoded, error) {
+func (c *Coordinator) drainedSince(ctx context.Context, after uint64, max int) ([]pps.Encoded, error) {
 	if c.wal == nil {
 		return nil, errIngestDisabled
 	}

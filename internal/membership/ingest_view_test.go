@@ -131,16 +131,16 @@ func TestDrainedSinceFollowsTheDrain(t *testing.T) {
 	}
 	check := func(after uint64, max int, want []pps.Encoded) {
 		t.Helper()
-		got, err := c.DrainedSince(ctx, after, max)
+		got, err := c.drainedSince(ctx, after, max)
 		if err != nil {
-			t.Fatalf("DrainedSince(%d, %d): %v", after, max, err)
+			t.Fatalf("drainedSince(%d, %d): %v", after, max, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("DrainedSince(%d, %d): %d records, want %d", after, max, len(got), len(want))
+			t.Fatalf("drainedSince(%d, %d): %d records, want %d", after, max, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].ID != want[i].ID || !bytes.Equal(got[i].Nonce, want[i].Nonce) || !bytes.Equal(got[i].Filter, want[i].Filter) {
-				t.Fatalf("DrainedSince(%d, %d): record %d differs from the log's", after, max, i)
+				t.Fatalf("drainedSince(%d, %d): record %d differs from the log's", after, max, i)
 			}
 		}
 	}
@@ -150,8 +150,8 @@ func TestDrainedSinceFollowsTheDrain(t *testing.T) {
 	check(seq, 100, nil)
 	check(2, 0, nil)
 	check(10, 1<<30, recs[10:10+proto.MaxDrained]) // an oversized max is capped
-	if _, err := c.DrainedSince(ctx, 0, -1); err == nil {
-		t.Error("DrainedSince with a negative max answered")
+	if _, err := c.drainedSince(ctx, 0, -1); err == nil {
+		t.Error("drainedSince with a negative max answered")
 	}
 
 	// A record accepted but not drained is on no node: it is not served.
@@ -167,7 +167,7 @@ func TestDrainedSinceFollowsTheDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer noLog.Close()
-	if _, err := noLog.DrainedSince(ctx, 0, 10); !errors.Is(err, errIngestDisabled) {
-		t.Fatalf("DrainedSince without a log: %v, want errIngestDisabled", err)
+	if _, err := noLog.drainedSince(ctx, 0, 10); !errors.Is(err, errIngestDisabled) {
+		t.Fatalf("drainedSince without a log: %v, want errIngestDisabled", err)
 	}
 }

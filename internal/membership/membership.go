@@ -93,7 +93,7 @@ type Coordinator struct {
 	wal           *ingest.WAL
 	consumer      *ingest.Consumer
 	ingestDrained uint64
-	// tail reads the drained records frontends ask for (DrainedSince),
+	// tail reads the drained records frontends ask for (drainedSince),
 	// from where its last read ended; nil until the first request.
 	tailMu sync.Mutex
 	tail   *ingest.Tail
@@ -802,7 +802,7 @@ func RegisterHandlers(d *wire.Dispatcher, lead func() (*Coordinator, error)) {
 		if err := body.Decode(&req); err != nil {
 			return nil, err
 		}
-		recs, err := c.DrainedSince(ctx, req.After, req.Max)
+		recs, err := c.drainedSince(ctx, req.After, req.Max)
 		if err != nil {
 			return nil, err
 		}
