@@ -28,7 +28,7 @@ type Config struct {
 	// ObjectsPerSec, when positive, throttles matching to emulate a
 	// calibrated hardware profile (Table 7.1); 0 matches at full speed.
 	ObjectsPerSec float64
-	// BatchSize for the matching pipeline (0 = 256).
+	// BatchSize for the matching pipeline (0 = pps.LaneWindow).
 	BatchSize int
 	// FixedQueryCost adds a constant per-sub-query cost (thread start,
 	// request parsing — the fixed overheads of §2 that do not depend on

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -19,6 +20,7 @@ import (
 type Bloom struct {
 	subkeys  [][]byte // r derived keys
 	mBits    int      // filter size in bits
+	mod      modulus  // reduces mod mBits
 	r        int      // hash count
 	maxWords int      // design load
 
@@ -41,13 +43,11 @@ type encState struct {
 }
 
 // blindLanes is encryptMetadata's lane path state: hmac16's operands,
-// with the document's schedule installed in all 16 lanes of kt and lane
-// i evaluating element msg[i]. n elements are gathered; the lanes past
-// them are dead.
+// the document's schedule and lane i evaluating element msg[i]. n
+// elements are gathered; the lanes past them are dead.
 type blindLanes struct {
-	kt  [16][16]uint32
+	ks  KeySchedule
 	msg [16][8]uint32 // trapdoor elements as big-endian words
-	el  [16]int32     // el[i] = i
 	h   [2][16]uint32
 	n   int
 }
@@ -83,7 +83,8 @@ func NewBloom(k MasterKey, cfg BloomConfig) *Bloom {
 	for i := range sub {
 		sub[i] = k.Derive(fmt.Sprintf("bloom-%d", i))
 	}
-	s := &Bloom{subkeys: sub, mBits: cfg.MaxWords * cfg.BitsPerWord, r: cfg.Hashes, maxWords: cfg.MaxWords}
+	mBits := cfg.MaxWords * cfg.BitsPerWord
+	s := &Bloom{subkeys: sub, mBits: mBits, mod: newModulus(mBits), r: cfg.Hashes, maxWords: cfg.MaxWords}
 	s.enc.New = func() any { return s.newEncState(bestPath, useLanes) }
 	return s
 }
@@ -100,9 +101,6 @@ func (s *Bloom) newEncState(p prfPath, lanes bool) *encState {
 	st.blind.initPath(p)
 	if lanes && p != pathGeneric {
 		st.lanes = new(blindLanes)
-		for i := range st.lanes.el {
-			st.lanes.el[i] = int32(i)
-		}
 	}
 	return st
 }
@@ -211,9 +209,8 @@ func (s *Bloom) encryptMetadata(rnd []byte, words []string, trapdoors []WordTrap
 // PRF_rnd(x)'s leading 8 bytes mod MBits, on every path.
 func (s *Bloom) encrypt(st *encState, rnd []byte, words []string, trapdoors []WordTrapdoor) []byte {
 	filter := make([]byte, (s.mBits+7)/8)
-	mBits := uint64(s.mBits)
 	if st.lanes != nil {
-		st.encryptLanes(rnd, filter, mBits, words, trapdoors)
+		st.encryptLanes(rnd, filter, s.mod, words, trapdoors)
 		return filter
 	}
 	st.blind.setKey(rnd)
@@ -223,36 +220,31 @@ func (s *Bloom) encrypt(st *encState, rnd []byte, words []string, trapdoors []Wo
 		word := paddedMsg{st.word, len(w)}
 		for i := range st.sub {
 			*(*[sha256.Size]byte)(st.td[:]) = st.sub[i].sum(word)
-			setBit(filter, int(st.blind.sum64(x)%mBits))
+			setBit(filter, s.mod.reduce(st.blind.sum64(x)))
 		}
 	}
 	for _, td := range trapdoors {
 		for ; len(td) >= sha256.Size; td = td[sha256.Size:] {
 			copy(st.td[:], td[:sha256.Size])
-			setBit(filter, int(st.blind.sum64(x)%mBits))
+			setBit(filter, s.mod.reduce(st.blind.sum64(x)))
 		}
 	}
 	return filter
 }
 
 // encryptLanes is encrypt's lane path: the loop above with its blinding
-// step on hmac16. The nonce's schedule is derived once and installed in
-// every lane, the elements are gathered as big-endian words, and each 16
-// are blinded by one call.
-func (st *encState) encryptLanes(rnd, filter []byte, mBits uint64, words []string, trapdoors []WordTrapdoor) {
+// step on hmac16. The nonce's schedule is derived once, for every lane,
+// the elements are gathered as big-endian words, and each 16 are
+// blinded by one call.
+func (st *encState) encryptLanes(rnd, filter []byte, mod modulus, words []string, trapdoors []WordTrapdoor) {
 	l := st.lanes
-	ks := st.blind.derive(rnd)
-	for w, v := range ks {
-		for i := range l.kt[w] {
-			l.kt[w][i] = v
-		}
-	}
+	l.ks = st.blind.derive(rnd)
 	for _, w := range words {
 		st.word = appendPadded(st.word[:0], w)
 		word := paddedMsg{st.word, len(w)}
 		for i := range st.sub {
 			l.msg[l.n] = st.sub[i].hmac(word)
-			l.gathered(filter, mBits)
+			l.gathered(filter, mod)
 		}
 	}
 	for _, td := range trapdoors {
@@ -260,28 +252,28 @@ func (st *encState) encryptLanes(rnd, filter []byte, mBits uint64, words []strin
 			for w := range l.msg[l.n] {
 				l.msg[l.n][w] = binary.BigEndian.Uint32(td[4*w:])
 			}
-			l.gathered(filter, mBits)
+			l.gathered(filter, mod)
 		}
 	}
 	if l.n > 0 {
-		l.blind(filter, mBits)
+		l.blind(filter, mod)
 	}
 }
 
 // gathered counts the element just written to msg[n], blinding all 16
 // once the lanes are full.
-func (l *blindLanes) gathered(filter []byte, mBits uint64) {
+func (l *blindLanes) gathered(filter []byte, mod modulus) {
 	if l.n++; l.n == len(l.msg) {
-		l.blind(filter, mBits)
+		l.blind(filter, mod)
 	}
 }
 
 // blind evaluates the gathered elements in one hmac16 call and sets the
 // bit of each of the n live lanes; a dead lane's digest is ignored.
-func (l *blindLanes) blind(filter []byte, mBits uint64) {
-	hmac16(&l.kt, &l.msg[0], &l.el, &l.h)
+func (l *blindLanes) blind(filter []byte, mod modulus) {
+	hmac16(&l.ks, &l.msg, &l.h)
 	for i := range l.n {
-		setBit(filter, int((uint64(l.h[0][i])<<32|uint64(l.h[1][i]))%mBits))
+		setBit(filter, mod.reduce(uint64(l.h[0][i])<<32|uint64(l.h[1][i])))
 	}
 	l.n = 0
 }
@@ -289,7 +281,7 @@ func (l *blindLanes) blind(filter []byte, mBits uint64) {
 // codeword maps a trapdoor element to a blinded bit position:
 // y = PRF_nonce(x) mod m (§5.5.2's F_rnd(x_i)).
 func (s *Bloom) codeword(rnd, x []byte) int {
-	return int(prfUint64(rnd, x) % uint64(s.mBits))
+	return s.mod.reduce(prfUint64(rnd, x))
 }
 
 // MatchBloom checks whether the keyword trapdoor hits the document
@@ -328,6 +320,28 @@ func (s *Bloom) QueryBytes() int {
 
 func bitsFor(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
+}
+
+// modulus reduces mod d without dividing: n mod d is the high 64 bits
+// of (c·n mod 2^128)·d for c = ⌈2^128/d⌉ mod 2^128 (Lemire, Kaser and
+// Kurz 2019, "Faster Remainder by Direct Computation"), exact for every
+// 64-bit n and d.
+type modulus struct{ d, chi, clo uint64 }
+
+func newModulus(d int) modulus {
+	qhi, rem := bits.Div64(0, ^uint64(0), uint64(d)) // c = ⌊(2^128-1)/d⌋ + 1
+	qlo, _ := bits.Div64(rem, ^uint64(0), uint64(d))
+	clo, carry := bits.Add64(qlo, 1, 0)
+	return modulus{d: uint64(d), chi: qhi + carry, clo: clo}
+}
+
+// reduce returns n mod d.
+func (m modulus) reduce(n uint64) int {
+	hi, lo := bits.Mul64(m.clo, n)
+	b1, b0 := bits.Mul64(hi+m.chi*n, m.d)
+	a1, _ := bits.Mul64(lo, m.d)
+	_, carry := bits.Add64(b0, a1, 0)
+	return int(b1 + carry)
 }
 
 func setBit(b []byte, i int) { b[i/8] |= 1 << (i % 8) }

@@ -5,13 +5,13 @@ package pps
 //go:generate go run gen_hmac16.go
 
 // shaniBuilt and lanesBuilt report whether this build carries
-// blockSHANI and hmac16.
+// blockSHANI and the 16-lane kernels.
 const shaniBuilt, lanesBuilt = true, true
 
 // useSHANI mirrors crypto/sha256's own test for its SHA-NI block
 // function: AVX with OS support for the YMM state, SHA, SSE4.1, SSSE3.
 // useLanes asks for AVX-512F with OS support for the opmask and ZMM
-// state, which is everything hmac16 executes.
+// state, which is everything the 16-lane kernels execute.
 var useSHANI, useLanes = func() (shani, lanes bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -37,20 +37,24 @@ var useSHANI, useLanes = func() (shani, lanes bool) {
 func blockSHANI(dig *[8]uint32, p []byte)
 
 // hmac16 is the 16-lane HMAC-SHA-256 (hmac16_amd64.s, written by
-// gen_hmac16.go): lane i evaluates HMAC under the KeySchedule whose
-// words are kt[0..15][i] of the 32-byte message whose big-endian words
-// are msg[el[i]], and writes the digest's words 0 and 1 to out[0][i]
-// and out[1][i]. It gathers by index and checks no bounds: the caller
-// guarantees every el[i] indexes its slice.
+// gen_hmac16.go): lane i evaluates HMAC under the key schedule ks of the
+// 32-byte message whose big-endian words are msg[i], and writes the
+// digest's words 0 and 1 to out[0][i] and out[1][i].
 //
 //go:noescape
-func hmac16(kt *[16][16]uint32, msg *[8]uint32, el *[16]int32, out *[2][16]uint32)
+func hmac16(ks *KeySchedule, msg *[16][8]uint32, out *[2][16]uint32)
 
-// prefetch asks the CPU to bring in the cache lines of filter and of
-// *ks (if ks is not nil), without waiting for them.
+// hmac16el is hmac16 the other way round: one message for every lane,
+// whose inner block's W[t]+K[t] is wk, and lane i keyed by ks[idx[i]],
+// unchecked.
 //
 //go:noescape
-func prefetch(filter []byte, ks *KeySchedule)
+func hmac16el(ks *KeySchedule, idx *[16]uint16, wk *[64]uint32, out *[2][16]uint32)
+
+// prefetch16 asks for the cache lines of *p[0..15], without waiting.
+//
+//go:noescape
+func prefetch16(p *[16]*byte)
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

@@ -147,3 +147,36 @@ func TestEncryptQueryMatchesPRF(t *testing.T) {
 func encodeOnPath(e *Encoder, name string, p prfPath) {
 	e.bloom.enc.New = func() any { return e.bloom.newEncState(p, name == "avx512") }
 }
+
+// TestModulusMatchesMod: the reciprocal reduction is % at the edges: 0,
+// 2^64-1, multiples of m and their neighbours, for m = 1, small m, powers
+// of two and their neighbours, the filter sizes in use and m up to 2^31.
+func TestModulusMatchesMod(t *testing.T) {
+	ms := []uint64{1, 2, 3, 7, 8, 9, 255, 1800, 3000, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<31 - 1, 1 << 31}
+	for _, m := range ms {
+		mod := newModulus(int(m))
+		ns := []uint64{0, 1, m - 1, m, m + 1, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+		for _, k := range []uint64{2, 3, 1 << 20, (1<<64 - 1) / m} {
+			ns = append(ns, k*m-1, k*m, k*m+1)
+		}
+		for _, n := range ns {
+			if got, want := mod.reduce(n), n%m; uint64(got) != want {
+				t.Fatalf("%d mod %d: %d, want %d", n, m, got, want)
+			}
+		}
+	}
+}
+
+// FuzzModulusMatchesMod: the reciprocal reduction is % for any 64-bit
+// value and any m from 1 to 2^31.
+func FuzzModulusMatchesMod(f *testing.F) {
+	f.Add(uint64(0), uint32(1))
+	f.Add(uint64(1<<64-1), uint32(1800))
+	f.Add(uint64(1<<63), uint32(1<<31-1))
+	f.Fuzz(func(t *testing.T, n uint64, m uint32) {
+		d := uint64(m)%(1<<31) + 1
+		if got, want := newModulus(int(d)).reduce(n), n%d; uint64(got) != want {
+			t.Fatalf("%d mod %d: %d, want %d", n, d, got, want)
+		}
+	})
+}

@@ -1,32 +1,27 @@
 //go:build ignore
 
-// gen_hmac16 writes hmac16_amd64.s, the 16-lane HMAC-SHA-256 kernel of
-// the lane path (lanes.go). Run it in this directory:
+// gen_hmac16 writes hmac16_amd64.s, the 16-lane HMAC-SHA-256 kernels:
+// hmac16, the encoder's (bloom.go), and hmac16el, the matcher's
+// (lanes.go). Run it in this directory:
 //
 //	go generate    # or: go run gen_hmac16.go
 //
 // CI regenerates the file and fails if it differs from the one checked
 // in, so edit this program, never the output.
 //
-// The kernel evaluates HMAC(key, x) for a 32-byte x in each of 16
-// lanes, one lane per 32-bit slot of a zmm register. The caller stores
-// the lanes' KeySchedules transposed (kt[w][i] is word w of lane i's),
-// so each chaining value word is one load; lane i's message is the
-// big-endian words msg[el[i]], gathered by index. With x fixed at 32
-// bytes, words 8-15 of the inner block (x padded after the 64-byte
-// ipad block) and of the outer block (the inner digest padded after the
-// opad block) are the same constants, which the generator folds into
-// the round constants and the message schedule. Only digest words 0
-// and 1 leave the kernel: matching reads the leading 8 bytes of the
-// HMAC.
-//
-// Registers: Z0-Z7 the inner state, then the outer message; Z8-Z23 the
-// inner message schedule (Z8-Z15 also the outer's); Z16-Z23 the outer
-// state; Z24-Z26 temporaries; Z31 the gather offsets.
-//
-// The file also carries prefetch, which the lane path calls on the
-// filter and key schedule of a record a few entries before it enters a
-// lane, so that neither load waits on memory.
+// Both evaluate HMAC(key, x) for a 32-byte x in each of 16 lanes, one
+// lane per 32-bit slot of a zmm register, and return digest words 0 and
+// 1: matching reads the leading 8 bytes of the HMAC. With x fixed at 32
+// bytes, words 8-15 of the inner block (x padded after the 64-byte ipad
+// block) and of the outer block (the inner digest padded after the opad
+// block) are constants, which the generator folds into the round
+// constants and the message schedule. hmac16 takes one key schedule,
+// broadcast to every lane, and a message per lane: lane i's is msg[i],
+// gathered. hmac16el takes one
+// message for every lane, as its inner block's W[t]+K[t], so the inner
+// hash has no message schedule; lane i's schedule is row idx[i] of an
+// array, loaded whole and transposed in registers. The file also
+// carries prefetch16.
 package main
 
 import (
@@ -54,14 +49,13 @@ var k256 = [64]uint32{
 // length 8·(64+32).
 var pad = [8]uint32{0x80000000, 0, 0, 0, 0, 0, 0, 8 * (64 + 32)}
 
-const t0, t1, t2 = "Z24", "Z25", "Z26"
-
 func z(i int) string { return fmt.Sprintf("Z%d", i) }
 
 type gen struct {
 	out    bytes.Buffer
 	consts []uint32       // the constant table, in order of first use
 	index  map[uint32]int // constant -> position in consts
+	t      [3]string      // the temporaries of xor3 and a round
 }
 
 func (g *gen) op(format string, args ...any) {
@@ -92,6 +86,7 @@ func sigma1(x uint32) uint32 { return rotr(x, 17) ^ rotr(x, 19) ^ x>>10 }
 // xor3 leaves in t0 the XOR of x rotated right by r1 and r2 and x
 // rotated right (shift false) or shifted right (shift true) by r3.
 func (g *gen) xor3(x string, r1, r2, r3 int, shift bool) {
+	t0, t1, t2 := g.t[0], g.t[1], g.t[2]
 	g.op("VPRORD $%d, %s, %s", r1, x, t0)
 	g.op("VPRORD $%d, %s, %s", r2, x, t1)
 	if shift {
@@ -133,7 +128,7 @@ func (g *gen) next(w *schedule, t int) {
 		c += sigma0(w.val[s])
 	} else {
 		g.xor3(w.reg[s], 7, 18, 3, true)
-		add(t0)
+		add(g.t[0])
 	}
 	if s := (t - 7) % 16; w.known[s] {
 		c += w.val[s]
@@ -144,7 +139,7 @@ func (g *gen) next(w *schedule, t int) {
 		c += sigma1(w.val[s])
 	} else {
 		g.xor3(w.reg[s], 17, 19, 10, true)
-		add(t0)
+		add(g.t[0])
 	}
 	w.known[d], w.val[d] = !held, c
 	if held && c != 0 {
@@ -153,21 +148,28 @@ func (g *gen) next(w *schedule, t int) {
 }
 
 // compress emits the 64 rounds of SHA-256 on the state registers s
-// (a..h) and message w. The registers rotate by name, not by moves, so
+// (a..h) and message w. A nil w is a message every lane shares, whose
+// W[t]+K[t] the caller computed: round t adds word t of the table at BX
+// by embedded broadcast. The registers rotate by name, not by moves, so
 // after 64 rounds the state is back in s.
 func (g *gen) compress(s [8]string, w *schedule) {
+	t0 := g.t[0]
 	for t := 0; t < 64; t++ {
-		if t >= 16 {
-			g.next(w, t)
-		}
 		a, b, c, d, e, f, gg, h := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-		k := k256[t]
-		if slot := t % 16; w.known[slot] {
-			k += w.val[slot]
+		if w == nil {
+			g.op("VPADDD.BCST %d(BX), %s, %s", 4*t, h, h)
 		} else {
-			g.op("VPADDD %s, %s, %s", w.reg[slot], h, h)
+			if t >= 16 {
+				g.next(w, t)
+			}
+			k := k256[t]
+			if slot := t % 16; w.known[slot] {
+				k += w.val[slot]
+			} else {
+				g.op("VPADDD %s, %s, %s", w.reg[slot], h, h)
+			}
+			g.op("VPADDD.BCST %s, %s, %s", g.constant(k), h, h)
 		}
-		g.op("VPADDD.BCST %s, %s, %s", g.constant(k), h, h)
 		g.xor3(e, 6, 11, 25, false) // Σ1(e)
 		g.op("VPADDD %s, %s, %s", t0, h, h)
 		g.op("VMOVDQA32 %s, %s", e, t0)
@@ -183,14 +185,27 @@ func (g *gen) compress(s [8]string, w *schedule) {
 	}
 }
 
-func main() {
-	g := &gen{index: map[uint32]int{}}
-	g.op("MOVQ kt+0(FP), AX")
+// outer emits the outer hash on state s: its message, the inner
+// digest in Z0-Z7, is scheduled in Z0-Z15.
+func (g *gen) outer(s [8]string) {
+	var w schedule
+	for i := range w.reg {
+		w.reg[i] = z(i)
+		w.known[i], w.val[i] = i >= 8, pad[i%8]
+	}
+	g.compress(s, &w)
+}
+
+// hmac16 emits the encoder's kernel. Registers: Z0-Z7 the inner state,
+// then the outer message; Z8-Z23 the inner message schedule (Z8-Z15
+// also the outer's); Z16-Z23 the outer state; Z24-Z26 temporaries; Z31
+// the gather offsets.
+func (g *gen) hmac16() {
+	g.t = [3]string{"Z24", "Z25", "Z26"}
+	g.op("MOVQ ks+0(FP), AX")
 	g.op("MOVQ msg+8(FP), BX")
-	g.op("MOVQ el+16(FP), DX")
-	g.op("MOVQ out+24(FP), SI")
-	g.op("VMOVDQU32 (DX), Z31")
-	g.op("VPSLLD $3, Z31, Z31") // 8 words per element
+	g.op("MOVQ out+16(FP), SI")
+	g.op("VMOVDQU32 offsets<>(SB), Z31")
 
 	var inner, outer [8]string
 	for i := range inner {
@@ -198,80 +213,127 @@ func main() {
 	}
 	g.comment("Inner hash: the chaining value after ipad, then the padded element.")
 	for i, r := range inner {
-		g.op("VMOVDQU32 %d(AX), %s", 64*i, r)
+		g.op("VPBROADCASTD %d(AX), %s", 4*i, r)
 	}
 	var w schedule
 	for i := range w.reg {
 		w.reg[i] = z(8 + i)
+		w.known[i], w.val[i] = i >= 8, pad[i%8]
 	}
 	for i := 0; i < 8; i++ {
 		g.op("KXNORW K1, K1, K1")
 		g.op("VPGATHERDD %d(BX)(Z31*4), K1, %s", 4*i, w.reg[i])
-		w.known[8+i], w.val[8+i] = true, pad[i]
 	}
 	g.compress(inner, &w)
 	for i, r := range inner {
-		g.op("VPADDD %d(AX), %s, %s", 64*i, r, r)
+		g.op("VPADDD.BCST %d(AX), %s, %s", 4*i, r, r)
 	}
 
 	g.comment("Outer hash: the chaining value after opad, then the inner digest.")
 	for i, r := range outer {
-		g.op("VMOVDQU32 %d(AX), %s", 64*(8+i), r)
+		g.op("VPBROADCASTD %d(AX), %s", 4*(8+i), r)
 	}
-	w = schedule{}
-	for i := range w.reg {
-		w.reg[i] = z(i)
-	}
-	for i := 0; i < 8; i++ {
-		w.known[8+i], w.val[8+i] = true, pad[i]
-	}
-	g.compress(outer, &w)
-	g.op("VPADDD 512(AX), Z16, Z16")
-	g.op("VPADDD 576(AX), Z17, Z17")
+	g.outer(outer)
+	g.op("VPADDD.BCST 32(AX), Z16, Z16")
+	g.op("VPADDD.BCST 36(AX), Z17, Z17")
 	g.op("VMOVDQU32 Z16, (SI)")
 	g.op("VMOVDQU32 Z17, 64(SI)")
 	g.op("VZEROUPPER")
 	g.op("RET")
+}
+
+// hmac16el emits the matcher's kernel. Registers: Z16-Z31 the key
+// schedule rows, then words; Z0-Z7 the inner state, then the outer
+// message; Z8-Z10 the inner temporaries; Z0-Z15 the outer message
+// schedule; Z24-Z31 the outer state; Z18-Z20 its temporaries.
+func (g *gen) hmac16el() {
+	g.op("MOVQ ks+0(FP), AX")
+	g.op("MOVQ idx+8(FP), DX")
+	g.op("MOVQ wk+16(FP), BX")
+	g.op("MOVQ out+24(FP), SI")
+
+	g.comment("Load lane i's key schedule into Z(16+i) and transpose: word w to Z(16+w).")
+	for i := 0; i < 16; i++ {
+		r := fmt.Sprintf("R%d", 8+i%4)
+		g.op("MOVWQZX %d(DX), %s", 2*i, r)
+		g.op("SHLQ $6, %s", r)
+		g.op("VMOVDQU32 (AX)(%s*1), %s", r, z(16+i))
+	}
+	// Within each 128-bit lane (words 4k..4k+3) of rows a, b, c, d:
+	// [a0 b0 a1 b1] and [a2 b2 a3 b3] to Z0-Z15, then [a0 b0 c0 d0] ...
+	// [a3 b3 c3 d3] back to Z16-Z31: Z(16+4g+j) is word 4k+j of rows
+	// 4g..4g+3 in lane k.
+	for i := 0; i < 16; i += 2 {
+		g.op("VPUNPCKLDQ %s, %s, %s", z(17+i), z(16+i), z(i))
+		g.op("VPUNPCKHDQ %s, %s, %s", z(17+i), z(16+i), z(i+1))
+	}
+	for i := 0; i < 16; i++ {
+		g.op("VPUNPCK%sQDQ %s, %s, %s", [2]string{"L", "H"}[i%2], z(i&^3+2+i%4/2), z(i&^3+i%4/2), z(16+i))
+	}
+	// Then across lanes: Z(8h+2j+p) holds lanes 2h and 2h+1 of Z(16+8p+j)
+	// and Z(20+8p+j), and word 4(2h+q)+j of every row is lane q of each.
+	for i := 0; i < 16; i++ {
+		h, j, p := i/8, i%8/2, i%2
+		g.op("VSHUFI32X4 $%#x, %s, %s, %s", [2]int{0x44, 0xee}[h], z(20+8*p+j), z(16+8*p+j), z(i))
+	}
+	for i := 0; i < 16; i++ {
+		h, q, j := i/8, i%8/4, i%4
+		g.op("VSHUFI32X4 $%#x, %s, %s, %s", [2]int{0x88, 0xdd}[q], z(8*h+2*j+1), z(8*h+2*j), z(16+i))
+	}
+
+	g.comment("Inner hash: the chaining value after ipad, then the element's W[t]+K[t].")
+	var inner, outer [8]string
+	for i := range inner {
+		inner[i], outer[i] = z(i), z(24+i)
+		g.op("VMOVDQA32 %s, %s", z(16+i), inner[i])
+	}
+	g.t = [3]string{"Z8", "Z9", "Z10"}
+	g.compress(inner, nil)
+	for i, r := range inner {
+		g.op("VPADDD %s, %s, %s", z(16+i), r, r)
+	}
+
+	g.comment("Outer hash: the chaining value after opad (Z24-Z31, words 0 and 1 kept in Z16-Z17), then the inner digest.")
+	g.op("VMOVDQA32 Z24, Z16")
+	g.op("VMOVDQA32 Z25, Z17")
+	g.t = [3]string{"Z18", "Z19", "Z20"}
+	g.outer(outer)
+	g.op("VPADDD Z16, Z24, Z24")
+	g.op("VPADDD Z17, Z25, Z25")
+	g.op("VMOVDQU32 Z24, (SI)")
+	g.op("VMOVDQU32 Z25, 64(SI)")
+	g.op("VZEROUPPER")
+	g.op("RET")
+}
+
+func main() {
+	g := &gen{index: map[uint32]int{}}
+	text := func(name, decl string, args int) {
+		fmt.Fprintf(&g.out, "\n// func %s%s\nTEXT ·%s(SB), NOSPLIT, $0-%d\n", name, decl, name, args)
+	}
+	text("hmac16", "(ks *KeySchedule, msg *[16][8]uint32, out *[2][16]uint32)", 24)
+	g.hmac16()
+	text("hmac16el", "(ks *KeySchedule, idx *[16]uint16, wk *[64]uint32, out *[2][16]uint32)", 32)
+	g.hmac16el()
+	text("prefetch16", "(p *[16]*byte)", 8)
+	g.op("MOVQ p+0(FP), AX")
+	for i := 0; i < 16; i++ {
+		g.op("MOVQ %d(AX), BX", 8*i)
+		g.op("PREFETCHT0 (BX)")
+	}
+	g.op("RET")
 
 	var f bytes.Buffer
-	f.WriteString(`// Code generated by gen_hmac16.go; DO NOT EDIT.
-
-//go:build amd64 && !purego
-
-#include "textflag.h"
-
-`)
+	f.WriteString("// Code generated by gen_hmac16.go; DO NOT EDIT.\n\n//go:build amd64 && !purego\n\n#include \"textflag.h\"\n\n")
 	for i, c := range g.consts {
 		fmt.Fprintf(&f, "DATA consts<>+%d(SB)/4, $0x%08x\n", 4*i, c)
 	}
-	fmt.Fprintf(&f, "GLOBL consts<>(SB), RODATA|NOPTR, $%d\n\n", 4*len(g.consts))
-	f.WriteString("// func hmac16(kt *[16][16]uint32, msg *[8]uint32, el *[16]int32, out *[2][16]uint32)\n")
-	f.WriteString("TEXT ·hmac16(SB), NOSPLIT, $0-32\n")
+	fmt.Fprintf(&f, "GLOBL consts<>(SB), RODATA|NOPTR, $%d\n", 4*len(g.consts))
+	for i := 0; i < 16; i++ { // hmac16's gather offsets: lane i reads msg[i]
+		fmt.Fprintf(&f, "DATA offsets<>+%d(SB)/4, $%d\n", 4*i, 8*i)
+	}
+	f.WriteString("GLOBL offsets<>(SB), RODATA|NOPTR, $64\n")
 	f.Write(g.out.Bytes())
-	f.WriteString(`
-// func prefetch(filter []byte, ks *KeySchedule)
-TEXT ·prefetch(SB), NOSPLIT, $0-32
-	MOVQ ks+24(FP), AX
-	TESTQ AX, AX
-	JZ   filter
-	PREFETCHT0 (AX)
-
-filter:
-	MOVQ filter_base+0(FP), AX
-	MOVQ filter_len+8(FP), BX
-	ADDQ AX, BX
-	ANDQ $~63, AX
-
-line:
-	CMPQ AX, BX
-	JAE  done
-	PREFETCHT0 (AX)
-	ADDQ $64, AX
-	JMP  line
-
-done:
-	RET
-`)
 	if err := os.WriteFile("hmac16_amd64.s", f.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}

@@ -41,17 +41,12 @@ package pps
 // (prf in prf.go).
 //
 // Beside the kernel, a CPU with AVX-512F (probed with the same CPUID
-// code, useLanes) gives a Run the lane path (lanes.go): hmac16
-// evaluates 16 records' HMACs of one 32-byte element each per call,
-// in zmm registers, from the same KeySchedules. It runs in
-// Run.MatchScheduled once the predicate order is settled, and only for
-// queries whose trapdoor elements are all 32 bytes; sampling, single
-// records and a batch's last few live lanes stay on this kernel. Its
-// answers are the per-record loop's, ids in the same order. The same
-// hmac16 serves EncryptMetadata's nonce-keyed half (bloom.go): one
-// document's schedule in all 16 lanes, 16 of its trapdoor elements per
-// call, bit for bit the filter this kernel writes one element at a time.
-// The word trapdoors under the r sub-keys stay on this kernel.
+// code, useLanes) gives a Run the lane path (lanes.go): hmac16el
+// evaluates one 32-byte trapdoor element under 16 records' KeySchedules
+// per call, with the same answers as this kernel. The encoder's hmac16
+// (bloom.go) takes one document's schedule and 16 of its elements per
+// call, bit for bit the filter this kernel writes. Every path reduces a
+// digest's leading 8 bytes mod MBits the same way (modulus, bloom.go).
 //
 // A kernel is NOT safe for concurrent use; embed one per Run (matching)
 // or per pooled encode state (EncryptMetadata).

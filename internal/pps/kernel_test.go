@@ -393,13 +393,14 @@ func TestNewRunAllocations(t *testing.T) {
 
 // scanBatch is the store's default BatchSize: the records one
 // MatchScheduled call sees.
-const scanBatch = 256
+const scanBatch = LaneWindow
 
 // BenchmarkMatchKernel compares, in the settled-order steady state, the
 // generic crypto/hmac evaluation per hash (as MatchOne does) against the
 // zero-allocation kernel keyed per record from the nonce ("kernel":
-// Run.Match, one record per call) and from stored schedules in 256-record
-// batches ("scheduled": what store.MatchArc pays, on the best path),
+// Run.Match, one record per call) and from stored schedules in
+// scanBatch-record batches ("scheduled": what store.MatchArc pays, on
+// the best path),
 // then "scheduled" on each path this build and CPU can run
 // ("scheduled/<path>", the lane path as "avx512"). "sampling/<path>",
 // on every path but generic, is the cost of a sampled record: a
@@ -515,8 +516,11 @@ var prfSink uint64
 
 // BenchmarkPRFEval is the cost of one PRF evaluation of a 32-byte
 // element under a stored schedule: "shani" is one compress-path
-// evaluation (keys cycling through a 256-record batch), "avx512" one
-// hmac16 call divided by its 16 lanes (16 keys installed).
+// evaluation (keys cycling through a scanBatch-record batch), "avx512"
+// one hmac16 call divided by its 16 lanes (the encoder's: one key, 16
+// elements), "avx512-element" one hmac16el call divided by its 16 lanes
+// (the matcher's: 16 keys by index, cycling through the batch, one
+// element).
 func BenchmarkPRFEval(b *testing.B) {
 	const batch = scanBatch
 	rng := rand.New(rand.NewSource(3))
@@ -541,12 +545,22 @@ func BenchmarkPRFEval(b *testing.B) {
 	}
 	if useLanes {
 		b.Run("avx512", func(b *testing.B) {
-			l := (&Matcher{mBits: 1}).NewRun(Query{Preds: []BloomQuery{{Trapdoor: [][]byte{x}}}}).lanes
-			for j := range l.el {
-				l.setKey(j, &ks[j])
-			}
+			var (
+				msg [16][8]uint32
+				h   [2][16]uint32
+			)
 			for i := 0; i < b.N; i += 16 { // an op is one lane's evaluation
-				hmac16(&l.kt, &l.msg[0], &l.el, &l.h)
+				hmac16(&ks[0], &msg, &h)
+			}
+		})
+		b.Run("avx512-element", func(b *testing.B) {
+			l := (&Matcher{mBits: 1}).NewRun(Query{Preds: []BloomQuery{{Trapdoor: [][]byte{x}}}}).lanes
+			var idx [16]uint16
+			for i := 0; i < b.N; i += 16 { // an op is one lane's evaluation
+				for j := range idx {
+					idx[j] = uint16(i+j) % batch
+				}
+				hmac16el(&ks[0], &idx, &l.wk[0], &l.h)
 			}
 		})
 	}

@@ -3,137 +3,156 @@ package pps
 import (
 	"encoding/binary"
 	"math/bits"
+	"sync"
 )
 
-// The lane path: on CPUs with AVX-512F (useLanes), a scan advances 16
-// records at once instead of one. (The encoder uses hmac16 the other way
-// round: one document's key in every lane, 16 of its trapdoor elements
-// per call; see Bloom.encrypt.) Each step
+// The lane path: on CPUs with AVX-512F (useLanes), a scan evaluates 16
+// records at once, element-major. A pass over a window of up to
+// LaneWindow records keeps the indices of the records still undecided
+// and takes the order's predicates, and each predicate's elements, one
+// after another: an element pass hands the candidates to hmac16el 16 at
+// a time and keeps, in place and in record order, those whose bit is
+// set. AND keeps the candidates a predicate holds for; OR records them
+// as matches and goes on with the rest. An empty predicate holds.
 //
-//  1. evaluates every lane's next trapdoor element under that lane's
-//     record key schedule in one hmac16 call (digest words 0-1 only);
-//  2. computes every lane's bit position and loads every lane's filter
-//     byte, in one pass, before any bit is tested;
-//  3. advances every lane by its bit: to the next element, the next
-//     predicate, or a verdict, after which the lane takes the batch's
-//     next record.
+// Every lane of a call evaluates the same element, so its inner message
+// schedule, W[t]+K[t], is computed once, when the Run starts, and each
+// round adds one broadcast word; lane i's KeySchedule is loaded by its
+// index into the window. A call costs under a third of 16 SHA-NI
+// evaluations. A call's bits are tested after the next call, which
+// hides the prefetch of their filter bytes. The last call of an element
+// pads its dead lanes with a live index and ignores their results; one
+// with fewer than laneMin live lanes runs them on the per-record kernel.
+// Hosts without AVX-512F run the per-record loop unchanged. (The
+// encoder's hmac16 has the other shape: one key, 16 elements a call;
+// see Bloom.encrypt.)
 //
-// A 16-lane call costs a third of one SHA-NI evaluation per lane. The
-// filter and key schedule of a record are prefetched laneAhead records
-// before it enters a lane, so the loads of steps 2 and 3 find them in
-// cache instead of stalling behind the branch on the last bit. Hosts
-// without AVX-512F run the per-record loop unchanged: feeding the lanes
-// through SHA-NI one at a time measured slower than that loop.
-//
-// A pass (lanePass) takes a window of records through the lanes in one
-// order of predicates and leaves a bitmap of the matches. A settled Run
-// (or one with a single predicate) makes one pass per window in its
-// settled order. A Run that is still sampling makes one pass per
-// predicate over the records that complete its quota, each in that
-// predicate alone: the bitmaps count toward the selectivities and
+// A settled Run (or one with a single predicate) makes one pass per
+// window in its settled order. A Run that is still sampling makes one
+// pass per predicate over the records that complete its quota, each in
+// that predicate alone: the bitmaps count toward the selectivities and
 // combine by AND or OR into the verdicts, and the Run settles exactly at
 // SelectivitySamples records, as the per-record loop would.
 //
 // The lane path gives exactly the per-record loop's answer, ids in
-// record order, with the same Sampled and Order after every call;
-// FuzzLanesMatchPerRecord compares the two. Each lane steps through its
-// order with the same rules as orderedMatch and evalPred: an empty
-// predicate holds, AND stops at the first predicate that fails, OR at
-// the first that holds, and the bit position is the digest's leading 8
-// bytes mod MBits. A record whose filter is shorter than MBits never
-// enters a lane, matches nothing and is not a sample.
+// record order, with the same Sampled and Order after every call, and
+// evaluates the same (record, element) pairs; FuzzLanesMatchPerRecord
+// and TestLanesEvaluatePerRecordPairs compare the two. A record whose
+// filter is shorter than MBits is never a candidate, matches nothing
+// and is not a sample.
 
 const (
-	// laneMin: once no record is left to enter, fewer live lanes than
-	// this finish on the per-record kernel, where a 16-lane call would
-	// cost more than their SHA-NI evaluations.
+	// laneMin: a call with fewer live lanes than this runs them on the
+	// per-record kernel, where a 16-lane call would cost more than
+	// their SHA-NI evaluations.
 	laneMin = 6
-	// laneWindow is the most records one lane pass takes: the size of
-	// a hit bitmap.
-	laneWindow = 64 * 64
-	// laneAhead is how many records ahead of the next to enter a lane
-	// the lane path prefetches filters and key schedules: about two
-	// steps of entries, so that each arrives before it is read.
-	laneAhead = 16
+	// LaneWindow is the most records one lane pass takes: the size of a
+	// hit bitmap, and the records a store hands a matcher at once.
+	LaneWindow = 64 * 64
 )
 
 // lanes is a Run's lane path state. It lives in the Run, not on the
-// matcher goroutine's stack, and hmac16 takes pointers into it.
+// matcher goroutine's stack, and hmac16el takes pointers into it.
 type lanes struct {
-	// msg is every trapdoor element, as big-endian words, predicate
-	// after predicate; first is the Run's: predicate p's elements are
-	// msg[first[p]:first[p+1]].
-	msg   [][8]uint32
-	first []int32
+	// wk[e] is element e's inner block scheduled, W[t]+K[t]: every
+	// trapdoor element of the Run, indexed as Run.padded.
+	wk [][64]uint32
 
 	// preds[p] is p: preds[p:p+1] is the one-predicate order a sampling
 	// pass evaluates predicate p in, and the whole of a one-predicate
 	// Run's order, as it never samples.
 	preds []int
 
-	// hmac16's operands: the lanes' KeySchedules transposed (kt[w][i]
-	// is word w of lane i's), the element (index into msg) each lane
-	// evaluates next, and the digests' words 0 and 1. A dead lane has
-	// el = 0.
-	kt [16][16]uint32
-	el [16]int32
-	h  [2][16]uint32
-
-	// Per lane: the record (index into the window), the current
-	// predicate's place in the order and its end in msg, and the
-	// record's filter.
-	rec    [16]int32
-	pos    [16]int32
-	end    [16]int32
-	filter [16][]byte
-
-	live uint32                  // bit i: lane i holds a record
-	hits [laneWindow / 64]uint64 // bit i: record i of the window matched
+	sc    *scratch                // borrowed for a MatchScheduled call
+	h     [2][16]uint32           // hmac16el's digests, words 0 and 1
+	hits  [LaneWindow / 64]uint64 // bit i: record i of the window matched
+	evals int                     // (record, element) pairs evaluated, dead lanes not counted
 }
 
-// newLanes returns the lane state for q, whose elements the Run indexes
-// by first, with preds (len(q.Preds) ints) as its storage; or nil if the
-// lane path cannot run it: no AVX-512F, no predicate, or an element
-// hmac16 cannot take.
-func newLanes(q Query, first []int32, preds []int) *lanes {
-	if !useLanes || len(q.Preds) == 0 {
+// k256 is SHA-256's round constants (FIPS 180-4 §4.2.2).
+var k256 = [64]uint32{
+	0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+	0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+	0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+	0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+	0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+	0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+	0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+}
+
+// scheduleWK returns W[t]+K[t] of the single block b: the message
+// schedule of FIPS 180-4 §6.2.2, plus the round constants.
+func scheduleWK(b []byte) (wk [64]uint32) {
+	var w [64]uint32
+	for t := range 16 {
+		w[t] = binary.BigEndian.Uint32(b[4*t:])
+	}
+	for t := 16; t < 64; t++ {
+		s0 := bits.RotateLeft32(w[t-15], -7) ^ bits.RotateLeft32(w[t-15], -18) ^ w[t-15]>>3
+		s1 := bits.RotateLeft32(w[t-2], -17) ^ bits.RotateLeft32(w[t-2], -19) ^ w[t-2]>>10
+		w[t] = s1 + w[t-7] + s0 + w[t-16]
+	}
+	for t := range wk {
+		wk[t] = w[t] + k256[t]
+	}
+	return wk
+}
+
+// newLanes returns the lane state for the Run's padded elements, with
+// preds (one int per predicate) as its storage; or nil if the lane path
+// cannot run it: no AVX-512F, no predicate, or an element hmac16el
+// cannot take (not 32 bytes, so not one padded block).
+func newLanes(padded []paddedMsg, preds []int) *lanes {
+	if !useLanes || len(preds) == 0 {
 		return nil
 	}
-	l := &lanes{msg: make([][8]uint32, 0, first[len(q.Preds)]), first: first, preds: preds}
-	for i, p := range q.Preds {
+	l := &lanes{wk: make([][64]uint32, len(padded)), preds: preds}
+	for i := range preds {
 		l.preds[i] = i
-		for _, x := range p.Trapdoor {
-			if len(x) != 32 {
-				return nil
-			}
-			var w [8]uint32
-			for i := range w {
-				w[i] = binary.BigEndian.Uint32(x[4*i:])
-			}
-			l.msg = append(l.msg, w)
+	}
+	for e, x := range padded {
+		if x.n != 32 {
+			return nil
 		}
+		l.wk[e] = scheduleWK(x.blocks)
 	}
 	return l
 }
 
-// lanesReady reports whether the lane path takes the Run's records:
-// there are lanes, and key schedules to feed them.
-func (r *Run) lanesReady() bool {
-	return r.lanes != nil && r.prf.path != pathGeneric
+// scratch is a lane path's working storage, pooled: a Run borrows one
+// for the length of a MatchScheduled call.
+type scratch struct {
+	// The candidate lists, indices into the window: an element pass
+	// compacts one in place and appends the records it rejects to the
+	// other. Each has room for a last call's padding.
+	cand [2][LaneWindow + 15]uint16
+	ks   []KeySchedule // a window's, for a caller that has none
 }
 
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
 // matchLanes is MatchScheduled's lane path. A nil ks derives each
-// record's schedule as it enters a lane.
+// window's schedules before its pass.
 func (r *Run) matchLanes(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
+	sc := scratches.Get().(*scratch)
+	r.lanes.sc = sc
+	defer func() { r.lanes.sc = nil; scratches.Put(sc) }()
+	derive := ks == nil
+	if derive && sc.ks == nil {
+		sc.ks = make([]KeySchedule, 0, LaneWindow)
+	}
 	for len(recs) > 0 {
-		n := min(len(recs), laneWindow)
+		n := min(len(recs), LaneWindow)
 		sampling := r.order == nil && len(r.q.Preds) > 1
 		samples := 0
 		if sampling {
 			n, samples = r.sampleSpan(recs[:n])
 		}
 		var wks []KeySchedule
-		if ks != nil {
+		if derive {
+			wks = appendKeySchedules(&r.prf, sc.ks[:0], recs[:n])
+		} else {
 			wks, ks = ks[:n], ks[n:]
 		}
 		if sampling {
@@ -172,11 +191,10 @@ func (r *Run) sampleSpan(recs []Encoded) (n, samples int) {
 // and OR). Each pass's hits count toward its predicate and combine into
 // the verdicts, on a bitmap on the stack; the Run then settles if the
 // quota is met, exactly as sampleMatch would have after these records.
-// Without ks, every pass derives a record's schedule anew.
 func (r *Run) sampleLanes(recs []Encoded, ks []KeySchedule, samples int, out []uint64) []uint64 {
 	l := r.lanes
 	and := r.q.Op == And
-	var verdicts [laneWindow / 64]uint64
+	var verdicts [LaneWindow / 64]uint64
 	words := (len(recs) + 63) / 64
 	for p := range r.q.Preds {
 		r.lanePass(recs, ks, l.preds[p:p+1], true)
@@ -212,145 +230,87 @@ func appendHits(hits []uint64, recs []Encoded, out []uint64) []uint64 {
 	return out
 }
 
-// lanePass takes recs (at most laneWindow of them) through the lanes in
-// order, AND or OR, and leaves the matches in l.hits.
+// lanePass takes recs (at most LaneWindow of them, ks their schedules)
+// through the lanes in order, AND or OR, and leaves the matches in
+// l.hits.
 func (r *Run) lanePass(recs []Encoded, ks []KeySchedule, order []int, and bool) {
 	l := r.lanes
-	mBits := uint64(r.m.mBits)
-
-	ahead := func(rec int) {
-		if rec < len(recs) {
-			var k *KeySchedule
-			if ks != nil {
-				k = &ks[rec]
-			}
-			prefetch(recs[rec].Filter, k)
+	cand, other := l.sc.cand[0][:0], 1
+	for i := range recs {
+		if len(recs[i].Filter)*8 >= r.m.mBits {
+			cand = append(cand, uint16(i))
 		}
 	}
-	for rec := range laneAhead {
-		ahead(rec)
+	for _, p := range order {
+		held, rest := cand, l.sc.cand[other][:0]
+		for e := r.first[p]; e < r.first[p+1] && len(held) > 0; e++ {
+			held, rest = r.elementPass(recs, ks, int(e), held, rest)
+		}
+		if and {
+			cand = held
+			continue
+		}
+		l.hit(held) // OR: decided; the rest try the next predicate
+		cand, other = rest, 1-other
 	}
-	next := 0 // the next record to enter a lane
-	fill := func(i int) {
-		for next < len(recs) {
-			rec := next
-			next++
-			ahead(rec + laneAhead)
-			if len(recs[rec].Filter)*8 < r.m.mBits {
-				continue
-			}
-			if done, match := l.seek(i, 0, order, and); done {
-				if match {
-					l.hit(rec)
+	if and {
+		l.hit(cand)
+	}
+}
+
+// elementPass evaluates element e for the records of cand and returns
+// those whose bit is set, compacted in place in record order, and rest
+// with those whose bit is clear appended. A call's bits are tested
+// after the next call: their filter bytes are prefetched before it and
+// arrive while it runs.
+func (r *Run) elementPass(recs []Encoded, ks []KeySchedule, e int, cand, rest []uint16) (kept, rejected []uint16) {
+	l := r.lanes
+	n, nk, nr := len(cand), 0, len(rest)
+	rest = rest[:nr+n]
+	var (
+		at    [2][16]*byte // the filter byte of each lane's bit: this call's, the last's
+		shift [2][16]uint8
+	)
+	for k, c := 0, 0; k < n+16; k, c = k+16, 1-c {
+		if k < n {
+			live := min(16, n-k)
+			if live >= laneMin {
+				lane := cand[k : k+16 : k+16]
+				for i := live; i < 16; i++ {
+					lane[i] = cand[n-1] // a dead lane: padded, its result ignored
 				}
-				continue
-			}
-			if ks != nil {
-				l.setKey(i, &ks[rec])
+				hmac16el(&ks[0], (*[16]uint16)(lane), &l.wk[e], &l.h)
 			} else {
-				s := r.prf.derive(recs[rec].Nonce)
-				l.setKey(i, &s)
-			}
-			l.rec[i], l.filter[i] = int32(rec), recs[rec].Filter
-			l.live |= 1 << i
-			return
-		}
-		l.el[i], l.filter[i] = 0, nil
-		l.live &^= 1 << i
-	}
-	for i := range l.el {
-		fill(i)
-	}
-	for next < len(recs) || bits.OnesCount32(l.live) >= laneMin {
-		for _, e := range l.el { // hmac16 gathers msg[e] unchecked
-			if uint(e) >= uint(len(l.msg)) {
-				panic("pps: lane element index out of range")
-			}
-		}
-		hmac16(&l.kt, &l.msg[0], &l.el, &l.h)
-		var set uint32 // bit i: lane i's bit is set in its filter
-		for m := l.live; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros32(m)
-			pos := (uint64(l.h[0][i])<<32 | uint64(l.h[1][i])) % mBits
-			set |= uint32(l.filter[i][pos/8]>>(pos%8)&1) << i
-		}
-		for m := l.live; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros32(m)
-			if done, match := l.advance(i, set>>i&1 == 1, order, and); done {
-				if match {
-					l.hit(int(l.rec[i]))
+				for i, rec := range cand[k:n] {
+					r.prf.install(&ks[rec])
+					d := r.prf.hmac(r.padded[e])
+					l.h[0][i], l.h[1][i] = d[0], d[1]
 				}
-				fill(i)
 			}
-		}
-	}
-
-	// The tail: finish the remaining lanes one by one.
-	for m := l.live; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		var s KeySchedule
-		for w := range s {
-			s[w] = l.kt[w][i]
-		}
-		r.prf.install(&s)
-		for {
-			pos := r.prf.sum64(r.padded[l.el[i]]) % mBits
-			done, match := l.advance(i, getBit(l.filter[i], int(pos)), order, and)
-			if done {
-				if match {
-					l.hit(int(l.rec[i]))
-				}
-				break
+			for i := range 16 {
+				j := min(i, live-1) // a dead lane: the last live one's byte
+				pos := r.mod.reduce(uint64(l.h[0][j])<<32 | uint64(l.h[1][j]))
+				at[c][i], shift[c][i] = &recs[cand[k+j]].Filter[pos/8], uint8(pos%8)
 			}
+			prefetch16(&at[c])
 		}
-		l.el[i], l.filter[i] = 0, nil
-	}
-	l.live = 0
-}
-
-// hit records that record rec of the pass matched.
-func (l *lanes) hit(rec int) { l.hits[rec/64] |= 1 << (rec % 64) }
-
-// setKey installs s as lane i's key, unrolled: a record enters a lane
-// every few evaluations.
-func (l *lanes) setKey(i int, s *KeySchedule) {
-	i &= 15
-	l.kt[0][i], l.kt[1][i], l.kt[2][i], l.kt[3][i] = s[0], s[1], s[2], s[3]
-	l.kt[4][i], l.kt[5][i], l.kt[6][i], l.kt[7][i] = s[4], s[5], s[6], s[7]
-	l.kt[8][i], l.kt[9][i], l.kt[10][i], l.kt[11][i] = s[8], s[9], s[10], s[11]
-	l.kt[12][i], l.kt[13][i], l.kt[14][i], l.kt[15][i] = s[12], s[13], s[14], s[15]
-}
-
-// seek moves lane i to the first predicate at or after place pos in
-// order that has elements to evaluate. An empty predicate holds, so it
-// decides an OR and is passed over by an AND. done reports a verdict
-// instead: AND with every predicate held, OR with none.
-func (l *lanes) seek(i, pos int, order []int, and bool) (done, match bool) {
-	for ; pos < len(order); pos++ {
-		p := order[pos]
-		if l.first[p] < l.first[p+1] {
-			l.pos[i], l.el[i], l.end[i] = int32(pos), l.first[p], l.first[p+1]
-			return false, false
+		if k == 0 {
+			continue
 		}
-		if !and {
-			return true, true
+		for i, rec := range cand[k-16 : min(k, n)] {
+			set := int(*at[1-c][i] >> shift[1-c][i] & 1)
+			cand[nk], rest[nr] = rec, rec
+			nk, nr = nk+set, nr+1-set
 		}
 	}
-	return true, and
+	l.evals += n
+	return cand[:nk], rest[:nr]
 }
 
-// advance moves lane i past its current element, whose bit was set or
-// not; done and match as for seek.
-func (l *lanes) advance(i int, set bool, order []int, and bool) (done, match bool) {
-	if set {
-		if l.el[i]++; l.el[i] < l.end[i] {
-			return false, false
-		}
-		if !and { // the predicate holds: OR is decided
-			return true, true
-		}
-	} else if and { // the predicate fails: AND is decided
-		return true, false
+// hit records that the records of recs (indices into the window)
+// matched.
+func (l *lanes) hit(recs []uint16) {
+	for _, rec := range recs {
+		l.hits[rec/64] |= 1 << (rec % 64)
 	}
-	return l.seek(i, int(l.pos[i])+1, order, and)
 }

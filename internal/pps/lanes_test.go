@@ -31,10 +31,13 @@ func skipWithoutLanes(t testing.TB) {
 	}
 }
 
-// TestHMAC16MatchesHMAC: every lane of hmac16 is crypto/hmac's leading
-// 8 bytes, for keys of any length (schedules from AppendKeySchedules)
-// and random 32-byte elements, whatever the lanes hold: all distinct,
-// repeated, or all one key and element.
+// TestHMAC16MatchesHMAC: every lane of both 16-lane kernels is
+// crypto/hmac's leading 8 bytes, for keys of any length (schedules from
+// AppendKeySchedules) and random 32-byte elements. hmac16 (one key, an
+// element per lane) is checked whatever the lanes hold: all distinct,
+// repeated, or all one element. hmac16el (one element, keys by index)
+// is checked for every element of a 17-element trapdoor, with indices
+// distinct, repeated, all one, and at the last schedule.
 func TestHMAC16MatchesHMAC(t *testing.T) {
 	skipWithoutLanes(t)
 	rng := mrand.New(mrand.NewSource(40))
@@ -45,35 +48,59 @@ func TestHMAC16MatchesHMAC(t *testing.T) {
 	}
 	ks := AppendKeySchedules(nil, recs)
 	elems := make([][]byte, 20)
-	l := &lanes{msg: make([][8]uint32, len(elems))}
 	for i := range elems {
 		elems[i] = make([]byte, 32)
 		rng.Read(elems[i])
-		for w := range l.msg[i] {
-			l.msg[i][w] = binary.BigEndian.Uint32(elems[i][4*w:])
-		}
 	}
-	var rec [16]int
-	for trial := 0; trial < 300; trial++ {
-		nr, ne := len(recs), len(elems)
-		switch trial % 3 {
-		case 1: // repeats
-			nr, ne = 3, 2
-		case 2: // one record, one element
-			nr, ne = 1, 1
-		}
-		r0, e0 := rng.Intn(len(recs)-nr+1), rng.Intn(len(elems)-ne+1)
+	check := func(kernel string, trial int, h *[2][16]uint32, rec *[16]int, el *[16]int32) {
+		t.Helper()
 		for i := range rec {
-			rec[i], l.el[i] = r0+rng.Intn(nr), int32(e0+rng.Intn(ne))
-			l.setKey(i, &ks[rec[i]])
-		}
-		hmac16(&l.kt, &l.msg[0], &l.el, &l.h)
-		for i := range rec {
-			want := prf(recs[rec[i]].Nonce, elems[l.el[i]])
-			if l.h[0][i] != binary.BigEndian.Uint32(want) || l.h[1][i] != binary.BigEndian.Uint32(want[4:]) {
-				t.Fatalf("trial %d lane %d (record %d, element %d): %08x %08x, want %x", trial, i, rec[i], l.el[i], l.h[0][i], l.h[1][i], want[:8])
+			want := prf(recs[rec[i]].Nonce, elems[el[i]])
+			if h[0][i] != binary.BigEndian.Uint32(want) || h[1][i] != binary.BigEndian.Uint32(want[4:]) {
+				t.Fatalf("%s trial %d lane %d (record %d, element %d): %08x %08x, want %x", kernel, trial, i, rec[i], el[i], h[0][i], h[1][i], want[:8])
 			}
 		}
+	}
+	var (
+		rec [16]int
+		el  [16]int32
+		msg [16][8]uint32
+		h   [2][16]uint32
+	)
+	for trial := 0; trial < 300; trial++ {
+		ne := []int{len(elems), 2, 1}[trial%3] // distinct, repeats, all one
+		e0, r := rng.Intn(len(elems)-ne+1), rng.Intn(len(recs))
+		for i := range rec {
+			rec[i], el[i] = r, int32(e0+rng.Intn(ne))
+			for w := range msg[i] {
+				msg[i][w] = binary.BigEndian.Uint32(elems[el[i]][4*w:])
+			}
+		}
+		hmac16(&ks[r], &msg, &h)
+		check("hmac16", trial, &h, &rec, &el)
+	}
+
+	// hmac16el: each element of a 17-element trapdoor under 16 keys.
+	q := Query{Preds: []BloomQuery{{Trapdoor: elems[:17]}}}
+	l := (&Matcher{mBits: 1}).NewRun(q).lanes
+	var idx [16]uint16
+	for trial := 0; trial < 4*17; trial++ {
+		e := trial % 17
+		for i := range idx {
+			switch trial / 17 {
+			case 0: // distinct
+				rec[i] = (trial + 3*i) % len(recs)
+			case 1: // repeated
+				rec[i] = 7 + i%3
+			case 2: // all one
+				rec[i] = 11
+			case 3: // the last schedule among others
+				rec[i] = len(ks) - 1 - i%2*rng.Intn(len(ks))
+			}
+			idx[i], el[i] = uint16(rec[i]), int32(e)
+		}
+		hmac16el(&ks[0], &idx, &l.wk[e], &h)
+		check("hmac16el", trial, &h, &rec, &el)
 	}
 }
 
@@ -171,6 +198,18 @@ func FuzzLanesMatchPerRecord(f *testing.F) {
 	}
 	f.Add(int64(99), uint16(40), uint8(0))
 	f.Add(int64(98), uint16(0), uint8(1))
+	// Batches of more than 256 records: AND and OR, one to three
+	// predicates, short filters inside the sample.
+	f.Add(int64(100), uint16(999), uint8(1))
+	f.Add(int64(100), uint16(999), uint8(5))
+	f.Add(int64(102), uint16(999), uint8(2))
+	f.Add(int64(102), uint16(999), uint8(6))
+	f.Add(int64(102), uint16(999), uint8(18))
+	f.Add(int64(102), uint16(999), uint8(22))
+	// Fewer records than laneMin: every pass on the per-record kernel.
+	for n := range uint16(laneMin) {
+		f.Add(int64(110+n), n, uint8(n%4))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, shape uint8) {
 		skipWithoutLanes(t)
 		m, q, recs, batches := laneCase(seed, n, shape)
@@ -193,4 +232,77 @@ func FuzzLanesMatchPerRecord(f *testing.F) {
 			from += b
 		}
 	})
+}
+
+// TestLanesEvaluatePerRecordPairs: over windows of every size up to and
+// past LaneWindow, the lane path matches the per-record loop and
+// evaluates exactly the (record, element) pairs it does: every element
+// of every predicate up to the first whose bit is clear for a sampled
+// record, the same through the first predicate that decides in the
+// settled order, and nothing for a short filter. A record an OR has
+// decided, or a dead lane's result, would show as more.
+func TestLanesEvaluatePerRecordPairs(t *testing.T) {
+	skipWithoutLanes(t)
+	for trial, size := range []int{1, laneMin - 1, 17, 300, LaneWindow - 1, LaneWindow + 700} {
+		for shape := uint8(0); shape < 64; shape += 5 {
+			if shape&8 != 0 {
+				continue // an element of another size: no lane path
+			}
+			m, q, recs, _ := laneCase(int64(trial*64)+int64(shape), 0, shape)
+			recs = slices.Grow(recs, size)
+			rng := mrand.New(mrand.NewSource(int64(trial)))
+			for len(recs) < size {
+				_, _, more, _ := laneCase(rng.Int63(), 999, shape) // filters sized for another MBits: some short
+				recs = append(recs, more[:min(len(more), size-len(recs))]...)
+			}
+			ks := AppendKeySchedules(nil, recs)
+			lanes, ref := m.NewRun(q), m.NewRun(q)
+			ref.lanes = nil
+			got := lanes.MatchScheduled(recs, ks, nil)
+			want := ref.MatchScheduled(recs, ks, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d records, shape %d: lane path %v, per-record %v", size, shape, got, want)
+			}
+			if evals, wantEvals := lanes.lanes.evals, perRecordEvals(m, q, ref.Order(), recs); evals != wantEvals {
+				t.Fatalf("%d records, shape %d (%v, %d predicates): lane path evaluated %d pairs, per-record %d",
+					size, shape, q.Op, len(q.Preds), evals, wantEvals)
+			}
+		}
+	}
+}
+
+// perRecordEvals counts the (record, element) pairs the per-record loop
+// evaluates for recs, sampling its first SelectivitySamples records and
+// then following order.
+func perRecordEvals(m *Matcher, q Query, order []int, recs []Encoded) int {
+	evals, sampled := 0, 0
+	holds := func(rec Encoded, p int) bool {
+		for _, x := range q.Preds[p].Trapdoor {
+			evals++
+			if !getBit(rec.Filter, int(prfUint64(rec.Nonce, x)%uint64(m.mBits))) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, rec := range recs {
+		switch {
+		case len(rec.Filter)*8 < m.mBits:
+		case len(q.Preds) > 1 && sampled < SelectivitySamples:
+			for p := range q.Preds {
+				holds(rec, p)
+			}
+			sampled++
+		default:
+			if order == nil {
+				order = []int{0}
+			}
+			for _, p := range order {
+				if holds(rec, p) != (q.Op == And) {
+					break
+				}
+			}
+		}
+	}
+	return evals
 }

@@ -71,18 +71,9 @@ const SelectivitySamples = 225
 // performs zero heap allocations per record.
 //
 // On a CPU with AVX-512F, MatchScheduled (and so MatchBatch) takes every
-// record on the lane path (lanes.go): 16 records advance together, one
-// 16-lane HMAC call per step, keyed from the caller's schedules or,
-// without them, from schedules derived as each record enters a lane.
-// Sampled records ride the lanes too, one single-predicate pass per
-// predicate. Match stays per-record, as does a whole Run whose trapdoor
-// elements are not all 32 bytes, and fewer than laneMin live lanes at
-// the end of a pass finish on the per-record kernel. The lane path
-// keeps every rule of the per-record one (a short filter matches
-// nothing and is no sample, an empty predicate holds, AND and OR
-// short-circuit in the settled order, the bit is the digest's leading 8
-// bytes mod MBits) and returns the same ids in the same record order,
-// with the same Sampled and Order after every call.
+// record on the lane path (lanes.go), sampled records included, with
+// the per-record path's ids, Sampled and Order; Match stays per-record,
+// as does a Run whose trapdoor elements are not all 32 bytes.
 //
 // Run is not safe for concurrent use; create one per matching thread
 // and merge results, or share one behind the store's batching.
@@ -96,7 +87,8 @@ type Run struct {
 	order   []int // settled evaluation order: perm once settled, nil before
 	perm    []int // the storage order is settled into
 	prf     prfKernel
-	lanes   *lanes // the lane path's state; nil where it cannot run
+	mod     modulus // reduces a digest's leading 8 bytes mod MBits
+	lanes   *lanes  // the lane path's state; nil where it cannot run
 }
 
 // NewRun starts the matching state for one query. Every trapdoor
@@ -112,7 +104,7 @@ func (m *Matcher) NewRun(q Query) *Run {
 		}
 	}
 	ints := make([]int, 3*n)
-	r := &Run{m: m, q: q, counts: ints[:n:n], perm: ints[n : 2*n : 2*n], first: make([]int32, n+1), padded: make([]paddedMsg, 0, elems)}
+	r := &Run{m: m, q: q, counts: ints[:n:n], perm: ints[n : 2*n : 2*n], first: make([]int32, n+1), padded: make([]paddedMsg, 0, elems), mod: newModulus(m.mBits)}
 	blocks := make([]byte, 0, size)
 	for i, p := range q.Preds {
 		r.first[i] = int32(len(r.padded))
@@ -124,7 +116,7 @@ func (m *Matcher) NewRun(q Query) *Run {
 	}
 	r.first[n] = int32(len(r.padded))
 	r.prf.init()
-	r.lanes = newLanes(q, r.first, ints[2*n:])
+	r.lanes = newLanes(r.padded, ints[2*n:])
 	return r
 }
 
@@ -137,9 +129,8 @@ func (r *Run) Order() []int { return r.order }
 // evalPred checks predicate p against the record the kernel is currently
 // keyed for, whose filter matchKeyed has length-checked.
 func (r *Run) evalPred(p int, filter []byte) bool {
-	mBits := uint64(r.m.mBits)
 	for _, x := range r.padded[r.first[p]:r.first[p+1]] {
-		if !getBit(filter, int(r.prf.sum64(x)%mBits)) {
+		if !getBit(filter, r.mod.reduce(r.prf.sum64(x))) {
 			return false
 		}
 	}
@@ -182,7 +173,7 @@ func (r *Run) MatchBatch(recs []Encoded, out []uint64) []uint64 {
 // derivation, and the lane path takes the whole batch, sampled records
 // included, where the CPU has one. A nil ks derives from the nonces.
 func (r *Run) MatchScheduled(recs []Encoded, ks []KeySchedule, out []uint64) []uint64 {
-	if r.lanesReady() {
+	if r.lanes != nil && r.prf.path != pathGeneric { // hmac16el takes schedules
 		return r.matchLanes(recs, ks, out)
 	}
 	scheduled := ks != nil && r.prf.path != pathGeneric

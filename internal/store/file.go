@@ -143,10 +143,7 @@ func MatchFile(ctx context.Context, path string, m *pps.Matcher, q pps.Query, op
 	if threads <= 0 {
 		threads = 1
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
+	batch := opts.batch()
 	jobs := make(chan matchJob, 2*threads)
 	pool := runMatchers(ctx, m, []pps.Query{q}, threads, opts.Limiter, jobs)
 	total, serr := StreamFile(ctx, path, batch, func(recs []pps.Encoded) bool {

@@ -436,7 +436,7 @@ func TestMemoFillGathers(t *testing.T) {
 
 	checkMemoLookup(t, s, w, q, 0, 0, MatchOptions{}, false, "cold")
 	cold := s.MemoStats()
-	if want := (n + 255) / 256; cold.Batches != int64(want) || cold.Entries != 2 {
+	if want := (n + pps.LaneWindow - 1) / pps.LaneWindow; cold.Batches != int64(want) || cold.Entries != 2 {
 		t.Fatalf("cold lookup of %d records: %+v, want 2 entries filled in %d batches", n, cold, want)
 	}
 

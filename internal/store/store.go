@@ -522,7 +522,8 @@ type MatchOptions struct {
 	// core; Fig 5.5 sweeps this). 0 means 1.
 	Threads int
 	// BatchSize is the records-per-batch handed to matchers (§5.6.3
-	// batches to limit synchronisation). 0 means 256.
+	// batches to limit synchronisation). 0 means pps.LaneWindow, the
+	// most one lane pass takes.
 	BatchSize int
 	// Limiter, when set, is invoked by each consumer with the batch
 	// length before matching. The cluster experiments install a
@@ -532,6 +533,14 @@ type MatchOptions struct {
 	// (returning ctx.Err()), so a hedged-away or timed-out sub-query
 	// aborts mid-throttle instead of sleeping out the emulated scan.
 	Limiter func(ctx context.Context, n int) error
+}
+
+// batch is the records-per-batch o asks for.
+func (o MatchOptions) batch() int {
+	if o.BatchSize > 0 {
+		return o.BatchSize
+	}
+	return pps.LaneWindow
 }
 
 // matchJob is one batch for a matcher: records and, from a store that
@@ -547,7 +556,8 @@ type matchJob struct {
 // gather is one batch copied together from ranges shorter than a batch
 // (a fill of scattered buckets), so that they take one lane pass instead
 // of one short one each: a record costs its Encoded header and its
-// KeySchedule, ~120 bytes. The buffers are pooled, and one goes back
+// KeySchedule, ~120 bytes, ~0.5 MB for a pps.LaneWindow batch. The
+// buffers are pooled, and one goes back
 // only cleared, so that no pooled buffer holds a record's bytes.
 type gather struct {
 	recs []pps.Encoded
@@ -701,8 +711,9 @@ func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, h
 // one scan MatchArc and the memo's fills and candidate checks run. The
 // caller holds the read lock, with the schedules active, until
 // scanLocked returns. A range of a batch or more goes to the matchers as
-// views into the store; when two or more are shorter, those are copied
-// together into pooled batches. A scan that ctx or the limiter cut short
+// views into the store, a batch at a time. Shorter ones are packed in
+// order, up to a batch a pack: a pack of one goes as a view, a pack of
+// more is copied into a pooled gather. A scan that ctx or the limiter cut short
 // returns the error and no ids: a partial scan must never look like a
 // complete answer.
 func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, qs []pps.Query, opts MatchOptions, ranges []indexRange) (scanResult, error) {
@@ -710,16 +721,7 @@ func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, qs []pps.Query, 
 	if threads <= 0 {
 		threads = 1
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
-	short := 0
-	for _, r := range ranges {
-		if r.to-r.from < batch {
-			short++
-		}
-	}
+	batch := opts.batch()
 	jobs := make(chan matchJob, 2*threads)
 	pool := runMatchers(ctx, m, qs, threads, opts.Limiter, jobs)
 	send := func(j matchJob) bool {
@@ -730,28 +732,37 @@ func (s *Store) scanLocked(ctx context.Context, m *pps.Matcher, qs []pps.Query, 
 			return true
 		}
 	}
-	var g *gather // the batch being gathered
+	// Ranges shorter than a batch wait in pending, together at most a
+	// batch, and go as one: a view if alone, else copied into a gather.
+	var pending []indexRange
+	held := 0
 	flush := func() bool {
+		defer func() { pending, held = pending[:0], 0 }()
+		if len(pending) == 1 {
+			r := pending[0]
+			return send(matchJob{recs: s.recs[r.from:r.to], ks: s.ks[r.from:r.to]})
+		}
+		g := getGather(batch)
+		for _, r := range pending {
+			g.recs = append(g.recs, s.recs[r.from:r.to]...)
+			g.ks = append(g.ks, s.ks[r.from:r.to]...)
+		}
 		ok := send(matchJob{g.recs, g.ks, g})
 		if !ok {
 			g.release()
 		}
-		g = nil
 		return ok
 	}
 feed:
 	for _, r := range ranges {
-		if short > 1 && r.to-r.from < batch {
-			if g != nil && len(g.recs)+r.to-r.from > batch {
-				if !flush() {
-					break feed
-				}
+		switch n := r.to - r.from; {
+		case n == 0:
+			continue
+		case n < batch:
+			if held+n > batch && !flush() {
+				break feed
 			}
-			if g == nil {
-				g = getGather(batch)
-			}
-			g.recs = append(g.recs, s.recs[r.from:r.to]...)
-			g.ks = append(g.ks, s.ks[r.from:r.to]...)
+			pending, held = append(pending, r), held+n
 			continue
 		}
 		for from := r.from; from < r.to; from += batch {
@@ -761,7 +772,7 @@ feed:
 			}
 		}
 	}
-	if g != nil {
+	if len(pending) > 0 {
 		flush()
 	}
 	close(jobs)
