@@ -8,7 +8,6 @@ import (
 	"roar/internal/analysis"
 	"roar/internal/analysis/atomicfields"
 	"roar/internal/analysis/clockinject"
-	"roar/internal/analysis/codecsync"
 	"roar/internal/analysis/ctxhygiene"
 	"roar/internal/analysis/lockdiscipline"
 )
@@ -18,7 +17,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicfields.Analyzer,
 		clockinject.Analyzer,
-		codecsync.Analyzer,
 		ctxhygiene.Analyzer,
 		lockdiscipline.Analyzer,
 	}

@@ -1,13 +1,16 @@
 package index
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecodeSegment: the segment decoder faces bytes from disk, so
 // truncated/corrupt images must error or decode, never panic or
-// over-allocate; a valid decode must survive re-encode → re-decode.
+// over-allocate; a valid decode must re-encode to an image that decodes
+// to the same doc ids, terms and postings, and re-encodes to itself.
 func FuzzDecodeSegment(f *testing.F) {
 	rng := rand.New(rand.NewSource(42))
 	b := NewBuilder()
@@ -46,9 +49,23 @@ func FuzzDecodeSegment(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of valid segment failed: %v", err)
 		}
-		if back.Docs() != s.Docs() || len(back.Terms()) != len(s.Terms()) {
-			t.Fatalf("round-trip drift: %d/%d docs, %d/%d terms",
-				back.Docs(), s.Docs(), len(back.Terms()), len(s.Terms()))
+		if !reflect.DeepEqual(back.docIDs, s.docIDs) || !reflect.DeepEqual(back.terms, s.terms) {
+			t.Fatalf("round-trip drift: doc ids %v -> %v, terms %q -> %q", s.docIDs, back.docIDs, s.terms, back.terms)
+		}
+		for _, term := range s.terms {
+			if got, want := postingValues(back.mem[term]), postingValues(s.mem[term]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round-trip drift in posting %q: %v -> %v", term, want, got)
+			}
+		}
+		if again, err := EncodeSegment(back); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("re-encoding changed the bytes (err %v)", err)
 		}
 	})
+}
+
+// postingValues lists b's values in order.
+func postingValues(b *Bitmap) []uint64 {
+	var vs []uint64
+	b.Iterate(func(v uint64) bool { vs = append(vs, v); return true })
+	return vs
 }
