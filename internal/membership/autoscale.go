@@ -292,20 +292,6 @@ func (c *Coordinator) ringPowerState() (disabled, enabled []int) {
 	return disabled, enabled
 }
 
-// schedulableNodes counts nodes on enabled rings — the n of the live
-// cost model.
-func (c *Coordinator) schedulableNodes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k, r := range c.rings {
-		if !c.disabled[k] {
-			n += r.Len()
-		}
-	}
-	return n
-}
-
 // Step runs one control evaluation: refresh telemetry, update the
 // hysteresis streaks, and execute (or dry-run) at most one capacity
 // action plus any overdue quarantine decommissions. It returns the
@@ -424,7 +410,7 @@ func (a *Autoscaler) scaleUp(ctx context.Context, c *Coordinator) (AutoscaleDeci
 			Reason: fmt.Sprintf("high pressure but no lever: all rings serving, p already at floor %d", a.cfg.MinP),
 		}, false
 	}
-	n := c.schedulableNodes()
+	n := len(c.serving()) // the n of the live cost model
 	frac, _, err := sim.ReconfigurationCost(n, p, p-1)
 	if err != nil {
 		return AutoscaleDecision{

@@ -147,10 +147,12 @@ func (h *healthState) forget(id ring.NodeID) {
 func (c *Coordinator) serving() map[ring.NodeID]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[ring.NodeID]bool, len(c.ringOf))
-	for id, k := range c.ringOf {
+	out := make(map[ring.NodeID]bool, len(c.addrs))
+	for k, r := range c.rings {
 		if !c.disabled[k] {
-			out[id] = true
+			for _, id := range r.IDs() {
+				out[id] = true
+			}
 		}
 	}
 	return out

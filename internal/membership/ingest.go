@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -179,10 +180,10 @@ func (c *Coordinator) StopIngest() {
 
 // routeBatch resolves the CURRENT owners of every record of a batch
 // under one hold of c.mu: the holders of each record's replication arc
-// on every enabled ring, by the lower of p and a pending p, with pushes
-// fenced by the epoch read once for the batch. Called fresh on every
-// delivery attempt (ingest.Route contract); only the per-node Target
-// value is reused within an epoch.
+// on every enabled ring, under the published layout and, while a move
+// stages one, the next, with pushes fenced by the epoch read once for
+// the batch. Called fresh on every delivery attempt (ingest.Route
+// contract); only the per-node Target value is reused within an epoch.
 func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([]ingest.Placement, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,22 +191,17 @@ func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([
 		c.ingestTargets = make(map[ring.NodeID]ingestTarget)
 		c.ingestTargetsEpoch = c.epoch
 	}
-	// A p decrease in progress routes by its target already: its holders
-	// include the current p's, and what the drain delivers from here on
-	// is not in the arcs changeP pushes to the ones it adds.
-	p := c.p
-	if c.pendingP > 0 {
-		p = min(p, c.pendingP)
-	}
 	var buf [16]ring.NodeID
 	holders := buf[:0]
 	for i, rec := range batch {
-		repl := ring.ReplicationArc(store.PointOf(rec.ID), p)
-		holders = holders[:0]
-		for k, r := range c.rings {
-			if !c.disabled[k] {
-				holders = r.AppendHolders(holders, repl)
-			}
+		x := store.PointOf(rec.ID)
+		holders = c.appendHolders(holders[:0], x)
+		if c.next != nil {
+			// A move's pushes may have read the backend before this
+			// record: it reaches the holders the move adds from here.
+			holders = c.next.appendHolders(holders, x)
+			slices.Sort(holders)
+			holders = slices.Compact(holders)
 		}
 		n := len(dst)
 		for _, id := range holders {

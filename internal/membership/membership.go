@@ -14,11 +14,15 @@
 // backend is empty until the first push, a newly elected leader's
 // included, and writes never touch it.
 //
+// Every reconfiguration takes one path, move: stage the next layout,
+// push what each node gains, then publish, trim and commit. So no
+// published view names a range its node does not yet hold.
+//
 // One type serves every caller. The Coordinator owns the state machine
-// and decides every commit point: each mutator applies its change (data
-// moves included), releases its locks, and then hands the resulting
-// state to its commit hook; ChangeP also commits its intent before the
-// first push. A standalone coordinator has no hook and term 0. A
+// and decides every commit point: move hands the resulting state to its
+// commit hook after the trim, and a move that changes p commits its
+// intent before the first push. A standalone coordinator has no hook and
+// term 0. A
 // Replica (replica.go) owns election and the decision register: it
 // builds a coordinator when it wins term T, installs the hook with T,
 // and followers apply committed snapshots without running one.
@@ -28,7 +32,10 @@ package membership
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 
 	"roar/internal/ingest"
@@ -63,21 +70,91 @@ const (
 	putChunk = 2000
 )
 
+// layout is the topology a view publishes: each ring's node ranges, the
+// powered-down rings and the partitioning level.
+type layout struct {
+	rings    []*ring.Ring
+	disabled map[int]bool
+	p        int
+}
+
+func (l *layout) clone() *layout {
+	n := &layout{rings: make([]*ring.Ring, len(l.rings)), disabled: maps.Clone(l.disabled), p: l.p}
+	for k, r := range l.rings {
+		n.rings[k] = r.Clone()
+	}
+	return n
+}
+
+// ringOf returns the ring node id is on, or -1.
+func (l *layout) ringOf(id ring.NodeID) int {
+	for k, r := range l.rings {
+		if r.Contains(id) {
+			return k
+		}
+	}
+	return -1
+}
+
+// appendHolders appends the nodes on enabled rings whose range meets the
+// replication arc of point x.
+func (l *layout) appendHolders(dst []ring.NodeID, x ring.Point) []ring.NodeID {
+	repl := ring.ReplicationArc(x, l.p)
+	for k, r := range l.rings {
+		if !l.disabled[k] {
+			dst = r.AppendHolders(dst, repl)
+		}
+	}
+	return dst
+}
+
+// holds reports whether routing by l delivers a record at point x to
+// node id.
+func (l *layout) holds(id ring.NodeID, x ring.Point) bool {
+	var buf [16]ring.NodeID
+	return slices.Contains(l.appendHolders(buf[:0], x), id)
+}
+
+// routeSlack is wider than the rounding between a record's identifier,
+// its ring point and the float arcs routing compares that point with.
+const routeSlack = 0x1p-40
+
+// stored returns the identifiers of the arc node id stores, its range
+// widened by 1/p counter-clockwise, (start-1/p, end], grown by margin at
+// both ends (shrunk for a negative margin), or the whole ring when that
+// wraps; none off an enabled ring.
+func (l *layout) stored(id ring.NodeID, margin float64) []store.Span {
+	k := l.ringOf(id)
+	if k < 0 || l.disabled[k] {
+		return nil
+	}
+	a, _ := l.rings[k].Range(id)
+	repl := 1 / float64(l.p)
+	if a.Length+repl+2*margin >= 1 {
+		return store.ArcSpans(0, 0)
+	}
+	return store.ArcSpans(a.Start.Add(-repl-margin), a.End().Add(margin))
+}
+
 // Coordinator is the membership server.
 type Coordinator struct {
 	cfg Config
 
-	mu       sync.Mutex
-	rings    []*ring.Ring
-	ringOf   map[ring.NodeID]int
-	addrs    map[ring.NodeID]string
-	speeds   map[ring.NodeID]float64 // capacity hints / reported speeds
-	racks    map[ring.NodeID]string  // rack labels (§4.9.2)
-	clients  map[ring.NodeID]*wire.Client
-	disabled map[int]bool // powered-down rings
-	p        int
-	epoch    int
-	nextID   ring.NodeID
+	// moveMu runs one reconfiguration at a time (move).
+	moveMu sync.Mutex
+
+	mu sync.Mutex
+	layout
+	// next is the layout a move in progress moves to, nil when none.
+	// routeBatch routes by it as well, so a record the drain delivers
+	// while data moves also reaches the holders it is about to gain.
+	next    *layout
+	addrs   map[ring.NodeID]string
+	speeds  map[ring.NodeID]float64 // capacity hints / reported speeds
+	racks   map[ring.NodeID]string  // rack labels (§4.9.2)
+	clients map[ring.NodeID]*wire.Client
+	epoch   int
+	nextID  ring.NodeID
 
 	health *healthState // failure-evidence aggregation (health.go)
 
@@ -106,12 +183,6 @@ type Coordinator struct {
 	// Transfer accounting for the reconfiguration experiments.
 	objectsPushed int64
 
-	// pendingP is the p a ChangeP in progress moves to (0 when none).
-	// routeBatch routes by it when it is the lower. It rides every
-	// snapshot, so a decision committed while data moves keeps the intent
-	// for a successor to finish.
-	pendingP int
-
 	// term and commit are set once, by the Replica that builds this
 	// coordinator for its leadership term, before anyone else sees it:
 	// commit replicates the coordinator's state, snapshotted when the
@@ -131,15 +202,6 @@ func (c *Coordinator) commitState() error {
 	return c.commit(proto.EntryState)
 }
 
-// commitAfter commits once a mutation succeeded, and passes a failed
-// one's error through.
-func (c *Coordinator) commitAfter(err error) error {
-	if err != nil {
-		return err
-	}
-	return c.commitState()
-}
-
 // New builds a coordinator.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.P <= 0 {
@@ -149,17 +211,15 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Rings = 1
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		ringOf:   map[ring.NodeID]int{},
-		addrs:    map[ring.NodeID]string{},
-		speeds:   map[ring.NodeID]float64{},
-		racks:    map[ring.NodeID]string{},
-		clients:  map[ring.NodeID]*wire.Client{},
-		disabled: map[int]bool{},
-		p:        cfg.P,
-		backend:  store.New(),
-		health:   newHealthState(cfg.Health),
-		wal:      cfg.WAL,
+		cfg:     cfg,
+		layout:  layout{disabled: map[int]bool{}, p: cfg.P},
+		addrs:   map[ring.NodeID]string{},
+		speeds:  map[ring.NodeID]float64{},
+		racks:   map[ring.NodeID]string{},
+		clients: map[ring.NodeID]*wire.Client{},
+		backend: store.New(),
+		health:  newHealthState(cfg.Health),
+		wal:     cfg.WAL,
 	}
 	for k := 0; k < cfg.Rings; k++ {
 		c.rings = append(c.rings, ring.New())
@@ -250,24 +310,40 @@ func (c *Coordinator) LoadCorpus(ctx context.Context, recs []pps.Encoded) error 
 	return c.WaitIngestDrained(ctx, seq)
 }
 
-func (c *Coordinator) allNodesLocked() []ring.NodeID {
-	var out []ring.NodeID
-	for _, r := range c.rings {
-		out = append(out, r.IDs()...)
-	}
-	return out
-}
-
 // JoinRack registers a node with a rack label: when possible it is
 // placed adjacent to an existing node of the same rack, so replication
 // pushes travel mostly intra-rack (§4.9.2's cross-sectional bandwidth
 // optimisation). Falls back to hotspot placement when the rack is new.
+// The node is loaded with its stored set before any view names it; a
+// failed load publishes nothing and forgets the node.
 func (c *Coordinator) JoinRack(ctx context.Context, addr string, speedHint float64, rack string) (proto.JoinResp, error) {
-	resp, err := c.join(ctx, addr, speedHint, rack)
+	if !usableSpeed(speedHint) {
+		speedHint = 1
+	}
+	var resp proto.JoinResp
+	err := c.move(ctx, func(next *layout) error {
+		k, start, err := c.place(next, rack)
+		if err != nil {
+			return err
+		}
+		id := c.nextID
+		if err := next.rings[k].Insert(id, start); err != nil {
+			return fmt.Errorf("membership: inserting node: %w", err)
+		}
+		c.nextID++
+		c.addrs[id] = addr
+		c.speeds[id] = speedHint
+		if rack != "" {
+			c.racks[id] = rack
+		}
+		c.clients[id] = wire.NewClient(addr)
+		resp = proto.JoinResp{ID: int(id), Ring: k, Start: float64(start)}
+		return nil
+	})
 	if err != nil {
 		return proto.JoinResp{}, err
 	}
-	return resp, c.commitState()
+	return resp, nil
 }
 
 // RackOf returns a node's rack label ("" when unlabelled).
@@ -291,61 +367,16 @@ func usableSpeed(s float64) bool {
 	return s > 0 && s <= math.MaxFloat64
 }
 
-// join places a node where placeLocked says, labels it with rack, if
-// any, loads it with its stored set and trims the neighbour whose range
-// it split.
-func (c *Coordinator) join(ctx context.Context, addr string, speedHint float64, rack string) (proto.JoinResp, error) {
-	if !usableSpeed(speedHint) {
-		speedHint = 1
-	}
-	c.mu.Lock()
-	k, start, err := c.placeLocked(rack)
-	if err != nil {
-		c.mu.Unlock()
-		return proto.JoinResp{}, err
-	}
-	r := c.rings[k]
-	id := c.nextID
-	if err := r.Insert(id, start); err != nil {
-		c.mu.Unlock()
-		return proto.JoinResp{}, fmt.Errorf("membership: inserting node: %w", err)
-	}
-	c.nextID++
-	c.ringOf[id] = k
-	c.addrs[id] = addr
-	c.speeds[id] = speedHint
-	if rack != "" {
-		c.racks[id] = rack
-	}
-	c.clients[id] = wire.NewClient(addr)
-	c.epoch++
-	c.mu.Unlock()
-
-	// Load the new node, then trim its predecessor, the split neighbour
-	// (it keeps data for its shrunken stored set only).
-	if err := c.pushStored(ctx, id); err != nil {
-		return proto.JoinResp{}, err
-	}
-	c.mu.Lock()
-	pred, perr := r.Predecessor(id)
-	c.mu.Unlock()
-	if perr == nil && pred != id {
-		if err := c.sendRetain(ctx, pred); err != nil {
-			return proto.JoinResp{}, err
-		}
-	}
-	return proto.JoinResp{ID: int(id), Ring: k, Start: float64(start)}, nil
-}
-
-// placeLocked picks a joining node's ring and start point. A node whose
-// rack already has a member splits that member's range. Any other node
-// joins the ring with the least total capacity (§4.9: equal capacity per
-// ring) and splits the range of its hottest node.
-func (c *Coordinator) placeLocked(rack string) (int, ring.Point, error) {
+// place picks a joining node's ring and start point in l; a move's edit
+// calls it under c.mu. A node whose rack already has a member splits
+// that member's range. Any other node joins the ring with the least
+// total capacity (§4.9: equal capacity per ring) and splits the range of
+// its hottest node.
+func (c *Coordinator) place(l *layout, rack string) (int, ring.Point, error) {
 	if rack != "" {
 		for id, rk := range c.racks {
-			if k, ok := c.ringOf[id]; ok && rk == rack {
-				a, err := c.rings[k].Range(id)
+			if k := l.ringOf(id); k >= 0 && rk == rack {
+				a, err := l.rings[k].Range(id)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -354,7 +385,7 @@ func (c *Coordinator) placeLocked(rack string) (int, ring.Point, error) {
 		}
 	}
 	bestRing, bestCap := 0, -1.0
-	for k, r := range c.rings {
+	for k, r := range l.rings {
 		var cap float64
 		for _, nid := range r.IDs() {
 			cap += c.speeds[nid]
@@ -363,7 +394,7 @@ func (c *Coordinator) placeLocked(rack string) (int, ring.Point, error) {
 			bestRing, bestCap = k, cap
 		}
 	}
-	r := c.rings[bestRing]
+	r := l.rings[bestRing]
 	if r.Len() == 0 {
 		return bestRing, 0, nil
 	}
@@ -390,43 +421,17 @@ func (c *Coordinator) placeLocked(rack string) (int, ring.Point, error) {
 }
 
 // Leave removes a node gracefully (§4.4 "Removing Nodes"): its range is
-// absorbed by the predecessor, which is loaded with the data it lacks
-// before the topology change becomes visible.
+// absorbed by the predecessor, which is pushed the arc it gains before
+// the topology change becomes visible; then the node is forgotten and
+// its client closed.
 func (c *Coordinator) Leave(ctx context.Context, id ring.NodeID) error {
-	return c.commitAfter(c.leave(ctx, id))
-}
-
-func (c *Coordinator) leave(ctx context.Context, id ring.NodeID) error {
-	c.health.forget(id)
-	c.mu.Lock()
-	k, ok := c.ringOf[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("membership: node %d unknown", id)
-	}
-	r := c.rings[k]
-	pred, err := r.Predecessor(id)
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	if err := r.Remove(id); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	delete(c.ringOf, id)
-	delete(c.addrs, id)
-	delete(c.speeds, id)
-	if cl := c.clients[id]; cl != nil {
-		cl.Close()
-	}
-	delete(c.clients, id)
-	c.epoch++
-	c.mu.Unlock()
-	if pred != id && r.Len() > 0 {
-		return c.pushStored(ctx, pred)
-	}
-	return nil
+	return c.move(ctx, func(next *layout) error {
+		k := next.ringOf(id)
+		if k < 0 {
+			return fmt.Errorf("membership: node %d unknown", id)
+		}
+		return next.rings[k].Remove(id)
+	})
 }
 
 // Decommission is Leave for a dead node: identical bookkeeping, but the
@@ -439,13 +444,9 @@ func (c *Coordinator) Decommission(ctx context.Context, id ring.NodeID) error {
 }
 
 // ChangeP performs the §4.5 transition to a new partitioning level.
-// Increasing p (dropping replicas) switches the safe level immediately
-// and lets nodes trim in their own time. Decreasing p (adding replicas)
-// pushes the missing arc to every node, waits for all confirmations,
-// and only then publishes the new level. From before the first push
-// until the publish the drain routes by the new level (pendingP), so a
-// record accepted meanwhile also reaches the holders it is about to
-// gain, whose pushes may have read the backend before it.
+// Decreasing p (adding replicas) pushes every node the arc it gains
+// before the new level is published; increasing p (dropping replicas)
+// pushes nothing and trims every node after the publish.
 //
 // A replicated coordinator brackets the transition with log entries: an
 // intent (PendingP = newP) commits before any data moves, so a successor
@@ -456,77 +457,10 @@ func (c *Coordinator) ChangeP(ctx context.Context, newP int) error {
 	if newP <= 0 {
 		return fmt.Errorf("membership: p must be positive")
 	}
-	if newP != c.P() {
-		c.setPendingP(newP)
-		if c.commit != nil {
-			if err := c.commit(proto.EntryIntent); err != nil {
-				return err
-			}
-		}
-	}
-	err := c.changeP(ctx, newP)
-	c.setPendingP(0)
-	return c.commitAfter(err)
-}
-
-func (c *Coordinator) setPendingP(p int) {
-	c.mu.Lock()
-	c.pendingP = p
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) changeP(ctx context.Context, newP int) error {
-	c.mu.Lock()
-	oldP := c.p
-	if newP == oldP {
-		c.mu.Unlock()
+	return c.move(ctx, func(next *layout) error {
+		next.p = newP
 		return nil
-	}
-	ids := c.allNodesLocked()
-	c.mu.Unlock()
-
-	if newP > oldP {
-		// Safe immediately: queries with larger pq always cover.
-		c.mu.Lock()
-		c.p = newP
-		c.epoch++
-		c.mu.Unlock()
-		for _, id := range ids {
-			if err := c.sendRetain(ctx, id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// newP < oldP: push each node the replica arc it lacks:
-	// (start-1/newP, start-1/oldP]. The drain routes by newP already
-	// (ChangeP set pendingP), so the backend, once caught up, holds every
-	// record it routed by oldP.
-	if err := c.catchUp(); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		c.mu.Lock()
-		arc, _, err := c.nodeRangeLocked(id)
-		cl := c.clients[id]
-		epoch := c.epoch
-		c.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		lo := arc.Start.Add(-1 / float64(newP))
-		hi := arc.Start.Add(-1 / float64(oldP))
-		recs := c.backend.InArc(lo, hi)
-		if err := c.pushRecords(ctx, cl, id, epoch, recs); err != nil {
-			return err
-		}
-	}
-	// All confirmed (pushes above are synchronous): publish.
-	c.mu.Lock()
-	c.p = newP
-	c.epoch++
-	c.mu.Unlock()
-	return nil
+	})
 }
 
 // BalanceStep runs one round of the §4.3/§4.9 range load balancing:
@@ -539,96 +473,65 @@ func (c *Coordinator) BalanceStep(ctx context.Context, loads map[ring.NodeID]flo
 	if moveFrac <= 0 {
 		moveFrac = 0.10
 	}
-	type move struct {
-		grow, shrink ring.NodeID
-		newStart     ring.Point
-	}
-	var moves_ []move
-	c.mu.Lock()
-	for k, r := range c.rings {
-		if c.disabled[k] || r.Len() < 2 {
-			continue
-		}
-		for _, id := range r.IDs() {
-			succ, err := r.Successor(id)
-			if err != nil || succ == id {
+	err = c.move(ctx, func(next *layout) error {
+		for k, r := range next.rings {
+			if next.disabled[k] || r.Len() < 2 {
 				continue
 			}
-			li, ls := loads[id], loads[succ]
-			if li == 0 && ls == 0 {
-				continue
-			}
-			// Expand the lighter node into the heavier successor
-			// (§4.3: grow into a more loaded neighbour).
-			if ls > li*(1+balanceThreshold) {
-				sa, err := r.Range(succ)
-				if err != nil {
+			for _, id := range r.IDs() {
+				succ, err := r.Successor(id)
+				if err != nil || succ == id {
 					continue
 				}
-				shift := sa.Length * moveFrac
-				ns := sa.Start.Add(shift)
-				if err := r.SetStart(succ, ns); err == nil {
-					moves_ = append(moves_, move{grow: id, shrink: succ, newStart: ns})
+				li, ls := loads[id], loads[succ]
+				if li == 0 && ls == 0 {
+					continue
+				}
+				// Expand the lighter node into the heavier successor
+				// (§4.3: grow into a more loaded neighbour).
+				if ls > li*(1+balanceThreshold) {
+					sa, err := r.Range(succ)
+					if err != nil {
+						continue
+					}
+					if err := r.SetStart(succ, sa.Start.Add(sa.Length*moveFrac)); err == nil {
+						moves++
+					}
 				}
 			}
 		}
-	}
-	if len(moves_) > 0 {
-		c.epoch++
-	}
-	c.mu.Unlock()
-	for _, m := range moves_ {
-		if err := c.pushStored(ctx, m.grow); err != nil {
-			return len(moves_), err
-		}
-		if err := c.sendRetain(ctx, m.shrink); err != nil {
-			return len(moves_), err
-		}
-	}
-	return len(moves_), nil
+		return nil
+	})
+	return moves, err
 }
 
 // SetRingEnabled powers a ring on or off (§4.9.1 diurnal adaptation).
 // Nodes keep their ranges while disabled, so re-enabling is cheap; the
 // caller must ensure the remaining rings still hold all data (each ring
-// holds a full copy, so any single enabled ring suffices).
+// holds a full copy, so any single enabled ring suffices). A returning
+// ring's nodes are pushed their whole stored set, the records written
+// while they were off included, before a view names them again.
 func (c *Coordinator) SetRingEnabled(ctx context.Context, k int, enabled bool) error {
-	return c.commitAfter(c.setRingEnabled(ctx, k, enabled))
-}
-
-func (c *Coordinator) setRingEnabled(ctx context.Context, k int, enabled bool) error {
-	c.mu.Lock()
-	if k < 0 || k >= len(c.rings) {
-		c.mu.Unlock()
-		return fmt.Errorf("membership: no ring %d", k)
-	}
-	if !enabled {
+	return c.move(ctx, func(next *layout) error {
+		if k < 0 || k >= len(next.rings) {
+			return fmt.Errorf("membership: no ring %d", k)
+		}
+		if enabled {
+			delete(next.disabled, k)
+			return nil
+		}
 		on := 0
-		for i := range c.rings {
-			if !c.disabled[i] && c.rings[i].Len() > 0 {
+		for i, r := range next.rings {
+			if !next.disabled[i] && r.Len() > 0 {
 				on++
 			}
 		}
-		if on <= 1 && !c.disabled[k] {
-			c.mu.Unlock()
+		if on <= 1 && !next.disabled[k] {
 			return fmt.Errorf("membership: cannot disable the last ring")
 		}
-	}
-	c.disabled[k] = !enabled
-	c.epoch++
-	ids := append([]ring.NodeID(nil), c.rings[k].IDs()...)
-	c.mu.Unlock()
-	if enabled {
-		// Refresh returning nodes: they kept their ranges (§4.9's range
-		// history) and only need the delta since shutdown; pushes are
-		// idempotent so we simply re-push the stored set.
-		for _, id := range ids {
-			if err := c.pushStored(ctx, id); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		next.disabled[k] = true
+		return nil
+	})
 }
 
 // ReportSpeeds folds frontend speed observations into placement
@@ -638,58 +541,133 @@ func (c *Coordinator) ReportSpeeds(speeds map[ring.NodeID]float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, s := range speeds {
-		if _, ok := c.ringOf[id]; ok && usableSpeed(s) {
+		if _, ok := c.addrs[id]; ok && usableSpeed(s) {
 			c.speeds[id] = s
 		}
 	}
 }
 
-func (c *Coordinator) nodeRangeLocked(id ring.NodeID) (ring.Arc, int, error) {
-	k, ok := c.ringOf[id]
-	if !ok {
-		return ring.Arc{}, -1, fmt.Errorf("membership: node %d unknown", id)
+// move runs one reconfiguration at a time, the only way the layout
+// changes. Under c.mu, edit turns a copy of the published layout into
+// the next one (registering any node it adds). Then move
+//
+//  1. stages it: from here routeBatch routes to both layouts;
+//  2. commits an intent if p changes;
+//  3. catches the backend up: it then holds every record the drain
+//     routed by the published layout alone;
+//  4. pushes each node what it gains (pushGains);
+//  5. publishes the layout under a new epoch, forgetting dropped nodes;
+//  6. trims every node whose stored set shrank (a powered-down ring
+//     keeps its data);
+//  7. commits.
+//
+// A failed step publishes nothing and forgets the nodes edit added; a
+// layout edit leaves as it was only commits.
+func (c *Coordinator) move(ctx context.Context, edit func(next *layout) error) error {
+	c.moveMu.Lock()
+	defer c.moveMu.Unlock()
+	c.mu.Lock()
+	pub, next := c.layout, c.layout.clone()
+	err := edit(next)
+	staged := err == nil && !reflect.DeepEqual(next, &pub)
+	if staged {
+		c.next = next
 	}
-	a, err := c.rings[k].Range(id)
-	return a, k, err
+	c.mu.Unlock()
+	if staged {
+		err = c.pushGains(ctx, &pub, next)
+		c.mu.Lock()
+		c.next = nil
+		if err == nil {
+			c.layout = *next
+			c.epoch++
+			c.forgetLocked(&pub, next)
+		}
+		c.mu.Unlock()
+	}
+	if err != nil {
+		c.mu.Lock()
+		c.forgetLocked(next, &pub)
+		c.mu.Unlock()
+		return err
+	}
+	for k, r := range next.rings {
+		for _, id := range r.IDs() {
+			if err == nil && !next.disabled[k] && len(store.Minus(pub.stored(id, 0), next.stored(id, 0))) > 0 {
+				a, _ := r.Range(id)
+				err = c.sendRetain(ctx, id, a, next.p)
+			}
+		}
+	}
+	// The layout is published: it commits even if a trim failed.
+	if cerr := c.commitState(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
-// pushStored sends a node every backend record in its stored set. Its
-// caller made the node's new range visible to routeBatch before, so the
-// backend, once caught up, holds every record the drain routed by the
-// old one.
-func (c *Coordinator) pushStored(ctx context.Context, id ring.NodeID) error {
-	c.mu.Lock()
-	arc, _, err := c.nodeRangeLocked(id)
-	cl := c.clients[id]
-	p := c.p
-	epoch := c.epoch
-	c.mu.Unlock()
-	if err != nil {
-		return err
+// pushGains runs move's steps 2 to 4 for the staged layout next. A node
+// gains one arc, two, or its whole stored set if pub does not hold it.
+func (c *Coordinator) pushGains(ctx context.Context, pub, next *layout) error {
+	if next.p != pub.p && c.commit != nil {
+		if err := c.commit(proto.EntryIntent); err != nil {
+			return err
+		}
 	}
 	if err := c.catchUp(); err != nil {
 		return err
 	}
-	repl := 1 / float64(p)
-	var recs []pps.Encoded
-	if arc.Length+repl >= 1 {
-		recs = c.backend.InArc(0, 0) // lo == hi: the whole ring
-	} else {
-		recs = c.backend.InArc(arc.Start.Add(-repl), arc.End())
+	for _, r := range next.rings {
+		for _, id := range r.IDs() {
+			// The drain delivered by routing, so what the node gains is
+			// what routing by next gives it and routing by pub did not;
+			// the arcs, a little wider, only narrow the backend read.
+			near := store.Minus(next.stored(id, routeSlack), pub.stored(id, -routeSlack))
+			if len(near) == 0 {
+				continue
+			}
+			recs := c.backend.InSpans(near)
+			gain := recs[:0]
+			for _, rec := range recs {
+				if x := store.PointOf(rec.ID); next.holds(id, x) && !pub.holds(id, x) {
+					gain = append(gain, rec)
+				}
+			}
+			if err := c.pushRecords(ctx, id, gain); err != nil {
+				return err
+			}
+		}
 	}
-	return c.pushRecords(ctx, cl, id, epoch, recs)
+	return nil
 }
 
-func (c *Coordinator) pushRecords(ctx context.Context, cl *wire.Client, id ring.NodeID, epoch int, recs []pps.Encoded) error {
-	if cl == nil {
-		return fmt.Errorf("membership: no client for node %d", id)
-	}
-	for off := 0; off < len(recs); off += putChunk {
-		end := off + putChunk
-		if end > len(recs) {
-			end = len(recs)
+// forgetLocked drops every node from holds and to does not: its address,
+// speed, rack and health evidence, and its client, which it closes.
+func (c *Coordinator) forgetLocked(from, to *layout) {
+	for _, r := range from.rings {
+		for _, id := range r.IDs() {
+			if to.ringOf(id) >= 0 {
+				continue
+			}
+			if cl := c.clients[id]; cl != nil {
+				cl.Close()
+			}
+			delete(c.clients, id)
+			delete(c.addrs, id)
+			delete(c.speeds, id)
+			delete(c.racks, id)
+			c.health.forget(id)
 		}
-		if err := putRecords(ctx, cl, epoch, recs[off:end]); err != nil {
+	}
+}
+
+// pushRecords sends a node recs, fenced by the published epoch.
+func (c *Coordinator) pushRecords(ctx context.Context, id ring.NodeID, recs []pps.Encoded) error {
+	c.mu.Lock()
+	cl, epoch := c.clients[id], c.epoch
+	c.mu.Unlock()
+	for chunk := range slices.Chunk(recs, putChunk) {
+		if err := putRecords(ctx, cl, epoch, chunk); err != nil {
 			return fmt.Errorf("membership: pushing to node %d: %w", id, err)
 		}
 	}
@@ -704,22 +682,13 @@ func putRecords(ctx context.Context, cl *wire.Client, epoch int, recs []pps.Enco
 	return cl.Call(ctx, proto.MNodePut, proto.PutReq{Records: recs, Epoch: epoch}, nil)
 }
 
-// sendRetain tells a node its current range and p so it trims excess
+// sendRetain tells a node its published range and p so it trims excess
 // replicas. It carries the publishing epoch so the node's fence
 // advances with the placement.
-func (c *Coordinator) sendRetain(ctx context.Context, id ring.NodeID) error {
+func (c *Coordinator) sendRetain(ctx context.Context, id ring.NodeID, arc ring.Arc, p int) error {
 	c.mu.Lock()
-	arc, _, err := c.nodeRangeLocked(id)
-	cl := c.clients[id]
-	p := c.p
-	epoch := c.epoch
+	cl, epoch := c.clients[id], c.epoch
 	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if cl == nil {
-		return fmt.Errorf("membership: no client for node %d", id)
-	}
 	req := proto.RetainReq{Start: float64(arc.Start), Length: arc.Length, P: p, Epoch: epoch}
 	if err := cl.Call(ctx, proto.MNodeRetain, req, nil); err != nil {
 		return fmt.Errorf("membership: retain on node %d: %w", id, err)

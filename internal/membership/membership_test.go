@@ -63,11 +63,18 @@ func corpus(t *testing.T, enc *pps.Encoder, n int) []pps.Encoded {
 // log and returns once the drain has delivered it.
 func newLogged(t *testing.T, p int) *Coordinator {
 	t.Helper()
+	return newLoggedConfig(t, Config{P: p})
+}
+
+// newLoggedConfig is newLogged for any configuration but the log.
+func newLoggedConfig(t *testing.T, cfg Config) *Coordinator {
+	t.Helper()
 	wal, err := ingest.Open(t.TempDir(), ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{P: p, WAL: wal})
+	cfg.WAL = wal
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,9 +388,13 @@ func TestReplicaRedrivesInheritedChangeP(t *testing.T) {
 	}
 	// Commit the ChangeP intent exactly as the leader would, then kill
 	// the leader before it executes — the worst-case crash point. The
-	// coordinator holds the intent, as ChangeP's does, so an entry the
-	// heartbeat commits after it (the drained watermark) keeps it too.
-	c.setPendingP(2)
+	// coordinator stages a layout at p = 2, as ChangeP's move does, so an
+	// entry the heartbeat commits after it (the drained watermark) keeps
+	// the intent too.
+	c.mu.Lock()
+	c.next = c.layout.clone()
+	c.next.p = 2
+	c.mu.Unlock()
 	if err := leader.propose(c.term, proto.EntryIntent, c.ExportState); err != nil {
 		t.Fatal(err)
 	}

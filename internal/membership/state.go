@@ -24,8 +24,8 @@ import (
 )
 
 // ExportState snapshots the full replicable control state: topology,
-// partitioning level and any pending change of it, ring power, node
-// records, quarantine verdicts.
+// partitioning level and any pending change of it (the staged p), ring
+// power, node records, quarantine verdicts.
 func (c *Coordinator) ExportState() proto.ControlState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -35,7 +35,9 @@ func (c *Coordinator) ExportState() proto.ControlState {
 		NextID:        int(c.nextID),
 		Rings:         len(c.rings),
 		IngestDrained: c.ingestDrained,
-		PendingP:      c.pendingP,
+	}
+	if c.next != nil && c.next.p != c.p {
+		st.PendingP = c.next.p
 	}
 	for k := range c.rings {
 		if c.disabled[k] {
@@ -94,7 +96,6 @@ func NewFromState(cfg Config, st proto.ControlState) (*Coordinator, error) {
 	c.epoch = st.Epoch
 	c.nextID = ring.NodeID(st.NextID)
 	c.ingestDrained = st.IngestDrained
-	c.pendingP = st.PendingP
 	for _, k := range st.Disabled {
 		if k >= 0 && k < len(c.rings) {
 			c.disabled[k] = true
@@ -110,7 +111,6 @@ func NewFromState(cfg Config, st proto.ControlState) (*Coordinator, error) {
 		if err := c.rings[n.Ring].Insert(id, ring.Norm(n.Start)); err != nil {
 			return nil, fmt.Errorf("membership: restoring node %d: %w", n.ID, err)
 		}
-		c.ringOf[id] = n.Ring
 		c.addrs[id] = n.Addr
 		if n.Speed > 0 {
 			c.speeds[id] = n.Speed
@@ -125,6 +125,11 @@ func NewFromState(cfg Config, st proto.ControlState) (*Coordinator, error) {
 			// must drain it exactly as it would have on the old leader.
 			c.health.scores[id] = c.health.cfg.QuarantineThreshold
 		}
+	}
+	if st.PendingP > 0 && st.PendingP != c.p {
+		// Route by the p the old leader staged until the re-drive moves.
+		c.next = c.layout.clone()
+		c.next.p = st.PendingP
 	}
 	return c, nil
 }

@@ -2,6 +2,8 @@ package node
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,6 +200,36 @@ func TestNodeServeRPC(t *testing.T) {
 	// Malformed body surfaces an error, not a hang.
 	if err := cl.Call(context.Background(), proto.MNodeQuery, "not an object", nil); err == nil {
 		t.Error("malformed request should error")
+	}
+}
+
+// TestNodeRefusesNonFiniteSubQuery: a sub-query whose bound is NaN or
+// infinite names no arc; the node refuses it at decode and scans
+// nothing, where a finite query over the same wire is answered.
+func TestNodeRefusesNonFiniteSubQuery(t *testing.T) {
+	n, enc := testSetup(t)
+	loadDocs(t, n, enc, []string{"net", "net"})
+	srv, err := n.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := wire.NewClient(srv.Addr())
+	defer cl.Close()
+	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "net"})
+	ctx := context.Background()
+	for _, b := range [][2]float64{{math.NaN(), 0.5}, {0.5, math.Inf(1)}, {math.NaN(), math.NaN()}} {
+		err := cl.Call(ctx, proto.MNodeQuery, proto.QueryReq{Lo: b[0], Hi: b[1], Q: q}, &proto.QueryResp{})
+		if err == nil || !strings.Contains(err.Error(), "not a finite ring bound") {
+			t.Errorf("sub-query (%v, %v]: %v, want a non-finite bound refusal", b[0], b[1], err)
+		}
+	}
+	if st := n.Stats(); st.Queries != 0 || st.Scanned != 0 {
+		t.Errorf("refused sub-queries ran: %d queries scanned %d records", st.Queries, st.Scanned)
+	}
+	var resp proto.QueryResp
+	if err := cl.Call(ctx, proto.MNodeQuery, proto.QueryReq{Lo: 0.5, Hi: 0.5, Q: q}, &resp); err != nil || len(resp.IDs) != 2 {
+		t.Errorf("a whole-ring sub-query after the refusals: %v, %d ids, want 2", err, len(resp.IDs))
 	}
 }
 

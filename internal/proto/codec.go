@@ -44,6 +44,13 @@ func (e *UnknownFlagsError) Error() string {
 	return fmt.Sprintf("proto: unknown bits %#02x in %s", e.Bits, e.What)
 }
 
+// NonFiniteError is the decoders' rejection of a NaN or infinite ring
+// bound, which no ring point normalises from; a finite bound outside
+// [0, 1) is the receiver's to normalise.
+type NonFiniteError struct{ What string } // field name, e.g. "QueryReq.Lo"
+
+func (e *NonFiniteError) Error() string { return "proto: " + e.What + " is not a finite ring bound" }
+
 // --- id set encoding ---
 
 // Sorted ascending id sets are delta-compressed (flag 1): first value
@@ -192,6 +199,12 @@ func (q *QueryReq) DecodeWire(data []byte) error {
 	q.QID = r.Uvarint("QueryReq.QID")
 	q.Lo = math.Float64frombits(r.U64("QueryReq.Lo"))
 	q.Hi = math.Float64frombits(r.U64("QueryReq.Hi"))
+	if math.IsNaN(q.Lo) || math.IsInf(q.Lo, 0) {
+		r.FailWith(&NonFiniteError{What: "QueryReq.Lo"})
+	}
+	if math.IsNaN(q.Hi) || math.IsInf(q.Hi, 0) {
+		r.FailWith(&NonFiniteError{What: "QueryReq.Hi"})
+	}
 	q.Flags = r.Byte("QueryReq.Flags")
 	if unknown := q.Flags &^ queryFlagsKnown; unknown != 0 {
 		r.FailWith(&UnknownFlagsError{What: "QueryReq.Flags", Bits: unknown})

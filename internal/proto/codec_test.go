@@ -297,6 +297,31 @@ func TestQueryReqRejectsUnknownFlags(t *testing.T) {
 	}
 }
 
+// TestQueryReqRejectsNonFiniteBounds: a NaN or infinite sub-query bound
+// is a typed decode error naming the field; a finite bound outside
+// [0, 1) decodes, for the node to normalise.
+func TestQueryReqRejectsNonFiniteBounds(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi float64
+		what   string
+	}{
+		{math.NaN(), 0.5, "QueryReq.Lo"},
+		{0.5, math.Inf(1), "QueryReq.Hi"},
+		{math.Inf(-1), math.NaN(), "QueryReq.Lo"},
+	} {
+		var q QueryReq
+		err := q.DecodeWire(QueryReq{Lo: c.lo, Hi: c.hi, Q: testQueryReq(1, 1).Q}.AppendWire(nil))
+		var nfe *NonFiniteError
+		if !errors.As(err, &nfe) || nfe.What != c.what {
+			t.Errorf("bounds (%v, %v]: decode = %v, want a *NonFiniteError for %s", c.lo, c.hi, err, c.what)
+		}
+	}
+	var q QueryReq
+	if err := q.DecodeWire(QueryReq{Lo: -0.25, Hi: 1.5, Q: testQueryReq(1, 1).Q}.AppendWire(nil)); err != nil {
+		t.Errorf("finite bounds outside [0, 1): %v", err)
+	}
+}
+
 // BenchmarkCodecQueryReq compares encode+decode cost of the two codecs
 // for the hot sub-query body (CI tracks this next to the match kernel).
 func BenchmarkCodecQueryReq(b *testing.B) {

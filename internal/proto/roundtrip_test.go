@@ -269,10 +269,8 @@ func FuzzDecodeQueryReq(f *testing.F) {
 		if q.Flags&^(QueryMemo|QueryMemoRefill) != 0 {
 			t.Fatalf("decoder accepted undefined flag bits %#02x", q.Flags)
 		}
-		// NaN is never DeepEqual to itself. The bounds are plain 8-byte
-		// copies, so zeroing a NaN one leaves the rest of the check whole.
-		if math.IsNaN(q.Lo) || math.IsNaN(q.Hi) {
-			q.Lo, q.Hi = 0, 0
+		if math.IsNaN(q.Lo) || math.IsInf(q.Lo, 0) || math.IsNaN(q.Hi) || math.IsInf(q.Hi, 0) {
+			t.Fatalf("decoder accepted non-finite bounds (%v, %v]", q.Lo, q.Hi)
 		}
 		checkFixedPoint(t, q)
 	})

@@ -75,10 +75,10 @@ func (s *bucketSet) count() int {
 }
 
 // arcBuckets is the set of buckets the spans touch.
-func arcBuckets(spans []idSpan) bucketSet {
+func arcBuckets(spans []Span) bucketSet {
 	var arc bucketSet
 	for _, sp := range spans {
-		arc.addRange(bucketOf(sp.first), bucketOf(sp.last))
+		arc.addRange(bucketOf(sp.First), bucketOf(sp.Last))
 	}
 	return arc
 }
@@ -281,7 +281,7 @@ func (s *Store) MatchArcMemo(ctx context.Context, m *pps.Matcher, q pps.Query, l
 			ps[i].e.mu.Unlock()
 		}
 	}
-	spans := arcSpans(lo, hi)
+	spans := ArcSpans(lo, hi)
 	if broad == len(ps) || (broad > 0 && !and) {
 		unlock()
 		ids, scanned, err = s.MatchArc(ctx, m, q, lo, hi, opts)
@@ -302,7 +302,7 @@ func (s *Store) MatchArcMemo(ctx context.Context, m *pps.Matcher, q pps.Query, l
 // combines their ids inside spans by AND or OR; an AND then checks its
 // tombstoned predicates on what is left. The caller holds the entries'
 // mus.
-func (s *Store) lookup(ctx context.Context, m *pps.Matcher, and bool, ps []memoPred, spans []idSpan, opts MatchOptions) (ids []uint64, c lookupCounts, err error) {
+func (s *Store) lookup(ctx context.Context, m *pps.Matcher, and bool, ps []memoPred, spans []Span, opts MatchOptions) (ids []uint64, c lookupCounts, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for !s.scheduled.Load() {
@@ -461,9 +461,9 @@ func (s *Store) rangesOfLocked(ids []uint64) []indexRange {
 }
 
 // inSpan is the part of ascending ids inside sp.
-func inSpan(ids []uint64, sp idSpan) []uint64 {
-	from := sort.Search(len(ids), func(j int) bool { return ids[j] >= sp.first })
-	to := from + sort.Search(len(ids)-from, func(j int) bool { return ids[from+j] > sp.last })
+func inSpan(ids []uint64, sp Span) []uint64 {
+	from := sort.Search(len(ids), func(j int) bool { return ids[j] >= sp.First })
+	to := from + sort.Search(len(ids)-from, func(j int) bool { return ids[from+j] > sp.Last })
 	return ids[from:to]
 }
 

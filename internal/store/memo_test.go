@@ -125,8 +125,8 @@ func checkMemoLookup(t *testing.T, s *Store, w *memoWorld, q pps.Query, lo, hi r
 		t.Fatalf("%s: MatchArcMemo(%v, %v) = %v, a fresh MatchArc = %v", when, lo, hi, got, want)
 	}
 	var touched bucketSet
-	for _, sp := range arcSpans(lo, hi) {
-		touched.addRange(bucketOf(sp.first), bucketOf(sp.last))
+	for _, sp := range ArcSpans(lo, hi) {
+		touched.addRange(bucketOf(sp.First), bucketOf(sp.Last))
 	}
 	bound := 0
 	for _, r := range s.InArc(0, 0) {

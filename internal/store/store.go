@@ -99,7 +99,7 @@ func IDOf(p ring.Point) uint64 {
 }
 
 // The ring's fixed buckets: bucketOf is exact integer arithmetic in id
-// space, the space arcRangesLocked searches, so which bucket a record
+// space, the space rangesLocked searches, so which bucket a record
 // dirties and which records a bucket holds cannot disagree by a float
 // rounding.
 const (
@@ -384,14 +384,19 @@ func (s *Store) Get(id uint64) (pps.Encoded, bool) {
 }
 
 // InArc returns copies of the records whose ring point lies in the
-// half-open arc (lo, hi] — the match set of a sub-query. The arc may
-// wrap zero, producing at most two contiguous slices internally. The
-// copies' nonces and filters share one allocation, each capped at its
-// length.
+// half-open arc (lo, hi] — the match set of a sub-query: InSpans of the
+// arc's ArcSpans.
 func (s *Store) InArc(lo, hi ring.Point) []pps.Encoded {
+	return s.InSpans(ArcSpans(lo, hi))
+}
+
+// InSpans returns copies of the records whose identifier lies in one of
+// spans, span by span. The copies' nonces and filters share one
+// allocation, each capped at its length.
+func (s *Store) InSpans(spans []Span) []pps.Encoded {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ranges := s.arcRangesLocked(lo, hi)
+	ranges := s.rangesLocked(spans)
 	n, size := 0, 0
 	for _, r := range ranges {
 		n += r.to - r.from
@@ -425,27 +430,53 @@ func appendField(buf, f []byte) ([]byte, []byte) {
 	return buf, buf[at:len(buf):len(buf)]
 }
 
-// idSpan is a closed interval of identifiers.
-type idSpan struct{ first, last uint64 }
+// Span is the closed interval of identifiers [First, Last].
+type Span struct{ First, Last uint64 }
 
-// arcSpans returns the identifiers of the match arc (lo, hi] as closed
-// intervals, clockwise from lo: one, or two when the arc wraps zero.
-// lo == hi denotes the full ring (ring.MatchSpan convention). The arc is
-// ids in (IDOf(lo), IDOf(hi)]; the float conversion is monotone, so
-// ordering is preserved.
-func arcSpans(lo, hi ring.Point) []idSpan {
+// ArcSpans returns the identifiers of the match arc (lo, hi] as closed
+// intervals, clockwise from lo: none, one, or two when the arc wraps
+// zero. lo == hi denotes the full ring (ring.MatchSpan convention). The
+// arc is ids in (IDOf(lo), IDOf(hi)]; the float conversion is monotone,
+// so ordering is preserved, and an arc between two points of one id
+// holds none.
+func ArcSpans(lo, hi ring.Point) []Span {
 	if ring.MatchSpan(lo, hi) >= 1 {
-		return []idSpan{{0, math.MaxUint64}}
+		return []Span{{0, math.MaxUint64}}
 	}
 	loID, hiID := IDOf(lo), IDOf(hi)
 	switch {
 	case loID < hiID:
-		return []idSpan{{loID + 1, hiID}}
+		return []Span{{loID + 1, hiID}}
+	case loID == hiID && lo < hi:
+		return nil
 	case loID == math.MaxUint64:
-		return []idSpan{{0, hiID}}
+		return []Span{{0, hiID}}
 	default: // wrapping: (loID, max] then [0, hiID]
-		return []idSpan{{loID + 1, math.MaxUint64}, {0, hiID}}
+		return []Span{{loID + 1, math.MaxUint64}, {0, hiID}}
 	}
+}
+
+// Minus returns the identifiers of a that b lacks, as disjoint spans in
+// the order of a's. Both are sets of disjoint spans, as ArcSpans returns.
+// It is exact: a set minus itself is empty whatever floats made it.
+func Minus(a, b []Span) []Span {
+	for _, y := range b {
+		var rest []Span
+		for _, x := range a {
+			if y.Last < x.First || x.Last < y.First {
+				rest = append(rest, x)
+				continue
+			}
+			if x.First < y.First {
+				rest = append(rest, Span{x.First, y.First - 1})
+			}
+			if y.Last < x.Last {
+				rest = append(rest, Span{y.Last + 1, x.Last})
+			}
+		}
+		a = rest
+	}
+	return a
 }
 
 // lowerLocked is the index of the first record with ID >= id.
@@ -463,13 +494,12 @@ func (s *Store) upperLocked(id uint64) int {
 // arrays, so it is good only while the read lock that produced it is held.
 type indexRange struct{ from, to int }
 
-// arcRangesLocked returns the records with point in (lo, hi] as index
-// ranges, one per span of the arc.
-func (s *Store) arcRangesLocked(lo, hi ring.Point) []indexRange {
-	spans := arcSpans(lo, hi)
+// rangesLocked returns the records with identifier in spans as index
+// ranges, one per span.
+func (s *Store) rangesLocked(spans []Span) []indexRange {
 	ranges := make([]indexRange, len(spans))
 	for i, sp := range spans {
-		ranges[i] = indexRange{s.lowerLocked(sp.first), s.upperLocked(sp.last)}
+		ranges[i] = indexRange{s.lowerLocked(sp.First), s.upperLocked(sp.Last)}
 	}
 	return ranges
 }
@@ -477,12 +507,11 @@ func (s *Store) arcRangesLocked(lo, hi ring.Point) []indexRange {
 // RetainStored drops every record outside the node's stored set for the
 // given range and partitioning level (used when p increases and replicas
 // must be dropped, §4.5). It returns the number of deleted records.
-// The stored set of a node with range [start, end) is (start-1/p, end).
+// The stored set of a node with range [start, end) is (start-1/p, end):
+// the records whose replication arc meets the range, the rule routing
+// places records by, so a node keeps every record routing gives it.
 func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
-	repl := 1 / float64(p)
-	keepLo := nodeRange.Start.Add(-repl)
-	keepHi := nodeRange.End()
-	if nodeRange.Length+repl >= 1 {
+	if nodeRange.Length+1/float64(p) >= 1 {
 		return 0 // node stores everything
 	}
 	s.mu.Lock()
@@ -496,9 +525,7 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 	kept := s.recs[:0]
 	dropped := 0
 	for _, r := range s.recs {
-		pt := PointOf(r.ID)
-		d := keepLo.DistCW(pt)
-		if d > 0 && d < keepLo.DistCW(keepHi) {
+		if ring.ReplicationArc(PointOf(r.ID), p).Intersects(nodeRange) {
 			s.ids[len(kept)] = r.ID
 			kept = append(kept, r)
 		} else {
@@ -698,7 +725,7 @@ func (s *Store) MatchArc(ctx context.Context, m *pps.Matcher, q pps.Query, lo, h
 		s.activateSchedules()
 		s.mu.RLock()
 	}
-	sc, err := s.scanLocked(ctx, m, []pps.Query{q}, opts, s.arcRangesLocked(lo, hi))
+	sc, err := s.scanLocked(ctx, m, []pps.Query{q}, opts, s.rangesLocked(ArcSpans(lo, hi)))
 	if err != nil {
 		return nil, sc.scanned, err
 	}
