@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"roar/internal/core"
 	"roar/internal/frontend"
 	"roar/internal/node"
 	"roar/internal/pps"
 	"roar/internal/ring"
-	"roar/internal/store"
 )
 
 // TestJoinRacingAppendsKeepsEveryHolder: a Join copies the new node's
@@ -207,27 +205,17 @@ func nodesByID(c *Cluster) map[ring.NodeID]*node.Node {
 
 // missingHolderCopies waits for the drain to deliver through last, then
 // counts the (holder, record) pairs of recs that the coordinator's final
-// view places but the holder does not store.
+// view places but the holder does not store: every node whose stored
+// spans hold the record's id.
 func missingHolderCopies(t *testing.T, c *Cluster, nodes map[ring.NodeID]*node.Node, recs []pps.Encoded, last uint64) int {
 	t.Helper()
 	if err := c.WaitIngestDrained(context.Background(), last); err != nil {
 		t.Fatal(err)
 	}
-	v := c.Coord.View()
-	r := ring.New()
-	for _, n := range v.Nodes {
-		if err := r.Insert(ring.NodeID(n.ID), ring.Point(n.Start)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pl, err := core.NewPlacement(v.P, r)
-	if err != nil {
-		t.Fatal(err)
-	}
 	missing := 0
-	for _, rec := range recs {
-		for _, h := range pl.Holders(store.PointOf(rec.ID)) {
-			if _, ok := nodes[h].Store().Get(rec.ID); !ok {
+	for h, spans := range viewHeld(t, c.Coord.View()) {
+		for _, rec := range recs {
+			if _, ok := nodes[h].Store().Get(rec.ID); inSpans(spans, rec.ID) && !ok {
 				missing++
 			}
 		}

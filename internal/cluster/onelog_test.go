@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -40,24 +41,44 @@ func storedIDs(nd *node.Node) []uint64 {
 	return ids
 }
 
-// owedTo lists, ascending, the ids of recs whose replication arc under
-// v's p touches node id's range: what the drain would route to it.
-func owedTo(t *testing.T, v proto.View, id int, recs []pps.Encoded) []uint64 {
+// viewHeld maps every node of v to the ids it must hold:
+// store.StoredSpans of its range on its ring, at v's p.
+func viewHeld(t *testing.T, v proto.View) map[ring.NodeID][]store.Span {
 	t.Helper()
-	r := ring.New()
+	rings := map[int]*ring.Ring{}
 	for _, n := range v.Nodes {
-		if err := r.Insert(ring.NodeID(n.ID), ring.Point(n.Start)); err != nil {
+		if rings[n.Ring] == nil {
+			rings[n.Ring] = ring.New()
+		}
+		if err := rings[n.Ring].Insert(ring.NodeID(n.ID), ring.Point(n.Start)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	held := map[ring.NodeID][]store.Span{}
+	for _, n := range v.Nodes {
+		a, err := rings[n.Ring].Range(ring.NodeID(n.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[ring.NodeID(n.ID)] = store.StoredSpans(a, v.P)
+	}
+	return held
+}
+
+// inSpans reports whether id lies in one of spans.
+func inSpans(spans []store.Span, id uint64) bool {
+	return slices.ContainsFunc(spans, func(sp store.Span) bool { return sp.First <= id && id <= sp.Last })
+}
+
+// owedTo lists, ascending, the ids of recs that node id's stored spans
+// under v hold: what the drain routes to it.
+func owedTo(t *testing.T, v proto.View, id int, recs []pps.Encoded) []uint64 {
+	t.Helper()
+	spans := viewHeld(t, v)[ring.NodeID(id)]
 	var ids []uint64
-	var holders []ring.NodeID
 	for _, rec := range recs {
-		holders = r.AppendHolders(holders[:0], ring.ReplicationArc(store.PointOf(rec.ID), v.P))
-		for _, h := range holders {
-			if int(h) == id {
-				ids = append(ids, rec.ID)
-			}
+		if inSpans(spans, rec.ID) {
+			ids = append(ids, rec.ID)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"roar/internal/ring"
+	"roar/internal/store"
 )
 
 // uniformEst models identical servers: finish time proportional to
@@ -60,73 +64,100 @@ func TestNewPlacementValidation(t *testing.T) {
 	}
 }
 
+// held returns the ids node id holds under pl: store.StoredSpans of its
+// range, the rule routing, pushes and trims place records by.
+func held(t testing.TB, pl *Placement, id ring.NodeID) []store.Span {
+	t.Helper()
+	a, _, err := pl.NodeRange(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.StoredSpans(a, pl.P())
+}
+
+// holds reports whether one of spans holds id.
+func holds(spans []store.Span, id uint64) bool {
+	return slices.ContainsFunc(spans, func(sp store.Span) bool { return sp.First <= id && id <= sp.Last })
+}
+
+// unread returns the ids of arc (lo, hi] that none of nodes holds.
+func unread(t testing.TB, pl *Placement, lo, hi ring.Point, nodes ...ring.NodeID) []store.Span {
+	t.Helper()
+	rest := store.ArcSpans(lo, hi)
+	for _, id := range nodes {
+		rest = store.Minus(rest, held(t, pl, id))
+	}
+	return rest
+}
+
 func TestHoldersCount(t *testing.T) {
-	// n=12, p=4 => r=3 (the running example of Figs 3.1/4.1).
-	pl := mustPlacement(t, 4, ring.NewEqual(12))
+	// n=12, p=4 => r=n/p=3 (the running example of Figs 3.1/4.1).
+	const n, p = 12, 4
+	pl := mustPlacement(t, p, ring.NewEqual(n))
+	spans := make([][]store.Span, n)
+	for id := range spans {
+		spans[id] = held(t, pl, ring.NodeID(id))
+	}
 	rng := rand.New(rand.NewSource(1))
 	total := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		total += len(pl.Holders(ring.Norm(rng.Float64())))
+		id := rng.Uint64()
+		for _, sp := range spans {
+			if holds(sp, id) {
+				total++
+			}
+		}
 	}
 	avg := float64(total) / trials
 	// Replication arc 1/4 intersects 3 or 4 equal ranges of width 1/12:
-	// average must sit near r+1=4 (an arc of length 1/p crosses on
+	// average must sit near n/p+1=4 (an arc of length 1/p crosses on
 	// average n/p boundaries, touching n/p + 1 ranges).
-	if avg < 3.5 || avg > 4.5 {
-		t.Errorf("average holders = %v, want ≈4", avg)
-	}
-	if pl.ExpectedReplicas() != 3 {
-		t.Errorf("ExpectedReplicas = %v, want 3", pl.ExpectedReplicas())
+	if want := float64(n)/p + 1; math.Abs(avg-want) > 0.5 {
+		t.Errorf("average holders = %v, want ≈%v", avg, want)
 	}
 }
 
-func TestStoresMatchesHolders(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pl := mustPlacement(t, 5, randomRing(20, 0, rng))
-	for i := 0; i < 500; i++ {
-		obj := ring.Norm(rng.Float64())
-		holders := map[ring.NodeID]bool{}
-		for _, h := range pl.Holders(obj) {
-			holders[h] = true
-		}
-		for _, id := range pl.rings[0].IDs() {
-			if got := pl.Stores(id, obj); got != holders[id] {
-				t.Fatalf("Stores(%d, %v) = %v but holders=%v", id, obj, got, holders[id])
-			}
-		}
+// partitionError returns nil when the id spans of subs' arcs, sorted,
+// partition the id ring: every id read by exactly one sub-query.
+func partitionError(subs []SubQuery) error {
+	var spans []store.Span
+	for _, s := range subs {
+		spans = append(spans, store.ArcSpans(s.Lo, s.Hi)...)
 	}
+	slices.SortFunc(spans, func(a, b store.Span) int { return cmp.Compare(a.First, b.First) })
+	next := uint64(0)
+	for i, sp := range spans {
+		if sp.First != next || i > 0 && spans[i-1].Last == math.MaxUint64 {
+			return fmt.Errorf("from id %#x the spans %v leave a gap or overlap", next, spans)
+		}
+		next = sp.Last + 1
+	}
+	if len(spans) == 0 || spans[len(spans)-1].Last != math.MaxUint64 {
+		return fmt.Errorf("the spans %v stop short of the ring's end", spans)
+	}
+	return nil
 }
 
-// checkPlan asserts the two fundamental plan invariants: the match arcs
-// tile the object id space exactly once, and every sub-query's node
-// stores every object in its arc.
-func checkPlan(t *testing.T, pl *Placement, plan Plan, rng *rand.Rand) {
+// checkPlan asserts the two fundamental plan invariants, exactly in id
+// space: the sub-queries' id spans partition the ring, and every
+// sub-query's node holds every id it reads, as CanServe promises.
+func checkPlan(t *testing.T, pl *Placement, plan Plan) {
 	t.Helper()
-	// Tiling: sample random object ids; each matched by exactly one sub.
-	for i := 0; i < 300; i++ {
-		obj := ring.Norm(rng.Float64())
-		matches := 0
-		for _, s := range plan.Subs {
-			if s.Matches(obj) {
-				matches++
-			}
-		}
-		if matches != 1 {
-			t.Fatalf("object %v matched by %d sub-queries, want 1 (plan start %v pq %d)",
-				obj, matches, plan.Start, plan.PQ)
-		}
+	if err := partitionError(plan.Subs); err != nil {
+		t.Fatalf("plan start %v pq %d: %v", plan.Start, plan.PQ, err)
 	}
-	// Validity: nodes can serve their arcs.
 	for i, s := range plan.Subs {
 		if !pl.CanServe(s.Node, s.Lo, s.Hi) {
 			t.Fatalf("sub %d: node %d cannot serve (%v,%v]", i, s.Node, s.Lo, s.Hi)
+		}
+		if rest := unread(t, pl, s.Lo, s.Hi, s.Node); len(rest) > 0 {
+			t.Fatalf("sub %d: node %d reads %v of (%v,%v] that it does not hold", i, s.Node, rest, s.Lo, s.Hi)
 		}
 	}
 }
 
 func TestScheduleBasic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	pl := mustPlacement(t, 4, ring.NewEqual(12))
 	plan, err := pl.Schedule(4, uniformEst)
 	if err != nil {
@@ -135,7 +166,7 @@ func TestScheduleBasic(t *testing.T) {
 	if len(plan.Subs) != 4 {
 		t.Fatalf("got %d sub-queries, want 4", len(plan.Subs))
 	}
-	checkPlan(t, pl, plan, rng)
+	checkPlan(t, pl, plan)
 	if math.Abs(plan.Delay-0.25) > 1e-9 {
 		t.Errorf("uniform delay = %v, want 0.25", plan.Delay)
 	}
@@ -152,7 +183,7 @@ func TestSchedulePqGreaterThanP(t *testing.T) {
 		if len(plan.Subs) != pq {
 			t.Fatalf("pq=%d: got %d subs", pq, len(plan.Subs))
 		}
-		checkPlan(t, pl, plan, rng)
+		checkPlan(t, pl, plan)
 	}
 	if _, err := pl.Schedule(2, uniformEst); err == nil {
 		t.Error("pq < p must be rejected")
@@ -236,7 +267,7 @@ func TestScheduleMultiRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlan(t, pl, plan, rng)
+	checkPlan(t, pl, plan)
 	// Two-ring delay must be no worse than either single ring alone.
 	pl1 := mustPlacement(t, 4, r1)
 	p1, _ := pl1.Schedule(4, est)
@@ -286,8 +317,7 @@ func TestCanServe(t *testing.T) {
 }
 
 func TestCanServeAgainstStores(t *testing.T) {
-	// Property: CanServe(lo,hi) == every sampled object in (lo,hi] is
-	// stored on the node.
+	// Property: CanServe(lo,hi) == the node holds every id of (lo,hi].
 	rng := rand.New(rand.NewSource(8))
 	pl := mustPlacement(t, 6, randomRing(18, 0, rng))
 	for trial := 0; trial < 400; trial++ {
@@ -296,24 +326,17 @@ func TestCanServeAgainstStores(t *testing.T) {
 		size := rng.Float64() / 6 // up to 1/p
 		hi := lo.Add(size)
 		can := pl.CanServe(id, lo, hi)
-		allStored := true
-		for k := 1; k <= 40; k++ {
-			obj := lo.Add(size * float64(k) / 41)
-			if !pl.Stores(id, obj) {
-				allStored = false
-				break
-			}
-		}
+		allStored := len(unread(t, pl, lo, hi, id)) == 0
 		if can && !allStored {
-			t.Fatalf("CanServe true but object not stored (node %d, arc (%v,%v])", id, lo, hi)
+			t.Fatalf("CanServe true but ids not stored (node %d, arc (%v,%v])", id, lo, hi)
 		}
-		// The converse can disagree within one sampling step of the
-		// stored-set boundary; shrink the arc by the sampling resolution
-		// before flagging a real inconsistency.
+		// The converse may disagree only where the arc meets the stored
+		// set's bounds, which CanServe excludes; shrink the arc before
+		// flagging a real inconsistency.
 		if !can && allStored {
 			step := size / 41
 			if !pl.CanServe(id, lo.Add(step), hi.Add(-step)) {
-				t.Fatalf("CanServe false but all interior objects stored (node %d, arc (%v,%v])", id, lo, hi)
+				t.Fatalf("CanServe false but all ids stored (node %d, arc (%v,%v])", id, lo, hi)
 			}
 		}
 	}
@@ -342,7 +365,7 @@ func TestAdjustRangesImprovesDelay(t *testing.T) {
 		if adj.Delay < plan.Delay-1e-9 {
 			improved++
 		}
-		checkPlan(t, pl, adj, rng)
+		checkPlan(t, pl, adj)
 		if len(adj.Subs) != len(plan.Subs) {
 			t.Fatal("range adjustment must not change the sub-query count")
 		}
@@ -353,7 +376,6 @@ func TestAdjustRangesImprovesDelay(t *testing.T) {
 }
 
 func TestSplitSlowestImprovesDelay(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
 	// With p = n every node (including the straggler) must serve a
 	// sub-query; splitting the straggler's slice across its faster
 	// replica neighbours is the only way to shed its load.
@@ -372,7 +394,7 @@ func TestSplitSlowestImprovesDelay(t *testing.T) {
 	if split.Delay >= plan.Delay {
 		t.Errorf("splitting did not improve: %v -> %v", plan.Delay, split.Delay)
 	}
-	checkPlan(t, pl, split, rng)
+	checkPlan(t, pl, split)
 	if len(split.Subs) <= len(plan.Subs) {
 		t.Error("splitting should add sub-queries")
 	}
@@ -432,15 +454,9 @@ func TestRepairPlanCoversFailedNode(t *testing.T) {
 		if len(reps) != 2 {
 			t.Fatalf("want 2 replacement subs, got %d", len(reps))
 		}
-		for k := 0; k < 200; k++ {
-			obj := orig.Lo.Add(orig.Size() * (float64(k) + 0.5) / 200)
-			if !orig.Matches(obj) {
-				continue
-			}
-			if !pl.Stores(reps[0].Node, obj) && !pl.Stores(reps[1].Node, obj) {
-				t.Fatalf("object %v in failed arc stored on neither replacement (nodes %d,%d)",
-					obj, reps[0].Node, reps[1].Node)
-			}
+		if rest := unread(t, pl, orig.Lo, orig.Hi, reps[0].Node, reps[1].Node); len(rest) > 0 {
+			t.Fatalf("ids %v of the failed arc stored on neither replacement (nodes %d,%d)",
+				rest, reps[0].Node, reps[1].Node)
 		}
 	}
 }
@@ -466,18 +482,14 @@ func TestRepairPlanMultipleFailures(t *testing.T) {
 
 func TestStoredSet(t *testing.T) {
 	pl := mustPlacement(t, 4, ring.NewEqual(8))
-	arc, err := pl.StoredSet(2) // node 2 owns [0.25, 0.375)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(arc.Start)-0.0) > 1e-9 || math.Abs(arc.Length-0.375) > 1e-9 {
-		t.Errorf("StoredSet(2) = %v, want [0, 0.375)", arc)
+	// Node 2 owns [0.25, 0.375): it holds the ids of (0, 0.375].
+	if got, want := held(t, pl, 2), store.ArcSpans(0, 0.375); !slices.Equal(got, want) {
+		t.Errorf("node 2 holds %v, want %v", got, want)
 	}
 	// With p=1 every node stores everything.
 	pl1 := mustPlacement(t, 1, ring.NewEqual(8))
-	arc, _ = pl1.StoredSet(2)
-	if !arc.IsFull() {
-		t.Errorf("p=1 stored set should be full, got %v", arc)
+	if got := held(t, pl1, 2); !slices.Equal(got, []store.Span{{First: 0, Last: math.MaxUint64}}) {
+		t.Errorf("p=1: node 2 holds %v, want the whole ring", got)
 	}
 }
 
@@ -553,4 +565,66 @@ func TestFullRingPlanIsExact(t *testing.T) {
 	if plan, err := pl.Schedule(1, uniformEst); err != nil || plan.Subs[0].Size() != 1 {
 		t.Fatalf("Schedule(1): %+v, %v; want one full-ring sub-query", plan, err)
 	}
+}
+
+// FuzzPlanPartitionsIDs is the partition property of every plan the
+// package makes, exactly in id space, over 1-3 random rings, a random p,
+// pq from p to 3p and random node speeds: the id spans of a Schedule
+// plan, and of the plan AdjustRanges and SplitSlowest make of it,
+// partition the id ring, and every sub-query's node holds every id it
+// reads. A RepairPlan of a random failed node keeps the partition over
+// its distinct arcs, and the nodes sent a failed arc hold all of it.
+func FuzzPlanPartitionsIDs(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(4), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(2), uint8(2))
+	f.Add(int64(4), uint8(0), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, rings, p, extra uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		pp := 1 + int(p%6)
+		var rs []*ring.Ring
+		speeds := map[ring.NodeID]float64{}
+		for k := 0; k <= int(rings%3); k++ {
+			r := randomRing(2+rng.Intn(10), ring.NodeID(100*k), rng)
+			for _, id := range r.IDs() {
+				speeds[id] = 0.5 + 4*rng.Float64()
+			}
+			rs = append(rs, r)
+		}
+		pl := mustPlacement(t, pp, rs...)
+		est := speedEst(speeds)
+		plan, err := pl.Schedule(pp*(1+int(extra%3))+int(extra/3%2), est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlan(t, pl, plan)
+		checkPlan(t, pl, pl.AdjustRanges(plan, est, 8))
+		checkPlan(t, pl, pl.SplitSlowest(plan, est, 4))
+
+		failed := plan.Subs[rng.Intn(len(plan.Subs))].Node
+		repaired, err := pl.RepairPlan(plan, map[ring.NodeID]bool{failed: true}, est, rng)
+		if err != nil {
+			return // an unbracketable range; FuzzReplaceCoversArc holds when that may be
+		}
+		sent := map[[2]ring.Point][]ring.NodeID{}
+		var arcs []SubQuery
+		for _, s := range repaired.Subs {
+			if s.Node == failed {
+				t.Fatalf("repaired plan still targets node %d", failed)
+			}
+			key := [2]ring.Point{s.Lo, s.Hi}
+			if sent[key] == nil {
+				arcs = append(arcs, s)
+			}
+			sent[key] = append(sent[key], s.Node)
+		}
+		if err := partitionError(arcs); err != nil {
+			t.Fatalf("repaired plan: %v", err)
+		}
+		for key, nodes := range sent {
+			if rest := unread(t, pl, key[0], key[1], nodes...); len(rest) > 0 {
+				t.Fatalf("ids %v of (%v,%v] held by none of nodes %v", rest, key[0], key[1], nodes)
+			}
+		}
+	})
 }

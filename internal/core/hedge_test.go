@@ -7,8 +7,8 @@ import (
 	"roar/internal/ring"
 )
 
-// hedgeCovers checks that every object the original sub-query would
-// match is stored on (and matched by) at least one replacement's node —
+// hedgeCovers checks that every id the original sub-query would read is
+// stored on (and read by) at least one replacement's node —
 // the correctness property hedging and failure repair rely on.
 func hedgeCovers(t *testing.T, pl *Placement, orig SubQuery, hedges []SubQuery) {
 	t.Helper()
@@ -20,21 +20,12 @@ func hedgeCovers(t *testing.T, pl *Placement, orig SubQuery, hedges []SubQuery) 
 			t.Fatalf("hedge sub targets the primary node %d", orig.Node)
 		}
 	}
-	for k := 0; k < 200; k++ {
-		obj := orig.Lo.Add(orig.Size() * (float64(k) + 0.5) / 200)
-		if !orig.Matches(obj) {
-			continue
-		}
-		stored := false
-		for _, h := range hedges {
-			if pl.Stores(h.Node, obj) {
-				stored = true
-				break
-			}
-		}
-		if !stored {
-			t.Fatalf("object %v in hedged arc stored on no hedge node %v", obj, hedges)
-		}
+	var nodes []ring.NodeID
+	for _, h := range hedges {
+		nodes = append(nodes, h.Node)
+	}
+	if rest := unread(t, pl, orig.Lo, orig.Hi, nodes...); len(rest) > 0 {
+		t.Fatalf("ids %v of the hedged arc stored on no hedge node %v", rest, hedges)
 	}
 }
 

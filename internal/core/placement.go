@@ -54,48 +54,6 @@ func (pl *Placement) P() int { return pl.p }
 // Rings returns the underlying rings (shared, not copied).
 func (pl *Placement) Rings() []*ring.Ring { return pl.rings }
 
-// NumNodes returns the total number of nodes across rings.
-func (pl *Placement) NumNodes() int {
-	n := 0
-	for _, r := range pl.rings {
-		n += r.Len()
-	}
-	return n
-}
-
-// ReplicationArc returns the replication arc of an object under the
-// current p.
-func (pl *Placement) ReplicationArc(obj ring.Point) ring.Arc {
-	return ring.ReplicationArc(obj, pl.p)
-}
-
-// Holders returns every node (across all rings) that must store the
-// object at id obj: the union over rings of the nodes whose range
-// intersects [obj, obj+1/p). With k rings each holds ~r/k replicas.
-func (pl *Placement) Holders(obj ring.Point) []ring.NodeID {
-	arc := pl.ReplicationArc(obj)
-	var out []ring.NodeID
-	for _, r := range pl.rings {
-		out = r.AppendHolders(out, arc)
-	}
-	return out
-}
-
-// Stores reports whether the given node must store the object.
-func (pl *Placement) Stores(id ring.NodeID, obj ring.Point) bool {
-	for _, r := range pl.rings {
-		if !r.Contains(id) {
-			continue
-		}
-		a, err := r.Range(id)
-		if err != nil {
-			return false
-		}
-		return a.Intersects(pl.ReplicationArc(obj))
-	}
-	return false
-}
-
 // NodeRange returns the ownership arc of a node, searching all rings.
 func (pl *Placement) NodeRange(id ring.NodeID) (ring.Arc, int, error) {
 	for k, r := range pl.rings {
@@ -113,7 +71,9 @@ func (pl *Placement) NodeRange(id ring.NodeID) (ring.Arc, int, error) {
 // replication arc [id, id+1/p) intersects the range — so the condition
 // is (lo, hi] ⊆ (s-1/p, e). This is the validity rule behind range
 // adjustment (§4.8.2) and sub-query splitting, and the invariant the
-// property tests check on every plan.
+// property tests check on every plan. The records a node holds are
+// decided exactly, in identifier space, by store.StoredSpans; the tests
+// hold CanServe to it: a leg it passes reads only ids its node holds.
 func (pl *Placement) CanServe(id ring.NodeID, lo, hi ring.Point) bool {
 	size := ring.MatchSpan(lo, hi) // lo == hi means the full ring
 	repl := 1 / float64(pl.p)
@@ -129,28 +89,4 @@ func (pl *Placement) CanServe(id ring.NodeID, lo, hi ring.Point) bool {
 	// (d1, d1+size]; all must fall strictly inside (0, stored).
 	d1 := nodeArc.Start.Add(-repl).DistCW(lo)
 	return d1+size < stored
-}
-
-// StoredSet enumerates, for a node, the fraction of the object id space
-// it must store: the arc (start-1/p, end) where [start, end) is the
-// node's range. Objects with ids in that arc have replication arcs
-// intersecting the node's range.
-func (pl *Placement) StoredSet(id ring.NodeID) (ring.Arc, error) {
-	a, _, err := pl.NodeRange(id)
-	if err != nil {
-		return ring.Arc{}, err
-	}
-	repl := 1 / float64(pl.p)
-	length := a.Length + repl
-	if length >= 1 {
-		return ring.FullArc(), nil
-	}
-	return ring.NewArc(a.Start.Add(-repl), length), nil
-}
-
-// ExpectedReplicas returns the average replica count r = n/p implied by
-// the trade-off equation (2.1); with multiple rings it is the sum of the
-// per-ring expectations.
-func (pl *Placement) ExpectedReplicas() float64 {
-	return float64(pl.NumNodes()) / float64(pl.p)
 }

@@ -39,11 +39,6 @@ type SubQuery struct {
 // Size returns the match arc length (1 when Lo == Hi, the full ring).
 func (s SubQuery) Size() float64 { return ring.MatchSpan(s.Lo, s.Hi) }
 
-// Matches implements the server-side object filter.
-func (s SubQuery) Matches(obj ring.Point) bool {
-	return ring.InMatchArc(obj, s.Lo, s.Hi)
-}
-
 // Plan is a complete assignment of one query to servers.
 type Plan struct {
 	Start ring.Point // chosen starting id on the ring
@@ -178,19 +173,19 @@ func (pl *Placement) Schedule(pq int, est Estimator) (Plan, error) {
 	return pl.planAt(ring.Norm(bestStart), pq, est), nil
 }
 
-// planAt materialises the plan for a specific starting id.
+// planAt materialises the plan for a specific starting id. Each
+// sub-query's Lo is the previous probe itself, the first's the last
+// probe, so neighbours share their bound exactly and the plan's id spans
+// partition the ring: a Lo computed as probe - 1/pq rounds apart from
+// the previous Hi and leaves ids between them to no sub-query or to two.
+// At pq = 1 this makes Lo == Hi, the full ring.
 func (pl *Placement) planAt(start ring.Point, pq int, est Estimator) Plan {
 	size := 1 / float64(pq)
 	plan := Plan{Start: start, PQ: pq, Subs: make([]SubQuery, 0, pq)}
+	lo := start.Add(float64(pq-1) / float64(pq))
 	for i := 0; i < pq; i++ {
 		probe := start.Add(float64(i) / float64(pq))
 		node, rk, fin := pl.fastestOwner(probe, size, est)
-		lo := probe.Add(-size)
-		if pq == 1 {
-			// The full ring is Lo == Hi exactly; probe - 1 rounds, and
-			// an arc one ulp long matches nothing.
-			lo = probe
-		}
 		plan.Subs = append(plan.Subs, SubQuery{
 			Node: node,
 			Ring: rk,
@@ -198,6 +193,7 @@ func (pl *Placement) planAt(start ring.Point, pq int, est Estimator) Plan {
 			Hi:   probe,
 			Est:  fin,
 		})
+		lo = probe
 	}
 	plan.Delay = plan.maxEst()
 	return plan

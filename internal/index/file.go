@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -286,38 +287,34 @@ func decodeHeader(r *binfmt.Reader, name string) *Segment {
 }
 
 // DecodeSegment parses a complete segment image into a memory-resident
-// segment, validating every posting (cardinality and size must match
-// the dictionary) and rejecting trailing bytes. OpenFile is the
-// lazy-loading production path; this is the oracle the fuzzer drives.
+// segment, rejecting trailing bytes. Every posting is decoded and
+// checked through loadPosting, the path OpenFile's segments read their
+// postings by, so the fuzzer that drives this decoder covers the one a
+// node runs.
 func DecodeSegment(data []byte) (*Segment, error) {
 	r := binfmt.NewReader(data)
 	s := decodeHeader(&r, "<bytes>")
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	s.mem = make(map[string]*Bitmap, len(s.terms))
+	s.src = bytes.NewReader(data)
+	mem := make(map[string]*Bitmap, len(s.terms))
 	for _, t := range s.terms {
-		info := s.dict[t]
-		blob := r.Take(info.size, "posting blob")
-		if r.Err() != nil {
+		// Take first: a size past the image fails here, before
+		// loadPosting allocates for it.
+		if r.Take(s.dict[t].size, "posting blob"); r.Err() != nil {
 			return nil, r.Err()
 		}
-		bm, err := DecodeBitmap(blob)
+		bm, err := s.loadPosting(t)
 		if err != nil {
-			return nil, fmt.Errorf("index: posting %q: %w", t, err)
+			return nil, err
 		}
-		if bm.Cardinality() != info.card {
-			return nil, fmt.Errorf("index: posting %q cardinality %d != dict %d", t, bm.Cardinality(), info.card)
-		}
-		// Ordinals must stay inside the doc table.
-		if n := len(s.docIDs); bm.card > 0 && maxValue(bm) >= uint64(n) {
-			return nil, fmt.Errorf("index: posting %q ordinal %d outside doc table (%d docs)", t, maxValue(bm), n)
-		}
-		s.mem[t] = bm
+		mem[t] = bm
 	}
 	if err := r.Finish("segment"); err != nil {
 		return nil, err
 	}
+	s.src, s.mem = nil, mem
 	return s, nil
 }
 

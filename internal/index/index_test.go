@@ -326,3 +326,46 @@ func TestCacheBudgetInvariant(t *testing.T) {
 		t.Fatalf("DropSegment left residue: %+v", st)
 	}
 }
+
+// TestOpenFileRejectsPostingOffDict: a segment file whose posting
+// disagrees with its dictionary, in cardinality or by an ordinal past
+// the doc table, fails the search that reads the posting, through the
+// OpenFile path a node serves from, instead of answering from it.
+func TestOpenFileRejectsPostingOffDict(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(s *Segment)
+	}{
+		{"cardinality", func(s *Segment) {
+			info := s.dict["t000"]
+			info.card++
+			s.dict["t000"] = info
+		}},
+		{"ordinal", func(s *Segment) {
+			s.mem["t000"].Add(uint64(s.Docs() + 3))
+			info := s.dict["t000"]
+			info.card = s.mem["t000"].Cardinality()
+			s.dict["t000"] = info
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seg := buildSegment(genCorpus(rand.New(rand.NewSource(15)), 300, 4, 2), "seg")
+			tc.tamper(seg)
+			path := filepath.Join(t.TempDir(), "seg.roar")
+			if err := SaveFile(path, seg); err != nil {
+				t.Fatal(err)
+			}
+			disk, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disk.Close()
+			ix := New(1 << 20)
+			ix.AddSegment(disk)
+			if ids, _, err := ix.SearchArc(context.Background(), Query{Terms: []string{"t000"}}, 0, 0, true); err == nil {
+				t.Fatalf("a posting off its dictionary answered %d ids", len(ids))
+			}
+		})
+	}
+}

@@ -67,8 +67,10 @@ func (s *Segment) Close() error {
 }
 
 // loadPosting decodes the posting list for term, reading from disk for
-// file-backed segments. Returns nil for absent terms. Callers normally
-// go through a Cache; loadPosting itself is unbudgeted.
+// file-backed segments, and checks it against the segment: its
+// cardinality must be the dictionary's and its ordinals must stay inside
+// the doc table. Returns nil for absent terms. Callers normally go
+// through a Cache; loadPosting itself is unbudgeted.
 func (s *Segment) loadPosting(term string) (*Bitmap, error) {
 	info, ok := s.dict[term]
 	if !ok {
@@ -84,6 +86,12 @@ func (s *Segment) loadPosting(term string) (*Bitmap, error) {
 	bm, err := DecodeBitmap(buf)
 	if err != nil {
 		return nil, fmt.Errorf("index: posting %q of %s: %w", term, s.name, err)
+	}
+	if bm.Cardinality() != info.card {
+		return nil, fmt.Errorf("index: posting %q of %s: cardinality %d != dict %d", term, s.name, bm.Cardinality(), info.card)
+	}
+	if n := len(s.docIDs); bm.card > 0 && maxValue(bm) >= uint64(n) {
+		return nil, fmt.Errorf("index: posting %q of %s: ordinal %d outside doc table (%d docs)", term, s.name, maxValue(bm), n)
 	}
 	return bm, nil
 }

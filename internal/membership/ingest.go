@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -179,32 +180,26 @@ func (c *Coordinator) StopIngest() {
 }
 
 // routeBatch resolves the CURRENT owners of every record of a batch
-// under one hold of c.mu: the holders of each record's replication arc
-// on every enabled ring, under the published layout and, while a move
-// stages one, the next, with pushes fenced by the epoch read once for
-// the batch. Called fresh on every delivery attempt (ingest.Route
-// contract); only the per-node Target value is reused within an epoch.
+// under one hold of c.mu: the nodes whose stored spans hold its id under
+// the published layout and, while a move stages one, the next, with
+// pushes fenced by the epoch read once for the batch. Called fresh on
+// every delivery attempt (ingest.Route contract); only the holder table
+// and the per-node Target values are reused, while the epoch and the
+// staged layout stay.
 func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([]ingest.Placement, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ingestTargets == nil || c.ingestTargetsEpoch != c.epoch {
+	if c.routes == nil || c.routesEpoch != c.epoch || c.routesNext != c.next {
+		// A move's pushes may read the backend before a record the
+		// drain routes while it stages: that record reaches the holders
+		// the move adds from here.
+		c.routes = newRoutes(&c.layout, c.next)
 		c.ingestTargets = make(map[ring.NodeID]ingestTarget)
-		c.ingestTargetsEpoch = c.epoch
+		c.routesEpoch, c.routesNext = c.epoch, c.next
 	}
-	var buf [16]ring.NodeID
-	holders := buf[:0]
 	for i, rec := range batch {
-		x := store.PointOf(rec.ID)
-		holders = c.appendHolders(holders[:0], x)
-		if c.next != nil {
-			// A move's pushes may have read the backend before this
-			// record: it reaches the holders the move adds from here.
-			holders = c.next.appendHolders(holders, x)
-			slices.Sort(holders)
-			holders = slices.Compact(holders)
-		}
 		n := len(dst)
-		for _, id := range holders {
+		for _, id := range c.routes.holders(rec.ID) {
 			cl := c.clients[id]
 			if cl == nil {
 				continue
@@ -221,6 +216,65 @@ func (c *Coordinator) routeBatch(dst []ingest.Placement, batch []pps.Encoded) ([
 		}
 	}
 	return dst, nil
+}
+
+// routes is the holder table of one or two layouts: the ring cut at
+// every id where some node's stored spans begin or end, each piece with
+// the nodes that hold it.
+type routes struct {
+	cuts []uint64      // ascending; cuts[0] == 0
+	at   []int         // piece i's holders are ids[at[i]:at[i+1]]
+	ids  []ring.NodeID // without repeats within a piece
+}
+
+// newRoutes builds the holder table of the non-nil layouts ls.
+func newRoutes(ls ...*layout) *routes {
+	type held struct {
+		id    ring.NodeID
+		spans []store.Span
+	}
+	var nodes []held
+	rt := &routes{cuts: []uint64{0}}
+	for _, l := range ls {
+		if l == nil {
+			continue
+		}
+		for _, r := range l.rings {
+			for _, id := range r.IDs() {
+				spans := l.stored(id)
+				nodes = append(nodes, held{id, spans})
+				for _, sp := range spans {
+					rt.cuts = append(rt.cuts, sp.First)
+					if sp.Last != math.MaxUint64 {
+						rt.cuts = append(rt.cuts, sp.Last+1)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(rt.cuts)
+	rt.cuts = slices.Compact(rt.cuts)
+	for _, cut := range rt.cuts {
+		from := len(rt.ids)
+		rt.at = append(rt.at, from)
+		for _, h := range nodes {
+			if slices.ContainsFunc(h.spans, func(sp store.Span) bool { return sp.First <= cut && cut <= sp.Last }) &&
+				!slices.Contains(rt.ids[from:], h.id) {
+				rt.ids = append(rt.ids, h.id)
+			}
+		}
+	}
+	rt.at = append(rt.at, len(rt.ids))
+	return rt
+}
+
+// holders returns the nodes that hold id; the table's, not the caller's.
+func (rt *routes) holders(id uint64) []ring.NodeID {
+	i, found := slices.BinarySearch(rt.cuts, id)
+	if !found {
+		i--
+	}
+	return rt.ids[rt.at[i]:rt.at[i+1]]
 }
 
 // ingestTarget is the delivery target of one node's client under one

@@ -96,44 +96,15 @@ func (l *layout) ringOf(id ring.NodeID) int {
 	return -1
 }
 
-// appendHolders appends the nodes on enabled rings whose range meets the
-// replication arc of point x.
-func (l *layout) appendHolders(dst []ring.NodeID, x ring.Point) []ring.NodeID {
-	repl := ring.ReplicationArc(x, l.p)
-	for k, r := range l.rings {
-		if !l.disabled[k] {
-			dst = r.AppendHolders(dst, repl)
-		}
-	}
-	return dst
-}
-
-// holds reports whether routing by l delivers a record at point x to
-// node id.
-func (l *layout) holds(id ring.NodeID, x ring.Point) bool {
-	var buf [16]ring.NodeID
-	return slices.Contains(l.appendHolders(buf[:0], x), id)
-}
-
-// routeSlack is wider than the rounding between a record's identifier,
-// its ring point and the float arcs routing compares that point with.
-const routeSlack = 0x1p-40
-
-// stored returns the identifiers of the arc node id stores, its range
-// widened by 1/p counter-clockwise, (start-1/p, end], grown by margin at
-// both ends (shrunk for a negative margin), or the whole ring when that
-// wraps; none off an enabled ring.
-func (l *layout) stored(id ring.NodeID, margin float64) []store.Span {
+// stored returns the identifiers node id holds under l,
+// store.StoredSpans of its range; none off an enabled ring.
+func (l *layout) stored(id ring.NodeID) []store.Span {
 	k := l.ringOf(id)
 	if k < 0 || l.disabled[k] {
 		return nil
 	}
 	a, _ := l.rings[k].Range(id)
-	repl := 1 / float64(l.p)
-	if a.Length+repl+2*margin >= 1 {
-		return store.ArcSpans(0, 0)
-	}
-	return store.ArcSpans(a.Start.Add(-repl-margin), a.End().Add(margin))
+	return store.StoredSpans(a, l.p)
 }
 
 // Coordinator is the membership server.
@@ -174,11 +145,15 @@ type Coordinator struct {
 	// from where its last read ended; nil until the first request.
 	tailMu sync.Mutex
 	tail   *ingest.Tail
-	// ingestTargets holds the delivery target routeBatch built for each
-	// node under ingestTargetsEpoch, so the records of a batch share one
-	// key string and push closure per node; emptied when the epoch moves.
-	ingestTargets      map[ring.NodeID]ingestTarget
-	ingestTargetsEpoch int
+	// routes are the holders of every id under the published layout and
+	// next, and ingestTargets the delivery target routeBatch built for
+	// each node, so the records of a batch share one key string and push
+	// closure per node. Both hold for routesEpoch and routesNext; routeBatch
+	// rebuilds them when the epoch or next moves.
+	routes        *routes
+	ingestTargets map[ring.NodeID]ingestTarget
+	routesEpoch   int
+	routesNext    *layout
 
 	// Transfer accounting for the reconfiguration experiments.
 	objectsPushed int64
@@ -593,7 +568,7 @@ func (c *Coordinator) move(ctx context.Context, edit func(next *layout) error) e
 	}
 	for k, r := range next.rings {
 		for _, id := range r.IDs() {
-			if err == nil && !next.disabled[k] && len(store.Minus(pub.stored(id, 0), next.stored(id, 0))) > 0 {
+			if err == nil && !next.disabled[k] && len(store.Minus(pub.stored(id), next.stored(id))) > 0 {
 				a, _ := r.Range(id)
 				err = c.sendRetain(ctx, id, a, next.p)
 			}
@@ -619,21 +594,13 @@ func (c *Coordinator) pushGains(ctx context.Context, pub, next *layout) error {
 	}
 	for _, r := range next.rings {
 		for _, id := range r.IDs() {
-			// The drain delivered by routing, so what the node gains is
-			// what routing by next gives it and routing by pub did not;
-			// the arcs, a little wider, only narrow the backend read.
-			near := store.Minus(next.stored(id, routeSlack), pub.stored(id, -routeSlack))
-			if len(near) == 0 {
+			// Routing gives a node exactly the ids it stores, so it
+			// gains what it stores under next and did not under pub.
+			gain := store.Minus(next.stored(id), pub.stored(id))
+			if len(gain) == 0 {
 				continue
 			}
-			recs := c.backend.InSpans(near)
-			gain := recs[:0]
-			for _, rec := range recs {
-				if x := store.PointOf(rec.ID); next.holds(id, x) && !pub.holds(id, x) {
-					gain = append(gain, rec)
-				}
-			}
-			if err := c.pushRecords(ctx, id, gain); err != nil {
+			if err := c.pushRecords(ctx, id, c.backend.InSpans(gain)); err != nil {
 				return err
 			}
 		}

@@ -17,7 +17,6 @@ import (
 	"roar/internal/proto"
 	"roar/internal/ring"
 	"roar/internal/sim"
-	"roar/internal/store"
 	"roar/internal/wire"
 )
 
@@ -141,17 +140,14 @@ func (gc *gatedCluster) predecessor(t *testing.T, id ring.NodeID) ring.NodeID {
 	return pred
 }
 
-// checkHolders fails unless every holder the published layout places a
-// corpus record on stores it.
+// checkHolders fails unless every node of the published layout stores
+// every corpus record its stored spans hold.
 func (gc *gatedCluster) checkHolders(t *testing.T) {
 	t.Helper()
 	missing := 0
-	for _, rec := range gc.recs {
-		gc.c.mu.Lock()
-		holders := gc.c.appendHolders(nil, store.PointOf(rec.ID))
-		gc.c.mu.Unlock()
-		for _, h := range holders {
-			if _, ok := gc.nodes[h].nd.Store().Get(rec.ID); !ok {
+	for id, spans := range heldSpans(gc.c) {
+		for _, rec := range gc.recs {
+			if _, ok := gc.nodes[id].nd.Store().Get(rec.ID); inSpans(spans, rec.ID) && !ok {
 				missing++
 			}
 		}

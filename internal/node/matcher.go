@@ -41,12 +41,11 @@ type storeMatcher struct {
 	store         *store.Store
 	matcher       *pps.Matcher
 	threads       int
-	batchSize     int
 	objectsPerSec float64
 }
 
 func (sm *storeMatcher) MatchArc(ctx context.Context, req proto.QueryReq, lo, hi ring.Point) ([]uint64, int, error) {
-	opts := store.MatchOptions{Threads: sm.threads, BatchSize: sm.batchSize}
+	opts := store.MatchOptions{Threads: sm.threads}
 	if sm.objectsPerSec > 0 {
 		perSec := sm.objectsPerSec
 		opts.Limiter = func(ctx context.Context, k int) error {

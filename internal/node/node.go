@@ -28,8 +28,6 @@ type Config struct {
 	// ObjectsPerSec, when positive, throttles matching to emulate a
 	// calibrated hardware profile (Table 7.1); 0 matches at full speed.
 	ObjectsPerSec float64
-	// BatchSize for the matching pipeline (0 = pps.LaneWindow).
-	BatchSize int
 	// FixedQueryCost adds a constant per-sub-query cost (thread start,
 	// request parsing — the fixed overheads of §2 that do not depend on
 	// data size and cap throughput as p grows). Zero disables it.
@@ -77,7 +75,6 @@ func New(cfg Config) (*Node, error) {
 		store:         n.store,
 		matcher:       m,
 		threads:       cfg.MatchThreads,
-		batchSize:     cfg.BatchSize,
 		objectsPerSec: cfg.ObjectsPerSec,
 	}
 	if cfg.Index != nil {

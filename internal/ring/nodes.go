@@ -221,32 +221,6 @@ func (r *Ring) Predecessor(id NodeID) (NodeID, error) {
 	return r.nodes[(i-1+len(r.nodes))%len(r.nodes)].ID, nil
 }
 
-// AppendHolders appends to dst the ids of all nodes whose range
-// intersects arc a, in ring order starting from the owner of a.Start,
-// and returns it. This is the replica set for an object whose
-// replication arc is a; a caller resolving many arcs reuses one slice.
-func (r *Ring) AppendHolders(dst []NodeID, a Arc) []NodeID {
-	n := len(r.nodes)
-	if n == 0 || a.IsEmpty() {
-		return dst
-	}
-	if a.IsFull() {
-		for _, nr := range r.nodes {
-			dst = append(dst, nr.ID)
-		}
-		return dst
-	}
-	i := r.ownerIndex(a.Start)
-	for k := 0; k < n; k++ {
-		j := (i + k) % n
-		if !r.rangeAt(j).Intersects(a) {
-			break
-		}
-		dst = append(dst, r.nodes[j].ID)
-	}
-	return dst
-}
-
 // Validate checks the internal invariants: sorted starts, unique ids,
 // index map consistency, and full coverage of [0,1). It is used by
 // property tests and returns a descriptive error on the first violation.

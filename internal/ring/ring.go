@@ -13,7 +13,10 @@
 // a contiguous arc, and stores every object whose replication arc
 // intersects the node's arc. Queries probe p equally spaced points; the
 // arc geometry guarantees each probe point lands inside every replication
-// arc that "covers" it, which is what makes rendezvous work.
+// arc that "covers" it, which is what makes rendezvous work. Which
+// identifiers a node holds, and which a sub-query reads, are decided
+// exactly in identifier space (store.StoredSpans and store.ArcSpans);
+// this package supplies the points and ranges they start from.
 package ring
 
 import (
@@ -81,9 +84,6 @@ func ArcBetween(a, b Point) Arc {
 // End returns the point just past the arc (exclusive bound).
 func (a Arc) End() Point { return a.Start.Add(a.Length) }
 
-// IsEmpty reports whether the arc has zero length.
-func (a Arc) IsEmpty() bool { return a.Length == 0 }
-
 // IsFull reports whether the arc covers the whole ring.
 func (a Arc) IsFull() bool { return a.Length >= 1 }
 
@@ -95,77 +95,8 @@ func (a Arc) Contains(q Point) bool {
 	return a.Start.DistCW(q) < a.Length
 }
 
-// Intersects reports whether two arcs share at least one point.
-func (a Arc) Intersects(b Arc) bool {
-	if a.IsEmpty() || b.IsEmpty() {
-		return false
-	}
-	if a.IsFull() || b.IsFull() {
-		return true
-	}
-	return a.Contains(b.Start) || b.Contains(a.Start)
-}
-
-// ContainsArc reports whether b lies entirely within a.
-func (a Arc) ContainsArc(b Arc) bool {
-	if b.IsEmpty() {
-		return true
-	}
-	if a.IsFull() {
-		return true
-	}
-	if b.IsFull() {
-		return false
-	}
-	return a.Contains(b.Start) && a.Start.DistCW(b.Start)+b.Length <= a.Length
-}
-
 func (a Arc) String() string {
 	return fmt.Sprintf("[%.6f,%.6f)", float64(a.Start), float64(a.End()))
-}
-
-// ReplicationArc returns the replication arc for an object at id x under
-// partitioning level p: [x, x+1/p).
-func ReplicationArc(x Point, p int) Arc {
-	if p <= 0 {
-		return FullArc()
-	}
-	return NewArc(x, 1/float64(p))
-}
-
-// ProbePoints returns the pq equally spaced query probe points starting
-// at q: q, q+1/pq, ..., q+(pq-1)/pq.
-func ProbePoints(q Point, pq int) []Point {
-	pts := make([]Point, pq)
-	for i := 0; i < pq; i++ {
-		pts[i] = q.Add(float64(i) / float64(pq))
-	}
-	return pts
-}
-
-// SubQueryMatches implements the duplicate-avoidance rule of §4.2
-// (conditions 4.1 and 4.2): the sub-query probing point idQuery, run with
-// partitioning level pq, matches exactly the objects with
-//
-//	idObject < idQuery  &&  idObject + 1/pq >= idQuery
-//
-// i.e. the objects in the half-open arc [idQuery-1/pq, idQuery). Across
-// the pq equally spaced probe points these arcs tile the ring, so every
-// object is matched by exactly one sub-query.
-func SubQueryMatches(idObject, idQuery Point, pq int) bool {
-	d := idObject.DistCW(idQuery) // clockwise distance object -> query
-	return d > 0 && d <= 1/float64(pq)
-}
-
-// MatchArc returns the arc of object ids that the sub-query at idQuery
-// with level pq is responsible for: (idQuery - 1/pq, idQuery]. Because
-// arcs here are half-open at the end and the matching rule is half-open
-// at the start, we represent it as [idQuery-1/pq+ε ... ) only
-// conceptually; callers should use SubQueryMatches for exact tests and
-// MatchArc for sizing/visualisation.
-func MatchArc(idQuery Point, pq int) Arc {
-	l := 1 / float64(pq)
-	return NewArc(idQuery.Add(-l), l)
 }
 
 // MatchSpan returns the length of the half-open match arc (lo, hi].
@@ -178,16 +109,4 @@ func MatchSpan(lo, hi Point) float64 {
 		return 1
 	}
 	return lo.DistCW(hi)
-}
-
-// InMatchArc reports whether obj lies in the half-open match arc
-// (lo, hi], under the MatchSpan convention that lo == hi is the full
-// circle.
-func InMatchArc(obj, lo, hi Point) bool {
-	span := MatchSpan(lo, hi)
-	if span >= 1 {
-		return true
-	}
-	d := lo.DistCW(obj)
-	return d > 0 && d <= span
 }

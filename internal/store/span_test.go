@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"roar/internal/pps"
 	"roar/internal/ring"
 )
 
@@ -108,4 +109,52 @@ func FuzzArcMinus(f *testing.F) {
 		b := ArcSpans(ring.Norm(blo), ring.Norm(bhi))
 		checkMinus(t, rand.New(rand.NewSource(seed)), a, b)
 	})
+}
+
+// TestStoredSpans: a node holds the ids of (start-1/p, end], the whole
+// ring once its range and 1/p wrap it, and RetainStored keeps exactly
+// the records those spans hold, the ids on and beside both bounds
+// included, whether the spans wrap zero or not.
+func TestStoredSpans(t *testing.T) {
+	if got := StoredSpans(ring.NewArc(0.25, 0.125), 4); len(got) != 1 || got[0] != (Span{1, IDOf(0.375)}) {
+		t.Errorf("[0.25, 0.375) at p=4 holds %v, want (0, IDOf(0.375)]", got)
+	}
+	if got := StoredSpans(ring.NewArc(0.125, 0.25), 4); len(got) != 2 || got[0].First != IDOf(0.875)+1 || got[1] != (Span{0, IDOf(0.375)}) {
+		t.Errorf("[0.125, 0.375) at p=4 holds %v, want (IDOf(0.875), max] and [0, IDOf(0.375)]", got)
+	}
+	for _, a := range []ring.Arc{ring.NewArc(0.3, 0.5), ring.NewArc(0.9, 0.75), ring.FullArc()} {
+		if got := StoredSpans(a, 2); len(got) != 1 || got[0] != (Span{0, math.MaxUint64}) {
+			t.Errorf("%v at p=2 holds %v, want the whole ring", a, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		a := ring.NewArc(ring.Norm(rng.Float64()), rng.Float64()/2)
+		p := 2 + rng.Intn(6)
+		spans := StoredSpans(a, p)
+		s := New()
+		var ids []uint64
+		for _, x := range []ring.Point{a.Start, a.End(), a.Start.Add(-1 / float64(p)), 0} {
+			for d := uint64(0); d < 4; d++ {
+				ids = append(ids, IDOf(x)+d, IDOf(x)-d)
+			}
+		}
+		for range 64 {
+			ids = append(ids, rng.Uint64())
+		}
+		for _, id := range ids {
+			s.Insert(pps.Encoded{ID: id})
+		}
+		n := s.Len()
+		dropped := s.RetainStored(a, p)
+		if s.Len()+dropped != n {
+			t.Fatalf("dropped %d + kept %d != %d", dropped, s.Len(), n)
+		}
+		for _, id := range ids {
+			if _, ok := s.Get(id); ok != inSpans(spans, id) {
+				t.Fatalf("%v at p=%d: id %#x kept %v, want %v (spans %v)", a, p, id, ok, !ok, spans)
+			}
+		}
+		checkScheduleInvariants(t, s, "after RetainStored")
+	}
 }

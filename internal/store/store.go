@@ -8,6 +8,13 @@
 // id scaled into [0, 1). Records are kept sorted so a sub-query's id arc
 // maps to at most two contiguous slices.
 //
+// Reads, routing and trims share one rule, in identifier space: a
+// sub-query (lo, hi] reads ArcSpans(lo, hi), and a node with a range at
+// level p holds StoredSpans(range, p), the ids the coordinator's drain
+// routes and its pushes send to that node and RetainStored keeps. The
+// float ring only supplies the bounds; no record is placed by its float
+// point, so a rounding cannot put an id where no rule expects it.
+//
 // The store is the one place a record's bytes are kept. Insert copies
 // the nonce and filter of every record it keeps, so the write path's
 // decoders upstream (a node's push decode, the ingest drain) lend views
@@ -504,41 +511,54 @@ func (s *Store) rangesLocked(spans []Span) []indexRange {
 	return ranges
 }
 
-// RetainStored drops every record outside the node's stored set for the
-// given range and partitioning level (used when p increases and replicas
-// must be dropped, §4.5). It returns the number of deleted records.
-// The stored set of a node with range [start, end) is (start-1/p, end):
-// the records whose replication arc meets the range, the rule routing
-// places records by, so a node keeps every record routing gives it.
+// StoredSpans returns the identifiers a node with range rng holds at
+// partitioning level p: the records whose replication arc [x, x+1/p)
+// meets the range, ArcSpans of (start-1/p, end], or the whole ring when
+// the range and 1/p wrap it. It is the one rule for what a node holds:
+// the coordinator routes and pushes by it and RetainStored trims by it,
+// in the id space every read's ArcSpans is in, so what a node is given,
+// what it keeps and what a sub-query it can serve reads agree exactly.
+func StoredSpans(rng ring.Arc, p int) []Span {
+	repl := 1 / float64(p)
+	if rng.Length+repl >= 1 {
+		return ArcSpans(0, 0)
+	}
+	return ArcSpans(rng.Start.Add(-repl), rng.End())
+}
+
+// RetainStored drops every record outside StoredSpans(nodeRange, p)
+// (used when p increases or a range shrinks and replicas must be
+// dropped, §4.5) and returns the number it deleted.
 func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
-	if nodeRange.Length+1/float64(p) >= 1 {
+	spans := StoredSpans(nodeRange, p)
+	if len(spans) == 1 && spans[0] == (Span{0, math.MaxUint64}) {
 		return 0 // node stores everything
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ranges := s.rangesLocked(spans)
+	slices.SortFunc(ranges, func(a, b indexRange) int { return a.from - b.from })
 	// Drop the schedules rather than compact them in step: a p increase
 	// is rare and the next scan re-derives what survived.
 	s.gen++
 	s.scheduled.Store(false)
 	s.ks = nil
-	old := s.recs
-	kept := s.recs[:0]
-	dropped := 0
-	for _, r := range s.recs {
-		if ring.ReplicationArc(PointOf(r.ID), p).Intersects(nodeRange) {
-			s.ids[len(kept)] = r.ID
-			kept = append(kept, r)
-		} else {
-			s.touchLocked(r.ID)
-			dropped++
+	kept, at := 0, 0
+	for _, r := range append(ranges, indexRange{len(s.ids), len(s.ids)}) {
+		for _, id := range s.ids[at:r.from] {
+			s.touchLocked(id)
 		}
+		copy(s.ids[kept:], s.ids[r.from:r.to])
+		kept += copy(s.recs[kept:], s.recs[r.from:r.to])
+		at = r.to
 	}
+	dropped := len(s.recs) - kept
 	// The compaction left the dropped records' final copies sitting in
-	// the backing array past len(kept); zero them so their encrypted
-	// blobs are garbage-collectable instead of pinned until the next
-	// slice growth.
-	clear(old[len(kept):])
-	s.recs, s.ids = kept, s.ids[:len(kept)]
+	// the backing array past kept; zero them so their encrypted blobs
+	// are garbage-collectable instead of pinned until the next slice
+	// growth.
+	clear(s.recs[kept:])
+	s.recs, s.ids = s.recs[:kept], s.ids[:kept]
 	s.indexBucketsLocked()
 	return dropped
 }
