@@ -53,36 +53,6 @@ func (c *container) contains(low uint16) bool {
 	return ok
 }
 
-func (c *container) add(low uint16) {
-	if c.words != nil {
-		w, b := low>>6, uint64(1)<<(low&63)
-		if c.words[w]&b == 0 {
-			c.words[w] |= b
-			c.card++
-		}
-		return
-	}
-	i, ok := slices.BinarySearch(c.array, low)
-	if ok {
-		return
-	}
-	c.array = append(c.array, 0)
-	copy(c.array[i+1:], c.array[i:])
-	c.array[i] = low
-	c.card++
-	if c.card > arrayMaxCard {
-		c.toWords()
-	}
-}
-
-func (c *container) toWords() {
-	words := make([]uint64, containerWords)
-	for _, v := range c.array {
-		words[v>>6] |= 1 << (v & 63)
-	}
-	c.words, c.array = words, nil
-}
-
 // iterate calls fn for each value in ascending order; fn returning false
 // stops early. Returns false when stopped.
 func (c *container) iterate(fn func(low uint16) bool) bool {
@@ -118,6 +88,38 @@ type Bitmap struct {
 // NewBitmap returns an empty bitmap.
 func NewBitmap() *Bitmap { return &Bitmap{} }
 
+// bitmapOf returns the bitmap of vs, which must be strictly increasing.
+// It makes each container in one pass over the run of values that share
+// its key: array form up to arrayMaxCard values, words form above, the
+// canonical forms decodeBitmapInto demands.
+func bitmapOf[T uint32 | uint64](vs []T) *Bitmap {
+	b := &Bitmap{card: len(vs)}
+	for len(vs) > 0 {
+		key := uint64(vs[0]) >> 16
+		n := 1
+		for n < len(vs) && uint64(vs[n])>>16 == key {
+			n++
+		}
+		c := &container{card: n}
+		if n > arrayMaxCard {
+			c.words = make([]uint64, containerWords)
+			for _, v := range vs[:n] {
+				low := uint16(v)
+				c.words[low>>6] |= 1 << (low & 63)
+			}
+		} else {
+			c.array = make([]uint16, n)
+			for i, v := range vs[:n] {
+				c.array[i] = uint16(v)
+			}
+		}
+		b.keys = append(b.keys, key)
+		b.cs = append(b.cs, c)
+		vs = vs[n:]
+	}
+	return b
+}
+
 // Cardinality returns the number of values in the set.
 func (b *Bitmap) Cardinality() int { return b.card }
 
@@ -133,24 +135,6 @@ func (b *Bitmap) MemBytes() int {
 
 func (b *Bitmap) keyIndex(key uint64) (int, bool) {
 	return slices.BinarySearch(b.keys, key)
-}
-
-// Add inserts a value.
-func (b *Bitmap) Add(v uint64) {
-	key := v >> 16
-	i, ok := b.keyIndex(key)
-	if !ok {
-		b.keys = append(b.keys, 0)
-		b.cs = append(b.cs, nil)
-		copy(b.keys[i+1:], b.keys[i:])
-		copy(b.cs[i+1:], b.cs[i:])
-		b.keys[i] = key
-		b.cs[i] = &container{}
-	}
-	c := b.cs[i]
-	before := c.card
-	c.add(uint16(v))
-	b.card += c.card - before
 }
 
 // Contains reports membership.

@@ -9,14 +9,11 @@ import (
 // randomBitmap builds a bitmap plus its reference set, mixing sparse
 // and dense regions so both container forms are exercised.
 func randomBitmap(rng *rand.Rand, n int, span uint64) (*Bitmap, map[uint64]bool) {
-	b := NewBitmap()
 	ref := make(map[uint64]bool)
 	for i := 0; i < n; i++ {
-		v := rng.Uint64() % span
-		b.Add(v)
-		ref[v] = true
+		ref[rng.Uint64()%span] = true
 	}
-	return b, ref
+	return bitmapOf(sortedKeys(ref)), ref
 }
 
 func sortedKeys(ref map[uint64]bool) []uint64 {
@@ -28,7 +25,7 @@ func sortedKeys(ref map[uint64]bool) []uint64 {
 	return out
 }
 
-func TestBitmapAddContainsIterate(t *testing.T) {
+func TestBitmapOfContainsIterate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// span < 2^16 forces dense promotion; huge span stays sparse arrays.
 	for _, span := range []uint64{1 << 14, 1 << 20, 1 << 63} {
@@ -62,10 +59,11 @@ func TestBitmapAddContainsIterate(t *testing.T) {
 }
 
 func TestBitmapDensePromotion(t *testing.T) {
-	b := NewBitmap()
+	var vs []uint64
 	for v := uint64(0); v <= arrayMaxCard; v++ {
-		b.Add(2 * v) // one container, card 4097 → words form
+		vs = append(vs, 2*v) // one container, card 4097 → words form
 	}
+	b := bitmapOf(vs)
 	if b.Cardinality() != arrayMaxCard+1 {
 		t.Fatalf("cardinality %d", b.Cardinality())
 	}
@@ -166,12 +164,12 @@ func TestThreshold(t *testing.T) {
 }
 
 func TestAndAllEarlyTermination(t *testing.T) {
-	a := NewBitmap()
-	b := NewBitmap()
+	var av, bv []uint64
 	for v := uint64(0); v < 100; v++ {
-		a.Add(v)
-		b.Add(v + 1000)
+		av = append(av, v)
+		bv = append(bv, v+1000)
 	}
+	a, b := bitmapOf(av), bitmapOf(bv)
 	if got := AndAll([]*Bitmap{a, b}); got.Cardinality() != 0 {
 		t.Fatalf("disjoint AndAll card %d", got.Cardinality())
 	}

@@ -27,7 +27,9 @@ import (
 //	blobs    postings concatenated in dict order, each postingSize bytes
 //
 // The header (docIDs + dict) is what OpenFile keeps resident; posting
-// blobs are ReadAt on demand through the cache. Bitmap encoding:
+// blobs are ReadAt on demand through the cache. docCount comes first so
+// that OpenFile can size its one header read before it parses anything
+// (headerReader). Bitmap encoding:
 //
 //	uvarint  containerCount
 //	per container (keys strictly increasing):
@@ -230,8 +232,10 @@ func decodeHeader(r *binfmt.Reader, name string) *Segment {
 	if r.Err() == nil && string(magic) != string(segMagic[:]) {
 		r.Fail("segment magic")
 	}
+	// Count bounds nDocs by the bytes left, so the table's allocation
+	// stays linear in the input.
 	nDocs := r.Count("segment docIDs", 1)
-	docIDs := make([]uint64, 0, binfmt.CapHint(nDocs))
+	docIDs := make([]uint64, 0, nDocs)
 	prev := uint64(0)
 	for i := 0; i < nDocs && r.Err() == nil; i++ {
 		v := r.Uvarint("segment docID")
@@ -347,9 +351,8 @@ func OpenFile(path string) (*Segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("index: stat %s: %w", path, err)
 	}
-	// The header is a small prefix; read it in growing chunks until the
-	// dictionary parses (the parse tells us where it ends).
-	s, hdrLen, derr := openHeader(f, st.Size(), path)
+	h := headerReader{src: f, size: st.Size(), path: path}
+	s, hdrLen, derr := h.read()
 	if derr != nil {
 		f.Close()
 		return nil, derr
@@ -372,29 +375,66 @@ func OpenFile(path string) (*Segment, error) {
 	return s, nil
 }
 
-// openHeader reads and parses the segment header from the front of the
-// file, growing the read window until the parse fits.
-func openHeader(f *os.File, size int64, path string) (*Segment, int64, error) {
-	chunk := int64(1 << 16)
+// dictAllowance is the dictionary room a segment's first header read
+// leaves after its doc table.
+const dictAllowance = 1 << 16
+
+// headerReader reads a segment header from the front of a file. Its
+// first read is sized from the doc count declared right after the magic:
+// the doc table takes at most binary.MaxVarintLen64 bytes a doc, and
+// dictAllowance covers an ordinary dictionary. So an ordinary open reads
+// each header byte once and parses the header once; a larger dictionary
+// grows the window fourfold per retry, reading only the bytes it adds.
+// parses and bytesRead count the work.
+type headerReader struct {
+	src  io.ReaderAt
+	size int64
+	path string
+
+	parses, bytesRead int64
+}
+
+func (h *headerReader) read() (*Segment, int64, error) {
+	buf, err := h.grow(nil, 8+binary.MaxVarintLen64)
+	if err != nil {
+		return nil, 0, err
+	}
+	r := binfmt.NewReader(buf)
+	r.Take(8, "segment magic")
+	// 0 when the prefix is corrupt, which the parse below reports; a
+	// count past the file's size reads the whole file once.
+	docs := min(r.Uvarint("segment docIDs"), uint64(h.size))
+	want := 8 + binary.MaxVarintLen64*(1+int64(docs)) + dictAllowance
 	for {
-		if chunk > size {
-			chunk = size
-		}
-		buf := make([]byte, chunk)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return nil, 0, fmt.Errorf("index: reading %s: %w", path, err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+		if buf, err = h.grow(buf, want); err != nil {
 			return nil, 0, err
 		}
+		h.parses++
 		r := binfmt.NewReader(buf)
-		s := decodeHeader(&r, path)
+		s := decodeHeader(&r, h.path)
 		if r.Err() == nil {
 			return s, int64(r.Offset()), nil
 		}
-		if chunk == size {
-			return nil, 0, fmt.Errorf("index: %s: %w", path, r.Err())
+		if int64(len(buf)) == h.size {
+			return nil, 0, fmt.Errorf("index: %s: %w", h.path, r.Err())
 		}
-		chunk *= 4
+		want = 4 * int64(len(buf))
 	}
+}
+
+// grow extends buf, the file's first len(buf) bytes, to its first
+// min(n, size) bytes, reading only what it adds.
+func (h *headerReader) grow(buf []byte, n int64) ([]byte, error) {
+	n = min(n, h.size)
+	if n <= int64(len(buf)) {
+		return buf, nil
+	}
+	next := make([]byte, n)
+	copy(next, buf)
+	got, err := h.src.ReadAt(next[len(buf):], int64(len(buf)))
+	h.bytesRead += int64(got)
+	if err != nil && got < len(next)-len(buf) {
+		return nil, fmt.Errorf("index: reading %s: %w", h.path, err)
+	}
+	return next, nil
 }

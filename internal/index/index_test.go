@@ -342,7 +342,7 @@ func TestOpenFileRejectsPostingOffDict(t *testing.T) {
 			s.dict["t000"] = info
 		}},
 		{"ordinal", func(s *Segment) {
-			s.mem["t000"].Add(uint64(s.Docs() + 3))
+			s.mem["t000"] = bitmapOf(append(postingValues(s.mem["t000"]), uint64(s.Docs()+3)))
 			info := s.dict["t000"]
 			info.card = s.mem["t000"].Cardinality()
 			s.dict["t000"] = info

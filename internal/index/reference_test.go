@@ -284,7 +284,7 @@ func Threshold(bms []*Bitmap, minMatch int) *Bitmap {
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 
-	out := NewBitmap()
+	var vals []uint64
 	counts := make([]uint16, 1<<16)
 	for _, key := range keys {
 		clear(counts)
@@ -301,22 +301,11 @@ func Threshold(bms []*Bitmap, minMatch int) *Bitmap {
 		if present < minMatch {
 			continue
 		}
-		c := &container{}
 		for v := 0; v < 1<<16; v++ {
 			if int(counts[v]) >= minMatch {
-				c.array = append(c.array, uint16(v))
+				vals = append(vals, key<<16|uint64(v))
 			}
 		}
-		c.card = len(c.array)
-		if c.card == 0 {
-			continue
-		}
-		if c.card > arrayMaxCard {
-			c.toWords()
-		}
-		out.keys = append(out.keys, key)
-		out.cs = append(out.cs, c)
-		out.card += c.card
 	}
-	return out
+	return bitmapOf(vals)
 }

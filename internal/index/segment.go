@@ -1,8 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -107,53 +109,88 @@ func (s *Segment) ordRange(lo, hi uint64) (int, int) {
 
 // Builder accumulates documents and produces an immutable Segment.
 // Not safe for concurrent use.
+//
+// Add only appends to a flat log: the id, and the document's terms as
+// dense numbers (one map lookup per occurrence interns each term), so a
+// document costs no copy of its term strings and the caller may reuse
+// its slice. Build sorts the log by id and turns it into postings in one
+// pass.
 type Builder struct {
-	docs map[uint64][]string
+	log   []added
+	nums  []uint32          // term numbers of every Add, in Add order
+	num   map[string]uint32 // term -> its number
+	names []string          // number -> term
+}
+
+// added is one Add: its id and its terms, nums[from:to].
+type added struct {
+	id       uint64
+	from, to int
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	return &Builder{docs: make(map[uint64][]string)}
+	return &Builder{num: make(map[string]uint32)}
 }
 
 // Add registers a document's terms. Re-adding an id replaces its terms
 // (idempotent replica pushes, like store.Insert).
 func (b *Builder) Add(id uint64, terms ...string) {
-	b.docs[id] = append([]string(nil), terms...)
+	from := len(b.nums)
+	for _, t := range terms {
+		n, ok := b.num[t]
+		if !ok {
+			n = uint32(len(b.names))
+			b.num[t] = n
+			b.names = append(b.names, t)
+		}
+		b.nums = append(b.nums, n)
+	}
+	b.log = append(b.log, added{id: id, from: from, to: len(b.nums)})
 }
 
-// Len reports the buffered document count.
-func (b *Builder) Len() int { return len(b.docs) }
-
-// Build freezes the builder into a memory-resident segment: docs are
-// ordered by record id, ordinals assigned, and one bitmap built per
-// distinct term.
+// Build freezes the builder into a memory-resident segment. It sorts
+// the log by id, stably, and keeps each id's last Add; ordinals follow id
+// order, so every term's ordinal list comes out sorted (a term named
+// twice in one document is listed once) and becomes its bitmap in one
+// pass.
 func (b *Builder) Build(name string) *Segment {
-	ids := make([]uint64, 0, len(b.docs))
-	for id := range b.docs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, c int) bool { return ids[a] < ids[c] })
-
-	mem := make(map[string]*Bitmap)
-	for ord, id := range ids {
-		for _, t := range b.docs[id] {
-			bm := mem[t]
-			if bm == nil {
-				bm = NewBitmap()
-				mem[t] = bm
+	// (from, to) grows with Add order, so this sort is stable: two Adds
+	// it cannot order are both empty at the same place, so alike.
+	slices.SortFunc(b.log, func(x, y added) int {
+		if x.id != y.id {
+			return cmp.Compare(x.id, y.id)
+		}
+		return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.to, y.to))
+	})
+	docIDs := make([]uint64, 0, len(b.log))
+	lists := make([][]uint32, len(b.names))
+	for i, d := range b.log {
+		if i+1 < len(b.log) && b.log[i+1].id == d.id {
+			continue // a later Add of this id replaces it
+		}
+		ord := uint32(len(docIDs))
+		docIDs = append(docIDs, d.id)
+		for _, n := range b.nums[d.from:d.to] {
+			if l := lists[n]; len(l) == 0 || l[len(l)-1] != ord {
+				lists[n] = append(l, ord)
 			}
-			bm.Add(uint64(ord))
 		}
 	}
-	terms := make([]string, 0, len(mem))
-	dict := make(map[string]postingInfo, len(mem))
-	for t, bm := range mem {
+	terms := make([]string, 0, len(lists))
+	dict := make(map[string]postingInfo, len(lists))
+	mem := make(map[string]*Bitmap, len(lists))
+	for n, l := range lists {
+		if len(l) == 0 {
+			continue // named only by replaced Adds
+		}
+		t := b.names[n]
 		terms = append(terms, t)
-		dict[t] = postingInfo{card: bm.Cardinality()}
+		dict[t] = postingInfo{card: len(l)}
+		mem[t] = bitmapOf(l)
 	}
-	sort.Strings(terms)
-	return &Segment{name: name, docIDs: ids, terms: terms, dict: dict, mem: mem}
+	slices.Sort(terms)
+	return &Segment{name: name, docIDs: docIDs, terms: terms, dict: dict, mem: mem}
 }
 
 // Index is a set of segments searched as one corpus, sharing a

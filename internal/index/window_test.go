@@ -37,12 +37,13 @@ var testPostings = sync.OnceValue(func() []*Bitmap {
 	}
 	out := make([]*Bitmap, len(density))
 	for i, p := range density {
-		out[i] = NewBitmap()
+		var ords []uint64
 		for ord := 0; ord < testDocs; ord++ {
 			if rng.Float64() < p(ord) {
-				out[i].Add(uint64(ord))
+				ords = append(ords, uint64(ord))
 			}
 		}
+		out[i] = bitmapOf(ords)
 	}
 	return out
 })

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"roar/internal/node"
 	"roar/internal/pps"
 	"roar/internal/ring"
 	"roar/internal/store"
@@ -113,18 +114,91 @@ func TestNodesHoldExactlyStoredSpans(t *testing.T) {
 	points := map[ring.Point]bool{}
 	dry := newLoggedConfig(t, cfg)
 	_, addrs := startNodes(t, slimEncoder(), 7)
-	holdingSteps(t, dry, addrs, nil, func(string) {
-		dry.mu.Lock()
-		defer dry.mu.Unlock()
-		for _, p := range []int{2, 4} {
-			for _, r := range dry.rings {
-				for _, id := range r.IDs() {
-					a, _ := r.Range(id)
-					points[a.Start], points[a.End()], points[a.Start.Add(-1/float64(p))] = true, true, true
-				}
+	holdingSteps(t, dry, addrs, nil, func(string) { addLayoutPoints(dry, points) })
+	recs := corpusNear(points)
+
+	// A node's id is its join order, which is its index in nodes.
+	c := newLoggedConfig(t, cfg)
+	nodes, addrs := startNodes(t, slimEncoder(), 7)
+	holdingSteps(t, c, addrs, recs, func(step string) { checkHoldings(t, c, nodes, recs, step) })
+}
+
+// TestBalanceStepTwoNodeRings: on rings of two nodes, where a node's
+// predecessor is also its successor, BalanceStep still moves the
+// boundary into a node ten times as loaded as the other, and every node
+// then holds exactly its stored spans.
+func TestBalanceStepTwoNodeRings(t *testing.T) {
+	cfg := Config{P: 4, Rings: 2}
+	steps := func(c *Coordinator, addrs []string, recs []pps.Encoded, check func(step string)) {
+		ctx := context.Background()
+		for _, a := range addrs {
+			if _, err := c.Join(ctx, a, 1); err != nil {
+				t.Fatal(err)
 			}
 		}
-	})
+		if err := c.LoadCorpus(ctx, recs); err != nil {
+			t.Fatal(err)
+		}
+		check("load")
+		loads := map[ring.NodeID]float64{}
+		var heavy []ring.NodeID
+		var before []float64
+		c.mu.Lock()
+		for _, r := range c.rings {
+			ids := r.IDs()
+			if len(ids) != 2 {
+				t.Fatalf("a ring has nodes %v, want two", ids)
+			}
+			loads[ids[0]], loads[ids[1]] = 1, 10
+			a, _ := r.Range(ids[1])
+			heavy, before = append(heavy, ids[1]), append(before, a.Length)
+		}
+		c.mu.Unlock()
+		moves, err := c.BalanceStep(ctx, loads, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moves != 2 {
+			t.Errorf("BalanceStep made %d moves, want one a ring", moves)
+		}
+		c.mu.Lock()
+		for k, id := range heavy {
+			if a, _ := c.rings[k].Range(id); math.Abs(a.Length-0.7*before[k]) > 1e-9 {
+				t.Errorf("ring %d: node %d spans %v after the move, want 0.7 of %v", k, id, a.Length, before[k])
+			}
+		}
+		c.mu.Unlock()
+		check("BalanceStep")
+	}
+	points := map[ring.Point]bool{}
+	dry := newLoggedConfig(t, cfg)
+	_, addrs := startNodes(t, slimEncoder(), 4)
+	steps(dry, addrs, nil, func(string) { addLayoutPoints(dry, points) })
+	recs := corpusNear(points)
+
+	c := newLoggedConfig(t, cfg)
+	nodes, addrs := startNodes(t, slimEncoder(), 4)
+	steps(c, addrs, recs, func(step string) { checkHoldings(t, c, nodes, recs, step) })
+}
+
+// addLayoutPoints adds every node start, range end and start-1/p (at
+// p = 2 and 4) of c's layout to points.
+func addLayoutPoints(c *Coordinator, points map[ring.Point]bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range []int{2, 4} {
+		for _, r := range c.rings {
+			for _, id := range r.IDs() {
+				a, _ := r.Range(id)
+				points[a.Start], points[a.End()], points[a.Start.Add(-1/float64(p))] = true, true, true
+			}
+		}
+	}
+}
+
+// corpusNear is one record at every nearOffsets distance from each of
+// points.
+func corpusNear(points map[ring.Point]bool) []pps.Encoded {
 	ids := map[uint64]bool{}
 	for x := range points {
 		for _, d := range nearOffsets() {
@@ -135,37 +209,38 @@ func TestNodesHoldExactlyStoredSpans(t *testing.T) {
 	for id := range ids {
 		recs = append(recs, pps.Encoded{ID: id, BloomMetadata: pps.BloomMetadata{Nonce: make([]byte, 16), Filter: make([]byte, 32)}})
 	}
+	return recs
+}
 
-	// A node's id is its join order, which is its index in nodes.
-	c := newLoggedConfig(t, cfg)
-	nodes, addrs := startNodes(t, slimEncoder(), 7)
-	holdingSteps(t, c, addrs, recs, func(step string) {
-		for id, spans := range heldSpans(c) {
-			var want []uint64
-			for _, rec := range recs {
-				if inSpans(spans, rec.ID) {
-					want = append(want, rec.ID)
-				}
-			}
-			var got []uint64
-			for _, rec := range nodes[id].Store().InSpans([]store.Span{{First: 0, Last: math.MaxUint64}}) {
-				got = append(got, rec.ID)
-			}
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
-				extra, missing := 0, 0
-				for _, x := range got {
-					if _, ok := slices.BinarySearch(want, x); !ok {
-						extra++
-					}
-				}
-				for _, x := range want {
-					if _, ok := slices.BinarySearch(got, x); !ok {
-						missing++
-					}
-				}
-				t.Errorf("after %s node %d holds %d ids its stored spans lack and lacks %d of theirs", step, id, extra, missing)
+// checkHoldings fails t unless every node of c holds exactly the records
+// of recs in its stored spans; nodes[id] is node id.
+func checkHoldings(t *testing.T, c *Coordinator, nodes []*node.Node, recs []pps.Encoded, step string) {
+	t.Helper()
+	for id, spans := range heldSpans(c) {
+		var want []uint64
+		for _, rec := range recs {
+			if inSpans(spans, rec.ID) {
+				want = append(want, rec.ID)
 			}
 		}
-	})
+		var got []uint64
+		for _, rec := range nodes[id].Store().InSpans([]store.Span{{First: 0, Last: math.MaxUint64}}) {
+			got = append(got, rec.ID)
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			extra, missing := 0, 0
+			for _, x := range got {
+				if _, ok := slices.BinarySearch(want, x); !ok {
+					extra++
+				}
+			}
+			for _, x := range want {
+				if _, ok := slices.BinarySearch(got, x); !ok {
+					missing++
+				}
+			}
+			t.Errorf("after %s node %d holds %d ids its stored spans lack and lacks %d of theirs", step, id, extra, missing)
+		}
+	}
 }

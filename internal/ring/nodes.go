@@ -122,7 +122,9 @@ func (r *Ring) Remove(id NodeID) error {
 // SetStart moves a node's range start (the boundary with its
 // predecessor). Moving the boundary clockwise shrinks the node; moving
 // it counter-clockwise grows it into the predecessor. The new start must
-// remain strictly between the predecessor's start and the node's end.
+// remain strictly between the predecessor's start and the node's end;
+// on a ring of two nodes, where both are the other node's start, that is
+// any point but it.
 func (r *Ring) SetStart(id NodeID, start Point) error {
 	i, ok := r.byID[id]
 	if !ok {
@@ -136,6 +138,9 @@ func (r *Ring) SetStart(id NodeID, start Point) error {
 	next := r.nodes[(i+1)%len(r.nodes)]
 	// start must lie in (prev.Start, next.Start) going clockwise.
 	span := prev.Start.DistCW(next.Start)
+	if len(r.nodes) == 2 {
+		span = 1
+	}
 	off := prev.Start.DistCW(start)
 	if off <= 0 || off >= span {
 		return fmt.Errorf("ring: new start %v for node %d outside (%v,%v)", start, id, prev.Start, next.Start)

@@ -151,6 +151,27 @@ func TestRingSetStart(t *testing.T) {
 	}
 }
 
+// TestRingSetStartTwoNodes: on a ring of two nodes the predecessor is
+// the successor, so a start may move anywhere but onto the other node's.
+func TestRingSetStartTwoNodes(t *testing.T) {
+	r := NewEqual(2) // node 0 at 0, node 1 at 0.5
+	for _, start := range []Point{0.6, 0.4, 0.9, 0.1} {
+		if err := r.SetStart(1, start); err != nil {
+			t.Fatalf("SetStart(1, %v): %v", start, err)
+		}
+		a, _ := r.Range(0)
+		if math.Abs(a.Length-float64(start)) > 1e-12 || r.Owner(start) != 1 {
+			t.Fatalf("after SetStart(1, %v) node 0 spans %v and %v owns the start", start, a, r.Owner(start))
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.SetStart(1, 0); err == nil {
+		t.Error("SetStart onto the other node's start should fail")
+	}
+}
+
 // TestRingRandomOps is a property test: after arbitrary interleavings of
 // insert/remove/move, the ring still satisfies its invariants and every
 // point has exactly one owner.

@@ -49,6 +49,23 @@ func TestRetainStoredClearsTail(t *testing.T) {
 	}
 }
 
+// TestRetainStoredWrapEmptyLowPiece: a stored set that wraps zero is
+// the spans (lo, max] and [0, hi]. When every held id lies in the high
+// piece, the low piece's index range is the empty {0, 0} and the high
+// piece's starts at 0 too; the compaction must not read them in the
+// other order, which sliced ids[5:0].
+func TestRetainStoredWrapEmptyLowPiece(t *testing.T) {
+	s := New()
+	for d := uint64(1); d <= 5; d++ {
+		s.Insert(pps.Encoded{ID: math.MaxUint64 - d})
+	}
+	// At p=4, [0.1, 0.2) holds (IDOf(0.85), max] and [0, IDOf(0.2)].
+	if dropped := s.RetainStored(ring.NewArc(0.1, 0.1), 4); dropped != 0 || s.Len() != 5 {
+		t.Fatalf("dropped %d and kept %d of 5 ids inside the high piece", dropped, s.Len())
+	}
+	checkScheduleInvariants(t, s, "after RetainStored")
+}
+
 // TestArcPartitionExactlyOnce is the PointOf/IDOf boundary property the
 // frontend's correctness rests on: when the ring is partitioned into
 // arcs whose endpoints all round through the same IDOf, every stored id

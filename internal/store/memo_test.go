@@ -243,7 +243,7 @@ func memoEqualsScan(t *testing.T, w *memoWorld, seed int64) {
 // when a mutator of recs forgets to stamp its buckets.
 func FuzzMemoEqualsScan(f *testing.F) {
 	w := newMemoWorld(f)
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 64; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { memoEqualsScan(t, w, seed) })

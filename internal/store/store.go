@@ -537,7 +537,9 @@ func (s *Store) RetainStored(nodeRange ring.Arc, p int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ranges := s.rangesLocked(spans)
-	slices.SortFunc(ranges, func(a, b indexRange) int { return a.from - b.from })
+	// By (from, to): a wrapping set's empty low piece {0, 0} must come
+	// before a high piece that starts at 0 too.
+	slices.SortFunc(ranges, func(a, b indexRange) int { return cmp.Or(a.from-b.from, a.to-b.to) })
 	// Drop the schedules rather than compact them in step: a p increase
 	// is rare and the next scan re-derives what survived.
 	s.gen++
