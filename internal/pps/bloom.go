@@ -26,31 +26,47 @@ type Bloom struct {
 
 	// enc pools reusable encode states: r kernels pre-keyed with the
 	// sub-keys plus one blinding kernel re-keyed per document by the
-	// nonce, and on a CPU with AVX-512F the 16 lanes that blind instead
-	// of it. EncryptMetadata is the write-side hot path (every corpus
-	// load encrypts whole corpora); the pool keeps it allocation-free
-	// past the filter itself while staying safe for concurrent encoders.
+	// nonce, and on a CPU with AVX-512F the 16 lanes that compute word
+	// trapdoors and blind instead of them. Encryption is the write-side
+	// hot path (every corpus load encrypts whole corpora); the pool keeps
+	// it allocation-free past the filter itself while staying safe for
+	// concurrent encoders.
 	enc sync.Pool
 }
 
-// encState is one pooled encode scratch (see Bloom.enc).
+// encState is one pooled encode scratch (see Bloom.enc). Between begin
+// and end it encrypts one document into filter.
 type encState struct {
 	sub   []prfKernel        // keyed once by the scheme sub-keys
 	blind prfKernel          // keyed per document by the nonce
 	word  []byte             // the current word, padded once for all r sub-keys
 	td    [prfBlockSize]byte // digestBlock: the current trapdoor element, padded
-	lanes *blindLanes        // the lane path's state; nil where it cannot run
+	rows  [][8]uint32        // the current word's trapdoor: r digests as big-endian words
+	buf   []byte             // the per-element path's elements, as bytes
+	lanes *encLanes          // the lane path's state; nil where it cannot run
+
+	filter []byte
+	mod    modulus
 }
 
-// blindLanes is encryptMetadata's lane path state: hmac16's operands,
-// the document's schedule and lane i evaluating element msg[i]. n
-// elements are gathered; the lanes past them are dead.
-type blindLanes struct {
+// encLanes is the lane path's state. Word trapdoors: hmac16el8's
+// operands, lane i keyed by sub-key i and writing its digest to
+// encState.rows. Blinding: hmac16's, the document's schedule and lane i
+// evaluating element msg[i]; n elements are gathered, and the lanes
+// past them are dead.
+type encLanes struct {
+	sub []KeySchedule // sub-key i's schedule, row i
+	wk  [64]uint32    // the current word's padded block, W[t]+K[t]
+
 	ks  KeySchedule
 	msg [16][8]uint32 // trapdoor elements as big-endian words
 	h   [2][16]uint32
 	n   int
 }
+
+// laneRows has lane i read row i: hmac16el8 evaluates sub-keys 16c to
+// 16c+15 from &encLanes.sub[16c].
+var laneRows = [16]uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // BloomConfig sizes the filter.
 type BloomConfig struct {
@@ -90,17 +106,20 @@ func NewBloom(k MasterKey, cfg BloomConfig) *Bloom {
 }
 
 // newEncState returns an encode state whose kernels are on path p, with
-// the lane path if lanes holds and p is not generic (hmac16 takes key
-// schedules, which the generic path has none of).
+// the lane path if lanes holds and p is not generic (the lane kernels
+// take key schedules, which the generic path has none of).
 func (s *Bloom) newEncState(p prfPath, lanes bool) *encState {
-	st := &encState{sub: make([]prfKernel, len(s.subkeys)), td: digestBlock()}
+	st := &encState{sub: make([]prfKernel, len(s.subkeys)), rows: make([][8]uint32, len(s.subkeys)), td: digestBlock()}
 	for i := range st.sub {
 		st.sub[i].initPath(p)
 		st.sub[i].setKey(s.subkeys[i])
 	}
 	st.blind.initPath(p)
 	if lanes && p != pathGeneric {
-		st.lanes = new(blindLanes)
+		st.lanes = &encLanes{sub: make([]KeySchedule, len(s.subkeys))}
+		for i, key := range s.subkeys {
+			st.lanes.sub[i] = st.sub[i].derive(key)
+		}
 	}
 	return st
 }
@@ -171,13 +190,54 @@ type WordTrapdoor []byte
 func (s *Bloom) Trapdoor(word string) WordTrapdoor {
 	td := make(WordTrapdoor, 0, s.r*sha256.Size)
 	st := s.enc.Get().(*encState)
-	st.word = appendPadded(st.word[:0], word)
-	for i := range st.sub {
-		d := st.sub[i].sum(paddedMsg{st.word, len(word)})
-		td = append(td, d[:]...)
+	st.word = append(st.word[:0], word...)
+	rows := st.trapdoor()
+	for i := range rows {
+		td = appendWords(td, &rows[i])
 	}
 	s.enc.Put(st)
 	return td
+}
+
+// appendWords appends the eight words of d to b, big-endian.
+func appendWords(b []byte, d *[8]uint32) []byte {
+	for w := 0; w < len(d); w += 2 {
+		b = binary.BigEndian.AppendUint64(b, uint64(d[w])<<32|uint64(d[w+1]))
+	}
+	return b
+}
+
+// trapdoorRows returns td's whole elements as big-endian words, one row
+// per element.
+func trapdoorRows(td WordTrapdoor) [][8]uint32 {
+	rows := make([][8]uint32, len(td)/sha256.Size)
+	for i := range rows {
+		for w := range rows[i] {
+			rows[i][w] = binary.BigEndian.Uint32(td[sha256.Size*i+4*w:])
+		}
+	}
+	return rows
+}
+
+// trapdoor pads the word in st.word in place and computes its r sub-key
+// digests into st.rows. On the lane path a word whose padding fits one
+// block takes 16 sub-keys per hmac16el8 call, its schedule broadcast to
+// every lane; the sub-keys past the last 16 and longer words run on the
+// kernels.
+func (st *encState) trapdoor() [][8]uint32 {
+	n := len(st.word)
+	st.word = padTail(st.word, n)
+	m, i := paddedMsg{st.word, n}, 0
+	if l := st.lanes; l != nil && len(m.blocks) == prfBlockSize {
+		scheduleWK(&l.wk, m.blocks)
+		for ; i+16 <= len(st.sub); i += 16 {
+			hmac16el8(&l.sub[i], &laneRows, &l.wk, (*[16][8]uint32)(st.rows[i:]))
+		}
+	}
+	for ; i < len(st.sub); i++ {
+		st.rows[i] = st.sub[i].digest(m)
+	}
+	return st.rows
 }
 
 // EncryptMetadata builds the blinded filter for a document's words,
@@ -186,14 +246,32 @@ func (s *Bloom) Trapdoor(word string) WordTrapdoor {
 // FalsePositiveRate gives for that many words; more is rejected rather
 // than silently degrading the rate further.
 func (s *Bloom) EncryptMetadata(words []string, trapdoors ...WordTrapdoor) (BloomMetadata, error) {
-	if n := len(words) + len(trapdoors); n > 2*s.maxWords {
-		return BloomMetadata{}, fmt.Errorf("pps: %d words exceed filter budget (%d)", n, 2*s.maxWords)
+	if err := s.checkBudget(len(words) + len(trapdoors)); err != nil {
+		return BloomMetadata{}, err
 	}
 	rnd, err := nonce()
 	if err != nil {
 		return BloomMetadata{}, err
 	}
 	return s.encryptMetadata(rnd, words, trapdoors), nil
+}
+
+// checkBudget rejects a document of more than twice MaxWords words.
+func (s *Bloom) checkBudget(words int) error {
+	if words > 2*s.maxWords {
+		return fmt.Errorf("pps: %d words exceed filter budget (%d)", words, 2*s.maxWords)
+	}
+	return nil
+}
+
+// newMetadata returns a fresh nonce and a zero filter in one
+// allocation, each capped where it ends, as CopyMetadata caps them.
+func (s *Bloom) newMetadata() (BloomMetadata, error) {
+	buf := make([]byte, nonceSize+(s.mBits+7)/8)
+	if err := readNonce(buf[:nonceSize]); err != nil {
+		return BloomMetadata{}, err
+	}
+	return BloomMetadata{Nonce: buf[:nonceSize:nonceSize], Filter: buf[nonceSize:]}, nil
 }
 
 // encryptMetadata is EncryptMetadata under a given nonce.
@@ -204,78 +282,83 @@ func (s *Bloom) encryptMetadata(rnd []byte, words []string, trapdoors []WordTrap
 	return BloomMetadata{Nonce: rnd, Filter: filter}
 }
 
-// encrypt builds the filter on st's path. Each trapdoor element x (a
-// word's r sub-key digests, and every element of trapdoors) sets bit
-// PRF_rnd(x)'s leading 8 bytes mod MBits, on every path.
+// encrypt builds the filter on st's path: each word's r sub-key
+// digests, then every element of trapdoors.
 func (s *Bloom) encrypt(st *encState, rnd []byte, words []string, trapdoors []WordTrapdoor) []byte {
-	filter := make([]byte, (s.mBits+7)/8)
-	if st.lanes != nil {
-		st.encryptLanes(rnd, filter, s.mod, words, trapdoors)
-		return filter
-	}
-	st.blind.setKey(rnd)
-	x := paddedMsg{st.td[:], sha256.Size}
+	st.begin(rnd, make([]byte, (s.mBits+7)/8), s.mod)
 	for _, w := range words {
-		st.word = appendPadded(st.word[:0], w)
-		word := paddedMsg{st.word, len(w)}
-		for i := range st.sub {
-			*(*[sha256.Size]byte)(st.td[:]) = st.sub[i].sum(word)
-			setBit(filter, s.mod.reduce(st.blind.sum64(x)))
-		}
+		st.word = append(st.word[:0], w...)
+		st.addWord()
 	}
 	for _, td := range trapdoors {
-		for ; len(td) >= sha256.Size; td = td[sha256.Size:] {
-			copy(st.td[:], td[:sha256.Size])
-			setBit(filter, s.mod.reduce(st.blind.sum64(x)))
-		}
+		st.add(trapdoorRows(td))
 	}
-	return filter
+	return st.end()
 }
 
-// encryptLanes is encrypt's lane path: the loop above with its blinding
-// step on hmac16. The nonce's schedule is derived once, for every lane,
-// the elements are gathered as big-endian words, and each 16 are
-// blinded by one call.
-func (st *encState) encryptLanes(rnd, filter []byte, mod modulus, words []string, trapdoors []WordTrapdoor) {
-	l := st.lanes
-	l.ks = st.blind.derive(rnd)
-	for _, w := range words {
-		st.word = appendPadded(st.word[:0], w)
-		word := paddedMsg{st.word, len(w)}
-		for i := range st.sub {
-			l.msg[l.n] = st.sub[i].hmac(word)
-			l.gathered(filter, mod)
-		}
+// begin starts a document whose elements set bits of filter, blinded
+// under the nonce rnd. On the lane path the nonce's schedule is derived
+// once, for every lane.
+func (st *encState) begin(rnd, filter []byte, mod modulus) {
+	st.filter, st.mod = filter, mod
+	if l := st.lanes; l != nil {
+		l.ks = st.blind.derive(rnd)
+	} else {
+		st.blind.setKey(rnd)
 	}
-	for _, td := range trapdoors {
-		for ; len(td) >= sha256.Size; td = td[sha256.Size:] {
-			for w := range l.msg[l.n] {
-				l.msg[l.n][w] = binary.BigEndian.Uint32(td[4*w:])
+}
+
+// addWord adds the trapdoor elements of the word in st.word.
+func (st *encState) addWord() { st.add(st.trapdoor()) }
+
+// add sets the bit of each trapdoor element x of rows: PRF_rnd(x)'s
+// leading 8 bytes mod MBits, on every path. The lane path copies the
+// elements into its lanes and blinds each 16 in one hmac16 call.
+func (st *encState) add(rows [][8]uint32) {
+	if l := st.lanes; l != nil {
+		for len(rows) > 0 {
+			k := copy(l.msg[l.n:], rows)
+			rows = rows[k:]
+			if l.n += k; l.n == len(l.msg) {
+				st.blindLanes()
 			}
-			l.gathered(filter, mod)
 		}
+		return
 	}
-	if l.n > 0 {
-		l.blind(filter, mod)
+	// The elements become bytes in a pass of their own: blockSHANI's
+	// 16-byte loads of bytes written just before by narrower stores would
+	// wait for those stores to retire (a slim document ran ~8 % slower).
+	st.buf = st.buf[:0]
+	for i := range rows {
+		st.buf = appendWords(st.buf, &rows[i])
+	}
+	filter, mod, x := st.filter, st.mod, paddedMsg{st.td[:], sha256.Size}
+	for b := st.buf; len(b) > 0; b = b[sha256.Size:] {
+		copy(x.blocks, b[:sha256.Size])
+		setBit(filter, mod.reduce(st.blind.sum64(x)))
 	}
 }
 
-// gathered counts the element just written to msg[n], blinding all 16
-// once the lanes are full.
-func (l *blindLanes) gathered(filter []byte, mod modulus) {
-	if l.n++; l.n == len(l.msg) {
-		l.blind(filter, mod)
-	}
-}
-
-// blind evaluates the gathered elements in one hmac16 call and sets the
-// bit of each of the n live lanes; a dead lane's digest is ignored.
-func (l *blindLanes) blind(filter []byte, mod modulus) {
+// blindLanes evaluates the gathered elements in one hmac16 call and sets
+// the bit of each of the n live lanes; a dead lane's digest is ignored.
+func (st *encState) blindLanes() {
+	l := st.lanes
 	hmac16(&l.ks, &l.msg, &l.h)
 	for i := range l.n {
-		setBit(filter, mod.reduce(uint64(l.h[0][i])<<32|uint64(l.h[1][i])))
+		setBit(st.filter, st.mod.reduce(uint64(l.h[0][i])<<32|uint64(l.h[1][i])))
 	}
 	l.n = 0
+}
+
+// end blinds what the lanes still hold and returns the document's
+// filter, letting go of it.
+func (st *encState) end() []byte {
+	if l := st.lanes; l != nil && l.n > 0 {
+		st.blindLanes()
+	}
+	filter := st.filter
+	st.filter = nil
+	return filter
 }
 
 // codeword maps a trapdoor element to a blinded bit position:

@@ -51,6 +51,12 @@ func hmac16(ks *KeySchedule, msg *[16][8]uint32, out *[2][16]uint32)
 //go:noescape
 func hmac16el(ks *KeySchedule, idx *[16]uint16, wk *[64]uint32, out *[2][16]uint32)
 
+// hmac16el8 is hmac16el writing the whole digest: lane i's eight words
+// to out[i].
+//
+//go:noescape
+func hmac16el8(ks *KeySchedule, idx *[16]uint16, wk *[64]uint32, out *[16][8]uint32)
+
 // prefetch16 asks for the cache lines of *p[0..15], without waiting.
 //
 //go:noescape

@@ -16,6 +16,8 @@ func hmac16(*KeySchedule, *[16][8]uint32, *[2][16]uint32) { panic(noLanes) }
 
 func hmac16el(*KeySchedule, *[16]uint16, *[64]uint32, *[2][16]uint32) { panic(noLanes) }
 
+func hmac16el8(*KeySchedule, *[16]uint16, *[64]uint32, *[16][8]uint32) { panic(noLanes) }
+
 func prefetch16(*[16]*byte) { panic(noLanes) }
 
 const noLanes = "pps: no 16-lane kernel in this build"

@@ -3,6 +3,7 @@ package pps
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -46,10 +47,24 @@ type Encoder struct {
 	sizeSig, dateSig []signatureSlot
 }
 
-// signatureSlot is one lazily computed signature-word trapdoor.
+// signatureSlot is one lazily computed signature-word trapdoor, as
+// big-endian words: a document copies each element into a lane.
 type signatureSlot struct {
 	once sync.Once
-	td   WordTrapdoor
+	rows [][8]uint32
+}
+
+// trapdoor returns the slot's trapdoor, computing it at first use from
+// its word, attr, cmp and the reference point p ("size>1e+06").
+func (slot *signatureSlot) trapdoor(b *Bloom, attr string, cmp byte, p float64) [][8]uint32 {
+	slot.once.Do(func() { slot.rows = trapdoorRows(b.Trapdoor(signatureWord(attr, cmp, p))) })
+	return slot.rows
+}
+
+// signatureWord is the word of attr compared by cmp to the reference
+// point p.
+func signatureWord(attr string, cmp byte, p float64) string {
+	return fmt.Sprintf("%s%c%g", attr, cmp, p)
 }
 
 // EncoderConfig tunes the combined encoding.
@@ -131,46 +146,64 @@ func (e *Encoder) QueryBytes() int { return e.bloom.QueryBytes() }
 // queries (no key material): the filter size in bits.
 func (e *Encoder) ServerParams() ServerParams { return ServerParams{MBits: e.bloom.MBits()} }
 
-// EncryptDocument produces the combined encrypted metadata for a file.
+// EncryptDocument produces the combined encrypted metadata for a file:
+// one allocation, the nonce and filter together.
 func (e *Encoder) EncryptDocument(d Document) (Encoded, error) {
-	words, sig := e.documentWords(d)
-	md, err := e.bloom.EncryptMetadata(words, sig...)
+	md, err := e.bloom.newMetadata()
 	if err != nil {
+		return Encoded{}, fmt.Errorf("pps: encrypting document %d: %w", d.ID, err)
+	}
+	st := e.bloom.enc.Get().(*encState)
+	n := e.encryptDocument(st, md, d)
+	e.bloom.enc.Put(st)
+	if err := e.bloom.checkBudget(n); err != nil {
 		return Encoded{}, fmt.Errorf("pps: encrypting document %d: %w", d.ID, err)
 	}
 	return Encoded{ID: d.ID, BloomMetadata: md}, nil
 }
 
-// documentWords lists what a document's filter holds: the open-
-// vocabulary words as strings, the numeric signatures as trapdoors.
-func (e *Encoder) documentWords(d Document) (words []string, sig []WordTrapdoor) {
+// encryptDocument writes what d's filter holds into md.Filter, blinded
+// under md.Nonce, on st, and returns the number of words: the open-
+// vocabulary words, each written into st.word, and the numeric
+// signatures, from their slots.
+func (e *Encoder) encryptDocument(st *encState, md BloomMetadata, d Document) (n int) {
+	st.begin(md.Nonce, md.Filter, e.bloom.mod)
 	// Content keywords with rank buckets (§5.5.4).
 	for rank, kw := range d.Keywords {
-		words = append(words, "kw="+kw)
+		st.word = append(append(st.word[:0], "kw="...), kw...)
+		st.addWord()
 		for _, b := range e.rankBkts {
 			if rank < b {
-				words = append(words, fmt.Sprintf("top%d=%s", b, kw))
+				st.word = strconv.AppendInt(append(st.word[:0], "top"...), int64(b), 10)
+				st.word = append(append(st.word, '='), kw...)
+				st.addWord()
+				n++
 			}
 		}
 	}
+	n += len(d.Keywords)
 	// Path components (§5.5: all components of a path are searchable).
-	for _, c := range strings.Split(d.Path, "/") {
-		if c != "" {
-			words = append(words, "path="+c)
+	for rest := d.Path; rest != ""; {
+		var c string
+		if c, rest, _ = strings.Cut(rest, "/"); c != "" {
+			st.word = append(append(st.word[:0], "path="...), c...)
+			st.addWord()
+			n++
 		}
 	}
-	sig = make([]WordTrapdoor, 0, len(e.sizePoints)+len(e.datePoints))
 	// Numeric signature for size (§5.5.3 inequality encoding).
-	sig = e.appendSignature(sig, "size", e.sizeSig, float64(d.Size), e.sizePoints)
+	n += e.addSignature(st, "size", e.sizeSig, float64(d.Size), e.sizePoints)
 	// Numeric signature for modification date, in days since epoch.
 	days := d.Modified.Sub(e.epoch).Hours() / 24
-	sig = e.appendSignature(sig, "date", e.dateSig, days, e.datePoints)
-	return words, sig
+	n += e.addSignature(st, "date", e.dateSig, days, e.datePoints)
+	st.end()
+	return n
 }
 
-// appendSignature appends the trapdoor of "attr>p" for every reference
-// point below v and of "attr<p" for every one above it.
-func (e *Encoder) appendSignature(sig []WordTrapdoor, attr string, slots []signatureSlot, v float64, points []float64) []WordTrapdoor {
+// addSignature adds the trapdoor of "attr>p" for every reference point
+// below v and of "attr<p" for every one above it, and returns how many
+// it added.
+func (e *Encoder) addSignature(st *encState, attr string, slots []signatureSlot, v float64, points []float64) (n int) {
 	for i, p := range points {
 		var slot *signatureSlot
 		var cmp byte
@@ -182,10 +215,10 @@ func (e *Encoder) appendSignature(sig []WordTrapdoor, attr string, slots []signa
 		default:
 			continue
 		}
-		slot.once.Do(func() { slot.td = e.bloom.Trapdoor(fmt.Sprintf("%s%c%g", attr, cmp, p)) })
-		sig = append(sig, slot.td)
+		st.add(slot.trapdoor(e.bloom, attr, cmp, p))
+		n++
 	}
-	return sig
+	return n
 }
 
 // Predicate is one plaintext search condition.
@@ -224,14 +257,19 @@ func (e *Encoder) EncryptPredicate(p Predicate) (BloomQuery, error) {
 		return BloomQuery{}, fmt.Errorf("pps: rank bucket %d not configured", p.Rank)
 	case PathComponent:
 		return e.bloom.EncryptQuery("path=" + p.Word), nil
-	case SizeGreater:
-		return e.bloom.EncryptQuery(fmt.Sprintf("size>%g", nearestPoint(e.sizePoints, p.Value))), nil
-	case SizeLess:
-		return e.bloom.EncryptQuery(fmt.Sprintf("size<%g", nearestPoint(e.sizePoints, p.Value))), nil
-	case DateAfter:
-		return e.bloom.EncryptQuery(fmt.Sprintf("date>%g", nearestPoint(e.datePoints, p.Value))), nil
-	case DateBefore:
-		return e.bloom.EncryptQuery(fmt.Sprintf("date<%g", nearestPoint(e.datePoints, p.Value))), nil
+	case SizeGreater, SizeLess, DateAfter, DateBefore:
+		attr, points := "size", e.sizePoints
+		if p.Kind == DateAfter || p.Kind == DateBefore {
+			attr, points = "date", e.datePoints
+		}
+		if len(points) == 0 {
+			return BloomQuery{}, fmt.Errorf("pps: no %s reference points configured", attr)
+		}
+		cmp := byte('<')
+		if p.Kind == SizeGreater || p.Kind == DateAfter {
+			cmp = '>'
+		}
+		return e.bloom.EncryptQuery(signatureWord(attr, cmp, nearestPoint(points, p.Value))), nil
 	default:
 		return BloomQuery{}, fmt.Errorf("pps: unknown predicate kind %d", p.Kind)
 	}

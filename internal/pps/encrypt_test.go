@@ -3,8 +3,11 @@ package pps
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	mrand "math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -78,6 +81,12 @@ func FuzzEncryptLanesMatchPerElement(f *testing.F) {
 	} {
 		f.Add(int64(c.r)<<16|int64(c.words)<<8|int64(c.sig), c.r, c.words, c.sig)
 	}
+	// Seeds whose first document holds a 55-byte word (padded into one
+	// block: its trapdoor on hmac16el8) and a 56-byte one (two blocks: on
+	// the kernels), at r = 17, 17 and 4.
+	f.Add(int64(134), uint8(2), uint8(7), uint16(40))
+	f.Add(int64(422), uint8(2), uint8(7), uint16(0))
+	f.Add(int64(198), uint8(1), uint8(7), uint16(16))
 	f.Fuzz(func(t *testing.T, seed int64, r, nWords uint8, nSig uint16) {
 		skipWithoutLanes(t)
 		rng := mrand.New(mrand.NewSource(seed))
@@ -139,6 +148,153 @@ func TestEncryptQueryMatchesPRF(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.EncryptQuery("kw=alpha") }); allocs > 3 {
 		t.Errorf("EncryptQuery allocates %.1f objects per keyword, want at most 3", allocs)
+	}
+}
+
+// documentWords lists what encryptDocument adds to d's filter, in its
+// order, the plain way: the open-vocabulary words as strings, built
+// with fmt and strings.Split, and the numeric signatures as the
+// trapdoors of their slots.
+func (e *Encoder) documentWords(d Document) (words []string, sig []WordTrapdoor) {
+	for rank, kw := range d.Keywords {
+		words = append(words, "kw="+kw)
+		for _, b := range e.rankBkts {
+			if rank < b {
+				words = append(words, fmt.Sprintf("top%d=%s", b, kw))
+			}
+		}
+	}
+	for _, c := range strings.Split(d.Path, "/") {
+		if c != "" {
+			words = append(words, "path="+c)
+		}
+	}
+	signature := func(attr string, slots []signatureSlot, v float64, points []float64) {
+		for i, p := range points {
+			slot, cmp := &slots[2*i], byte('>')
+			if v < p {
+				slot, cmp = &slots[2*i+1], '<'
+			} else if v == p {
+				continue
+			}
+			var td WordTrapdoor
+			for _, row := range slot.trapdoor(e.bloom, attr, cmp, p) {
+				for _, w := range row {
+					td = binary.BigEndian.AppendUint32(td, w)
+				}
+			}
+			sig = append(sig, td)
+		}
+	}
+	signature("size", e.sizeSig, float64(d.Size), e.sizePoints)
+	signature("date", e.dateSig, d.Modified.Sub(e.epoch).Hours()/24, e.datePoints)
+	return words, sig
+}
+
+// TestEncryptDocumentMatchesWords: with the nonce fixed, the filter
+// encryptDocument writes is crypto/hmac's filter of documentWords, on
+// every path, and it counts those words; for the golden test's slim
+// document, for keywords and path components of 0 to 120 bytes (across
+// the 55/56-byte one-block boundary, with empty components), and for
+// documents on and off the reference points; in the slim, the default
+// and a 33-hash configuration. One state encrypts every document in
+// turn. A document over the word budget is rejected.
+func TestEncryptDocumentMatchesWords(t *testing.T) {
+	rnd := goldenNonce()
+	rng := mrand.New(mrand.NewSource(67))
+	docs := []Document{{ID: 1, Path: "/home/costin/papers/roar.pdf", Size: 123456, Modified: time.Date(2008, 6, 15, 0, 0, 0, 0, time.UTC), Keywords: []string{"rendezvous", "ring", "search"}}}
+	for i := range 12 {
+		d := Document{ID: uint64(i), Path: "//a/" + strings.Repeat("p", 10*i) + "/", Size: rng.Int63n(2e9), Modified: time.Date(2005+rng.Intn(12), 1, 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)}
+		for k := range rng.Intn(7) {
+			d.Keywords = append(d.Keywords, strings.Repeat(string(rune('a'+k)), rng.Intn(121)))
+		}
+		docs = append(docs, d)
+	}
+	const slim = "b52495e43e66ee0deeab5ab6162dc18237fbf52442501bb69c5a836f4581c036"
+	cfgs := map[string]EncoderConfig{"slim": slimConfig(), "default": {}, "r33": {Hashes: 33, SizePoints: LinearPoints(0, 1e9, 4), DateSpan: 8}}
+	for cfgName, cfg := range cfgs {
+		e := NewEncoder(TestKey(61), cfg)
+		docs[1].Size = int64(e.sizePoints[1]) // on a reference point: neither word
+		generic := e.bloom.newEncState(pathGeneric, false)
+		for name, p := range scanPaths() {
+			st := e.bloom.newEncState(p, name == "avx512")
+			for i, d := range docs {
+				md := BloomMetadata{Nonce: rnd, Filter: make([]byte, (e.bloom.mBits+7)/8)}
+				n := e.encryptDocument(st, md, d)
+				words, sig := e.documentWords(d)
+				if n != len(words)+len(sig) {
+					t.Errorf("%s/%s: document %d counted %d words, want %d", cfgName, name, i, n, len(words)+len(sig))
+				}
+				if want := e.bloom.encrypt(generic, rnd, words, sig); !bytes.Equal(md.Filter, want) {
+					t.Fatalf("%s/%s: document %d: filter %x, want %x", cfgName, name, i, md.Filter, want)
+				}
+				if got := sha256.Sum256(md.Filter); cfgName == "slim" && i == 0 && hex.EncodeToString(got[:]) != slim {
+					t.Errorf("%s: slim document filter hashes to %x, want %s", name, got, slim)
+				}
+			}
+		}
+	}
+	e := NewEncoder(TestKey(61), EncoderConfig{MaxKeywords: 1, MaxPathDir: 1, SizePoints: []float64{}, DateSpan: 1, RankBuckets: []int{}})
+	if _, err := e.EncryptDocument(Document{Keywords: strings.Fields("a b c d e f")}); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Errorf("a 7-word document in a budget of twice 3: error %v, want the budget's", err)
+	}
+}
+
+// TestEncryptDocumentAllocations: a slim document costs one allocation,
+// its nonce and filter together, each capped where it ends.
+func TestEncryptDocumentAllocations(t *testing.T) {
+	e := NewEncoder(TestKey(61), slimConfig())
+	doc := testDoc(1)
+	rec, err := e.EncryptDocument(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Nonce) != nonceSize || cap(rec.Nonce) != nonceSize || len(rec.Filter) != cap(rec.Filter) || len(rec.Filter) != (e.bloom.mBits+7)/8 {
+		t.Fatalf("nonce %d (cap %d), filter %d (cap %d), want %d, %d", len(rec.Nonce), cap(rec.Nonce), len(rec.Filter), cap(rec.Filter), nonceSize, (e.bloom.mBits+7)/8)
+	}
+	if raceEnabled {
+		return // the race detector drops pooled states and instruments allocations
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.EncryptDocument(doc) }); allocs > 1 {
+		t.Errorf("EncryptDocument allocates %.1f objects per slim document, want 1", allocs)
+	}
+}
+
+// TestTrapdoorLanesMatchGeneric: a word's trapdoor on the lane path
+// (16 sub-keys per hmac16el8 call, the rest on the kernels) is
+// crypto/hmac's under each sub-key, for r = 1, 4, 16, 17 and 33 (no lane
+// call, one, one and a remainder, two and a remainder) and words of 0 to
+// 120 bytes (one padded block up to 55, two from 56); and a document of
+// such words encrypts to the per-element and crypto/hmac filters.
+func TestTrapdoorLanesMatchGeneric(t *testing.T) {
+	skipWithoutLanes(t)
+	rng := mrand.New(mrand.NewSource(68))
+	for _, r := range []int{1, 4, 16, 17, 33} {
+		s := NewBloom(TestKey(int64(r)), BloomConfig{MaxWords: 200, Hashes: r, BitsPerWord: 20})
+		lanes := s.newEncState(bestPath, true)
+		var words []string
+		for n := 0; n <= 120; n++ {
+			b := make([]byte, n)
+			rng.Read(b)
+			words = append(words, string(b))
+			lanes.word = append(lanes.word[:0], b...)
+			for i, d := range lanes.trapdoor() {
+				want := prf(s.subkeys[i], b)
+				for w, v := range d {
+					if v != binary.BigEndian.Uint32(want[4*w:]) {
+						t.Fatalf("r %d, %d-byte word, sub-key %d: %x, want %x", r, n, i, d, want)
+					}
+				}
+			}
+		}
+		rnd := goldenNonce()
+		got := s.encrypt(lanes, rnd, words, nil)
+		if want := s.encrypt(s.newEncState(bestPath, false), rnd, words, nil); !bytes.Equal(got, want) {
+			t.Fatalf("r %d: lane filter %x, per-element %x", r, got, want)
+		}
+		if want := s.encrypt(s.newEncState(pathGeneric, false), rnd, words, nil); !bytes.Equal(got, want) {
+			t.Fatalf("r %d: lane filter %x, crypto/hmac %x", r, got, want)
+		}
 	}
 }
 

@@ -1,27 +1,38 @@
 //go:build ignore
 
-// gen_hmac16 writes hmac16_amd64.s, the 16-lane HMAC-SHA-256 kernels:
-// hmac16, the encoder's (bloom.go), and hmac16el, the matcher's
-// (lanes.go). Run it in this directory:
+// gen_hmac16 writes hmac16_amd64.s, the 16-lane HMAC-SHA-256 kernels,
+// in three shapes:
+//
+//   - hmac16, the encoder's blinding (bloom.go): one key, 16 trapdoor
+//     elements, digest words 0 and 1;
+//   - hmac16el, the matcher's (lanes.go): 16 keys by index, one
+//     trapdoor element, digest words 0 and 1;
+//   - hmac16el8, the encoder's word trapdoors (bloom.go): hmac16el with
+//     the word's one padded block for the element and the whole 8-word
+//     digest out, lane i keyed by the scheme's sub-key i and writing
+//     row i.
+//
+// Run it in this directory:
 //
 //	go generate    # or: go run gen_hmac16.go
 //
 // CI regenerates the file and fails if it differs from the one checked
 // in, so edit this program, never the output.
 //
-// Both evaluate HMAC(key, x) for a 32-byte x in each of 16 lanes, one
-// lane per 32-bit slot of a zmm register, and return digest words 0 and
-// 1: matching reads the leading 8 bytes of the HMAC. With x fixed at 32
-// bytes, words 8-15 of the inner block (x padded after the 64-byte ipad
-// block) and of the outer block (the inner digest padded after the opad
-// block) are constants, which the generator folds into the round
-// constants and the message schedule. hmac16 takes one key schedule,
-// broadcast to every lane, and a message per lane: lane i's is msg[i],
-// gathered. hmac16el takes one
-// message for every lane, as its inner block's W[t]+K[t], so the inner
-// hash has no message schedule; lane i's schedule is row idx[i] of an
-// array, loaded whole and transposed in registers. The file also
-// carries prefetch16.
+// Each evaluates HMAC(key, x) in each of 16 lanes, one lane per 32-bit
+// slot of a zmm register; matching and blinding read the leading 8
+// bytes of the HMAC. The outer block (the inner digest padded after the
+// opad block) has constant words 8-15, which the generator folds into
+// the round constants and the message schedule. hmac16 takes one key
+// schedule, broadcast to every lane, and a 32-byte message per lane:
+// lane i's is msg[i], gathered, and words 8-15 of its inner block are
+// constants too. hmac16el and hmac16el8 take one message for every
+// lane, any x whose padding fits one block, as its inner block's
+// W[t]+K[t], so the inner hash has no message schedule; lane i's
+// schedule is row idx[i] of an array, loaded whole and transposed in
+// registers. The two are one generator function, so hmac16el's
+// instructions do not depend on hmac16el8's. The file also carries
+// prefetch16.
 package main
 
 import (
@@ -242,11 +253,15 @@ func (g *gen) hmac16() {
 	g.op("RET")
 }
 
-// hmac16el emits the matcher's kernel. Registers: Z16-Z31 the key
-// schedule rows, then words; Z0-Z7 the inner state, then the outer
-// message; Z8-Z10 the inner temporaries; Z0-Z15 the outer message
-// schedule; Z24-Z31 the outer state; Z18-Z20 its temporaries.
-func (g *gen) hmac16el() {
+// hmac16el emits the matcher's kernel, or with full hmac16el8, which
+// writes all eight digest words, lane i's to row i of out (scattered
+// through hmac16's gather offsets). Registers: Z16-Z31 the key schedule
+// rows, then words; Z0-Z7 the inner state, then the outer message;
+// Z8-Z10 the inner temporaries; Z0-Z15 the outer message schedule;
+// Z24-Z31 the outer state; Z18-Z20 its temporaries. No register is left
+// for the opad chaining value's words 2-7, which hmac16el8 keeps in out
+// until it adds them.
+func (g *gen) hmac16el(full bool) {
 	g.op("MOVQ ks+0(FP), AX")
 	g.op("MOVQ idx+8(FP), DX")
 	g.op("MOVQ wk+16(FP), BX")
@@ -294,14 +309,30 @@ func (g *gen) hmac16el() {
 	}
 
 	g.comment("Outer hash: the chaining value after opad (Z24-Z31, words 0 and 1 kept in Z16-Z17), then the inner digest.")
+	if full {
+		for i := 2; i < 8; i++ {
+			g.op("VMOVDQU32 %s, %d(SI)", outer[i], 64*i)
+		}
+	}
 	g.op("VMOVDQA32 Z24, Z16")
 	g.op("VMOVDQA32 Z25, Z17")
 	g.t = [3]string{"Z18", "Z19", "Z20"}
 	g.outer(outer)
 	g.op("VPADDD Z16, Z24, Z24")
 	g.op("VPADDD Z17, Z25, Z25")
-	g.op("VMOVDQU32 Z24, (SI)")
-	g.op("VMOVDQU32 Z25, 64(SI)")
+	if !full {
+		g.op("VMOVDQU32 Z24, (SI)")
+		g.op("VMOVDQU32 Z25, 64(SI)")
+	} else {
+		for i := 2; i < 8; i++ {
+			g.op("VPADDD %d(SI), %s, %s", 64*i, outer[i], outer[i])
+		}
+		g.op("VMOVDQU32 offsets<>(SB), Z0")
+		for i, r := range outer {
+			g.op("KXNORW K1, K1, K1")
+			g.op("VPSCATTERDD %s, K1, %d(SI)(Z0*4)", r, 4*i)
+		}
+	}
 	g.op("VZEROUPPER")
 	g.op("RET")
 }
@@ -314,7 +345,9 @@ func main() {
 	text("hmac16", "(ks *KeySchedule, msg *[16][8]uint32, out *[2][16]uint32)", 24)
 	g.hmac16()
 	text("hmac16el", "(ks *KeySchedule, idx *[16]uint16, wk *[64]uint32, out *[2][16]uint32)", 32)
-	g.hmac16el()
+	g.hmac16el(false)
+	text("hmac16el8", "(ks *KeySchedule, idx *[16]uint16, wk *[64]uint32, out *[16][8]uint32)", 32)
+	g.hmac16el(true)
 	text("prefetch16", "(p *[16]*byte)", 8)
 	g.op("MOVQ p+0(FP), AX")
 	for i := 0; i < 16; i++ {
@@ -329,7 +362,7 @@ func main() {
 		fmt.Fprintf(&f, "DATA consts<>+%d(SB)/4, $0x%08x\n", 4*i, c)
 	}
 	fmt.Fprintf(&f, "GLOBL consts<>(SB), RODATA|NOPTR, $%d\n", 4*len(g.consts))
-	for i := 0; i < 16; i++ { // hmac16's gather offsets: lane i reads msg[i]
+	for i := 0; i < 16; i++ { // lane i's row of a [16][8]uint32: hmac16 gathers msg[i], hmac16el8 scatters out[i]
 		fmt.Fprintf(&f, "DATA offsets<>+%d(SB)/4, $%d\n", 4*i, 8*i)
 	}
 	f.WriteString("GLOBL offsets<>(SB), RODATA|NOPTR, $64\n")

@@ -45,7 +45,8 @@ package pps
 // evaluates one 32-byte trapdoor element under 16 records' KeySchedules
 // per call, with the same answers as this kernel. The encoder's hmac16
 // (bloom.go) takes one document's schedule and 16 of its elements per
-// call, bit for bit the filter this kernel writes. Every path reduces a
+// call, and its hmac16el8 a word's one padded block under 16 sub-keys,
+// bit for bit the filter this kernel writes. Every path reduces a
 // digest's leading 8 bytes mod MBits the same way (modulus, bloom.go).
 //
 // A kernel is NOT safe for concurrent use; embed one per Run (matching)
@@ -98,12 +99,17 @@ type paddedMsg struct {
 // appendPadded appends x to dst, padded as the tail of a message that
 // began with one 64-byte block (the HMAC pad). Any length of x works.
 func appendPadded[T string | []byte](dst []byte, x T) []byte {
-	dst = append(dst, x...)
-	dst = append(dst, 0x80)
-	for n := len(x) + 1 + 8; n%prfBlockSize != 0; n++ {
-		dst = append(dst, 0)
+	return padTail(append(dst, x...), len(x))
+}
+
+// padTail appends to b, which ends with an n-byte x, the padding
+// appendPadded appends after x.
+func padTail(b []byte, n int) []byte {
+	b = append(b, 0x80)
+	for k := n + 1 + 8; k%prfBlockSize != 0; k++ {
+		b = append(b, 0)
 	}
-	return binary.BigEndian.AppendUint64(dst, uint64(prfBlockSize+len(x))*8)
+	return binary.BigEndian.AppendUint64(b, uint64(prfBlockSize+n)*8)
 }
 
 // paddedLen is the length appendPadded appends for an x of n bytes.
@@ -283,13 +289,22 @@ func (k *prfKernel) hmac(m paddedMsg) [8]uint32 {
 	return h
 }
 
+// digest is HMAC(key, x) for the padded x as the digest's eight
+// big-endian words, on every path.
+func (k *prfKernel) digest(m paddedMsg) (h [8]uint32) {
+	if k.path != pathGeneric {
+		return k.hmac(m)
+	}
+	d := prf(k.key, m.blocks[:m.n])
+	for i := range h {
+		h[i] = binary.BigEndian.Uint32(d[4*i:])
+	}
+	return h
+}
+
 // sum computes HMAC(key, x) for the padded x. Identical to prf().
 func (k *prfKernel) sum(m paddedMsg) (d [sha256.Size]byte) {
-	if k.path == pathGeneric {
-		copy(d[:], prf(k.key, m.blocks[:m.n]))
-		return d
-	}
-	for i, v := range k.hmac(m) {
+	for i, v := range k.digest(m) {
 		binary.BigEndian.PutUint32(d[4*i:], v)
 	}
 	return d

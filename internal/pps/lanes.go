@@ -24,8 +24,8 @@ import (
 // pads its dead lanes with a live index and ignores their results; one
 // with fewer than laneMin live lanes runs them on the per-record kernel.
 // Hosts without AVX-512F run the per-record loop unchanged. (The
-// encoder's hmac16 has the other shape: one key, 16 elements a call;
-// see Bloom.encrypt.)
+// encoder blinds on hmac16, the other shape: one key, 16 elements a
+// call; see Bloom.encrypt.)
 //
 // A settled Run (or one with a single predicate) makes one pass per
 // window in its settled order. A Run that is still sampling makes one
@@ -81,22 +81,22 @@ var k256 = [64]uint32{
 	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 }
 
-// scheduleWK returns W[t]+K[t] of the single block b: the message
+// scheduleWK writes to wk W[t]+K[t] of the single block b: the message
 // schedule of FIPS 180-4 §6.2.2, plus the round constants.
-func scheduleWK(b []byte) (wk [64]uint32) {
-	var w [64]uint32
+func scheduleWK(wk *[64]uint32, b []byte) {
+	b = b[:prfBlockSize]
 	for t := range 16 {
-		w[t] = binary.BigEndian.Uint32(b[4*t:])
+		wk[t] = binary.BigEndian.Uint32(b[4*t:])
 	}
 	for t := 16; t < 64; t++ {
-		s0 := bits.RotateLeft32(w[t-15], -7) ^ bits.RotateLeft32(w[t-15], -18) ^ w[t-15]>>3
-		s1 := bits.RotateLeft32(w[t-2], -17) ^ bits.RotateLeft32(w[t-2], -19) ^ w[t-2]>>10
-		w[t] = s1 + w[t-7] + s0 + w[t-16]
+		x, y := wk[t-15], wk[t-2]
+		s0 := bits.RotateLeft32(x, -7) ^ bits.RotateLeft32(x, -18) ^ x>>3
+		s1 := bits.RotateLeft32(y, -17) ^ bits.RotateLeft32(y, -19) ^ y>>10
+		wk[t] = s1 + wk[t-7] + s0 + wk[t-16]
 	}
 	for t := range wk {
-		wk[t] = w[t] + k256[t]
+		wk[t] += k256[t]
 	}
-	return wk
 }
 
 // newLanes returns the lane state for the Run's padded elements, with
@@ -115,7 +115,7 @@ func newLanes(padded []paddedMsg, preds []int) *lanes {
 		if x.n != 32 {
 			return nil
 		}
-		l.wk[e] = scheduleWK(x.blocks)
+		scheduleWK(&l.wk[e], x.blocks)
 	}
 	return l
 }

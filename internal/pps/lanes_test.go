@@ -31,13 +31,16 @@ func skipWithoutLanes(t testing.TB) {
 	}
 }
 
-// TestHMAC16MatchesHMAC: every lane of both 16-lane kernels is
+// TestHMAC16MatchesHMAC: every lane of the 16-lane kernels is
 // crypto/hmac's leading 8 bytes, for keys of any length (schedules from
 // AppendKeySchedules) and random 32-byte elements. hmac16 (one key, an
 // element per lane) is checked whatever the lanes hold: all distinct,
 // repeated, or all one element. hmac16el (one element, keys by index)
 // is checked for every element of a 17-element trapdoor, with indices
-// distinct, repeated, all one, and at the last schedule.
+// distinct, repeated, all one, and at the last schedule. hmac16el8's
+// eight digest words are checked likewise for words of 0 to 55 bytes
+// (every length whose padding fits one block), with rows distinct,
+// repeated and at the last schedule.
 func TestHMAC16MatchesHMAC(t *testing.T) {
 	skipWithoutLanes(t)
 	rng := mrand.New(mrand.NewSource(40))
@@ -101,6 +104,34 @@ func TestHMAC16MatchesHMAC(t *testing.T) {
 		}
 		hmac16el(&ks[0], &idx, &l.wk[e], &h)
 		check("hmac16el", trial, &h, &rec, &el)
+	}
+
+	var d [16][8]uint32
+	for trial := 0; trial < 3*56; trial++ {
+		word := make([]byte, trial%56)
+		rng.Read(word)
+		for i := range idx {
+			switch trial / 56 {
+			case 0: // distinct
+				rec[i] = (trial + 3*i) % len(recs)
+			case 1: // repeated
+				rec[i] = 7 + i%3
+			case 2: // the last schedule among others
+				rec[i] = len(ks) - 1 - i%2*rng.Intn(len(ks))
+			}
+			idx[i] = uint16(rec[i])
+		}
+		var wk [64]uint32
+		scheduleWK(&wk, appendPadded(nil, word))
+		hmac16el8(&ks[0], &idx, &wk, &d)
+		for i := range idx {
+			want := prf(recs[rec[i]].Nonce, word)
+			for w := range d[i] {
+				if d[i][w] != binary.BigEndian.Uint32(want[4*w:]) {
+					t.Fatalf("hmac16el8 trial %d lane %d (record %d, %d-byte word) word %d: %08x, want %x", trial, i, rec[i], len(word), w, d[i][w], want)
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -475,6 +476,28 @@ func TestEncoderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncryptPredicateWithoutPoints: an encoder configured with no size
+// reference points (SizePoints empty, not nil) rejects a size predicate
+// with an error rather than a panic, still encrypts documents, and still
+// answers date predicates.
+func TestEncryptPredicateWithoutPoints(t *testing.T) {
+	e := NewEncoder(TestKey(21), EncoderConfig{SizePoints: []float64{}})
+	for _, kind := range []PredKind{SizeGreater, SizeLess} {
+		if _, err := e.EncryptPredicate(Predicate{Kind: kind, Value: 1000}); err == nil || !strings.Contains(err.Error(), "size reference points") {
+			t.Errorf("kind %d: error %v, want no size reference points", kind, err)
+		}
+	}
+	md, err := e.EncryptDocument(testDoc(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := NewMatcher(e.ServerParams())
+	q, err := e.EncryptPredicate(Predicate{Kind: DateAfter, Value: 365})
+	if err != nil || !m.MatchOne(q, md.BloomMetadata) {
+		t.Errorf("date after 2006 on a 2008 document: match %v, error %v", err == nil && m.MatchOne(q, md.BloomMetadata), err)
+	}
+}
+
 // TestEncodedMarshalRoundTrip: an encrypted document survives the one
 // record form, and truncations error rather than panic or decode.
 func TestEncodedMarshalRoundTrip(t *testing.T) {
@@ -717,8 +740,12 @@ func BenchmarkDictionaryMatch(b *testing.B) {
 // BenchmarkEncryptDocument is one document's encryption: "default" in
 // the default configuration on the best path, and "slim/<path>" in the
 // slim one (the harness corpora's, whose loads set-up times measure) on
-// each path this build and CPU can encrypt on, the lane path as
-// "avx512".
+// each path this build and CPU can encrypt on. "avx512" is the lane
+// path: a slim document's 15 words take one hmac16el8 call and one
+// SHA-NI evaluation each for their 17 sub-key digests, and its 1 207
+// elements (952 of them signature elements, copied from their slots)
+// are blinded 16 per hmac16 call, which is ~60 % of its time; it makes
+// one allocation, the nonce and filter.
 func BenchmarkEncryptDocument(b *testing.B) {
 	run := func(b *testing.B, e *Encoder) {
 		doc := testDoc(1)

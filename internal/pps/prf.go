@@ -78,13 +78,24 @@ func prfUint64(key, data []byte) uint64 {
 	return binary.BigEndian.Uint64(prf(key, data))
 }
 
-// nonce returns a fresh 16-byte random nonce.
+// nonceSize is the size in bytes of a record's nonce.
+const nonceSize = 16
+
+// nonce returns a fresh random nonce.
 func nonce() ([]byte, error) {
-	b := make([]byte, 16)
-	if _, err := rand.Read(b); err != nil {
-		return nil, fmt.Errorf("pps: generating nonce: %w", err)
+	b := make([]byte, nonceSize)
+	if err := readNonce(b); err != nil {
+		return nil, err
 	}
 	return b, nil
+}
+
+// readNonce fills b with a fresh random nonce.
+func readNonce(b []byte) error {
+	if _, err := rand.Read(b); err != nil {
+		return fmt.Errorf("pps: generating nonce: %w", err)
+	}
+	return nil
 }
 
 // permutation returns a pseudorandom permutation of [0, n) determined by
