@@ -2,15 +2,13 @@ package core
 
 import (
 	"roar/internal/ring"
+	"roar/internal/store"
 )
 
 // This file implements the two frontend optimisations of §4.8.2:
 // range adjustment (shift work between neighbouring sub-queries, free)
 // and sub-query splitting (split the slowest sub-query across extra
 // servers, costs per-query overhead).
-
-// adjustEps keeps shifted boundaries strictly inside their constraints.
-const adjustEps = 1e-9
 
 // AdjustRanges implements range adjustment: it repeatedly takes work
 // away from the sub-query that finishes last and pushes it to its plan
@@ -56,8 +54,8 @@ func (pl *Placement) AdjustRanges(plan Plan, est Estimator, rounds int) Plan {
 
 // shiftToPred moves the boundary between sub-queries prev and i
 // clockwise by δ: prev absorbs (B, B+δ]. Constraint (§4.8.2, "A < ida"):
-// the boundary may move right only while it stays below prev's range
-// end, so the absorbed objects are already replicated on prev.
+// the boundary may move right only as far as prev's range end, so the
+// absorbed objects are already replicated on prev.
 func (pl *Placement) shiftToPred(subs []SubQuery, i int, est Estimator) bool {
 	n := len(subs)
 	prev := (i - 1 + n) % n
@@ -73,26 +71,16 @@ func (pl *Placement) shiftToPred(subs []SubQuery, i int, est Estimator) bool {
 	if prevArc.IsFull() {
 		maxShift = subs[i].Size()
 	}
-	maxShift = minF(maxShift, subs[i].Size()) - adjustEps
-	if maxShift <= 0 {
-		return false
-	}
+	maxShift = min(maxShift, subs[i].Size())
 	delta := pl.equalise(subs[prev].Node, subs[prev].Size(), subs[i].Node, subs[i].Size(), maxShift, est)
-	if delta <= 0 {
-		return false
-	}
-	subs[prev].Hi = subs[prev].Hi.Add(delta)
-	subs[i].Lo = subs[i].Lo.Add(delta)
-	subs[prev].Est = est.EstimateFinish(subs[prev].Node, subs[prev].Size())
-	subs[i].Est = est.EstimateFinish(subs[i].Node, subs[i].Size())
-	return true
+	return delta > 0 && pl.moveBound(subs, prev, i, prev, b.Add(delta), est)
 }
 
 // shiftToSucc moves the boundary between sub-queries i and next counter-
 // clockwise by δ: next absorbs (C-δ, C]. Constraint (§4.8.2,
-// "A + 1/pq > idc"): the moved boundary plus the replication length must
-// stay past the successor node's range start, so absorbed objects are
-// already replicated on it.
+// "A + 1/pq > idc"): the moved boundary plus the replication length may
+// reach back only as far as the successor node's range start, so
+// absorbed objects are already replicated on it.
 func (pl *Placement) shiftToSucc(subs []SubQuery, i int, est Estimator) bool {
 	n := len(subs)
 	next := (i + 1) % n
@@ -106,24 +94,36 @@ func (pl *Placement) shiftToSucc(subs []SubQuery, i int, est Estimator) bool {
 	repl := 1 / float64(pl.p)
 	c := subs[i].Hi // current boundary
 	// δ is bounded by the distance from the successor's stored-set start
-	// (range start - 1/p) to the boundary (§4.8.2: A + 1/p must stay
-	// past the successor's range start).
+	// (range start - 1/p) to the boundary.
 	maxShift := nextArc.Start.Add(-repl).DistCW(c)
 	if nextArc.IsFull() {
 		maxShift = subs[i].Size()
 	}
-	maxShift = minF(maxShift, subs[i].Size()) - adjustEps
-	if maxShift <= 0 {
-		return false
-	}
+	maxShift = min(maxShift, subs[i].Size())
 	delta := pl.equalise(subs[next].Node, subs[next].Size(), subs[i].Node, subs[i].Size(), maxShift, est)
-	if delta <= 0 {
+	return delta > 0 && pl.moveBound(subs, i, next, next, c.Add(-delta), est)
+}
+
+// moveBound moves the bound subs[a].Hi == subs[b].Lo of two plan
+// neighbours to x; subs[grow], a or b, absorbs what the other gives up.
+// The shift holds only if the absorber's node stores every id of its new
+// arc (CanServe) and the other leg stays inside its old arc, both decided
+// in id space, so a rounding in the shift can neither send a node ids it
+// does not hold nor wrap a leg round the ring (Lo == Hi is the full ring).
+func (pl *Placement) moveBound(subs []SubQuery, a, b, grow int, x ring.Point, est Estimator) bool {
+	na, nb := subs[a], subs[b]
+	na.Hi, nb.Lo = x, x
+	absorber, giver, old := na, nb, subs[b]
+	if grow == b {
+		absorber, giver, old = nb, na, subs[a]
+	}
+	if !pl.CanServe(absorber.Node, absorber.Lo, absorber.Hi) ||
+		len(store.Minus(store.ArcSpans(giver.Lo, giver.Hi), store.ArcSpans(old.Lo, old.Hi))) > 0 {
 		return false
 	}
-	subs[i].Hi = subs[i].Hi.Add(-delta)
-	subs[next].Lo = subs[next].Lo.Add(-delta)
-	subs[next].Est = est.EstimateFinish(subs[next].Node, subs[next].Size())
-	subs[i].Est = est.EstimateFinish(subs[i].Node, subs[i].Size())
+	na.Est = est.EstimateFinish(na.Node, na.Size())
+	nb.Est = est.EstimateFinish(nb.Node, nb.Size())
+	subs[a], subs[b] = na, nb
 	return true
 }
 
@@ -180,7 +180,7 @@ func (pl *Placement) SplitSlowest(plan Plan, est Estimator, maxSplits int) Plan 
 		if !okA || !okB {
 			break
 		}
-		newMax := maxF(a.Est, b.Est)
+		newMax := max(a.Est, b.Est)
 		// Delay after split: max over the untouched subs and the halves.
 		rest := 0.0
 		for i, t := range out.Subs {
@@ -188,7 +188,7 @@ func (pl *Placement) SplitSlowest(plan Plan, est Estimator, maxSplits int) Plan 
 				rest = t.Est
 			}
 		}
-		if maxF(newMax, rest) >= s.Est {
+		if max(newMax, rest) >= s.Est {
 			break // splitting no longer helps
 		}
 		out.Subs[slow] = a
@@ -230,21 +230,4 @@ func (pl *Placement) bestServer(lo, hi ring.Point, est Estimator) (SubQuery, boo
 		}
 	}
 	return best, found
-}
-
-func minF(xs ...float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

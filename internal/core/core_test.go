@@ -283,9 +283,17 @@ func TestScheduleMultiRing(t *testing.T) {
 
 func TestCanServe(t *testing.T) {
 	pl := mustPlacement(t, 4, ring.NewEqual(8)) // ranges of 1/8, repl 1/4
-	// Node 2 owns [0.25, 0.375): it stores objects in (0, 0.375).
+	// Node 2 owns [0.25, 0.375): it stores the objects of (0, 0.375].
 	if !pl.CanServe(2, 0.05, 0.3) {
 		t.Error("node 2 should serve (0.05, 0.3]")
+	}
+	// Both bounds of the stored set are served: a leg ending at the range
+	// end, and one starting at the range start - 1/p.
+	if !pl.CanServe(2, 0.3, 0.375) {
+		t.Error("node 2 should serve a leg ending at its range end")
+	}
+	if !pl.CanServe(2, 0, 0.1) {
+		t.Error("node 2 should serve a leg starting at its range start - 1/p")
 	}
 	if pl.CanServe(2, 0.05, 0.4) {
 		t.Error("node 2 must not serve past its range end")
@@ -317,29 +325,52 @@ func TestCanServe(t *testing.T) {
 }
 
 func TestCanServeAgainstStores(t *testing.T) {
-	// Property: CanServe(lo,hi) == the node holds every id of (lo,hi].
+	// Property: CanServe(lo,hi) == the node holds every id of (lo,hi], on
+	// random arcs and on arcs at either bound of the node's stored set:
+	// ending at its range end, or starting at its start - 1/p.
 	rng := rand.New(rand.NewSource(8))
-	pl := mustPlacement(t, 6, randomRing(18, 0, rng))
-	for trial := 0; trial < 400; trial++ {
+	const p = 6
+	pl := mustPlacement(t, p, randomRing(18, 0, rng))
+	for trial := 0; trial < 1200; trial++ {
 		id := ring.NodeID(rng.Intn(18))
+		arc, _, _ := pl.NodeRange(id)
+		size := rng.Float64() / p // up to 1/p
 		lo := ring.Norm(rng.Float64())
-		size := rng.Float64() / 6 // up to 1/p
 		hi := lo.Add(size)
-		can := pl.CanServe(id, lo, hi)
-		allStored := len(unread(t, pl, lo, hi, id)) == 0
-		if can && !allStored {
-			t.Fatalf("CanServe true but ids not stored (node %d, arc (%v,%v])", id, lo, hi)
+		switch trial % 3 {
+		case 1:
+			hi = arc.End()
+			lo = hi.Add(-size)
+		case 2:
+			lo = arc.Start.Add(-1.0 / p)
+			hi = lo.Add(size)
 		}
-		// The converse may disagree only where the arc meets the stored
-		// set's bounds, which CanServe excludes; shrink the arc before
-		// flagging a real inconsistency.
-		if !can && allStored {
-			step := size / 41
-			if !pl.CanServe(id, lo.Add(step), hi.Add(-step)) {
-				t.Fatalf("CanServe false but all ids stored (node %d, arc (%v,%v])", id, lo, hi)
-			}
+		can, all := pl.CanServe(id, lo, hi), len(unread(t, pl, lo, hi, id)) == 0
+		if can != all {
+			t.Fatalf("node %d, arc (%v,%v]: CanServe %v, but holds every id %v", id, lo, hi, can, all)
 		}
 	}
+}
+
+// TestAdjustRangesNeverEmptiesALeg: a shift that took all of the slow
+// leg's arc would leave it Lo == Hi, which reads the full ring. Node 0,
+// a one-node ring, stores every id and is far faster than node 101, so
+// equalise gives it the whole of 101's leg on either side; the shift
+// must be refused and the plan stay a partition.
+func TestAdjustRangesNeverEmptiesALeg(t *testing.T) {
+	pl := mustPlacement(t, 4, ring.NewEqual(1), offsetRing(t, 4, 100, 0))
+	est := EstimatorFunc(func(id ring.NodeID, size float64) float64 {
+		if id == 101 {
+			return 10 + size
+		}
+		return size
+	})
+	plan := Plan{PQ: 2, Subs: []SubQuery{
+		{Node: 0, Ring: 0, Lo: 0.5, Hi: 0.25, Est: 0.75},
+		{Node: 101, Ring: 1, Lo: 0.25, Hi: 0.5, Est: 10.25},
+	}}
+	checkPlan(t, pl, plan)
+	checkPlan(t, pl, pl.AdjustRanges(plan, est, 8))
 }
 
 func TestAdjustRangesImprovesDelay(t *testing.T) {
@@ -423,7 +454,7 @@ func TestRepairPlanCoversFailedNode(t *testing.T) {
 		// Fail the node serving the first sub-query.
 		failedID := plan.Subs[0].Node
 		failed := map[ring.NodeID]bool{failedID: true}
-		repaired, err := pl.RepairPlan(plan, failed, uniformEst, rng)
+		repaired, err := repairPlan(pl, plan, failed, uniformEst, rng)
 		if err != nil {
 			// A node with a huge range cannot be bracketed; only accept
 			// that explanation.
@@ -469,7 +500,7 @@ func TestRepairPlanMultipleFailures(t *testing.T) {
 	for _, s := range plan.Subs[:2] {
 		failed[s.Node] = true
 	}
-	repaired, err := pl.RepairPlan(plan, failed, uniformEst, rng)
+	repaired, err := repairPlan(pl, plan, failed, uniformEst, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +509,26 @@ func TestRepairPlanMultipleFailures(t *testing.T) {
 			t.Fatal("repaired plan targets a failed node")
 		}
 	}
+}
+
+// repairPlan re-sends every sub-query of plan aimed at a failed node
+// through Replace, avoiding every failed node, as the frontend's
+// dispatcher re-places each such leg.
+func repairPlan(pl *Placement, plan Plan, failed map[ring.NodeID]bool, est Estimator, rng *rand.Rand) (Plan, error) {
+	out := plan
+	out.Subs = nil
+	for _, s := range plan.Subs {
+		if !failed[s.Node] {
+			out.Subs = append(out.Subs, s)
+			continue
+		}
+		subs, err := pl.Replace(s, failed, est, rng)
+		if err != nil {
+			return Plan{}, err
+		}
+		out.Subs = append(out.Subs, subs...)
+	}
+	return out, nil
 }
 
 func TestStoredSet(t *testing.T) {
@@ -572,8 +623,9 @@ func TestFullRingPlanIsExact(t *testing.T) {
 // pq from p to 3p and random node speeds: the id spans of a Schedule
 // plan, and of the plan AdjustRanges and SplitSlowest make of it,
 // partition the id ring, and every sub-query's node holds every id it
-// reads. A RepairPlan of a random failed node keeps the partition over
-// its distinct arcs, and the nodes sent a failed arc hold all of it.
+// reads. Replacing each sub-query of a random failed node keeps the
+// partition over its distinct arcs, and the nodes sent a failed arc hold
+// all of it.
 func FuzzPlanPartitionsIDs(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(4), uint8(1))
@@ -602,7 +654,7 @@ func FuzzPlanPartitionsIDs(f *testing.F) {
 		checkPlan(t, pl, pl.SplitSlowest(plan, est, 4))
 
 		failed := plan.Subs[rng.Intn(len(plan.Subs))].Node
-		repaired, err := pl.RepairPlan(plan, map[ring.NodeID]bool{failed: true}, est, rng)
+		repaired, err := repairPlan(pl, plan, map[ring.NodeID]bool{failed: true}, est, rng)
 		if err != nil {
 			return // an unbracketable range; FuzzReplaceCoversArc holds when that may be
 		}

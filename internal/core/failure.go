@@ -7,44 +7,19 @@ import (
 	"roar/internal/ring"
 )
 
-// This file implements the node-failure fallback of §4.4. A sub-query
-// aimed at a failed node is re-sent by the one replica rule, Replace
-// (hedge.go): to another ring's owner of its arc when one can serve it
-// (§4.7), and otherwise split in two and sent to nodes before and after
-// the failed one on its own ring, no more than 1/p - δ apart, so every
-// object the failed node would have matched is matched by one of them.
+// This file holds the §4.4 fallback on a failed node's own ring: when
+// no other ring can serve a sub-query aimed at it (Replace, hedge.go),
+// the sub-query is split in two and sent to nodes before and after the
+// failed one, no more than 1/p - δ apart, so every object the failed
+// node would have matched is matched by one of them. Each keeps the
+// original match arc (the "original query ID" of step 4); a bracket
+// pair's stored sets overlap minimally, producing only a few duplicate
+// matches, which the frontend deduplicates by object id.
 
 // DeltaFraction is the uncertainty margin δ expressed as a fraction of
 // 1/p: δ = DeltaFraction/p. It must be large enough that 1/p - δ is
 // below 1/p_old for all recently used partitioning levels (§4.4).
 const DeltaFraction = 0.02
-
-// RepairPlan rewrites every sub-query aimed at a failed node with
-// Replace, avoiding every failed node. The replacements keep the
-// original match arc (the "original query ID" of step 4), so together
-// they match exactly the failed node's object set; a bracket pair's
-// stored sets overlap minimally, producing only a few duplicate
-// matches, which the frontend deduplicates by object id.
-func (pl *Placement) RepairPlan(plan Plan, failed map[ring.NodeID]bool, est Estimator, rng *rand.Rand) (Plan, error) {
-	if len(failed) == 0 {
-		return plan, nil
-	}
-	out := plan
-	out.Subs = nil
-	for _, s := range plan.Subs {
-		if !failed[s.Node] {
-			out.Subs = append(out.Subs, s)
-			continue
-		}
-		subs, err := pl.Replace(s, failed, est, rng)
-		if err != nil {
-			return Plan{}, err
-		}
-		out.Subs = append(out.Subs, subs...)
-	}
-	out.Delay = out.maxEst()
-	return out, nil
-}
 
 // bracket is the §4.4 pair for s on its node's ring. If a node of the
 // pair is s.Node or avoided, a new random placement is drawn (the

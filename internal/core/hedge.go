@@ -7,12 +7,12 @@ import (
 )
 
 // This file holds the one rule that re-sends a sub-query to other
-// replicas. The frontend uses it twice: to hedge a slow sub-query (Tail-
+// replicas. The frontend uses it to hedge a slow sub-query (Tail-
 // Tolerant Distributed Search; Dean's "tail at scale" hedging), where the
-// primary is only avoided, and to repair a failed one (§4.4, through
-// RepairPlan), where the primary is gone. Both want the same thing: nodes
-// other than the primary whose stored sets cover the sub-query's arc, as
-// few and as fast as possible.
+// primary is only avoided, and to re-place one whose node is suspected
+// before it is sent or has failed it (§4.4), where the primary is gone.
+// All want the same thing: nodes other than the primary whose stored sets
+// cover the sub-query's arc, as few and as fast as possible.
 
 // Replace returns sub-queries that, together, match exactly the object
 // arc of s on nodes other than s.Node and those in avoid. Preference

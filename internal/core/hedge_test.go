@@ -128,8 +128,8 @@ func TestRepairPlanRefusesUnbracketableRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := map[ring.NodeID]bool{plan.Subs[0].Node: true}
-	if _, err := pl.RepairPlan(plan, failed, uniformEst, rng); err == nil {
-		t.Fatal("RepairPlan produced a bracket for a node range wider than 1/p-δ; such pairs cannot cover the arc")
+	if _, err := repairPlan(pl, plan, failed, uniformEst, rng); err == nil {
+		t.Fatal("the repair produced a bracket for a node range wider than 1/p-δ; such pairs cannot cover the arc")
 	}
 }
 
@@ -146,7 +146,7 @@ func TestRepairTwoRingsSendsOneLeg(t *testing.T) {
 	}
 	for _, orig := range plan.Subs {
 		failed := map[ring.NodeID]bool{orig.Node: true}
-		repaired, err := pl.RepairPlan(plan, failed, uniformEst, rng)
+		repaired, err := repairPlan(pl, plan, failed, uniformEst, rng)
 		if err != nil {
 			t.Fatalf("repair of node %d with a whole spare ring: %v", orig.Node, err)
 		}
@@ -195,7 +195,7 @@ func TestRepairWideRangeUsesOtherRing(t *testing.T) {
 	if orig.Ring != 0 {
 		t.Fatalf("schedule put the first sub-query on ring %d, want 0", orig.Ring)
 	}
-	repaired, err := pl.RepairPlan(plan, map[ring.NodeID]bool{orig.Node: true}, est, rng)
+	repaired, err := repairPlan(pl, plan, map[ring.NodeID]bool{orig.Node: true}, est, rng)
 	if err != nil {
 		t.Fatalf("repair with ring 1 present: %v", err)
 	}

@@ -2,8 +2,11 @@
 // placement on one or more continuous rings, query planning with
 // duplicate-free partitioning at any pq ≥ p, the O(n log p) scheduling
 // algorithm for heterogeneous servers (Algorithm 1), the range-adjustment
-// and sub-query-splitting optimisations, the node-failure fallback, and
-// the bookkeeping for changing the partitioning level on the fly.
+// and sub-query-splitting optimisations, the replica rule that re-sends
+// a sub-query around a failed or slow node (§4.4, §4.7), and the
+// bookkeeping for changing the partitioning level on the fly. A plan is
+// never rewritten around a failed node: the frontend re-sends each leg
+// aimed at one, before it is sent or after it fails, through Replace.
 //
 // The package is deliberately free of networking: it computes *plans*
 // (which node matches which slice of the object id space) that the
@@ -16,6 +19,7 @@ import (
 	"fmt"
 
 	"roar/internal/ring"
+	"roar/internal/store"
 )
 
 // Placement captures the replica layout of a ROAR deployment: one or
@@ -65,28 +69,18 @@ func (pl *Placement) NodeRange(id ring.NodeID) (ring.Arc, int, error) {
 	return ring.Arc{}, -1, fmt.Errorf("core: node %d on no ring", id)
 }
 
-// CanServe reports whether a node can correctly match every object in
-// the half-open id arc (lo, hi]. A node with range [s, e) stores exactly
-// the objects with ids in the open arc (s-1/p, e) — those whose
-// replication arc [id, id+1/p) intersects the range — so the condition
-// is (lo, hi] ⊆ (s-1/p, e). This is the validity rule behind range
-// adjustment (§4.8.2) and sub-query splitting, and the invariant the
-// property tests check on every plan. The records a node holds are
-// decided exactly, in identifier space, by store.StoredSpans; the tests
-// hold CanServe to it: a leg it passes reads only ids its node holds.
+// CanServe reports whether a node holds every object of the half-open
+// id arc (lo, hi], the validity rule of every leg a plan sends (§4.2):
+// range adjustment and sub-query splitting (§4.8.2) and the replica rule
+// (Replace) place a leg only where it holds. The records a node holds are
+// store.StoredSpans of its range, so the rule is that containment, in
+// identifier space: what the scheduler may send a node and what the
+// coordinator gives it cannot disagree by a float rounding at either
+// bound of its stored set.
 func (pl *Placement) CanServe(id ring.NodeID, lo, hi ring.Point) bool {
-	size := ring.MatchSpan(lo, hi) // lo == hi means the full ring
-	repl := 1 / float64(pl.p)
 	nodeArc, _, err := pl.NodeRange(id)
 	if err != nil {
 		return false
 	}
-	stored := nodeArc.Length + repl
-	if stored >= 1 {
-		return true
-	}
-	// Offsets of (lo, hi] measured from the stored-set origin s-1/p are
-	// (d1, d1+size]; all must fall strictly inside (0, stored).
-	d1 := nodeArc.Start.Add(-repl).DistCW(lo)
-	return d1+size < stored
+	return len(store.Minus(store.ArcSpans(lo, hi), store.StoredSpans(nodeArc, pl.p))) == 0
 }

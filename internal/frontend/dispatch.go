@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -16,13 +17,13 @@ import (
 // call on the query's sink; the loop in dispatch waits on a completion
 // from that sink, one timer armed to the earliest pending deadline (a
 // primary's hedge delay, a leg's SubQueryTimeout) and the caller's
-// context. A hedge launch, the first-side-wins race, the repair of a
-// failed sub-query and the two hedge gates are state transitions of
-// that loop, so nothing here is locked. The one
-// goroutine the dispatcher can start is the waiter of a leg whose node
-// has no free credit.
+// context. A hedge launch, the first-side-wins race, the two hedge gates
+// and the re-placement of a sub-query, whether its node failed it or was
+// unschedulable when it was about to be sent, are state transitions of
+// that loop, so nothing here is locked. The one goroutine the dispatcher
+// can start is the waiter of a leg whose node has no free credit.
 
-// maxRepairDepth bounds the §4.4 re-dispatch recursion so a query
+// maxRepairDepth bounds the §4.4 re-placement recursion so a query
 // terminates under mass failure.
 const maxRepairDepth = 4
 
@@ -57,12 +58,12 @@ const (
 )
 
 // leg is one RPC of the fan-out: a primary (a sub-query of the plan or
-// of a repair) or one of the replica legs hedging a slow primary.
+// of a re-placement) or one of the replica legs hedging a slow primary.
 type leg struct {
 	sub   core.SubQuery
 	h     *handle
 	of    *leg // the primary a hedge leg races; nil on a primary
-	depth int  // §4.4 repair depth of a primary
+	depth int  // §4.4 re-placement depth of a primary
 
 	tag      int // index in dispatcher.legs; the wire tag of its call
 	state    legState
@@ -88,7 +89,7 @@ type dispatcher struct {
 	err  error
 	sink *wire.Sink
 	legs []*leg
-	open int // sub-queries neither answered nor replaced by their repair
+	open int // sub-queries neither answered nor re-placed
 
 	timer *time.Timer
 	armed time.Time     // what the timer is set to
@@ -154,23 +155,28 @@ func (d *dispatcher) newLegs(subs []core.SubQuery) []leg {
 	return legs
 }
 
-// startSubs starts one primary per sub-query. Every primary dispatch
-// funds the hedge budget with its fraction of a token, whatever happens
-// to that sub-query.
+// startSubs starts one primary per sub-query. One whose node is not
+// schedulable (gone from the view under the plan, suspected or
+// quarantined) is re-placed before anything is sent to it; the plan
+// avoids such a node wherever another owner can serve its arc, so this
+// is for the rest. Every primary sent funds the hedge budget with its
+// fraction of a token, whatever happens to that sub-query.
 func (d *dispatcher) startSubs(subs []core.SubQuery, depth int) {
-	d.res.SubQueries += len(subs)
 	d.open += len(subs)
-	d.f.budget.earn(len(subs))
 	legs := d.newLegs(subs)
-	for i := range legs {
+	sent := 0
+	for i := 0; i < len(legs) && d.err == nil; i++ {
 		l := &legs[i]
 		l.depth = depth
-		if l.h == nil {
-			d.primaryFinished(l, fmt.Errorf("frontend: no handle for node %d", l.sub.Node))
+		if l.h == nil || l.h.unschedulable() {
+			d.repair(l, errUnschedulable)
 			continue
 		}
+		sent++
 		d.launch(l)
 	}
+	d.res.SubQueries += sent
+	d.f.budget.earn(sent)
 }
 
 // launch takes the node's outstanding credit (per-node backpressure)
@@ -383,9 +389,7 @@ func (d *dispatcher) primaryFinished(l *leg, err error) {
 	case d.ctx.Err() != nil:
 		d.err = d.ctx.Err()
 	default:
-		if l.h != nil { // nil: the node left the view under the plan
-			l.h.observe(false, 0)
-		}
+		l.h.observe(false, 0)
 		if l.hedge == hedgeRacing {
 			l.err = err // the hedge side may still save the sub-query
 			return
@@ -434,18 +438,24 @@ func (d *dispatcher) hedgeLost(p *leg) {
 	}
 }
 
-// repair is the failure path: the node is already suspected; re-send
-// the sub-query by the rule a hedge uses (§4.4, §4.7) and dispatch the
-// replacements.
+// errUnschedulable is why a sub-query is re-placed before it is sent.
+var errUnschedulable = errors.New("frontend: node not schedulable")
+
+// repair re-sends l's sub-query, which err kept from its node, by the
+// rule a hedge uses (§4.4, §4.7) and dispatches the replacements one
+// level deeper. A failed leg counts as a failure (its node is already
+// suspected); a sub-query re-placed before it was sent does not.
 func (d *dispatcher) repair(l *leg, err error) {
-	d.res.Failures++
+	if err != errUnschedulable {
+		d.res.Failures++
+	}
 	if l.depth >= maxRepairDepth {
 		d.err = fmt.Errorf("frontend: sub-query (%v,%v] failed beyond retry depth: %w", l.sub.Lo, l.sub.Hi, err)
 		return
 	}
 	subs, rerr := d.f.replicas(d.pl, d.est, l.sub)
 	if rerr != nil {
-		d.err = fmt.Errorf("frontend: cannot re-place failed sub-query: %w", rerr)
+		d.err = fmt.Errorf("frontend: cannot re-place sub-query: %w", rerr)
 		return
 	}
 	d.open--

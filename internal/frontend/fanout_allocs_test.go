@@ -12,10 +12,10 @@ import (
 
 // fanoutAllocsCeiling is what one fanoutBed query may allocate, in the
 // whole process: frontend, both ends of the wire and the eight node
-// handlers. Measured 247 on this dispatcher (341 with a goroutine, a
+// handlers. Measured 230 on this dispatcher (341 with a goroutine, a
 // context and a channel per leg); the room is under one allocation per
 // leg, for a buffer pool refilling after a GC.
-const fanoutAllocsCeiling = 252
+const fanoutAllocsCeiling = 237
 
 // TestFanoutAllocsPerQuery is the count gate on the per-leg fixed cost:
 // the next allocation added to every leg fails here, not in a benchmark

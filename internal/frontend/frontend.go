@@ -6,7 +6,8 @@
 // legs), hedges slow sub-queries onto replica nodes before the failure
 // timer fires (first response wins, the loser is cancelled down to the
 // remote matcher), detects node failures through per-sub-query timers,
-// re-dispatches around failures with the §4.4 fallback, merges the
+// re-places a sub-query whose node has failed it, or is unschedulable
+// when it is about to be sent, with the §4.4 fallback, merges the
 // sub-responses, and maintains per-server processing-speed EWMAs from
 // observed completions. Failure suspicion is revocable and has one rule
 // (health.go): every leg outcome and every background probe — which
@@ -579,8 +580,6 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if pl == nil {
 		return Result{}, fmt.Errorf("frontend: no view installed")
 	}
-	suspected := f.suspectedSet()
-
 	est := f.estimator()
 	plan, err := pl.Schedule(pq, est)
 	if err != nil {
@@ -591,14 +590,6 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	}
 	if f.cfg.MaxSplits > 0 {
 		plan = pl.SplitSlowest(plan, est, f.cfg.MaxSplits)
-	}
-	if len(suspected) > 0 {
-		f.rngMu.Lock()
-		plan, err = pl.RepairPlan(plan, suspected, est, f.rng)
-		f.rngMu.Unlock()
-		if err != nil {
-			return Result{}, fmt.Errorf("frontend: repairing plan: %w", err)
-		}
 	}
 	schedDur := f.nowFn().Sub(tSched)
 

@@ -143,8 +143,10 @@ func (h *handle) loadSnapshot() (nodeState, float64, int) {
 }
 
 // suspectedSet snapshots the currently unschedulable nodes — locally
-// suspected plus view-quarantined — the set the scheduler must plan
-// around, RepairPlan must avoid, and hedging must not target.
+// suspected plus view-quarantined — which no re-placed sub-query and no
+// hedge leg may target (replicas). The scheduler plans around them
+// through the estimator, and the dispatcher re-places a leg it still
+// aims at one.
 func (f *Frontend) suspectedSet() map[ring.NodeID]bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

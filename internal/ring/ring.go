@@ -14,7 +14,8 @@
 // intersects the node's arc. Queries probe p equally spaced points; the
 // arc geometry guarantees each probe point lands inside every replication
 // arc that "covers" it, which is what makes rendezvous work. Which
-// identifiers a node holds, and which a sub-query reads, are decided
+// identifiers a node holds, which a sub-query reads, and so whether a
+// node can serve a sub-query (core.Placement.CanServe), are decided
 // exactly in identifier space (store.StoredSpans and store.ArcSpans);
 // this package supplies the points and ranges they start from.
 package ring
