@@ -9,7 +9,7 @@ import (
 // //lint:allow directives. A directive names one or more allow keys and
 // (by convention, after an em-dash or semicolon) the reason:
 //
-//	now = time.Now //lint:allow wallclock — injection default
+//	return time.Now() //lint:allow wallclock — the wall clock itself
 //	//lint:allow background lock
 //	doRisky()
 //

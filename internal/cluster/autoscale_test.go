@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/frontend"
 	"roar/internal/membership"
 )
@@ -17,27 +18,9 @@ import (
 // standby ring up (shed rate falls, result id sets stay identical to
 // the healthy baseline throughout); a node killed and quarantined past
 // the deadline is auto-decommissioned; and when the load drops the
-// standby ring is powered back down. The controller clock is injected
-// so cooldowns and the quarantine deadline advance deterministically.
-
-// asClock is the shared fake clock for the health aggregator and the
-// controller.
-type asClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *asClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *asClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+// standby ring is powered back down. The control plane runs on a
+// clock.Fake, so cooldowns and the quarantine deadline advance
+// deterministically; the frontend and the nodes run on real time.
 
 func TestClusterAutoscaleElasticity(t *testing.T) {
 	if testing.Short() {
@@ -52,8 +35,8 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 		probesPerTck = 4
 		sustainTicks = 2
 	)
-	clk := &asClock{t: time.Unix(1_700_000_000, 0)}
-	c, err := Start(Options{
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	c, err := start(Options{
 		Nodes: nodes, Rings: rings, P: p, Seed: 17,
 		FixedQueryCost: 4 * time.Millisecond,
 		Frontend: frontend.Config{
@@ -62,7 +45,7 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 			ProbeInterval:   25 * time.Millisecond,
 			ShedHighWater:   shedHW,
 		},
-		Health: membership.HealthConfig{QuarantineThreshold: 2, Now: clk.Now},
+		Health: membership.HealthConfig{QuarantineThreshold: 2},
 		Autoscale: &membership.AutoscaleConfig{
 			ShedRef:      1,    // one shed per tick is already pressure 1.0
 			DepthRef:     1000, // de-emphasize the noisy depth gauge
@@ -70,10 +53,9 @@ func TestClusterAutoscaleElasticity(t *testing.T) {
 			SustainTicks:       sustainTicks,
 			Cooldown:           time.Minute,
 			QuarantineDeadline: 30 * time.Second,
-			Now:                clk.Now,
 			Logf:               t.Logf,
 		},
-	})
+	}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}

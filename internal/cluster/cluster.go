@@ -23,6 +23,7 @@ import (
 	"os"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/coordclient"
 	"roar/internal/frontend"
 	"roar/internal/membership"
@@ -134,7 +135,10 @@ func SlimEncoderConfig() pps.EncoderConfig {
 // the nodes, each joining over member.join, then the first frontend.
 // Replica listeners are all bound first, since each replica must know
 // the full peer list up front.
-func Start(opts Options) (*Cluster, error) {
+func Start(opts Options) (*Cluster, error) { return start(opts, nil) }
+
+// start is Start with the control plane on clk (nil means clock.Real).
+func start(opts Options, clk clock.Clock) (*Cluster, error) {
 	if opts.Nodes <= 0 || opts.P <= 0 {
 		return nil, fmt.Errorf("cluster: need Nodes and P")
 	}
@@ -154,7 +158,7 @@ func Start(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Enc: enc, tmpDir: tmpDir, logf: opts.Logf, rng: rand.New(rand.NewSource(opts.Seed))}
-	if err := c.startControlPlane(opts, dir); err != nil {
+	if err := c.startControlPlane(opts, dir, clk); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -206,9 +210,9 @@ func Start(opts Options) (*Cluster, error) {
 }
 
 // startControlPlane serves opts.Replicas control-plane processes (one
-// when fewer) on loopback, waits for a replica set to elect a leader,
-// and opens the failover client over them.
-func (c *Cluster) startControlPlane(opts Options, dir string) error {
+// when fewer) on clk on loopback, waits for a replica set to elect a
+// leader, and opens the failover client over them.
+func (c *Cluster) startControlPlane(opts Options, dir string, clk clock.Clock) error {
 	lns := make([]net.Listener, max(opts.Replicas, 1))
 	addrs := make([]string, len(lns))
 	for i := range lns {
@@ -222,7 +226,7 @@ func (c *Cluster) startControlPlane(opts Options, dir string) error {
 		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	cfg := membership.ServerConfig{
-		Coordinator:       membership.Config{Rings: opts.Rings, P: opts.P, Health: opts.Health},
+		Coordinator:       membership.Config{Rings: opts.Rings, P: opts.P, Health: opts.Health, Clock: clk},
 		WALDir:            dir,
 		Ingest:            membership.IngestConfig{Batch: opts.IngestBatch, Logf: opts.Logf},
 		Lease:             opts.Lease,

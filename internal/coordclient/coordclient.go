@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/wire"
 )
 
@@ -33,8 +34,8 @@ type Config struct {
 	// attempts before giving up (the context can end a Call sooner).
 	// Default 4.
 	Passes int
-	// After injects the backoff timer (tests). Nil means real time.
-	After func(time.Duration) <-chan time.Time
+	// Clock times the backoff. Nil means clock.Real.
+	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -47,9 +48,7 @@ func (c Config) withDefaults() Config {
 	if c.Passes <= 0 {
 		c.Passes = 4
 	}
-	if c.After == nil {
-		c.After = time.After //lint:allow wallclock — clock-injection default
-	}
+	c.Clock = clock.Or(c.Clock)
 	return c
 }
 
@@ -158,7 +157,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out interface{}) e
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-c.cfg.After(wait):
+		case <-clock.After(c.cfg.Clock, wait):
 		}
 		if backoff *= 2; backoff > c.cfg.MaxBackoff {
 			backoff = c.cfg.MaxBackoff

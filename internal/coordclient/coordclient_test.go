@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/wire"
 )
 
@@ -21,6 +22,20 @@ func startMember(t *testing.T, fn func(method string) (interface{}, error)) stri
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv.Addr()
+}
+
+// instantClock fires every timer at once, so backoffs collapse, and
+// records what each was armed for.
+type instantClock struct {
+	*clock.Fake
+	waits []time.Duration
+}
+
+func newInstantClock() *instantClock { return &instantClock{Fake: clock.NewFake(time.Time{})} }
+
+func (c *instantClock) NewTimer(d time.Duration) clock.Timer {
+	c.waits = append(c.waits, d)
+	return c.Fake.NewTimer(0)
 }
 
 type pong struct {
@@ -108,16 +123,8 @@ func TestCallBacksOffBetweenPasses(t *testing.T) {
 		}
 		return pong{From: "flaky"}, nil
 	})
-	var waits []time.Duration
-	cl, err := New([]string{flaky}, Config{
-		BaseBackoff: 80 * time.Millisecond,
-		After: func(d time.Duration) <-chan time.Time {
-			waits = append(waits, d)
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return ch
-		},
-	})
+	clk := newInstantClock()
+	cl, err := New([]string{flaky}, Config{BaseBackoff: 80 * time.Millisecond, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +133,7 @@ func TestCallBacksOffBetweenPasses(t *testing.T) {
 	if err := cl.Call(context.Background(), "member.view", nil, &out); err != nil {
 		t.Fatal(err)
 	}
+	waits := clk.waits
 	if len(waits) != 1 {
 		t.Fatalf("expected one backoff between passes, saw %v", waits)
 	}
@@ -137,14 +145,7 @@ func TestCallBacksOffBetweenPasses(t *testing.T) {
 
 func TestCallExhaustsPasses(t *testing.T) {
 	down := startMember(t, func(string) (interface{}, error) { return nil, errors.New("nope") })
-	cl, err := New([]string{down}, Config{
-		Passes: 2,
-		After: func(time.Duration) <-chan time.Time {
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return ch
-		},
-	})
+	cl, err := New([]string{down}, Config{Passes: 2, Clock: newInstantClock()})
 	if err != nil {
 		t.Fatal(err)
 	}

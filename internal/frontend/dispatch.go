@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/core"
 	"roar/internal/proto"
 	"roar/internal/wire"
@@ -91,7 +92,7 @@ type dispatcher struct {
 	legs []*leg
 	open int // sub-queries neither answered nor re-placed
 
-	timer *time.Timer
+	timer clock.Timer
 	armed time.Time     // what the timer is set to
 	done  chan struct{} // closed on return; made for the first credit waiter
 }
@@ -99,13 +100,13 @@ type dispatcher struct {
 // dispatch runs subs to completion. The Result carries the unmerged ids
 // and the fan-out's counters, also when err is set.
 func (f *Frontend) dispatch(ctx context.Context, pl *core.Placement, est core.Estimator, spec QuerySpec, subs []core.SubQuery) (Result, error) {
-	d := &dispatcher{f: f, ctx: ctx, pl: pl, est: est, sink: wire.NewSink(f.nowFn),
+	d := &dispatcher{f: f, ctx: ctx, pl: pl, est: est, sink: wire.NewSink(f.sinkNow),
 		legs: make([]*leg, 0, len(subs)),
 		req:  proto.QueryReq{QID: f.qid.Add(1), Flags: f.memoFlags(spec), Q: spec.Enc, Plain: spec.Plain}}
 	// No deadline comes sooner than a failure timer started now, except
 	// a hedge delay, and arm moves the timer up for those.
-	d.armed = f.nowFn().Add(f.cfg.SubQueryTimeout)
-	d.timer = f.timerFn(f.cfg.SubQueryTimeout)
+	d.armed = f.cfg.Clock.Now().Add(f.cfg.SubQueryTimeout)
+	d.timer = f.cfg.Clock.NewTimer(f.cfg.SubQueryTimeout)
 	defer d.stop()
 	d.startSubs(subs, 0)
 	for d.open > 0 && d.err == nil {
@@ -118,7 +119,7 @@ func (f *Frontend) dispatch(ctx context.Context, pl *core.Placement, est core.Es
 				}
 				d.onEvent(p)
 			}
-		case <-d.timer.C:
+		case <-d.timer.C():
 			d.onTimer()
 		case <-ctx.Done():
 			d.err = ctx.Err()
@@ -213,7 +214,7 @@ func (d *dispatcher) launch(l *leg) {
 // taken for remote slowness; a hedge leg keeps the deadline of its
 // side, which bounds the side as a whole by one SubQueryTimeout.
 func (d *dispatcher) send(l *leg) {
-	now := d.f.nowFn()
+	now := d.f.cfg.Clock.Now()
 	l.state, l.start = legInflight, now
 	l.h.addOutstanding(l.sub.Size())
 	if l.of == nil {
@@ -296,7 +297,7 @@ func (d *dispatcher) arm(t, now time.Time) {
 // onTimer acts on every deadline that has passed and re-arms the timer
 // to the earliest one left.
 func (d *dispatcher) onTimer() {
-	now := d.f.nowFn()
+	now := d.f.cfg.Clock.Now()
 	for i := 0; i < len(d.legs) && d.err == nil; i++ { // a hedge launch appends
 		l := d.legs[i]
 		if l.state == legDone || l.deadline.IsZero() || l.deadline.After(now) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/index"
 	"roar/internal/pps"
 	"roar/internal/proto"
@@ -153,11 +154,11 @@ func TestFanoutGoroutinesPerQuery(t *testing.T) {
 // slowNodeBed is eight real nodes at p = 8, so every query has one leg
 // on each, behind a frontend whose hedge delay adapts; node slow answers
 // every leg delay late.
-func slowNodeBed(t *testing.T, slow int, delay time.Duration) *Frontend {
+func slowNodeBed(t *testing.T, slow int, delay time.Duration, clk clock.Clock) *Frontend {
 	t.Helper()
 	v, nodes := testView(t, slimEncoder(), 8, 8)
 	nodes[slow].SetDelay(delay)
-	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1})
+	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1, Clock: clk})
 	t.Cleanup(fe.Close)
 	if err := fe.ApplyView(v); err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func slowNodeBed(t *testing.T, slow int, delay time.Duration) *Frontend {
 // would charge the slow node's samples to the others.
 func TestLatencyAttributedToServingNode(t *testing.T) {
 	const slow, delay = 3, 3 * time.Millisecond
-	fe := slowNodeBed(t, slow, delay)
+	fe := slowNodeBed(t, slow, delay, nil)
 	q, _ := slimEncoder().EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	for i := 0; i < 150; i++ {
 		if res, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil || res.SubQueries != 8 {
@@ -199,6 +200,28 @@ func TestLatencyAttributedToServingNode(t *testing.T) {
 	}
 }
 
+// stallClock is the wall clock, except that every reading made outside
+// a connection's read loop stalls first.
+type stallClock struct{ clock.Clock }
+
+const stall = 2 * time.Millisecond
+
+func (c stallClock) Now() time.Time {
+	var pcs [24]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
+	for {
+		fr, more := frames.Next()
+		if strings.HasSuffix(fr.Function, ".readLoop") {
+			return c.Clock.Now()
+		}
+		if !more {
+			break
+		}
+	}
+	time.Sleep(stall)
+	return c.Clock.Now()
+}
+
 // TestLatencyRunsToArrival: a leg's sample ends when its response
 // arrives, not when the gather loop gets round to it. The frontend's
 // clock stalls every reading made outside a connection's read loop, so
@@ -206,23 +229,7 @@ func TestLatencyAttributedToServingNode(t *testing.T) {
 // answers long after they came in; a sample measured at the gather would
 // carry those stalls.
 func TestLatencyRunsToArrival(t *testing.T) {
-	const stall = 2 * time.Millisecond
-	fe := slowNodeBed(t, 0, 0)
-	fe.nowFn = func() time.Time {
-		var pcs [24]uintptr
-		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
-		for {
-			fr, more := frames.Next()
-			if strings.HasSuffix(fr.Function, ".readLoop") {
-				return time.Now()
-			}
-			if !more {
-				break
-			}
-		}
-		time.Sleep(stall)
-		return time.Now()
-	}
+	fe := slowNodeBed(t, 0, 0, stallClock{clock.Real})
 	q, _ := slimEncoder().EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
 	for i := 0; i <= latWarmup; i++ {
 		if _, err := fe.Query(context.Background(), QuerySpec{Enc: q}); err != nil {
@@ -233,6 +240,54 @@ func TestLatencyRunsToArrival(t *testing.T) {
 		if p50 := fe.nodeTracker(ring.NodeID(id)).quantile(0.5); p50 == 0 || p50 >= stall {
 			t.Errorf("node %d's median sample %v includes the gather loop's %v stalls", id, p50, stall)
 		}
+	}
+}
+
+// TestSubQueryTimeoutRunsOnTheClock: the §4.8 failure timer runs on the
+// frontend's clock. At PQ 2 over two nodes each owns one leg; node 0
+// takes its leg and never answers. The leg is not failed before the
+// clock passes SubQueryTimeout, and once it has, the leg fails and its
+// arc is re-placed on node 1, with no real time waited out. A real 5 s
+// guard fails the test rather than letting it hang.
+func TestSubQueryTimeoutRunsOnTheClock(t *testing.T) {
+	const timeout = time.Minute
+	clk := clock.NewFake(time.Unix(1e9, 0))
+	b := newOptBed(t, 2, 1, Config{PQ: 2, SubQueryTimeout: timeout, ProbeInterval: -1, Clock: clk})
+	gate := make(chan struct{})
+	defer close(gate)
+	b.nodes[0].setGate(gate)
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := b.fe.Query(context.Background(), optSpec)
+		done <- outcome{res, err}
+	}()
+	held := b.nodes[0]
+	waitFor(t, "node 0 to hold its leg", func() bool {
+		held.mu.Lock()
+		defer held.mu.Unlock()
+		return held.running == 1
+	})
+	clk.Advance(timeout - time.Millisecond)
+	select {
+	case o := <-done:
+		t.Fatalf("the query ended before its leg's SubQueryTimeout: %+v, %v", o.res, o.err)
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	select {
+	case o := <-done:
+		if o.err != nil || o.res.Failures != 1 || len(o.res.IDs) != 1 || o.res.IDs[0] != 1 {
+			t.Fatalf("want node 0's leg failed and answered by node 1, got %+v, %v", o.res, o.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leg was not failed once the clock passed its SubQueryTimeout")
+	}
+	if got := failedNodes(b.fe); len(got) != 1 || got[0] != 0 {
+		t.Errorf("suspected nodes %v, want [0]", got)
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/core"
 	"roar/internal/pps"
 	"roar/internal/proto"
@@ -118,6 +119,12 @@ type Config struct {
 	TenantRate float64
 	// TenantBurst is the quota bucket capacity (default max(rate, 8)).
 	TenantBurst float64
+
+	// Clock is the time source of every time read and timer: the
+	// sub-query timeout, the admission wait, the probe loop, the hedge
+	// budget, the tenant quotas and the Syncer's loops. Nil means
+	// clock.Real.
+	Clock clock.Clock
 }
 
 // Priority classes admission control distinguishes under overload.
@@ -214,13 +221,9 @@ type Frontend struct {
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 
-	// Injected clock. All latency measurement and timer arming in the
-	// execute/hedge/probe paths goes through these three so tests can
-	// drive the pipeline on a fake clock; the wall-clock defaults in
-	// New are the package's only sanctioned time touchpoints.
-	nowFn   func() time.Time
-	timerFn func(time.Duration) *time.Timer
-	afterFn func(time.Duration) <-chan time.Time
+	// sinkNow is cfg.Clock.Now bound once: every query's wire.Sink
+	// keeps it, and binding the method value per query would allocate.
+	sinkNow func() time.Time
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -244,24 +247,23 @@ func New(cfg Config) *Frontend {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = defaultProbeInterval
 	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	f := &Frontend{
 		cfg:     cfg,
 		admit:   semaphore(cfg.MaxInFlight),
-		budget:  newHedgeBudget(hedgeBudgetFraction, hedgeBudgetBurst, nil),
+		budget:  newHedgeBudget(hedgeBudgetFraction, hedgeBudgetBurst, cfg.Clock),
 		nodes:   make(map[ring.NodeID]*handle),
 		nodeLat: make(map[ring.NodeID]*latTracker),
 		stop:    make(chan struct{}),
+		sinkNow: cfg.Clock.Now,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	f.nowFn = time.Now                                                 //lint:allow wallclock — clock-injection default
-	f.timerFn = time.NewTimer                                          //lint:allow wallclock — clock-injection default
-	f.afterFn = time.After                                             //lint:allow wallclock — clock-injection default
 	f.lifeCtx, f.lifeCancel = context.WithCancel(context.Background()) //lint:allow background — frontend lifetime root, cancelled in Close
 	f.cache = newResultCache(cfg.CacheBudget)
 	if f.cache != nil {
 		f.drained = newDrainLog()
 	}
-	f.tenants = newTenantTable(cfg.TenantRate, cfg.TenantBurst, func() time.Time { return f.nowFn() })
+	f.tenants = newTenantTable(cfg.TenantRate, cfg.TenantBurst, cfg.Clock)
 	if cfg.ProbeInterval > 0 {
 		go f.probeLoop()
 	}
@@ -483,7 +485,7 @@ type QuerySpec struct {
 // its own; if the flight fails, the waiter falls back to a full
 // execution of its own, so coalescing can only remove work.
 func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
-	t0 := f.nowFn()
+	t0 := f.cfg.Clock.Now()
 	c := f.cache
 	cc := cacheControl(spec.CacheControl)
 	var key string
@@ -526,7 +528,7 @@ func (f *Frontend) Query(ctx context.Context, spec QuerySpec) (Result, error) {
 
 // cacheHit builds the Result of a query answered without a fan-out.
 func (f *Frontend) cacheHit(ids []uint64, t0 time.Time) Result {
-	return Result{IDs: ids, Delay: f.nowFn().Sub(t0), Source: SourceCache}
+	return Result{IDs: ids, Delay: f.cfg.Clock.Now().Sub(t0), Source: SourceCache}
 }
 
 // execute is the uncached pipeline: admission (overload shed, tenant
@@ -552,9 +554,9 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if admit != nil {
 		var timeout <-chan time.Time
 		if f.cfg.QueueTimeout > 0 {
-			tm := f.timerFn(f.cfg.QueueTimeout)
+			tm := f.cfg.Clock.NewTimer(f.cfg.QueueTimeout)
 			defer tm.Stop()
-			timeout = tm.C
+			timeout = tm.C()
 		}
 		select {
 		case admit <- struct{}{}:
@@ -566,10 +568,11 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 			return Result{}, ErrOverloaded
 		}
 	}
-	queueDur := f.nowFn().Sub(t0)
-	f.queueLat.observe(queueDur)
+	// Each phase ends where the next starts, so the phases sum to Delay.
+	tSched := f.cfg.Clock.Now()
+	queue := tSched.Sub(t0)
+	f.queueLat.observe(queue)
 
-	tSched := f.nowFn()
 	f.mu.RLock()
 	pl := f.pl
 	pq := f.cfg.PQ
@@ -591,24 +594,21 @@ func (f *Frontend) execute(ctx context.Context, spec QuerySpec, t0 time.Time, ke
 	if f.cfg.MaxSplits > 0 {
 		plan = pl.SplitSlowest(plan, est, f.cfg.MaxSplits)
 	}
-	schedDur := f.nowFn().Sub(tSched)
+	tDispatch := f.cfg.Clock.Now()
 
 	// Dispatch all sub-queries on this goroutine (dispatch.go).
-	t1 := f.nowFn()
 	out, derr := f.dispatch(ctx, pl, est, spec, plan.Subs)
-	dispatchDur := f.nowFn().Sub(t1)
+	tMerge := f.cfg.Clock.Now()
 
 	// Merge: the legs' ids come back in arrival order.
-	t2 := f.nowFn()
 	limit := 0
 	if spec.Plain != nil {
 		limit = spec.Plain.Limit
 	}
 	out.IDs = mergeIDs(out.IDs, limit)
-	mergeDur := f.nowFn().Sub(t2)
-
-	out.Delay = f.nowFn().Sub(t0)
-	out.Queue, out.Schedule, out.Dispatch, out.Merge = queueDur, schedDur, dispatchDur, mergeDur
+	tEnd := f.cfg.Clock.Now()
+	out.Delay = tEnd.Sub(t0)
+	out.Queue, out.Schedule, out.Dispatch, out.Merge = queue, tDispatch.Sub(tSched), tMerge.Sub(tDispatch), tEnd.Sub(tMerge)
 	out.Source = SourceFanout
 	if out.Hedges > 0 {
 		out.Source = SourceHedged

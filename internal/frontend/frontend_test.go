@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -49,16 +50,22 @@ func testView(t testing.TB, enc *pps.Encoder, n, p int) (proto.View, []*node.Nod
 func loadAll(t *testing.T, nodes []*node.Node, enc *pps.Encoder, words []string) {
 	t.Helper()
 	for i, w := range words {
-		rec, err := enc.EncryptDocument(pps.Document{
-			ID: uint64(i+1) * (1 << 40), Path: "/x", Size: 5,
-			Modified: time.Unix(1.2e9, 0), Keywords: []string{w},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, nd := range nodes {
-			nd.Put(proto.PutReq{Records: []pps.Encoded{rec}})
-		}
+		putAll(t, nodes, enc, uint64(i+1)*(1<<40), w)
+	}
+}
+
+// putAll puts document id, with the one keyword w, on every node.
+func putAll(t *testing.T, nodes []*node.Node, enc *pps.Encoder, id uint64, w string) {
+	t.Helper()
+	rec, err := enc.EncryptDocument(pps.Document{
+		ID: id, Path: "/x", Size: 5,
+		Modified: time.Unix(1.2e9, 0), Keywords: []string{w},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range nodes {
+		nd.Put(proto.PutReq{Records: []pps.Encoded{rec}})
 	}
 }
 
@@ -148,8 +155,15 @@ func TestViewUpdatePreservesSpeeds(t *testing.T) {
 func TestFailureDetectionAndFallback(t *testing.T) {
 	enc := slimEncoder()
 	v, nodes := testView(t, enc, 6, 2)
-	loadAll(t, nodes, enc, []string{"aa", "bb"})
-	fe := New(Config{SubQueryTimeout: 300 * time.Millisecond})
+	// Twelve matches spread round the ring, two in each leg's arc, so a
+	// leg that is dropped rather than re-sent loses harvest.
+	const matches = 12
+	for k := uint64(0); k < matches; k++ {
+		putAll(t, nodes, enc, k*(math.MaxUint64/matches)+1, "aa")
+	}
+	// PQ 6 over 6 nodes: every plan sends a leg to every node, node 2
+	// included.
+	fe := New(Config{PQ: 6, SubQueryTimeout: 300 * time.Millisecond})
 	defer fe.Close()
 	if err := fe.ApplyView(v); err != nil {
 		t.Fatal(err)
@@ -163,22 +177,21 @@ func TestFailureDetectionAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "aa"})
-	// Run enough queries that some plan hits node 2.
 	sawFailure := false
 	for i := 0; i < 10; i++ {
 		res, err := fe.Query(context.Background(), QuerySpec{Enc: q})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if len(res.IDs) != 1 {
-			t.Fatalf("query %d returned %d matches, want 1 (fallback must preserve harvest)", i, len(res.IDs))
+		if len(res.IDs) != matches {
+			t.Fatalf("query %d returned %d matches, want %d (fallback must preserve harvest)", i, len(res.IDs), matches)
 		}
 		if res.Failures > 0 {
 			sawFailure = true
 		}
 	}
 	if !sawFailure {
-		t.Skip("no plan touched the dead node; scheduling avoided it")
+		t.Fatal("no query failed a leg on the dead node 2")
 	}
 	if len(failedNodes(fe)) == 0 {
 		t.Error("failure should be recorded")

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/proto"
 	"roar/internal/ring"
 	"roar/internal/stats"
@@ -284,7 +285,7 @@ func (f *Frontend) probeLoop() {
 		select {
 		case <-f.stop:
 			return
-		case <-f.afterFn(f.cfg.ProbeInterval):
+		case <-clock.After(f.cfg.Clock, f.cfg.ProbeInterval):
 		}
 		f.probeAll(f.cfg.ProbeInterval)
 	}

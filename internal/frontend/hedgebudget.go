@@ -3,6 +3,8 @@ package frontend
 import (
 	"sync"
 	"time"
+
+	"roar/internal/clock"
 )
 
 // Hedge budget (Tail-Tolerant Distributed Search: replica hedging only
@@ -14,8 +16,8 @@ import (
 // `fraction` tokens, every hedged replica leg spends one, so hedged legs
 // are bounded by fraction × primaries + burst no matter how slow the
 // cluster gets. Tokens also trickle back at fraction per second of
-// wall-clock idleness (through the injectable clock), so a frontend
-// that went quiet re-arms its burst headroom.
+// idleness on the frontend's clock, so a frontend that went quiet
+// re-arms its burst headroom.
 
 // The budget every hedging frontend runs: hedged legs stay within 5 %
 // of primaries (the rate hedgeQuantile asks for) plus a burst of 4.
@@ -24,46 +26,44 @@ const (
 	hedgeBudgetBurst    = 4
 )
 
-type hedgeBudget struct {
-	mu       sync.Mutex
-	fraction float64 // tokens earned per primary sub-query dispatched
-	burst    float64 // bucket capacity; also the initial balance
-	tokens   float64
-	now      func() time.Time // injectable clock (tests)
-	last     time.Time        // last trickle evaluation
+// bucket is a token balance that refills with time on a clock: the
+// hedge budget and each tenant's quota are one.
+type bucket struct {
+	tokens float64
+	last   time.Time // last refill
 }
 
-// newHedgeBudget builds a full bucket. now == nil uses the wall clock.
-func newHedgeBudget(fraction, burst float64, now func() time.Time) *hedgeBudget {
-	if now == nil {
-		now = time.Now //lint:allow wallclock — clock-injection default
+// refill credits rate tokens per second since the last refill, up to
+// burst.
+func (b *bucket) refill(now time.Time, rate, burst float64) {
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens = min(b.tokens+dt*rate, burst)
+		b.last = now
 	}
-	b := &hedgeBudget{fraction: fraction, burst: burst, tokens: burst, now: now}
-	b.last = now()
-	return b
+}
+
+type hedgeBudget struct {
+	mu sync.Mutex
+	bucket
+	fraction float64 // tokens earned per primary sub-query dispatched
+	burst    float64 // bucket capacity; also the initial balance
+	clk      clock.Clock
+}
+
+// newHedgeBudget builds a full bucket.
+func newHedgeBudget(fraction, burst float64, clk clock.Clock) *hedgeBudget {
+	return &hedgeBudget{bucket: bucket{tokens: burst, last: clk.Now()}, fraction: fraction, burst: burst, clk: clk}
 }
 
 // trickleLocked credits fraction tokens per elapsed second — the
 // idle-refill path; the clock is only read here.
-func (b *hedgeBudget) trickleLocked() {
-	now := b.now()
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * b.fraction
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-}
+func (b *hedgeBudget) trickleLocked() { b.refill(b.clk.Now(), b.fraction, b.burst) }
 
 // earn credits the budget for n dispatched primary sub-queries.
 func (b *hedgeBudget) earn(n int) {
 	b.mu.Lock()
 	b.trickleLocked()
-	b.tokens += float64(n) * b.fraction
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.tokens = min(b.tokens+float64(n)*b.fraction, b.burst)
 	b.mu.Unlock()
 }
 

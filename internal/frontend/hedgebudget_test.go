@@ -4,16 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/ring"
 )
 
-// fakeClock is the injected time source for deterministic budget tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time                    { return c.t }
-func (c *fakeClock) advance(d time.Duration)           { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                         { return &fakeClock{t: time.Unix(1e9, 0)} }
-func budgetAt(f, b float64, c *fakeClock) *hedgeBudget { return newHedgeBudget(f, b, c.now) }
+func newFakeClock() *clock.Fake                         { return clock.NewFake(time.Unix(1e9, 0)) }
+func budgetAt(f, b float64, c *clock.Fake) *hedgeBudget { return newHedgeBudget(f, b, c) }
 
 // TestHedgeBudgetExhaustionStopsHedging: the bucket starts at burst,
 // spends one token per leg, and refuses hedges once empty — no wall
@@ -54,8 +50,8 @@ func TestHedgeBudgetEarnRefillsFromDispatches(t *testing.T) {
 	}
 }
 
-// TestHedgeBudgetClockTrickleRefills: wall-clock idleness (through the
-// injected clock) trickles tokens back at fraction per second, so a
+// TestHedgeBudgetClockTrickleRefills: idleness on the frontend's clock
+// trickles tokens back at fraction per second, so a
 // quiet frontend re-arms without any dispatches.
 func TestHedgeBudgetClockTrickleRefills(t *testing.T) {
 	clk := newFakeClock()
@@ -64,16 +60,16 @@ func TestHedgeBudgetClockTrickleRefills(t *testing.T) {
 	if b.take(1) {
 		t.Fatal("drained bucket admitted a hedge")
 	}
-	clk.advance(1 * time.Second) // +0.5 tokens
+	clk.Advance(1 * time.Second) // +0.5 tokens
 	if b.take(1) {
 		t.Fatal("half a trickled token admitted a hedge")
 	}
-	clk.advance(1 * time.Second) // reaches 1.0
+	clk.Advance(1 * time.Second) // reaches 1.0
 	if !b.take(1) {
 		t.Fatal("trickle refill did not resume hedging")
 	}
 	// Trickle is also capped at burst.
-	clk.advance(time.Hour)
+	clk.Advance(time.Hour)
 	if got := b.balance(); got != 4 {
 		t.Fatalf("balance after long idle = %v, want burst cap 4", got)
 	}
@@ -90,11 +86,10 @@ func TestHedgeBudgetBoundsGlobalSlownessFraction(t *testing.T) {
 		burst     = hedgeBudgetBurst
 		primaries = 10000
 	)
-	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1})
+	// A frozen clock: no trickle, so the bound is pure.
+	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1, Clock: newFakeClock()})
 	defer fe.Close()
 	b := fe.budget
-	clk := newFakeClock() // frozen: no trickle, the bound is pure
-	b.now, b.last = clk.now, clk.now()
 	hedged := 0
 	for i := 0; i < primaries; i++ {
 		b.earn(1)
@@ -111,6 +106,21 @@ func TestHedgeBudgetBoundsGlobalSlownessFraction(t *testing.T) {
 	}
 	t.Logf("global slowness: %d/%d hedged (%.2f%%, limit %.0f%%)",
 		hedged, primaries, 100*float64(hedged)/primaries, 100*fraction)
+}
+
+// TestHedgeBudgetRefillsOnTheFrontendClock: the budget a frontend runs
+// trickles on Config.Clock, so advancing that clock alone refills it.
+func TestHedgeBudgetRefillsOnTheFrontendClock(t *testing.T) {
+	clk := newFakeClock()
+	fe := New(Config{HedgeDelay: time.Millisecond, ProbeInterval: -1, Clock: clk})
+	defer fe.Close()
+	if !fe.budget.take(hedgeBudgetBurst) || fe.budget.take(1) {
+		t.Fatal("the budget did not start at its burst")
+	}
+	clk.Advance(time.Duration(float64(time.Second) / hedgeBudgetFraction)) // one token
+	if !fe.budget.take(1) {
+		t.Fatal("advancing the frontend's clock did not refill its hedge budget")
+	}
 }
 
 // TestPerNodeHedgeDelay: a node that is legitimately slow (large arc)

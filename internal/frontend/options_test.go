@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/proto"
 	"roar/internal/ring"
 	"roar/internal/wire"
@@ -267,6 +268,16 @@ func TestConfigOptions(t *testing.T) {
 			res := b.query(t, optSpec)
 			if res.Failures == 0 || time.Since(start) >= hold {
 				t.Errorf("held leg: %d failures after %v, want the timer to fire and the §4.4 re-dispatch to answer", res.Failures, time.Since(start))
+			}
+		},
+		"Clock": func(t *testing.T) {
+			// A frozen clock: 30 ms of real time pass inside the query,
+			// yet it measures none and its 1 ms timeout never fires.
+			clk := clock.NewFake(time.Unix(1e9, 0))
+			b := newOptBed(t, 1, 1, Config{SubQueryTimeout: time.Millisecond, ProbeInterval: -1, Clock: clk})
+			b.nodes[0].set(30*time.Millisecond, 0)
+			if res := b.query(t, optSpec); res.Delay != 0 || res.Failures != 0 {
+				t.Errorf("on a frozen clock: delay %v, %d failures; want 0 and 0", res.Delay, res.Failures)
 			}
 		},
 		"Seed": func(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/pps"
 	"roar/internal/proto"
 )
@@ -32,8 +33,6 @@ type SyncConfig struct {
 	Poll time.Duration
 	// HealthInterval is the health report push cadence. Default 1s.
 	HealthInterval time.Duration
-	// After injects the loop timer (tests). Nil means real time.
-	After func(time.Duration) <-chan time.Time
 	// Logf, when set, receives one line per rejected view refresh.
 	Logf func(format string, args ...any)
 }
@@ -44,9 +43,6 @@ func (sc SyncConfig) withDefaults() SyncConfig {
 	}
 	if sc.HealthInterval <= 0 {
 		sc.HealthInterval = time.Second
-	}
-	if sc.After == nil {
-		sc.After = time.After //lint:allow wallclock — clock-injection default
 	}
 	return sc
 }
@@ -146,7 +142,7 @@ func (s *Syncer) WaitFirstView(ctx context.Context, attempts int) error {
 			return ctx.Err()
 		case <-s.stop:
 			return fmt.Errorf("frontend: syncer stopped: %w", err)
-		case <-s.cfg.After(time.Second):
+		case <-clock.After(s.fe.cfg.Clock, time.Second):
 		}
 	}
 	return fmt.Errorf("frontend: no usable view after %d attempts: %w", attempts, err)
@@ -196,32 +192,24 @@ func (s *Syncer) PushHealthOnce(ctx context.Context) error {
 // RPCs and cancelling it (or calling Stop) halts both.
 func (s *Syncer) Start(ctx context.Context) {
 	s.wg.Add(2)
-	go func() {
-		defer s.wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.stop:
-				return
-			case <-s.cfg.After(s.cfg.Poll):
-				_ = s.Poll(ctx)
-			}
+	go s.every(ctx, s.cfg.Poll, s.Poll)
+	go s.every(ctx, s.cfg.HealthInterval, s.PushHealthOnce)
+}
+
+// every runs fn every d on the frontend's clock until ctx ends or the
+// Syncer stops.
+func (s *Syncer) every(ctx context.Context, d time.Duration, fn func(context.Context) error) {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-s.stop:
+			return
+		case <-clock.After(s.fe.cfg.Clock, d):
+			_ = fn(ctx)
 		}
-	}()
-	go func() {
-		defer s.wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.stop:
-				return
-			case <-s.cfg.After(s.cfg.HealthInterval):
-				_ = s.PushHealthOnce(ctx)
-			}
-		}
-	}()
+	}
 }
 
 // Stop halts the loops (idempotent) and waits for them to exit.

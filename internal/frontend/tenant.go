@@ -16,6 +16,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"roar/internal/clock"
 )
 
 // ErrTenantShed is returned to queries rejected by their tenant's
@@ -31,8 +33,7 @@ const maxTenantStates = 1024
 // (accesses are short and already on the admission path's lock-order
 // leaf).
 type tenantState struct {
-	tokens float64
-	last   time.Time // last refill
+	bucket
 	active time.Time // last touch, for idle eviction
 }
 
@@ -43,17 +44,17 @@ type tenantTable struct {
 	m     map[string]*tenantState
 	rate  float64 // tokens per second
 	burst float64 // bucket capacity and initial balance
-	nowFn func() time.Time
+	clk   clock.Clock
 }
 
-func newTenantTable(rate, burst float64, nowFn func() time.Time) *tenantTable {
+func newTenantTable(rate, burst float64, clk clock.Clock) *tenantTable {
 	if burst <= 0 {
 		burst = rate
 		if burst < 8 {
 			burst = 8
 		}
 	}
-	return &tenantTable{m: make(map[string]*tenantState), rate: rate, burst: burst, nowFn: nowFn}
+	return &tenantTable{m: make(map[string]*tenantState), rate: rate, burst: burst, clk: clk}
 }
 
 // stateLocked finds or creates a tenant's state, evicting the
@@ -75,7 +76,7 @@ func (t *tenantTable) stateLocked(tenant string, now time.Time) *tenantState {
 		}
 		delete(t.m, oldest)
 	}
-	st = &tenantState{tokens: t.burst, last: now, active: now}
+	st = &tenantState{bucket: bucket{tokens: t.burst, last: now}, active: now}
 	t.m[tenant] = st
 	return st
 }
@@ -86,17 +87,11 @@ func (t *tenantTable) take(tenant string) bool {
 	if t == nil || t.rate <= 0 {
 		return true
 	}
-	now := t.nowFn()
+	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.stateLocked(tenant, now)
-	if dt := now.Sub(st.last).Seconds(); dt > 0 {
-		st.tokens += dt * t.rate
-		if st.tokens > t.burst {
-			st.tokens = t.burst
-		}
-		st.last = now
-	}
+	st.refill(now, t.rate, t.burst)
 	if st.tokens < 1 {
 		return false
 	}

@@ -7,15 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/pps"
 )
 
-// fakeClock (hedgebudget_test.go) serves as the hand-advanced time
-// source for the token buckets here too.
-
 func TestTenantTableTakeAndRefill(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	tt := newTenantTable(1, 2, clk.now) // 1 token/s, burst 2
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tt := newTenantTable(1, 2, clk) // 1 token/s, burst 2
 
 	if !tt.take("a") || !tt.take("a") {
 		t.Fatal("burst of 2 must admit two takes")
@@ -23,7 +21,7 @@ func TestTenantTableTakeAndRefill(t *testing.T) {
 	if tt.take("a") {
 		t.Fatal("third take admitted with an empty bucket")
 	}
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	if !tt.take("a") {
 		t.Fatal("one second at rate 1 must refill one token")
 	}
@@ -31,7 +29,7 @@ func TestTenantTableTakeAndRefill(t *testing.T) {
 		t.Fatal("refill over-credited")
 	}
 	// Refill caps at burst, not unbounded accrual.
-	clk.advance(time.Hour)
+	clk.Advance(time.Hour)
 	if !tt.take("a") || !tt.take("a") {
 		t.Fatal("bucket should be back at burst capacity")
 	}
@@ -45,8 +43,8 @@ func TestTenantTableTakeAndRefill(t *testing.T) {
 }
 
 func TestTenantTableDisabled(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	tt := newTenantTable(0, 0, clk.now)
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tt := newTenantTable(0, 0, clk)
 	for i := 0; i < 100; i++ {
 		if !tt.take("a") {
 			t.Fatal("rate <= 0 must disable quota enforcement")
@@ -62,10 +60,8 @@ func TestTenantTableDisabled(t *testing.T) {
 }
 
 func TestTenantAdmitClasses(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	fe := New(Config{TenantRate: 0.0001, TenantBurst: 1})
+	fe := New(Config{TenantRate: 0.0001, TenantBurst: 1, Clock: clock.NewFake(time.Unix(1000, 0))})
 	defer fe.Close()
-	fe.tenants.nowFn = clk.now
 
 	// High bypasses the quota even under contention with a dry bucket.
 	for i := 0; i < 3; i++ {
@@ -96,15 +92,15 @@ func TestTenantAdmitClasses(t *testing.T) {
 }
 
 func TestTenantTableEvictsLeastRecentlyActive(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	tt := newTenantTable(1, 8, clk.now)
+	clk := clock.NewFake(time.Unix(1000, 0))
+	tt := newTenantTable(1, 8, clk)
 	for i := 0; i < maxTenantStates; i++ {
 		tt.take(fmt.Sprintf("t%04d", i))
-		clk.advance(time.Millisecond)
+		clk.Advance(time.Millisecond)
 	}
 	// Touch t0000 so t0001 becomes the eviction victim.
 	tt.take("t0000")
-	clk.advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	tt.take("fresh")
 	tt.mu.Lock()
 	_, kept := tt.m["t0000"]

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/pps"
 	"roar/internal/store"
 )
@@ -87,8 +88,8 @@ type ConsumerConfig struct {
 	OnAdvance func(drained uint64)
 	// Logf, when set, receives one line per delivery failure.
 	Logf func(format string, args ...any)
-	// After injects the backoff timer (tests). Nil means real time.
-	After func(time.Duration) <-chan time.Time
+	// Clock times the backoff. Nil means clock.Real.
+	Clock clock.Clock
 }
 
 func (cc ConsumerConfig) withDefaults() ConsumerConfig {
@@ -101,9 +102,7 @@ func (cc ConsumerConfig) withDefaults() ConsumerConfig {
 	if cc.MaxBackoff <= 0 {
 		cc.MaxBackoff = 2 * time.Second
 	}
-	if cc.After == nil {
-		cc.After = time.After
-	}
+	cc.Clock = clock.Or(cc.Clock)
 	return cc
 }
 
@@ -414,7 +413,7 @@ func (c *Consumer) sleep(d time.Duration) bool {
 	select {
 	case <-c.ctx.Done():
 		return false
-	case <-c.cfg.After(d):
+	case <-clock.After(c.cfg.Clock, d):
 		return true
 	}
 }

@@ -11,16 +11,17 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/pps"
 )
 
-// fastAfter collapses backoff sleeps so retry loops spin instead of
-// waiting out real time.
-func fastAfter(time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- time.Time{}
-	return ch
-}
+// fastClock fires every timer at once: backoff sleeps collapse, so
+// retry loops spin instead of waiting out real time.
+type fastClock struct{ *clock.Fake }
+
+func (c fastClock) NewTimer(time.Duration) clock.Timer { return c.Fake.NewTimer(0) }
+
+var fast = fastClock{clock.NewFake(time.Time{})}
 
 // sink is one delivery target that records what it received and can be
 // told to fail.
@@ -101,7 +102,7 @@ func TestConsumerDrainsToAllTargets(t *testing.T) {
 	a, b := &sink{}, &sink{}
 	c := NewConsumer(w, ConsumerConfig{
 		Route: staticRoute(Target{Key: "a", Push: a.push}, Target{Key: "b", Push: b.push}),
-		After: fastAfter,
+		Clock: fast,
 	})
 	recs := testRecs(21, 30)
 	seq, err := w.Append(recs...)
@@ -140,7 +141,7 @@ func TestConsumerPartialFailureSkipsAckedTargets(t *testing.T) {
 	sick.setFail(true)
 	c := NewConsumer(w, ConsumerConfig{
 		Route: staticRoute(Target{Key: "h", Push: healthy.push}, Target{Key: "s", Push: sick.push}),
-		After: fastAfter,
+		Clock: fast,
 	})
 	seq, err := w.Append(testRecs(23, 4)...)
 	if err != nil {
@@ -198,7 +199,7 @@ func TestConsumerReroutesToReplacement(t *testing.T) {
 		defer mu.Unlock()
 		return staticRoute(target)(dst, batch)
 	}
-	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
+	c := NewConsumer(w, ConsumerConfig{Route: route, Clock: fast})
 	recs := testRecs(24, 6)
 	seq, err := w.Append(recs...)
 	if err != nil {
@@ -256,7 +257,7 @@ func TestConsumerRouteFlipsInsideAttempt(t *testing.T) {
 			return []Target{newT}
 		})(dst, batch)
 	}
-	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
+	c := NewConsumer(w, ConsumerConfig{Route: route, Clock: fast})
 	recs := testRecs(29, 6)
 	seq, err := w.Append(recs...)
 	if err != nil {
@@ -281,7 +282,7 @@ func TestConsumerResumeSkipsDrainedPrefix(t *testing.T) {
 	if _, err := w.Append(testRecs(25, 10)...); err != nil {
 		t.Fatal(err)
 	}
-	c := NewConsumer(w, ConsumerConfig{Route: staticRoute(Target{Key: "s", Push: s.push}), After: fastAfter})
+	c := NewConsumer(w, ConsumerConfig{Route: staticRoute(Target{Key: "s", Push: s.push}), Clock: fast})
 	c.Start(7) // watermark restored from replicated state
 	defer c.Stop()
 	waitDrained(t, c, 10)
@@ -295,7 +296,7 @@ func TestConsumerStopWhileRetrying(t *testing.T) {
 	w := openTestWAL(t)
 	s := &sink{}
 	s.setFail(true)
-	c := NewConsumer(w, ConsumerConfig{Route: staticRoute(Target{Key: "s", Push: s.push}), After: fastAfter})
+	c := NewConsumer(w, ConsumerConfig{Route: staticRoute(Target{Key: "s", Push: s.push}), Clock: fast})
 	if _, err := w.Append(testRecs(26, 2)...); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestConsumerOnAdvanceObservesWatermark(t *testing.T) {
 	c := NewConsumer(w, ConsumerConfig{
 		Route:     staticRoute(Target{Key: "s", Push: s.push}),
 		BatchSize: 2,
-		After:     fastAfter,
+		Clock:     fast,
 		OnAdvance: func(d uint64) {
 			mu.Lock()
 			advances = append(advances, d)
@@ -368,7 +369,7 @@ func TestConsumerRouteErrorRetries(t *testing.T) {
 		}
 		return staticRoute(Target{Key: "s", Push: s.push})(dst, batch)
 	}
-	c := NewConsumer(w, ConsumerConfig{Route: route, After: fastAfter})
+	c := NewConsumer(w, ConsumerConfig{Route: route, Clock: fast})
 	seq, err := w.Append(testRecs(28, 3)...)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +424,7 @@ func TestDrainRoutesOncePerAttempt(t *testing.T) {
 		mu.Unlock()
 		return staticRoute(Target{Key: "a", Push: push})(dst, batch)
 	}
-	c := NewConsumer(w, ConsumerConfig{Route: route, BatchSize: 256, After: fastAfter})
+	c := NewConsumer(w, ConsumerConfig{Route: route, BatchSize: 256, Clock: fast})
 	seq, err := w.Append(recs...)
 	if err != nil {
 		t.Fatal(err)

@@ -333,7 +333,7 @@ func TestCorruptClosedSegmentStallsDrain(t *testing.T) {
 	s := &sink{}
 	c := NewConsumer(w, ConsumerConfig{
 		Route: staticRoute(Target{Key: "s", Push: s.push}),
-		After: fastAfter,
+		Clock: fast,
 		Logf: func(format string, _ ...any) {
 			if strings.Contains(format, "reading wal batch") {
 				readErrs.Add(1)

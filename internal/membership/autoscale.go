@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/sim"
 )
 
@@ -121,8 +122,6 @@ type AutoscaleConfig struct {
 	// than this. 0 disables auto-decommission.
 	QuarantineDeadline time.Duration
 
-	// Now injects the controller clock (tests). Nil means time.Now.
-	Now func() time.Time
 	// Logf, when set, receives one line per recorded decision.
 	Logf func(format string, args ...any)
 }
@@ -162,9 +161,6 @@ func (ac AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if ac.CostGateFraction <= 0 {
 		ac.CostGateFraction = 1.0
 	}
-	if ac.Now == nil {
-		ac.Now = time.Now //lint:allow wallclock — clock-injection default
-	}
 	return ac
 }
 
@@ -181,6 +177,7 @@ type Autoscaler struct {
 	// to the decision log like any other reconfiguration.
 	lead func() (*Coordinator, error)
 	cfg  AutoscaleConfig
+	clk  clock.Clock // the coordinator's Config.Clock
 	// baselineP is the level p-up restores toward when pressure clears:
 	// the p when the controller was built.
 	baselineP int
@@ -201,11 +198,11 @@ type Autoscaler struct {
 // telemetry counters are snapshotted now, so pressure accumulated
 // before the controller existed is not charged to its first tick.
 func (c *Coordinator) NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
-	return newAutoscaler(func() (*Coordinator, error) { return c, nil }, c.P(), cfg)
+	return newAutoscaler(func() (*Coordinator, error) { return c, nil }, c.P(), c.cfg.Clock, cfg)
 }
 
-func newAutoscaler(lead func() (*Coordinator, error), baselineP int, cfg AutoscaleConfig) *Autoscaler {
-	a := &Autoscaler{lead: lead, cfg: cfg.withDefaults(), baselineP: baselineP, stop: make(chan struct{})}
+func newAutoscaler(lead func() (*Coordinator, error), baselineP int, clk clock.Clock, cfg AutoscaleConfig) *Autoscaler {
+	a := &Autoscaler{lead: lead, cfg: cfg.withDefaults(), clk: clk, baselineP: baselineP, stop: make(chan struct{})}
 	if c, err := lead(); err == nil {
 		a.prev = c.FleetPressure()
 	}
@@ -225,15 +222,13 @@ func (a *Autoscaler) Start(ctx context.Context) {
 	a.started = true
 	a.mu.Unlock()
 	go func() {
-		t := time.NewTicker(a.cfg.Interval) //lint:allow wallclock — the loop cadence is real time; Step's decisions use the injected cfg.Now
-		defer t.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case <-a.stop:
 				return
-			case <-t.C:
+			case <-clock.After(a.clk, a.cfg.Interval):
 				a.Step(ctx)
 			}
 		}
@@ -306,7 +301,7 @@ func (a *Autoscaler) Step(ctx context.Context) []AutoscaleDecision {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	now := a.cfg.Now()
+	now := a.clk.Now()
 	fp := c.FleetPressure()
 	press := a.pressure(fp, a.prev)
 	a.prev = fp

@@ -3,50 +3,28 @@ package membership
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/proto"
 	"roar/internal/ring"
 )
-
-// fakeClock is the injectable time source shared by the health
-// aggregator (quarantine entry stamps) and the controller (cooldowns,
-// deadlines) so tests advance time deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
 
 // asEnv is an autoscale test environment: a coordinator over real (but
 // empty) nodes, a fake clock, and a synthetic-telemetry pump.
 type asEnv struct {
 	t   *testing.T
 	c   *Coordinator
-	clk *fakeClock
+	clk *clock.Fake
 	ids []ring.NodeID
 	seq uint64
 }
 
 func newASEnv(t *testing.T, nodes, rings, p int) *asEnv {
 	t.Helper()
-	clk := newFakeClock()
-	c, err := New(Config{P: p, Rings: rings, Health: HealthConfig{Now: clk.Now}})
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	c, err := New(Config{P: p, Rings: rings, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +72,7 @@ func TestAutoscaleHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := env.c.NewAutoscaler(AutoscaleConfig{
-		DepthRef: 8, SustainTicks: 3, Now: env.clk.Now,
+		DepthRef: 8, SustainTicks: 3,
 	})
 	ctx := context.Background()
 	step := func() []AutoscaleDecision {
@@ -140,7 +118,7 @@ func TestAutoscaleCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := env.c.NewAutoscaler(AutoscaleConfig{
-		DepthRef: 8, SustainTicks: 1, Cooldown: time.Minute, Now: env.clk.Now,
+		DepthRef: 8, SustainTicks: 1, Cooldown: time.Minute,
 	})
 	ctx := context.Background()
 	env.report(20, 0, nil)
@@ -174,7 +152,7 @@ func TestAutoscaleCooldown(t *testing.T) {
 func TestAutoscaleCostGateRefusal(t *testing.T) {
 	env := newASEnv(t, 4, 1, 2) // p 2→1 doubles r: 2.0 corpus copies
 	a := env.c.NewAutoscaler(AutoscaleConfig{
-		DepthRef: 8, SustainTicks: 1, CostGateFraction: 1.0, Now: env.clk.Now,
+		DepthRef: 8, SustainTicks: 1, CostGateFraction: 1.0,
 	})
 	ctx := context.Background()
 	epoch := env.c.Epoch()
@@ -208,7 +186,7 @@ func TestAutoscaleCostGateRefusal(t *testing.T) {
 	// Raising the budget clears the gate: the same pressure now buys
 	// the step.
 	a2 := env.c.NewAutoscaler(AutoscaleConfig{
-		DepthRef: 8, SustainTicks: 1, CostGateFraction: 2.5, Now: env.clk.Now,
+		DepthRef: 8, SustainTicks: 1, CostGateFraction: 2.5,
 	})
 	env.report(20, 0, nil)
 	ds = a2.Step(ctx)
@@ -227,7 +205,7 @@ func TestAutoscaleScaleDownRestoresThenPowersOff(t *testing.T) {
 	env := newASEnv(t, 4, 2, 3)
 	a := env.c.NewAutoscaler(AutoscaleConfig{
 		DepthRef: 8, SustainTicks: 1, Cooldown: time.Millisecond,
-		CostGateFraction: 10, Now: env.clk.Now,
+		CostGateFraction: 10,
 	})
 	ctx := context.Background()
 	// Drive one emergency p-down (both rings already serve).
@@ -269,7 +247,7 @@ func TestAutoscaleQuarantineDeadline(t *testing.T) {
 	env := newASEnv(t, 4, 1, 2)
 	a := env.c.NewAutoscaler(AutoscaleConfig{
 		DepthRef: 1000, SustainTicks: 100, // capacity loop effectively off
-		QuarantineDeadline: time.Minute, Now: env.clk.Now,
+		QuarantineDeadline: time.Minute,
 	})
 	ctx := context.Background()
 	victim := env.ids[1]
@@ -313,7 +291,7 @@ func TestAutoscaleDryRun(t *testing.T) {
 	epoch := env.c.Epoch()
 	a := env.c.NewAutoscaler(AutoscaleConfig{
 		DryRun: true, DepthRef: 8, SustainTicks: 1,
-		QuarantineDeadline: time.Minute, Now: env.clk.Now,
+		QuarantineDeadline: time.Minute,
 	})
 	ctx := context.Background()
 	victim := env.ids[0]

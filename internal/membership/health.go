@@ -30,10 +30,6 @@ type HealthConfig struct {
 	// Default 3 — e.g. three frontends each seeing one failure in an
 	// interval, or one frontend seeing failures across three.
 	QuarantineThreshold float64
-	// Now injects the clock used to stamp quarantine entry times (the
-	// autoscaler's quarantine-deadline decommission measures against
-	// these). Tests override; nil means time.Now.
-	Now func() time.Time
 }
 
 const (
@@ -60,9 +56,6 @@ const (
 func (hc HealthConfig) withDefaults() HealthConfig {
 	if hc.QuarantineThreshold <= 0 {
 		hc.QuarantineThreshold = 3
-	}
-	if hc.Now == nil {
-		hc.Now = time.Now //lint:allow wallclock — clock-injection default
 	}
 	return hc
 }
@@ -108,8 +101,8 @@ func newHealthState(cfg HealthConfig) *healthState {
 
 // adjustLocked applies an evidence delta and returns true when the
 // node's quarantine status flipped. total is the number of serving
-// nodes, for the max-fraction guard.
-func (h *healthState) adjustLocked(id ring.NodeID, delta float64, total int) (flipped bool) {
+// nodes, for the max-fraction guard; now stamps a quarantine entry.
+func (h *healthState) adjustLocked(id ring.NodeID, delta float64, total int, now time.Time) (flipped bool) {
 	s := h.scores[id] + delta
 	if s < 0 {
 		s = 0
@@ -124,7 +117,7 @@ func (h *healthState) adjustLocked(id ring.NodeID, delta float64, total int) (fl
 		if float64(len(h.quarantined)+1) > maxQuarantineFraction*float64(total) {
 			return false // refuse: too much of the cluster already demoted
 		}
-		h.quarantined[id] = h.cfg.Now()
+		h.quarantined[id] = now
 		return true
 	case inQ && s <= recoverScore:
 		delete(h.quarantined, id)
@@ -183,9 +176,10 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, er
 	h.shedTotal += int64(rep.Shed)
 	h.shedNormalTotal += int64(rep.ShedNormal)
 	h.hedgeDeniedTotal += int64(rep.HedgesDenied)
+	now := c.cfg.Clock.Now()
 	if rep.FE != "" {
 		h.queueWaitP99[rep.FE] = rep.QueueP99Nanos
-		h.queueWaitAt[rep.FE] = h.cfg.Now()
+		h.queueWaitAt[rep.FE] = now
 	}
 	var flips int
 	speeds := map[ring.NodeID]float64{}
@@ -203,7 +197,7 @@ func (c *Coordinator) ReportHealth(rep proto.HealthReport) (proto.HealthResp, er
 		}
 		delta := float64(nh.Fails) - answerWeight*float64(min(nh.OKs, maxAnswersPerReport))
 		if delta != 0 || h.scores[id] != 0 {
-			if h.adjustLocked(id, delta, len(serving)) {
+			if h.adjustLocked(id, delta, len(serving), now) {
 				flips++
 			}
 		}
@@ -281,7 +275,7 @@ func (c *Coordinator) FleetPressure() FleetPressure {
 	h := c.health
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	now := h.cfg.Now()
+	now := c.cfg.Clock.Now()
 	fp := FleetPressure{
 		ShedLow:     h.shedTotal,
 		ShedNormal:  h.shedNormalTotal,

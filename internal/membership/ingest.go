@@ -59,8 +59,6 @@ type IngestConfig struct {
 	MaxBackoff time.Duration
 	// Logf, when set, receives one line per delivery failure.
 	Logf func(format string, args ...any)
-	// After injects the backoff timer (tests). Nil means real time.
-	After func(time.Duration) <-chan time.Time
 }
 
 // IngestAppend durably accepts records: they are fsynced to the WAL
@@ -153,7 +151,7 @@ func (c *Coordinator) StartIngest(cfg IngestConfig) {
 		MinBackoff: cfg.MinBackoff,
 		MaxBackoff: cfg.MaxBackoff,
 		Logf:       cfg.Logf,
-		After:      cfg.After,
+		Clock:      c.cfg.Clock,
 		OnAdvance: func(drained uint64) {
 			c.mu.Lock()
 			if drained > c.ingestDrained {

@@ -38,6 +38,7 @@ import (
 	"slices"
 	"sync"
 
+	"roar/internal/clock"
 	"roar/internal/ingest"
 	"roar/internal/pps"
 	"roar/internal/proto"
@@ -60,6 +61,10 @@ type Config struct {
 	// through ReplicaConfig.OpenWAL instead. Without one the coordinator
 	// takes no records.
 	WAL *ingest.WAL
+	// Clock is the time source of the health aggregator, the autoscaler,
+	// the drain's backoff and, through ReplicaConfig.Coordinator, the
+	// replica's election and lease timers. Nil means clock.Real.
+	Clock clock.Clock
 }
 
 const (
@@ -185,6 +190,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Rings <= 0 {
 		cfg.Rings = 1
 	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	c := &Coordinator{
 		cfg:     cfg,
 		layout:  layout{disabled: map[int]bool{}, p: cfg.P},

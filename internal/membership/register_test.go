@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/proto"
 )
 
@@ -105,7 +106,7 @@ func flipArg(from, to int, both bool) byte {
 // registerRun is one schedule in progress, plus everything the
 // invariants remember across steps.
 type registerRun struct {
-	now   time.Time
+	clk   *clock.Fake
 	reps  []*Replica
 	net   *memNet
 	names []string
@@ -118,7 +119,7 @@ type registerRun struct {
 
 func newRegisterRun() (*registerRun, error) {
 	h := &registerRun{
-		now:        time.Unix(1_700_000_000, 0),
+		clk:        clock.NewFake(time.Unix(1_700_000_000, 0)),
 		names:      []string{"r:0", "r:1", "r:2"},
 		leaderOf:   map[uint64]string{},
 		commits:    map[uint64]proto.LogEntry{},
@@ -128,8 +129,7 @@ func newRegisterRun() (*registerRun, error) {
 	for _, name := range h.names {
 		r, err := NewReplica(ReplicaConfig{
 			Self: name, Peers: h.names, Lease: registerLease,
-			Coordinator: Config{P: 2},
-			Now:         func() time.Time { return h.now },
+			Coordinator: Config{P: 2, Clock: h.clk},
 		})
 		if err != nil {
 			return nil, err
@@ -210,7 +210,7 @@ func (h *registerRun) step(i int, kind, arg byte) string {
 		return fmt.Sprintf("%s heartbeats", r.Self())
 	case stepAdvance:
 		d := registerLease * time.Duration(arg%4+1) / 4
-		h.now = h.now.Add(d)
+		h.clk.Advance(d)
 		return fmt.Sprintf("clock +%v", d)
 	case stepFlip:
 		from := int(arg % 3)

@@ -79,6 +79,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/ingest"
 	"roar/internal/proto"
 	"roar/internal/wire"
@@ -144,9 +145,6 @@ type ReplicaConfig struct {
 	// across replicas, and it names no WAL: the leader opens its log
 	// through OpenWAL.
 	Coordinator Config
-	// Now/After inject the clock (tests). Nil means real time.
-	Now   func() time.Time
-	After func(time.Duration) <-chan time.Time
 	// Logf, when set, receives one line per role transition.
 	Logf func(format string, args ...any)
 	// OnIntentCommitted, when set, runs on the leader after a ChangeP
@@ -178,12 +176,7 @@ func (rc ReplicaConfig) withDefaults() ReplicaConfig {
 	if rc.Heartbeat <= 0 {
 		rc.Heartbeat = rc.Lease / 4
 	}
-	if rc.Now == nil {
-		rc.Now = time.Now //lint:allow wallclock — clock-injection default
-	}
-	if rc.After == nil {
-		rc.After = time.After //lint:allow wallclock — clock-injection default
-	}
+	rc.Coordinator.Clock = clock.Or(rc.Coordinator.Clock)
 	return rc
 }
 
@@ -302,6 +295,8 @@ func (r *Replica) logf(format string, args ...any) {
 
 func (r *Replica) majority() int { return len(r.cfg.Peers)/2 + 1 }
 
+func (r *Replica) now() time.Time { return r.cfg.Coordinator.Clock.Now() }
+
 // run is the role loop: followers watch for leader silence and campaign,
 // leaders replicate on the heartbeat cadence.
 func (r *Replica) run() {
@@ -321,7 +316,7 @@ func (r *Replica) run() {
 		select {
 		case <-r.lifeCtx.Done():
 			return
-		case <-r.cfg.After(wait):
+		case <-clock.After(r.cfg.Coordinator.Clock, wait):
 		}
 		r.mu.Lock()
 		switch r.role {
@@ -329,7 +324,7 @@ func (r *Replica) run() {
 			r.mu.Unlock()
 			r.heartbeat()
 		default:
-			silent := r.cfg.Now().Sub(r.lastHeard) >= r.cfg.Lease
+			silent := r.now().Sub(r.lastHeard) >= r.cfg.Lease
 			r.mu.Unlock()
 			if silent {
 				r.campaign()
@@ -346,7 +341,7 @@ func (r *Replica) campaign() {
 		r.mu.Unlock()
 		return
 	}
-	now := r.cfg.Now()
+	now := r.now()
 	// Honour our own outstanding grant: campaigning against a candidate
 	// we just voted for would hand out a second lease inside the first
 	// one's window.
@@ -463,7 +458,7 @@ func (r *Replica) becomeLeader(term uint64) {
 	r.role = RoleLeader
 	r.leader = r.cfg.Self
 	r.ackIndex = map[string]uint64{}
-	r.leaseUntil = r.cfg.Now().Add(r.cfg.Lease)
+	r.leaseUntil = r.now().Add(r.cfg.Lease)
 	r.mu.Unlock()
 	r.logf("elected leader at term %d", term)
 
@@ -572,7 +567,7 @@ func (r *Replica) heartbeat() {
 		return
 	}
 	term := r.term
-	start := r.cfg.Now()
+	start := r.now()
 	r.mu.Unlock()
 	acks := r.replicateRound(term)
 	r.mu.Lock()
@@ -580,7 +575,7 @@ func (r *Replica) heartbeat() {
 	if r.role == RoleLeader && r.term == term {
 		if acks+1 >= r.majority() {
 			r.leaseUntil = start.Add(r.cfg.Lease)
-		} else if !r.cfg.Now().Before(r.leaseUntil) {
+		} else if !r.now().Before(r.leaseUntil) {
 			coord = r.stepDownLocked("lease expired without majority contact")
 		}
 	}
@@ -647,7 +642,7 @@ func (r *Replica) propose(term uint64, kind uint8, snap func() proto.ControlStat
 	}
 	idx := r.accepted.Index + 1
 	r.accepted = proto.LogEntry{Index: idx, Term: term, Kind: kind, State: st}
-	start := r.cfg.Now()
+	start := r.now()
 	r.mu.Unlock()
 
 	acks := r.replicateRound(term)
@@ -720,7 +715,7 @@ func (r *Replica) HandleReplicate(req proto.ReplicateReq) proto.ReplicateResp {
 			return resp
 		}
 	}
-	now := r.cfg.Now()
+	now := r.now()
 	r.role, r.leader, r.lastHeard = RoleFollower, req.Leader, now
 	// Accepted replication traffic IS the lease renewal — and pins the
 	// leader as this term's vote, so once the lease lapses no OTHER
@@ -750,7 +745,7 @@ func (r *Replica) HandleLease(req proto.LeaseReq) proto.LeaseResp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	resp := proto.LeaseResp{Term: r.term, Leader: r.leader, LastIndex: r.accepted.Index}
-	now := r.cfg.Now()
+	now := r.now()
 	switch {
 	case req.Term < r.term:
 		// A stale candidate; resp.Term tells it how far behind it is.
@@ -854,7 +849,7 @@ func (r *Replica) P() int {
 // coordinator this replica leads with; its ticks do nothing while the
 // replica follows.
 func (r *Replica) NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
-	return newAutoscaler(r.LeaderCoord, r.P(), cfg)
+	return newAutoscaler(r.LeaderCoord, r.P(), r.cfg.Coordinator.Clock, cfg)
 }
 
 // RegisterHandlers serves the peer protocol (member.lease and

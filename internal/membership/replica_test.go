@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"roar/internal/clock"
 	"roar/internal/ingest"
 	"roar/internal/proto"
 	"roar/internal/wire"
@@ -264,17 +265,17 @@ func TestReplicaGapResetsFollowerWindow(t *testing.T) {
 // directly; nothing races on the clock because no loops run.
 func clockedReplica(t *testing.T) (*Replica, func(d time.Duration)) {
 	t.Helper()
-	now := time.Unix(1_700_000_000, 0)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	r, err := NewReplica(ReplicaConfig{
-		Self:  "x:1",
-		Peers: []string{"x:1", "x:2", "x:3"},
-		Now:   func() time.Time { return now },
+		Self:        "x:1",
+		Peers:       []string{"x:1", "x:2", "x:3"},
+		Coordinator: Config{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Stop)
-	return r, func(d time.Duration) { now = now.Add(d) }
+	return r, clk.Advance
 }
 
 func stateEntry(idx, term uint64, epoch int) proto.LogEntry {
